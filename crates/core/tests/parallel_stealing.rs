@@ -3,13 +3,17 @@
 //! serialize behind that query's worker, and must return bit-identical
 //! results to the sequential run.
 
-use nnq_core::{par_knn_batch, par_knn_batch_stats, FnRefiner, NnOptions};
+use nnq_core::{
+    par_knn_batch, par_knn_batch_stats, par_knn_batch_with_block, FnRefiner, JoinOrder, NnOptions,
+};
 use nnq_geom::{Point, Rect};
 use nnq_rtree::{MemRTree, RecordId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::HashSet;
 use std::hint::black_box;
-use std::time::Instant;
+use std::sync::Mutex;
+use std::time::{Duration, Instant};
 
 /// The sentinel query point whose refinement is made artificially
 /// expensive (outside the data's [0, 100]² world, so it is unambiguous).
@@ -30,6 +34,11 @@ fn build(n: usize) -> (MemRTree<2>, Vec<Point<2>>) {
     // static chunker, which would hand its whole chunk to the same worker.
     queries.insert(0, Point::new(EXPENSIVE));
     (tree, queries)
+}
+
+/// A point's coordinates as hashable bits.
+fn point_bits(p: &Point<2>) -> [u64; 2] {
+    p.coords().map(f64::to_bits)
 }
 
 /// A refiner that burns ~100× the normal per-object work for the sentinel
@@ -104,36 +113,48 @@ fn stealing_spreads_an_imbalanced_batch() {
 
 #[test]
 fn imbalanced_batch_finishes_near_optimal_with_stealing() {
-    // Wall-clock shape: with stealing the batch takes about
-    // max(expensive query, total/threads), not expensive + chunk. Timing
-    // assertions need real parallelism to be meaningful, so the ratio
-    // check is gated on core count; the scheduling invariants above are
-    // asserted unconditionally.
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    if cores < 2 {
-        eprintln!("skipping timing assertion: single hardware thread");
-        return;
-    }
+    // With stealing the batch's critical path is max(expensive query,
+    // everything else), not expensive + its static chunk. Shown in
+    // counters, with the interleaving forced instead of timed: the
+    // expensive query does not return before every query outside its own
+    // claim block has started, which only happens if the *other* worker
+    // claims all those blocks. (A scheduler that had dealt any of them to
+    // the stuck worker would never get there; the deadline turns that hang
+    // into a failure.)
     let (tree, queries) = build(4_000);
-    let refiner = imbalanced_refiner();
+    let (threads, block) = (2, 16);
+    let others: HashSet<[u64; 2]> = queries[block..].iter().map(point_bits).collect();
+    let started = Mutex::new(HashSet::new());
+    let refiner = FnRefiner::new(|_rid: RecordId, mbr: &Rect<2>, q: &Point<2>| {
+        if q.coords() == &EXPENSIVE {
+            let deadline = Instant::now() + Duration::from_secs(20);
+            while started.lock().unwrap().len() < others.len() {
+                assert!(Instant::now() < deadline, "the rest of the batch never ran");
+                std::thread::yield_now();
+            }
+        } else if others.contains(&point_bits(q)) {
+            started.lock().unwrap().insert(point_bits(q));
+        }
+        nnq_geom::mindist_sq(q, mbr)
+    });
 
-    let t0 = Instant::now();
-    let seq = par_knn_batch(&tree, &queries, 5, NnOptions::default(), &refiner, 1).unwrap();
-    let seq_time = t0.elapsed();
-
-    let threads = cores.min(4);
-    let t1 = Instant::now();
-    let par = par_knn_batch(&tree, &queries, 5, NnOptions::default(), &refiner, threads).unwrap();
-    let par_time = t1.elapsed();
-
-    assert_eq!(seq.len(), par.len());
-    // Generous bound (2 workers minimum → ideal ≈ 0.5–0.6 of sequential;
-    // allow scheduling noise) — a static chunker that serializes the
-    // expensive query behind a full chunk would sit near 1.0.
-    assert!(
-        par_time.as_secs_f64() <= 0.9 * seq_time.as_secs_f64(),
-        "no speedup from stealing: seq {seq_time:?}, par {par_time:?} on {threads} threads"
-    );
+    let (results, stats) = par_knn_batch_with_block(
+        &tree,
+        &queries,
+        5,
+        NnOptions::default(),
+        &refiner,
+        threads,
+        JoinOrder::AsGiven,
+        Some(block),
+    )
+    .unwrap();
+    assert_eq!(results.len(), queries.len());
+    // The worker stuck on the expensive query ran its one blind claim and
+    // nothing else — far from the static chunk of len/threads it would
+    // have owned — and the other worker ran all the rest.
+    let mut per_worker = stats.per_worker_queries.clone();
+    per_worker.sort_unstable();
+    assert_eq!(per_worker, [block, queries.len() - block]);
+    assert!(block < queries.len() / threads);
 }

@@ -818,6 +818,87 @@ impl<T: DiskManager> DiskManager for TornDisk<T> {
     }
 }
 
+// ---------------------------------------------------------------------------
+// FaultDisk
+// ---------------------------------------------------------------------------
+
+/// A [`DiskManager`] decorator that fails one chosen `read_page` with an
+/// I/O error — the error-injection sibling of [`LatencyDisk`] and
+/// [`TornDisk`]. Test-only for now: reads are the only fault the pool's
+/// load protocol needs; writes and syncs follow with their callers.
+#[cfg(test)]
+pub(crate) struct FaultDisk<T: DiskManager> {
+    inner: T,
+    /// Reads left until one fails; 0 means disarmed.
+    reads_to_fault: AtomicU64,
+}
+
+#[cfg(test)]
+impl<T: DiskManager> FaultDisk<T> {
+    /// Wraps `inner`, initially disarmed (a transparent passthrough).
+    pub(crate) fn new(inner: T) -> Self {
+        Self {
+            inner,
+            reads_to_fault: AtomicU64::new(0),
+        }
+    }
+
+    /// Makes the `k`-th `read_page` from now (1-based) return an error;
+    /// reads before and after it pass through.
+    pub(crate) fn fail_read(&self, k: u64) {
+        self.reads_to_fault.store(k, Ordering::Relaxed);
+    }
+}
+
+#[cfg(test)]
+impl<T: DiskManager> DiskManager for FaultDisk<T> {
+    fn page_size(&self) -> usize {
+        self.inner.page_size()
+    }
+
+    fn read_page(&self, id: PageId, buf: &mut [u8]) -> Result<()> {
+        let before = self
+            .reads_to_fault
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1));
+        if before == Ok(1) {
+            return Err(std::io::Error::other(format!("injected fault reading {id}")).into());
+        }
+        self.inner.read_page(id, buf)
+    }
+
+    fn write_page(&self, id: PageId, buf: &[u8]) -> Result<()> {
+        self.inner.write_page(id, buf)
+    }
+
+    fn allocate(&self) -> Result<PageId> {
+        self.inner.allocate()
+    }
+
+    fn deallocate(&self, id: PageId) -> Result<()> {
+        self.inner.deallocate(id)
+    }
+
+    fn live_pages(&self) -> u64 {
+        self.inner.live_pages()
+    }
+
+    fn stats(&self) -> DiskStats {
+        self.inner.stats()
+    }
+
+    fn reset_stats(&self) {
+        self.inner.reset_stats()
+    }
+
+    fn sync(&self) -> Result<()> {
+        self.inner.sync()
+    }
+
+    fn ensure_allocated(&self, id: PageId) -> Result<()> {
+        self.inner.ensure_allocated(id)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1045,6 +1126,21 @@ mod tests {
         assert_eq!(&buf[..32], &[0xBBu8; 32], "first half is the new write");
         assert_eq!(&buf[32..], &[0xAAu8; 32], "second half is the old page");
         assert_eq!(d.torn_writes(), 1);
+    }
+
+    #[test]
+    fn fault_disk_fails_exactly_the_kth_read() {
+        let disk = FaultDisk::new(MemDisk::new(64));
+        let id = disk.allocate().unwrap();
+        let mut buf = vec![0u8; 64];
+        disk.read_page(id, &mut buf).unwrap(); // disarmed
+        disk.fail_read(2);
+        disk.read_page(id, &mut buf).unwrap();
+        assert!(matches!(
+            disk.read_page(id, &mut buf),
+            Err(StorageError::Io(_))
+        ));
+        disk.read_page(id, &mut buf).unwrap(); // one fault, then passthrough
     }
 
     #[test]

@@ -6,8 +6,25 @@
 //! each with its own mutex, frame table, free list, and LRU clock. A page
 //! lives in the shard selected by the low bits of its [`PageId`], so two
 //! threads fetching pages in different shards never touch the same lock.
-//! `S = 1` (the default) is byte-for-byte the classic single-latch pool:
-//! one global LRU order, one mutex.
+//! `S = 1` (the default) keeps the classic pool's bookkeeping — one global
+//! LRU order, one mutex, and for any single-threaded access sequence the
+//! same [`PoolStats`] and victim order — but not its stall: the mutex
+//! covers the frame table only, never a device read.
+//!
+//! # In-flight loads
+//!
+//! A miss — a demand fetch's or a prefetch worker's, there is one load
+//! routine — picks its victim, maps the page to the frame, pins it, and
+//! takes the frame's write latch under the shard mutex, then *releases the
+//! mutex* for the device read. Hits, and misses on other pages, go on
+//! meanwhile. A concurrent fetch of the loading page finds the mapping,
+//! counts a hit, pins, and waits on the frame latch until the bytes are
+//! in: N racing fetches of one cold page cost one device read. While it
+//! loads, the frame is pinned, so LRU cannot evict it and
+//! [`BufferPool::delete_page`] reports it pinned. If the read fails the
+//! loader gets the device's error, every fetch that waited on the latch
+//! gets an error too (never the frame's stale bytes), and the frame is
+//! unmapped and returns to the free list with its last unpin.
 //!
 //! Accounting invariant: every fetch increments exactly one shard's
 //! `logical_reads` cell, so the aggregate [`PoolStats`] — and therefore
@@ -22,10 +39,9 @@
 //! [`BufferPool::prefetch`] enqueues a page id to a small pool of
 //! background I/O workers (started with [`BufferPool::start_prefetch`]).
 //! Hints are deduplicated against resident, queued, and in-flight pages
-//! and dropped when the bounded queue is full; a frame being filled by a
-//! prefetch is pinned and exclusively latched for the duration of the
-//! device read, so LRU cannot evict it mid-read and a racing demand fetch
-//! blocks on the latch instead of observing stale bytes.
+//! and dropped when the bounded queue is full; a worker fills its frame by
+//! the load protocol above, counting the frame `prefetched` where a demand
+//! miss counts a `physical_read`.
 //!
 //! Prefetch accounting is kept strictly separate from [`PoolStats`] in
 //! [`PrefetchStats`]: issuing or completing a hint never moves
@@ -36,16 +52,29 @@
 
 use crate::wal::Wal;
 use crate::{DiskManager, DiskStats, PageId, Result, StorageError};
-use parking_lot::{ArcRwLockReadGuard, ArcRwLockWriteGuard, Mutex, RawRwLock, RwLock};
+use parking_lot::{ArcRwLockReadGuard, ArcRwLockWriteGuard, Mutex, MutexGuard, RawRwLock, RwLock};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
+/// A frame's latched contents: one page of bytes — or none. A load whose
+/// device read failed empties the buffer before it releases the latch, so
+/// the fetchers that pinned the frame while the read was running find no
+/// page to serve; the next install restores the length.
 type FrameData = Arc<RwLock<Vec<u8>>>;
 type ReadGuardInner = ArcRwLockReadGuard<RawRwLock, Vec<u8>>;
 type WriteGuardInner = ArcRwLockWriteGuard<RawRwLock, Vec<u8>>;
+
+/// What a fetch of `id` that finds the frame emptied by a failed load
+/// reports: it waited out, or arrived just after, another fetch's read.
+#[cold]
+fn load_failed(id: PageId) -> StorageError {
+    StorageError::Io(std::io::Error::other(format!(
+        "a concurrent load of {id} failed"
+    )))
+}
 
 /// Access counters maintained by a [`BufferPool`].
 ///
@@ -195,6 +224,28 @@ struct Inner {
     tick: u64,
 }
 
+impl Inner {
+    /// Maps `id` to the free frame `frame_idx`, pinned once and stamped
+    /// most-recently-used; returns its data cell.
+    fn install(
+        &mut self,
+        frame_idx: usize,
+        id: PageId,
+        dirty: bool,
+        prefetched: bool,
+    ) -> FrameData {
+        self.map.insert(id, frame_idx);
+        self.tick += 1;
+        let f = &mut self.frames[frame_idx];
+        f.page = id;
+        f.dirty = dirty;
+        f.pins = 1;
+        f.tick = self.tick;
+        f.prefetched = prefetched;
+        Arc::clone(&f.data)
+    }
+}
+
 /// One sub-pool: its own latch, frame table, free list, LRU clock, and
 /// stat cells. Pages are assigned to shards by `page_id & shard_mask`.
 struct Shard {
@@ -303,6 +354,7 @@ struct PoolCore {
     disk: Box<dyn DiskManager>,
     shards: Vec<Shard>,
     shard_mask: u64,
+    capacity: usize,
     wal: Option<Wal>,
     prefetch: PrefetchShared,
 }
@@ -331,8 +383,7 @@ pub struct BufferPool {
 
 impl BufferPool {
     /// Creates a single-shard pool with `capacity` frames over `disk`
-    /// (one global latch and one global LRU order — the paper's buffering
-    /// model).
+    /// (one global LRU order — the paper's buffering model).
     ///
     /// # Panics
     /// Panics if `capacity` is zero.
@@ -368,6 +419,7 @@ impl BufferPool {
                 disk,
                 shard_mask: (shards - 1) as u64,
                 shards: shard_vec,
+                capacity,
                 wal: None,
                 prefetch: PrefetchShared::new(),
             }),
@@ -523,9 +575,9 @@ impl BufferPool {
     /// the journal — capturing an image is not a page access in the
     /// paper's accounting.
     pub fn page_image(&self, id: PageId) -> Result<Vec<u8>> {
-        let shard = self.core.shard_of(id);
+        let shard_idx = (id.0 & self.core.shard_mask) as usize;
         let resident = {
-            let mut inner = shard.inner.lock();
+            let mut inner = self.core.shards[shard_idx].inner.lock();
             if let Some(&frame_idx) = inner.map.get(&id) {
                 // Pin so the frame cannot be evicted or repurposed while
                 // we copy outside the shard lock.
@@ -537,9 +589,12 @@ impl BufferPool {
         };
         if let Some((frame_idx, data)) = resident {
             let image = data.read().to_vec();
-            let mut inner = shard.inner.lock();
-            inner.frames[frame_idx].pins -= 1;
-            return Ok(image);
+            self.core.unpin(shard_idx, frame_idx);
+            return if image.is_empty() {
+                Err(load_failed(id))
+            } else {
+                Ok(image)
+            };
         }
         let mut image = vec![0u8; self.core.disk.page_size()];
         self.core.disk.read_page(id, &mut image)?;
@@ -568,11 +623,7 @@ impl BufferPool {
 
     /// The total number of frames across all shards.
     pub fn capacity(&self) -> usize {
-        self.core
-            .shards
-            .iter()
-            .map(|s| s.inner.lock().frames.len())
-            .sum()
+        self.core.capacity
     }
 
     /// The number of shards (a power of two; `1` for the default pool).
@@ -666,27 +717,35 @@ impl BufferPool {
     }
 
     /// Fetches a page for shared (read) access.
+    #[inline]
     pub fn fetch(&self, id: PageId) -> Result<PageReadGuard<'_>> {
         let (shard_idx, frame_idx, data) = self.core.pin_frame(id, false)?;
-        let guard = RwLock::read_arc(&data);
-        Ok(PageReadGuard {
+        let guard = PageReadGuard {
             pool: self,
             shard: shard_idx,
             frame: frame_idx,
-            guard,
-        })
+            guard: RwLock::read_arc(&data),
+        };
+        if guard.is_empty() {
+            return Err(load_failed(id)); // dropping the guard unpins
+        }
+        Ok(guard)
     }
 
     /// Fetches a page for exclusive (write) access and marks it dirty.
+    #[inline]
     pub fn fetch_write(&self, id: PageId) -> Result<PageWriteGuard<'_>> {
         let (shard_idx, frame_idx, data) = self.core.pin_frame(id, true)?;
-        let guard = RwLock::write_arc(&data);
-        Ok(PageWriteGuard {
+        let guard = PageWriteGuard {
             pool: self,
             shard: shard_idx,
             frame: frame_idx,
-            guard,
-        })
+            guard: RwLock::write_arc(&data),
+        };
+        if guard.is_empty() {
+            return Err(load_failed(id));
+        }
+        Ok(guard)
     }
 
     /// Allocates a fresh zeroed page on the device and returns it pinned for
@@ -701,18 +760,11 @@ impl BufferPool {
         // The page is zeroed on the device; cache it without a device read.
         let mut inner = shard.inner.lock();
         let frame_idx = self.core.acquire_frame(shard, &mut inner)?;
-        inner.map.insert(id, frame_idx);
-        inner.tick += 1;
-        let tick = inner.tick;
-        let f = &mut inner.frames[frame_idx];
-        f.page = id;
-        f.dirty = true;
-        f.pins = 1;
-        f.tick = tick;
-        let data = Arc::clone(&f.data);
+        let data = inner.install(frame_idx, id, true, false);
         drop(inner);
         let mut guard = RwLock::write_arc(&data);
-        guard.fill(0);
+        guard.clear();
+        guard.resize(self.core.disk.page_size(), 0);
         Ok((
             id,
             PageWriteGuard {
@@ -729,7 +781,8 @@ impl BufferPool {
     /// A queued prefetch of the page is cancelled and an in-flight one
     /// drained first, so a background read cannot resurrect the freed page
     /// into a frame. Fails with [`StorageError::PoolExhausted`] if the
-    /// page is currently pinned by a demand guard.
+    /// page is currently pinned by a demand guard or a demand load in
+    /// flight.
     pub fn delete_page(&self, id: PageId) -> Result<()> {
         self.core.cancel_prefetch(id);
         let shard = self.core.shard_of(id);
@@ -851,6 +904,8 @@ impl PoolCore {
 
     /// Pins the frame holding `id` in its shard, loading it from the device
     /// on a miss. Returns the shard index, frame index, and its data cell.
+    /// The caller latches the cell next and must check it is not empty: on
+    /// a hit the frame may still be loading (or have failed to).
     fn pin_frame(&self, id: PageId, write_intent: bool) -> Result<(usize, usize, FrameData)> {
         if !id.is_valid() {
             return Err(StorageError::InvalidPage(id));
@@ -859,17 +914,15 @@ impl PoolCore {
         let shard = &self.shards[shard_idx];
         let mut inner = shard.inner.lock();
         shard.stats.logical_reads.fetch_add(1, Ordering::Relaxed);
-        inner.tick += 1;
-        let tick = inner.tick;
 
         if let Some(&frame_idx) = inner.map.get(&id) {
             shard.stats.hits.fetch_add(1, Ordering::Relaxed);
+            inner.tick += 1;
+            let tick = inner.tick;
             let f = &mut inner.frames[frame_idx];
             if f.prefetched {
                 // First demand claim of a prefetched frame: the hint paid
-                // off. (If the background read is still running, the latch
-                // acquired by the caller after this returns will block
-                // until the bytes are in place.)
+                // off.
                 f.prefetched = false;
                 self.prefetch.useful.fetch_add(1, Ordering::Relaxed);
             }
@@ -878,28 +931,57 @@ impl PoolCore {
             if write_intent {
                 f.dirty = true;
             }
+            // If another thread (demand or prefetch) is still loading this
+            // frame it holds the write latch, and the caller's latch
+            // acquisition waits there, not on the shard, for the bytes.
             return Ok((shard_idx, frame_idx, Arc::clone(&f.data)));
         }
 
-        // Miss: find a frame, read from device.
         shard.stats.physical_reads.fetch_add(1, Ordering::Relaxed);
         let frame_idx = self.acquire_frame(shard, &mut inner)?;
-        {
-            let data = Arc::clone(&inner.frames[frame_idx].data);
-            let mut buf = data.write();
-            if let Err(e) = self.disk.read_page(id, &mut buf) {
-                // Leave the frame on the free list on failure.
-                inner.free.push(frame_idx);
-                return Err(e);
+        let data = self.load(shard_idx, inner, frame_idx, id, write_intent, false)?;
+        Ok((shard_idx, frame_idx, data))
+    }
+
+    /// The one page-load protocol (module docs, "In-flight loads"), shared
+    /// by demand misses and prefetch workers, which differ only in what
+    /// they counted before calling. Takes the shard lock and a free frame;
+    /// returns with the lock dropped, the latch released, and the caller
+    /// owning the frame's one pin — or, if the read failed, with the frame
+    /// emptied, unmapped, and that pin dropped.
+    fn load(
+        &self,
+        shard_idx: usize,
+        mut inner: MutexGuard<'_, Inner>,
+        frame_idx: usize,
+        id: PageId,
+        dirty: bool,
+        prefetched: bool,
+    ) -> Result<FrameData> {
+        let data = inner.install(frame_idx, id, dirty, prefetched);
+        let mut buf = RwLock::write_arc(&data);
+        drop(inner);
+        buf.resize(self.disk.page_size(), 0);
+        let read = self.disk.read_page(id, &mut buf);
+        if read.is_err() {
+            // Empty the frame and unmap it before the latch is released:
+            // whoever latches next finds no page, whoever fetches next
+            // misses cleanly.
+            buf.clear();
+            let mut inner = self.shards[shard_idx].inner.lock();
+            inner.map.remove(&id);
+            let f = &mut inner.frames[frame_idx];
+            if f.prefetched {
+                // No demand fetch claimed the hint; it bought no read.
+                f.prefetched = false;
+                self.prefetch.dropped.fetch_add(1, Ordering::Relaxed);
             }
+            f.page = PageId::INVALID;
+            f.dirty = false;
+            drop(inner);
+            self.unpin(shard_idx, frame_idx);
         }
-        inner.map.insert(id, frame_idx);
-        let f = &mut inner.frames[frame_idx];
-        f.page = id;
-        f.dirty = write_intent;
-        f.pins = 1;
-        f.tick = tick;
-        Ok((shard_idx, frame_idx, Arc::clone(&f.data)))
+        read.map(|()| data)
     }
 
     /// Gets a free frame in `shard`, evicting its least-recently-used
@@ -951,8 +1033,8 @@ impl PoolCore {
         debug_assert!(f.pins > 0, "unpin of unpinned frame");
         f.pins -= 1;
         if f.pins == 0 && !f.page.is_valid() {
-            // The frame was unmapped while pinned (a failed prefetch read
-            // raced with demand readers); the last unpin reclaims it.
+            // The frame was unmapped while pinned (a failed load raced
+            // with other fetchers of its page); the last unpin reclaims it.
             inner.free.push(frame_idx);
         }
     }
@@ -997,68 +1079,29 @@ impl PoolCore {
         }
     }
 
-    /// Background half of a prefetch: load `id` into a frame without
-    /// touching the demand-path counters. The frame stays pinned and its
-    /// contents exclusively latched for the duration of the device read,
-    /// so LRU cannot evict it mid-read and a racing demand fetch blocks on
-    /// the latch rather than observing stale bytes.
+    /// Background half of a prefetch: [`PoolCore::load`] `id` into a frame
+    /// flagged `prefetched`, without touching the demand-path counters.
     fn prefetch_read(&self, id: PageId) {
         let shard_idx = (id.0 & self.shard_mask) as usize;
         let shard = &self.shards[shard_idx];
         let mut inner = shard.inner.lock();
-        if inner.map.contains_key(&id) {
-            // Demand-fetched since the hint was queued.
+        // Already resident (demand-fetched since the hint was queued), or
+        // no frame to be had (every one pinned, or the victim's write-back
+        // failed): give up on the hint rather than stall the worker.
+        let frame_idx = if inner.map.contains_key(&id) {
+            None
+        } else {
+            self.acquire_frame(shard, &mut inner).ok()
+        };
+        let Some(frame_idx) = frame_idx else {
             self.prefetch.dropped.fetch_add(1, Ordering::Relaxed);
             return;
-        }
-        let frame_idx = match self.acquire_frame(shard, &mut inner) {
-            Ok(idx) => idx,
-            Err(_) => {
-                // Every frame pinned (or the write-back failed): give up
-                // on the hint rather than stall the worker.
-                self.prefetch.dropped.fetch_add(1, Ordering::Relaxed);
-                return;
-            }
         };
-        inner.map.insert(id, frame_idx);
-        inner.tick += 1;
-        let tick = inner.tick;
-        let f = &mut inner.frames[frame_idx];
-        f.page = id;
-        f.dirty = false;
-        f.pins = 1;
-        f.tick = tick;
-        f.prefetched = true;
-        let data = Arc::clone(&f.data);
-        // Latch the contents before the mapping becomes visible (the shard
-        // lock is still held): a concurrent demand fetch will find the
-        // mapping, pin, and then block on this latch until the read below
-        // has filled the frame.
-        let mut buf = RwLock::write_arc(&data);
-        drop(inner);
-        let read = self.disk.read_page(id, &mut buf);
-        if read.is_err() {
-            buf.fill(0);
-        }
-        drop(buf);
-        let mut inner = shard.inner.lock();
-        inner.frames[frame_idx].pins -= 1;
-        if read.is_err() {
-            // Unreachable for hints derived from live tree nodes; unmap so
-            // future fetches fail cleanly instead of serving zeroes.
-            if inner.frames[frame_idx].prefetched {
-                inner.frames[frame_idx].prefetched = false;
-                self.prefetch.dropped.fetch_add(1, Ordering::Relaxed);
-            }
-            inner.map.remove(&id);
-            let f = &mut inner.frames[frame_idx];
-            f.page = PageId::INVALID;
-            f.dirty = false;
-            if f.pins == 0 {
-                inner.free.push(frame_idx);
-            }
-            // else: racing demand readers still hold pins; the last unpin
-            // reclaims the frame (see `unpin`).
+        // A failed read (unreachable for hints derived from live tree
+        // nodes) is counted `dropped` by the loader.
+        let loaded = self.load(shard_idx, inner, frame_idx, id, false, true);
+        if loaded.is_ok() {
+            self.unpin(shard_idx, frame_idx);
         }
     }
 
@@ -1175,6 +1218,7 @@ impl Drop for PageWriteGuard<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::disk::FaultDisk;
     use crate::{LatencyDisk, LatencyProfile, MemDisk};
 
     fn pool(frames: usize) -> BufferPool {
@@ -1758,5 +1802,352 @@ mod tests {
         let (without, _) = run(false);
         let (with, _) = run(true);
         assert_eq!(without, with);
+    }
+    // -- the load protocol under concurrency -------------------------------
+    //
+    // No wall clock decides any of these: interleavings are forced by a
+    // gate inside the device, and the only timeout turns a hang into a
+    // failure.
+
+    const HANG: std::time::Duration = std::time::Duration::from_secs(10);
+
+    /// Spins (yielding) until `cond` holds; panics instead of hanging.
+    fn wait_until(what: &str, cond: impl Fn() -> bool) {
+        let start = std::time::Instant::now();
+        while !cond() {
+            assert!(start.elapsed() < HANG, "timed out waiting for {what}");
+            std::thread::yield_now();
+        }
+    }
+
+    #[derive(Default)]
+    struct GateState {
+        closed: bool,
+        /// Reads that arrived since the gate was closed.
+        arrived: usize,
+        /// Reads parked in the gate right now.
+        parked: usize,
+    }
+
+    /// A device whose `read_page` parks while the gate is closed, so a test
+    /// can hold loads inside the device and observe what else proceeds.
+    struct GateDisk<T: DiskManager> {
+        inner: T,
+        state: std::sync::Mutex<GateState>,
+        cvar: std::sync::Condvar,
+    }
+
+    impl<T: DiskManager> GateDisk<T> {
+        fn new(inner: T) -> Arc<Self> {
+            Arc::new(Self {
+                inner,
+                state: Default::default(),
+                cvar: Default::default(),
+            })
+        }
+
+        fn close(&self) {
+            *self.state.lock().unwrap() = GateState {
+                closed: true,
+                ..Default::default()
+            };
+        }
+
+        fn open(&self) {
+            self.state.lock().unwrap().closed = false;
+            self.cvar.notify_all();
+        }
+
+        /// Blocks until `n` reads have arrived at the closed gate.
+        fn wait_arrived(&self, n: usize) {
+            let st = self.state.lock().unwrap();
+            let (st, timeout) = self
+                .cvar
+                .wait_timeout_while(st, HANG, |st| st.arrived < n)
+                .unwrap();
+            assert!(
+                !timeout.timed_out(),
+                "only {} of {n} reads reached the device",
+                st.arrived
+            );
+        }
+
+        fn parked(&self) -> usize {
+            self.state.lock().unwrap().parked
+        }
+    }
+
+    impl<T: DiskManager> DiskManager for GateDisk<T> {
+        fn page_size(&self) -> usize {
+            self.inner.page_size()
+        }
+        fn read_page(&self, id: PageId, buf: &mut [u8]) -> Result<()> {
+            let mut st = self.state.lock().unwrap();
+            if st.closed {
+                st.arrived += 1;
+                st.parked += 1;
+                self.cvar.notify_all();
+                let (mut st, timeout) = self
+                    .cvar
+                    .wait_timeout_while(st, HANG, |st| st.closed)
+                    .unwrap();
+                st.parked -= 1;
+                if timeout.timed_out() {
+                    return Err(std::io::Error::other("gate never opened").into());
+                }
+            }
+            self.inner.read_page(id, buf)
+        }
+        fn write_page(&self, id: PageId, buf: &[u8]) -> Result<()> {
+            self.inner.write_page(id, buf)
+        }
+        fn allocate(&self) -> Result<PageId> {
+            self.inner.allocate()
+        }
+        fn deallocate(&self, id: PageId) -> Result<()> {
+            self.inner.deallocate(id)
+        }
+        fn live_pages(&self) -> u64 {
+            self.inner.live_pages()
+        }
+        fn stats(&self) -> DiskStats {
+            self.inner.stats()
+        }
+        fn reset_stats(&self) {
+            self.inner.reset_stats()
+        }
+        fn ensure_allocated(&self, id: PageId) -> Result<()> {
+            self.inner.ensure_allocated(id)
+        }
+    }
+
+    /// Who performs the load under test.
+    #[derive(Clone, Copy, Debug)]
+    #[cfg_attr(not(feature = "prefetch"), allow(dead_code))]
+    enum Loader {
+        Demand,
+        Prefetch,
+    }
+
+    /// A **1-shard** pool over a gated device holding `n` cold pages, with
+    /// a prefetch worker when the loader is one.
+    fn gated_pool<T: DiskManager + 'static>(
+        disk: &Arc<GateDisk<T>>,
+        loader: Loader,
+        n: u8,
+    ) -> (BufferPool, Vec<PageId>) {
+        let mut p = BufferPool::new(Box::new(Arc::clone(disk)), 8);
+        if matches!(loader, Loader::Prefetch) {
+            p.start_prefetch(1, 8);
+        }
+        let ids = cold_pages(&p, n);
+        (p, ids)
+    }
+
+    /// Starts a load of `id` by `loader` and returns once it is parked in
+    /// the (closed) gate as the `nth` arrival. A demand load runs on a
+    /// scoped thread, which checks the bytes it gets when the gate opens.
+    fn park_load<'s, T: DiskManager>(
+        scope: &'s std::thread::Scope<'s, '_>,
+        p: &'s BufferPool,
+        disk: &GateDisk<T>,
+        loader: Loader,
+        id: PageId,
+        payload: u8,
+        nth: usize,
+    ) {
+        match loader {
+            Loader::Demand => {
+                scope.spawn(move || assert_eq!(p.fetch(id).unwrap()[0], payload));
+            }
+            Loader::Prefetch => p.prefetch(id),
+        }
+        disk.wait_arrived(nth);
+    }
+
+    fn assert_no_pins_or_lost_frames(p: &BufferPool) {
+        for shard in &p.core.shards {
+            let inner = shard.inner.lock();
+            assert!(inner.frames.iter().all(|f| f.pins == 0), "leaked pin");
+            assert_eq!(inner.free.len() + inner.map.len(), inner.frames.len());
+        }
+    }
+
+    fn misses_on_different_pages_overlap_in_the_device(loader: Loader) {
+        let disk = GateDisk::new(MemDisk::new(128));
+        let (p, ids) = gated_pool(&disk, loader, 2);
+        disk.close();
+        std::thread::scope(|scope| {
+            park_load(scope, &p, &disk, loader, ids[0], 1, 1);
+            // A second miss, on the same (only) shard, reaches the device
+            // while the first is still inside it.
+            park_load(scope, &p, &disk, Loader::Demand, ids[1], 2, 2);
+            assert_eq!(disk.parked(), 2);
+            disk.open();
+        });
+        p.prefetch_quiesce();
+        assert_eq!(p.disk_stats().reads, 2);
+        assert_no_pins_or_lost_frames(&p);
+    }
+
+    fn hit_completes_while_a_miss_is_in_the_device(loader: Loader) {
+        let disk = GateDisk::new(MemDisk::new(128));
+        let (p, ids) = gated_pool(&disk, loader, 2);
+        drop(p.fetch(ids[0]).unwrap()); // resident
+        disk.close();
+        std::thread::scope(|scope| {
+            park_load(scope, &p, &disk, loader, ids[1], 2, 1);
+            assert_eq!(p.fetch(ids[0]).unwrap()[0], 1);
+            // The hit did not wait for the load: it is still in the device.
+            assert_eq!(disk.parked(), 1);
+            disk.open();
+        });
+        p.prefetch_quiesce();
+        assert_eq!(p.stats().hits, 1);
+        assert_no_pins_or_lost_frames(&p);
+    }
+
+    fn racing_fetches_of_one_cold_page_cost_one_read(loader: Loader) {
+        const N: u64 = 4;
+        let disk = GateDisk::new(MemDisk::new(128));
+        let (p, ids) = gated_pool(&disk, loader, 2);
+        disk.close();
+        // Fetches that find the load in flight: all N beside a prefetch,
+        // all but the loader itself beside a demand miss.
+        let waiters = match loader {
+            Loader::Demand => N - 1,
+            Loader::Prefetch => N,
+        };
+        std::thread::scope(|scope| {
+            park_load(scope, &p, &disk, loader, ids[0], 1, 1);
+            for _ in 0..waiters {
+                scope.spawn(|| assert_eq!(p.fetch(ids[0]).unwrap()[0], 1));
+            }
+            // Every waiter has pinned the loading frame (a hit each) and
+            // none went to the device.
+            wait_until("waiters to pin", || p.stats().hits == waiters);
+            assert_eq!(disk.parked(), 1);
+            disk.open();
+        });
+        p.prefetch_quiesce();
+        let s = p.stats();
+        assert_eq!(s.logical_reads, N);
+        assert_eq!(s.hits, waiters);
+        assert_eq!(s.physical_reads, N - waiters);
+        assert_eq!(p.disk_stats().reads, 1);
+        assert_no_pins_or_lost_frames(&p);
+    }
+
+    #[test]
+    fn demand_misses_on_different_pages_overlap_in_the_device() {
+        misses_on_different_pages_overlap_in_the_device(Loader::Demand);
+    }
+
+    #[test]
+    fn hit_completes_while_a_demand_miss_is_in_the_device() {
+        hit_completes_while_a_miss_is_in_the_device(Loader::Demand);
+    }
+
+    #[test]
+    fn racing_fetches_of_one_cold_page_share_the_demand_load() {
+        racing_fetches_of_one_cold_page_cost_one_read(Loader::Demand);
+    }
+
+    #[cfg(feature = "prefetch")]
+    #[test]
+    fn demand_miss_overlaps_a_prefetch_load_in_the_device() {
+        misses_on_different_pages_overlap_in_the_device(Loader::Prefetch);
+    }
+
+    #[cfg(feature = "prefetch")]
+    #[test]
+    fn hit_completes_while_a_prefetch_load_is_in_the_device() {
+        hit_completes_while_a_miss_is_in_the_device(Loader::Prefetch);
+    }
+
+    #[cfg(feature = "prefetch")]
+    #[test]
+    fn racing_fetches_of_one_cold_page_share_the_prefetch_load() {
+        racing_fetches_of_one_cold_page_cost_one_read(Loader::Prefetch);
+        // (the one hint was claimed: counted once, as useful)
+    }
+
+    // -- failed loads ------------------------------------------------------
+
+    #[test]
+    fn failed_load_returns_the_error_and_the_pool_keeps_serving() {
+        let disk = Arc::new(FaultDisk::new(MemDisk::new(128)));
+        let p = BufferPool::new(Box::new(Arc::clone(&disk)), 2);
+        let ids = cold_pages(&p, 3);
+        disk.fail_read(2);
+        assert_eq!(p.fetch(ids[0]).unwrap()[0], 1);
+        assert!(matches!(p.fetch(ids[1]), Err(StorageError::Io(_))));
+        assert!(matches!(p.page_image(ids[1]), Ok(image) if image[0] == 2));
+        // The failed frame was reclaimed: both frames still cycle.
+        for (i, &id) in ids.iter().enumerate() {
+            assert_eq!(p.fetch(id).unwrap()[0], i as u8 + 1);
+        }
+        let s = p.stats();
+        assert_eq!(s.logical_reads, 5);
+        assert_eq!(s.physical_reads, 4); // ids[0] was still resident
+        assert_no_pins_or_lost_frames(&p);
+    }
+
+    /// A fetch that pinned the frame while its load was in the device gets
+    /// an error when the load fails — not the frame's stale bytes.
+    fn fetch_racing_a_failed_load_gets_an_error(loader: Loader) {
+        let fault = Arc::new(FaultDisk::new(MemDisk::new(128)));
+        let disk = GateDisk::new(Arc::clone(&fault));
+        let (p, ids) = gated_pool(&disk, loader, 2);
+        disk.close();
+        fault.fail_read(1);
+        std::thread::scope(|scope| {
+            let loading = match loader {
+                Loader::Demand => Some(scope.spawn(|| p.fetch(ids[0]).map(|g| g[0]))),
+                Loader::Prefetch => {
+                    p.prefetch(ids[0]);
+                    None
+                }
+            };
+            disk.wait_arrived(1);
+            let waiting = scope.spawn(|| p.fetch_write(ids[0]).map(|g| g[0]));
+            wait_until("the waiter to pin", || p.stats().hits == 1);
+            // A side-door copy waits on the same latch and fails the same.
+            let image = scope.spawn(|| p.page_image(ids[0]));
+            // (the loader's pin, the waiter's, the copier's)
+            wait_until("the copier to pin", || {
+                let inner = p.core.shards[0].inner.lock();
+                inner.frames.iter().any(|f| f.pins == 3)
+            });
+            disk.open();
+            if let Some(loading) = loading {
+                let err = loading.join().unwrap().unwrap_err();
+                assert!(err.to_string().contains("injected fault"), "{err}");
+            }
+            let err = waiting.join().unwrap().unwrap_err();
+            assert!(err.to_string().contains("concurrent load"), "{err}");
+            assert!(image.join().unwrap().is_err());
+        });
+        p.prefetch_quiesce();
+        assert_no_pins_or_lost_frames(&p);
+        // The page was never mapped for good: the next fetch reloads it.
+        assert_eq!(p.fetch(ids[0]).unwrap()[0], 1);
+        assert_eq!(p.fetch(ids[1]).unwrap()[0], 2);
+        assert_eq!(p.disk_stats().reads, 2); // the failed read never reached MemDisk
+        p.clear_cache().unwrap();
+        let pf = p.prefetch_stats();
+        assert_eq!(pf.useful + pf.wasted + pf.dropped, pf.issued, "{pf:?}");
+        assert_no_pins_or_lost_frames(&p);
+    }
+
+    #[test]
+    fn fetch_racing_a_failed_demand_load_gets_an_error() {
+        fetch_racing_a_failed_load_gets_an_error(Loader::Demand);
+    }
+
+    #[cfg(feature = "prefetch")]
+    #[test]
+    fn fetch_racing_a_failed_prefetch_load_gets_an_error() {
+        fetch_racing_a_failed_load_gets_an_error(Loader::Prefetch);
     }
 }

@@ -2,11 +2,70 @@
 //! a plain map of page contents, under any operation interleaving and any
 //! pool size.
 
-use nnq_storage::{BufferPool, DiskManager, MemDisk, PageId};
+use nnq_storage::{BufferPool, DiskManager, MemDisk, PageId, PoolStats};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
 const PAGE: usize = 128;
+
+/// Reference model of a single-shard pool: textbook LRU over `cap` frames
+/// with dirty tracking, counting what [`PoolStats`] counts. Guards are
+/// dropped at once in the traces below, so nothing is ever pinned.
+struct LruModel {
+    cap: usize,
+    clock: u64,
+    /// Resident page → (last use, dirty).
+    resident: HashMap<PageId, (u64, bool)>,
+    stats: PoolStats,
+}
+
+impl LruModel {
+    /// Brings `id` in (evicting the least recently used page of a full
+    /// pool) or touches it; returns whether it was resident.
+    fn touch(&mut self, id: PageId, dirty: bool) -> bool {
+        self.clock += 1;
+        if let Some(slot) = self.resident.get_mut(&id) {
+            *slot = (self.clock, slot.1 || dirty);
+            return true;
+        }
+        if self.resident.len() == self.cap {
+            let (&victim, &(_, was_dirty)) = self.resident.iter().min_by_key(|(_, v)| v.0).unwrap();
+            self.resident.remove(&victim);
+            self.stats.evictions += 1;
+            self.stats.writebacks += u64::from(was_dirty);
+        }
+        self.resident.insert(id, (self.clock, dirty));
+        false
+    }
+
+    fn fetch(&mut self, id: PageId, write: bool) {
+        self.stats.logical_reads += 1;
+        if self.touch(id, write) {
+            self.stats.hits += 1;
+        } else {
+            self.stats.physical_reads += 1;
+        }
+    }
+}
+
+#[derive(Clone, Debug)]
+enum TraceOp {
+    Fetch(usize),
+    FetchWrite(usize),
+    New,
+    Delete(usize),
+    Prefetch(usize),
+}
+
+fn trace_strategy() -> impl Strategy<Value = TraceOp> {
+    prop_oneof![
+        4 => (0usize..64).prop_map(TraceOp::Fetch),
+        2 => (0usize..64).prop_map(TraceOp::FetchWrite),
+        2 => Just(TraceOp::New),
+        1 => (0usize..64).prop_map(TraceOp::Delete),
+        2 => (0usize..64).prop_map(TraceOp::Prefetch),
+    ]
+}
 
 #[derive(Clone, Debug)]
 enum Op {
@@ -88,6 +147,75 @@ proptest! {
         let s = pool.stats();
         prop_assert!(s.hits + s.physical_reads <= s.logical_reads + s.hits);
         prop_assert!(s.hit_rate() >= 0.0 && s.hit_rate() <= 1.0);
+    }
+
+    /// The accounting identity the paper's finite-buffer curves rest on:
+    /// for any single-threaded trace, a one-shard pool reports exactly the
+    /// reference LRU's counters after every step and holds exactly its
+    /// resident set (so it chose the same victims) — whoever loaded the
+    /// page, a demand miss or a prefetch worker.
+    #[test]
+    fn single_shard_pool_is_the_reference_lru(
+        ops in proptest::collection::vec(trace_strategy(), 1..200),
+        frames in 1usize..10,
+    ) {
+        let mut pool = BufferPool::new(Box::new(MemDisk::new(PAGE)), frames);
+        pool.start_prefetch(1, 4);
+        let mut model = LruModel {
+            cap: frames,
+            clock: 0,
+            resident: HashMap::new(),
+            stats: PoolStats::default(),
+        };
+        let mut live: Vec<PageId> = Vec::new();
+        for op in ops {
+            match op {
+                TraceOp::New => {
+                    let (id, guard) = pool.new_page().unwrap();
+                    drop(guard);
+                    model.touch(id, true);
+                    live.push(id);
+                }
+                _ if live.is_empty() => continue,
+                TraceOp::Fetch(slot) => {
+                    let id = live[slot % live.len()];
+                    drop(pool.fetch(id).unwrap());
+                    model.fetch(id, false);
+                }
+                TraceOp::FetchWrite(slot) => {
+                    let id = live[slot % live.len()];
+                    drop(pool.fetch_write(id).unwrap());
+                    model.fetch(id, true);
+                }
+                TraceOp::Delete(slot) => {
+                    let id = live.swap_remove(slot % live.len());
+                    pool.delete_page(id).unwrap();
+                    model.resident.remove(&id);
+                }
+                TraceOp::Prefetch(slot) => {
+                    // Without the `prefetch` feature hints are ignored.
+                    if pool.prefetch_active() {
+                        let id = live[slot % live.len()];
+                        pool.prefetch(id);
+                        pool.prefetch_quiesce();
+                        // A hint for a resident page is dropped untouched.
+                        if !model.resident.contains_key(&id) {
+                            model.touch(id, false);
+                        }
+                    }
+                }
+            }
+            prop_assert_eq!(pool.stats(), model.stats);
+            // `page_image` copies a resident frame without touching the
+            // pool's counters or recency and reads the device otherwise,
+            // which makes it a residency probe.
+            for &id in &live {
+                let reads = pool.disk_stats().reads;
+                pool.page_image(id).unwrap();
+                let resident = pool.disk_stats().reads == reads;
+                prop_assert_eq!(resident, model.resident.contains_key(&id), "{}", id);
+            }
+        }
     }
 
     #[test]
