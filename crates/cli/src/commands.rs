@@ -1001,7 +1001,8 @@ pub fn serve(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     writeln!(
         out,
         "serve done: {} served, {} rejected ({} at shutdown), {} errors, \
-         {} batches (max {}, avg {:.1}), {} connection(s)",
+         {} batches (max {}, avg {:.1}), {} connection(s), \
+         {} socket write(s) ({:.1} responses per write)",
         report.served,
         report.rejected,
         report.rejected_shutdown,
@@ -1009,7 +1010,9 @@ pub fn serve(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         report.batches,
         report.max_batch,
         report.avg_batch(),
-        report.connections
+        report.connections,
+        report.socket_writes,
+        report.served as f64 / report.socket_writes.max(1) as f64
     )?;
     if report.write_errors > 0 {
         writeln!(

@@ -1339,6 +1339,16 @@ fn serve_answers_like_query_and_reports_stats_on_shutdown() {
     assert!(out.contains("0 rejected"), "{out}");
     assert!(out.contains("1 connection(s)"), "{out}");
     assert!(out.contains("batches"), "{out}");
+    // The batcher's write count: present, and at most one write per
+    // served response (2 served).
+    let writes: u64 = out
+        .split(" socket write(s)")
+        .next()
+        .and_then(|head| head.rsplit(' ').next())
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no socket write count in {out}"));
+    assert!((1..=2).contains(&writes), "{out}");
+    assert!(out.contains("responses per write"), "{out}");
     assert!(out.contains("pool: hit rate"), "{out}");
     assert!(out.contains("node cache:"), "{out}");
 

@@ -14,7 +14,7 @@
 //! requests answer later from the batcher. Within the accepted stream,
 //! responses preserve admission order.
 
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 
 /// Upper bound on a request frame (bad input must not allocate a page's
 /// worth of RAM, let alone gigabytes).
@@ -168,19 +168,43 @@ impl From<ProtocolError> for io::Error {
     }
 }
 
-/// Writes one frame: length prefix + payload, in a single `write_all`
-/// (frames from concurrent writers must not interleave, so the caller
-/// serializes on a per-connection lock and we hand the OS one buffer).
-/// A payload too large for the `u32` prefix is refused — truncating the
-/// length would corrupt the framing for every later message.
+/// Appends one whole frame to `out`: the length prefix, then the payload
+/// `encode` appends in place, so responses staged back to back are one
+/// buffer and one socket write. Callers bound their payloads beforehand.
+pub(crate) fn append_frame(out: &mut Vec<u8>, encode: impl FnOnce(&mut Vec<u8>)) {
+    let at = out.len();
+    out.extend_from_slice(&[0; 4]);
+    encode(out);
+    let len = out.len() - at - 4;
+    debug_assert!(len <= MAX_RESPONSE_FRAME, "unbounded response payload");
+    out[at..at + 4].copy_from_slice(&(len as u32).to_le_bytes());
+}
+
+/// Writes one frame: length prefix + payload, handed to the writer
+/// together (one `writev` on a socket — frames from concurrent writers
+/// must not interleave, so the caller serializes on a per-connection
+/// lock) and without copying the payload. A payload too large for the
+/// `u32` prefix is refused — truncating the length would corrupt the
+/// framing for every later message.
 pub fn write_frame(w: &mut dyn Write, payload: &[u8]) -> io::Result<()> {
-    if payload.len() > u32::MAX as usize {
-        return Err(ProtocolError::FrameTooLarge(payload.len()).into());
+    let prefix = u32::try_from(payload.len())
+        .map_err(|_| ProtocolError::FrameTooLarge(payload.len()))?
+        .to_le_bytes();
+    let mut sent = 0;
+    while sent < 4 + payload.len() {
+        let wrote = if sent < 4 {
+            w.write_vectored(&[IoSlice::new(&prefix[sent..]), IoSlice::new(payload)])
+        } else {
+            w.write(&payload[sent - 4..])
+        };
+        match wrote {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => sent += n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
     }
-    let mut buf = Vec::with_capacity(4 + payload.len());
-    buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    buf.extend_from_slice(payload);
-    w.write_all(&buf)
+    Ok(())
 }
 
 /// Reads one frame's payload, enforcing `max` on the length prefix.
@@ -337,6 +361,26 @@ impl Request {
     }
 }
 
+/// Appends an OK payload built from `(record, dist_sq)` rows: the one OK
+/// encoder, under [`Response::encode_into`] and under the server's
+/// write-out, which feeds it neighbors with no [`Hit`] list in between.
+pub(crate) fn encode_ok(
+    out: &mut Vec<u8>,
+    id: u64,
+    logical_reads: u64,
+    hits: impl ExactSizeIterator<Item = (u64, f64)>,
+) {
+    out.reserve(OK_HEADER_BYTES + HIT_BYTES * hits.len());
+    out.push(OP_OK);
+    out.extend_from_slice(&id.to_le_bytes());
+    out.extend_from_slice(&logical_reads.to_le_bytes());
+    out.extend_from_slice(&(hits.len() as u32).to_le_bytes());
+    for (record, dist_sq) in hits {
+        out.extend_from_slice(&record.to_le_bytes());
+        out.extend_from_slice(&dist_sq.to_bits().to_le_bytes());
+    }
+}
+
 impl Response {
     /// Serializes the response payload (no length prefix).
     pub fn encode(&self) -> Vec<u8> {
@@ -346,9 +390,8 @@ impl Response {
     }
 
     /// Serializes the response payload (no length prefix) into `out`,
-    /// clearing it first. The server's per-connection write path reuses
-    /// one buffer across responses, so the hot path allocates only when a
-    /// response outgrows every previous one on that connection.
+    /// clearing it first, so a caller can reuse one buffer across
+    /// responses.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         out.clear();
         match self {
@@ -356,17 +399,12 @@ impl Response {
                 id,
                 logical_reads,
                 hits,
-            } => {
-                out.reserve(21 + 16 * hits.len());
-                out.push(OP_OK);
-                out.extend_from_slice(&id.to_le_bytes());
-                out.extend_from_slice(&logical_reads.to_le_bytes());
-                out.extend_from_slice(&(hits.len() as u32).to_le_bytes());
-                for h in hits {
-                    out.extend_from_slice(&h.record.to_le_bytes());
-                    out.extend_from_slice(&h.dist_sq.to_bits().to_le_bytes());
-                }
-            }
+            } => encode_ok(
+                out,
+                *id,
+                *logical_reads,
+                hits.iter().map(|h| (h.record, h.dist_sq)),
+            ),
             Response::Rejected {
                 id,
                 retry_after_us,
@@ -580,6 +618,32 @@ mod tests {
         // A length prefix over the cap is refused before allocation.
         let huge = (MAX_REQUEST_FRAME as u32 + 1).to_le_bytes();
         assert!(read_frame(&mut huge.as_slice(), MAX_REQUEST_FRAME).is_err());
+    }
+
+    #[test]
+    fn write_frame_survives_short_and_unvectored_writes() {
+        /// Accepts one byte per call and only the first slice of a
+        /// vectored write (`Write`'s default).
+        struct Dribble(Vec<u8>);
+        impl Write for Dribble {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.0.extend_from_slice(&buf[..buf.len().min(1)]);
+                Ok(buf.len().min(1))
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        for payload in [&b""[..], b"x", b"a longer payload"] {
+            let mut whole = Vec::new();
+            write_frame(&mut whole, payload).unwrap();
+            let mut dribbled = Dribble(Vec::new());
+            write_frame(&mut dribbled, payload).unwrap();
+            assert_eq!(dribbled.0, whole);
+            let mut appended = Vec::new();
+            append_frame(&mut appended, |out| out.extend_from_slice(payload));
+            assert_eq!(appended, whole, "one framing, two encoders");
+        }
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! The `nnq serve` server: thread-per-connection framed readers feeding a
 //! bounded inbox, one batcher thread draining deadline-or-size
 //! micro-batches through the work-stealing mixed-query executor, and
-//! responses written back in admission order.
+//! responses written back in admission order, one socket write per
+//! connection per micro-batch.
 //!
 //! Threading layout (all scoped, all joined before [`serve`] returns):
 //!
@@ -14,9 +15,12 @@
 //!                                      │ deadline-or-size drain
 //!                                      ▼
 //!            batcher (caller's thread): tree.snapshot() per batch,
-//!            Hilbert claim order over `threads` workers, responses
-//!            written back in admission order, TuneController observes
-//!            every drained batch
+//!            Hilbert claim order over `threads` workers, TuneController
+//!            observes every drained batch
+//!                                      │ responses encoded in place, in
+//!                                      ▼ admission order, per connection
+//!            write-out: one `write_all` per connection per batch (early
+//!            past 64 KiB staged); a failed write kills the connection
 //! ```
 //!
 //! Shutdown protocol (graceful, drain-everything): a [`Request::Shutdown`]
@@ -31,7 +35,7 @@
 
 use crate::inbox::{Admit, Inbox};
 use crate::protocol::{
-    Hit, Request, Response, MAX_REQUEST_FRAME, MAX_RESPONSE_FRAME, MAX_RESULT_HITS,
+    append_frame, encode_ok, write_frame, Request, Response, MAX_REQUEST_FRAME, MAX_RESULT_HITS,
 };
 use nnq_core::{
     hilbert_schedule, par_mixed_batch_dedup, partitioned_knn, partitioned_radius, BatchQuery,
@@ -41,7 +45,7 @@ use nnq_core::{
 use nnq_geom::Point;
 use nnq_rtree::{PartitionedTree, RTree};
 use std::collections::{HashMap, HashSet};
-use std::io::{self, Read};
+use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -139,6 +143,9 @@ pub struct ServeReport {
     /// socket stayed unwritable past the write timeout); these requests
     /// were executed, not dropped by the server.
     pub write_errors: u64,
+    /// Socket writes that carried the batcher's responses (one per
+    /// connection per micro-batch); a failed write shows as `write_errors`.
+    pub socket_writes: u64,
     /// Transient `accept(2)` failures (e.g. `ECONNABORTED`, fd
     /// exhaustion) the acceptor retried past instead of dying.
     pub accept_errors: u64,
@@ -182,8 +189,10 @@ struct Job {
 }
 
 /// The write half of a connection. Both the reader thread (fast
-/// rejections, pongs) and the batcher (query responses) write here; the
-/// mutex keeps frames whole.
+/// rejections, pongs) and the batcher (a micro-batch's staged responses)
+/// write here; the mutex keeps frames whole — staged bytes go out under
+/// one lock hold, so a reader-thread frame lands before or after them,
+/// never inside.
 ///
 /// Writes carry a timeout (set at accept), and the first failed or
 /// timed-out write marks the connection dead: a partial write tears the
@@ -191,47 +200,130 @@ struct Job {
 /// importantly the single batcher thread must never pay the write
 /// timeout again and again for one client that stopped reading.
 struct Conn {
-    /// The write half plus the connection's reusable encode buffer: every
-    /// response on this connection serializes into the same allocation,
-    /// which only grows when a response outsizes all previous ones. Kept
-    /// inside the mutex because encode-then-write must be atomic per
-    /// frame anyway.
-    stream: Mutex<(TcpStream, Vec<u8>)>,
+    wire: Mutex<Wire>,
     dead: AtomicBool,
     /// Admitted-but-unanswered requests on this connection, for the
     /// per-connection fairness cap. Incremented *before* admission and
-    /// decremented on rejection or response, so it can never underflow
-    /// even when the batcher answers faster than the reader returns from
-    /// `try_admit`.
+    /// decremented on rejection or once the response's write returned,
+    /// so it can never underflow even when the batcher answers faster
+    /// than the reader returns from `try_admit`.
     in_flight: AtomicUsize,
 }
 
+/// What a connection's mutex guards: the socket and the responses the
+/// batcher has staged for it but not yet written.
+struct Wire {
+    stream: Box<dyn Write + Send>,
+    /// Whole frames in admission order; reused from batch to batch.
+    staged: Vec<u8>,
+    /// Frames in `staged`; each holds one in-flight slot until written.
+    frames: usize,
+    /// Of those, `Ok`s: `served` if the write succeeds, else
+    /// `write_errors` (staged `Error`s are counted when staged).
+    oks: u64,
+}
+
+/// Staged bytes past which a connection is written out mid-batch: large
+/// radius answers hold this much plus one response, not `batch_max` whole.
+const STAGE_FLUSH_BYTES: usize = 64 * 1024;
+
 impl Conn {
+    fn new(write_half: impl Write + Send + 'static) -> Arc<Self> {
+        Arc::new(Self {
+            wire: Mutex::new(Wire {
+                stream: Box::new(write_half),
+                staged: Vec::new(),
+                frames: 0,
+                oks: 0,
+            }),
+            dead: AtomicBool::new(false),
+            in_flight: AtomicUsize::new(0),
+        })
+    }
+
+    /// Answers one request straight from its reader thread (Pong,
+    /// Rejected, validation Error, Bye); the batcher never calls this.
     fn send(&self, resp: &Response) -> io::Result<()> {
-        let mut guard = self.stream.lock().unwrap();
-        let (stream, buf) = &mut *guard;
-        resp.encode_into(buf);
-        if buf.len() > MAX_RESPONSE_FRAME {
-            // Backstop: callers bound responses (validate caps k, the
-            // batcher downgrades oversize radius answers), so an
-            // overflowing frame here is a bug — but sending it would
-            // desync the client, which is worse than dropping it.
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "response exceeds the maximum frame size",
-            ));
-        }
+        let mut wire = self.wire.lock().expect("writers do not panic");
+        self.write(|| write_frame(&mut *wire.stream, &resp.encode()))
+    }
+
+    /// Runs one socket write of whole frames, the connection's lock held.
+    fn write(&self, write: impl FnOnce() -> io::Result<()>) -> io::Result<()> {
         if self.dead.load(Ordering::Relaxed) {
             return Err(io::Error::new(
                 io::ErrorKind::BrokenPipe,
                 "connection marked dead after an earlier write failure",
             ));
         }
-        let res = crate::protocol::write_frame(stream, buf);
+        let res = write();
         if res.is_err() {
             self.dead.store(true, Ordering::Relaxed);
         }
         res
+    }
+
+    /// The batcher's only write path, half one: encodes a response in
+    /// place behind what this batch already staged for the connection.
+    fn stage(&self, shared: &Shared, ok: bool, encode: impl FnOnce(&mut Vec<u8>)) {
+        let mut wire = self.wire.lock().expect("writers do not panic");
+        append_frame(&mut wire.staged, encode);
+        wire.frames += 1;
+        wire.oks += u64::from(ok);
+        if wire.staged.len() >= STAGE_FLUSH_BYTES {
+            self.flush(&mut wire, shared);
+        }
+    }
+
+    /// Half two, once per job at the end of its batch: one write for all
+    /// the connection has staged (nothing, if an earlier job's call did it).
+    fn finish(&self, shared: &Shared) {
+        let mut wire = self.wire.lock().expect("writers do not panic");
+        if wire.frames > 0 {
+            self.flush(&mut wire, shared);
+        }
+    }
+
+    /// A failed write leaves the connection dead: later ones fail unissued.
+    fn flush(&self, wire: &mut Wire, shared: &Shared) {
+        if self.write(|| wire.stream.write_all(&wire.staged)).is_ok() {
+            shared.socket_writes.fetch_add(1, Ordering::Relaxed);
+            shared.served.fetch_add(wire.oks, Ordering::Relaxed);
+        } else {
+            shared.write_errors.fetch_add(wire.oks, Ordering::Relaxed);
+        }
+        self.in_flight.fetch_sub(wire.frames, Ordering::AcqRel);
+        wire.staged.clear();
+        // An outsized answer's allocation is not worth keeping.
+        wire.staged.shrink_to(2 * STAGE_FLUSH_BYTES);
+        (wire.frames, wire.oks) = (0, 0);
+    }
+}
+
+impl Job {
+    /// Stages the job's (cached or fresh) answer, replaying the recorded
+    /// traversal stats as `logical_reads`.
+    fn stage_ok(&self, shared: &Shared, answer: &CachedAnswer<2>) {
+        if answer.hits.len() > MAX_RESULT_HITS {
+            // An answer that cannot be framed (a radius query matching
+            // more than MAX_RESULT_HITS records) is reported as an error;
+            // sending the oversize frame would desync the client instead.
+            return self.stage_error(shared, "result set exceeds the maximum response frame");
+        }
+        let hits = answer.hits.iter().map(|n| (n.record.0, n.dist_sq));
+        self.conn.stage(shared, true, |out| {
+            encode_ok(out, self.id, answer.stats.nodes_visited, hits)
+        });
+    }
+
+    fn stage_error(&self, shared: &Shared, message: &str) {
+        shared.errors.fetch_add(1, Ordering::Relaxed);
+        let resp = Response::Error {
+            id: self.id,
+            message: message.into(),
+        };
+        self.conn
+            .stage(shared, false, |out| out.extend_from_slice(&resp.encode()));
     }
 }
 
@@ -250,6 +342,7 @@ struct Shared {
     max_batch: AtomicU64,
     connections: AtomicU64,
     write_errors: AtomicU64,
+    socket_writes: AtomicU64,
     accept_errors: AtomicU64,
     rejected_overcap: AtomicU64,
     retry_after_us: u32,
@@ -257,6 +350,29 @@ struct Shared {
 }
 
 impl Shared {
+    fn new(config: &ServeConfig) -> Self {
+        Self {
+            inbox: Inbox::new(config.inbox_cap),
+            stop: AtomicBool::new(false),
+            drained: Mutex::new(false),
+            drained_cv: Condvar::new(),
+            served: AtomicU64::new(0),
+            rejected: AtomicU64::new(0),
+            rejected_shutdown: AtomicU64::new(0),
+            errors: AtomicU64::new(0),
+            batches: AtomicU64::new(0),
+            batched: AtomicU64::new(0),
+            max_batch: AtomicU64::new(0),
+            connections: AtomicU64::new(0),
+            write_errors: AtomicU64::new(0),
+            socket_writes: AtomicU64::new(0),
+            accept_errors: AtomicU64::new(0),
+            rejected_overcap: AtomicU64::new(0),
+            retry_after_us: config.batch_deadline.as_micros().min(u128::from(u32::MAX)) as u32,
+            max_in_flight: config.max_in_flight.max(1),
+        }
+    }
+
     fn mark_drained(&self) {
         *self.drained.lock().unwrap() = true;
         self.drained_cv.notify_all();
@@ -269,6 +385,11 @@ impl Shared {
         }
     }
 }
+
+/// Most hits an answer may hold and still be memoized (≈ 192 KiB): bounds
+/// the default result cache near 200 MiB, where `MAX_RESULT_HITS` alone
+/// allowed ~64 MiB × 1 024 entries. Larger answers are served, not cached.
+const MAX_CACHED_HITS: usize = 4096;
 
 /// How often blocked readers and the acceptor re-check the stop flag.
 const POLL_INTERVAL: Duration = Duration::from_millis(25);
@@ -297,25 +418,7 @@ pub fn serve<R: Refiner<2> + Sync>(
         "batch size trigger must be at least 1"
     );
     listener.set_nonblocking(true)?;
-    let shared = Shared {
-        inbox: Inbox::new(config.inbox_cap),
-        stop: AtomicBool::new(false),
-        drained: Mutex::new(false),
-        drained_cv: Condvar::new(),
-        served: AtomicU64::new(0),
-        rejected: AtomicU64::new(0),
-        rejected_shutdown: AtomicU64::new(0),
-        errors: AtomicU64::new(0),
-        batches: AtomicU64::new(0),
-        batched: AtomicU64::new(0),
-        max_batch: AtomicU64::new(0),
-        connections: AtomicU64::new(0),
-        write_errors: AtomicU64::new(0),
-        accept_errors: AtomicU64::new(0),
-        rejected_overcap: AtomicU64::new(0),
-        retry_after_us: config.batch_deadline.as_micros().min(u128::from(u32::MAX)) as u32,
-        max_in_flight: config.max_in_flight.max(1),
-    };
+    let shared = Shared::new(config);
 
     let loop_out = std::thread::scope(|scope| {
         let shared = &shared;
@@ -335,11 +438,7 @@ pub fn serve<R: Refiner<2> + Sync>(
                             continue;
                         };
                         let _ = write_half.set_write_timeout(Some(WRITE_TIMEOUT));
-                        let conn = Arc::new(Conn {
-                            stream: Mutex::new((write_half, Vec::new())),
-                            dead: AtomicBool::new(false),
-                            in_flight: AtomicUsize::new(0),
-                        });
+                        let conn = Conn::new(write_half);
                         scope.spawn(move || reader_loop(stream, conn, shared));
                     }
                     Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
@@ -374,6 +473,7 @@ pub fn serve<R: Refiner<2> + Sync>(
         max_batch: shared.max_batch.load(Ordering::Relaxed),
         connections: shared.connections.load(Ordering::Relaxed),
         write_errors: shared.write_errors.load(Ordering::Relaxed),
+        socket_writes: shared.socket_writes.load(Ordering::Relaxed),
         accept_errors: shared.accept_errors.load(Ordering::Relaxed),
         rejected_overcap: shared.rejected_overcap.load(Ordering::Relaxed),
         result_hits: loop_out.result_cache.hits,
@@ -601,8 +701,10 @@ fn reader_loop(stream: TcpStream, conn: Arc<Conn>, shared: &Shared) {
 ///    could have been half-visible; skipping the fill keeps the cache
 ///    exact and costs only a future re-execution).
 /// 5. **Respond in admission order**, cache hits and fresh answers
-///    alike. If execution failed, hit jobs still get their Ok responses;
-///    only the jobs that needed the traversal get Errors.
+///    alike: each response is staged on its connection, then every
+///    connection gets one write. If execution failed, hit jobs still get
+///    their Ok responses; only the jobs that needed the traversal get
+///    Errors.
 fn batch_loop<R: Refiner<2> + Sync>(
     engine: &Engine<'_>,
     refiner: &R,
@@ -705,41 +807,7 @@ fn batch_loop<R: Refiner<2> + Sync>(
             .unwrap_or_else(|panic| Err(panic_message(&panic)))
         };
 
-        // Answers one job from its (cached or fresh) answer, replaying
-        // the recorded traversal stats as `logical_reads`.
-        let respond = |job: &Job, answer: &CachedAnswer<2>| {
-            if answer.hits.len() > MAX_RESULT_HITS {
-                // An answer that cannot be framed (a radius query
-                // matching more than MAX_RESULT_HITS records) is
-                // reported as an error; sending the oversize frame
-                // would desync the client instead.
-                shared.errors.fetch_add(1, Ordering::Relaxed);
-                let _ = job.conn.send(&Response::Error {
-                    id: job.id,
-                    message: "result set exceeds the maximum response frame".into(),
-                });
-                return;
-            }
-            let resp = Response::Ok {
-                id: job.id,
-                logical_reads: answer.stats.nodes_visited,
-                hits: answer
-                    .hits
-                    .iter()
-                    .map(|n| Hit {
-                        record: n.record.0,
-                        dist_sq: n.dist_sq,
-                    })
-                    .collect(),
-            };
-            if job.conn.send(&resp).is_ok() {
-                shared.served.fetch_add(1, Ordering::Relaxed);
-            } else {
-                shared.write_errors.fetch_add(1, Ordering::Relaxed);
-            }
-        };
-
-        match outcome {
+        let failure = match outcome {
             Ok((results, saved)) => {
                 dedup_merged += saved;
                 // Fill gate: the single tree executed against the pinned
@@ -758,36 +826,28 @@ fn batch_loop<R: Refiner<2> + Sync>(
                 for (&i, (hits, stats)) in miss_idx.iter().zip(results) {
                     let answer = CachedAnswer { hits, stats };
                     if fill
-                        && answer.hits.len() <= MAX_RESULT_HITS
+                        && answer.hits.len() <= MAX_CACHED_HITS
                         && filled.insert(keys[i].as_slice())
                     {
                         cache.insert(&keys[i], version, answer.clone());
                     }
                     answers[i] = Some(answer);
                 }
-                for (job, answer) in batch.iter().zip(&answers) {
-                    respond(job, answer.as_ref().expect("every job answered"));
-                    job.conn.in_flight.fetch_sub(1, Ordering::AcqRel);
-                }
+                None
             }
-            Err(message) => {
-                // Cache hits owe nothing to the failed traversal: answer
-                // them normally, error only the jobs that needed it.
-                for (job, answer) in batch.iter().zip(&answers) {
-                    match answer {
-                        Some(answer) => respond(job, answer),
-                        None => {
-                            shared.errors.fetch_add(1, Ordering::Relaxed);
-                            let _ = job.conn.send(&Response::Error {
-                                id: job.id,
-                                message: message.clone(),
-                            });
-                        }
-                    }
-                    job.conn.in_flight.fetch_sub(1, Ordering::AcqRel);
-                }
+            Err(message) => Some(message),
+        };
+        // Cache hits owe nothing to a failed traversal: they are answered
+        // normally, only the jobs that needed it get Errors — all staged
+        // in admission order, then one write per connection.
+        let failure = failure.as_deref().unwrap_or("query was not executed");
+        for (job, answer) in batch.iter().zip(&answers) {
+            match answer {
+                Some(answer) => job.stage_ok(shared, answer),
+                None => job.stage_error(shared, failure),
             }
         }
+        batch.iter().for_each(|job| job.conn.finish(shared));
         match engine {
             Engine::Single(tree) => controller.observe_tree(*tree),
             Engine::Partitioned(tree) => controller.observe_partitioned(tree),
@@ -910,4 +970,237 @@ fn fan_out(
         .iter()
         .map(|&slot| unique_results[slot].clone())
         .collect()
+}
+
+/// The batcher's write-out against a scripted socket: what reaches the
+/// wire, in how many writes, and what the counters say when it fails.
+#[cfg(test)]
+mod write_out {
+    use super::*;
+    use crate::protocol::read_frame;
+
+    /// A socket double: accepts at most `chunk` bytes per `write` call
+    /// (short writes) and `budget` bytes in total, then fails with
+    /// `fail`. Records the bytes accepted and every call's size.
+    struct Script {
+        wire: Arc<Mutex<Vec<u8>>>,
+        calls: Arc<Mutex<Vec<usize>>>,
+        chunk: usize,
+        budget: usize,
+        fail: io::ErrorKind,
+    }
+
+    impl Write for Script {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            if self.budget == 0 {
+                return Err(self.fail.into());
+            }
+            let n = buf.len().min(self.chunk).min(self.budget);
+            self.budget -= n;
+            self.wire.lock().unwrap().extend_from_slice(&buf[..n]);
+            self.calls.lock().unwrap().push(n);
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    type Tap = (Arc<Mutex<Vec<u8>>>, Arc<Mutex<Vec<usize>>>);
+
+    fn scripted(chunk: usize, budget: usize, fail: io::ErrorKind) -> (Arc<Conn>, Tap) {
+        let tap: Tap = Default::default();
+        let conn = Conn::new(Script {
+            wire: Arc::clone(&tap.0),
+            calls: Arc::clone(&tap.1),
+            chunk,
+            budget,
+            fail,
+        });
+        (conn, tap)
+    }
+
+    /// An admitted job on `conn` (its in-flight slot claimed, as the
+    /// reader does) and an answer of `hits` rows that names `id`.
+    fn admitted(conn: &Arc<Conn>, id: u64, hits: usize) -> (Job, CachedAnswer<2>) {
+        conn.in_flight.fetch_add(1, Ordering::AcqRel);
+        let job = Job {
+            id,
+            query: BatchQuery::Knn {
+                q: Point::new([0.0, 0.0]),
+                k: 1,
+            },
+            conn: Arc::clone(conn),
+        };
+        let neighbor = Neighbor {
+            record: nnq_rtree::RecordId(id),
+            dist_sq: id as f64,
+            mbr: nnq_geom::Rect::from_point(Point::new([0.0, 0.0])),
+        };
+        let answer = CachedAnswer {
+            hits: vec![neighbor; hits],
+            stats: SearchStats {
+                nodes_visited: id + 1,
+                ..SearchStats::default()
+            },
+        };
+        (job, answer)
+    }
+
+    /// Stages `jobs` in order and ends the batch, as `batch_loop` does.
+    fn run_batch(shared: &Shared, jobs: &[(Job, CachedAnswer<2>)]) {
+        for (job, answer) in jobs {
+            job.stage_ok(shared, answer);
+        }
+        jobs.iter().for_each(|(job, _)| job.conn.finish(shared));
+    }
+
+    /// Every whole frame on the wire, decoded; panics on a torn one.
+    fn frames_on(tap: &Tap) -> Vec<Response> {
+        let wire = tap.0.lock().unwrap();
+        let mut rest = wire.as_slice();
+        let mut out = Vec::new();
+        while !rest.is_empty() {
+            let payload = read_frame(&mut rest, usize::MAX).expect("whole frame");
+            out.push(Response::decode(&payload).expect("valid response"));
+        }
+        out
+    }
+
+    fn load(counter: &AtomicU64) -> u64 {
+        counter.load(Ordering::Relaxed)
+    }
+
+    #[test]
+    fn frames_arrive_whole_and_in_staging_order_one_write_per_connection() {
+        let shared = Shared::new(&ServeConfig::default());
+        // Short writes: 7 bytes at a time never align with a frame.
+        let (a, tap_a) = scripted(7, usize::MAX, io::ErrorKind::BrokenPipe);
+        let (b, tap_b) = scripted(usize::MAX, usize::MAX, io::ErrorKind::BrokenPipe);
+        let jobs: Vec<_> = (0..20u64)
+            .map(|id| admitted(if id % 3 == 0 { &b } else { &a }, id, (id % 4) as usize))
+            .collect();
+        run_batch(&shared, &jobs);
+
+        for (tap, conn) in [(&tap_a, &a), (&tap_b, &b)] {
+            let want: Vec<Response> = jobs
+                .iter()
+                .filter(|(job, _)| Arc::ptr_eq(&job.conn, conn))
+                .map(|(job, answer)| Response::Ok {
+                    id: job.id,
+                    logical_reads: answer.stats.nodes_visited,
+                    hits: answer
+                        .hits
+                        .iter()
+                        .map(|n| crate::protocol::Hit {
+                            record: n.record.0,
+                            dist_sq: n.dist_sq,
+                        })
+                        .collect(),
+                })
+                .collect();
+            assert_eq!(frames_on(tap), want);
+            assert_eq!(conn.in_flight.load(Ordering::Acquire), 0);
+        }
+        // B's whole share went out in one `write` call; A's one
+        // `write_all` needed many short ones, and still counts once.
+        assert_eq!(tap_b.1.lock().unwrap().len(), 1);
+        assert!(tap_a.1.lock().unwrap().len() > 1);
+        assert_eq!(load(&shared.socket_writes), 2);
+        assert_eq!(load(&shared.served), 20);
+        assert_eq!(load(&shared.write_errors), 0);
+    }
+
+    #[test]
+    fn early_flush_bounds_the_staging_buffer_and_keeps_order() {
+        let shared = Shared::new(&ServeConfig::default());
+        let (conn, tap) = scripted(usize::MAX, usize::MAX, io::ErrorKind::BrokenPipe);
+        // 1 000 hits ≈ 16 KiB a frame: the fifth crosses 64 KiB.
+        let jobs: Vec<_> = (0..12u64).map(|id| admitted(&conn, id, 1_000)).collect();
+        let frame = 4 + 21 + 16 * 1_000;
+        run_batch(&shared, &jobs);
+
+        let calls = tap.1.lock().unwrap().clone();
+        assert_eq!(calls, [5 * frame, 5 * frame, 2 * frame]);
+        assert!(calls.iter().all(|&n| n < STAGE_FLUSH_BYTES + frame));
+        let ids: Vec<u64> = frames_on(&tap)
+            .iter()
+            .map(|r| match r {
+                Response::Ok { id, hits, .. } if hits.len() == 1_000 => *id,
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect();
+        assert_eq!(ids, (0..12).collect::<Vec<u64>>());
+        assert_eq!(load(&shared.socket_writes), 3);
+        assert_eq!(load(&shared.served), 12);
+        assert_eq!(conn.in_flight.load(Ordering::Acquire), 0);
+        // The buffer is kept for the next batch, but not an outsized one.
+        assert!(conn.wire.lock().unwrap().staged.capacity() <= 2 * STAGE_FLUSH_BYTES);
+    }
+
+    #[test]
+    fn a_failed_write_counts_every_unwritten_response_and_kills_the_connection() {
+        // A timed-out socket (`WouldBlock`) and a closed one alike.
+        for fail in [io::ErrorKind::WouldBlock, io::ErrorKind::BrokenPipe] {
+            let shared = Shared::new(&ServeConfig::default());
+            let frame = 4 + 21 + 16 * 1_000;
+            // The first write (5 frames) fits; the second tears midway.
+            let (conn, tap) = scripted(usize::MAX, 7 * frame + 100, fail);
+            let (healthy, healthy_tap) = scripted(usize::MAX, usize::MAX, fail);
+            let mut jobs: Vec<_> = (0..23u64).map(|id| admitted(&conn, id, 1_000)).collect();
+            jobs.insert(9, admitted(&healthy, 99, 3));
+            run_batch(&shared, &jobs);
+
+            assert!(conn.dead.load(Ordering::Relaxed), "{fail:?}");
+            // Write 1 delivered 5 responses; write 2 failed with 5 staged;
+            // flushes 3..5 (5 + 5 + 3 responses) found the connection
+            // dead and issued no syscall at all.
+            assert_eq!(load(&shared.served), 5 + 1, "{fail:?}");
+            assert_eq!(load(&shared.write_errors), 18, "{fail:?}");
+            assert_eq!(
+                load(&shared.served) + load(&shared.write_errors),
+                jobs.len() as u64,
+                "{fail:?}: every staged response is served or a write error"
+            );
+            assert_eq!(load(&shared.socket_writes), 2, "{fail:?}");
+            assert_eq!(*tap.1.lock().unwrap(), [5 * frame, 2 * frame + 100]);
+            // Slots are released whether or not the bytes left.
+            assert_eq!(conn.in_flight.load(Ordering::Acquire), 0);
+            // The other connection of the batch is untouched by it.
+            assert_eq!(frames_on(&healthy_tap).len(), 1);
+            assert!(!healthy.dead.load(Ordering::Relaxed));
+
+            // A reader-thread frame after the failure is refused too:
+            // nothing may follow a torn frame.
+            assert!(conn.send(&Response::Pong { id: 1 }).is_err());
+            assert!(healthy.send(&Response::Pong { id: 1 }).is_ok());
+        }
+    }
+
+    #[test]
+    fn staged_errors_keep_their_place_and_count_as_errors_not_writes() {
+        let shared = Shared::new(&ServeConfig::default());
+        let (conn, tap) = scripted(usize::MAX, usize::MAX, io::ErrorKind::BrokenPipe);
+        let jobs: Vec<_> = (0..3u64).map(|id| admitted(&conn, id, 2)).collect();
+        jobs[0].0.stage_ok(&shared, &jobs[0].1);
+        jobs[1].0.stage_error(&shared, "boom");
+        jobs[2].0.stage_ok(&shared, &jobs[2].1);
+        jobs.iter().for_each(|(job, _)| job.conn.finish(&shared));
+
+        let got = frames_on(&tap);
+        assert!(matches!(got[0], Response::Ok { id: 0, .. }));
+        assert_eq!(
+            got[1],
+            Response::Error {
+                id: 1,
+                message: "boom".into()
+            }
+        );
+        assert!(matches!(got[2], Response::Ok { id: 2, .. }));
+        assert_eq!(load(&shared.served), 2);
+        assert_eq!(load(&shared.errors), 1);
+        assert_eq!(load(&shared.socket_writes), 1);
+        assert_eq!(conn.in_flight.load(Ordering::Acquire), 0);
+    }
 }

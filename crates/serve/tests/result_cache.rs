@@ -327,3 +327,75 @@ fn greedy_pipeliner_is_capped_with_fast_rejections() {
     );
     assert_eq!(report.errors, 0);
 }
+
+/// The per-entry cap on memoized answers (4 096 hits) is far above the
+/// answers of the Zipf mix, so it must not cost a single cache hit. One
+/// request per batch makes the probe sequence deterministic: the first
+/// occurrence of a query misses and is inserted, every later one hits —
+/// the same counts the uncapped fill produced.
+#[test]
+fn per_entry_cap_costs_ordinary_answers_no_hits() {
+    let (tree, _pool) = build_tree(15_000, 71);
+    let requests = zipf_requests(200, 73);
+    let distinct = requests
+        .iter()
+        .map(|r| match *r {
+            Request::Knn { x, y, k, .. } => (0u8, u64::from(k), x.to_bits(), y.to_bits()),
+            Request::Radius { x, y, radius, .. } => (1, radius.to_bits(), x.to_bits(), y.to_bits()),
+            _ => unreachable!(),
+        })
+        .collect::<std::collections::HashSet<_>>()
+        .len() as u64;
+    let config = ServeConfig {
+        batch_max: 1,
+        ..ServeConfig::default()
+    };
+    let (_, report) = serve_passes(&tree, &[&requests, &requests], &config);
+    assert_eq!(report.result_inserts, distinct);
+    assert_eq!(report.result_misses, distinct);
+    assert_eq!(report.result_hits, 2 * requests.len() as u64 - distinct);
+    assert_eq!(report.result_evictions, 0);
+}
+
+/// An answer over the per-entry cap is served — twice, byte-identically,
+/// and identically to a cache-off server — but never memoized, while an
+/// ordinary answer beside it still is: the cache's worst case is bounded
+/// by entries × cap, not entries × the 64 MiB frame limit.
+#[test]
+fn over_cap_answer_is_served_correctly_twice_and_never_cached() {
+    let (tree, _pool) = build_tree(15_000, 71);
+    let pass = [
+        Request::Radius {
+            id: 1,
+            x: 50_000.0,
+            y: 50_000.0,
+            radius: 40_000.0,
+        },
+        Request::Knn {
+            id: 2,
+            x: 50_000.0,
+            y: 50_000.0,
+            k: 4,
+        },
+    ];
+    let cached = ServeConfig::default();
+    let uncached = ServeConfig {
+        result_cache: 0,
+        ..ServeConfig::default()
+    };
+    let (want, _) = serve_passes(&tree, &[&pass], &uncached);
+    let (got, report) = serve_passes(&tree, &[&pass, &pass], &cached);
+    let Response::Ok { hits, .. } = Response::decode(&got[0][0]).unwrap() else {
+        panic!("expected ok");
+    };
+    assert!(
+        hits.len() > 4_096,
+        "only {} hits: not over the cap",
+        hits.len()
+    );
+    assert_eq!(got[0], want[0], "first service differs from cache-off");
+    assert_eq!(got[1], want[0], "second service differs from cache-off");
+    assert_eq!(report.result_inserts, 1, "only the kNN answer is memoized");
+    assert_eq!(report.result_hits, 1, "and only it hits on the second pass");
+    assert_eq!(report.result_misses, 3);
+}

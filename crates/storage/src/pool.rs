@@ -808,22 +808,42 @@ impl BufferPool {
     }
 
     /// Writes all dirty frames back to the device and syncs it.
+    ///
+    /// The dirty frames are listed under the shard lock and written
+    /// without it, so a reader dropping a tree snapshot may
+    /// [`delete_page`](Self::delete_page) a listed page in between. Such
+    /// a page has nothing left to persist: its frame is skipped, not
+    /// written (the frame may hold another page by then) and not an error.
     pub fn flush_all(&self) -> Result<()> {
         for shard in &self.core.shards {
             let inner = shard.inner.lock();
-            // Collect (page, data) pairs first so the device I/O happens
-            // with a consistent view; frames stay resident, become clean.
+            // Collect the dirty frames first so the device I/O happens
+            // off the shard lock; frames stay resident, become clean.
             let mut to_write = Vec::new();
-            for f in &inner.frames {
+            for (frame_idx, f) in inner.frames.iter().enumerate() {
                 if f.page.is_valid() && f.dirty {
-                    to_write.push((f.page, Arc::clone(&f.data)));
+                    to_write.push((frame_idx, f.page, Arc::clone(&f.data)));
                 }
             }
             drop(inner);
-            for (page, data) in to_write {
-                let buf = data.read();
-                self.log_writeback(page, &buf)?;
-                self.core.disk.write_page(page, &buf)?;
+            let still_here =
+                |frame_idx, page| shard.inner.lock().map.get(&page) == Some(&frame_idx);
+            for (frame_idx, page, data) in to_write {
+                if !still_here(frame_idx, page) {
+                    continue;
+                }
+                // The latch is released before the shard lock is taken
+                // again: a loader waits for this latch *under* that lock.
+                let written = {
+                    let buf = data.read();
+                    self.log_writeback(page, &buf)?;
+                    self.core.disk.write_page(page, &buf)
+                };
+                match written {
+                    // Freed between the probe and the write.
+                    Err(StorageError::InvalidPage(_)) if !still_here(frame_idx, page) => continue,
+                    res => res?,
+                }
                 shard.stats.writebacks.fetch_add(1, Ordering::Relaxed);
             }
             let mut inner = shard.inner.lock();

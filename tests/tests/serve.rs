@@ -435,3 +435,93 @@ fn pings_and_invalid_parameters_answer_immediately() {
     assert_eq!(report.served, 1);
     assert_eq!(report.errors, 5);
 }
+
+/// Wire-level conservation under disconnect: connection A pipelines 256
+/// requests and drops its socket without reading a byte; connection B
+/// pipelines 256 with a Ping after every eighth. A's staged responses
+/// fail (or vanish into a dead socket) without costing B anything: B
+/// receives all 256 `Ok` in send order, bit-identical to the sequential
+/// answers, and every batched request is accounted for exactly once —
+/// served, a write error, or an error. Counter asserts only.
+#[test]
+fn disconnect_mid_pipeline_conserves_every_request_and_spares_the_neighbor() {
+    const PER_CONN: u64 = 256;
+    let (tree, _pool) = build_tree(20_000, 61);
+    let queries = uniform_queries(2 * PER_CONN as usize, &default_bounds(), 67);
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let config = ServeConfig {
+        threads: 2,
+        inbox_cap: 4096, // above total outstanding: nothing may be rejected
+        ..ServeConfig::default()
+    };
+
+    let (report, answers) = std::thread::scope(|scope| {
+        let tree = &tree;
+        let queries = &queries;
+        let server = scope.spawn(move || {
+            nnq_serve::serve(&Engine::Single(tree), &MbrRefiner, listener, &config).unwrap()
+        });
+        let a = scope.spawn(move || {
+            let mut client = Client::connect(addr).unwrap();
+            for id in 0..PER_CONN {
+                client
+                    .send(&request_for(id, &queries[id as usize]))
+                    .unwrap();
+            }
+            // Dropped here: no response is ever read.
+        });
+        let b = scope.spawn(move || {
+            let mut client = Client::connect(addr).unwrap();
+            let mut pings = 0u64;
+            for id in PER_CONN..2 * PER_CONN {
+                client
+                    .send(&request_for(id, &queries[id as usize]))
+                    .unwrap();
+                if id % 8 == 7 {
+                    client.send(&Request::Ping { id }).unwrap();
+                    pings += 1;
+                }
+            }
+            // Pongs come from the reader thread and may land anywhere
+            // between the batcher's writes — never inside one.
+            let mut oks = Vec::new();
+            let mut pongs = 0u64;
+            while (oks.len() as u64) < PER_CONN || pongs < pings {
+                match client.recv().expect("a response for every request") {
+                    Response::Pong { .. } => pongs += 1,
+                    resp => oks.push(response_answer(&resp)),
+                }
+            }
+            oks
+        });
+        a.join().unwrap();
+        let answers = b.join().unwrap();
+        let mut ctl = Client::connect(addr).unwrap();
+        assert!(matches!(
+            ctl.call(&Request::Shutdown).unwrap(),
+            Response::Bye
+        ));
+        (server.join().unwrap(), answers)
+    });
+
+    let got_ids: Vec<u64> = answers.iter().map(|(id, _, _)| *id).collect();
+    assert_eq!(got_ids, (PER_CONN..2 * PER_CONN).collect::<Vec<u64>>());
+    for (id, hits, logical_reads) in answers {
+        let (want_hits, want_reads) =
+            sequential_answer(&tree, &request_for(id, &queries[id as usize]));
+        assert_eq!(hits, want_hits, "request {id}: results diverged");
+        assert_eq!(logical_reads, want_reads, "request {id}: reads diverged");
+    }
+    // However much of A's pipeline the server read before the reset, each
+    // request it batched ended exactly one way.
+    assert_eq!(
+        report.served + report.write_errors + report.errors,
+        report.batched,
+        "{report:?}"
+    );
+    assert!(report.served >= PER_CONN, "{report:?}");
+    assert!(report.batched <= 2 * PER_CONN, "{report:?}");
+    assert_eq!(report.rejected, 0);
+    assert!(report.socket_writes <= report.served, "{report:?}");
+}
