@@ -846,28 +846,30 @@ pub fn e16() {
     table.print();
 }
 
+/// Every experiment by name, in order.
+pub const EXPERIMENTS: [(&str, fn()); 16] = [
+    ("E1", e1),
+    ("E2", e2),
+    ("E3", e3),
+    ("E4", e4),
+    ("E5", e5),
+    ("E6", e6),
+    ("E7", e7),
+    ("E8", e8),
+    ("E9", e9),
+    ("E10", e10),
+    ("E11", e11),
+    ("E12", e12),
+    ("E13", e13),
+    ("E14", e14),
+    ("E15", e15),
+    ("E16", e16),
+];
+
 /// Runs every experiment in sequence, printing total wall time.
 pub fn run_all() {
     let start = Instant::now();
-    let fns: [(&str, fn()); 16] = [
-        ("E1", e1),
-        ("E2", e2),
-        ("E3", e3),
-        ("E4", e4),
-        ("E5", e5),
-        ("E6", e6),
-        ("E7", e7),
-        ("E8", e8),
-        ("E9", e9),
-        ("E10", e10),
-        ("E11", e11),
-        ("E12", e12),
-        ("E13", e13),
-        ("E14", e14),
-        ("E15", e15),
-        ("E16", e16),
-    ];
-    for (name, run) in fns {
+    for (name, run) in EXPERIMENTS {
         let t = Instant::now();
         run();
         eprintln!("[{name} finished in {:.1}s]", t.elapsed().as_secs_f64());

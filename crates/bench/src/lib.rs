@@ -1,13 +1,14 @@
 //! Shared harness for the RKV'95 reproduction experiments (E1–E16).
 //!
-//! Each experiment has a `repro_eN` binary that prints the paper-style
-//! table or series; this library holds everything they share — dataset
-//! construction, tree building, query measurement, and table formatting.
+//! The `repro` binary prints one experiment's paper-style table or series
+//! (`repro e2`) or all of them (`repro all`); this library holds
+//! everything they share — dataset construction, tree building, query
+//! measurement, and table formatting.
 //!
 //! Run everything with:
 //!
 //! ```text
-//! cargo run -p nnq-bench --release --bin repro_all
+//! cargo run -p nnq-bench --release --bin repro -- all
 //! ```
 //!
 //! Set `NNQ_SCALE` (e.g. `NNQ_SCALE=0.1`) to shrink dataset sizes for a

@@ -199,20 +199,17 @@ fn build_partitioned(
 }
 
 fn open_index(path: &str) -> Result<(RTree<2>, Arc<BufferPool>), CliError> {
-    open_index_tuned(path, 1, 0, PrefetchPolicy::Off, TuneMode::Off)
+    open_index_tuned(path, &ReadPathOpts::default())
 }
 
 /// Opens a partitioned index built by [`build_partitioned`]: decodes the
-/// manifest, opens every partition file on its **own** pool (each with
-/// the requested shard count, injected latency, and prefetch pipeline),
-/// and checks the partition count against `expected`.
+/// manifest, opens every partition file on its **own** pool
+/// ([`open_index_tuned`]), and checks the partition count against
+/// `expected`.
 fn open_partitioned(
     index: &str,
     expected: usize,
-    shards: usize,
-    io_lat_us: u64,
-    prefetch: PrefetchPolicy,
-    tune: TuneMode,
+    opts: &ReadPathOpts,
 ) -> Result<PartitionedTree<2>, CliError> {
     let manifest_path = manifest_file(index);
     let text = std::fs::read_to_string(&manifest_path)
@@ -226,48 +223,31 @@ fn open_partitioned(
     }
     let mut parts = Vec::with_capacity(expected);
     for i in 0..expected {
-        let disk = FileDisk::open(partition_file(index, i), PAGE_SIZE)?;
-        let disk: Box<dyn DiskManager> = if io_lat_us > 0 {
-            Box::new(LatencyDisk::new(
-                disk,
-                LatencyProfile::symmetric_us(io_lat_us),
-            ))
-        } else {
-            Box::new(disk)
-        };
-        let mut pool = BufferPool::with_shards(disk, 4096, shards);
-        // The adaptive tuner needs the pipeline running even when the
-        // static policy is `off`: it may decide to raise the depth later.
-        if prefetch != PrefetchPolicy::Off || tune == TuneMode::Adaptive {
-            pool.start_prefetch(2, 64);
-        }
-        parts.push(RTree::<2>::open(Arc::new(pool), PageId(0))?);
+        parts.push(open_index_tuned(&partition_file(index, i), opts)?.0);
     }
     Ok(PartitionedTree::from_parts(parts, manifest)?)
 }
 
-/// Opens an index with the full I/O tuning surface: pool shard count,
-/// injected per-access device latency (0 = raw disk), and the prefetch
-/// policy (any policy other than `off` starts the pool's background I/O
-/// workers).
+/// Opens an index file on its own pool with the full I/O tuning surface:
+/// pool shard count, injected per-access device latency (0 = raw disk),
+/// and the prefetch pipeline's background I/O workers.
 fn open_index_tuned(
     path: &str,
-    shards: usize,
-    io_lat_us: u64,
-    prefetch: PrefetchPolicy,
-    tune: TuneMode,
+    opts: &ReadPathOpts,
 ) -> Result<(RTree<2>, Arc<BufferPool>), CliError> {
     let disk = FileDisk::open(path, PAGE_SIZE)?;
-    let disk: Box<dyn DiskManager> = if io_lat_us > 0 {
+    let disk: Box<dyn DiskManager> = if opts.io_lat_us > 0 {
         Box::new(LatencyDisk::new(
             disk,
-            LatencyProfile::symmetric_us(io_lat_us),
+            LatencyProfile::symmetric_us(opts.io_lat_us),
         ))
     } else {
         Box::new(disk)
     };
-    let mut pool = BufferPool::with_shards(disk, 4096, shards);
-    if prefetch != PrefetchPolicy::Off || tune == TuneMode::Adaptive {
+    let mut pool = BufferPool::with_shards(disk, 4096, opts.pool_shards);
+    // The adaptive tuner needs the pipeline running even when the static
+    // policy is `off`: it may decide to raise the depth later.
+    if opts.prefetch != PrefetchPolicy::Off || opts.tune == TuneMode::Adaptive {
         pool.start_prefetch(2, 64);
     }
     let pool = Arc::new(pool);
@@ -275,50 +255,77 @@ fn open_index_tuned(
     Ok((tree, pool))
 }
 
-/// `--threads N`: worker count for batch execution; must be ≥ 1.
-fn parse_threads(args: &Args) -> Result<usize, CliError> {
-    let threads: usize = args.num("threads", 1)?;
-    if threads == 0 {
-        return Err(CliError::Usage(
-            "flag `--threads` must be at least 1".into(),
-        ));
-    }
-    Ok(threads)
+/// The read-path flags `query`, `bench`, and `serve` share.
+struct ReadPathOpts {
+    /// `--threads N`: worker count for batch execution; must be ≥ 1.
+    threads: usize,
+    /// `--pool-shards N`: buffer-pool shard count; must be a power of two
+    /// ≥ 1 (shards are selected by masking the page id's low bits).
+    pool_shards: usize,
+    /// `--prefetch <off|N|adaptive>`: traversal prefetch policy.
+    prefetch: PrefetchPolicy,
+    /// `--tune <off|adaptive>`: online self-tuning controller. Adaptive
+    /// mode resamples the backend counters between query batches and
+    /// retunes prefetch depth/workers, node-cache capacity, and claim-block
+    /// size — all accounting-neutral knobs, so results and pages/query are
+    /// bit-identical to `off`.
+    tune: TuneMode,
+    /// `--kernel <scalar|batch>`: distance-kernel mode.
+    kernel: KernelMode,
+    /// `--io-lat-us N`: injected per-access device latency (0 = raw disk).
+    io_lat_us: u64,
 }
 
-/// `--pool-shards N`: buffer-pool shard count; must be a power of two ≥ 1
-/// (shards are selected by masking the page id's low bits).
-fn parse_pool_shards(args: &Args) -> Result<usize, CliError> {
-    let shards: usize = args.num("pool-shards", 1)?;
-    if shards == 0 || !shards.is_power_of_two() {
-        return Err(CliError::Usage(
-            "flag `--pool-shards` must be a power of two ≥ 1".into(),
-        ));
+impl Default for ReadPathOpts {
+    fn default() -> Self {
+        Self {
+            threads: 1,
+            pool_shards: 1,
+            prefetch: PrefetchPolicy::Off,
+            tune: TuneMode::Off,
+            kernel: KernelMode::default(),
+            io_lat_us: 0,
+        }
     }
-    Ok(shards)
 }
 
-/// `--prefetch <off|N|adaptive>`: traversal prefetch policy (default off).
-fn parse_prefetch(args: &Args) -> Result<PrefetchPolicy, CliError> {
-    match args.opt("prefetch") {
-        None => Ok(PrefetchPolicy::Off),
+impl ReadPathOpts {
+    fn parse(args: &Args) -> Result<Self, CliError> {
+        let default = Self::default();
+        let threads: usize = args.num("threads", default.threads)?;
+        if threads == 0 {
+            return Err(CliError::Usage(
+                "flag `--threads` must be at least 1".into(),
+            ));
+        }
+        let pool_shards: usize = args.num("pool-shards", default.pool_shards)?;
+        if pool_shards == 0 || !pool_shards.is_power_of_two() {
+            return Err(CliError::Usage(
+                "flag `--pool-shards` must be a power of two ≥ 1".into(),
+            ));
+        }
+        Ok(Self {
+            threads,
+            pool_shards,
+            prefetch: parse_named(args, "prefetch", default.prefetch)?,
+            tune: parse_named(args, "tune", default.tune)?,
+            io_lat_us: args.num("io-lat-us", default.io_lat_us)?,
+            kernel: args.num("kernel", default.kernel)?,
+        })
+    }
+}
+
+/// An optional flag whose parse error names what it wanted.
+fn parse_named<T>(args: &Args, name: &str, default: T) -> Result<T, CliError>
+where
+    T: std::str::FromStr,
+    T::Err: std::fmt::Display,
+{
+    match args.opt(name) {
+        None => Ok(default),
         Some(v) => v
             .parse()
-            .map_err(|e| CliError::Usage(format!("flag `--prefetch`: {e}"))),
-    }
-}
-
-/// `--tune <off|adaptive>`: online self-tuning controller (default off).
-/// Adaptive mode resamples the backend counters between query batches and
-/// retunes prefetch depth/workers, node-cache capacity, and claim-block
-/// size — all accounting-neutral knobs, so results and pages/query are
-/// bit-identical to `off`.
-fn parse_tune(args: &Args) -> Result<TuneMode, CliError> {
-    match args.opt("tune") {
-        None => Ok(TuneMode::Off),
-        Some(v) => v
-            .parse()
-            .map_err(|e| CliError::Usage(format!("flag `--tune`: {e}"))),
+            .map_err(|e| CliError::Usage(format!("flag `--{name}`: {e}"))),
     }
 }
 
@@ -375,25 +382,11 @@ pub fn stats(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
 
 /// `nnq query` — kNN or radius query against an index + its dataset.
 pub fn query(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
-    let threads = parse_threads(args)?;
-    let pool_shards = parse_pool_shards(args)?;
-    let prefetch = parse_prefetch(args)?;
-    let tune = parse_tune(args)?;
-    let io_lat_us: u64 = args.num("io-lat-us", 0)?;
+    let read = ReadPathOpts::parse(args)?;
     if let Some(partitions) = parse_partitions(args)? {
-        return query_partitioned(
-            args,
-            out,
-            partitions,
-            threads,
-            pool_shards,
-            io_lat_us,
-            prefetch,
-            tune,
-        );
+        return query_partitioned(args, out, partitions, &read);
     }
-    let (tree, pool) =
-        open_index_tuned(args.req("index")?, pool_shards, io_lat_us, prefetch, tune)?;
+    let (tree, pool) = open_index_tuned(args.req("index")?, &read)?;
     let segments = load_segments_csv(args.req("data")?)?;
     if segments.len() as u64 != tree.len() {
         return Err(CliError::Run(format!(
@@ -404,14 +397,13 @@ pub fn query(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     }
     // The controller applies its initial knobs up front (one observation)
     // and re-samples after the query so the report reflects real traffic.
-    let mut controller = TuneController::new(tune);
+    let mut controller = TuneController::new(read.tune);
     controller.observe_tree(&tree);
-    let prefetch = controller.prefetch_policy().unwrap_or(prefetch);
+    let prefetch = controller.prefetch_policy().unwrap_or(read.prefetch);
     let (x, y) = args.coords("at")?;
     let q = Point::new([x, y]);
-    let kernel: KernelMode = args.num("kernel", KernelMode::default())?;
     // The generalized-metric path has no batched kernels; report what ran.
-    let mut kernel_used = kernel;
+    let mut kernel_used = read.kernel;
     let refiner = FnRefiner::new(|rid: RecordId, _: &nnq_geom::Rect<2>, p: &Point<2>| {
         segments[rid.0 as usize].dist_sq_to_point(p)
     });
@@ -421,7 +413,7 @@ pub fn query(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         let radius: f64 = radius
             .parse()
             .map_err(|_| CliError::Usage(format!("bad --radius `{radius}`")))?;
-        within_radius_with(&tree, &q, radius, &refiner, kernel)?
+        within_radius_with(&tree, &q, radius, &refiner, read.kernel)?
     } else if let Some(metric) = args.opt("metric") {
         // Generalized metrics rank segment MBRs (centers for points); the
         // exact-geometry refiner is Euclidean-only.
@@ -442,7 +434,7 @@ pub fn query(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         let k: usize = args.num("k", 1)?;
         let opts = NnOptions {
             prefetch,
-            ..NnOptions::with_kernel(kernel)
+            ..NnOptions::with_kernel(read.kernel)
         };
         NnSearch::with_options(&tree, opts).query_refined(&q, k, &refiner)?
     };
@@ -470,7 +462,7 @@ pub fn query(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         "({} results, {} nodes read, kernel {kernel_used}, {} thread(s), {} pool shard(s), pool hit rate {:.1}%, {:.1} µs)",
         hits.len(),
         search_stats.nodes_visited,
-        threads,
+        read.threads,
         pool.shard_count(),
         pool.stats().hit_rate() * 100.0,
         elapsed.as_secs_f64() * 1e6
@@ -489,16 +481,11 @@ pub fn query(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
 /// partitioned index. Results are bit-identical to the single-tree
 /// query; the stats line additionally reports how many partitions the
 /// MINDIST-to-partition-MBR schedule visited vs pruned.
-#[allow(clippy::too_many_arguments)]
 fn query_partitioned(
     args: &Args,
     out: &mut dyn Write,
     partitions: usize,
-    threads: usize,
-    pool_shards: usize,
-    io_lat_us: u64,
-    prefetch: PrefetchPolicy,
-    tune: TuneMode,
+    read: &ReadPathOpts,
 ) -> Result<(), CliError> {
     if args.opt("metric").is_some() {
         return Err(CliError::Usage(
@@ -507,17 +494,10 @@ fn query_partitioned(
                 .into(),
         ));
     }
-    let tree = open_partitioned(
-        args.req("index")?,
-        partitions,
-        pool_shards,
-        io_lat_us,
-        prefetch,
-        tune,
-    )?;
-    let mut controller = TuneController::new(tune);
+    let tree = open_partitioned(args.req("index")?, partitions, read)?;
+    let mut controller = TuneController::new(read.tune);
     controller.observe_partitioned(&tree);
-    let prefetch = controller.prefetch_policy().unwrap_or(prefetch);
+    let prefetch = controller.prefetch_policy().unwrap_or(read.prefetch);
     let segments = load_segments_csv(args.req("data")?)?;
     if segments.len() as u64 != tree.len() {
         return Err(CliError::Run(format!(
@@ -528,13 +508,12 @@ fn query_partitioned(
     }
     let (x, y) = args.coords("at")?;
     let q = Point::new([x, y]);
-    let kernel: KernelMode = args.num("kernel", KernelMode::default())?;
     let refiner = FnRefiner::new(|rid: RecordId, _: &Rect<2>, p: &Point<2>| {
         segments[rid.0 as usize].dist_sq_to_point(p)
     });
     let opts = NnOptions {
         prefetch,
-        ..NnOptions::with_kernel(kernel)
+        ..NnOptions::with_kernel(read.kernel)
     };
 
     let start = Instant::now();
@@ -542,10 +521,10 @@ fn query_partitioned(
         let radius: f64 = radius
             .parse()
             .map_err(|_| CliError::Usage(format!("bad --radius `{radius}`")))?;
-        partitioned_radius(&tree, &q, radius, opts, &refiner, threads)?
+        partitioned_radius(&tree, &q, radius, opts, &refiner, read.threads)?
     } else {
         let k: usize = args.num("k", 1)?;
-        partitioned_knn(&tree, &q, k, opts, &refiner, threads)?
+        partitioned_knn(&tree, &q, k, opts, &refiner, read.threads)?
     };
     let elapsed = start.elapsed();
 
@@ -567,13 +546,14 @@ fn query_partitioned(
     writeln!(
         out,
         "({} results, {} nodes read, {}/{partitions} partition(s) visited ({} pruned, {} round(s)), \
-         kernel {kernel}, {} thread(s), pool hit rate {:.1}%, {:.1} µs)",
+         kernel {}, {} thread(s), pool hit rate {:.1}%, {:.1} µs)",
         hits.len(),
         pstats.search.nodes_visited,
         pstats.partitions_visited,
         pstats.partitions_pruned,
         pstats.rounds,
-        threads,
+        read.kernel,
+        read.threads,
         pool.hit_rate() * 100.0,
         elapsed.as_secs_f64() * 1e6
     )?;
@@ -587,30 +567,15 @@ fn query_partitioned(
 /// `nnq bench` — average query latency and page accesses over a batch of
 /// random query points.
 pub fn bench(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
-    let threads = parse_threads(args)?;
-    let pool_shards = parse_pool_shards(args)?;
-    let prefetch = parse_prefetch(args)?;
-    let tune = parse_tune(args)?;
-    let io_lat_us: u64 = args.num("io-lat-us", 0)?;
+    let read = ReadPathOpts::parse(args)?;
     if let Some(partitions) = parse_partitions(args)? {
-        return bench_partitioned(
-            args,
-            out,
-            partitions,
-            threads,
-            pool_shards,
-            io_lat_us,
-            prefetch,
-            tune,
-        );
+        return bench_partitioned(args, out, partitions, &read);
     }
-    let (tree, pool) =
-        open_index_tuned(args.req("index")?, pool_shards, io_lat_us, prefetch, tune)?;
+    let (tree, pool) = open_index_tuned(args.req("index")?, &read)?;
     let segments = load_segments_csv(args.req("data")?)?;
     let n_queries: usize = args.num("queries", 1000)?;
     let k: usize = args.num("k", 10)?;
     let seed: u64 = args.num("seed", 1)?;
-    let kernel: KernelMode = args.num("kernel", KernelMode::default())?;
     let queries = nnq_workloads::uniform_queries(n_queries, &default_bounds(), seed);
     let refiner = FnRefiner::new(|rid: RecordId, _: &nnq_geom::Rect<2>, p: &Point<2>| {
         segments[rid.0 as usize].dist_sq_to_point(p)
@@ -619,7 +584,7 @@ pub fn bench(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     // With tuning on, the batch runs in sub-batches with a controller
     // observation between each — the knobs it moves are accounting-
     // neutral, so pages/query matches the untuned run exactly.
-    let mut controller = TuneController::new(tune);
+    let mut controller = TuneController::new(read.tune);
     controller.observe_tree(&tree);
     let chunk = if controller.is_active() {
         (n_queries / 8).max(1)
@@ -630,10 +595,10 @@ pub fn bench(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let start = Instant::now();
     for qs in queries.chunks(chunk) {
         let opts = NnOptions {
-            prefetch: controller.prefetch_policy().unwrap_or(prefetch),
-            ..NnOptions::with_kernel(kernel)
+            prefetch: controller.prefetch_policy().unwrap_or(read.prefetch),
+            ..NnOptions::with_kernel(read.kernel)
         };
-        if threads == 1 {
+        if read.threads == 1 {
             let search = NnSearch::with_options(&tree, opts);
             let mut cursor = nnq_core::QueryCursor::new();
             for q in qs {
@@ -646,7 +611,7 @@ pub fn bench(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
                 k,
                 opts,
                 &refiner,
-                threads,
+                read.threads,
                 JoinOrder::AsGiven,
                 controller.block_override(),
             )
@@ -671,15 +636,18 @@ pub fn bench(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let cstats = tree.store().cache_stats();
     writeln!(
         out,
-        "node cache: {} hits / {} reads ({:.1}% decode-free), {} nodes cached, kernel {kernel}, {} thread(s), {} pool shard(s)",
+        "node cache: {} hits / {} reads ({:.1}% decode-free), {} nodes cached, kernel {}, {} thread(s), {} pool shard(s)",
         cstats.hits,
         cstats.hits + cstats.misses,
         cstats.hit_rate() * 100.0,
         cstats.len,
-        threads,
+        read.kernel,
+        read.threads,
         pool.shard_count()
     )?;
-    if let Some(report) = prefetch_report(&pool, controller.prefetch_policy().unwrap_or(prefetch)) {
+    if let Some(report) =
+        prefetch_report(&pool, controller.prefetch_policy().unwrap_or(read.prefetch))
+    {
         writeln!(out, "{report}")?;
     }
     if let Some(report) = tune_report(&controller) {
@@ -693,35 +661,22 @@ pub fn bench(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
 /// scatter-gather pass. Page accesses are summed across every
 /// partition's pool, so pages/query is directly comparable to the
 /// single-tree figure.
-#[allow(clippy::too_many_arguments)]
 fn bench_partitioned(
     args: &Args,
     out: &mut dyn Write,
     partitions: usize,
-    threads: usize,
-    pool_shards: usize,
-    io_lat_us: u64,
-    prefetch: PrefetchPolicy,
-    tune: TuneMode,
+    read: &ReadPathOpts,
 ) -> Result<(), CliError> {
-    let tree = open_partitioned(
-        args.req("index")?,
-        partitions,
-        pool_shards,
-        io_lat_us,
-        prefetch,
-        tune,
-    )?;
+    let tree = open_partitioned(args.req("index")?, partitions, read)?;
     let segments = load_segments_csv(args.req("data")?)?;
     let n_queries: usize = args.num("queries", 1000)?;
     let k: usize = args.num("k", 10)?;
     let seed: u64 = args.num("seed", 1)?;
-    let kernel: KernelMode = args.num("kernel", KernelMode::default())?;
     let queries = nnq_workloads::uniform_queries(n_queries, &default_bounds(), seed);
     let refiner = FnRefiner::new(|rid: RecordId, _: &Rect<2>, p: &Point<2>| {
         segments[rid.0 as usize].dist_sq_to_point(p)
     });
-    let mut controller = TuneController::new(tune);
+    let mut controller = TuneController::new(read.tune);
     controller.observe_partitioned(&tree);
     let chunk = if controller.is_active() {
         (n_queries / 8).max(1)
@@ -734,20 +689,21 @@ fn bench_partitioned(
     let mut pstats = PartitionedStats::default();
     for qs in queries.chunks(chunk) {
         let opts = NnOptions {
-            prefetch: controller.prefetch_policy().unwrap_or(prefetch),
-            ..NnOptions::with_kernel(kernel)
+            prefetch: controller.prefetch_policy().unwrap_or(read.prefetch),
+            ..NnOptions::with_kernel(read.kernel)
         };
-        let (_, ps) = partitioned_knn_batch_with_block(
+        let (_, ps, bstats) = partitioned_knn_batch_with_block(
             &tree,
             qs,
             k,
             opts,
             &refiner,
-            threads,
+            read.threads,
             controller.block_override(),
         )
         .map_err(|e| CliError::Run(e.to_string()))?;
         pstats.accumulate(&ps);
+        controller.observe_batch(&bstats);
         controller.observe_partitioned(&tree);
     }
     let elapsed = start.elapsed();
@@ -766,12 +722,13 @@ fn bench_partitioned(
     writeln!(
         out,
         "partitions: {:.2} visited/query, {:.2} pruned/query, {:.2} round(s)/query, \
-         kernel {kernel}, {} thread(s), {} pool shard(s)/partition",
+         kernel {}, {} thread(s), {} pool shard(s)/partition",
         per_q(pstats.partitions_visited),
         per_q(pstats.partitions_pruned),
         per_q(pstats.rounds),
-        threads,
-        pool_shards
+        read.kernel,
+        read.threads,
+        read.pool_shards
     )?;
     if let Some(report) = tune_report(&controller) {
         writeln!(out, "{report}")?;
@@ -854,12 +811,7 @@ pub fn join(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
 /// results and per-query logical reads are bit-identical to sequential
 /// `nnq query` invocations.
 pub fn serve(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
-    let threads = parse_threads(args)?;
-    let pool_shards = parse_pool_shards(args)?;
-    let prefetch = parse_prefetch(args)?;
-    let tune = parse_tune(args)?;
-    let io_lat_us: u64 = args.num("io-lat-us", 0)?;
-    let kernel: KernelMode = args.num("kernel", KernelMode::default())?;
+    let read = ReadPathOpts::parse(args)?;
     let port: u16 = args.num("port", 0)?;
     let batch_max: usize = args.num("batch-max", 32)?;
     if batch_max == 0 {
@@ -903,13 +855,13 @@ pub fn serve(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         segments[rid.0 as usize].dist_sq_to_point(p)
     });
     let config = nnq_serve::ServeConfig {
-        threads,
+        threads: read.threads,
         batch_max,
         batch_deadline: std::time::Duration::from_micros(batch_deadline_us),
         inbox_cap,
-        kernel,
-        prefetch,
-        tune,
+        kernel: read.kernel,
+        prefetch: read.prefetch,
+        tune: read.tune,
         result_cache,
         max_in_flight,
     };
@@ -931,8 +883,9 @@ pub fn serve(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let announce = |out: &mut dyn Write| -> Result<(), CliError> {
         writeln!(
             out,
-            "serving {index} on {addr} ({threads} thread(s), batch ≤ {batch_max} \
-             / {batch_deadline_us} µs, inbox {inbox_cap})"
+            "serving {index} on {addr} ({} thread(s), batch ≤ {batch_max} \
+             / {batch_deadline_us} µs, inbox {inbox_cap})",
+            read.threads
         )?;
         out.flush()?;
         if let Some(path) = args.opt("port-file") {
@@ -944,7 +897,7 @@ pub fn serve(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
 
     let report = match partitions {
         None => {
-            let (tree, pool) = open_index_tuned(index, pool_shards, io_lat_us, prefetch, tune)?;
+            let (tree, pool) = open_index_tuned(index, &read)?;
             check_len(tree.len())?;
             announce(out)?;
             let report = nnq_serve::serve(
@@ -971,13 +924,13 @@ pub fn serve(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
                 cstats.hit_rate() * 100.0,
                 cstats.len
             )?;
-            if let Some(r) = prefetch_report(&pool, prefetch) {
+            if let Some(r) = prefetch_report(&pool, read.prefetch) {
                 writeln!(out, "{r}")?;
             }
             report
         }
         Some(partitions) => {
-            let tree = open_partitioned(index, partitions, pool_shards, io_lat_us, prefetch, tune)?;
+            let tree = open_partitioned(index, partitions, &read)?;
             check_len(tree.len())?;
             announce(out)?;
             let report = nnq_serve::serve(
@@ -990,10 +943,11 @@ pub fn serve(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
             writeln!(
                 out,
                 "pool: hit rate {:.1}%, {} logical reads, {} physical reads, \
-                 {partitions} partition(s) × {pool_shards} shard(s)",
+                 {partitions} partition(s) × {} shard(s)",
                 pstats.hit_rate() * 100.0,
                 pstats.logical_reads,
-                pstats.physical_reads
+                pstats.physical_reads,
+                read.pool_shards
             )?;
             report
         }

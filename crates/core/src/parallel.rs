@@ -6,11 +6,14 @@
 //! backends are internally synchronized for reads (`&self` queries), so
 //! workers share one tree.
 //!
-//! Scheduling is work-stealing over a shared atomic cursor rather than
-//! static chunking: every worker claims a small block of queries at a
-//! time, so one expensive query (huge `k`, far-off point, dense region)
-//! stalls only the worker that claimed it while the rest of the batch
-//! drains through the other workers. The batch finishes in roughly
+//! Every batch entry point in this crate — kNN and mixed batches here, the
+//! scatter-gather rounds and partitioned batches in
+//! [`scatter`](crate::scatter) — is a call of one private primitive,
+//! [`steal_map`]. Scheduling is work-stealing over a shared atomic cursor
+//! rather than static chunking: every worker claims a small block of items
+//! at a time, so one expensive query (huge `k`, far-off point, dense
+//! region) stalls only the worker that claimed it while the rest of the
+//! batch drains through the other workers. The batch finishes in roughly
 //! `max(most expensive single query, total work / threads)` instead of
 //! `total work / threads + slowest static chunk`.
 //!
@@ -18,11 +21,11 @@
 //! snapshot, so results are bit-identical to `threads = 1` regardless of
 //! which worker claims which block.
 //!
-//! Scheduling order is orthogonal to result order: [`par_knn_batch_ordered`]
-//! can walk the batch along a Hilbert curve (mirroring
-//! [`JoinOrder::Hilbert`](crate::join::JoinOrder)) so consecutive claimed
-//! queries touch overlapping subtrees — warmer node cache, tighter prefetch
-//! reuse — while results still come back in submission order.
+//! Scheduling order is orthogonal to result order: with
+//! [`JoinOrder::Hilbert`] workers walk the batch along a Hilbert curve so
+//! consecutive claimed queries touch overlapping subtrees — warmer node
+//! cache, tighter prefetch reuse — while results still come back in
+//! submission order.
 
 use crate::branch_bound::{NnSearch, QueryCursor};
 use crate::join::{hilbert_schedule, JoinOrder};
@@ -32,7 +35,6 @@ use crate::refine::Refiner;
 use crate::Result;
 use nnq_geom::Point;
 use nnq_rtree::TreeAccess;
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -89,8 +91,99 @@ pub struct BatchStats {
 /// Block size for the shared cursor: small enough that an expensive query
 /// can be compensated by the other workers (at most one block is claimed
 /// blind), large enough that the atomic increment amortizes.
-pub(crate) fn block_size(len: usize, threads: usize) -> usize {
+fn block_size(len: usize, threads: usize) -> usize {
     (len / (threads * 8)).clamp(1, 32)
+}
+
+/// The one batch executor: `f(scratch, i)` for every `i < len`, outputs in
+/// index order. Up to `threads` scoped workers — each with its own scratch
+/// from `init` — claim blocks of `block_override` (default [`block_size`])
+/// positions off one atomic cursor; position `at` stands for item
+/// `schedule[at]` (a permutation of `0..len`; `None` is the identity).
+/// Which worker ran an item, in what order, and under what block size is
+/// invisible in the output, so as long as `f` is a pure function of `i`
+/// the result is bit-identical to a sequential loop.
+///
+/// One worker or one item runs inline on the caller's thread as a single
+/// claim of the whole batch. An `Err` from `f` ends its worker's claiming
+/// and fails the batch once every worker has been joined; a panic in `f`
+/// propagates to the caller with its original payload.
+pub(crate) fn steal_map<S, O: Send>(
+    len: usize,
+    threads: usize,
+    block_override: Option<usize>,
+    schedule: Option<&[usize]>,
+    init: impl Fn() -> S + Sync,
+    f: impl Fn(&mut S, usize) -> Result<O> + Sync,
+) -> Result<(Vec<O>, BatchStats)> {
+    assert!(threads > 0, "need at least one worker");
+    let workers = threads.min(len).max(1);
+    let block = if workers == 1 {
+        len
+    } else {
+        block_override.map_or_else(|| block_size(len, threads), |b| b.max(1))
+    };
+    let next = AtomicUsize::new(0);
+    let work = || -> Result<Vec<(usize, O)>> {
+        let mut scratch = init();
+        let mut out = Vec::with_capacity(block.min(len));
+        loop {
+            let start = next.fetch_add(block, Ordering::Relaxed);
+            if start >= len {
+                return Ok(out);
+            }
+            for at in start..start.saturating_add(block).min(len) {
+                let i = schedule.map_or(at, |s| s[at]);
+                out.push((i, f(&mut scratch, i)?));
+            }
+        }
+    };
+    let outs = if workers == 1 {
+        vec![work()]
+    } else {
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers).map(|_| scope.spawn(work)).collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                .collect()
+        })
+    };
+
+    let mut slots: Vec<Option<O>> = (0..len).map(|_| None).collect();
+    let mut per_worker_queries = Vec::with_capacity(workers);
+    for out in outs {
+        let pairs = out?;
+        per_worker_queries.push(pairs.len());
+        for (i, o) in pairs {
+            slots[i] = Some(o);
+        }
+    }
+    let results = slots
+        .into_iter()
+        .map(|slot| slot.expect("the schedule is a permutation of 0..len"))
+        .collect();
+    let stats = BatchStats {
+        threads: workers,
+        block,
+        per_worker_queries,
+        executed: len,
+    };
+    Ok((results, stats))
+}
+
+/// The claim schedule for `order` over a batch's query points: `None`
+/// (identity) as given, else the batch's Hilbert-curve permutation (the
+/// [`knn_join`](crate::join::knn_join) schedule), so queries claimed
+/// back-to-back land in overlapping subtrees.
+pub(crate) fn claim_order<const D: usize>(
+    order: JoinOrder,
+    points: impl Iterator<Item = Point<D>>,
+) -> Option<Vec<usize>> {
+    match order {
+        JoinOrder::AsGiven => None,
+        JoinOrder::Hilbert => Some(hilbert_schedule(&points.collect::<Vec<_>>())),
+    }
 }
 
 /// Runs a kNN query for every point in `queries`, fanning the batch out
@@ -130,29 +223,6 @@ where
     par_knn_batch_stats(tree, queries, k, opts, refiner, threads).map(|(results, _)| results)
 }
 
-/// [`par_knn_batch`] with an explicit claim order. `JoinOrder::Hilbert`
-/// walks the batch along a Hilbert curve over the query points (reusing the
-/// [`knn_join`](crate::join::knn_join) schedule), so queries claimed
-/// back-to-back land in overlapping subtrees and share cached / prefetched
-/// nodes. Results are still returned in submission order and are
-/// bit-identical to the sequential as-given run — the schedule only changes
-/// *when* each query executes, never *what* it computes.
-pub fn par_knn_batch_ordered<const D: usize, T, R>(
-    tree: &T,
-    queries: &[Point<D>],
-    k: usize,
-    opts: NnOptions,
-    refiner: &R,
-    threads: usize,
-    order: JoinOrder,
-) -> Result<Vec<Vec<Neighbor<D>>>>
-where
-    T: TreeAccess<D> + Sync + ?Sized,
-    R: Refiner<D> + Sync,
-{
-    run_batch(tree, queries, k, opts, refiner, threads, order, None).map(|(results, _)| results)
-}
-
 /// [`par_knn_batch`] plus the scheduling telemetry: how many queries each
 /// worker claimed off the shared cursor.
 pub fn par_knn_batch_stats<const D: usize, T, R>(
@@ -167,24 +237,17 @@ where
     T: TreeAccess<D> + Sync + ?Sized,
     R: Refiner<D> + Sync,
 {
-    run_batch(
-        tree,
-        queries,
-        k,
-        opts,
-        refiner,
-        threads,
-        JoinOrder::AsGiven,
-        None,
-    )
+    let order = JoinOrder::AsGiven;
+    par_knn_batch_with_block(tree, queries, k, opts, refiner, threads, order, None)
 }
 
-/// [`par_knn_batch_stats`] with an explicit claim-block override for the
-/// shared cursor (`None` uses the [`block_size`] heuristic). This is the
-/// self-tuning controller's batch knob: any block size yields bit-identical
-/// results because every query is computed independently and results are
-/// reassembled in submission order — only claim granularity (and so steal
-/// behavior under imbalance) changes.
+/// [`par_knn_batch_stats`] with an explicit claim order and claim-block
+/// override for the shared cursor (`None` uses the [`block_size`]
+/// heuristic; the self-tuning controller's batch knob). Any schedule and
+/// any block size yield bit-identical results because every query is
+/// computed independently and results are reassembled in submission order
+/// — they only change *when* each query executes (and so cache reuse and
+/// steal behavior under imbalance), never *what* it computes.
 #[allow(clippy::too_many_arguments)]
 pub fn par_knn_batch_with_block<const D: usize, T, R>(
     tree: &T,
@@ -200,130 +263,21 @@ where
     T: TreeAccess<D> + Sync + ?Sized,
     R: Refiner<D> + Sync,
 {
-    run_batch(
-        tree,
-        queries,
-        k,
-        opts,
-        refiner,
+    let schedule = claim_order(order, queries.iter().copied());
+    steal_map(
+        queries.len(),
         threads,
-        order,
         block_override,
+        schedule.as_deref(),
+        // One cursor per worker: all per-query scratch (ABL buffers,
+        // selection scratch, candidate heap) is reused across every query
+        // the worker claims.
+        || (NnSearch::with_options(tree, opts), QueryCursor::new()),
+        |(search, cursor), i| {
+            let (found, _) = search.query_refined_with(cursor, &queries[i], k, refiner)?;
+            Ok(found)
+        },
     )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_batch<const D: usize, T, R>(
-    tree: &T,
-    queries: &[Point<D>],
-    k: usize,
-    opts: NnOptions,
-    refiner: &R,
-    threads: usize,
-    order: JoinOrder,
-    block_override: Option<usize>,
-) -> Result<(Vec<Vec<Neighbor<D>>>, BatchStats)>
-where
-    T: TreeAccess<D> + Sync + ?Sized,
-    R: Refiner<D> + Sync,
-{
-    assert!(threads > 0, "need at least one worker");
-    if queries.is_empty() {
-        return Ok((
-            Vec::new(),
-            BatchStats {
-                threads: 1,
-                block: 0,
-                per_worker_queries: vec![0],
-                executed: 0,
-            },
-        ));
-    }
-    // The claim schedule: a permutation of query indices. Workers walk it
-    // front to back, but every result lands at its submission-order slot, so
-    // the schedule is invisible in the output.
-    let schedule: Vec<usize> = match order {
-        JoinOrder::AsGiven => (0..queries.len()).collect(),
-        JoinOrder::Hilbert => hilbert_schedule(queries),
-    };
-
-    if threads == 1 || queries.len() == 1 {
-        let search = NnSearch::with_options(tree, opts);
-        let mut cursor = QueryCursor::new();
-        let mut results: Vec<Vec<Neighbor<D>>> = vec![Vec::new(); queries.len()];
-        for &idx in &schedule {
-            let (found, _) = search.query_refined_with(&mut cursor, &queries[idx], k, refiner)?;
-            results[idx] = found;
-        }
-        let stats = BatchStats {
-            threads: 1,
-            block: queries.len(),
-            per_worker_queries: vec![queries.len()],
-            executed: queries.len(),
-        };
-        return Ok((results, stats));
-    }
-
-    let len = queries.len();
-    let block = block_override
-        .map(|b| b.max(1))
-        .unwrap_or_else(|| block_size(len, threads));
-    let next = AtomicUsize::new(0);
-
-    // Each worker returns its (index, result) pairs; the batch result is
-    // assembled in query order afterwards, so the scheduler's claim order
-    // never shows through.
-    type WorkerOut<const D: usize> = Result<Vec<(usize, Vec<Neighbor<D>>)>>;
-    let worker_outs: Vec<WorkerOut<D>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let next = &next;
-                let schedule = &schedule;
-                scope.spawn(move || -> WorkerOut<D> {
-                    let search = NnSearch::with_options(tree, opts);
-                    // One cursor per worker: all per-query scratch (ABL
-                    // buffers, selection scratch, candidate heap) is
-                    // reused across every query the worker claims.
-                    let mut cursor = QueryCursor::new();
-                    let mut out = Vec::new();
-                    loop {
-                        let start = next.fetch_add(block, Ordering::Relaxed);
-                        if start >= len {
-                            break;
-                        }
-                        let end = (start + block).min(len);
-                        for &i in &schedule[start..end] {
-                            let (found, _) =
-                                search.query_refined_with(&mut cursor, &queries[i], k, refiner)?;
-                            out.push((i, found));
-                        }
-                    }
-                    Ok(out)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker panicked"))
-            .collect()
-    });
-
-    let mut results: Vec<Vec<Neighbor<D>>> = vec![Vec::new(); len];
-    let mut per_worker_queries = Vec::with_capacity(threads);
-    for worker_out in worker_outs {
-        let pairs = worker_out?;
-        per_worker_queries.push(pairs.len());
-        for (i, found) in pairs {
-            results[i] = found;
-        }
-    }
-    let stats = BatchStats {
-        threads,
-        block,
-        per_worker_queries,
-        executed: len,
-    };
-    Ok((results, stats))
 }
 
 /// Runs a mixed batch of kNN and radius queries (the `nnq serve` drain
@@ -351,112 +305,49 @@ where
     T: TreeAccess<D> + Sync + ?Sized,
     R: Refiner<D> + Sync,
 {
-    assert!(threads > 0, "need at least one worker");
-    if requests.is_empty() {
-        return Ok((
-            Vec::new(),
-            BatchStats {
-                threads: 1,
-                block: 0,
-                per_worker_queries: vec![0],
-                executed: 0,
-            },
-        ));
-    }
-    let schedule: Vec<usize> = match order {
-        JoinOrder::AsGiven => (0..requests.len()).collect(),
-        JoinOrder::Hilbert => {
-            let points: Vec<Point<D>> = requests.iter().map(|r| *r.point()).collect();
-            hilbert_schedule(&points)
-        }
-    };
-
-    // One request, one worker-local execution. Radius queries take the
-    // standalone traversal (no cursor state), kNN reuses the worker's
-    // cursor scratch; both are deterministic per request.
-    let execute = |cursor: &mut QueryCursor<D>,
-                   search: &NnSearch<'_, D, T>,
-                   req: &BatchQuery<D>|
-     -> Result<(Vec<Neighbor<D>>, SearchStats)> {
-        match *req {
+    let schedule = claim_order(order, requests.iter().map(|r| *r.point()));
+    steal_map(
+        requests.len(),
+        threads,
+        block_override,
+        schedule.as_deref(),
+        || (NnSearch::with_options(tree, opts), QueryCursor::new()),
+        // Radius queries take the standalone traversal (no cursor state),
+        // kNN reuses the worker's cursor scratch.
+        |(search, cursor), i| match requests[i] {
             BatchQuery::Knn { q, k } => search.query_refined_with(cursor, &q, k, refiner),
             BatchQuery::Radius { q, radius } => {
                 within_radius_with(tree, &q, radius, refiner, opts.kernel)
             }
-        }
-    };
+        },
+    )
+}
 
-    if threads == 1 || requests.len() == 1 {
-        let search = NnSearch::with_options(tree, opts);
-        let mut cursor = QueryCursor::new();
-        let mut results: Vec<(Vec<Neighbor<D>>, SearchStats)> =
-            vec![(Vec::new(), SearchStats::default()); requests.len()];
-        for &idx in &schedule {
-            results[idx] = execute(&mut cursor, &search, &requests[idx])?;
-        }
-        let stats = BatchStats {
-            threads: 1,
-            block: requests.len(),
-            per_worker_queries: vec![requests.len()],
-            executed: requests.len(),
-        };
-        return Ok((results, stats));
+/// The intra-batch dedup fold: `run` executes only the first occurrence
+/// of each [`canonical key`](BatchQuery::canonical_key), in
+/// first-submission order (so with no duplicates `run` sees the batch
+/// itself), and each answer fans out to every duplicate's
+/// submission-order slot. The returned [`BatchStats`] are `run`'s.
+pub(crate) fn dedup<const D: usize, A: Clone>(
+    requests: &[BatchQuery<D>],
+    run: impl FnOnce(&[BatchQuery<D>]) -> Result<(Vec<A>, BatchStats)>,
+) -> Result<(Vec<A>, BatchStats)> {
+    let mut first_of: HashMap<Vec<u8>, usize> = HashMap::with_capacity(requests.len());
+    let mut unique: Vec<BatchQuery<D>> = Vec::with_capacity(requests.len());
+    let mut slot_of: Vec<usize> = Vec::with_capacity(requests.len());
+    for req in requests {
+        let slot = *first_of.entry(req.canonical_key()).or_insert_with(|| {
+            unique.push(*req);
+            unique.len() - 1
+        });
+        slot_of.push(slot);
     }
-
-    let len = requests.len();
-    let block = block_override
-        .map(|b| b.max(1))
-        .unwrap_or_else(|| block_size(len, threads));
-    let next = AtomicUsize::new(0);
-
-    type MixedOut<const D: usize> = Result<Vec<(usize, (Vec<Neighbor<D>>, SearchStats))>>;
-    let worker_outs: Vec<MixedOut<D>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let next = &next;
-                let schedule = &schedule;
-                let execute = &execute;
-                scope.spawn(move || -> MixedOut<D> {
-                    let search = NnSearch::with_options(tree, opts);
-                    let mut cursor = QueryCursor::new();
-                    let mut out = Vec::new();
-                    loop {
-                        let start = next.fetch_add(block, Ordering::Relaxed);
-                        if start >= len {
-                            break;
-                        }
-                        let end = (start + block).min(len);
-                        for &i in &schedule[start..end] {
-                            out.push((i, execute(&mut cursor, &search, &requests[i])?));
-                        }
-                    }
-                    Ok(out)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker panicked"))
-            .collect()
-    });
-
-    let mut results: Vec<(Vec<Neighbor<D>>, SearchStats)> =
-        vec![(Vec::new(), SearchStats::default()); len];
-    let mut per_worker_queries = Vec::with_capacity(threads);
-    for worker_out in worker_outs {
-        let pairs = worker_out?;
-        per_worker_queries.push(pairs.len());
-        for (i, found) in pairs {
-            results[i] = found;
-        }
+    let (answers, bstats) = run(&unique)?;
+    if unique.len() == requests.len() {
+        return Ok((answers, bstats));
     }
-    let stats = BatchStats {
-        threads,
-        block,
-        per_worker_queries,
-        executed: len,
-    };
-    Ok((results, stats))
+    let fanned = slot_of.iter().map(|&slot| answers[slot].clone()).collect();
+    Ok((fanned, bstats))
 }
 
 /// [`par_mixed_batch`] with **intra-batch deduplication**: requests whose
@@ -492,36 +383,9 @@ where
     T: TreeAccess<D> + Sync + ?Sized,
     R: Refiner<D> + Sync,
 {
-    // Map each request to the first occurrence of its canonical key. The
-    // unique list keeps first-submission order, so with no duplicates the
-    // execution (schedule included) is exactly par_mixed_batch's.
-    let mut first_of: HashMap<Vec<u8>, usize> = HashMap::with_capacity(requests.len());
-    let mut unique: Vec<BatchQuery<D>> = Vec::with_capacity(requests.len());
-    let mut slot_of: Vec<usize> = Vec::with_capacity(requests.len());
-    for req in requests {
-        let key = req.canonical_key();
-        match first_of.entry(key) {
-            Entry::Occupied(e) => slot_of.push(*e.get()),
-            Entry::Vacant(e) => {
-                let slot = unique.len();
-                e.insert(slot);
-                unique.push(*req);
-                slot_of.push(slot);
-            }
-        }
-    }
-
-    let (unique_results, bstats) =
-        par_mixed_batch(tree, &unique, opts, refiner, threads, order, block_override)?;
-
-    if unique.len() == requests.len() {
-        return Ok((unique_results, bstats));
-    }
-    let results = slot_of
-        .iter()
-        .map(|&slot| unique_results[slot].clone())
-        .collect();
-    Ok((results, bstats))
+    dedup(requests, |unique| {
+        par_mixed_batch(tree, unique, opts, refiner, threads, order, block_override)
+    })
 }
 
 #[cfg(test)]
@@ -645,6 +509,142 @@ mod tests {
         assert_eq!(block_size(1_000, 4), 31);
         assert_eq!(block_size(100_000, 8), 32);
         assert_eq!(block_size(2, 8), 1);
+    }
+
+    /// `(worker, item)` pairs in execution order.
+    type ClaimLog = Vec<(usize, usize)>;
+
+    /// A `steal_map` run whose workers log `(worker, item)` in execution
+    /// order; `fail_at` makes that item return `Err`. Every worker has
+    /// started (and taken its id) before any item runs.
+    fn logged_steal_map(
+        len: usize,
+        threads: usize,
+        block: Option<usize>,
+        schedule: Option<&[usize]>,
+        fail_at: Option<usize>,
+    ) -> (Result<(Vec<usize>, BatchStats)>, ClaimLog) {
+        let log = std::sync::Mutex::new(Vec::new());
+        let started = std::sync::Barrier::new(threads.min(len).max(1));
+        let ids = std::sync::Mutex::new(0..);
+        let out = steal_map(
+            len,
+            threads,
+            block,
+            schedule,
+            || {
+                started.wait();
+                ids.lock().unwrap().next().unwrap()
+            },
+            |worker, i| {
+                log.lock().unwrap().push((*worker, i));
+                if fail_at == Some(i) {
+                    return Err(nnq_rtree::RTreeError::NotFound);
+                }
+                Ok(i * 10)
+            },
+        );
+        (out, log.into_inner().unwrap())
+    }
+
+    #[test]
+    fn steal_map_error_fails_the_batch_and_stops_its_worker() {
+        let (out, log) = logged_steal_map(40, 2, Some(1), None, Some(17));
+        assert!(matches!(out, Err(nnq_rtree::RTreeError::NotFound)));
+        // Both workers were joined: the survivor drained everything else.
+        let mut ran: Vec<usize> = log.iter().map(|&(_, i)| i).collect();
+        ran.sort_unstable();
+        assert_eq!(ran, (0..40).collect::<Vec<_>>());
+        // The erring worker claimed nothing after the failed item.
+        let erring = log.iter().find(|&&(_, i)| i == 17).unwrap().0;
+        let last = log.iter().rfind(|&&(w, _)| w == erring).unwrap();
+        assert_eq!(last.1, 17);
+        // Inline, the error ends the run on the spot.
+        let (out, log) = logged_steal_map(40, 1, None, None, Some(17));
+        assert!(out.is_err());
+        assert_eq!(log.len(), 18);
+    }
+
+    #[test]
+    fn steal_map_panic_propagates_with_its_payload() {
+        for threads in [1, 3] {
+            let caught = std::panic::catch_unwind(|| {
+                steal_map(
+                    12,
+                    threads,
+                    Some(1),
+                    None,
+                    || (),
+                    |(), i| {
+                        if i == 5 {
+                            panic!("boom at item {i}");
+                        }
+                        Ok(i)
+                    },
+                )
+            });
+            let payload = caught.expect_err("the panic must reach the caller");
+            let message = payload
+                .downcast_ref::<String>()
+                .expect("a formatted panic!");
+            assert!(message.contains("boom at item 5"), "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn steal_map_schedule_orders_claims_not_outputs() {
+        let reversed: Vec<usize> = (0..30).rev().collect();
+        let want: Vec<usize> = (0..30).map(|i| i * 10).collect();
+        // One worker claims in exactly the scheduled order.
+        let (out, log) = logged_steal_map(30, 1, None, Some(&reversed), None);
+        assert_eq!(out.unwrap().0, want);
+        let claimed: Vec<usize> = log.iter().map(|&(_, i)| i).collect();
+        assert_eq!(claimed, reversed);
+        // Several workers each walk their claims in scheduled order.
+        let (out, log) = logged_steal_map(30, 4, Some(2), Some(&reversed), None);
+        assert_eq!(out.unwrap().0, want);
+        for worker in 0..4 {
+            let mine: Vec<usize> = log.iter().filter(|e| e.0 == worker).map(|e| e.1).collect();
+            assert!(mine.windows(2).all(|w| w[0] > w[1]), "worker {worker}");
+        }
+    }
+
+    #[test]
+    fn steal_map_stats_cover_every_shape() {
+        let (out, _) = logged_steal_map(0, 4, None, None, None);
+        let (results, stats) = out.unwrap();
+        assert!(results.is_empty());
+        assert_eq!((stats.threads, stats.block, stats.executed), (1, 0, 0));
+        assert_eq!(stats.per_worker_queries, vec![0]);
+
+        // More threads than items: one worker per item at most.
+        let (out, _) = logged_steal_map(3, 16, None, None, None);
+        let (results, stats) = out.unwrap();
+        assert_eq!(results, vec![0, 10, 20]);
+        assert_eq!(stats.threads, 3);
+        assert_eq!(stats.per_worker_queries.iter().sum::<usize>(), 3);
+
+        // One thread or one item: inline, a single claim of everything.
+        for (len, threads) in [(9, 1), (1, 8)] {
+            let (out, _) = logged_steal_map(len, threads, Some(2), None, None);
+            let stats = out.unwrap().1;
+            assert_eq!((stats.threads, stats.block, stats.executed), (1, len, len));
+            assert_eq!(stats.per_worker_queries, vec![len]);
+        }
+
+        for block in [1, 3, 64, 500] {
+            let (out, _) = logged_steal_map(100, 4, Some(block), None, None);
+            let (results, stats) = out.unwrap();
+            assert_eq!(results, (0..100).map(|i| i * 10).collect::<Vec<_>>());
+            assert_eq!(
+                (stats.threads, stats.block, stats.executed),
+                (4, block, 100)
+            );
+            assert_eq!(stats.per_worker_queries.iter().sum::<usize>(), 100);
+        }
+        // `Some(0)` is clamped to single-item claims.
+        let (out, _) = logged_steal_map(10, 2, Some(0), None, None);
+        assert_eq!(out.unwrap().1.block, 1);
     }
 
     fn mixed_requests(queries: &[Point<2>]) -> Vec<BatchQuery<2>> {

@@ -47,15 +47,15 @@
 
 use crate::branch_bound::{NnSearch, QueryCursor};
 use crate::heap::KnnHeap;
+use crate::join::JoinOrder;
 use crate::options::{Neighbor, NnOptions, SearchStats};
-use crate::parallel::block_size;
+use crate::parallel::{claim_order, dedup, steal_map, BatchQuery, BatchStats};
 use crate::radius::within_radius_with;
 use crate::refine::Refiner;
 use crate::Result;
 use nnq_geom::{mindist_sq, Point, Rect};
 use nnq_rtree::{PartitionedTree, TreeAccess};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The k-th-distance bound shared across partition searches: an
 /// `AtomicU64` holding `f64` bits, tightened monotonically.
@@ -211,7 +211,19 @@ where
         stats.rounds += 1;
         stats.partitions_visited += round.len() as u64;
 
-        let outs = search_round(parts, round, q, k, opts, refiner, threads, bound)?;
+        // One claim per partition, each pre-pruned by the round's sampled
+        // bound; one cursor per worker.
+        let (outs, _) = steal_map(
+            round.len(),
+            threads,
+            Some(1),
+            None,
+            QueryCursor::new,
+            |qc, i| {
+                NnSearch::with_options(&parts[round[i].part], opts)
+                    .query_refined_bounded(qc, q, k, refiner, bound)
+            },
+        )?;
         // Gather: merge in schedule order — deterministic regardless of
         // which worker finished first.
         for (found, part_stats) in outs {
@@ -229,64 +241,6 @@ where
     }
     stats.partitions_pruned = sched.len() as u64 - stats.partitions_visited;
     Ok((heap.drain_sorted(), stats))
-}
-
-type PartOut<const D: usize> = (Vec<Neighbor<D>>, SearchStats);
-
-/// Searches one round's partitions, each pre-pruned by `bound`, with up
-/// to `threads` workers. Output is in round (schedule) order.
-#[allow(clippy::too_many_arguments)]
-fn search_round<const D: usize, T, R>(
-    parts: &[T],
-    round: &[Sched],
-    q: &Point<D>,
-    k: usize,
-    opts: NnOptions,
-    refiner: &R,
-    threads: usize,
-    bound: f64,
-) -> Result<Vec<PartOut<D>>>
-where
-    T: TreeAccess<D> + Sync,
-    R: Refiner<D> + Sync,
-{
-    let workers = threads.min(round.len());
-    if workers <= 1 {
-        let mut cursor = QueryCursor::new();
-        let mut outs = Vec::with_capacity(round.len());
-        for s in round {
-            let search = NnSearch::with_options(&parts[s.part], opts);
-            outs.push(search.query_refined_bounded(&mut cursor, q, k, refiner, bound)?);
-        }
-        return Ok(outs);
-    }
-    let slots: Vec<Mutex<Option<Result<PartOut<D>>>>> =
-        (0..round.len()).map(|_| Mutex::new(None)).collect();
-    let cursor = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                let mut qc = QueryCursor::new();
-                loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= round.len() {
-                        break;
-                    }
-                    let search = NnSearch::with_options(&parts[round[i].part], opts);
-                    *slots[i].lock().expect("slot lock poisoned") =
-                        Some(search.query_refined_bounded(&mut qc, q, k, refiner, bound));
-                }
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("slot lock poisoned")
-                .expect("worker filled every slot")
-        })
-        .collect()
 }
 
 /// Radius query over `parts`: partitions whose MINDIST-to-MBR exceeds
@@ -330,49 +284,14 @@ where
         ..PartitionedStats::default()
     };
 
-    let workers = threads.min(visit.len().max(1));
-    let outs: Vec<PartOut<D>> = if workers <= 1 {
-        let mut outs = Vec::with_capacity(visit.len());
-        for s in &visit {
-            outs.push(within_radius_with(
-                &parts[s.part],
-                q,
-                radius,
-                refiner,
-                opts.kernel,
-            )?);
-        }
-        outs
-    } else {
-        let slots: Vec<Mutex<Option<Result<PartOut<D>>>>> =
-            (0..visit.len()).map(|_| Mutex::new(None)).collect();
-        let cursor = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= visit.len() {
-                        break;
-                    }
-                    *slots[i].lock().expect("slot lock poisoned") = Some(within_radius_with(
-                        &parts[visit[i].part],
-                        q,
-                        radius,
-                        refiner,
-                        opts.kernel,
-                    ));
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("slot lock poisoned")
-                    .expect("worker filled every slot")
-            })
-            .collect::<Result<_>>()?
-    };
+    let (outs, _) = steal_map(
+        visit.len(),
+        threads,
+        Some(1),
+        None,
+        || (),
+        |(), i| within_radius_with(&parts[visit[i].part], q, radius, refiner, opts.kernel),
+    )?;
 
     let mut merged = Vec::new();
     for (found, part_stats) in outs {
@@ -387,6 +306,11 @@ where
     Ok((merged, stats))
 }
 
+/// The manifest MBR of every partition of `tree`, in partition order.
+fn manifest_mbrs<const D: usize>(tree: &PartitionedTree<D>) -> Vec<Rect<D>> {
+    tree.manifest().parts.iter().map(|p| p.mbr).collect()
+}
+
 /// kNN over a [`PartitionedTree`]: [`scatter_knn`] against its partition
 /// trees and manifest MBRs.
 pub fn partitioned_knn<const D: usize, R: Refiner<D> + Sync>(
@@ -397,7 +321,7 @@ pub fn partitioned_knn<const D: usize, R: Refiner<D> + Sync>(
     refiner: &R,
     threads: usize,
 ) -> Result<(Vec<Neighbor<D>>, PartitionedStats)> {
-    let mbrs: Vec<Rect<D>> = tree.manifest().parts.iter().map(|p| p.mbr).collect();
+    let mbrs = manifest_mbrs(tree);
     scatter_knn(tree.partitions(), &mbrs, q, k, opts, refiner, threads)
 }
 
@@ -411,7 +335,7 @@ pub fn partitioned_radius<const D: usize, R: Refiner<D> + Sync>(
     refiner: &R,
     threads: usize,
 ) -> Result<(Vec<Neighbor<D>>, PartitionedStats)> {
-    let mbrs: Vec<Rect<D>> = tree.manifest().parts.iter().map(|p| p.mbr).collect();
+    let mbrs = manifest_mbrs(tree);
     scatter_radius(tree.partitions(), &mbrs, q, radius, refiner, opts, threads)
 }
 
@@ -432,13 +356,16 @@ pub fn partitioned_knn_batch<const D: usize, R: Refiner<D> + Sync>(
     threads: usize,
 ) -> Result<(Vec<Vec<Neighbor<D>>>, PartitionedStats)> {
     partitioned_knn_batch_with_block(tree, queries, k, opts, refiner, threads, None)
+        .map(|(results, totals, _)| (results, totals))
 }
 
 /// [`partitioned_knn_batch`] with an explicit claim-block override
-/// (`None` uses the shared [`block_size`] heuristic) — the self-tuning
-/// controller's batch knob for partitioned trees. Bit-identical for any
-/// block size, for the same reason as
+/// (`None` uses the shared block-size heuristic) — the self-tuning
+/// controller's batch knob for partitioned trees — also returning the
+/// run's [`BatchStats`] for the controller to observe. Bit-identical for
+/// any block size, for the same reason as
 /// [`par_knn_batch_with_block`](crate::par_knn_batch_with_block).
+#[allow(clippy::type_complexity)]
 pub fn partitioned_knn_batch_with_block<const D: usize, R: Refiner<D> + Sync>(
     tree: &PartitionedTree<D>,
     queries: &[Point<D>],
@@ -447,74 +374,67 @@ pub fn partitioned_knn_batch_with_block<const D: usize, R: Refiner<D> + Sync>(
     refiner: &R,
     threads: usize,
     block_override: Option<usize>,
-) -> Result<(Vec<Vec<Neighbor<D>>>, PartitionedStats)> {
-    assert!(threads > 0, "need at least one worker");
-    let mbrs: Vec<Rect<D>> = tree.manifest().parts.iter().map(|p| p.mbr).collect();
+) -> Result<(Vec<Vec<Neighbor<D>>>, PartitionedStats, BatchStats)> {
+    let mbrs = manifest_mbrs(tree);
     let parts = tree.partitions();
+    let (per_query, bstats) = steal_map(
+        queries.len(),
+        threads,
+        block_override,
+        None,
+        || (),
+        |(), i| scatter_knn(parts, &mbrs, &queries[i], k, opts, refiner, 1),
+    )?;
     let mut totals = PartitionedStats::default();
-
-    if threads == 1 || queries.len() <= 1 {
-        let mut results = Vec::with_capacity(queries.len());
-        for q in queries {
-            let (found, stats) = scatter_knn(parts, &mbrs, q, k, opts, refiner, 1)?;
-            totals.accumulate(&stats);
-            results.push(found);
-        }
-        return Ok((results, totals));
-    }
-
-    let len = queries.len();
-    let block = block_override
-        .map(|b| b.max(1))
-        .unwrap_or_else(|| block_size(len, threads));
-    let next = AtomicUsize::new(0);
-    type WorkerOut<const D: usize> = Result<Vec<(usize, Vec<Neighbor<D>>, PartitionedStats)>>;
-    let worker_outs: Vec<WorkerOut<D>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let next = &next;
-                let mbrs = &mbrs;
-                scope.spawn(move || -> WorkerOut<D> {
-                    let mut out = Vec::new();
-                    loop {
-                        let start = next.fetch_add(block, Ordering::Relaxed);
-                        if start >= len {
-                            break;
-                        }
-                        for (i, q) in queries
-                            .iter()
-                            .enumerate()
-                            .take((start + block).min(len))
-                            .skip(start)
-                        {
-                            let (found, stats) = scatter_knn(parts, mbrs, q, k, opts, refiner, 1)?;
-                            out.push((i, found, stats));
-                        }
-                    }
-                    Ok(out)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker panicked"))
-            .collect()
-    });
-
-    let mut results: Vec<Vec<Neighbor<D>>> = vec![Vec::new(); len];
-    let mut per_query: Vec<Option<PartitionedStats>> = vec![None; len];
-    for worker_out in worker_outs {
-        for (i, found, stats) in worker_out? {
-            results[i] = found;
-            per_query[i] = Some(stats);
-        }
-    }
-    // Sum in submission order — integer counters commute, but keeping one
-    // canonical order costs nothing and keeps the contract self-evident.
-    for stats in per_query.into_iter().flatten() {
+    let mut results = Vec::with_capacity(per_query.len());
+    for (found, stats) in per_query {
         totals.accumulate(&stats);
+        results.push(found);
     }
-    Ok((results, totals))
+    Ok((results, totals, bstats))
+}
+
+/// The partitioned sibling of
+/// [`par_mixed_batch_dedup`](crate::par_mixed_batch_dedup): a mixed
+/// kNN/radius batch over a [`PartitionedTree`], identical requests
+/// executed once, unique requests fanned out over `threads` workers in
+/// `order`, each running its own sequential scatter-gather pass
+/// (partition-level parallelism would nest threads). Every answer — hits
+/// and the partition-summed [`SearchStats`] — equals the standalone
+/// [`partitioned_knn`] / [`partitioned_radius`] call's, whatever the
+/// thread count, claim-block size, or schedule.
+#[allow(clippy::type_complexity)]
+pub fn partitioned_mixed_batch_dedup<const D: usize, R: Refiner<D> + Sync>(
+    tree: &PartitionedTree<D>,
+    requests: &[BatchQuery<D>],
+    opts: NnOptions,
+    refiner: &R,
+    threads: usize,
+    order: JoinOrder,
+    block_override: Option<usize>,
+) -> Result<(Vec<(Vec<Neighbor<D>>, SearchStats)>, BatchStats)> {
+    let mbrs = manifest_mbrs(tree);
+    let parts = tree.partitions();
+    dedup(requests, |unique| {
+        let schedule = claim_order(order, unique.iter().map(|r| *r.point()));
+        let claims = schedule.as_deref();
+        steal_map(
+            unique.len(),
+            threads,
+            block_override,
+            claims,
+            || (),
+            |(), i| {
+                let (hits, stats) = match unique[i] {
+                    BatchQuery::Knn { q, k } => scatter_knn(parts, &mbrs, &q, k, opts, refiner, 1)?,
+                    BatchQuery::Radius { q, radius } => {
+                        scatter_radius(parts, &mbrs, &q, radius, refiner, opts, 1)?
+                    }
+                };
+                Ok((hits, stats.search))
+            },
+        )
+    })
 }
 
 #[cfg(test)]
@@ -728,6 +648,173 @@ mod tests {
             .unwrap();
             assert_eq!(seq, par, "threads={threads}");
             assert_eq!(seq_stats, par_stats, "threads={threads}");
+        }
+    }
+
+    fn mixed_requests(n: usize) -> Vec<BatchQuery<2>> {
+        (0..n)
+            .map(|i| {
+                let q = Point::new([(i * 97 % 1000) as f64, (i * 389 % 1000) as f64]);
+                if i % 3 == 0 {
+                    let radius = 10.0 + (i % 7) as f64 * 9.0;
+                    BatchQuery::Radius { q, radius }
+                } else {
+                    BatchQuery::Knn { q, k: 1 + i % 6 }
+                }
+            })
+            .collect()
+    }
+
+    /// The standalone answer the batch executor must reproduce bit for bit.
+    fn standalone(
+        tree: &PartitionedTree<2>,
+        req: &BatchQuery<2>,
+    ) -> (Vec<Neighbor<2>>, SearchStats) {
+        let opts = NnOptions::default();
+        let (hits, stats) = match *req {
+            BatchQuery::Knn { q, k } => partitioned_knn(tree, &q, k, opts, &MbrRefiner, 1),
+            BatchQuery::Radius { q, radius } => {
+                partitioned_radius(tree, &q, radius, opts, &MbrRefiner, 1)
+            }
+        }
+        .unwrap();
+        (hits, stats.search)
+    }
+
+    fn assert_same_answers(
+        got: &[(Vec<Neighbor<2>>, SearchStats)],
+        want: &[(Vec<Neighbor<2>>, SearchStats)],
+        what: &str,
+    ) {
+        assert_eq!(got.len(), want.len(), "{what}");
+        for (i, ((a, sa), (b, sb))) in got.iter().zip(want).enumerate() {
+            assert_eq!(sa, sb, "stats of request {i}: {what}");
+            let bits = |hits: &[Neighbor<2>]| -> Vec<(u64, u64)> {
+                hits.iter()
+                    .map(|n| (n.record.0, n.dist_sq.to_bits()))
+                    .collect()
+            };
+            assert_eq!(bits(a), bits(b), "hits of request {i}: {what}");
+        }
+    }
+
+    #[test]
+    fn mixed_dedup_matches_standalone_queries_under_every_knob() {
+        let items = points(3000, 53);
+        for p in [1, 4] {
+            let tree = build(items.clone(), p);
+            let reqs = mixed_requests(45);
+            let want: Vec<_> = reqs.iter().map(|r| standalone(&tree, r)).collect();
+            for threads in [1, 4] {
+                for order in [JoinOrder::AsGiven, JoinOrder::Hilbert] {
+                    for block in [None, Some(1), Some(64)] {
+                        let (got, bstats) = partitioned_mixed_batch_dedup(
+                            &tree,
+                            &reqs,
+                            NnOptions::default(),
+                            &MbrRefiner,
+                            threads,
+                            order,
+                            block,
+                        )
+                        .unwrap();
+                        let what = format!("p={p} threads={threads} {order:?} block={block:?}");
+                        assert_same_answers(&got, &want, &what);
+                        assert_eq!(bstats.executed, reqs.len(), "{what}");
+                        assert_eq!(
+                            bstats.per_worker_queries.iter().sum::<usize>(),
+                            reqs.len(),
+                            "{what}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn mixed_dedup_executes_duplicates_once_and_keeps_near_duplicates_apart() {
+        let tree = build(points(2000, 59), 4);
+        let base = mixed_requests(12);
+        let mut reqs = Vec::new();
+        for (i, req) in base.iter().enumerate() {
+            reqs.push(*req);
+            reqs.push(base[i % 3]);
+        }
+        let want: Vec<_> = reqs.iter().map(|r| standalone(&tree, r)).collect();
+        for threads in [1, 4] {
+            let (got, bstats) = partitioned_mixed_batch_dedup(
+                &tree,
+                &reqs,
+                NnOptions::default(),
+                &MbrRefiner,
+                threads,
+                JoinOrder::Hilbert,
+                None,
+            )
+            .unwrap();
+            assert_same_answers(&got, &want, "duplicates fan out");
+            assert_eq!(bstats.executed, base.len(), "threads={threads}");
+        }
+
+        let q = Point::new([500.0, 500.0]);
+        let bumped = Point::new([f64::from_bits(500.0f64.to_bits() + 1), 500.0]);
+        let near = vec![
+            BatchQuery::Knn { q, k: 3 },
+            BatchQuery::Knn { q: bumped, k: 3 },
+            BatchQuery::Radius { q, radius: 30.0 },
+            BatchQuery::Radius {
+                q,
+                radius: f64::from_bits(30.0f64.to_bits() + 1),
+            },
+        ];
+        let (_, bstats) = partitioned_mixed_batch_dedup(
+            &tree,
+            &near,
+            NnOptions::default(),
+            &MbrRefiner,
+            2,
+            JoinOrder::AsGiven,
+            None,
+        )
+        .unwrap();
+        assert_eq!(bstats.executed, near.len(), "one ulp apart must not merge");
+    }
+
+    #[test]
+    fn mixed_dedup_over_one_partition_is_the_single_tree_executor() {
+        let tree = build(points(3000, 61), 1);
+        let base = mixed_requests(30);
+        let reqs: Vec<_> = base.iter().chain(&base[..10]).copied().collect();
+        for threads in [1, 4] {
+            tree.reset_stats();
+            let (want, want_stats) = crate::par_mixed_batch_dedup(
+                &tree.partitions()[0],
+                &reqs,
+                NnOptions::default(),
+                &MbrRefiner,
+                threads,
+                JoinOrder::Hilbert,
+                None,
+            )
+            .unwrap();
+            let want_reads = tree.pool_stats().logical_reads;
+            tree.reset_stats();
+            let (got, got_stats) = partitioned_mixed_batch_dedup(
+                &tree,
+                &reqs,
+                NnOptions::default(),
+                &MbrRefiner,
+                threads,
+                JoinOrder::Hilbert,
+                None,
+            )
+            .unwrap();
+            assert_same_answers(&got, &want, "P=1 vs single tree");
+            assert_eq!(tree.pool_stats().logical_reads, want_reads);
+            assert!(want_reads > 0);
+            assert_eq!(got_stats.executed, want_stats.executed);
+            assert_eq!(got_stats.executed, base.len());
         }
     }
 

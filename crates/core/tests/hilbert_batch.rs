@@ -2,7 +2,9 @@
 //! back in submission order, bit-identical to the sequential as-given run,
 //! no matter how the batch is shaped or how many workers claim from it.
 
-use nnq_core::{par_knn_batch, par_knn_batch_ordered, JoinOrder, MbrRefiner, Neighbor, NnOptions};
+use nnq_core::{
+    par_knn_batch, par_knn_batch_with_block, JoinOrder, MbrRefiner, Neighbor, NnOptions,
+};
 use nnq_geom::{Point, Rect};
 use nnq_rtree::{MemRTree, RecordId};
 use rand::rngs::StdRng;
@@ -75,7 +77,7 @@ fn records(found: &[Vec<Neighbor<2>>]) -> Vec<Vec<RecordId>> {
 fn assert_matches_sequential(tree: &MemRTree<2>, queries: &[Point<2>], k: usize) {
     let seq = par_knn_batch(tree, queries, k, NnOptions::default(), &MbrRefiner, 1).unwrap();
     for threads in [1, 2, 8] {
-        let hil = par_knn_batch_ordered(
+        let hil = par_knn_batch_with_block(
             tree,
             queries,
             k,
@@ -83,8 +85,10 @@ fn assert_matches_sequential(tree: &MemRTree<2>, queries: &[Point<2>], k: usize)
             &MbrRefiner,
             threads,
             JoinOrder::Hilbert,
+            None,
         )
-        .unwrap();
+        .unwrap()
+        .0;
         assert_eq!(hil.len(), queries.len(), "threads={threads}");
         assert_eq!(dists(&hil), dists(&seq), "threads={threads}");
         assert_eq!(records(&hil), records(&seq), "threads={threads}");
@@ -111,7 +115,7 @@ fn results_come_back_in_submission_order() {
     // every slot against an independently computed single-query batch.
     let tree = build_tree(2_000, 41);
     let queries = clustered_queries(42);
-    let batch = par_knn_batch_ordered(
+    let batch = par_knn_batch_with_block(
         &tree,
         &queries,
         3,
@@ -119,8 +123,10 @@ fn results_come_back_in_submission_order() {
         &MbrRefiner,
         8,
         JoinOrder::Hilbert,
+        None,
     )
-    .unwrap();
+    .unwrap()
+    .0;
     for (i, q) in queries.iter().enumerate() {
         let single = par_knn_batch(
             &tree,
@@ -140,7 +146,7 @@ fn as_given_order_is_the_default_behavior() {
     let tree = build_tree(1_000, 51);
     let queries = random_queries(64, 52);
     let default = par_knn_batch(&tree, &queries, 4, NnOptions::default(), &MbrRefiner, 4).unwrap();
-    let as_given = par_knn_batch_ordered(
+    let as_given = par_knn_batch_with_block(
         &tree,
         &queries,
         4,
@@ -148,7 +154,9 @@ fn as_given_order_is_the_default_behavior() {
         &MbrRefiner,
         4,
         JoinOrder::AsGiven,
+        None,
     )
-    .unwrap();
+    .unwrap()
+    .0;
     assert_eq!(dists(&default), dists(&as_given));
 }

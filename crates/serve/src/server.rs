@@ -2,7 +2,10 @@
 //! bounded inbox, one batcher thread draining deadline-or-size
 //! micro-batches through the work-stealing mixed-query executor, and
 //! responses written back in admission order, one socket write per
-//! connection per micro-batch.
+//! connection per micro-batch. The batcher is the same code for both
+//! engines: per batch it pins a `Pinned` (the single tree's snapshot, or
+//! the partitioned tree and its composed version), and probe, execution,
+//! and fill all go through that.
 //!
 //! Threading layout (all scoped, all joined before [`serve`] returns):
 //!
@@ -14,7 +17,7 @@
 //!                              bounded Inbox<Job>
 //!                                      │ deadline-or-size drain
 //!                                      ▼
-//!            batcher (caller's thread): tree.snapshot() per batch,
+//!            batcher (caller's thread): Engine::pin() per batch,
 //!            Hilbert claim order over `threads` workers, TuneController
 //!            observes every drained batch
 //!                                      │ responses encoded in place, in
@@ -38,13 +41,14 @@ use crate::protocol::{
     append_frame, encode_ok, write_frame, Request, Response, MAX_REQUEST_FRAME, MAX_RESULT_HITS,
 };
 use nnq_core::{
-    hilbert_schedule, par_mixed_batch_dedup, partitioned_knn, partitioned_radius, BatchQuery,
-    CachedAnswer, JoinOrder, KernelMode, Neighbor, NnOptions, PrefetchPolicy, Refiner, ResultCache,
-    SearchStats, TuneController, TuneMode,
+    par_mixed_batch_dedup, partitioned_mixed_batch_dedup, BatchQuery, BatchStats, CachedAnswer,
+    JoinOrder, KernelMode, Neighbor, NnOptions, PrefetchPolicy, Refiner, ResultCache, SearchStats,
+    TuneController, TuneMode,
 };
 use nnq_geom::Point;
-use nnq_rtree::{PartitionedTree, RTree};
-use std::collections::{HashMap, HashSet};
+use nnq_rtree::{PartitionedTree, RTree, Snapshot};
+use nnq_storage::BufferPool;
+use std::collections::HashSet;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -117,6 +121,84 @@ pub enum Engine<'a> {
     /// A partitioned tree; each request runs its own scatter-gather pass,
     /// requests fan out across the batch executor's workers.
     Partitioned(&'a PartitionedTree<2>),
+}
+
+impl<'a> Engine<'a> {
+    /// Pins what one micro-batch's probe → execute → fill pipeline shares.
+    fn pin(&self) -> Pinned<'a> {
+        match *self {
+            Engine::Single(tree) => Pinned::Single(tree.snapshot()),
+            Engine::Partitioned(tree) => Pinned::Partitioned(tree, tree.version()),
+        }
+    }
+
+    /// Feeds the backend counters to the tuner and applies its knobs.
+    fn observe(&self, controller: &mut TuneController) {
+        match *self {
+            Engine::Single(tree) => controller.observe_tree(tree),
+            Engine::Partitioned(tree) => controller.observe_partitioned(tree),
+        }
+    }
+
+    /// Every buffer pool behind the engine.
+    fn pools(&self) -> impl Iterator<Item = &'a BufferPool> {
+        let trees = match *self {
+            Engine::Single(tree) => std::slice::from_ref(tree),
+            Engine::Partitioned(tree) => tree.partitions(),
+        };
+        trees.iter().map(|tree| &**tree.pool())
+    }
+}
+
+/// What a micro-batch pinned: the single tree's snapshot — a cached hit is
+/// *exactly* the answer it would compute — or, with no forest-wide
+/// snapshot to take, the partitioned tree and its composed version.
+enum Pinned<'a> {
+    Single(Snapshot<'a, 2>),
+    Partitioned(&'a PartitionedTree<2>, u64),
+}
+
+impl Pinned<'_> {
+    /// The commit version probes and fills are keyed by.
+    fn version(&self) -> u64 {
+        match self {
+            Pinned::Single(snap) => snap.version(),
+            Pinned::Partitioned(_, version) => *version,
+        }
+    }
+
+    /// Executes the batch's cache misses, once per unique query, in
+    /// Hilbert claim order over `threads` workers.
+    fn run<R: Refiner<2> + Sync>(
+        &self,
+        requests: &[BatchQuery<2>],
+        opts: NnOptions,
+        refiner: &R,
+        threads: usize,
+        block: Option<usize>,
+    ) -> nnq_core::Result<(AnswerList, BatchStats)> {
+        let order = JoinOrder::Hilbert;
+        match self {
+            Pinned::Single(snap) => {
+                par_mixed_batch_dedup(snap, requests, opts, refiner, threads, order, block)
+            }
+            Pinned::Partitioned(tree, _) => {
+                partitioned_mixed_batch_dedup(tree, requests, opts, refiner, threads, order, block)
+            }
+        }
+    }
+
+    /// Whether what `run` returned is valid at `version()`. The snapshot's
+    /// answers are by construction; the partitioned forest's only if no
+    /// commit moved the composed version while the batch ran (an
+    /// interleaved write could have been half-visible — skipping the fill
+    /// keeps the cache exact and costs only a future re-execution).
+    fn fill_ok(&self) -> bool {
+        match self {
+            Pinned::Single(_) => true,
+            Pinned::Partitioned(tree, version) => tree.version() == *version,
+        }
+    }
 }
 
 /// Counters accumulated over one [`serve`] run, returned at shutdown.
@@ -498,24 +580,16 @@ struct BatchLoopOut {
 /// committed state down — through the WAL group-commit window when the
 /// pool journals, a plain flush otherwise.
 fn quiesce_and_flush(engine: &Engine<'_>) -> io::Result<()> {
-    let flush = |pool: &nnq_storage::BufferPool| -> io::Result<()> {
+    for pool in engine.pools() {
         pool.prefetch_quiesce();
         let res = if pool.wal().is_some() {
             pool.checkpoint()
         } else {
             pool.flush_all()
         };
-        res.map_err(|e| io::Error::other(e.to_string()))
-    };
-    match engine {
-        Engine::Single(tree) => flush(tree.pool()),
-        Engine::Partitioned(tree) => {
-            for part in tree.partitions() {
-                flush(part.pool())?;
-            }
-            Ok(())
-        }
+        res.map_err(|e| io::Error::other(e.to_string()))?;
     }
+    Ok(())
 }
 
 /// Incremental frame parser over a read-timeout socket: partial reads
@@ -680,26 +754,21 @@ fn reader_loop(stream: TcpStream, conn: Arc<Conn>, shared: &Shared) {
 /// executor and writing responses back in admission order. Runs on the
 /// caller's thread; returns the run's tune/cache/dedup telemetry.
 ///
-/// Per batch, the answer pipeline is:
+/// Per batch, the answer pipeline is the same for both engines:
 ///
-/// 1. **Pin a version.** Single tree: take the batch's snapshot and read
-///    its commit version — probe, execution, and fill all share it, so a
-///    cached hit is *exactly* the answer the snapshot would compute.
-///    Partitioned tree: read the composed version (there is no
-///    forest-wide snapshot).
+/// 1. **Pin.** [`Engine::pin`] takes the single tree's snapshot or reads
+///    the partitioned tree's composed version; probe, execution, and fill
+///    all share the pinned version.
 /// 2. **Probe.** Each request's canonical key (request id excluded — the
 ///    same query from any client hits) is looked up at that version;
 ///    hits are answered from the memoized `CachedAnswer`, replaying the
 ///    recorded `SearchStats` so `logical_reads` on the wire is identical
 ///    to fresh execution. Version-mismatched entries count as stale and
 ///    never serve.
-/// 3. **Execute misses, once per unique query.** The deduplicating
-///    executor merges identical requests within the batch.
-/// 4. **Fill.** Fresh answers are memoized at the pinned version — for
-///    the partitioned engine only if no commit moved the composed
-///    version during execution (without a snapshot, an interleaved write
-///    could have been half-visible; skipping the fill keeps the cache
-///    exact and costs only a future re-execution).
+/// 3. **Execute misses, once per unique query** ([`Pinned::run`]); the
+///    tuner observes the executor's `BatchStats` and sets its claim block.
+/// 4. **Fill.** Fresh answers are memoized at the pinned version when
+///    [`Pinned::fill_ok`] says they are valid there.
 /// 5. **Respond in admission order**, cache hits and fresh answers
 ///    alike: each response is staged on its connection, then every
 ///    connection gets one write. If execution failed, hit jobs still get
@@ -712,10 +781,7 @@ fn batch_loop<R: Refiner<2> + Sync>(
     shared: &Shared,
 ) -> BatchLoopOut {
     let mut controller = TuneController::new(config.tune);
-    match engine {
-        Engine::Single(tree) => controller.observe_tree(*tree),
-        Engine::Partitioned(tree) => controller.observe_partitioned(tree),
-    }
+    engine.observe(&mut controller);
     let cache = ResultCache::<2>::new(config.result_cache);
     let mut dedup_merged: u64 = 0;
     while let Some(batch) = shared
@@ -738,16 +804,10 @@ fn batch_loop<R: Refiner<2> + Sync>(
             ..NnOptions::default()
         };
 
-        // One snapshot (single tree) or composed version (partitioned)
-        // pinned for the whole probe → execute → fill pipeline; a
+        // Pinned for the whole probe → execute → fill pipeline; a
         // concurrent COW writer can publish freely underneath.
-        let (version, snap) = match engine {
-            Engine::Single(tree) => {
-                let snap = tree.snapshot();
-                (snap.version(), Some(snap))
-            }
-            Engine::Partitioned(tree) => (tree.version(), None),
-        };
+        let pinned = engine.pin();
+        let version = pinned.version();
 
         let keys: Vec<Vec<u8>> = batch.iter().map(|j| j.query.canonical_key()).collect();
         let mut answers: Vec<Option<CachedAnswer<2>>> = (0..batch.len()).map(|_| None).collect();
@@ -770,56 +830,24 @@ fn batch_loop<R: Refiner<2> + Sync>(
         // validate() bounds every parameter — but fatal if it escapes)
         // is caught and converted into Error responses for the batch,
         // and the loop keeps draining.
-        type Executed = Result<(AnswerList, u64), String>;
+        type Executed = Result<(AnswerList, BatchStats), String>;
         let outcome: Executed = if miss_reqs.is_empty() {
-            Ok((Vec::new(), 0))
+            Ok((Vec::new(), BatchStats::default()))
         } else {
+            let block = controller.block_override();
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                match engine {
-                    Engine::Single(_) => {
-                        let snap = snap.as_ref().expect("single engine pinned a snapshot");
-                        par_mixed_batch_dedup(
-                            snap,
-                            &miss_reqs,
-                            opts,
-                            refiner,
-                            config.threads,
-                            JoinOrder::Hilbert,
-                            controller.block_override(),
-                        )
-                        .map(|(results, bstats)| {
-                            controller.observe_batch(&bstats);
-                            let saved = (miss_reqs.len() - bstats.executed) as u64;
-                            (results, saved)
-                        })
-                    }
-                    Engine::Partitioned(tree) => {
-                        run_partitioned_batch(tree, &miss_reqs, opts, refiner, config.threads).map(
-                            |(results, executed)| {
-                                let saved = (miss_reqs.len() - executed) as u64;
-                                (results, saved)
-                            },
-                        )
-                    }
-                }
-                .map_err(|e| e.to_string())
+                pinned
+                    .run(&miss_reqs, opts, refiner, config.threads, block)
+                    .map_err(|e| e.to_string())
             }))
             .unwrap_or_else(|panic| Err(panic_message(&panic)))
         };
 
         let failure = match outcome {
-            Ok((results, saved)) => {
-                dedup_merged += saved;
-                // Fill gate: the single tree executed against the pinned
-                // snapshot, so its answers are valid at `version` by
-                // construction. The partitioned forest has no snapshot —
-                // memoize only if no commit moved the composed version
-                // while the batch ran.
-                let fill = cache.is_enabled()
-                    && match engine {
-                        Engine::Single(_) => true,
-                        Engine::Partitioned(tree) => tree.version() == version,
-                    };
+            Ok((results, bstats)) => {
+                controller.observe_batch(&bstats);
+                dedup_merged += (miss_reqs.len() - bstats.executed) as u64;
+                let fill = cache.is_enabled() && pinned.fill_ok();
                 // Within the batch, duplicates share one execution but
                 // need only one insert.
                 let mut filled: HashSet<&[u8]> = HashSet::new();
@@ -848,10 +876,7 @@ fn batch_loop<R: Refiner<2> + Sync>(
             }
         }
         batch.iter().for_each(|job| job.conn.finish(shared));
-        match engine {
-            Engine::Single(tree) => controller.observe_tree(*tree),
-            Engine::Partitioned(tree) => controller.observe_partitioned(tree),
-        }
+        engine.observe(&mut controller);
         controller.observe_result_cache(&cache);
     }
     // Inbox closed and fully drained: release waiting shutdown
@@ -874,102 +899,6 @@ fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
         .or_else(|| panic.downcast_ref::<String>().map(String::as_str))
         .unwrap_or("unknown panic");
     format!("query execution panicked: {what}")
-}
-
-/// Mixed batch over a partitioned tree: unique requests fan out over
-/// `threads` workers claiming from a shared cursor in Hilbert order, each
-/// request running its own sequential scatter-gather pass
-/// (partition-level parallelism would nest threads). Duplicate requests
-/// — same canonical key — execute once, like
-/// [`par_mixed_batch_dedup`] for the single tree; the second element of
-/// the return value is how many traversals actually ran. Deterministic
-/// per request, so results are bit-identical to a sequential loop that
-/// executed every duplicate.
-fn run_partitioned_batch<R: Refiner<2> + Sync>(
-    tree: &PartitionedTree<2>,
-    requests: &[BatchQuery<2>],
-    opts: NnOptions,
-    refiner: &R,
-    threads: usize,
-) -> nnq_core::Result<(AnswerList, usize)> {
-    let mut first_of: HashMap<Vec<u8>, usize> = HashMap::with_capacity(requests.len());
-    let mut unique: Vec<BatchQuery<2>> = Vec::with_capacity(requests.len());
-    let mut slot_of: Vec<usize> = Vec::with_capacity(requests.len());
-    for req in requests {
-        let slot = *first_of.entry(req.canonical_key()).or_insert_with(|| {
-            unique.push(*req);
-            unique.len() - 1
-        });
-        slot_of.push(slot);
-    }
-
-    let points: Vec<Point<2>> = unique.iter().map(|r| *r.point()).collect();
-    let schedule = hilbert_schedule(&points);
-    let execute = |req: &BatchQuery<2>| -> nnq_core::Result<(Vec<Neighbor<2>>, SearchStats)> {
-        let (hits, pstats) = match *req {
-            BatchQuery::Knn { q, k } => partitioned_knn(tree, &q, k, opts, refiner, 1)?,
-            BatchQuery::Radius { q, radius } => {
-                partitioned_radius(tree, &q, radius, opts, refiner, 1)?
-            }
-        };
-        Ok((hits, pstats.search))
-    };
-    let mut results: Vec<(Vec<Neighbor<2>>, SearchStats)> =
-        vec![(Vec::new(), SearchStats::default()); unique.len()];
-    if threads == 1 || unique.len() == 1 {
-        for &i in &schedule {
-            results[i] = execute(&unique[i])?;
-        }
-        return Ok((fan_out(results, &slot_of), unique.len()));
-    }
-    let next = AtomicUsize::new(0);
-    type Out<'a> = nnq_core::Result<Vec<(usize, (Vec<Neighbor<2>>, SearchStats))>>;
-    let worker_outs: Vec<Out<'_>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let next = &next;
-                let schedule = &schedule;
-                let execute = &execute;
-                let unique = &unique;
-                scope.spawn(move || -> Out<'_> {
-                    let mut out = Vec::new();
-                    loop {
-                        let at = next.fetch_add(1, Ordering::Relaxed);
-                        if at >= schedule.len() {
-                            break;
-                        }
-                        let i = schedule[at];
-                        out.push((i, execute(&unique[i])?));
-                    }
-                    Ok(out)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker panicked"))
-            .collect()
-    });
-    for worker_out in worker_outs {
-        for (i, r) in worker_out? {
-            results[i] = r;
-        }
-    }
-    Ok((fan_out(results, &slot_of), unique.len()))
-}
-
-/// Expands per-unique-request results back to submission order.
-fn fan_out(
-    unique_results: Vec<(Vec<Neighbor<2>>, SearchStats)>,
-    slot_of: &[usize],
-) -> Vec<(Vec<Neighbor<2>>, SearchStats)> {
-    if unique_results.len() == slot_of.len() {
-        return unique_results;
-    }
-    slot_of
-        .iter()
-        .map(|&slot| unique_results[slot].clone())
-        .collect()
 }
 
 /// The batcher's write-out against a scripted socket: what reaches the

@@ -2,12 +2,12 @@
 //! byte-for-byte encoded responses — neighbor records, exact distance
 //! bits, and per-query logical reads — must be identical across every
 //! (batch size, worker count) configuration, because micro-batching and
-//! work-stealing are throughput knobs, not semantics.
+//! work-stealing are throughput knobs, not semantics — on either engine.
 
 use nnq_core::MbrRefiner;
 use nnq_geom::Point;
-use nnq_rtree::{BulkMethod, RTree, RTreeConfig};
-use nnq_serve::{Client, Engine, Request, Response, ServeConfig};
+use nnq_rtree::{BulkMethod, PartitionedTree, RTree, RTreeConfig};
+use nnq_serve::{Client, Engine, Request, Response, ServeConfig, ServeReport};
 use nnq_storage::{BufferPool, MemDisk, PAGE_SIZE};
 use nnq_workloads::{default_bounds, points_to_items, uniform_points, zipf_cluster_queries};
 use std::net::TcpListener;
@@ -16,14 +16,17 @@ use std::time::Duration;
 
 /// Runs one server configuration over a fixed request sequence on a
 /// single pipelined connection and returns each response's encoded
-/// bytes, in request order.
-fn serve_responses(tree: &RTree<2>, requests: &[Request], config: &ServeConfig) -> Vec<Vec<u8>> {
+/// bytes, in request order, with the run's report.
+fn serve_responses(
+    engine: &Engine<'_>,
+    requests: &[Request],
+    config: &ServeConfig,
+) -> (Vec<Vec<u8>>, ServeReport) {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
     std::thread::scope(|scope| {
-        let server = scope.spawn(move || {
-            nnq_serve::serve(&Engine::Single(tree), &MbrRefiner, listener, config).unwrap()
-        });
+        let server =
+            scope.spawn(move || nnq_serve::serve(engine, &MbrRefiner, listener, config).unwrap());
         let mut client = Client::connect(addr).unwrap();
         for req in requests {
             client.send(req).unwrap();
@@ -45,29 +48,16 @@ fn serve_responses(tree: &RTree<2>, requests: &[Request], config: &ServeConfig) 
         let report = server.join().unwrap();
         assert_eq!(report.served, requests.len() as u64);
         assert_eq!(report.rejected + report.errors + report.write_errors, 0);
-        responses
+        (responses, report)
     })
 }
 
-#[test]
-fn responses_are_byte_identical_across_batch_sizes_and_threads() {
-    let pts = uniform_points(15_000, &default_bounds(), 61);
-    let items = points_to_items(&pts);
-    let pool = Arc::new(BufferPool::new(Box::new(MemDisk::new(PAGE_SIZE)), 1 << 15));
-    let tree = RTree::<2>::bulk_load(
-        Arc::clone(&pool),
-        RTreeConfig::default(),
-        items,
-        BulkMethod::Str,
-        1.0,
-    )
-    .unwrap();
-
-    // Zipf-clustered query points (hot neighborhoods make work stealing
-    // uneven — the stress case for ordering bugs), mixed kNN and radius.
+/// Zipf-clustered query points (hot neighborhoods make work stealing
+/// uneven — the stress case for ordering bugs), mixed kNN and radius.
+fn mixed_requests() -> Vec<Request> {
     let centers: Vec<Point<2>> = uniform_points(32, &default_bounds(), 62);
     let queries = zipf_cluster_queries(200, &centers, 0.9, 2_000.0, &default_bounds(), 63);
-    let requests: Vec<Request> = queries
+    queries
         .iter()
         .enumerate()
         .map(|(i, q)| {
@@ -88,31 +78,115 @@ fn responses_are_byte_identical_across_batch_sizes_and_threads() {
                 }
             }
         })
-        .collect();
+        .collect()
+}
 
+/// Serves `requests` under batch {1, 32} × threads {1, 8} × `caches`,
+/// asserting the response bytes never differ.
+fn identical_across_knobs(engine: &Engine<'_>, requests: &[Request], caches: &[usize]) {
     let mut baseline: Option<Vec<Vec<u8>>> = None;
-    for batch_max in [1usize, 32] {
-        for threads in [1usize, 8] {
-            let config = ServeConfig {
-                threads,
-                batch_max,
-                batch_deadline: Duration::from_micros(100),
-                inbox_cap: 1024,
-                ..ServeConfig::default()
-            };
-            let got = serve_responses(&tree, &requests, &config);
-            match &baseline {
-                None => baseline = Some(got),
-                Some(want) => {
-                    for (i, (g, w)) in got.iter().zip(want).enumerate() {
-                        assert_eq!(
-                            g, w,
-                            "batch={batch_max} threads={threads}: response {i} \
-                             not byte-identical to batch=1 threads=1"
-                        );
-                    }
+    for &result_cache in caches {
+        for batch_max in [1usize, 32] {
+            for threads in [1usize, 8] {
+                let config = ServeConfig {
+                    threads,
+                    batch_max,
+                    batch_deadline: Duration::from_micros(100),
+                    inbox_cap: 1024,
+                    result_cache,
+                    ..ServeConfig::default()
+                };
+                let (got, _) = serve_responses(engine, requests, &config);
+                let want = baseline.get_or_insert_with(|| got.clone());
+                for (i, (g, w)) in got.iter().zip(want.iter()).enumerate() {
+                    assert_eq!(
+                        g, w,
+                        "batch={batch_max} threads={threads} cache={result_cache}: \
+                         response {i} not byte-identical to the first configuration"
+                    );
                 }
             }
         }
     }
+}
+
+fn partitioned(p: usize) -> PartitionedTree<2> {
+    let items = points_to_items(&uniform_points(15_000, &default_bounds(), 61));
+    let (config, method) = (RTreeConfig::default(), BulkMethod::Str);
+    PartitionedTree::bulk_load_in_memory(items, p, config, method, 1.0, 1 << 13, 1).unwrap()
+}
+
+#[test]
+fn responses_are_byte_identical_across_batch_sizes_and_threads() {
+    let pts = uniform_points(15_000, &default_bounds(), 61);
+    let items = points_to_items(&pts);
+    let pool = Arc::new(BufferPool::new(Box::new(MemDisk::new(PAGE_SIZE)), 1 << 15));
+    let tree = RTree::<2>::bulk_load(
+        Arc::clone(&pool),
+        RTreeConfig::default(),
+        items,
+        BulkMethod::Str,
+        1.0,
+    )
+    .unwrap();
+
+    let default_cache = ServeConfig::default().result_cache;
+    identical_across_knobs(&Engine::Single(&tree), &mixed_requests(), &[default_cache]);
+}
+
+#[test]
+fn partitioned_responses_are_byte_identical_across_knobs_and_caching() {
+    let tree = partitioned(4);
+    identical_across_knobs(&Engine::Partitioned(&tree), &mixed_requests(), &[0, 1024]);
+}
+
+#[test]
+fn one_partition_serves_the_single_engines_bytes() {
+    let tree = partitioned(1);
+    let requests = mixed_requests();
+    let config = ServeConfig {
+        threads: 4,
+        ..ServeConfig::default()
+    };
+    let (parted, _) = serve_responses(&Engine::Partitioned(&tree), &requests, &config);
+    let (single, _) = serve_responses(&Engine::Single(&tree.partitions()[0]), &requests, &config);
+    assert_eq!(parted, single);
+}
+
+#[test]
+fn partitioned_batch_of_duplicates_runs_one_traversal() {
+    const COPIES: u64 = 16;
+    let tree = partitioned(4);
+    let requests: Vec<Request> = (0..COPIES)
+        .map(|id| Request::Knn {
+            id,
+            x: 41_000.0,
+            y: 58_000.0,
+            k: 5,
+        })
+        .collect();
+    let config = ServeConfig {
+        threads: 4,
+        // Size-triggered drain: the batch fires exactly when all COPIES
+        // duplicates are admitted; the long deadline keeps a partial
+        // batch from draining early.
+        batch_max: COPIES as usize,
+        batch_deadline: Duration::from_millis(500),
+        result_cache: 0,
+        ..ServeConfig::default()
+    };
+    let (responses, report) = serve_responses(&Engine::Partitioned(&tree), &requests, &config);
+    assert_eq!(report.dedup_merged, COPIES - 1);
+    // Identical payloads apart from the request id each answer echoes.
+    let payload = |bytes: &Vec<u8>| match Response::decode(bytes).unwrap() {
+        Response::Ok {
+            logical_reads,
+            hits,
+            ..
+        } => (hits, logical_reads),
+        other => panic!("expected Ok, got {other:?}"),
+    };
+    assert!(responses
+        .iter()
+        .all(|r| payload(r) == payload(&responses[0])));
 }

@@ -159,7 +159,8 @@ fn single_run(tune: TuneMode, threads: usize, perturb: bool) -> Run {
 }
 
 /// The partitioned equivalent: scatter-gather batches in chunks with
-/// `observe_partitioned` (budget rebalance + worker gating) between them.
+/// `observe_batch` (claim block) and `observe_partitioned` (budget
+/// rebalance + worker gating) between them.
 fn parted_run(p: usize, tune: TuneMode, threads: usize, perturb: bool) -> Run {
     let tree = parted(p);
     let qs = queries();
@@ -176,16 +177,21 @@ fn parted_run(p: usize, tune: TuneMode, threads: usize, perturb: bool) -> Run {
                 .unwrap_or(nnq_core::PrefetchPolicy::Adaptive),
             ..NnOptions::default()
         };
-        let (results, ps) = partitioned_knn_batch_with_block(
-            &tree,
-            chunk,
-            K,
-            opts,
-            &MbrRefiner,
-            threads,
-            controller.block_override(),
-        )
-        .unwrap();
+        // Under `perturb` the claim block is yanked by hand as well, past
+        // anything the controller would pick.
+        let block = if perturb {
+            Some([1, 7, 64, 1000][i % 4])
+        } else {
+            controller.block_override()
+        };
+        let (results, ps, bstats) =
+            partitioned_knn_batch_with_block(&tree, chunk, K, opts, &MbrRefiner, threads, block)
+                .unwrap();
+        assert_eq!(bstats.per_worker_queries.iter().sum::<usize>(), chunk.len());
+        if let (Some(b), true) = (block, threads > 1) {
+            assert_eq!(bstats.block, b, "claim-block override not applied");
+        }
+        controller.observe_batch(&bstats);
         pstats.accumulate(&ps);
         dists.extend(results.iter().map(|r| key(r)));
         if perturb {
