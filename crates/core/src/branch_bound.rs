@@ -7,6 +7,24 @@
 //! control returns from a subtree (the re-check happens naturally because
 //! the candidate bound is consulted immediately before each descent).
 //!
+//! ## One iterative, resumable traversal
+//!
+//! The depth-first order is kept by an explicit stack in the
+//! [`QueryCursor`]: per depth the sorted ABL, the position of the next
+//! entry to consider, and the node's strategy-1 bound. One loop
+//! (`Ctx::traverse`) alternates "read the pending node, open it" with "take
+//! the next surviving branch of the deepest open ABL"; every entry point —
+//! `query*`, the bounded scatter-gather form, `query_traced`, and the batch
+//! executor's [`NnSearch::resume`] — runs that loop. Between two node reads
+//! the whole state of a query is plain data in its cursor, which holds no
+//! page pin, latch or guard, so a traversal can stop in front of a node
+//! read and continue later: under [`Reads::Suspending`] a read whose page
+//! is not loaded (`TreeAccess::try_access_node` answers "not yet", having
+//! queued the page for a background read) returns [`Poll::Waiting`] to the
+//! caller instead of sleeping in the device. What a query computes — its
+//! node-visit order, hits, distance bits, [`SearchStats`] and [`Trace`]
+//! events — does not depend on whether, or where, it was suspended.
+//!
 //! ## Soundness of the pruning bounds for k > 1
 //!
 //! Strategy 1 and 2 use the k-th smallest `MINMAXDIST` *within one node's
@@ -46,7 +64,8 @@ pub struct NnSearch<'t, const D: usize, T: TreeAccess<D> + ?Sized = RTree<D>> {
 
 /// Reusable per-query working memory for the branch-and-bound search:
 /// one Active Branch List buffer per tree level, a `MINMAXDIST` scratch
-/// vector, and the bounded candidate heap.
+/// vector, and the bounded candidate heap — and, while a query is under
+/// way, its whole traversal state.
 ///
 /// Construct once, pass to [`NnSearch::query_refined_with`] for every
 /// query of a batch; after the first few queries the search reaches a
@@ -56,9 +75,16 @@ pub struct NnSearch<'t, const D: usize, T: TreeAccess<D> + ?Sized = RTree<D>> {
 /// [`crate::par_knn_batch`] does).
 pub struct QueryCursor<const D: usize> {
     heap: KnnHeap<D>,
-    /// One ABL buffer per recursion depth; the DFS at depth `d` may not
-    /// reuse the buffer of any ancestor still iterating its own ABL.
-    abl_stack: Vec<Vec<AblEntry>>,
+    /// One ABL per tree depth. `levels[..open]` belong to the internal
+    /// nodes on the path from the root to the node being visited, each
+    /// still iterating its own list; deeper buffers are spare capacity.
+    levels: Vec<Level>,
+    /// How many of `levels` are open.
+    open: usize,
+    /// The node to read next: the root, or the branch last chosen.
+    next: Option<PageId>,
+    /// Work counters of the query under way.
+    stats: SearchStats,
     /// Scratch for the k-th-smallest MINMAXDIST selections (S1/S2).
     minmax: Vec<f64>,
     /// Per-entry MINDIST output of the batch kernel for the node being
@@ -69,23 +95,94 @@ pub struct QueryCursor<const D: usize> {
     batch_minmax: Vec<f64>,
 }
 
+/// One open internal node of a traversal.
+#[derive(Default)]
+struct Level {
+    /// The node's sorted ABL.
+    abl: Vec<AblEntry>,
+    /// Index of the next entry to consider.
+    pos: usize,
+    /// Strategy 1 bound: k-th smallest MINMAXDIST within this ABL.
+    downward_bound: f64,
+}
+
+#[derive(Clone, Copy)]
+struct AblEntry {
+    mindist: f64,
+    minmaxdist: f64,
+    child: PageId,
+}
+
 impl<const D: usize> QueryCursor<D> {
     /// Creates an empty cursor. Buffers grow to fit the first queries and
     /// are retained afterwards.
     pub fn new() -> Self {
         Self {
             heap: KnnHeap::new(1),
-            abl_stack: Vec::new(),
+            levels: Vec::new(),
+            open: 0,
+            next: None,
+            stats: SearchStats::default(),
             minmax: Vec::new(),
             batch_mindist: Vec::new(),
             batch_minmax: Vec::new(),
         }
+    }
+
+    /// Whether no query is under way (none begun, or the last one ran to
+    /// its end or failed).
+    fn is_idle(&self) -> bool {
+        self.next.is_none() && self.open == 0
+    }
+
+    /// Starts a k-NN traversal at `root`.
+    fn begin(&mut self, k: usize, root: Option<PageId>) {
+        assert!(k > 0, "k must be at least 1");
+        self.heap.reset(k);
+        self.open = 0;
+        self.next = root;
+        self.stats = SearchStats::default();
     }
 }
 
 impl<const D: usize> Default for QueryCursor<D> {
     fn default() -> Self {
         Self::new()
+    }
+}
+
+/// How a traversal treats a node whose page is not loaded.
+#[derive(Clone, Copy)]
+enum Reads {
+    /// Wait for it, every time: the query runs to its end in one call. It
+    /// has nothing else to overlap the wait with, so it keeps the
+    /// speculative ABL-sibling hints of its prefetch policy.
+    Blocking,
+    /// Hand control back ([`Poll::Waiting`]) with the page queued for a
+    /// background read — a *certain* hint: this query visits that page
+    /// next. Only such hints are issued; the speculative ones would fill
+    /// the queue and the I/O workers with reads nobody claims. With
+    /// `wait_first` the first read of the call waits instead, which is how
+    /// a caller with nothing else runnable makes progress.
+    Suspending { wait_first: bool },
+}
+
+/// The outcome of one step of a resumable batch item.
+pub(crate) enum Poll<O> {
+    /// The item finished.
+    Ready(O),
+    /// The item stopped in front of a page that is not loaded; `advanced`
+    /// tells whether it got anywhere (visited a node) first.
+    Waiting { advanced: bool },
+}
+
+impl<O> Poll<O> {
+    /// The same outcome with a finished item's output passed through `f`.
+    pub(crate) fn map<P>(self, f: impl FnOnce(O) -> P) -> Poll<P> {
+        match self {
+            Poll::Ready(o) => Poll::Ready(f(o)),
+            Poll::Waiting { advanced } => Poll::Waiting { advanced },
+        }
     }
 }
 
@@ -133,7 +230,7 @@ impl<'t, const D: usize, T: TreeAccess<D> + ?Sized> NnSearch<'t, D, T> {
         refiner: &R,
     ) -> Result<(Vec<Neighbor<D>>, SearchStats)> {
         let mut cursor = QueryCursor::new();
-        self.run(&mut cursor, q, k, refiner, None, f64::INFINITY)
+        self.run(&mut cursor, q, k, refiner, None, f64::INFINITY, None)
     }
 
     /// Like [`NnSearch::query_refined`], reusing `cursor`'s buffers — the
@@ -146,7 +243,7 @@ impl<'t, const D: usize, T: TreeAccess<D> + ?Sized> NnSearch<'t, D, T> {
         k: usize,
         refiner: &R,
     ) -> Result<(Vec<Neighbor<D>>, SearchStats)> {
-        self.run(cursor, q, k, refiner, None, f64::INFINITY)
+        self.run(cursor, q, k, refiner, None, f64::INFINITY, None)
     }
 
     /// Like [`NnSearch::query_refined_with`], but the traversal starts
@@ -174,7 +271,7 @@ impl<'t, const D: usize, T: TreeAccess<D> + ?Sized> NnSearch<'t, D, T> {
         refiner: &R,
         init_bound_sq: f64,
     ) -> Result<(Vec<Neighbor<D>>, SearchStats)> {
-        self.run(cursor, q, k, refiner, None, init_bound_sq)
+        self.run(cursor, q, k, refiner, None, init_bound_sq, None)
     }
 
     /// Finds the `k` nearest objects whose MBR intersects `region` — the
@@ -193,7 +290,8 @@ impl<'t, const D: usize, T: TreeAccess<D> + ?Sized> NnSearch<'t, D, T> {
         refiner: &R,
     ) -> Result<(Vec<Neighbor<D>>, SearchStats)> {
         let mut cursor = QueryCursor::new();
-        self.run(&mut cursor, q, k, refiner, Some(*region), f64::INFINITY)
+        let region = Some(*region);
+        self.run(&mut cursor, q, k, refiner, region, f64::INFINITY, None)
     }
 
     /// Like [`NnSearch::query_refined`], additionally recording a full
@@ -204,33 +302,47 @@ impl<'t, const D: usize, T: TreeAccess<D> + ?Sized> NnSearch<'t, D, T> {
         k: usize,
         refiner: &R,
     ) -> Result<(Vec<Neighbor<D>>, SearchStats, Trace)> {
-        assert!(k > 0, "k must be at least 1");
         let mut cursor = QueryCursor::new();
-        cursor.heap.reset(k);
         let mut trace = Trace::default();
-        let prefetch_depth = self
-            .opts
-            .prefetch
-            .resolve_with_activity(self.tree.io_miss_rate(), self.tree.io_reads());
-        let mut ctx = Ctx {
+        let traced = Some(&mut trace);
+        let (found, stats) = self.run(&mut cursor, q, k, refiner, None, f64::INFINITY, traced)?;
+        Ok((found, stats, trace))
+    }
+
+    /// One step of the query `(q, k)` as a resumable batch item: begins it
+    /// if `cursor` is idle, else continues it where its last step stopped
+    /// (the caller passes the same `q`, `k` and `refiner` every time), and
+    /// runs until it ends or reaches a page that is not loaded
+    /// ([`Reads::Suspending`]; `wait` makes this step's first read wait).
+    /// The finished query's answer is exactly
+    /// [`NnSearch::query_refined_with`]'s.
+    pub(crate) fn resume<R: Refiner<D>>(
+        &self,
+        cursor: &mut QueryCursor<D>,
+        q: &Point<D>,
+        k: usize,
+        refiner: &R,
+        wait: bool,
+    ) -> Result<Poll<(Vec<Neighbor<D>>, SearchStats)>> {
+        if cursor.is_idle() {
+            cursor.begin(k, self.tree.access_root());
+        }
+        let ctx = Ctx {
             tree: self.tree,
             opts: self.opts,
             q: *q,
             refiner,
             region: None,
-            cursor: &mut cursor,
-            stats: SearchStats::default(),
-            trace: Some(&mut trace),
-            prefetch_depth,
+            cursor,
+            trace: None,
+            prefetch_depth: 0,
             shared_bound_sq: f64::INFINITY,
         };
-        if let Some(root) = self.tree.access_root() {
-            ctx.visit(root, 0)?;
-        }
-        let stats = ctx.stats;
-        Ok((cursor.heap.drain_sorted(), stats, trace))
+        ctx.advance(Reads::Suspending { wait_first: wait })
     }
 
+    /// A whole query, start to end, waiting for every page.
+    #[allow(clippy::too_many_arguments)]
     fn run<R: Refiner<D>>(
         &self,
         cursor: &mut QueryCursor<D>,
@@ -239,8 +351,8 @@ impl<'t, const D: usize, T: TreeAccess<D> + ?Sized> NnSearch<'t, D, T> {
         refiner: &R,
         region: Option<Rect<D>>,
         init_bound_sq: f64,
+        trace: Option<&mut Trace>,
     ) -> Result<(Vec<Neighbor<D>>, SearchStats)> {
-        assert!(k > 0, "k must be at least 1");
         let mut opts = self.opts;
         if region.is_some() {
             // MINMAXDIST's object guarantee does not survive filtering, so
@@ -248,27 +360,25 @@ impl<'t, const D: usize, T: TreeAccess<D> + ?Sized> NnSearch<'t, D, T> {
             opts.prune_downward = false;
             opts.prune_object = false;
         }
-        cursor.heap.reset(k);
+        cursor.begin(k, self.tree.access_root());
         let prefetch_depth = opts
             .prefetch
             .resolve_with_activity(self.tree.io_miss_rate(), self.tree.io_reads());
-        let mut ctx = Ctx {
+        let ctx = Ctx {
             tree: self.tree,
             opts,
             q: *q,
             refiner,
             region,
             cursor,
-            stats: SearchStats::default(),
-            trace: None,
+            trace,
             prefetch_depth,
             shared_bound_sq: init_bound_sq,
         };
-        if let Some(root) = self.tree.access_root() {
-            ctx.visit(root, 0)?;
+        match ctx.advance(Reads::Blocking)? {
+            Poll::Ready(answer) => Ok(answer),
+            Poll::Waiting { .. } => unreachable!("a blocking traversal never suspends"),
         }
-        let stats = ctx.stats;
-        Ok((cursor.heap.drain_sorted(), stats))
     }
 }
 
@@ -279,10 +389,10 @@ struct Ctx<'t, 'r, const D: usize, T: ?Sized, R> {
     refiner: &'r R,
     region: Option<Rect<D>>,
     cursor: &'r mut QueryCursor<D>,
-    stats: SearchStats,
     trace: Option<&'r mut Trace>,
-    /// Prefetch-hint depth, resolved from `opts.prefetch` once per query
-    /// (the adaptive policy samples the backend miss rate at query start).
+    /// Speculative prefetch-hint depth, resolved from `opts.prefetch` once
+    /// per query (the adaptive policy samples the backend miss rate at
+    /// query start); 0 for a suspending traversal.
     prefetch_depth: usize,
     /// Externally supplied upper bound on the k-th nearest squared
     /// distance (`+∞` outside scatter-gather): upward pruning compares
@@ -303,9 +413,52 @@ fn kth_smallest(values: &mut [f64], k: usize) -> f64 {
 }
 
 impl<const D: usize, T: TreeAccess<D> + ?Sized, R: Refiner<D>> Ctx<'_, '_, D, T, R> {
-    fn visit(&mut self, page: PageId, depth: usize) -> Result<()> {
-        let node = self.tree.access_node(page)?;
-        self.stats.nodes_visited += 1;
+    /// Advances the traversal in the cursor under `reads`, to its answer
+    /// or to the next page that is not loaded; an error ends it.
+    fn advance(mut self, reads: Reads) -> Result<Poll<(Vec<Neighbor<D>>, SearchStats)>> {
+        match self.traverse(reads) {
+            Ok(poll) => Ok(poll.map(|()| (self.cursor.heap.drain_sorted(), self.cursor.stats))),
+            Err(e) => {
+                // Leave the cursor idle: its next use begins a new query.
+                self.cursor.open = 0;
+                self.cursor.next = None;
+                Err(e)
+            }
+        }
+    }
+
+    /// The traversal loop: read the pending node and open it, then take
+    /// the next surviving branch of the deepest open ABL as the new
+    /// pending node, until no ABL is open (`Ready`) or the pending node's
+    /// page is not loaded and `reads` says not to wait (`Waiting`, with
+    /// the node still pending).
+    fn traverse(&mut self, reads: Reads) -> Result<Poll<()>> {
+        let mut wait = !matches!(reads, Reads::Suspending { wait_first: false });
+        let mut advanced = false;
+        loop {
+            if let Some(page) = self.cursor.next {
+                let node = if wait {
+                    self.tree.access_node(page)?
+                } else {
+                    match self.tree.try_access_node(page)? {
+                        Some(node) => node,
+                        None => return Ok(Poll::Waiting { advanced }),
+                    }
+                };
+                wait = matches!(reads, Reads::Blocking);
+                advanced = true;
+                self.cursor.next = None;
+                self.enter(page, &node);
+            }
+            match self.next_branch() {
+                Some(child) => self.cursor.next = Some(child),
+                None => return Ok(Poll::Ready(())),
+            }
+        }
+    }
+
+    fn enter(&mut self, page: PageId, node: &NodeView<D>) {
+        self.cursor.stats.nodes_visited += 1;
         if let Some(trace) = self.trace.as_deref_mut() {
             trace.events.push(TraceEvent::EnterNode {
                 page,
@@ -314,15 +467,45 @@ impl<const D: usize, T: TreeAccess<D> + ?Sized, R: Refiner<D>> Ctx<'_, '_, D, T,
             });
         }
         if node.is_leaf() {
-            self.visit_leaf(&node);
-            Ok(())
+            self.visit_leaf(node);
         } else {
-            self.visit_internal(&node, depth)
+            self.open_internal(node);
         }
     }
 
+    /// The child to descend into next: the first entry at or past the
+    /// position of the deepest open ABL that survives strategies 1 and 3,
+    /// closing every ABL that runs out on the way. `None` once the root's
+    /// list is exhausted (or the tree is empty): the traversal is over.
+    fn next_branch(&mut self) -> Option<PageId> {
+        while self.cursor.open > 0 {
+            let level = &mut self.cursor.levels[self.cursor.open - 1];
+            let Some(&a) = level.abl.get(level.pos) else {
+                self.cursor.open -= 1;
+                continue;
+            };
+            level.pos += 1;
+            if self.opts.prune_downward && a.mindist > level.downward_bound {
+                self.cursor.stats.pruned_downward += 1;
+                self.trace_branch(a, Decision::PrunedDownward);
+                continue;
+            }
+            // Strategy 3, consulted immediately before each descent — this
+            // covers both the initial prune and the re-prune after control
+            // returns from earlier siblings (the heap bound only shrinks).
+            if self.opts.prune_upward && a.mindist >= self.pruning_bound_sq() {
+                self.cursor.stats.pruned_upward += 1;
+                self.trace_branch(a, Decision::PrunedUpward);
+                continue;
+            }
+            self.trace_branch(a, Decision::Visited);
+            return Some(a.child);
+        }
+        None
+    }
+
     fn visit_leaf(&mut self, node: &NodeView<D>) {
-        self.stats.leaves_visited += 1;
+        self.cursor.stats.leaves_visited += 1;
         let batch = self.opts.kernel == KernelMode::Batch;
         // Batch mode: one kernel pass over the node's SoA view fills the
         // per-entry MINDISTs the object loop below reads. Entries the
@@ -364,12 +547,12 @@ impl<const D: usize, T: TreeAccess<D> + ?Sized, R: Refiner<D>> Ctx<'_, '_, D, T,
                 mindist_sq(&self.q, &e.mbr)
             };
             if self.opts.prune_object && filter > object_bound {
-                self.stats.pruned_object += 1;
+                self.cursor.stats.pruned_object += 1;
                 self.trace_object(e.record(), filter, None, Decision::PrunedObject, false);
                 continue;
             }
             if self.opts.prune_upward && filter >= self.pruning_bound_sq() {
-                self.stats.pruned_upward += 1;
+                self.cursor.stats.pruned_upward += 1;
                 self.trace_object(e.record(), filter, None, Decision::PrunedUpward, false);
                 continue;
             }
@@ -378,7 +561,7 @@ impl<const D: usize, T: TreeAccess<D> + ?Sized, R: Refiner<D>> Ctx<'_, '_, D, T,
                 exact + 1e-9 >= filter,
                 "refiner returned a distance below the MBR filter bound"
             );
-            self.stats.dist_computations += 1;
+            self.cursor.stats.dist_computations += 1;
             let accepted = self.cursor.heap.offer(e.record(), e.mbr, exact);
             self.trace_object(e.record(), filter, Some(exact), Decision::Visited, accepted);
         }
@@ -417,25 +600,28 @@ impl<const D: usize, T: TreeAccess<D> + ?Sized, R: Refiner<D>> Ctx<'_, '_, D, T,
         }
     }
 
-    fn trace_branch(&mut self, child: PageId, mindist: f64, minmaxdist: f64, decision: Decision) {
+    fn trace_branch(&mut self, a: AblEntry, decision: Decision) {
         if let Some(trace) = self.trace.as_deref_mut() {
             trace.events.push(TraceEvent::Branch {
-                child,
-                mindist_sq: mindist,
-                minmaxdist_sq: minmaxdist,
+                child: a.child,
+                mindist_sq: a.mindist,
+                minmaxdist_sq: a.minmaxdist,
                 decision,
             });
         }
     }
 
-    fn visit_internal(&mut self, node: &NodeView<D>, depth: usize) -> Result<()> {
-        // Take this depth's reusable ABL buffer out of the cursor: the
-        // recursion below will use the buffers of deeper levels, never
-        // this one, so the take-and-restore keeps every level's capacity.
-        while self.cursor.abl_stack.len() <= depth {
-            self.cursor.abl_stack.push(Vec::new());
+    /// Opens the internal `node`: builds its sorted ABL and strategy-1
+    /// bound in the next free level of the cursor.
+    fn open_internal(&mut self, node: &NodeView<D>) {
+        // Take this depth's reusable ABL buffer out of the cursor (the
+        // kernels below borrow the cursor's scratch) and put it back, with
+        // its capacity, once built.
+        let depth = self.cursor.open;
+        if self.cursor.levels.len() <= depth {
+            self.cursor.levels.push(Level::default());
         }
-        let mut abl = std::mem::take(&mut self.cursor.abl_stack[depth]);
+        let mut abl = std::mem::take(&mut self.cursor.levels[depth].abl);
         abl.clear();
 
         // Generate the Active Branch List. Both kernel modes produce the
@@ -478,7 +664,7 @@ impl<const D: usize, T: TreeAccess<D> + ?Sized, R: Refiner<D>> Ctx<'_, '_, D, T,
                 );
             }
         }
-        self.stats.abl_entries += abl.len() as u64;
+        self.cursor.stats.abl_entries += abl.len() as u64;
 
         // Strategy 1 bound: k-th smallest MINMAXDIST within this ABL.
         let downward_bound = if self.opts.prune_downward {
@@ -506,46 +692,23 @@ impl<const D: usize, T: TreeAccess<D> + ?Sized, R: Refiner<D>> Ctx<'_, '_, D, T,
 
         // ABL-guided prefetch: the sorted list is the paper's own oracle
         // for which pages are visited next, so hint the entries past the
-        // head (abl[0] is fetched synchronously by the descent below) to
-        // the backend's asynchronous prefetcher. Advisory only — results,
-        // traversal order, SearchStats, and logical_reads are untouched.
+        // head (abl[0] is fetched synchronously by the descent that
+        // follows) to the backend's asynchronous prefetcher. Advisory only
+        // — results, traversal order, SearchStats, and logical_reads are
+        // untouched.
         if self.prefetch_depth > 0 {
             for a in abl.iter().skip(1).take(self.prefetch_depth) {
                 self.tree.prefetch_node(a.child);
             }
         }
 
-        let mut result = Ok(());
-        for a in &abl {
-            if self.opts.prune_downward && a.mindist > downward_bound {
-                self.stats.pruned_downward += 1;
-                self.trace_branch(a.child, a.mindist, a.minmaxdist, Decision::PrunedDownward);
-                continue;
-            }
-            // Strategy 3, consulted immediately before each descent — this
-            // covers both the initial prune and the re-prune after control
-            // returns from earlier siblings (the heap bound only shrinks).
-            if self.opts.prune_upward && a.mindist >= self.pruning_bound_sq() {
-                self.stats.pruned_upward += 1;
-                self.trace_branch(a.child, a.mindist, a.minmaxdist, Decision::PrunedUpward);
-                continue;
-            }
-            self.trace_branch(a.child, a.mindist, a.minmaxdist, Decision::Visited);
-            if let Err(e) = self.visit(a.child, depth + 1) {
-                result = Err(e);
-                break;
-            }
-        }
-        // Restore the buffer (and its capacity) for the next query.
-        self.cursor.abl_stack[depth] = abl;
-        result
+        self.cursor.levels[depth] = Level {
+            abl,
+            pos: 0,
+            downward_bound,
+        };
+        self.cursor.open = depth + 1;
     }
-}
-
-struct AblEntry {
-    mindist: f64,
-    minmaxdist: f64,
-    child: PageId,
 }
 
 #[cfg(test)]
@@ -716,6 +879,220 @@ mod tests {
             );
             assert_eq!(cs, os, "cursor reuse changed the traversal stats");
         }
+    }
+
+    /// A tree whose non-blocking read says "not yet" `stalls` times before
+    /// every node it hands out (`usize::MAX`: always), and whose reads fail
+    /// outright once `fail_after` nodes have been handed out.
+    struct Stalling<'t> {
+        tree: &'t RTree<2>,
+        stalls: usize,
+        fail_after: usize,
+        /// Consecutive "not yet"s since the last node handed out.
+        stalled: std::cell::Cell<usize>,
+        handed_out: std::cell::Cell<usize>,
+        not_yets: std::cell::Cell<usize>,
+    }
+
+    impl<'t> Stalling<'t> {
+        fn new(tree: &'t RTree<2>, stalls: usize) -> Self {
+            Self {
+                tree,
+                stalls,
+                fail_after: usize::MAX,
+                stalled: Default::default(),
+                handed_out: Default::default(),
+                not_yets: Default::default(),
+            }
+        }
+    }
+
+    impl TreeAccess<2> for Stalling<'_> {
+        fn access_root(&self) -> Option<PageId> {
+            self.tree.access_root()
+        }
+        fn access_node(&self, page: PageId) -> Result<NodeView<2>> {
+            if self.handed_out.get() >= self.fail_after {
+                return Err(nnq_rtree::RTreeError::NotFound);
+            }
+            self.stalled.set(0);
+            self.handed_out.set(self.handed_out.get() + 1);
+            self.tree.access_node(page)
+        }
+        fn try_access_node(&self, page: PageId) -> Result<Option<NodeView<2>>> {
+            if self.stalled.get() < self.stalls {
+                self.stalled.set(self.stalled.get() + 1);
+                self.not_yets.set(self.not_yets.get() + 1);
+                return Ok(None);
+            }
+            self.access_node(page).map(Some)
+        }
+        fn num_records(&self) -> u64 {
+            self.tree.num_records()
+        }
+    }
+
+    fn same_answer(a: &(Vec<Neighbor<2>>, SearchStats), b: &(Vec<Neighbor<2>>, SearchStats)) {
+        assert_eq!(a.1, b.1, "search stats differ");
+        assert_eq!(a.0.len(), b.0.len());
+        for (x, y) in a.0.iter().zip(&b.0) {
+            assert_eq!(x.record, y.record);
+            assert_eq!(x.dist_sq.to_bits(), y.dist_sq.to_bits());
+        }
+    }
+
+    #[test]
+    fn a_query_suspended_in_front_of_every_node_computes_the_same_answer() {
+        let tree = grid_tree(24, 5);
+        let q = Point::new([7.3, 15.9]);
+        let want = NnSearch::new(&tree)
+            .query_refined(&q, 6, &MbrRefiner)
+            .unwrap();
+        for stalls in [0, 1, 3] {
+            let stalling = Stalling::new(&tree, stalls);
+            let search = NnSearch::new(&stalling);
+            let mut cursor = QueryCursor::new();
+            let (mut steps, mut idle_steps) = (0, 0);
+            let got = loop {
+                steps += 1;
+                match search
+                    .resume(&mut cursor, &q, 6, &MbrRefiner, false)
+                    .unwrap()
+                {
+                    Poll::Ready(answer) => break answer,
+                    Poll::Waiting { advanced } => idle_steps += usize::from(!advanced),
+                }
+            };
+            same_answer(&got, &want);
+            let nodes = want.1.nodes_visited as usize;
+            assert_eq!(
+                stalling.handed_out.get(),
+                nodes,
+                "one read per visited node"
+            );
+            assert_eq!(stalling.not_yets.get(), stalls * nodes);
+            // Every "not yet" ends a step; only the first of a run of them
+            // follows a node visit.
+            assert_eq!(steps, stalls * nodes + 1);
+            assert_eq!(
+                idle_steps,
+                stalls.saturating_sub(1) * nodes + usize::from(stalls > 0)
+            );
+            assert!(cursor.is_idle(), "a finished query leaves the cursor idle");
+        }
+    }
+
+    #[test]
+    fn a_waiting_step_blocks_on_its_first_read_only() {
+        // Nothing ever loads in the background: only the waiting steps'
+        // blocking reads move the query, one node each.
+        let tree = grid_tree(16, 5);
+        let q = Point::new([3.2, 9.9]);
+        let want = NnSearch::new(&tree)
+            .query_refined(&q, 4, &MbrRefiner)
+            .unwrap();
+        let stalling = Stalling::new(&tree, usize::MAX);
+        let search = NnSearch::new(&stalling);
+        let mut cursor = QueryCursor::new();
+        assert!(matches!(
+            search
+                .resume(&mut cursor, &q, 4, &MbrRefiner, false)
+                .unwrap(),
+            Poll::Waiting { advanced: false }
+        ));
+        let mut waits = 0;
+        let got = loop {
+            waits += 1;
+            match search
+                .resume(&mut cursor, &q, 4, &MbrRefiner, true)
+                .unwrap()
+            {
+                Poll::Ready(answer) => break answer,
+                Poll::Waiting { advanced } => assert!(advanced),
+            }
+        };
+        same_answer(&got, &want);
+        assert_eq!(waits, want.1.nodes_visited);
+    }
+
+    #[test]
+    fn interleaved_queries_on_their_own_cursors_do_not_disturb_each_other() {
+        let tree = grid_tree(24, 5);
+        let queries: Vec<(Point<2>, usize)> = (0..6)
+            .map(|i| {
+                (
+                    Point::new([i as f64 * 3.7 + 0.2, 22.0 - i as f64 * 3.1]),
+                    1 + i,
+                )
+            })
+            .collect();
+        let plain = NnSearch::new(&tree);
+        let stalling = Stalling::new(&tree, 1);
+        let search = NnSearch::new(&stalling);
+        let mut cursors: Vec<QueryCursor<2>> = queries.iter().map(|_| QueryCursor::new()).collect();
+        let mut answers: Vec<Option<(Vec<Neighbor<2>>, SearchStats)>> = vec![None; queries.len()];
+        // Round-robin, one step each, until all are done.
+        while answers.iter().any(Option::is_none) {
+            for (i, (q, k)) in queries.iter().enumerate() {
+                if answers[i].is_none() {
+                    if let Poll::Ready(answer) = search
+                        .resume(&mut cursors[i], q, *k, &MbrRefiner, false)
+                        .unwrap()
+                    {
+                        answers[i] = Some(answer);
+                    }
+                }
+            }
+        }
+        for ((q, k), got) in queries.iter().zip(&answers) {
+            same_answer(
+                got.as_ref().unwrap(),
+                &plain.query_refined(q, *k, &MbrRefiner).unwrap(),
+            );
+        }
+        // A cursor that finished one query begins the next from scratch.
+        let (q, k) = queries[4];
+        let again = loop {
+            if let Poll::Ready(answer) = search
+                .resume(&mut cursors[0], &q, k, &MbrRefiner, false)
+                .unwrap()
+            {
+                break answer;
+            }
+        };
+        same_answer(&again, answers[4].as_ref().unwrap());
+    }
+
+    #[test]
+    fn a_failed_read_ends_the_query_and_leaves_the_cursor_reusable() {
+        let tree = grid_tree(16, 5);
+        let q = Point::new([8.1, 8.4]);
+        let mut failing = Stalling::new(&tree, 1);
+        failing.fail_after = 2;
+        let mut cursor = QueryCursor::new();
+        let search = NnSearch::new(&failing);
+        let err = loop {
+            match search.resume(&mut cursor, &q, 3, &MbrRefiner, false) {
+                Ok(Poll::Ready(_)) => panic!("the third read fails"),
+                Ok(Poll::Waiting { .. }) => {}
+                Err(e) => break e,
+            }
+        };
+        assert!(matches!(err, nnq_rtree::RTreeError::NotFound));
+        assert!(cursor.is_idle());
+        assert!(NnSearch::new(&failing)
+            .query_refined_with(&mut cursor, &q, 3, &MbrRefiner)
+            .is_err());
+        // The same cursor, on a tree that works, answers a whole query.
+        let got = NnSearch::new(&tree)
+            .query_refined_with(&mut cursor, &q, 3, &MbrRefiner)
+            .unwrap();
+        same_answer(
+            &got,
+            &NnSearch::new(&tree)
+                .query_refined(&q, 3, &MbrRefiner)
+                .unwrap(),
+        );
     }
 
     #[test]

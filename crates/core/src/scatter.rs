@@ -49,7 +49,7 @@ use crate::branch_bound::{NnSearch, QueryCursor};
 use crate::heap::KnnHeap;
 use crate::join::JoinOrder;
 use crate::options::{Neighbor, NnOptions, SearchStats};
-use crate::parallel::{claim_order, dedup, steal_map, BatchQuery, BatchStats};
+use crate::parallel::{claim_order, dedup, steal_map, whole, BatchQuery, BatchStats};
 use crate::radius::within_radius_with;
 use crate::refine::Refiner;
 use crate::Result;
@@ -218,11 +218,12 @@ where
             threads,
             Some(1),
             None,
+            false,
             QueryCursor::new,
-            |qc, i| {
+            whole(|qc, i| {
                 NnSearch::with_options(&parts[round[i].part], opts)
                     .query_refined_bounded(qc, q, k, refiner, bound)
-            },
+            }),
         )?;
         // Gather: merge in schedule order — deterministic regardless of
         // which worker finished first.
@@ -289,8 +290,9 @@ where
         threads,
         Some(1),
         None,
+        false,
         || (),
-        |(), i| within_radius_with(&parts[visit[i].part], q, radius, refiner, opts.kernel),
+        whole(|(), i| within_radius_with(&parts[visit[i].part], q, radius, refiner, opts.kernel)),
     )?;
 
     let mut merged = Vec::new();
@@ -382,8 +384,9 @@ pub fn partitioned_knn_batch_with_block<const D: usize, R: Refiner<D> + Sync>(
         threads,
         block_override,
         None,
+        false,
         || (),
-        |(), i| scatter_knn(parts, &mbrs, &queries[i], k, opts, refiner, 1),
+        whole(|(), i| scatter_knn(parts, &mbrs, &queries[i], k, opts, refiner, 1)),
     )?;
     let mut totals = PartitionedStats::default();
     let mut results = Vec::with_capacity(per_query.len());
@@ -423,8 +426,9 @@ pub fn partitioned_mixed_batch_dedup<const D: usize, R: Refiner<D> + Sync>(
             threads,
             block_override,
             claims,
+            false,
             || (),
-            |(), i| {
+            whole(|(), i| {
                 let (hits, stats) = match unique[i] {
                     BatchQuery::Knn { q, k } => scatter_knn(parts, &mbrs, &q, k, opts, refiner, 1)?,
                     BatchQuery::Radius { q, radius } => {
@@ -432,7 +436,7 @@ pub fn partitioned_mixed_batch_dedup<const D: usize, R: Refiner<D> + Sync>(
                     }
                 };
                 Ok((hits, stats.search))
-            },
+            }),
         )
     })
 }

@@ -36,7 +36,7 @@
 //!
 //! | signal (EWMA over batch deltas)       | knob                     |
 //! |---------------------------------------|--------------------------|
-//! | pool miss rate                        | prefetch depth (ladder)  |
+//! | device reads per logical read         | prefetch depth (ladder)  |
 //! | prefetch wasted rate                  | prefetch depth (back-off)|
 //! | prefetch depth                        | worker count             |
 //! | node-cache hit rate + evictions       | cache capacity (grow)    |
@@ -396,8 +396,17 @@ impl TuneController {
         }
         self.samples += 1;
 
-        let phys = now.physical_reads.saturating_sub(last.physical_reads);
-        self.miss = Some(ewma(self.miss, phys as f64 / reads as f64, self.alpha));
+        // Device reads per logical read (`NodeStore::io_miss_rate`'s
+        // signal, on this batch's deltas): a page a hint brought in and a
+        // query claimed cost a device read like a demand miss did. Left
+        // out, the ladder would step down exactly when hinting works.
+        let device_reads = (now.physical_reads + now.prefetch_useful)
+            .saturating_sub(last.physical_reads + last.prefetch_useful);
+        self.miss = Some(ewma(
+            self.miss,
+            device_reads as f64 / reads as f64,
+            self.alpha,
+        ));
 
         let probes =
             (now.cache_hits + now.cache_misses).saturating_sub(last.cache_hits + last.cache_misses);
@@ -530,6 +539,36 @@ mod tests {
         assert_eq!(c.settings().prefetch_depth, 0);
         assert_eq!(c.settings().prefetch_workers, 1);
         assert_eq!(c.prefetch_policy(), Some(PrefetchPolicy::Off));
+    }
+
+    #[test]
+    fn depth_ladder_holds_when_hints_absorb_the_misses() {
+        // The same cold pool twice: once every device read is a demand
+        // miss, once nearly all of them are prefetches that queries then
+        // claimed (pool hits). The depth may not tell the two apart.
+        let batch = |i: u64, demand: u64, claimed: u64| {
+            let mut s = signals(i * 1000, i * demand, 0, i * 1000, 0);
+            s.prefetch_issued = i * claimed;
+            s.prefetch_useful = i * claimed;
+            s
+        };
+        for (demand, claimed, want_depth) in [
+            (600, 0, 8),
+            (10, 590, 8),
+            (100, 0, 2),
+            (0, 100, 2),
+            (0, 10, 0),
+        ] {
+            let mut c = TuneController::new(TuneMode::Adaptive);
+            for i in 0..=8 {
+                c.step(batch(i, demand, claimed));
+            }
+            assert_eq!(
+                c.settings().prefetch_depth,
+                want_depth,
+                "{demand} demand + {claimed} claimed reads per 1000"
+            );
+        }
     }
 
     #[test]

@@ -41,6 +41,16 @@ pub trait NodeStore<const D: usize> {
     /// snapshot (mutation goes through [`NodeStore::write`]).
     fn read(&self, id: PageId) -> Result<Arc<RawNode<D>>>;
 
+    /// [`NodeStore::read`] for a caller that has other work while a device
+    /// read runs: `Ok(None)` means the node's page is not loaded yet — a
+    /// background read of it is running or now queued — and nothing was
+    /// counted; call again (or call `read`, which waits). The default is
+    /// the blocking `read`, so backends without background I/O never
+    /// answer "not yet".
+    fn try_read(&self, id: PageId) -> Result<Option<Arc<RawNode<D>>>> {
+        self.read(id).map(Some)
+    }
+
     /// Overwrites the node stored under `id`.
     fn write(&self, id: PageId, level: u16, entries: &[Entry<D>]) -> Result<()>;
 
@@ -71,9 +81,14 @@ pub trait NodeStore<const D: usize> {
     /// or how it is accounted.
     fn prefetch(&self, _id: PageId) {}
 
-    /// Fraction of recent page requests that missed the backend's cache,
-    /// in `[0, 1]` (`0.0` where the notion does not apply). The adaptive
-    /// prefetch policy in `nnq-core` keys on this.
+    /// Device reads per logical page read, in `[0, 1]` (`0.0` where the
+    /// notion does not apply): `(demand misses + prefetched pages a read
+    /// then claimed) / logical reads`. Who performed the device read does
+    /// not enter: a pool whose every cold page arrives through a hint is
+    /// as cold as one that takes every miss itself, and must not look
+    /// warm to the adaptive prefetch policy in `nnq-core`, which keys on
+    /// this (as does `TuneController`, on per-batch deltas of the same
+    /// three counters).
     fn io_miss_rate(&self) -> f64 {
         0.0
     }
@@ -635,6 +650,19 @@ impl<const D: usize> PagedStore<D> {
     }
 }
 
+impl<const D: usize> PagedStore<D> {
+    /// The decoded node of the fetched page `id`: shared from the cache, or
+    /// decoded from `page` and cached.
+    fn node_of(&self, id: PageId, page: &[u8]) -> Result<Arc<RawNode<D>>> {
+        if let Some(node) = self.cache.get(id) {
+            return Ok(node);
+        }
+        let node = Arc::new(decode_node(id, page)?);
+        self.cache.insert(id, Arc::clone(&node));
+        Ok(node)
+    }
+}
+
 impl<const D: usize> NodeStore<D> for PagedStore<D> {
     fn node_capacity(&self) -> usize {
         crate::codec::node_capacity(self.pool.page_size(), D)
@@ -646,12 +674,15 @@ impl<const D: usize> NodeStore<D> for PagedStore<D> {
         // what they would be without the node cache: the paper's cost
         // metric is page accesses, and the cache must not change it.
         let guard = self.pool.fetch(id)?;
-        if let Some(node) = self.cache.get(id) {
-            return Ok(node);
+        self.node_of(id, &guard)
+    }
+
+    fn try_read(&self, id: PageId) -> Result<Option<Arc<RawNode<D>>>> {
+        // Same order as `read`: the pool decides, and counts, first.
+        match self.pool.try_fetch(id)? {
+            Some(guard) => self.node_of(id, &guard).map(Some),
+            None => Ok(None),
         }
-        let node = Arc::new(decode_node(id, &guard)?);
-        self.cache.insert(id, Arc::clone(&node));
-        Ok(node)
     }
 
     fn write(&self, id: PageId, level: u16, entries: &[Entry<D>]) -> Result<()> {
@@ -718,7 +749,12 @@ impl<const D: usize> NodeStore<D> for PagedStore<D> {
     }
 
     fn io_miss_rate(&self) -> f64 {
-        self.pool.stats().miss_rate()
+        let pool = self.pool.stats();
+        if pool.logical_reads == 0 {
+            return 0.0;
+        }
+        let device_reads = pool.physical_reads + self.pool.prefetch_stats().useful;
+        device_reads as f64 / pool.logical_reads as f64
     }
 
     fn io_reads(&self) -> u64 {
@@ -1138,6 +1174,48 @@ mod tests {
         assert_eq!(base.logical_reads, tuned.logical_reads);
         assert_eq!(base.hits, tuned.hits);
         assert_eq!(base.physical_reads, tuned.physical_reads);
+    }
+
+    #[cfg(feature = "prefetch")]
+    #[test]
+    fn io_miss_rate_counts_claimed_prefetches_as_device_reads() {
+        // Two cold passes over the same pages: the first takes every miss
+        // itself, the second has each page prefetched and then claims it
+        // (all pool hits). Both cost one device read per page, and the
+        // adaptive policy's signal must say so both times.
+        let mut pool = BufferPool::new(Box::new(MemDisk::new(PAGE_SIZE)), 64);
+        pool.start_prefetch(1, 16);
+        let store = PagedStore::<2>::create_with_cache(Arc::new(pool), 8).unwrap();
+        let ids: Vec<_> = (0..8)
+            .map(|i| store.alloc(0, &[entry(i)]).unwrap())
+            .collect();
+        let pool = Arc::clone(store.pool());
+        let chill = || {
+            pool.flush_all().unwrap();
+            pool.clear_cache().unwrap();
+            pool.reset_stats();
+        };
+
+        chill();
+        assert_eq!(store.io_miss_rate(), 0.0, "no reads yet");
+        for &id in &ids {
+            NodeStore::read(&store, id).unwrap();
+        }
+        assert_eq!(pool.stats().physical_reads, 8);
+        assert_eq!(store.io_miss_rate(), 1.0);
+
+        chill();
+        for &id in &ids {
+            store.prefetch(id);
+        }
+        pool.prefetch_quiesce();
+        for &id in &ids {
+            NodeStore::read(&store, id).unwrap();
+        }
+        assert_eq!(pool.stats().physical_reads, 0, "every read was a hit");
+        assert_eq!(pool.prefetch_stats().useful, 8);
+        assert_eq!(pool.stats().miss_rate(), 0.0, "demand misses only");
+        assert_eq!(store.io_miss_rate(), 1.0, "as cold as the first pass");
     }
 
     #[test]

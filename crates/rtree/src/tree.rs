@@ -107,6 +107,17 @@ pub trait TreeAccess<const D: usize> {
     /// Reads the node under `page`.
     fn access_node(&self, page: PageId) -> Result<NodeView<D>>;
 
+    /// [`TreeAccess::access_node`] for a caller that has other work while
+    /// a device read runs: `Ok(None)` means the node's page is not loaded
+    /// yet — the backend is reading it, or has now queued it for a
+    /// background read — and no page access was counted; every visited
+    /// node still counts exactly one, on the call that returns it. The
+    /// default is the blocking `access_node`: in-memory trees (and any
+    /// backend without background I/O) never answer "not yet".
+    fn try_access_node(&self, page: PageId) -> Result<Option<NodeView<D>>> {
+        self.access_node(page).map(Some)
+    }
+
     /// Number of data entries in the tree.
     fn num_records(&self) -> u64;
 
@@ -116,9 +127,9 @@ pub trait TreeAccess<const D: usize> {
     /// [`TreeAccess::access_node`].
     fn prefetch_node(&self, _page: PageId) {}
 
-    /// Fraction of recent node accesses that missed the backend's page
-    /// cache, in `[0, 1]` (`0.0` where there is no I/O). Drives the
-    /// adaptive prefetch policy.
+    /// Device reads per node access, in `[0, 1]` (`0.0` where there is no
+    /// I/O) — demand misses plus claimed prefetches, see
+    /// [`NodeStore::io_miss_rate`]. Drives the adaptive prefetch policy.
     fn io_miss_rate(&self) -> f64 {
         0.0
     }
@@ -162,6 +173,10 @@ impl<const D: usize, S: NodeStore<D>> TreeAccess<D> for RTree<D, S> {
 
     fn access_node(&self, page: PageId) -> Result<NodeView<D>> {
         self.read_node(page)
+    }
+
+    fn try_access_node(&self, page: PageId) -> Result<Option<NodeView<D>>> {
+        self.try_read_node(page)
     }
 
     fn num_records(&self) -> u64 {
@@ -321,6 +336,10 @@ impl<const D: usize, S: NodeStore<D>> TreeAccess<D> for Snapshot<'_, D, S> {
 
     fn access_node(&self, page: PageId) -> Result<NodeView<D>> {
         self.tree.read_node(page)
+    }
+
+    fn try_access_node(&self, page: PageId) -> Result<Option<NodeView<D>>> {
+        self.tree.try_read_node(page)
     }
 
     fn num_records(&self) -> u64 {
@@ -617,6 +636,11 @@ impl<const D: usize, S: NodeStore<D>> RTree<D, S> {
     /// the decoded node was served from the node cache.
     pub fn read_node(&self, page: PageId) -> Result<NodeView<D>> {
         Ok(NodeView::new(page, self.store.read(page)?))
+    }
+
+    fn try_read_node(&self, page: PageId) -> Result<Option<NodeView<D>>> {
+        let node = self.store.try_read(page)?;
+        Ok(node.map(|node| NodeView::new(page, node)))
     }
 
     pub(crate) fn make_meta(&self, root: PageId, height: u32, count: u64) -> Meta {

@@ -824,19 +824,21 @@ impl<T: DiskManager> DiskManager for TornDisk<T> {
 
 /// A [`DiskManager`] decorator that fails one chosen `read_page` with an
 /// I/O error — the error-injection sibling of [`LatencyDisk`] and
-/// [`TornDisk`]. Test-only for now: reads are the only fault the pool's
-/// load protocol needs; writes and syncs follow with their callers.
-#[cfg(test)]
-pub(crate) struct FaultDisk<T: DiskManager> {
+/// [`TornDisk`]. The read that fails is whichever reaches the device as
+/// the k-th, a query's own demand load or a prefetch worker's background
+/// one; everything else delegates unchanged. Reads are the only fault the
+/// pool's load protocol and the traversals above it need; writes and syncs
+/// follow with their callers. Keep a handle via the `Arc<T>: DiskManager`
+/// delegation impl, like `LatencyDisk`.
+pub struct FaultDisk<T: DiskManager> {
     inner: T,
     /// Reads left until one fails; 0 means disarmed.
     reads_to_fault: AtomicU64,
 }
 
-#[cfg(test)]
 impl<T: DiskManager> FaultDisk<T> {
     /// Wraps `inner`, initially disarmed (a transparent passthrough).
-    pub(crate) fn new(inner: T) -> Self {
+    pub fn new(inner: T) -> Self {
         Self {
             inner,
             reads_to_fault: AtomicU64::new(0),
@@ -844,13 +846,12 @@ impl<T: DiskManager> FaultDisk<T> {
     }
 
     /// Makes the `k`-th `read_page` from now (1-based) return an error;
-    /// reads before and after it pass through.
-    pub(crate) fn fail_read(&self, k: u64) {
+    /// reads before and after it pass through. `0` disarms.
+    pub fn fail_read(&self, k: u64) {
         self.reads_to_fault.store(k, Ordering::Relaxed);
     }
 }
 
-#[cfg(test)]
 impl<T: DiskManager> DiskManager for FaultDisk<T> {
     fn page_size(&self) -> usize {
         self.inner.page_size()

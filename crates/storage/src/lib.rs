@@ -42,7 +42,8 @@ mod pool;
 mod wal;
 
 pub use disk::{
-    DiskManager, DiskStats, FileDisk, LatencyDisk, LatencyProfile, MemDisk, TornDisk, TornMode,
+    DiskManager, DiskStats, FaultDisk, FileDisk, LatencyDisk, LatencyProfile, MemDisk, TornDisk,
+    TornMode,
 };
 pub use error::{Result, StorageError};
 pub use heap::{HeapFile, HeapRecordId};

@@ -26,8 +26,15 @@
 //! gets an error too (never the frame's stale bytes), and the frame is
 //! unmapped and returns to the free list with its last unpin.
 //!
-//! Accounting invariant: every fetch increments exactly one shard's
-//! `logical_reads` cell, so the aggregate [`PoolStats`] — and therefore
+//! [`BufferPool::try_fetch`] is the fetch of a caller that would rather do
+//! something else than wait: a loaded page is pinned and counted exactly as
+//! by `fetch`; a page whose load is in flight, or an absent page that the
+//! prefetch queue accepts, is "not yet", with nothing counted and nothing
+//! held. The batch executor in `nnq-core` suspends the query there and runs
+//! another.
+//!
+//! Accounting invariant: every fetch that returns a page increments
+//! exactly one shard's `logical_reads` cell, so the aggregate [`PoolStats`] — and therefore
 //! the paper's "pages accessed" figure — is identical for every shard
 //! count. Eviction order (and hence `physical_reads` under a *finite*
 //! buffer) is per-shard LRU, which only coincides with global LRU at
@@ -42,6 +49,14 @@
 //! and dropped when the bounded queue is full; a worker fills its frame by
 //! the load protocol above, counting the frame `prefetched` where a demand
 //! miss counts a `physical_read`.
+//!
+//! Hints come in two kinds. A **speculative** hint (`prefetch`) names a
+//! page a traversal may visit — a sibling in its branch list, pruned as
+//! often as not. A **certain** hint is issued by `try_fetch` for the absent
+//! page its caller is suspended on: it is the next page that query reads.
+//! Both ride the same queue, workers and counters; a certain hint counts
+//! `issued` only when the queue takes it (otherwise the caller reads the
+//! page itself, as a demand miss).
 //!
 //! Prefetch accounting is kept strictly separate from [`PoolStats`] in
 //! [`PrefetchStats`]: issuing or completing a hint never moves
@@ -81,7 +96,11 @@ fn load_failed(id: PageId) -> StorageError {
 /// * `logical_reads` is the paper's **"pages accessed"** figure: every page
 ///   the algorithm touches, whether or not it was cached.
 /// * `physical_reads` (misses) is the **disk I/O** figure under a finite
-///   buffer, the quantity RKV'95's buffering experiments vary.
+///   buffer, the quantity RKV'95's buffering experiments vary. It counts
+///   *demand* device reads — the ones a fetch waited for itself. A page a
+///   prefetch worker read and a fetch then claimed is a hit here and a
+///   `useful` in [`PrefetchStats`]; device reads per logical read is
+///   `(physical_reads + useful) / logical_reads`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PoolStats {
     /// Total page fetches (read or write intent).
@@ -111,9 +130,13 @@ impl PoolStats {
         }
     }
 
-    /// Fraction of fetches that missed the cache, in `[0, 1]` (`0.0` for
-    /// an untouched pool, same convention as [`PoolStats::hit_rate`]).
-    /// This is the signal the adaptive prefetch policy keys on.
+    /// Fraction of fetches that had to read the device themselves — the
+    /// **demand** miss rate — in `[0, 1]` (`0.0` for an untouched pool,
+    /// same convention as [`PoolStats::hit_rate`]). Working prefetch
+    /// lowers it without the pool getting any warmer, so it is not the
+    /// signal the adaptive prefetch policy keys on (that is
+    /// `NodeStore::io_miss_rate` in `nnq-rtree`, which adds the claimed
+    /// prefetches back).
     pub fn miss_rate(&self) -> f64 {
         if self.logical_reads == 0 {
             0.0
@@ -276,6 +299,18 @@ impl Shard {
             stats: StatCells::default(),
         }
     }
+}
+
+/// What became of a hint offered to the prefetch queue.
+#[cfg(feature = "prefetch")]
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Hinted {
+    /// It entered the queue.
+    Queued,
+    /// The page was already queued or being read.
+    Pending,
+    /// The queue is full or shutting down.
+    Refused,
 }
 
 /// Queue shared between [`BufferPool::prefetch`] and the background I/O
@@ -720,16 +755,74 @@ impl BufferPool {
     #[inline]
     pub fn fetch(&self, id: PageId) -> Result<PageReadGuard<'_>> {
         let (shard_idx, frame_idx, data) = self.core.pin_frame(id, false)?;
+        self.read_guard(id, shard_idx, frame_idx, RwLock::read_arc(&data))
+    }
+
+    /// Wraps the latched, pinned frame of `id` as a guard, unless a failed
+    /// load left it empty.
+    fn read_guard(
+        &self,
+        id: PageId,
+        shard: usize,
+        frame: usize,
+        guard: ReadGuardInner,
+    ) -> Result<PageReadGuard<'_>> {
         let guard = PageReadGuard {
             pool: self,
-            shard: shard_idx,
-            frame: frame_idx,
-            guard: RwLock::read_arc(&data),
+            shard,
+            frame,
+            guard,
         };
         if guard.is_empty() {
             return Err(load_failed(id)); // dropping the guard unpins
         }
         Ok(guard)
+    }
+
+    /// [`BufferPool::fetch`] for a caller that has something else to do
+    /// while a device read runs: `Ok(None)` means "not yet", and **counts
+    /// nothing** — the page's one logical read is counted by the call that
+    /// returns it, this one or a later `fetch`.
+    ///
+    /// * Page loaded: pinned and returned exactly as `fetch` would (one
+    ///   logical read, one hit, `useful` if a prefetch brought it in), under
+    ///   the same single shard-lock acquisition.
+    /// * Page mapped but its load still in the device (or a writer holding
+    ///   its latch): not yet.
+    /// * Page absent: queued for a background read as a **certain** hint —
+    ///   the caller will come back for exactly this page — and not yet. A
+    ///   repeat call while the page is queued or being read issues nothing
+    ///   new. With no background reader to take it (no prefetcher, queue
+    ///   full, `prefetch` feature off) this is `fetch`: a counted, blocking
+    ///   demand load.
+    ///
+    /// Nothing is held across a "not yet": no pin, no latch. A page evicted
+    /// again before the caller returns simply takes the absent path again,
+    /// and a background read that failed leaves the page absent (the
+    /// failed hint counted `dropped`).
+    pub fn try_fetch(&self, id: PageId) -> Result<Option<PageReadGuard<'_>>> {
+        if !id.is_valid() {
+            return Err(StorageError::InvalidPage(id));
+        }
+        let shard_idx = (id.0 & self.core.shard_mask) as usize;
+        let shard = &self.core.shards[shard_idx];
+        let mut inner = shard.inner.lock();
+        if let Some(&frame_idx) = inner.map.get(&id) {
+            // A load in flight holds the frame's write latch from before
+            // the page is mapped until its bytes are in.
+            let Some(guard) = RwLock::try_read_arc(&inner.frames[frame_idx].data) else {
+                return Ok(None);
+            };
+            shard.stats.logical_reads.fetch_add(1, Ordering::Relaxed);
+            self.core.claim(shard, &mut inner, frame_idx, false);
+            drop(inner);
+            return self.read_guard(id, shard_idx, frame_idx, guard).map(Some);
+        }
+        drop(inner);
+        if self.core.request_load(id) {
+            return Ok(None);
+        }
+        self.fetch(id).map(Some)
     }
 
     /// Fetches a page for exclusive (write) access and marks it dirty.
@@ -936,31 +1029,43 @@ impl PoolCore {
         shard.stats.logical_reads.fetch_add(1, Ordering::Relaxed);
 
         if let Some(&frame_idx) = inner.map.get(&id) {
-            shard.stats.hits.fetch_add(1, Ordering::Relaxed);
-            inner.tick += 1;
-            let tick = inner.tick;
-            let f = &mut inner.frames[frame_idx];
-            if f.prefetched {
-                // First demand claim of a prefetched frame: the hint paid
-                // off.
-                f.prefetched = false;
-                self.prefetch.useful.fetch_add(1, Ordering::Relaxed);
-            }
-            f.pins += 1;
-            f.tick = tick;
-            if write_intent {
-                f.dirty = true;
-            }
             // If another thread (demand or prefetch) is still loading this
             // frame it holds the write latch, and the caller's latch
             // acquisition waits there, not on the shard, for the bytes.
-            return Ok((shard_idx, frame_idx, Arc::clone(&f.data)));
+            let data = self.claim(shard, &mut inner, frame_idx, write_intent);
+            return Ok((shard_idx, frame_idx, data));
         }
 
         shard.stats.physical_reads.fetch_add(1, Ordering::Relaxed);
         let frame_idx = self.acquire_frame(shard, &mut inner)?;
         let data = self.load(shard_idx, inner, frame_idx, id, write_intent, false)?;
         Ok((shard_idx, frame_idx, data))
+    }
+
+    /// The hit half of a fetch, under the shard lock: counts the hit, pins
+    /// the mapped frame `frame_idx` and stamps it most-recently-used.
+    fn claim(
+        &self,
+        shard: &Shard,
+        inner: &mut Inner,
+        frame_idx: usize,
+        write_intent: bool,
+    ) -> FrameData {
+        shard.stats.hits.fetch_add(1, Ordering::Relaxed);
+        inner.tick += 1;
+        let tick = inner.tick;
+        let f = &mut inner.frames[frame_idx];
+        if f.prefetched {
+            // First demand claim of a prefetched frame: the hint paid off.
+            f.prefetched = false;
+            self.prefetch.useful.fetch_add(1, Ordering::Relaxed);
+        }
+        f.pins += 1;
+        f.tick = tick;
+        if write_intent {
+            f.dirty = true;
+        }
+        Arc::clone(&f.data)
     }
 
     /// The one page-load protocol (module docs, "In-flight loads"), shared
@@ -1061,8 +1166,8 @@ impl PoolCore {
 
     // -- prefetch path -----------------------------------------------------
 
-    /// Foreground half of a prefetch: classify-or-enqueue, never blocking
-    /// on I/O.
+    /// Foreground half of a speculative prefetch: classify-or-enqueue,
+    /// never blocking on I/O.
     #[allow(unused_variables)]
     fn prefetch_enqueue(&self, id: PageId) {
         #[cfg(feature = "prefetch")]
@@ -1071,32 +1176,52 @@ impl PoolCore {
                 return;
             }
             self.prefetch.issued.fetch_add(1, Ordering::Relaxed);
-            if !id.is_valid() {
-                self.prefetch.dropped.fetch_add(1, Ordering::Relaxed);
-                return;
-            }
             // Dedup against resident pages. Advisory only — the worker
             // re-checks under the shard lock before reading.
-            let resident = { self.shard_of(id).inner.lock().map.contains_key(&id) };
-            if resident {
+            let wanted = id.is_valid() && !self.shard_of(id).inner.lock().map.contains_key(&id);
+            if !wanted || self.enqueue_hint(id, false) != Hinted::Queued {
                 self.prefetch.dropped.fetch_add(1, Ordering::Relaxed);
-                return;
             }
-            let mut st = self.prefetch.state.lock().unwrap();
-            if st.shutdown
-                || st.queued.contains(&id)
-                || st.in_flight.contains(&id)
-                || st.queue.len() >= st.cap
-            {
-                drop(st);
-                self.prefetch.dropped.fetch_add(1, Ordering::Relaxed);
-                return;
-            }
-            st.queue.push_back(id);
-            st.queued.insert(id);
-            drop(st);
-            self.prefetch.cvar.notify_all();
         }
+    }
+
+    /// Foreground half of a **certain** hint — [`BufferPool::try_fetch`]
+    /// found `id` absent and its caller will come back for it. Whether a
+    /// background read of the page is now queued or running; `false` means
+    /// the caller must read it itself. Only a hint that entered the queue
+    /// counts `issued`.
+    #[allow(unused_variables)]
+    fn request_load(&self, id: PageId) -> bool {
+        #[cfg(feature = "prefetch")]
+        {
+            self.prefetch.active.load(Ordering::Relaxed)
+                && self.enqueue_hint(id, true) != Hinted::Refused
+        }
+        #[cfg(not(feature = "prefetch"))]
+        false
+    }
+
+    /// Puts `id` on the prefetch queue unless it is already queued or being
+    /// read, or the queue is full. `count_issued` counts an accepted hint
+    /// before a worker can see it (speculative hints were counted on
+    /// arrival).
+    #[cfg(feature = "prefetch")]
+    fn enqueue_hint(&self, id: PageId, count_issued: bool) -> Hinted {
+        let mut st = self.prefetch.state.lock().unwrap();
+        if st.queued.contains(&id) || st.in_flight.contains(&id) {
+            return Hinted::Pending;
+        }
+        if st.shutdown || st.queue.len() >= st.cap {
+            return Hinted::Refused;
+        }
+        if count_issued {
+            self.prefetch.issued.fetch_add(1, Ordering::Relaxed);
+        }
+        st.queue.push_back(id);
+        st.queued.insert(id);
+        drop(st);
+        self.prefetch.cvar.notify_all();
+        Hinted::Queued
     }
 
     /// Background half of a prefetch: [`PoolCore::load`] `id` into a frame
@@ -1238,8 +1363,7 @@ impl Drop for PageWriteGuard<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::disk::FaultDisk;
-    use crate::{LatencyDisk, LatencyProfile, MemDisk};
+    use crate::{FaultDisk, LatencyDisk, LatencyProfile, MemDisk};
 
     fn pool(frames: usize) -> BufferPool {
         BufferPool::new(Box::new(MemDisk::new(128)), frames)
@@ -1986,11 +2110,19 @@ mod tests {
     }
 
     fn assert_no_pins_or_lost_frames(p: &BufferPool) {
+        assert_only_loaders_pin(p, 0);
+    }
+
+    /// No frame is lost, and nothing is pinned but the frames of the
+    /// `loading` loads parked in the device (one pin each).
+    fn assert_only_loaders_pin(p: &BufferPool, loading: u32) {
+        let mut pins = 0;
         for shard in &p.core.shards {
             let inner = shard.inner.lock();
-            assert!(inner.frames.iter().all(|f| f.pins == 0), "leaked pin");
             assert_eq!(inner.free.len() + inner.map.len(), inner.frames.len());
+            pins += inner.frames.iter().map(|f| f.pins).sum::<u32>();
         }
+        assert_eq!(pins, loading, "leaked pin");
     }
 
     fn misses_on_different_pages_overlap_in_the_device(loader: Loader) {
@@ -2090,6 +2222,96 @@ mod tests {
     fn racing_fetches_of_one_cold_page_share_the_prefetch_load() {
         racing_fetches_of_one_cold_page_cost_one_read(Loader::Prefetch);
         // (the one hint was claimed: counted once, as useful)
+    }
+
+    // -- the non-blocking fetch --------------------------------------------
+
+    #[test]
+    fn try_fetch_with_no_background_reader_is_a_counted_demand_load() {
+        #[allow(unused_mut)]
+        let mut p = pool(4);
+        // Compiled out, starting a prefetcher starts nothing.
+        #[cfg(not(feature = "prefetch"))]
+        p.start_prefetch(2, 16);
+        let ids = cold_pages(&p, 2);
+        assert_eq!(
+            p.try_fetch(ids[0]).unwrap().expect("loaded by the call")[0],
+            1
+        );
+        let s = p.stats();
+        assert_eq!((s.logical_reads, s.hits, s.physical_reads), (1, 0, 1));
+        // Resident now: the same call is a plain hit.
+        assert_eq!(p.try_fetch(ids[0]).unwrap().expect("resident")[0], 1);
+        let s = p.stats();
+        assert_eq!((s.logical_reads, s.hits, s.physical_reads), (2, 1, 1));
+        assert_eq!(p.prefetch_stats(), PrefetchStats::default());
+        assert!(p.try_fetch(PageId::INVALID).is_err());
+        assert_no_pins_or_lost_frames(&p);
+    }
+
+    #[cfg(feature = "prefetch")]
+    #[test]
+    fn try_fetch_counts_nothing_until_it_returns_the_page() {
+        let disk = GateDisk::new(MemDisk::new(128));
+        let (p, ids) = gated_pool(&disk, Loader::Prefetch, 2);
+        disk.close();
+        // Absent: queued as a certain hint, not yet.
+        assert!(p.try_fetch(ids[0]).unwrap().is_none());
+        disk.wait_arrived(1);
+        // Mapped, load in the device: not yet, and no second hint.
+        assert!(p.try_fetch(ids[0]).unwrap().is_none());
+        // Absent behind it in the queue (the one worker is busy): queued
+        // once, however often the caller comes back.
+        assert!(p.try_fetch(ids[1]).unwrap().is_none());
+        assert!(p.try_fetch(ids[1]).unwrap().is_none());
+        assert_eq!(
+            p.stats(),
+            PoolStats::default(),
+            "a 'not yet' counts nothing"
+        );
+        let pf = p.prefetch_stats();
+        assert_eq!((pf.issued, pf.useful, pf.wasted, pf.dropped), (2, 0, 0, 0));
+        assert_only_loaders_pin(&p, 1);
+
+        disk.open();
+        p.prefetch_quiesce();
+        for (i, &id) in ids.iter().enumerate() {
+            assert_eq!(p.try_fetch(id).unwrap().expect("loaded")[0], i as u8 + 1);
+        }
+        // The claim: one logical read, one hit, one useful — per page.
+        let s = p.stats();
+        assert_eq!((s.logical_reads, s.hits, s.physical_reads), (2, 2, 0));
+        let pf = p.prefetch_stats();
+        assert_eq!((pf.issued, pf.useful, pf.wasted, pf.dropped), (2, 2, 0, 0));
+        assert_eq!(p.disk_stats().reads, 2);
+        assert_no_pins_or_lost_frames(&p);
+    }
+
+    #[cfg(feature = "prefetch")]
+    #[test]
+    fn try_fetch_reads_the_page_itself_when_the_queue_is_full() {
+        let disk = GateDisk::new(MemDisk::new(128));
+        let mut p = BufferPool::new(Box::new(Arc::clone(&disk)), 8);
+        p.start_prefetch(1, 1);
+        let ids = cold_pages(&p, 3);
+        disk.close();
+        assert!(p.try_fetch(ids[0]).unwrap().is_none());
+        disk.wait_arrived(1); // the worker took it: the queue is empty again
+        assert!(p.try_fetch(ids[1]).unwrap().is_none()); // fills the queue
+        std::thread::scope(|scope| {
+            // No room for a third hint: a blocking demand load instead.
+            scope.spawn(|| assert_eq!(p.try_fetch(ids[2]).unwrap().expect("read")[0], 3));
+            disk.wait_arrived(2);
+            let s = p.stats();
+            assert_eq!((s.logical_reads, s.hits, s.physical_reads), (1, 0, 1));
+            assert_eq!(p.prefetch_stats().issued, 2, "a refused hint is not issued");
+            disk.open();
+        });
+        p.prefetch_quiesce();
+        p.clear_cache().unwrap();
+        let pf = p.prefetch_stats();
+        assert_eq!((pf.issued, pf.useful, pf.wasted, pf.dropped), (2, 0, 2, 0));
+        assert_no_pins_or_lost_frames(&p);
     }
 
     // -- failed loads ------------------------------------------------------

@@ -79,6 +79,16 @@ impl<T: ?Sized> RwLock<T> {
         self.0.read().unwrap_or_else(|e| e.into_inner())
     }
 
+    /// Shared access if it can be had without blocking: `None` while a
+    /// writer holds the lock (or, as in the real crate, is queued for it).
+    pub fn try_read(&self) -> Option<RwLockReadGuard<'_, T>> {
+        match self.0.try_read() {
+            Ok(guard) => Some(guard),
+            Err(std::sync::TryLockError::Poisoned(e)) => Some(e.into_inner()),
+            Err(std::sync::TryLockError::WouldBlock) => None,
+        }
+    }
+
     /// Acquires exclusive access.
     pub fn write(&self) -> RwLockWriteGuard<'_, T> {
         self.0.write().unwrap_or_else(|e| e.into_inner())
@@ -102,20 +112,19 @@ impl<T: 'static> RwLock<T> {
     pub fn read_arc(self: &Arc<Self>) -> ArcRwLockReadGuard<RawRwLock, T> {
         let lock = Arc::clone(self);
         let guard = lock.0.read().unwrap_or_else(|e| e.into_inner());
-        // SAFETY: erase the borrow of `lock` to 'static; `_lock` below owns
-        // an Arc to the same RwLock, so the referent outlives the guard,
-        // and field order drops the guard first.
-        let guard = unsafe {
-            std::mem::transmute::<
-                std::sync::RwLockReadGuard<'_, T>,
-                std::sync::RwLockReadGuard<'static, T>,
-            >(guard)
-        };
-        ArcRwLockReadGuard {
-            guard,
-            _lock: lock,
-            _raw: PhantomData,
-        }
+        // SAFETY: `lock` is an Arc to the RwLock `guard` borrows.
+        let guard = unsafe { erase_read(guard) };
+        ArcRwLockReadGuard::new(guard, lock)
+    }
+
+    /// [`RwLock::read_arc`] if it can be had without blocking (see
+    /// [`RwLock::try_read`]).
+    pub fn try_read_arc(self: &Arc<Self>) -> Option<ArcRwLockReadGuard<RawRwLock, T>> {
+        let lock = Arc::clone(self);
+        let guard = lock.try_read()?;
+        // SAFETY: `lock` is an Arc to the RwLock `guard` borrows.
+        let guard = unsafe { erase_read(guard) };
+        Some(ArcRwLockReadGuard::new(guard, lock))
     }
 
     /// Exclusive access through an `Arc`, returning an owned guard that
@@ -144,6 +153,34 @@ pub struct ArcRwLockReadGuard<R, T: 'static> {
     guard: std::sync::RwLockReadGuard<'static, T>,
     _lock: Arc<RwLock<T>>,
     _raw: PhantomData<R>,
+}
+
+/// Erases a shared guard's borrow of its lock to `'static`.
+///
+/// # Safety
+/// The caller must store the result in an [`ArcRwLockReadGuard`] beside an
+/// `Arc` to the lock `guard` borrows: the `Arc` keeps the referent alive
+/// for the guard's whole life, and field order drops the guard first.
+unsafe fn erase_read<T>(
+    guard: std::sync::RwLockReadGuard<'_, T>,
+) -> std::sync::RwLockReadGuard<'static, T> {
+    // SAFETY: the caller's promise, above.
+    unsafe {
+        std::mem::transmute::<
+            std::sync::RwLockReadGuard<'_, T>,
+            std::sync::RwLockReadGuard<'static, T>,
+        >(guard)
+    }
+}
+
+impl<R, T: 'static> ArcRwLockReadGuard<R, T> {
+    fn new(guard: std::sync::RwLockReadGuard<'static, T>, lock: Arc<RwLock<T>>) -> Self {
+        Self {
+            guard,
+            _lock: lock,
+            _raw: PhantomData,
+        }
+    }
 }
 
 impl<R, T: 'static> Deref for ArcRwLockReadGuard<R, T> {
@@ -194,6 +231,28 @@ mod tests {
             *g = 9;
         }
         assert_eq!(*lock.read(), 9);
+    }
+
+    #[test]
+    fn try_read_fails_only_while_a_writer_holds_the_lock() {
+        let lock = Arc::new(RwLock::new(7u32));
+        let shared = lock.read();
+        assert_eq!(lock.try_read().as_deref(), Some(&7)); // readers share
+        drop(shared);
+        let exclusive = lock.write();
+        assert!(lock.try_read().is_none());
+        assert!(RwLock::try_read_arc(&lock).is_none());
+        drop(exclusive);
+        assert_eq!(lock.try_read().as_deref(), Some(&7));
+    }
+
+    #[test]
+    fn try_read_arc_guard_outlives_original_handle_and_blocks_writers() {
+        let lock = Arc::new(RwLock::new(vec![4, 5]));
+        let guard = RwLock::try_read_arc(&lock).expect("unlocked");
+        assert!(lock.0.try_write().is_err());
+        drop(lock);
+        assert_eq!(*guard, vec![4, 5]);
     }
 
     #[test]
