@@ -11,7 +11,8 @@ use nnq_rtree::{
     BulkMethod, PartitionManifest, PartitionedTree, RTree, RTreeConfig, RecordId, SplitStrategy,
 };
 use nnq_storage::{
-    BufferPool, DiskManager, FileDisk, LatencyDisk, LatencyProfile, PageId, Wal, PAGE_SIZE,
+    BufferPool, DiskManager, FileDisk, LatencyDisk, LatencyProfile, PageId, PrefetchStats, Wal,
+    PAGE_SIZE,
 };
 use nnq_workloads::{
     default_bounds, gaussian_clusters, load_segments_csv, save_segments_csv, segments_to_items,
@@ -339,21 +340,45 @@ fn tune_report(controller: &TuneController) -> Option<String> {
 }
 
 /// The prefetch summary printed by `query` and `bench` when the pipeline
-/// is on. Quiesces first so every issued hint has been classified.
-fn prefetch_report(pool: &BufferPool, policy: PrefetchPolicy) -> Option<String> {
-    if !pool.prefetch_active() {
-        return None;
+/// is on, summed over `pools` (one, or a partitioned tree's). Quiesces each
+/// first so every issued hint has been classified.
+fn prefetch_report<'p>(
+    pools: impl IntoIterator<Item = &'p BufferPool>,
+    policy: PrefetchPolicy,
+) -> Option<String> {
+    let mut active = false;
+    let mut pf = PrefetchStats::default();
+    for pool in pools.into_iter().filter(|pool| pool.prefetch_active()) {
+        active = true;
+        pool.prefetch_quiesce();
+        let s = pool.prefetch_stats();
+        pf.issued += s.issued;
+        pf.useful += s.useful;
+        pf.wasted += s.wasted;
+        pf.dropped += s.dropped;
     }
-    pool.prefetch_quiesce();
-    let pf = pool.prefetch_stats();
-    Some(format!(
-        "prefetch {policy}: {} issued, {} useful, {} wasted, {} dropped, useful rate {:.1}%",
-        pf.issued,
-        pf.useful,
-        pf.wasted,
-        pf.dropped,
-        pf.useful_rate() * 100.0
-    ))
+    active.then(|| {
+        format!(
+            "prefetch {policy}: {} issued, {} useful, {} wasted, {} dropped, useful rate {:.1}%",
+            pf.issued,
+            pf.useful,
+            pf.wasted,
+            pf.dropped,
+            pf.useful_rate() * 100.0
+        )
+    })
+}
+
+/// Refuses an index and a data file that do not belong together: record
+/// ids index the data file, so a shorter one would be read out of bounds.
+fn check_pairing(entries: u64, segments: &[Segment]) -> Result<(), CliError> {
+    if segments.len() as u64 != entries {
+        return Err(CliError::Run(format!(
+            "index has {entries} entries but data file has {} segments — wrong pairing?",
+            segments.len()
+        )));
+    }
+    Ok(())
 }
 
 /// `nnq stats` — print the structure of an index file.
@@ -388,13 +413,7 @@ pub fn query(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     }
     let (tree, pool) = open_index_tuned(args.req("index")?, &read)?;
     let segments = load_segments_csv(args.req("data")?)?;
-    if segments.len() as u64 != tree.len() {
-        return Err(CliError::Run(format!(
-            "index has {} entries but data file has {} segments — wrong pairing?",
-            tree.len(),
-            segments.len()
-        )));
-    }
+    check_pairing(tree.len(), &segments)?;
     // The controller applies its initial knobs up front (one observation)
     // and re-samples after the query so the report reflects real traffic.
     let mut controller = TuneController::new(read.tune);
@@ -467,7 +486,7 @@ pub fn query(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         pool.stats().hit_rate() * 100.0,
         elapsed.as_secs_f64() * 1e6
     )?;
-    if let Some(report) = prefetch_report(&pool, prefetch) {
+    if let Some(report) = prefetch_report([&*pool], prefetch) {
         writeln!(out, "({report})")?;
     }
     controller.observe_tree(&tree);
@@ -499,13 +518,7 @@ fn query_partitioned(
     controller.observe_partitioned(&tree);
     let prefetch = controller.prefetch_policy().unwrap_or(read.prefetch);
     let segments = load_segments_csv(args.req("data")?)?;
-    if segments.len() as u64 != tree.len() {
-        return Err(CliError::Run(format!(
-            "index has {} entries but data file has {} segments — wrong pairing?",
-            tree.len(),
-            segments.len()
-        )));
-    }
+    check_pairing(tree.len(), &segments)?;
     let (x, y) = args.coords("at")?;
     let q = Point::new([x, y]);
     let refiner = FnRefiner::new(|rid: RecordId, _: &Rect<2>, p: &Point<2>| {
@@ -573,6 +586,7 @@ pub fn bench(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     }
     let (tree, pool) = open_index_tuned(args.req("index")?, &read)?;
     let segments = load_segments_csv(args.req("data")?)?;
+    check_pairing(tree.len(), &segments)?;
     let n_queries: usize = args.num("queries", 1000)?;
     let k: usize = args.num("k", 10)?;
     let seed: u64 = args.num("seed", 1)?;
@@ -645,9 +659,10 @@ pub fn bench(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         read.threads,
         pool.shard_count()
     )?;
-    if let Some(report) =
-        prefetch_report(&pool, controller.prefetch_policy().unwrap_or(read.prefetch))
-    {
+    if let Some(report) = prefetch_report(
+        [&*pool],
+        controller.prefetch_policy().unwrap_or(read.prefetch),
+    ) {
         writeln!(out, "{report}")?;
     }
     if let Some(report) = tune_report(&controller) {
@@ -669,6 +684,7 @@ fn bench_partitioned(
 ) -> Result<(), CliError> {
     let tree = open_partitioned(args.req("index")?, partitions, read)?;
     let segments = load_segments_csv(args.req("data")?)?;
+    check_pairing(tree.len(), &segments)?;
     let n_queries: usize = args.num("queries", 1000)?;
     let k: usize = args.num("k", 10)?;
     let seed: u64 = args.num("seed", 1)?;
@@ -692,7 +708,7 @@ fn bench_partitioned(
             prefetch: controller.prefetch_policy().unwrap_or(read.prefetch),
             ..NnOptions::with_kernel(read.kernel)
         };
-        let (_, ps, bstats) = partitioned_knn_batch_with_block(
+        let (answers, bstats) = partitioned_knn_batch_with_block(
             &tree,
             qs,
             k,
@@ -702,7 +718,9 @@ fn bench_partitioned(
             controller.block_override(),
         )
         .map_err(|e| CliError::Run(e.to_string()))?;
-        pstats.accumulate(&ps);
+        for (_, ps) in &answers {
+            pstats.accumulate(ps);
+        }
         controller.observe_batch(&bstats);
         controller.observe_partitioned(&tree);
     }
@@ -730,6 +748,12 @@ fn bench_partitioned(
         read.threads,
         read.pool_shards
     )?;
+    if let Some(report) = prefetch_report(
+        tree.partitions().iter().map(|part| &**part.pool()),
+        controller.prefetch_policy().unwrap_or(read.prefetch),
+    ) {
+        writeln!(out, "{report}")?;
+    }
     if let Some(report) = tune_report(&controller) {
         writeln!(out, "{report}")?;
     }
@@ -871,15 +895,6 @@ pub fn serve(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let listener = std::net::TcpListener::bind(("127.0.0.1", port))?;
     let addr = listener.local_addr()?;
 
-    let check_len = |entries: u64| -> Result<(), CliError> {
-        if segments.len() as u64 != entries {
-            return Err(CliError::Run(format!(
-                "index has {entries} entries but data file has {} segments — wrong pairing?",
-                segments.len()
-            )));
-        }
-        Ok(())
-    };
     let announce = |out: &mut dyn Write| -> Result<(), CliError> {
         writeln!(
             out,
@@ -898,7 +913,7 @@ pub fn serve(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let report = match partitions {
         None => {
             let (tree, pool) = open_index_tuned(index, &read)?;
-            check_len(tree.len())?;
+            check_pairing(tree.len(), &segments)?;
             announce(out)?;
             let report = nnq_serve::serve(
                 &nnq_serve::Engine::Single(&tree),
@@ -924,14 +939,14 @@ pub fn serve(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
                 cstats.hit_rate() * 100.0,
                 cstats.len
             )?;
-            if let Some(r) = prefetch_report(&pool, read.prefetch) {
+            if let Some(r) = prefetch_report([&*pool], read.prefetch) {
                 writeln!(out, "{r}")?;
             }
             report
         }
         Some(partitions) => {
             let tree = open_partitioned(index, partitions, &read)?;
-            check_len(tree.len())?;
+            check_pairing(tree.len(), &segments)?;
             announce(out)?;
             let report = nnq_serve::serve(
                 &nnq_serve::Engine::Partitioned(&tree),

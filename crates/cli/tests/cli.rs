@@ -251,6 +251,55 @@ fn query_rejects_mismatched_data_file() {
 }
 
 #[test]
+fn bench_rejects_a_data_file_that_does_not_match_the_index() {
+    let data = tmp("pair.csv");
+    let short = tmp("pair-short.csv");
+    let index = tmp("pair.rtree");
+    let parted = tmp("pair-parted.rtree");
+    run_ok(&["gen", "--kind", "uniform", "--n", "3000", "--out", &data]);
+    run_ok(&["gen", "--kind", "uniform", "--n", "500", "--out", &short]);
+    run_ok(&["build", "--input", &data, "--index", &index]);
+    run_ok(&[
+        "build",
+        "--input",
+        &data,
+        "--index",
+        &parted,
+        "--method",
+        "hilbert",
+        "--partitions",
+        "4",
+    ]);
+    // The real binary: a refiner indexing past the data file would panic
+    // (exit 101) where the check exits 1 with its message.
+    for (idx, extra) in [
+        (&index, vec![]),
+        (&parted, vec!["--partitions", "4", "--threads", "2"]),
+    ] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_nnq"))
+            .args(["bench", "--index", idx, "--data", &short, "--queries", "50"])
+            .args(&extra)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{extra:?}: {stderr}");
+        assert!(
+            stderr
+                .contains("index has 3000 entries but data file has 500 segments — wrong pairing?"),
+            "{extra:?}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{extra:?}: {stderr}");
+    }
+    for path in [&data, &short, &index] {
+        std::fs::remove_file(path).ok();
+    }
+    for i in 0..4 {
+        std::fs::remove_file(format!("{parted}.p{i}")).ok();
+    }
+    std::fs::remove_file(format!("{parted}.manifest")).ok();
+}
+
+#[test]
 fn explain_join_and_metric_queries() {
     let data = tmp("ext.csv");
     let outer = tmp("ext-outer.csv");
@@ -529,6 +578,43 @@ fn prefetch_and_io_latency_flags() {
     assert!(pf.contains("prefetch 4:"), "{pf}");
     assert!(pf.contains("useful"), "{pf}");
     assert!(pf.contains("wasted"), "{pf}");
+
+    // The partitioned bench prints the same line, summed over every
+    // partition's pool; its interleaved batches leave pages/query alone.
+    run_ok(&[
+        "build",
+        "--input",
+        &data,
+        "--index",
+        &index,
+        "--method",
+        "hilbert",
+        "--partitions",
+        "4",
+    ]);
+    let parted = |extra: &[&str]| -> String {
+        let mut args = vec!["--partitions", "4", "--threads", "2"];
+        args.extend_from_slice(extra);
+        bench_out(&args)
+    };
+    let base = parted(&[]);
+    assert!(!base.contains("prefetch"), "{base}");
+    for policy in ["4", "adaptive"] {
+        let pf = parted(&["--prefetch", policy, "--io-lat-us", "20"]);
+        assert_eq!(pages(&pf), pages(&base), "{pf}");
+        let line = pf
+            .lines()
+            .find(|l| l.starts_with(&format!("prefetch {policy}:")))
+            .unwrap_or_else(|| panic!("no prefetch line: {pf}"));
+        assert!(
+            line.contains("issued") && line.contains("useful rate"),
+            "{pf}"
+        );
+    }
+    for i in 0..4 {
+        std::fs::remove_file(format!("{index}.p{i}")).ok();
+    }
+    std::fs::remove_file(format!("{index}.manifest")).ok();
 
     // Bad values are usage errors on both commands.
     let mut sink = Vec::new();

@@ -311,17 +311,19 @@ impl<'t, const D: usize, T: TreeAccess<D> + ?Sized> NnSearch<'t, D, T> {
 
     /// One step of the query `(q, k)` as a resumable batch item: begins it
     /// if `cursor` is idle, else continues it where its last step stopped
-    /// (the caller passes the same `q`, `k` and `refiner` every time), and
-    /// runs until it ends or reaches a page that is not loaded
-    /// ([`Reads::Suspending`]; `wait` makes this step's first read wait).
-    /// The finished query's answer is exactly
-    /// [`NnSearch::query_refined_with`]'s.
+    /// (the caller passes the same `q`, `k`, `refiner` and `init_bound_sq`
+    /// every time), and runs until it ends or reaches a page that is not
+    /// loaded ([`Reads::Suspending`]; `wait` makes this step's first read
+    /// wait). The finished query's answer is exactly
+    /// [`NnSearch::query_refined_bounded`]'s — a single tree passes `+∞`,
+    /// a scatter-gather partition its round's bound.
     pub(crate) fn resume<R: Refiner<D>>(
         &self,
         cursor: &mut QueryCursor<D>,
         q: &Point<D>,
         k: usize,
         refiner: &R,
+        init_bound_sq: f64,
         wait: bool,
     ) -> Result<Poll<(Vec<Neighbor<D>>, SearchStats)>> {
         if cursor.is_idle() {
@@ -336,7 +338,7 @@ impl<'t, const D: usize, T: TreeAccess<D> + ?Sized> NnSearch<'t, D, T> {
             cursor,
             trace: None,
             prefetch_depth: 0,
-            shared_bound_sq: f64::INFINITY,
+            shared_bound_sq: init_bound_sq,
         };
         ctx.advance(Reads::Suspending { wait_first: wait })
     }
@@ -714,6 +716,7 @@ impl<const D: usize, T: TreeAccess<D> + ?Sized, R: Refiner<D>> Ctx<'_, '_, D, T,
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stalling::Stalling;
     use nnq_geom::Rect;
     use nnq_rtree::{RTreeConfig, RecordId};
     use nnq_storage::{BufferPool, MemDisk, PAGE_SIZE};
@@ -881,57 +884,6 @@ mod tests {
         }
     }
 
-    /// A tree whose non-blocking read says "not yet" `stalls` times before
-    /// every node it hands out (`usize::MAX`: always), and whose reads fail
-    /// outright once `fail_after` nodes have been handed out.
-    struct Stalling<'t> {
-        tree: &'t RTree<2>,
-        stalls: usize,
-        fail_after: usize,
-        /// Consecutive "not yet"s since the last node handed out.
-        stalled: std::cell::Cell<usize>,
-        handed_out: std::cell::Cell<usize>,
-        not_yets: std::cell::Cell<usize>,
-    }
-
-    impl<'t> Stalling<'t> {
-        fn new(tree: &'t RTree<2>, stalls: usize) -> Self {
-            Self {
-                tree,
-                stalls,
-                fail_after: usize::MAX,
-                stalled: Default::default(),
-                handed_out: Default::default(),
-                not_yets: Default::default(),
-            }
-        }
-    }
-
-    impl TreeAccess<2> for Stalling<'_> {
-        fn access_root(&self) -> Option<PageId> {
-            self.tree.access_root()
-        }
-        fn access_node(&self, page: PageId) -> Result<NodeView<2>> {
-            if self.handed_out.get() >= self.fail_after {
-                return Err(nnq_rtree::RTreeError::NotFound);
-            }
-            self.stalled.set(0);
-            self.handed_out.set(self.handed_out.get() + 1);
-            self.tree.access_node(page)
-        }
-        fn try_access_node(&self, page: PageId) -> Result<Option<NodeView<2>>> {
-            if self.stalled.get() < self.stalls {
-                self.stalled.set(self.stalled.get() + 1);
-                self.not_yets.set(self.not_yets.get() + 1);
-                return Ok(None);
-            }
-            self.access_node(page).map(Some)
-        }
-        fn num_records(&self) -> u64 {
-            self.tree.num_records()
-        }
-    }
-
     fn same_answer(a: &(Vec<Neighbor<2>>, SearchStats), b: &(Vec<Neighbor<2>>, SearchStats)) {
         assert_eq!(a.1, b.1, "search stats differ");
         assert_eq!(a.0.len(), b.0.len());
@@ -956,7 +908,7 @@ mod tests {
             let got = loop {
                 steps += 1;
                 match search
-                    .resume(&mut cursor, &q, 6, &MbrRefiner, false)
+                    .resume(&mut cursor, &q, 6, &MbrRefiner, f64::INFINITY, false)
                     .unwrap()
                 {
                     Poll::Ready(answer) => break answer,
@@ -996,7 +948,7 @@ mod tests {
         let mut cursor = QueryCursor::new();
         assert!(matches!(
             search
-                .resume(&mut cursor, &q, 4, &MbrRefiner, false)
+                .resume(&mut cursor, &q, 4, &MbrRefiner, f64::INFINITY, false)
                 .unwrap(),
             Poll::Waiting { advanced: false }
         ));
@@ -1004,7 +956,7 @@ mod tests {
         let got = loop {
             waits += 1;
             match search
-                .resume(&mut cursor, &q, 4, &MbrRefiner, true)
+                .resume(&mut cursor, &q, 4, &MbrRefiner, f64::INFINITY, true)
                 .unwrap()
             {
                 Poll::Ready(answer) => break answer,
@@ -1036,7 +988,7 @@ mod tests {
             for (i, (q, k)) in queries.iter().enumerate() {
                 if answers[i].is_none() {
                     if let Poll::Ready(answer) = search
-                        .resume(&mut cursors[i], q, *k, &MbrRefiner, false)
+                        .resume(&mut cursors[i], q, *k, &MbrRefiner, f64::INFINITY, false)
                         .unwrap()
                     {
                         answers[i] = Some(answer);
@@ -1054,7 +1006,7 @@ mod tests {
         let (q, k) = queries[4];
         let again = loop {
             if let Poll::Ready(answer) = search
-                .resume(&mut cursors[0], &q, k, &MbrRefiner, false)
+                .resume(&mut cursors[0], &q, k, &MbrRefiner, f64::INFINITY, false)
                 .unwrap()
             {
                 break answer;
@@ -1072,7 +1024,7 @@ mod tests {
         let mut cursor = QueryCursor::new();
         let search = NnSearch::new(&failing);
         let err = loop {
-            match search.resume(&mut cursor, &q, 3, &MbrRefiner, false) {
+            match search.resume(&mut cursor, &q, 3, &MbrRefiner, f64::INFINITY, false) {
                 Ok(Poll::Ready(_)) => panic!("the third read fails"),
                 Ok(Poll::Waiting { .. }) => {}
                 Err(e) => break e,

@@ -77,6 +77,8 @@ mod result_cache;
 mod scan;
 mod scatter;
 mod spatial_join;
+#[cfg(test)]
+mod stalling;
 mod tune;
 
 pub use best_first::{best_first_knn, best_first_knn_opts, best_first_knn_with};
@@ -101,7 +103,7 @@ pub use scan::{linear_scan_knn, scan_items_knn};
 pub use scatter::{
     partitioned_knn, partitioned_knn_batch, partitioned_knn_batch_with_block,
     partitioned_mixed_batch_dedup, partitioned_radius, scatter_knn, scatter_radius,
-    PartitionedStats, SharedBound,
+    PartitionedStats,
 };
 pub use spatial_join::{intersection_join, intersection_join_with, JoinStats};
 pub use tune::{KnobSettings, TuneBounds, TuneController};

@@ -265,19 +265,26 @@ pub(crate) fn steal_map<S, O: Send>(
     Ok((results, stats))
 }
 
-/// Whether a batch of kNN traversals over `tree` interleaves: its prefetch
-/// policy resolves to hinting at all, and there are background readers to
-/// take the pages suspended queries wait for. Otherwise (policy off, warm
-/// or in-memory backend, no prefetcher) a "not yet" could never be
-/// answered, and the workers run item by item.
-fn interleaves<const D: usize, T: TreeAccess<D> + ?Sized>(tree: &T, opts: &NnOptions) -> bool {
+/// Whether a batch of kNN traversals over `trees` — one tree, or the
+/// partitions a scatter-gather query reads — interleaves: for some tree
+/// the prefetch policy resolves to hinting at all, and there are
+/// background readers to take the pages suspended queries wait for.
+/// Otherwise (policy off, warm or in-memory backend, no prefetcher) a "not
+/// yet" could never be answered, and the workers run item by item. (A
+/// tree without background readers in an interleaving batch just loads on
+/// demand: `try_access_node` has nobody to queue the page for.)
+pub(crate) fn interleaves<'t, const D: usize, T: TreeAccess<D> + ?Sized + 't>(
+    trees: impl IntoIterator<Item = &'t T>,
+    opts: &NnOptions,
+) -> bool {
     // (`Off` first: a batch that never hints reads no backend counter.)
     opts.prefetch != PrefetchPolicy::Off
-        && opts
-            .prefetch
-            .resolve_with_activity(tree.io_miss_rate(), tree.io_reads())
-            > 0
-        && tree.backend_signals().prefetch_workers > 0
+        && trees.into_iter().any(|tree| {
+            opts.prefetch
+                .resolve_with_activity(tree.io_miss_rate(), tree.io_reads())
+                > 0
+                && tree.backend_signals().prefetch_workers > 0
+        })
 }
 
 /// The claim schedule for `order` over a batch's query points: `None`
@@ -372,7 +379,7 @@ where
     R: Refiner<D> + Sync,
 {
     let schedule = claim_order(order, queries.iter().copied());
-    let interleave = interleaves(tree, &opts);
+    let interleave = interleaves([tree], &opts);
     steal_map(
         queries.len(),
         threads,
@@ -384,20 +391,33 @@ where
         // every query the worker runs on it.
         || (NnSearch::with_options(tree, opts), QueryCursor::new()),
         |(search, cursor), i, wait| {
-            let polled = knn_step(search, cursor, &queries[i], k, refiner, interleave, wait)?;
+            let polled = knn_step(
+                search,
+                cursor,
+                &queries[i],
+                k,
+                refiner,
+                f64::INFINITY,
+                interleave,
+                wait,
+            )?;
             Ok(polled.map(|(found, _)| found))
         },
     )
 }
 
-/// One executor step of a kNN item: resumable where the batch interleaves,
-/// else the whole query, hints and all, as the sequential API runs it.
-fn knn_step<const D: usize, T, R>(
+/// One executor step of a kNN traversal pre-pruned by `bound_sq` (`+∞`
+/// for a single tree, the round's bound for a scatter-gather partition):
+/// resumable where the batch interleaves, else the whole traversal, hints
+/// and all, as the sequential API runs it.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn knn_step<const D: usize, T, R>(
     search: &NnSearch<'_, D, T>,
     cursor: &mut QueryCursor<D>,
     q: &Point<D>,
     k: usize,
     refiner: &R,
+    bound_sq: f64,
     interleave: bool,
     wait: bool,
 ) -> Result<Poll<(Vec<Neighbor<D>>, SearchStats)>>
@@ -406,10 +426,10 @@ where
     R: Refiner<D>,
 {
     if interleave {
-        search.resume(cursor, q, k, refiner, wait)
+        search.resume(cursor, q, k, refiner, bound_sq, wait)
     } else {
         search
-            .query_refined_with(cursor, q, k, refiner)
+            .query_refined_bounded(cursor, q, k, refiner, bound_sq)
             .map(Poll::Ready)
     }
 }
@@ -440,7 +460,7 @@ where
     R: Refiner<D> + Sync,
 {
     let schedule = claim_order(order, requests.iter().map(|r| *r.point()));
-    let interleave = interleaves(tree, &opts);
+    let interleave = interleaves([tree], &opts);
     steal_map(
         requests.len(),
         threads,
@@ -451,7 +471,16 @@ where
         // Radius queries take the standalone traversal (no cursor state,
         // one step), kNN runs on the slot's cursor.
         |(search, cursor), i, wait| match requests[i] {
-            BatchQuery::Knn { q, k } => knn_step(search, cursor, &q, k, refiner, interleave, wait),
+            BatchQuery::Knn { q, k } => knn_step(
+                search,
+                cursor,
+                &q,
+                k,
+                refiner,
+                f64::INFINITY,
+                interleave,
+                wait,
+            ),
             BatchQuery::Radius { q, radius } => {
                 within_radius_with(tree, &q, radius, refiner, opts.kernel).map(Poll::Ready)
             }

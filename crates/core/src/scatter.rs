@@ -7,26 +7,26 @@
 //! the bound — the scale-out form of branch-and-bound kNN. This module
 //! implements that search over any slice of [`TreeAccess`] backends plus
 //! their MBRs ([`scatter_knn`] / [`scatter_radius`]), with convenience
-//! wrappers for [`PartitionedTree`].
+//! wrappers and batch executors for [`PartitionedTree`].
 //!
 //! ## The shared-bound round protocol
 //!
 //! Partitions are scheduled in ascending `(MINDIST(q, partition MBR),
 //! partition index)` order and executed in **rounds** of doubling size
-//! (1, 1, 2, 4, 8, …). At the start of each round the [`SharedBound`] —
-//! an `AtomicU64` holding the best k-th squared distance as `f64` bits —
-//! is sampled **once**:
+//! (1, 1, 2, 4, 8, …). At the start of each round the bound — the k-th
+//! squared distance of the candidates merged so far, `+∞` until there are
+//! k — is sampled **once**:
 //!
 //! * every scheduled partition whose MINDIST is at or beyond the sample
 //!   is pruned, along with the entire remaining schedule (the schedule is
 //!   sorted by MINDIST and the bound only tightens, so the first pruned
 //!   partition proves the rest);
-//! * the round's survivors are searched in parallel, each through its own
-//!   [`QueryCursor`] pre-pruned by the *same* sampled bound
+//! * each of the round's survivors is searched through a [`QueryCursor`]
+//!   pre-pruned by that *same* sampled bound
 //!   ([`NnSearch::query_refined_bounded`]);
-//! * after a barrier, per-partition results are merged into the global
-//!   candidate heap in schedule order, and only then is the shared bound
-//!   tightened.
+//! * once all of them are done, their results are merged into the
+//!   candidate heap in schedule order, which tightens the bound for the
+//!   next round.
 //!
 //! Sampling per round — never mid-flight — is a deliberate trade: a live
 //! bound would sometimes prune a little more, but *which* pages a
@@ -34,71 +34,52 @@
 //! protocol, every per-partition traversal is a pure function of
 //! `(partition, query, k, round bound)`, so results, every
 //! [`SearchStats`] counter, and the summed per-partition `logical_reads`
-//! are bit-identical across thread counts — the same accounting contract
-//! the rest of this crate keeps for caches, kernels, and prefetch. The
-//! doubling round sizes bound the cost of the serialization: the first
-//! two rounds establish a tight bound from the nearest partitions (one
-//! partition each), after which wide rounds exploit full parallelism —
-//! at most ⌈log₂ P⌉ + 1 barriers for P partitions.
+//! are bit-identical however a round's partitions are run — the same
+//! accounting contract the rest of this crate keeps for caches, kernels,
+//! and prefetch. The doubling round sizes bound the cost of the
+//! serialization: the first two rounds establish a tight bound from the
+//! nearest partitions (one partition each), after which wide rounds
+//! exploit full parallelism — at most ⌈log₂ P⌉ + 1 rounds for P
+//! partitions.
 //!
 //! The first round starts with an infinite bound, so the nearest
 //! partition is searched exactly as a standalone tree would be; with one
 //! partition the whole protocol degenerates to a plain single-tree query.
+//!
+//! ## One protocol, two drivers
+//!
+//! The protocol's whole state is plain data in a per-query scratch
+//! (`ScatterCursor`): the schedule, the current round and its sampled
+//! bound, the round's per-partition outputs in schedule order, the merged
+//! heap, the [`PartitionedStats`] and one [`QueryCursor`]. Two drivers run
+//! a round's partitions:
+//!
+//! * [`scatter_knn`] (one query, [`partitioned_knn`]) runs them **in
+//!   parallel**, one executor item per partition;
+//! * a kNN item of a partitioned batch ([`partitioned_knn_batch`],
+//!   [`partitioned_mixed_batch_dedup`]) runs them **one after another** —
+//!   partition parallelism and batch parallelism would fight over the
+//!   same cores — and is resumable: where the batch interleaves
+//!   (§"Batch executor" in DESIGN.md), a partition's traversal stops in
+//!   front of a page that is not loaded, that page goes as a certain hint
+//!   to its own partition's pool, and the worker runs another query of
+//!   the batch meanwhile.
+//!
+//! Both compute exactly what `scatter_knn(.., threads = 1)` computes.
 
 use crate::branch_bound::{NnSearch, QueryCursor};
 use crate::heap::KnnHeap;
 use crate::join::JoinOrder;
 use crate::options::{Neighbor, NnOptions, SearchStats};
-use crate::parallel::{claim_order, dedup, steal_map, whole, BatchQuery, BatchStats};
+use crate::parallel::{
+    claim_order, dedup, interleaves, knn_step, steal_map, whole, BatchQuery, BatchStats, Poll,
+};
 use crate::radius::within_radius_with;
 use crate::refine::Refiner;
 use crate::Result;
 use nnq_geom::{mindist_sq, Point, Rect};
 use nnq_rtree::{PartitionedTree, TreeAccess};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// The k-th-distance bound shared across partition searches: an
-/// `AtomicU64` holding `f64` bits, tightened monotonically.
-///
-/// Squared distances are nonnegative, and `f64::to_bits` is
-/// order-preserving on nonnegative values, so the CAS loop in
-/// [`SharedBound::tighten`] can compare bit patterns' float values
-/// directly without worrying about the sign-magnitude encoding.
-pub struct SharedBound(AtomicU64);
-
-impl SharedBound {
-    /// A fresh bound: `+∞` (nothing prunes yet).
-    pub fn new() -> Self {
-        Self(AtomicU64::new(f64::INFINITY.to_bits()))
-    }
-
-    /// The current bound.
-    pub fn get(&self) -> f64 {
-        f64::from_bits(self.0.load(Ordering::Acquire))
-    }
-
-    /// Lowers the bound to `value` if `value` is tighter; never raises it.
-    pub fn tighten(&self, value: f64) {
-        let mut current = self.0.load(Ordering::Acquire);
-        while value < f64::from_bits(current) {
-            match self.0.compare_exchange_weak(
-                current,
-                value.to_bits(),
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => return,
-                Err(actual) => current = actual,
-            }
-        }
-    }
-}
-
-impl Default for SharedBound {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+use std::ops::Range;
 
 /// Work counters for one scatter-gather query (or a batch of them).
 ///
@@ -137,30 +118,195 @@ struct Sched {
     part: usize,
 }
 
-/// Builds the MINDIST-ascending schedule (ties broken by partition
-/// index, so the order is total and deterministic).
-fn schedule<const D: usize>(q: &Point<D>, mbrs: &[Rect<D>]) -> Vec<Sched> {
-    let mut sched: Vec<Sched> = mbrs
-        .iter()
-        .enumerate()
-        .map(|(part, mbr)| Sched {
-            // An empty partition's MBR is `Rect::empty()` with infinite
-            // corners: its MINDIST evaluates to +∞ and the schedule tail
-            // prunes it without a special case.
-            mindist_sq: mindist_sq(q, mbr),
-            part,
-        })
-        .collect();
+/// Fills `sched` with the MINDIST-ascending schedule (ties broken by
+/// partition index, so the order is total and deterministic).
+fn schedule<const D: usize>(sched: &mut Vec<Sched>, q: &Point<D>, mbrs: &[Rect<D>]) {
+    sched.clear();
+    sched.extend(mbrs.iter().enumerate().map(|(part, mbr)| Sched {
+        // An empty partition's MBR is `Rect::empty()` with infinite
+        // corners: its MINDIST evaluates to +∞ and the schedule tail
+        // prunes it without a special case.
+        mindist_sq: mindist_sq(q, mbr),
+        part,
+    }));
     sched.sort_by(|a, b| {
         a.mindist_sq
             .total_cmp(&b.mindist_sq)
             .then_with(|| a.part.cmp(&b.part))
     });
-    sched
+}
+
+/// One kNN scatter-gather query's round protocol (module docs) as plain
+/// data, reused across the queries its owner runs.
+struct ScatterCursor<const D: usize> {
+    /// The query's partitions, MINDIST-ascending.
+    sched: Vec<Sched>,
+    /// The current round: the slots of `sched` it covers. Later rounds
+    /// start at its end.
+    round: Range<usize>,
+    /// The bound the current round's partitions are pre-pruned by.
+    bound: f64,
+    /// The current round's per-partition answers so far, in schedule order.
+    outs: Vec<(Vec<Neighbor<D>>, SearchStats)>,
+    /// The candidates of every finished round.
+    heap: KnnHeap<D>,
+    stats: PartitionedStats,
+    /// The traversal of the partition under way (batch items only).
+    cursor: QueryCursor<D>,
+    /// Whether a query is under way.
+    active: bool,
+}
+
+impl<const D: usize> ScatterCursor<D> {
+    fn new() -> Self {
+        Self {
+            sched: Vec::new(),
+            round: 0..0,
+            bound: f64::INFINITY,
+            outs: Vec::new(),
+            heap: KnnHeap::new(1),
+            stats: PartitionedStats::default(),
+            cursor: QueryCursor::new(),
+            active: false,
+        }
+    }
+
+    /// Starts the `k`-NN query at `q` over partitions bounded by `mbrs`.
+    fn begin(&mut self, q: &Point<D>, k: usize, mbrs: &[Rect<D>]) {
+        self.heap.reset(k);
+        schedule(&mut self.sched, q, mbrs);
+        self.round = 0..0;
+        self.outs.clear();
+        self.stats = PartitionedStats::default();
+        self.active = true;
+    }
+
+    /// Merges the finished round's answers in schedule order, then samples
+    /// the bound and opens the next round: 1, 1, 2, 4, 8, … partitions —
+    /// cheap serial rounds while the bound is loose, wide ones once it is
+    /// tight — cut short at the first partition the bound prunes. `false`
+    /// when there is none to open: the query is over.
+    fn next_round(&mut self) -> bool {
+        for (found, part_stats) in self.outs.drain(..) {
+            self.stats.search.accumulate(&part_stats);
+            for n in found {
+                self.heap.offer(n.record, n.mbr, n.dist_sq);
+            }
+        }
+        let size = match self.stats.rounds {
+            0 | 1 => 1,
+            r => 2usize.saturating_pow((r - 1) as u32),
+        };
+        self.bound = self.heap.bound_sq();
+        let start = self.round.end;
+        // The schedule is MINDIST-ascending and the bound is monotone, so
+        // the first entry at/above the bound proves the whole tail.
+        let take = self.sched[start..]
+            .iter()
+            .take(size)
+            .take_while(|s| s.mindist_sq < self.bound)
+            .count();
+        self.round = start..start + take;
+        self.stats.rounds += u64::from(take > 0);
+        self.stats.partitions_visited += take as u64;
+        take > 0
+    }
+
+    /// The query's answer, sorted by `(distance, record)`, and its
+    /// counters; leaves the cursor ready for the next query.
+    fn finish(&mut self) -> (Vec<Neighbor<D>>, PartitionedStats) {
+        self.active = false;
+        self.stats.partitions_pruned = self.sched.len() as u64 - self.stats.partitions_visited;
+        (self.heap.drain_sorted(), self.stats)
+    }
+
+    /// One step of the query `(q, k)` as a batch item, running each
+    /// round's partitions one after another on the cursor's own
+    /// [`QueryCursor`]: begins the query if none is under way, else goes
+    /// on where the last step stopped (the caller passes the same `q` and
+    /// `k` every time). Under `on.interleave` a partition's traversal is
+    /// resumable and the step returns [`Poll::Waiting`] at the first page
+    /// that is not loaded; `wait` makes the step's first read wait.
+    fn step<T, R>(
+        &mut self,
+        on: &Scatter<'_, D, T, R>,
+        q: &Point<D>,
+        k: usize,
+        mut wait: bool,
+    ) -> Result<Poll<(Vec<Neighbor<D>>, PartitionedStats)>>
+    where
+        T: TreeAccess<D>,
+        R: Refiner<D>,
+    {
+        if !self.active {
+            self.begin(q, k, &on.mbrs);
+        }
+        let mut advanced = false;
+        loop {
+            // Once every partition of the round has answered, the next.
+            if self.outs.len() == self.round.len() && !self.next_round() {
+                return Ok(Poll::Ready(self.finish()));
+            }
+            let part = self.sched[self.round.start + self.outs.len()].part;
+            let search = NnSearch::with_options(&on.parts[part], on.opts);
+            let polled = knn_step(
+                &search,
+                &mut self.cursor,
+                q,
+                k,
+                on.refiner,
+                self.bound,
+                on.interleave,
+                wait,
+            );
+            match polled {
+                Ok(Poll::Ready(out)) => {
+                    self.outs.push(out);
+                    advanced = true;
+                    wait = false;
+                }
+                Ok(Poll::Waiting { advanced: moved }) => {
+                    return Ok(Poll::Waiting {
+                        advanced: advanced || moved,
+                    })
+                }
+                Err(e) => {
+                    self.active = false;
+                    return Err(e);
+                }
+            }
+        }
+    }
+}
+
+/// What every kNN item of one partitioned batch scatters over, and how.
+struct Scatter<'a, const D: usize, T, R> {
+    parts: &'a [T],
+    mbrs: Vec<Rect<D>>,
+    opts: NnOptions,
+    refiner: &'a R,
+    /// Whether the batch interleaves: partition traversals are resumable.
+    interleave: bool,
+}
+
+impl<'a, const D: usize, R: Refiner<D>> Scatter<'a, D, nnq_rtree::RTree<D>, R> {
+    /// A batch over `tree`'s partitions and manifest MBRs, interleaving by
+    /// the executor's rule ([`interleaves`]).
+    fn new(tree: &'a PartitionedTree<D>, opts: NnOptions, refiner: &'a R) -> Self {
+        let parts = tree.partitions();
+        Self {
+            parts,
+            mbrs: manifest_mbrs(tree),
+            opts,
+            refiner,
+            interleave: interleaves(parts, &opts),
+        }
+    }
 }
 
 /// Branch-and-bound kNN over `parts`, visiting partitions in MINDIST
-/// order under the shared-bound round protocol (module docs).
+/// order under the shared-bound round protocol (module docs), each
+/// round's partitions in parallel over up to `threads` workers.
 ///
 /// `mbrs[i]` must bound every object in `parts[i]`
 /// ([`Rect::empty`] for an empty partition). Results are the exact k
@@ -185,34 +331,12 @@ where
     R: Refiner<D> + Sync,
 {
     assert_eq!(parts.len(), mbrs.len(), "one MBR per partition");
-    assert!(k > 0, "k must be at least 1");
     assert!(threads > 0, "need at least one worker");
-    let sched = schedule(q, mbrs);
-    let shared = SharedBound::new();
-    let mut heap = KnnHeap::<D>::new(k);
-    let mut stats = PartitionedStats::default();
-    let mut next = 0usize; // first unprocessed schedule slot
-    let mut round_size = 1usize;
-
-    while next < sched.len() {
-        let bound = shared.get();
-        // The schedule is MINDIST-ascending and the bound is monotone, so
-        // the first entry at/above the bound proves the whole tail.
-        let take = sched[next..]
-            .iter()
-            .take(round_size)
-            .take_while(|s| s.mindist_sq < bound)
-            .count();
-        if take == 0 {
-            break;
-        }
-        let round = &sched[next..next + take];
-        next += take;
-        stats.rounds += 1;
-        stats.partitions_visited += round.len() as u64;
-
-        // One claim per partition, each pre-pruned by the round's sampled
-        // bound; one cursor per worker.
+    let mut sc = ScatterCursor::new();
+    sc.begin(q, k, mbrs);
+    while sc.next_round() {
+        let (round, bound) = (&sc.sched[sc.round.clone()], sc.bound);
+        // One claim per partition, one cursor per worker.
         let (outs, _) = steal_map(
             round.len(),
             threads,
@@ -225,23 +349,9 @@ where
                     .query_refined_bounded(qc, q, k, refiner, bound)
             }),
         )?;
-        // Gather: merge in schedule order — deterministic regardless of
-        // which worker finished first.
-        for (found, part_stats) in outs {
-            stats.search.accumulate(&part_stats);
-            for n in found {
-                heap.offer(n.record, n.mbr, n.dist_sq);
-            }
-        }
-        shared.tighten(heap.bound_sq());
-        // 1, 1, 2, 4, 8, …: cheap serial rounds while the bound is loose,
-        // wide parallel rounds once it is tight.
-        if stats.rounds >= 2 {
-            round_size = round_size.saturating_mul(2);
-        }
+        sc.outs = outs;
     }
-    stats.partitions_pruned = sched.len() as u64 - stats.partitions_visited;
-    Ok((heap.drain_sorted(), stats))
+    Ok(sc.finish())
 }
 
 /// Radius query over `parts`: partitions whose MINDIST-to-MBR exceeds
@@ -270,17 +380,18 @@ where
     assert!(radius >= 0.0, "radius must be nonnegative");
     assert!(threads > 0, "need at least one worker");
     let radius_sq = radius * radius;
-    let sched = schedule(q, mbrs);
+    let mut visit = Vec::with_capacity(mbrs.len());
+    schedule(&mut visit, q, mbrs);
     // Unlike kNN there is no evolving bound: the survivor set is known up
     // front, so a single parallel round covers it.
-    let visit: Vec<Sched> = sched
+    let survivors = visit
         .iter()
-        .copied()
         .take_while(|s| s.mindist_sq <= radius_sq)
-        .collect();
+        .count();
+    visit.truncate(survivors);
     let mut stats = PartitionedStats {
         partitions_visited: visit.len() as u64,
-        partitions_pruned: (sched.len() - visit.len()) as u64,
+        partitions_pruned: (mbrs.len() - visit.len()) as u64,
         rounds: u64::from(!visit.is_empty()),
         ..PartitionedStats::default()
     };
@@ -341,14 +452,21 @@ pub fn partitioned_radius<const D: usize, R: Refiner<D> + Sync>(
     scatter_radius(tree.partitions(), &mbrs, q, radius, refiner, opts, threads)
 }
 
-/// A batch of kNN queries over a [`PartitionedTree`], fanned out with the
-/// same work-stealing scheme as [`par_knn_batch`](crate::par_knn_batch):
-/// workers claim query blocks off a shared cursor, and **each query's
-/// scatter runs sequentially** (partition parallelism and batch
-/// parallelism would fight over the same cores). Results come back in
-/// submission order; the aggregate [`PartitionedStats`] sums the
-/// per-query stats in submission order, so both are bit-identical to
-/// `threads = 1`.
+/// A batch of kNN queries over a [`PartitionedTree`] on the one batch
+/// executor: workers claim queries off a shared cursor, as in
+/// [`par_knn_batch`](crate::par_knn_batch), and **each query's scatter
+/// runs its rounds' partitions one after another** (partition parallelism
+/// and batch parallelism would fight over the same cores). Where some
+/// partition's pool reads pages in the background and the prefetch policy
+/// is on for it, the batch interleaves like a single tree's: a worker
+/// keeps several scatter-gather queries in flight and switches at a page
+/// that is not loaded, hinting that page to its partition's pool.
+///
+/// Results come back in submission order; the aggregate
+/// [`PartitionedStats`] sums the per-query stats in submission order, so
+/// both — and every query's answer and counters — are bit-identical to a
+/// loop of [`partitioned_knn`] calls, whatever the thread count, prefetch
+/// policy or interleaving.
 pub fn partitioned_knn_batch<const D: usize, R: Refiner<D> + Sync>(
     tree: &PartitionedTree<D>,
     queries: &[Point<D>],
@@ -357,15 +475,23 @@ pub fn partitioned_knn_batch<const D: usize, R: Refiner<D> + Sync>(
     refiner: &R,
     threads: usize,
 ) -> Result<(Vec<Vec<Neighbor<D>>>, PartitionedStats)> {
-    partitioned_knn_batch_with_block(tree, queries, k, opts, refiner, threads, None)
-        .map(|(results, totals, _)| (results, totals))
+    let (per_query, _) =
+        partitioned_knn_batch_with_block(tree, queries, k, opts, refiner, threads, None)?;
+    let mut totals = PartitionedStats::default();
+    let mut results = Vec::with_capacity(per_query.len());
+    for (found, stats) in per_query {
+        totals.accumulate(&stats);
+        results.push(found);
+    }
+    Ok((results, totals))
 }
 
 /// [`partitioned_knn_batch`] with an explicit claim-block override
 /// (`None` uses the shared block-size heuristic) — the self-tuning
-/// controller's batch knob for partitioned trees — also returning the
-/// run's [`BatchStats`] for the controller to observe. Bit-identical for
-/// any block size, for the same reason as
+/// controller's batch knob for partitioned trees — returning every
+/// query's own [`PartitionedStats`] beside its hits, and the run's
+/// [`BatchStats`] for the controller to observe. Bit-identical for any
+/// block size, for the same reason as
 /// [`par_knn_batch_with_block`](crate::par_knn_batch_with_block).
 #[allow(clippy::type_complexity)]
 pub fn partitioned_knn_batch_with_block<const D: usize, R: Refiner<D> + Sync>(
@@ -376,36 +502,29 @@ pub fn partitioned_knn_batch_with_block<const D: usize, R: Refiner<D> + Sync>(
     refiner: &R,
     threads: usize,
     block_override: Option<usize>,
-) -> Result<(Vec<Vec<Neighbor<D>>>, PartitionedStats, BatchStats)> {
-    let mbrs = manifest_mbrs(tree);
-    let parts = tree.partitions();
-    let (per_query, bstats) = steal_map(
+) -> Result<(Vec<(Vec<Neighbor<D>>, PartitionedStats)>, BatchStats)> {
+    let on = Scatter::new(tree, opts, refiner);
+    steal_map(
         queries.len(),
         threads,
         block_override,
         None,
-        false,
-        || (),
-        whole(|(), i| scatter_knn(parts, &mbrs, &queries[i], k, opts, refiner, 1)),
-    )?;
-    let mut totals = PartitionedStats::default();
-    let mut results = Vec::with_capacity(per_query.len());
-    for (found, stats) in per_query {
-        totals.accumulate(&stats);
-        results.push(found);
-    }
-    Ok((results, totals, bstats))
+        on.interleave,
+        ScatterCursor::new,
+        |sc, i, wait| sc.step(&on, &queries[i], k, wait),
+    )
 }
 
 /// The partitioned sibling of
 /// [`par_mixed_batch_dedup`](crate::par_mixed_batch_dedup): a mixed
 /// kNN/radius batch over a [`PartitionedTree`], identical requests
 /// executed once, unique requests fanned out over `threads` workers in
-/// `order`, each running its own sequential scatter-gather pass
-/// (partition-level parallelism would nest threads). Every answer — hits
-/// and the partition-summed [`SearchStats`] — equals the standalone
+/// `order`. A kNN request is a [`partitioned_knn_batch`] item (resumable
+/// where the batch interleaves), a radius request one sequential
+/// scatter-gather pass that finishes on its first step. Every answer —
+/// hits and the partition-summed [`SearchStats`] — equals the standalone
 /// [`partitioned_knn`] / [`partitioned_radius`] call's, whatever the
-/// thread count, claim-block size, or schedule.
+/// thread count, claim-block size, schedule or interleaving.
 #[allow(clippy::type_complexity)]
 pub fn partitioned_mixed_batch_dedup<const D: usize, R: Refiner<D> + Sync>(
     tree: &PartitionedTree<D>,
@@ -416,27 +535,25 @@ pub fn partitioned_mixed_batch_dedup<const D: usize, R: Refiner<D> + Sync>(
     order: JoinOrder,
     block_override: Option<usize>,
 ) -> Result<(Vec<(Vec<Neighbor<D>>, SearchStats)>, BatchStats)> {
-    let mbrs = manifest_mbrs(tree);
-    let parts = tree.partitions();
+    let on = Scatter::new(tree, opts, refiner);
     dedup(requests, |unique| {
         let schedule = claim_order(order, unique.iter().map(|r| *r.point()));
-        let claims = schedule.as_deref();
         steal_map(
             unique.len(),
             threads,
             block_override,
-            claims,
-            false,
-            || (),
-            whole(|(), i| {
-                let (hits, stats) = match unique[i] {
-                    BatchQuery::Knn { q, k } => scatter_knn(parts, &mbrs, &q, k, opts, refiner, 1)?,
-                    BatchQuery::Radius { q, radius } => {
-                        scatter_radius(parts, &mbrs, &q, radius, refiner, opts, 1)?
-                    }
+            schedule.as_deref(),
+            on.interleave,
+            ScatterCursor::new,
+            |sc, i, wait| {
+                let polled = match unique[i] {
+                    BatchQuery::Knn { q, k } => sc.step(&on, &q, k, wait)?,
+                    BatchQuery::Radius { q, radius } => Poll::Ready(scatter_radius(
+                        on.parts, &on.mbrs, &q, radius, on.refiner, on.opts, 1,
+                    )?),
                 };
-                Ok((hits, stats.search))
-            }),
+                Ok(polled.map(|(hits, stats)| (hits, stats.search)))
+            },
         )
     })
 }
@@ -445,6 +562,7 @@ pub fn partitioned_mixed_batch_dedup<const D: usize, R: Refiner<D> + Sync>(
 mod tests {
     use super::*;
     use crate::refine::MbrRefiner;
+    use crate::stalling::Stalling;
     use crate::within_radius;
     use nnq_rtree::{BulkMethod, RTreeConfig, RecordId};
     use rand::rngs::StdRng;
@@ -471,20 +589,6 @@ mod tests {
             1,
         )
         .unwrap()
-    }
-
-    #[test]
-    fn shared_bound_tightens_monotonically() {
-        let b = SharedBound::new();
-        assert_eq!(b.get(), f64::INFINITY);
-        b.tighten(9.0);
-        assert_eq!(b.get(), 9.0);
-        b.tighten(25.0); // looser: ignored
-        assert_eq!(b.get(), 9.0);
-        b.tighten(1.5);
-        assert_eq!(b.get(), 1.5);
-        b.tighten(0.0);
-        assert_eq!(b.get(), 0.0);
     }
 
     #[test]
@@ -839,6 +943,142 @@ mod tests {
         .unwrap();
         assert_eq!(stats.partitions_visited, 64);
         assert!(stats.rounds <= 7, "rounds = {}", stats.rounds);
+    }
+
+    /// An interleaving batch's view of `parts`.
+    fn resumable<'a, 't>(
+        parts: &'a [Stalling<'t>],
+        mbrs: &[Rect<2>],
+    ) -> Scatter<'a, 2, Stalling<'t>, MbrRefiner> {
+        Scatter {
+            parts,
+            mbrs: mbrs.to_vec(),
+            opts: NnOptions::default(),
+            refiner: &MbrRefiner,
+            interleave: true,
+        }
+    }
+
+    /// Steps `sc` through the query `(q, k)` on `on` until it finishes,
+    /// each step told to `wait` once a step has said "not yet"; returns the
+    /// answer and the number of steps.
+    fn drive(
+        sc: &mut ScatterCursor<2>,
+        on: &Scatter<'_, 2, Stalling<'_>, MbrRefiner>,
+        q: &Point<2>,
+        k: usize,
+        wait: bool,
+    ) -> ((Vec<Neighbor<2>>, PartitionedStats), usize) {
+        let mut steps = 0;
+        loop {
+            steps += 1;
+            match sc.step(on, q, k, wait && steps > 1).unwrap() {
+                Poll::Ready(answer) => return (answer, steps),
+                Poll::Waiting { advanced } => assert!(!wait || steps == 1 || advanced),
+            }
+        }
+    }
+
+    fn same_scatter_answer(
+        got: &(Vec<Neighbor<2>>, PartitionedStats),
+        want: &(Vec<Neighbor<2>>, PartitionedStats),
+        what: &str,
+    ) {
+        assert_eq!(got.1, want.1, "{what}");
+        let bits = |hits: &[Neighbor<2>]| -> Vec<(u64, u64)> {
+            hits.iter()
+                .map(|n| (n.record.0, n.dist_sq.to_bits()))
+                .collect()
+        };
+        assert_eq!(bits(&got.0), bits(&want.0), "{what}");
+    }
+
+    #[test]
+    fn a_scatter_item_suspended_before_every_node_read_equals_scatter_knn() {
+        let items = points(3000, 67);
+        let queries = [
+            (Point::new([321.5, 654.2]), 7),
+            (Point::new([999.0, 1.0]), 1),
+            (Point::new([500.0, 500.0]), 300),
+        ];
+        for p in [1, 4] {
+            let tree = build(items.clone(), p);
+            let mbrs = manifest_mbrs(&tree);
+            let opts = NnOptions::default();
+            for stalls in [0, 1, 3, usize::MAX] {
+                let parts: Vec<Stalling<'_>> = tree
+                    .partitions()
+                    .iter()
+                    .map(|t| Stalling::new(t, stalls))
+                    .collect();
+                let on = resumable(&parts, &mbrs);
+                // One scratch for every query, as a batch worker's slot.
+                let mut sc = ScatterCursor::new();
+                for (q, k) in &queries {
+                    let what = format!("p={p} stalls={stalls} k={k}");
+                    let want =
+                        scatter_knn(tree.partitions(), &mbrs, q, *k, opts, &MbrRefiner, 2).unwrap();
+                    let reads = || parts.iter().map(|s| s.handed_out.get()).sum::<usize>();
+                    let not_yets = || parts.iter().map(|s| s.not_yets.get()).sum::<usize>();
+                    let (reads0, not_yets0) = (reads(), not_yets());
+                    // Nothing ever loads in time: only waiting steps move
+                    // the query, one node read each.
+                    let waits = stalls == usize::MAX;
+                    let (got, steps) = drive(&mut sc, &on, q, *k, waits);
+                    same_scatter_answer(&got, &want, &what);
+                    let nodes = want.1.search.nodes_visited as usize;
+                    assert_eq!(reads() - reads0, nodes, "{what}: one read per node");
+                    if waits {
+                        assert_eq!(steps, nodes + 1, "{what}");
+                    } else {
+                        // Every "not yet" ends a step.
+                        assert_eq!(not_yets() - not_yets0, stalls * nodes, "{what}");
+                        assert_eq!(steps, stalls * nodes + 1, "{what}");
+                    }
+                    assert!(
+                        !sc.active,
+                        "{what}: a finished query leaves the scratch idle"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_failed_partition_read_ends_the_scatter_item_and_leaves_its_scratch_reusable() {
+        let tree = build(points(3000, 71), 4);
+        let mbrs = manifest_mbrs(&tree);
+        let opts = NnOptions::default();
+        let q = Point::new([480.0, 510.0]);
+        let want = scatter_knn(tree.partitions(), &mbrs, &q, 12, opts, &MbrRefiner, 1).unwrap();
+        let mut parts: Vec<Stalling<'_>> = tree
+            .partitions()
+            .iter()
+            .map(|t| Stalling::new(t, 1))
+            .collect();
+        // The nearest partition's second read (its first leaf) fails.
+        let first = schedule_of(&q, &mbrs)[0];
+        parts[first].fail_after = 1;
+        let mut sc = ScatterCursor::new();
+        let err = loop {
+            match sc.step(&resumable(&parts, &mbrs), &q, 12, false) {
+                Ok(Poll::Ready(_)) => panic!("the second read fails"),
+                Ok(Poll::Waiting { .. }) => {}
+                Err(e) => break e,
+            }
+        };
+        assert!(matches!(err, nnq_rtree::RTreeError::NotFound));
+        assert!(!sc.active);
+        parts[first].fail_after = usize::MAX;
+        let (got, _) = drive(&mut sc, &resumable(&parts, &mbrs), &q, 12, false);
+        same_scatter_answer(&got, &want, "the query after the failed one");
+    }
+
+    /// The partition indices of `q`'s schedule, nearest first.
+    fn schedule_of(q: &Point<2>, mbrs: &[Rect<2>]) -> Vec<usize> {
+        let mut sched = Vec::new();
+        schedule(&mut sched, q, mbrs);
+        sched.iter().map(|s| s.part).collect()
     }
 
     #[test]

@@ -5,7 +5,11 @@
 //! per-query `SearchStats` and summed `logical_reads` equal a sequential
 //! loop's — the prefetch counters must still balance, a suspended query must
 //! hold nothing in the pool, and a failed read, background or the worker's
-//! own, must end the batch cleanly and leave the tree serving.
+//! own, must end the batch cleanly and leave the tree serving. The same
+//! holds for the partitioned engine, whose kNN items are whole
+//! scatter-gather queries (DESIGN.md §"Partitioned trees"): there the
+//! reference is a loop of `partitioned_knn` / `partitioned_radius` calls,
+//! per-query `PartitionedStats` included, and at P = 1 the single tree.
 //!
 //! With the `prefetch` feature compiled out there are no background readers:
 //! the identity and thrash tests then check that everything degrades to the
@@ -13,11 +17,15 @@
 //! a background read to park) are not built.
 
 use nnq_core::{
-    par_knn_batch_with_block, par_mixed_batch, within_radius, BatchQuery, JoinOrder, MbrRefiner,
-    Neighbor, NnOptions, NnSearch, PrefetchPolicy, SearchStats,
+    par_knn_batch_with_block, par_mixed_batch, partitioned_knn, partitioned_knn_batch_with_block,
+    partitioned_mixed_batch_dedup, partitioned_radius, within_radius, BatchQuery, JoinOrder,
+    MbrRefiner, Neighbor, NnOptions, NnSearch, PartitionedStats, PrefetchPolicy, SearchStats,
 };
 use nnq_geom::Point;
-use nnq_rtree::{BackendSignals, BulkMethod, NodeView, RTree, RTreeConfig, TreeAccess};
+use nnq_rtree::{
+    BackendSignals, BulkMethod, NodeView, PartitionManifest, PartitionedTree, RTree, RTreeConfig,
+    TreeAccess,
+};
 use nnq_storage::{
     BufferPool, DiskManager, FaultDisk, LatencyDisk, LatencyProfile, MemDisk, PageId,
     PrefetchStats, PAGE_SIZE,
@@ -310,6 +318,206 @@ fn batches_equal_the_sequential_loop_whatever_interleaves() {
     }
 }
 
+// -- (a') identity, partitioned ------------------------------------------------
+
+/// A partitioned tree's device side: one disk and meta page per partition,
+/// and the manifest, so every run can open it on fresh, cold pools.
+struct Parted<T: DiskManager> {
+    disks: Vec<Arc<T>>,
+    metas: Vec<PageId>,
+    manifest: PartitionManifest<2>,
+    /// Pages of the largest partition.
+    pages: usize,
+}
+
+/// Hilbert-range partitions of the test dataset, one per disk.
+fn build_parted<T: DiskManager + 'static>(disks: Vec<Arc<T>>) -> Parted<T> {
+    let pools = disks
+        .iter()
+        .map(|disk| Arc::new(BufferPool::new(Box::new(Arc::clone(disk)), 1 << 12)))
+        .collect();
+    let items = points_to_items(&uniform_points(N_POINTS, &default_bounds(), 81));
+    let tree = PartitionedTree::bulk_load_on(
+        pools,
+        RTreeConfig::default(),
+        items,
+        BulkMethod::Hilbert,
+        1.0,
+        1,
+    )
+    .unwrap();
+    for part in tree.partitions() {
+        part.pool().flush_all().unwrap();
+    }
+    Parted {
+        metas: tree.partitions().iter().map(RTree::meta_page).collect(),
+        pages: tree
+            .partitions()
+            .iter()
+            .map(|part| part.pool().live_pages() as usize)
+            .max()
+            .unwrap(),
+        manifest: tree.manifest().clone(),
+        disks,
+    }
+}
+
+impl<T: DiskManager + 'static> Parted<T> {
+    /// Opens every partition cold ([`open`]) on `frames` frames and
+    /// `workers(i)` background readers.
+    fn open(&self, frames: usize, workers: impl Fn(usize) -> usize) -> PartitionedTree<2> {
+        let parts = (0..self.disks.len())
+            .map(|i| open(&self.disks[i], self.metas[i], frames, workers(i)))
+            .collect();
+        PartitionedTree::from_parts(parts, self.manifest.clone()).unwrap()
+    }
+}
+
+/// A partitioned answer: hits and the query's own counters.
+type PartAnswer = (Vec<Neighbor<2>>, PartitionedStats);
+
+/// The sequential loop a partitioned batch must equal: one scatter-gather
+/// query after the other, no prefetch, one thread. Returns the answers and
+/// the summed `logical_reads` of the pass.
+fn sequential_parted(tree: &PartitionedTree<2>, reqs: &[BatchQuery<2>]) -> (Vec<PartAnswer>, u64) {
+    let before = tree.pool_stats().logical_reads;
+    let opts = NnOptions::default();
+    let answers = reqs
+        .iter()
+        .map(|req| match *req {
+            BatchQuery::Knn { q, k } => partitioned_knn(tree, &q, k, opts, &MbrRefiner, 1),
+            BatchQuery::Radius { q, radius } => {
+                partitioned_radius(tree, &q, radius, opts, &MbrRefiner, 1)
+            }
+        })
+        .collect::<nnq_core::Result<_>>()
+        .unwrap();
+    (answers, tree.pool_stats().logical_reads - before)
+}
+
+/// Settles every partition's pipeline: counters balanced, nothing pinned.
+fn balanced_parted(tree: &PartitionedTree<2>, what: &str) -> PrefetchStats {
+    for part in tree.partitions() {
+        part.pool().prefetch_quiesce();
+    }
+    tree.clear_caches()
+        .unwrap_or_else(|e| panic!("{what}: a pin outlived the batch: {e}"));
+    let mut sum = PrefetchStats::default();
+    for (i, part) in tree.partitions().iter().enumerate() {
+        let pf = balanced(part.pool(), &format!("{what}, partition {i}"));
+        sum.issued += pf.issued;
+        sum.useful += pf.useful;
+    }
+    sum
+}
+
+#[test]
+fn partitioned_batches_equal_the_sequential_loop_whatever_interleaves() {
+    let queries = uniform_queries(96, &default_bounds(), 85);
+    let knn = knn_requests(&queries);
+    let mixed = mixed(&queries);
+    for p in [1, 4] {
+        let disks = (0..p)
+            .map(|_| {
+                Arc::new(LatencyDisk::new(
+                    MemDisk::new(PAGE_SIZE),
+                    LatencyProfile::symmetric_us(0),
+                ))
+            })
+            .collect();
+        let parted = build_parted(disks);
+        for disk in &parted.disks {
+            disk.set_latency(LatencyProfile::symmetric_us(25));
+        }
+        // An eighth of a partition, as on `batch_cold`; at least a frame
+        // for every thread and background reader that may pin one at once.
+        let frames = (parted.pages / 8).max(8);
+
+        let reference = parted.open(frames, |_| 0);
+        let (want_knn, knn_pages) = sequential_parted(&reference, &knn);
+        let (want_mixed, mixed_pages) = sequential_parted(&reference, &mixed);
+        assert!(knn_pages > 0 && mixed_pages > 0);
+        if p == 1 {
+            // One partition is the single tree: same answers, same counters.
+            let single = &reference.partitions()[0];
+            let (want_single, _) = sequential(single, single.pool(), &mixed);
+            let search: Vec<Answer> = want_mixed
+                .iter()
+                .map(|(hits, stats)| (hits.clone(), stats.search))
+                .collect();
+            assert_same_answers(&search, &want_single, "P=1 vs the single tree");
+        }
+        drop(reference);
+
+        for workers in [0, 1] {
+            for policy in [
+                PrefetchPolicy::Off,
+                PrefetchPolicy::Depth(2),
+                PrefetchPolicy::Adaptive,
+            ] {
+                for threads in [1, 2, 4] {
+                    let what = format!("P={p} workers={workers} policy={policy} threads={threads}");
+                    let interleaves =
+                        workers > 0 && policy != PrefetchPolicy::Off && cfg!(feature = "prefetch");
+                    let opts = NnOptions::with_prefetch(policy);
+
+                    // (the claim block only matters when not interleaving)
+                    let block = [None, Some(1), Some(7)][threads % 3];
+                    let tree = parted.open(frames, |_| workers);
+                    let (got, bstats) = partitioned_knn_batch_with_block(
+                        &tree,
+                        &queries,
+                        K,
+                        opts,
+                        &MbrRefiner,
+                        threads,
+                        block,
+                    )
+                    .unwrap();
+                    assert_eq!(got.len(), want_knn.len());
+                    for (i, (g, w)) in got.iter().zip(&want_knn).enumerate() {
+                        assert_eq!(g.1, w.1, "{what}: stats of kNN query {i}");
+                        assert_same_hits(&g.0, &w.0, &format!("{what}: kNN query {i}"));
+                    }
+                    assert_eq!(tree.pool_stats().logical_reads, knn_pages, "{what}");
+                    let pf = balanced_parted(&tree, &what);
+                    if interleaves {
+                        assert_eq!(bstats.block, 1, "{what}");
+                        assert!(pf.useful > 0, "{what}: {pf:?}");
+                    } else {
+                        assert_eq!(pf.issued, 0, "{what}: {pf:?}");
+                    }
+                    drop(tree);
+
+                    let tree = parted.open(frames, |_| workers);
+                    let (got, _) = partitioned_mixed_batch_dedup(
+                        &tree,
+                        &mixed,
+                        opts,
+                        &MbrRefiner,
+                        threads,
+                        JoinOrder::Hilbert,
+                        None,
+                    )
+                    .unwrap();
+                    let want: Vec<Answer> = want_mixed
+                        .iter()
+                        .map(|(hits, stats)| (hits.clone(), stats.search))
+                        .collect();
+                    assert_same_answers(&got, &want, &what);
+                    assert_eq!(tree.pool_stats().logical_reads, mixed_pages, "{what}");
+                    let pf = balanced_parted(&tree, &what);
+                    if interleaves {
+                        assert!(pf.useful > 0, "{what}: {pf:?}");
+                    } else {
+                        assert_eq!(pf.issued, 0, "{what}: {pf:?}");
+                    }
+                }
+            }
+        }
+    }
+}
+
 // -- (b) progress under thrash -----------------------------------------------
 
 #[test]
@@ -381,6 +589,49 @@ fn a_failed_blocking_read_fails_the_batch_and_the_tree_keeps_serving() {
         .unwrap();
         assert_same_answers(&got, &want, "the batch after the failed one");
         tree.pool().clear_cache().unwrap();
+    }
+}
+
+#[test]
+fn a_failed_demand_read_in_one_partition_fails_the_batch_and_the_tree_keeps_serving() {
+    // Partition 0 reads through a failing device and has no background
+    // reader, the others have one each: the batch interleaves, and
+    // partition 0's pages load on demand, by the workers.
+    let disks = (0..4)
+        .map(|_| Arc::new(FaultDisk::new(MemDisk::new(PAGE_SIZE))))
+        .collect();
+    let parted = build_parted(disks);
+    let queries = uniform_queries(64, &default_bounds(), 86);
+    let tree = parted.open(32, |i| usize::from(i > 0));
+    let (want, _) = sequential_parted(&tree, &knn_requests(&queries));
+    let opts = NnOptions::with_prefetch(PrefetchPolicy::Depth(2));
+    let batch = |threads| {
+        partitioned_knn_batch_with_block(&tree, &queries, K, opts, &MbrRefiner, threads, None)
+    };
+    for threads in [1, 2] {
+        balanced_parted(&tree, "before the batch");
+        parted.disks[0].fail_read(3);
+        let err = batch(threads)
+            .expect_err("the third device read of partition 0 fails")
+            .to_string();
+        // (or, from a worker that was waiting for the same page, the
+        // failure of the load it waited on)
+        assert!(
+            err.contains("injected fault") || err.contains("concurrent load"),
+            "{err}"
+        );
+        balanced_parted(&tree, "after the failed batch");
+        tree.reset_stats();
+        let (got, _) = batch(threads).unwrap();
+        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+            assert_eq!(g.1, w.1, "threads={threads}: stats of query {i}");
+            assert_same_hits(&g.0, &w.0, &format!("threads={threads}: query {i}"));
+        }
+        let pool0 = tree.partitions()[0].pool();
+        assert!(pool0.stats().physical_reads > 0);
+        assert_eq!(pool0.prefetch_stats().issued, 0, "nobody to hint to");
+        let pf = balanced_parted(&tree, "after the next batch");
+        assert_eq!(pf.useful > 0, cfg!(feature = "prefetch"), "{pf:?}");
     }
 }
 
@@ -811,6 +1062,102 @@ mod gated {
         let pf = pool.prefetch_stats();
         assert_eq!((pf.issued, pf.useful, pf.dropped), (1, 1, 0), "{pf:?}");
         scene.still_serves("after the failed load");
+    }
+
+    /// One interleaving partitioned batch of `reqs` on a single worker.
+    fn scatter_batch<R: Refiner<2> + Sync>(
+        tree: &PartitionedTree<2>,
+        reqs: &[BatchQuery<2>],
+        refiner: &R,
+    ) -> nnq_core::Result<Vec<Answer>> {
+        partitioned_mixed_batch_dedup(
+            tree,
+            reqs,
+            NnOptions::with_prefetch(PrefetchPolicy::Depth(2)),
+            refiner,
+            1,
+            JoinOrder::AsGiven,
+            None,
+        )
+        .map(|(answers, _)| answers)
+    }
+
+    #[test]
+    fn a_failed_background_read_in_one_partition_is_retried_by_the_query_that_waited_for_it() {
+        let faults: Vec<Arc<FaultDisk<MemDisk>>> = (0..4)
+            .map(|_| Arc::new(FaultDisk::new(MemDisk::new(PAGE_SIZE))))
+            .collect();
+        let parted = build_parted(
+            faults
+                .iter()
+                .map(|f| GateDisk::new(Arc::clone(f)))
+                .collect(),
+        );
+        let tree = parted.open(FRAMES, |_| 1);
+        let (a, b) = (
+            Point::new([9_000.0, 12_000.0]),
+            Point::new([88_000.0, 91_000.0]),
+        );
+        let reqs = knn_requests(&[a, b]);
+        let (want, _) = sequential_parted(&tree, &reqs);
+        let want: Vec<Answer> = want
+            .into_iter()
+            .map(|(hits, stats)| (hits, stats.search))
+            .collect();
+        // `a` searches its nearest partition first, unbounded: exactly as
+        // a tree of its own.
+        let near = tree
+            .manifest()
+            .parts
+            .iter()
+            .map(|part| nnq_geom::mindist_sq(&a, &part.mbr))
+            .enumerate()
+            .min_by(|x, y| x.1.total_cmp(&y.1))
+            .unwrap()
+            .0;
+        let part_a = &tree.partitions()[near];
+        let path_a = path(part_a, &a);
+        let a_leaf = path_a.iter().find(|(_, level)| *level == 0).unwrap().0;
+        let a_upper = path_a.iter().take_while(|(_, level)| *level > 0);
+
+        // Warm `b` everywhere — it reads nothing of `a`'s partition — and
+        // `a` down to its first leaf.
+        tree.clear_caches().unwrap();
+        tree.reset_stats();
+        let opts = NnOptions::default();
+        partitioned_knn(&tree, &b, K, opts, &MbrRefiner, 1).unwrap();
+        assert_eq!(part_a.pool().stats().logical_reads, 0);
+        for &(page, _) in a_upper {
+            drop(part_a.pool().fetch(page).unwrap());
+        }
+
+        let gate = &parted.disks[near];
+        gate.park_reads_of(a_leaf);
+        let hold = Hold::new(b);
+        let refiner = hold.refiner();
+        let got = std::thread::scope(|scope| {
+            let batch = scope.spawn(|| scatter_batch(&tree, &reqs, &refiner));
+            // `a` stopped in front of its leaf, whose background read sits
+            // in the device, and the one worker went on into `b`.
+            gate.wait_parked();
+            hold.wait_reached();
+            faults[near].fail_read(1);
+            gate.release();
+            wait_until("the failed hint to be dropped", || {
+                part_a.pool().prefetch_stats().dropped == 1
+            });
+            hold.let_go();
+            batch.join().unwrap()
+        });
+        // `a` finds its page absent again, hints it again, and gets it.
+        let got = got.expect("the query's retry reads the page");
+        assert_same_answers(&got, &want, "after a failed hint");
+        let pf = part_a.pool().prefetch_stats();
+        assert!(pf.issued >= 2 && pf.dropped >= 1, "{pf:?}");
+        balanced_parted(&tree, "after the failed background read");
+        let got = scatter_batch(&tree, &reqs, &MbrRefiner).unwrap();
+        assert_same_answers(&got, &want, "the next batch");
+        balanced_parted(&tree, "after the next batch");
     }
 
     #[test]

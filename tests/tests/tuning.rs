@@ -184,7 +184,7 @@ fn parted_run(p: usize, tune: TuneMode, threads: usize, perturb: bool) -> Run {
         } else {
             controller.block_override()
         };
-        let (results, ps, bstats) =
+        let (answers, bstats) =
             partitioned_knn_batch_with_block(&tree, chunk, K, opts, &MbrRefiner, threads, block)
                 .unwrap();
         assert_eq!(bstats.per_worker_queries.iter().sum::<usize>(), chunk.len());
@@ -192,8 +192,10 @@ fn parted_run(p: usize, tune: TuneMode, threads: usize, perturb: bool) -> Run {
             assert_eq!(bstats.block, b, "claim-block override not applied");
         }
         controller.observe_batch(&bstats);
-        pstats.accumulate(&ps);
-        dists.extend(results.iter().map(|r| key(r)));
+        for (found, ps) in &answers {
+            pstats.accumulate(ps);
+            dists.push(key(found));
+        }
         if perturb {
             let budgets = [p * 64, p * 4096, p * 96];
             tree.rebalance_cache_budget(budgets[i % budgets.len()], 64);
