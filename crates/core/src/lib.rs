@@ -98,7 +98,7 @@ pub use parallel::{
 };
 pub use radius::{count_within_radius, within_radius, within_radius_with};
 pub use refine::{FnRefiner, MbrRefiner, Refiner};
-pub use result_cache::{CachedAnswer, ResultCache, ResultCacheStats};
+pub use result_cache::{CachedAnswer, ResultCache};
 pub use scan::{linear_scan_knn, scan_items_knn};
 pub use scatter::{
     partitioned_knn, partitioned_knn_batch, partitioned_knn_batch_with_block,

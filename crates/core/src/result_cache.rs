@@ -21,20 +21,14 @@
 //! the answer had when it was computed; the backend performs no reads,
 //! so pool counters advance only on misses.
 //!
-//! Structurally this is the decoded-node cache's design lifted one level
-//! up: lock-striped, CLOCK (second-chance) rings, hits under a stripe
-//! *read* lock with an atomic reference bit, in-place `resize` so the
-//! self-tuning controller can grow and shrink it at runtime
-//! (accounting-neutral: a result cache changes which work is *skipped*,
-//! never what any executed query reads).
+//! The container is `nnq_storage::ClockCache` (lock-striped CLOCK rings,
+//! in-place `resize` for the self-tuning controller), with the version
+//! check as its validity predicate and a hash of the key bytes as the
+//! stripe choice.
 
 use crate::options::{Neighbor, SearchStats};
 use crate::parallel::BatchQuery;
-use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::RwLock;
+use nnq_storage::{CacheStats, ClockCache, Probe};
 
 impl<const D: usize> BatchQuery<D> {
     /// Canonical byte encoding of the query alone — no request id, no
@@ -76,156 +70,22 @@ pub struct CachedAnswer<const D: usize> {
     pub stats: SearchStats,
 }
 
-/// Counters for the result cache, snapshot by [`ResultCache::stats`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ResultCacheStats {
-    /// Probes answered from a memoized entry at the probe's version.
-    pub hits: u64,
-    /// Probes with no entry for the query at all.
-    pub misses: u64,
-    /// Probes that found the query memoized under a different (older)
-    /// version — structurally invalidated by a root swap, counted
-    /// separately from plain misses because they measure write-driven
-    /// churn rather than capacity pressure.
-    pub stale: u64,
-    /// Answers memoized (including in-place refreshes of a stale slot).
-    pub inserts: u64,
-    /// Memoized answers dropped by the CLOCK hand or a shrinking resize.
-    pub evictions: u64,
-    /// Answers currently memoized.
-    pub len: usize,
-    /// Maximum answers the cache will hold (`0` disables caching).
-    pub capacity: usize,
-    /// Number of lock stripes the cache is split across.
-    pub stripes: usize,
-}
-
-impl ResultCacheStats {
-    /// Fraction of probes served from the cache; `0.0` when no probes
-    /// have happened (the zero-reads convention shared with
-    /// `PoolStats::hit_rate`). Stale probes count as non-hits.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses + self.stale;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
-struct Slot<const D: usize> {
-    /// Canonical query bytes; empty when the slot is unoccupied.
-    key: Box<[u8]>,
-    /// The tree commit version the answer was computed at.
-    version: u64,
-    answer: Option<CachedAnswer<D>>,
-    /// Second-chance bit; set on every hit (under the stripe's *read*
-    /// lock, hence atomic), cleared by the sweeping hand.
-    referenced: AtomicBool,
-}
-
-impl<const D: usize> Slot<D> {
-    fn empty() -> Self {
-        Self {
-            key: Box::default(),
-            version: 0,
-            answer: None,
-            referenced: AtomicBool::new(false),
-        }
-    }
-}
-
-struct StripeInner<const D: usize> {
-    /// canonical key → index into `slots`. Always mirrors the ring: a key
-    /// is mapped iff its slot holds an answer. One entry per unique query
-    /// — a refresh under a newer version overwrites in place, so stale
-    /// versions leave no residue.
-    map: HashMap<Box<[u8]>, usize>,
-    /// The CLOCK ring. Fixed length (the stripe's share of the cache
-    /// capacity) outside of an explicit [`ResultCache::resize`].
-    slots: Vec<Slot<D>>,
-    /// The CLOCK hand: next ring position to inspect for eviction.
-    hand: usize,
-}
-
-/// Power-of-two stripe count for a cache of `capacity` answers — the same
-/// sizing rule as the decoded-node cache: the machine's parallelism
-/// rounded up, clamped to 64 and halved until every stripe owns at least
-/// one slot.
-fn stripe_count_for(capacity: usize) -> usize {
-    let hw = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let mut stripes = hw.next_power_of_two().min(64);
-    while stripes > capacity.max(1) {
-        stripes /= 2;
-    }
-    stripes
-}
-
-/// Deterministic per-process hash of the canonical key, used only to pick
-/// a stripe (equality is decided on the full key bytes).
-fn stripe_hash(key: &[u8]) -> u64 {
-    let mut h = DefaultHasher::new();
-    key.hash(&mut h);
-    h.finish()
-}
-
-/// Lock-striped, CLOCK-evicted map from `(canonical query bytes, commit
-/// version)` to a memoized [`CachedAnswer`]. See the module docs for the
-/// correctness argument; see [`ResultCache::lookup`]/[`insert`](Self::insert)
-/// for the probe/fill protocol.
-pub struct ResultCache<const D: usize> {
-    /// Total slots across stripes. Atomic so [`ResultCache::resize`] can
-    /// retune it through `&self` while readers are active.
-    capacity: AtomicUsize,
-    stripe_mask: u64,
-    stripes: Vec<RwLock<StripeInner<D>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    stale: AtomicU64,
-    inserts: AtomicU64,
-    evictions: AtomicU64,
-}
+/// Map from `(canonical query bytes, commit version)` to a memoized
+/// [`CachedAnswer`]. See the module docs for the correctness argument;
+/// see [`ResultCache::lookup`]/[`insert`](Self::insert) for the
+/// probe/fill protocol.
+pub struct ResultCache<const D: usize>(ClockCache<Box<[u8]>, (u64, CachedAnswer<D>)>);
 
 impl<const D: usize> ResultCache<D> {
     /// A cache holding at most `capacity` answers (`0` disables it: every
     /// probe misses, every insert is dropped).
     pub fn new(capacity: usize) -> Self {
-        let stripes = stripe_count_for(capacity);
-        let base = capacity / stripes;
-        let rem = capacity % stripes;
-        let stripe_vec = (0..stripes)
-            .map(|i| {
-                let slots = base + usize::from(i < rem);
-                RwLock::new(StripeInner {
-                    map: HashMap::with_capacity(slots),
-                    slots: (0..slots).map(|_| Slot::empty()).collect(),
-                    hand: 0,
-                })
-            })
-            .collect();
-        Self {
-            capacity: AtomicUsize::new(capacity),
-            stripe_mask: (stripes - 1) as u64,
-            stripes: stripe_vec,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            stale: AtomicU64::new(0),
-            inserts: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-        }
+        Self(ClockCache::new(capacity))
     }
 
     /// Whether the cache can hold anything at all right now.
     pub fn is_enabled(&self) -> bool {
-        self.capacity.load(Ordering::Relaxed) > 0
-    }
-
-    #[inline]
-    fn stripe(&self, key: &[u8]) -> &RwLock<StripeInner<D>> {
-        &self.stripes[(stripe_hash(key) & self.stripe_mask) as usize]
+        self.0.is_enabled()
     }
 
     /// Probes for `key` at `version`. A same-version entry is a hit; a
@@ -233,170 +93,32 @@ impl<const D: usize> ResultCache<D> {
     /// (the commit that moved the version made it unreachable); no entry
     /// is a plain miss.
     pub fn lookup(&self, key: &[u8], version: u64) -> Option<CachedAnswer<D>> {
-        if self.capacity.load(Ordering::Relaxed) == 0 {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            return None;
-        }
-        let inner = self.stripe(key).read().unwrap();
-        let found = inner.map.get(key).map(|&idx| {
-            let slot = &inner.slots[idx];
-            if slot.version == version {
-                slot.referenced.store(true, Ordering::Relaxed);
-                Some(slot.answer.clone().expect("mapped slot holds an answer"))
-            } else {
-                None
-            }
-        });
-        drop(inner);
-        match found {
-            Some(Some(answer)) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(answer)
-            }
-            Some(None) => {
-                self.stale.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
+        match self.0.get(key, |(v, _)| *v == version) {
+            Probe::Hit((_, answer)) => Some(answer),
+            Probe::Stale | Probe::Miss => None,
         }
     }
 
     /// Memoizes `answer` for `key` as computed at `version`. An existing
-    /// entry for the same query (any version) is refreshed in place;
-    /// otherwise the stripe's CLOCK hand picks a slot, evicting the first
-    /// unreferenced occupant.
+    /// entry for the same query (any version) is refreshed in place.
     pub fn insert(&self, key: &[u8], version: u64, answer: CachedAnswer<D>) {
-        if self.capacity.load(Ordering::Relaxed) == 0 {
-            return;
-        }
-        let mut inner = self.stripe(key).write().unwrap();
-        if let Some(&idx) = inner.map.get(key) {
-            let slot = &mut inner.slots[idx];
-            slot.version = version;
-            slot.answer = Some(answer);
-            slot.referenced.store(true, Ordering::Relaxed);
-            self.inserts.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        let n = inner.slots.len();
-        if n == 0 {
-            // This stripe's ring shrank to nothing (tiny capacity spread
-            // over fixed stripes): nothing to memoize here.
-            return;
-        }
-        // CLOCK sweep: take the first empty slot or the first occupied
-        // slot whose reference bit is already clear, clearing bits as the
-        // hand passes. Terminates within two sweeps.
-        let idx = loop {
-            let idx = inner.hand;
-            inner.hand = (inner.hand + 1) % n;
-            let slot = &mut inner.slots[idx];
-            if slot.answer.is_none() {
-                break idx;
-            }
-            if *slot.referenced.get_mut() {
-                *slot.referenced.get_mut() = false;
-                continue;
-            }
-            let old = std::mem::take(&mut slot.key);
-            slot.answer = None;
-            inner.map.remove(&old);
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-            break idx;
-        };
-        let boxed: Box<[u8]> = key.into();
-        let slot = &mut inner.slots[idx];
-        slot.key = boxed.clone();
-        slot.version = version;
-        slot.answer = Some(answer);
-        // Arrives with its bit set: a fresh answer gets one full sweep of
-        // grace before it is eviction-eligible.
-        slot.referenced.store(true, Ordering::Relaxed);
-        inner.map.insert(boxed, idx);
-        self.inserts.fetch_add(1, Ordering::Relaxed);
+        self.0.insert(key, (version, answer));
     }
 
     /// Drops every memoized answer (counters are kept).
     pub fn clear(&self) {
-        for stripe in &self.stripes {
-            let mut inner = stripe.write().unwrap();
-            inner.map.clear();
-            for slot in &mut inner.slots {
-                *slot = Slot::empty();
-            }
-            inner.hand = 0;
-        }
+        self.0.clear();
     }
 
-    /// Retunes the cache to hold `new_capacity` answers, in place and
-    /// under `&self` — the same protocol as the decoded-node cache's
-    /// resize: the stripe count (and so the key → stripe mapping) is
-    /// fixed at construction; each stripe's ring grows by appending empty
-    /// slots or shrinks by popping tail slots, evicting any occupants
-    /// (counted as evictions) and clamping the hand. Returns the capacity
-    /// actually installed.
-    pub fn resize(&self, new_capacity: usize) -> usize {
-        let stripes = self.stripes.len();
-        let base = new_capacity / stripes;
-        let rem = new_capacity % stripes;
-        for (i, stripe) in self.stripes.iter().enumerate() {
-            let target = base + usize::from(i < rem);
-            let mut inner = stripe.write().unwrap();
-            while inner.slots.len() > target {
-                let slot = inner.slots.pop().expect("len > target >= 0");
-                if slot.answer.is_some() {
-                    inner.map.remove(&slot.key);
-                    self.evictions.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            while inner.slots.len() < target {
-                inner.slots.push(Slot::empty());
-            }
-            if inner.hand >= inner.slots.len() {
-                inner.hand = 0;
-            }
-        }
-        self.capacity.store(new_capacity, Ordering::Relaxed);
-        new_capacity
+    /// Retunes the cache to hold `capacity` answers in place (see
+    /// `ClockCache::resize`). Returns the capacity installed.
+    pub fn resize(&self, capacity: usize) -> usize {
+        self.0.resize(capacity)
     }
 
     /// Counter snapshot.
-    pub fn stats(&self) -> ResultCacheStats {
-        ResultCacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            stale: self.stale.load(Ordering::Relaxed),
-            inserts: self.inserts.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            len: self
-                .stripes
-                .iter()
-                .map(|s| s.read().unwrap().map.len())
-                .sum(),
-            capacity: self.capacity.load(Ordering::Relaxed),
-            stripes: self.stripes.len(),
-        }
-    }
-
-    /// The cache's counters as a [`BackendSignals`](nnq_rtree::BackendSignals)
-    /// fragment (only the `result_*` fields populated) — the shape the
-    /// self-tuning controller consumes, and the shape
-    /// `BackendSignals::accumulate` folds into a tree's own signals.
-    pub fn signals(&self) -> nnq_rtree::BackendSignals {
-        let s = self.stats();
-        nnq_rtree::BackendSignals {
-            result_hits: s.hits,
-            result_misses: s.misses,
-            result_stale: s.stale,
-            result_inserts: s.inserts,
-            result_evictions: s.evictions,
-            result_len: s.len,
-            result_capacity: s.capacity,
-            ..nnq_rtree::BackendSignals::default()
-        }
+    pub fn stats(&self) -> CacheStats {
+        self.0.stats()
     }
 }
 
@@ -538,32 +260,5 @@ mod tests {
         for key in &keys {
             assert!(cache.lookup(key, 2).is_some());
         }
-    }
-
-    #[test]
-    fn signals_fragment_carries_the_counters() {
-        let cache = ResultCache::<2>::new(4);
-        let key = b"k".to_vec();
-        cache.insert(&key, 3, answer(1));
-        cache.lookup(&key, 3);
-        cache.lookup(&key, 4);
-        cache.lookup(b"missing", 3);
-        let sig = cache.signals();
-        assert_eq!(sig.result_hits, 1);
-        assert_eq!(sig.result_stale, 1);
-        assert_eq!(sig.result_misses, 1);
-        assert_eq!(sig.result_inserts, 1);
-        assert_eq!(sig.result_len, 1);
-        assert_eq!(sig.result_capacity, 4);
-        // Pool/prefetch/node-cache halves stay zero: the fragment folds
-        // cleanly into a tree's own signals via accumulate.
-        assert_eq!(sig.logical_reads, 0);
-        let mut tree_sig = nnq_rtree::BackendSignals {
-            logical_reads: 10,
-            ..nnq_rtree::BackendSignals::default()
-        };
-        tree_sig.accumulate(&sig);
-        assert_eq!(tree_sig.logical_reads, 10);
-        assert_eq!(tree_sig.result_hits, 1);
     }
 }

@@ -50,6 +50,7 @@ use crate::options::{PrefetchPolicy, TuneMode};
 use crate::parallel::BatchStats;
 use crate::result_cache::ResultCache;
 use nnq_rtree::{BackendSignals, PartitionedTree, TreeAccess};
+use nnq_storage::CacheStats;
 
 /// Hard bounds the controller keeps every knob inside.
 #[derive(Clone, Copy, Debug)]
@@ -142,7 +143,7 @@ pub struct TuneController {
     /// [`TuneController::observe_result_cache`]. A separate delta stream
     /// from `last`: the result cache sits above the tree, and mixing its
     /// counters into the pool-delta stream would corrupt both.
-    last_results: Option<BackendSignals>,
+    last_results: Option<CacheStats>,
     /// EWMA of the result-cache hit rate (hits / all probes, stale
     /// counted as non-hits).
     result_hit: Option<f64>,
@@ -176,8 +177,9 @@ impl TuneController {
             knobs: KnobSettings {
                 prefetch_depth: PrefetchPolicy::COLD_START_DEPTH,
                 prefetch_workers: 2,
-                // `PagedStore::DEFAULT_CACHE_CAPACITY`.
-                cache_capacity: 1024,
+                // `PagedStore::DEFAULT_CACHE_CAPACITY`, inside the bounds:
+                // the sizing rule only moves a capacity with its signal.
+                cache_capacity: 1024.min(bounds.max_cache).max(bounds.min_cache),
                 block_override: None,
                 // The serve layer's default; replaced by the observed
                 // cache's actual capacity on first sighting.
@@ -326,11 +328,8 @@ impl TuneController {
     }
 
     /// Samples a [`ResultCache`]'s counters, updates the result-hit EWMA,
-    /// and grows/shrinks the cache through [`ResultCache::resize`] —
-    /// the same pressure/occupancy rule as the decoded-node cache knob:
-    /// grow ×2 when the smoothed hit rate is low *and* evictions prove the
-    /// ring is too small for the hot set; shrink ×2 when the hit rate is
-    /// comfortable and the ring is mostly empty. Runs on its own delta
+    /// and grows/shrinks the cache through [`ResultCache::resize`] by the
+    /// sizing rule the decoded-node cache knob uses. Runs on its own delta
     /// stream, so interleaving it with [`TuneController::observe_tree`]
     /// never corrupts the pool-counter deltas.
     ///
@@ -344,33 +343,32 @@ impl TuneController {
         if !self.is_active() || !cache.is_enabled() {
             return;
         }
-        let now = cache.signals();
+        let now = cache.stats();
         let Some(last) = self.last_results.replace(now) else {
             // First sighting: adopt the configured capacity as the knob's
             // starting point.
-            self.knobs.result_capacity = now.result_capacity;
+            self.knobs.result_capacity = now.capacity;
             return;
         };
-        let probes = (now.result_hits + now.result_misses + now.result_stale)
-            .saturating_sub(last.result_hits + last.result_misses + last.result_stale);
+        let probes = (now.hits + now.misses + now.stale)
+            .saturating_sub(last.hits + last.misses + last.stale);
         if probes == 0 {
             return;
         }
-        let hits = now.result_hits.saturating_sub(last.result_hits);
-        self.result_hit = Some(ewma(
-            self.result_hit,
-            hits as f64 / probes as f64,
-            self.alpha,
-        ));
+        let hits = now.hits.saturating_sub(last.hits);
+        let hit = ewma(self.result_hit, hits as f64 / probes as f64, self.alpha);
+        self.result_hit = Some(hit);
 
         let old = self.knobs.result_capacity;
-        let evictions = now.result_evictions.saturating_sub(last.result_evictions);
-        let hit = self.result_hit.expect("just set");
-        if hit < 0.6 && evictions > 0 {
-            self.knobs.result_capacity = (old * 2).min(self.bounds.max_results);
-        } else if hit > 0.95 && now.result_len < now.result_capacity / 4 {
-            self.knobs.result_capacity = (old / 2).max(self.bounds.min_results);
-        }
+        self.knobs.result_capacity = sized(
+            old,
+            hit,
+            now.evictions.saturating_sub(last.evictions),
+            now.len,
+            now.capacity,
+            self.bounds.min_results,
+            self.bounds.max_results,
+        );
         if self.knobs.result_capacity != old {
             cache.resize(self.knobs.result_capacity);
             self.adjustments += 1;
@@ -458,25 +456,47 @@ impl TuneController {
             _ => self.bounds.max_workers,
         };
 
-        // Cache capacity: grow ×2 under decode pressure (low hit rate
-        // while evictions prove the ring is too small for the working
-        // set); shrink ×2 when the cache is both comfortable and mostly
-        // empty. Hysteresis between the thresholds prevents flapping.
-        let evictions = now.cache_evictions.saturating_sub(last.cache_evictions);
         if let Some(hit) = self.cache_hit {
-            if hit < 0.6 && evictions > 0 {
-                self.knobs.cache_capacity =
-                    (self.knobs.cache_capacity * 2).min(self.bounds.max_cache);
-            } else if hit > 0.95 && now.cache_len < now.cache_capacity / 4 {
-                self.knobs.cache_capacity =
-                    (self.knobs.cache_capacity / 2).max(self.bounds.min_cache);
-            }
+            self.knobs.cache_capacity = sized(
+                self.knobs.cache_capacity,
+                hit,
+                now.cache_evictions.saturating_sub(last.cache_evictions),
+                now.cache_len,
+                now.cache_capacity,
+                self.bounds.min_cache,
+                self.bounds.max_cache,
+            );
         }
 
         if self.knobs != old {
             self.adjustments += 1;
         }
         true
+    }
+}
+
+/// The sizing rule of both cache knobs: double `knob` under pressure (a
+/// smoothed hit rate below 0.6 while the batch evicted: the ring is
+/// smaller than the working set), halve it when comfortable (above 0.95)
+/// and the cache is under a quarter full, else hold (the gap between the
+/// thresholds prevents flapping). The result is clamped to `[min, max]`,
+/// except that growing never lowers `knob` and shrinking never raises it:
+/// a capacity configured outside the bounds only moves with the signal.
+fn sized(
+    knob: usize,
+    hit: f64,
+    evictions: u64,
+    len: usize,
+    capacity: usize,
+    min: usize,
+    max: usize,
+) -> usize {
+    if hit < 0.6 && evictions > 0 {
+        (knob * 2).min(max).max(knob)
+    } else if hit > 0.95 && len < capacity / 4 {
+        (knob / 2).max(min).min(knob)
+    } else {
+        knob
     }
 }
 
@@ -712,6 +732,45 @@ mod tests {
         let mut off = TuneController::new(TuneMode::Off);
         off.observe_result_cache(&on);
         assert_eq!(off.adjustments(), 0);
+    }
+
+    #[test]
+    fn result_knob_never_moves_against_its_signal_outside_the_bounds() {
+        let empty = || crate::result_cache::CachedAnswer::<2> {
+            hits: Vec::new(),
+            stats: Default::default(),
+        };
+        // `--result-cache 100`, below `min_results`, with a tiny hot set:
+        // the shrink branch may not grow it to the floor.
+        let small = ResultCache::<2>::new(100);
+        let mut c = TuneController::new(TuneMode::Adaptive);
+        c.observe_result_cache(&small);
+        small.insert(b"hot", 1, empty());
+        for _ in 0..8 {
+            for _ in 0..1_000 {
+                small.lookup(b"hot", 1);
+            }
+            c.observe_result_cache(&small);
+        }
+        assert_eq!(small.stats().capacity, 100, "shrink grew the cache");
+        assert_eq!(c.settings().result_capacity, 100);
+
+        // `--result-cache 100000`, above `max_results`, under churn: the
+        // grow branch may not cut it to the ceiling.
+        let large = ResultCache::<2>::new(100_000);
+        let mut c = TuneController::new(TuneMode::Adaptive);
+        c.observe_result_cache(&large);
+        for i in 0..120_000u64 {
+            let key = i.to_le_bytes();
+            large.lookup(&key, 1);
+            large.insert(&key, 1, empty());
+        }
+        let evicted = large.stats().evictions;
+        assert!(evicted > 0);
+        c.observe_result_cache(&large);
+        assert_eq!(large.stats().capacity, 100_000, "grow shrank the cache");
+        assert_eq!(large.stats().evictions, evicted, "grow evicted answers");
+        assert_eq!(c.adjustments(), 0);
     }
 
     #[test]

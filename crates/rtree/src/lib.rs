@@ -64,7 +64,7 @@ pub use config::{RTreeConfig, SplitStrategy};
 pub use entry::{Entry, RecordId};
 pub use iter::WindowIter;
 pub use partition::{hilbert_split, PartitionManifest, PartitionMeta, PartitionedTree};
-pub use store::{BackendSignals, NodeCacheStats};
+pub use store::BackendSignals;
 pub use store::{MemStore, NodeStore, PagedStore};
 pub use tree::{MemRTree, NodeView, RTree, Snapshot, TreeAccess};
 pub use validate::TreeStats;

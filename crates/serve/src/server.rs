@@ -571,7 +571,7 @@ pub fn serve<R: Refiner<2> + Sync>(
 /// What [`batch_loop`] hands back to [`serve`] for the final report.
 struct BatchLoopOut {
     tune_report: Option<String>,
-    result_cache: nnq_core::ResultCacheStats,
+    result_cache: nnq_storage::CacheStats,
     dedup_merged: u64,
 }
 

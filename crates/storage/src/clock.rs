@@ -1,0 +1,527 @@
+//! The lock-striped CLOCK cache under both of `nnq`'s in-memory caches:
+//! the decoded-node cache of `nnq-rtree`'s `PagedStore` (page id →
+//! decoded node) and `nnq-core`'s query-result cache (canonical query
+//! bytes → versioned answer).
+//!
+//! * **Stripes.** The cache is split into `S` stripes (`S` a power of
+//!   two: the machine's parallelism rounded up, clamped to 64 and halved
+//!   until every stripe owns at least one slot). A key lives in the stripe
+//!   its [`StripeKey`] bits select, so readers of different stripes never
+//!   touch the same lock.
+//! * **Second chance.** Each stripe is a ring of slots swept by a CLOCK
+//!   hand. A hit takes only the stripe's *read* lock and sets the slot's
+//!   atomic reference bit; an insert sweeps the hand, clearing set bits
+//!   and evicting the first slot whose bit is already clear. A fresh
+//!   entry arrives with its bit set, so it survives one full sweep.
+//! * **Validity.** [`ClockCache::get`] takes a predicate over the cached
+//!   value. An entry that fails it is a *stale* probe: counted on its
+//!   own, not served, and its reference bit is left clear, so it is the
+//!   next victim unless an insert refreshes it in place.
+//! * **In-place resize.** The stripe count (and so the key → stripe
+//!   mapping) is fixed at construction. [`ClockCache::resize`] grows a
+//!   ring by appending empty slots and shrinks it by popping tail slots,
+//!   evicting their occupants. The map always mirrors the ring — a key is
+//!   mapped iff its slot holds it — so removal and resize leave no
+//!   residue, and the ring length changes only through `resize`.
+//!   Capacity 0 disables the cache: every probe misses and inserts and
+//!   removals do nothing.
+//!
+//! The cache never reads pages, so what it holds cannot change a page
+//! count: its users probe it *after* the accounted work (the node cache
+//! after the pool fetch) or replay the recorded accounting on a hit (the
+//! result cache). Counters are atomics outside the locks so concurrent
+//! readers do not serialize on stats.
+
+use crate::PageId;
+use parking_lot::{Mutex, RwLock};
+use std::borrow::Borrow;
+use std::collections::hash_map::DefaultHasher;
+use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+
+/// How a key picks its stripe: the cache uses the low bits of
+/// `stripe_bits`. Equality is still decided on the full key.
+pub trait StripeKey {
+    /// Bits whose low end selects the key's stripe.
+    fn stripe_bits(&self) -> u64;
+}
+
+impl StripeKey for PageId {
+    /// The page id itself: consecutive pages fall in different stripes.
+    fn stripe_bits(&self) -> u64 {
+        self.0
+    }
+}
+
+impl StripeKey for [u8] {
+    /// A per-process hash of the bytes.
+    fn stripe_bits(&self) -> u64 {
+        let mut h = DefaultHasher::new();
+        self.hash(&mut h);
+        h.finish()
+    }
+}
+
+/// What [`ClockCache::get`] found.
+#[derive(Debug, PartialEq, Eq)]
+pub enum Probe<V> {
+    /// A valid entry; the value is a clone of the cached one.
+    Hit(V),
+    /// An entry the validity predicate rejected.
+    Stale,
+    /// No entry for the key.
+    Miss,
+}
+
+/// Counters of a [`ClockCache`], snapshot by [`ClockCache::stats`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct CacheStats {
+    /// Probes served from a valid entry.
+    pub hits: u64,
+    /// Probes with no entry for the key.
+    pub misses: u64,
+    /// Probes whose entry failed the validity predicate.
+    pub stale: u64,
+    /// Entries stored, in-place refreshes included.
+    pub inserts: u64,
+    /// Entries dropped by the CLOCK hand or a shrinking resize.
+    pub evictions: u64,
+    /// Entries dropped by [`ClockCache::remove`].
+    pub invalidations: u64,
+    /// Entries currently cached.
+    pub len: usize,
+    /// Maximum entries the cache will hold (`0` disables it).
+    pub capacity: usize,
+    /// Number of lock stripes the cache is split across.
+    pub stripes: usize,
+}
+
+impl CacheStats {
+    /// Fraction of probes served from the cache, stale probes counted as
+    /// non-hits; `0.0` when nothing was probed (the convention of
+    /// [`crate::PoolStats::hit_rate`]).
+    pub fn hit_rate(&self) -> f64 {
+        let total = self.hits + self.misses + self.stale;
+        if total == 0 {
+            0.0
+        } else {
+            self.hits as f64 / total as f64
+        }
+    }
+}
+
+/// A lock-striped, CLOCK-evicted map from `K` to `V` (see the module
+/// docs). Values are handed out by clone, so `V` is typically an `Arc` or
+/// a small record.
+pub struct ClockCache<K, V> {
+    /// Total slots across stripes. Atomic so [`ClockCache::resize`] can
+    /// retune it through `&self` while readers are active.
+    capacity: AtomicUsize,
+    /// Held across a whole resize, so concurrent resizes cannot leave the
+    /// rings summing to neither capacity.
+    resizing: Mutex<()>,
+    stripe_mask: u64,
+    stripes: Vec<RwLock<Ring<K, V>>>,
+    hits: AtomicU64,
+    misses: AtomicU64,
+    stale: AtomicU64,
+    inserts: AtomicU64,
+    evictions: AtomicU64,
+    invalidations: AtomicU64,
+}
+
+struct Ring<K, V> {
+    /// key → index into `slots`; mapped iff that slot holds the key.
+    map: HashMap<K, usize>,
+    slots: Vec<Slot<K, V>>,
+    /// The CLOCK hand: next slot to inspect for eviction.
+    hand: usize,
+}
+
+struct Slot<K, V> {
+    entry: Option<(K, V)>,
+    /// Second-chance bit; set on a hit under the stripe's *read* lock
+    /// (hence atomic), cleared by the sweeping hand.
+    referenced: AtomicBool,
+}
+
+impl<K, V> Slot<K, V> {
+    fn empty() -> Self {
+        Self {
+            entry: None,
+            referenced: AtomicBool::new(false),
+        }
+    }
+}
+
+/// Power-of-two stripe count for a cache of `capacity` entries.
+fn stripe_count_for(capacity: usize) -> usize {
+    let hw = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1);
+    let mut stripes = hw.next_power_of_two().min(64);
+    while stripes > capacity.max(1) {
+        stripes /= 2;
+    }
+    stripes
+}
+
+impl<K: Hash + Eq, V> ClockCache<K, V> {
+    /// A cache of `capacity` entries (`0` disables it).
+    pub fn new(capacity: usize) -> Self {
+        Self::with_stripes(capacity, stripe_count_for(capacity))
+    }
+
+    fn with_stripes(capacity: usize, stripes: usize) -> Self {
+        debug_assert!(stripes.is_power_of_two());
+        let cache = Self {
+            capacity: AtomicUsize::new(0),
+            resizing: Mutex::new(()),
+            stripe_mask: (stripes - 1) as u64,
+            stripes: (0..stripes)
+                .map(|_| {
+                    RwLock::new(Ring {
+                        map: HashMap::new(),
+                        slots: Vec::new(),
+                        hand: 0,
+                    })
+                })
+                .collect(),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+            stale: AtomicU64::new(0),
+            inserts: AtomicU64::new(0),
+            evictions: AtomicU64::new(0),
+            invalidations: AtomicU64::new(0),
+        };
+        cache.resize(capacity);
+        cache
+    }
+
+    /// Whether the cache can hold anything at all right now.
+    pub fn is_enabled(&self) -> bool {
+        self.capacity.load(Ordering::Relaxed) > 0
+    }
+
+    #[inline]
+    fn stripe<Q: StripeKey + ?Sized>(&self, key: &Q) -> &RwLock<Ring<K, V>> {
+        &self.stripes[(key.stripe_bits() & self.stripe_mask) as usize]
+    }
+
+    /// Probes for `key`. An entry whose value satisfies `valid` is a hit
+    /// (its reference bit is set); one that does not is stale (counted,
+    /// bit untouched); no entry is a miss.
+    pub fn get<Q>(&self, key: &Q, valid: impl FnOnce(&V) -> bool) -> Probe<V>
+    where
+        K: Borrow<Q>,
+        Q: StripeKey + Hash + Eq + ?Sized,
+        V: Clone,
+    {
+        if !self.is_enabled() {
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            return Probe::Miss;
+        }
+        let ring = self.stripe(key).read();
+        let probe = match ring.map.get(key) {
+            None => Probe::Miss,
+            Some(&idx) => {
+                let slot = &ring.slots[idx];
+                let (_, value) = slot.entry.as_ref().expect("mapped slot holds an entry");
+                if valid(value) {
+                    slot.referenced.store(true, Ordering::Relaxed);
+                    Probe::Hit(value.clone())
+                } else {
+                    Probe::Stale
+                }
+            }
+        };
+        drop(ring);
+        let counter = match probe {
+            Probe::Hit(_) => &self.hits,
+            Probe::Stale => &self.stale,
+            Probe::Miss => &self.misses,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        probe
+    }
+
+    /// Caches `value` under `key`. An existing entry for the key is
+    /// refreshed in place; otherwise the stripe's CLOCK hand picks a slot:
+    /// the first empty one, or the first occupied one whose reference bit
+    /// is already clear (evicting it), clearing bits as it passes.
+    pub fn insert<Q>(&self, key: &Q, value: V)
+    where
+        K: Borrow<Q> + Clone,
+        Q: StripeKey + Hash + Eq + ToOwned + ?Sized,
+        Q::Owned: Into<K>,
+    {
+        if !self.is_enabled() {
+            return;
+        }
+        let mut guard = self.stripe(key).write();
+        let Ring { map, slots, hand } = &mut *guard;
+        if let Some(&idx) = map.get(key) {
+            let slot = &mut slots[idx];
+            slot.entry.as_mut().expect("mapped slot holds an entry").1 = value;
+            *slot.referenced.get_mut() = true;
+            self.inserts.fetch_add(1, Ordering::Relaxed);
+            return;
+        }
+        let n = slots.len();
+        if n == 0 {
+            // This stripe's share of a tiny capacity is nothing.
+            return;
+        }
+        // Terminates within two sweeps: after one full pass every bit is
+        // clear.
+        let idx = loop {
+            let idx = *hand;
+            *hand = (idx + 1) % n;
+            let slot = &mut slots[idx];
+            if slot.entry.is_none() {
+                break idx;
+            }
+            if std::mem::take(slot.referenced.get_mut()) {
+                continue;
+            }
+            let (old, _) = slot.entry.take().expect("occupied");
+            map.remove::<K>(&old);
+            self.evictions.fetch_add(1, Ordering::Relaxed);
+            break idx;
+        };
+        let key: K = key.to_owned().into();
+        let slot = &mut slots[idx];
+        slot.entry = Some((key.clone(), value));
+        *slot.referenced.get_mut() = true;
+        map.insert(key, idx);
+        self.inserts.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Drops `key`'s entry, emptying its slot in place (counted as an
+    /// invalidation).
+    pub fn remove<Q>(&self, key: &Q)
+    where
+        K: Borrow<Q>,
+        Q: StripeKey + Hash + Eq + ?Sized,
+    {
+        if !self.is_enabled() {
+            return;
+        }
+        let mut ring = self.stripe(key).write();
+        if let Some(idx) = ring.map.remove(key) {
+            ring.slots[idx] = Slot::empty();
+            self.invalidations.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Drops every entry (counters are kept).
+    pub fn clear(&self) {
+        for stripe in &self.stripes {
+            let mut ring = stripe.write();
+            ring.map.clear();
+            ring.slots.iter_mut().for_each(|slot| *slot = Slot::empty());
+            ring.hand = 0;
+        }
+    }
+
+    /// Retunes the cache to hold `capacity` entries, in place and under
+    /// `&self`, at any time — readers included. Stripe `i` gets
+    /// `capacity / S` slots, plus one if `i < capacity % S`. Evicted tail
+    /// occupants count as evictions. Returns the capacity installed.
+    pub fn resize(&self, capacity: usize) -> usize {
+        let _serial = self.resizing.lock();
+        let stripes = self.stripes.len();
+        for (i, stripe) in self.stripes.iter().enumerate() {
+            let target = capacity / stripes + usize::from(i < capacity % stripes);
+            let mut ring = stripe.write();
+            while ring.slots.len() > target {
+                if let Some((key, _)) = ring.slots.pop().and_then(|slot| slot.entry) {
+                    ring.map.remove(&key);
+                    self.evictions.fetch_add(1, Ordering::Relaxed);
+                }
+            }
+            ring.slots.resize_with(target, Slot::empty);
+            if ring.hand >= target {
+                ring.hand = 0;
+            }
+        }
+        self.capacity.store(capacity, Ordering::Relaxed);
+        capacity
+    }
+
+    /// Counter snapshot.
+    pub fn stats(&self) -> CacheStats {
+        CacheStats {
+            hits: self.hits.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
+            stale: self.stale.load(Ordering::Relaxed),
+            inserts: self.inserts.load(Ordering::Relaxed),
+            evictions: self.evictions.load(Ordering::Relaxed),
+            invalidations: self.invalidations.load(Ordering::Relaxed),
+            len: self.stripes.iter().map(|s| s.read().map.len()).sum(),
+            capacity: self.capacity.load(Ordering::Relaxed),
+            stripes: self.stripes.len(),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::fmt::Debug;
+
+    fn ring_len<K, V>(cache: &ClockCache<K, V>) -> usize {
+        cache.stripes.iter().map(|s| s.read().slots.len()).sum()
+    }
+
+    /// Length within capacity, rings summing to capacity, and the map
+    /// mirroring the rings exactly.
+    fn assert_invariants<K: Hash + Eq + Debug, V>(cache: &ClockCache<K, V>) {
+        let stats = cache.stats();
+        assert!(stats.len <= stats.capacity, "{stats:?}");
+        assert_eq!(ring_len(cache), stats.capacity);
+        for stripe in &cache.stripes {
+            let ring = stripe.read();
+            for (key, &idx) in &ring.map {
+                let held = ring.slots[idx].entry.as_ref().map(|(k, _)| k);
+                assert_eq!(held, Some(key), "mapped slot holds another key");
+            }
+            let occupied = ring.slots.iter().filter(|s| s.entry.is_some()).count();
+            assert_eq!(ring.map.len(), occupied, "an occupied slot is unmapped");
+        }
+    }
+
+    #[test]
+    fn hammer_keeps_the_rings_and_the_map_in_step() {
+        // Four threads race probes, inserts, removals and resizes (to zero
+        // among others) on a small cache. Every hit must hand back its own
+        // key's value, and the structure must be whole afterwards.
+        let cache = ClockCache::<PageId, u64>::new(16);
+        let sizes = [0usize, 1, 7, 16, 33];
+        std::thread::scope(|s| {
+            for t in 0..4u64 {
+                let cache = &cache;
+                s.spawn(move || {
+                    for i in 0..20_000u64 {
+                        let key = PageId((i * 7919 + t * 104_729) % 64);
+                        match i % 10 {
+                            0..=5 => {
+                                if let Probe::Hit(v) = cache.get(&key, |_| true) {
+                                    assert_eq!(v, key.0 * 3);
+                                }
+                            }
+                            6 | 7 => cache.insert(&key, key.0 * 3),
+                            8 => cache.remove(&key),
+                            _ => {
+                                cache.resize(sizes[((i / 10 + t) % 5) as usize]);
+                            }
+                        }
+                    }
+                });
+            }
+        });
+        assert_invariants(&cache);
+        // Still a working cache at whatever size the last resize left.
+        cache.resize(16);
+        for k in 0..64 {
+            cache.insert(&PageId(k), k * 3);
+        }
+        assert_invariants(&cache);
+        assert!(cache.stats().len > 0);
+    }
+
+    #[test]
+    fn stale_probe_leaves_the_reference_bit_clear() {
+        // One stripe of three slots. After a fourth insert the hand has
+        // cleared every bit and evicted `a`: slots [d (set), b, c], hand on
+        // b. A stale probe on b must leave its bit clear, so the next insert
+        // evicts b; a hit on b sets it, and the hand passes on to c.
+        let run = |probe_b_valid: bool| {
+            let cache = ClockCache::<PageId, u64>::with_stripes(3, 1);
+            for k in 0..4 {
+                cache.insert(&PageId(k), k);
+            }
+            assert_eq!(cache.get(&PageId(0), |_| true), Probe::Miss);
+            let probe = cache.get(&PageId(1), |_| probe_b_valid);
+            cache.insert(&PageId(4), 4);
+            let b = cache.get(&PageId(1), |_| true) != Probe::Miss;
+            let c = cache.get(&PageId(2), |_| true) != Probe::Miss;
+            (probe, b, c, cache.stats())
+        };
+        let (probe, b, c, stats) = run(false);
+        assert_eq!(probe, Probe::Stale);
+        assert_eq!((b, c), (false, true), "the stale entry is the next victim");
+        assert_eq!(stats.stale, 1);
+        assert_eq!(stats.evictions, 2);
+        let (probe, b, c, _) = run(true);
+        assert_eq!(probe, Probe::Hit(1));
+        assert_eq!((b, c), (true, false), "a hit buys a second chance");
+    }
+
+    #[test]
+    fn stripes_cover_every_capacity_at_construction_and_after_resize() {
+        let caps = [0usize, 1, 2, 3, 7, 64];
+        for &cap in &caps {
+            let cache = ClockCache::<PageId, u64>::new(cap);
+            let stripes = cache.stats().stripes;
+            assert!(stripes >= 1 && stripes.is_power_of_two());
+            assert_eq!(ring_len(&cache), cap, "capacity {cap}");
+            for &next in caps.iter().chain([cap].iter()) {
+                assert_eq!(cache.resize(next), next);
+                assert_eq!(ring_len(&cache), next, "{cap} -> {next}");
+                assert_eq!(cache.stats().stripes, stripes);
+                for k in 0..2 * next as u64 + 1 {
+                    cache.insert(&PageId(k), k);
+                }
+                assert_invariants(&cache);
+                assert_eq!(cache.is_enabled(), next > 0);
+            }
+        }
+    }
+
+    #[test]
+    fn removal_churn_leaves_no_residue() {
+        // Insert/remove cycles empty the slot in place: the ring keeps its
+        // length and the map never outgrows it.
+        let cache = ClockCache::<PageId, u64>::new(8);
+        for i in 0..10_000u64 {
+            cache.insert(&PageId(0), i);
+            cache.remove(&PageId(0));
+            if i % 256 == 0 {
+                assert_invariants(&cache);
+                assert_eq!(ring_len(&cache), 8, "ring grew");
+            }
+        }
+        assert_eq!(ring_len(&cache), 8, "ring grew after churn");
+        assert_eq!(cache.stats().invalidations, 10_000);
+        assert_eq!(cache.stats().len, 0);
+    }
+
+    #[test]
+    fn resize_grows_and_shrinks_in_place() {
+        let cache = ClockCache::<Box<[u8]>, u64>::new(8);
+        let keys: Vec<[u8; 8]> = (0..8u64).map(u64::to_le_bytes).collect();
+        for (i, key) in keys.iter().enumerate() {
+            cache.insert(&key[..], i as u64);
+        }
+        let stripes = cache.stats().stripes;
+        assert_eq!(cache.resize(2), 2);
+        assert_eq!(ring_len(&cache), 2);
+        let stats = cache.stats();
+        assert_eq!(stats.evictions, 8 - stats.len as u64);
+        assert_eq!(stats.stripes, stripes);
+        assert_invariants(&cache);
+
+        assert_eq!(cache.resize(16), 16);
+        assert_eq!(ring_len(&cache), 16);
+        for (i, key) in keys.iter().enumerate() {
+            cache.insert(&key[..], i as u64);
+        }
+        assert_eq!(cache.stats().len, 8);
+        for (i, key) in keys.iter().enumerate() {
+            assert_eq!(cache.get(&key[..], |_| true), Probe::Hit(i as u64));
+        }
+        assert_invariants(&cache);
+    }
+}

@@ -14,6 +14,9 @@
 //!   paper's "pages accessed" is [`PoolStats::logical_reads`]; with a finite
 //!   pool, cold-cache behaviour is visible in
 //!   [`PoolStats::physical_reads`].
+//! * [`ClockCache`] — the lock-striped CLOCK cache with a validity
+//!   predicate under the decoded-node and result caches of the crates
+//!   above, with its [`CacheStats`].
 //!
 //! Pages are fixed-size byte arrays; interpreting their contents is the
 //! caller's job (the `nnq-rtree` crate stores one R-tree node per page).
@@ -35,12 +38,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod clock;
 mod disk;
 mod error;
 mod heap;
 mod pool;
 mod wal;
 
+pub use clock::{CacheStats, ClockCache, Probe, StripeKey};
 pub use disk::{
     DiskManager, DiskStats, FaultDisk, FileDisk, LatencyDisk, LatencyProfile, MemDisk, TornDisk,
     TornMode,

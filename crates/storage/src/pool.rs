@@ -120,8 +120,8 @@ impl PoolStats {
     ///
     /// An untouched pool (`logical_reads == 0`) reports `0.0`, not NaN:
     /// callers format this directly into reports, and "no fetches" renders
-    /// most honestly as a 0% hit rate. The rtree node cache's
-    /// `NodeCacheStats::hit_rate` follows the same convention.
+    /// most honestly as a 0% hit rate. [`crate::CacheStats::hit_rate`]
+    /// follows the same convention.
     pub fn hit_rate(&self) -> f64 {
         if self.logical_reads == 0 {
             0.0
