@@ -4,7 +4,7 @@ use crate::datasets::Dataset;
 use nnq_core::{NnOptions, NnSearch, Refiner, SearchStats};
 use nnq_geom::{Point, Rect, Segment};
 use nnq_rtree::{BulkMethod, RTree, RTreeConfig, RecordId, SplitStrategy};
-use nnq_storage::{BufferPool, LatencyDisk, LatencyProfile, MemDisk, PAGE_SIZE};
+use nnq_storage::{BufferPool, MemDisk, PAGE_SIZE};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -60,53 +60,10 @@ pub fn build_tree(
     method: BuildMethod,
     pool_frames: usize,
 ) -> BuiltTree {
-    build_tree_sharded(items, method, pool_frames, 1)
-}
-
-/// [`build_tree`] over a pool split into `shards` sub-pools (the
-/// concurrent-read configuration benchmarked by `benches/parallel.rs`).
-/// The tree is identical regardless of shard count; only latch layout and
-/// per-shard eviction differ.
-pub fn build_tree_sharded(
-    items: &[(Rect<2>, RecordId)],
-    method: BuildMethod,
-    pool_frames: usize,
-    shards: usize,
-) -> BuiltTree {
-    let pool = Arc::new(BufferPool::with_shards(
+    let pool = Arc::new(BufferPool::new(
         Box::new(MemDisk::new(PAGE_SIZE)),
         pool_frames,
-        shards,
     ));
-    build_on_pool(pool, items, method)
-}
-
-/// [`build_tree`] over a latency-injecting in-memory disk with the pool's
-/// prefetch workers running (the I/O-pipeline configuration benchmarked by
-/// `benches/prefetch.rs`). Returns the latency handle so callers can dial
-/// the injected device latency per measurement phase; the build itself
-/// runs at zero injected latency.
-pub fn build_tree_with_latency(
-    items: &[(Rect<2>, RecordId)],
-    method: BuildMethod,
-    pool_frames: usize,
-    prefetch_workers: usize,
-) -> (BuiltTree, Arc<LatencyDisk<MemDisk>>) {
-    let latency = Arc::new(LatencyDisk::new(
-        MemDisk::new(PAGE_SIZE),
-        LatencyProfile::symmetric_us(0),
-    ));
-    let mut pool = BufferPool::with_shards(Box::new(Arc::clone(&latency)), pool_frames, 1);
-    pool.start_prefetch(prefetch_workers, 64);
-    let built = build_on_pool(Arc::new(pool), items, method);
-    (built, latency)
-}
-
-fn build_on_pool(
-    pool: Arc<BufferPool>,
-    items: &[(Rect<2>, RecordId)],
-    method: BuildMethod,
-) -> BuiltTree {
     let start = Instant::now();
     let tree = match method {
         BuildMethod::Dynamic(split) => {
@@ -228,37 +185,6 @@ impl Refiner<2> for SegmentRefiner<'_> {
     fn dist_sq(&self, record: RecordId, _mbr: &Rect<2>, q: &Point<2>) -> f64 {
         self.segments[record.0 as usize].dist_sq_to_point(q)
     }
-}
-
-/// Hardware threads available to this process (1 on the single-core hosts
-/// this repo's recorded trajectories come from).
-pub fn host_threads() -> usize {
-    std::thread::available_parallelism().map_or(1, std::num::NonZero::get)
-}
-
-/// Renders the shared `"config"` header object embedded in every
-/// `BENCH_*.json` trajectory file. Caller-supplied fields come first
-/// (values must already be valid JSON fragments — quote strings yourself),
-/// followed by the host's hardware thread count; on a 1-thread host a
-/// `host_note` is added so readers of the trajectory don't expect
-/// thread-scaling or I/O-overlap speedups from those runs. Defining the
-/// header in one place keeps every trajectory file's metadata identical
-/// in shape and spelling.
-pub fn config_header_json(fields: &[(&str, String)]) -> String {
-    let mut lines: Vec<String> = fields
-        .iter()
-        .map(|(k, v)| format!("\"{k}\": {v}"))
-        .collect();
-    let threads = host_threads();
-    lines.push(format!("\"host_hardware_threads\": {threads}"));
-    if threads == 1 {
-        lines.push(
-            "\"host_note\": \"single hardware thread: thread-scaling and I/O-overlap speedups \
-             are not expected on this host\""
-                .into(),
-        );
-    }
-    format!("{{\n    {}\n  }}", lines.join(",\n    "))
 }
 
 /// Convenience: query points for a dataset (uniform over the world).

@@ -90,6 +90,35 @@ impl Args {
         }
     }
 
+    /// An optional count flag with a default; zero is a usage error.
+    pub fn count(&self, name: &str, default: usize) -> Result<usize, CliError> {
+        match self.num(name, default)? {
+            0 => Err(CliError::Usage(format!(
+                "flag `--{name}` must be at least 1"
+            ))),
+            n => Ok(n),
+        }
+    }
+
+    /// Rejects every flag that `usage` (one subcommand's line of the usage
+    /// text) does not list.
+    pub fn only(&self, usage: &str) -> Result<(), CliError> {
+        let listed = |name: &str| {
+            usage
+                .split(|c: char| c.is_whitespace() || c == '[')
+                .filter_map(|t| t.strip_prefix("--").or_else(|| t.strip_prefix('-')))
+                .any(|t| t == name)
+        };
+        // The least name, so the message does not depend on hash order.
+        match self.flags.keys().filter(|n| !listed(n)).min() {
+            None => Ok(()),
+            Some(name) => Err(CliError::Usage(format!(
+                "unknown flag `--{name}`; usage:\n{}",
+                usage.trim()
+            ))),
+        }
+    }
+
     /// A required `x,y` coordinate pair.
     pub fn coords(&self, name: &str) -> Result<(f64, f64), CliError> {
         let raw = self.req(name)?;

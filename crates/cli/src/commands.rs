@@ -3,8 +3,8 @@
 use crate::args::{Args, CliError};
 use nnq_core::{
     metric_knn, partitioned_knn, partitioned_knn_batch_with_block, partitioned_radius,
-    within_radius_with, FnRefiner, JoinOrder, KernelMode, MbrRefiner, NnOptions, NnSearch,
-    PartitionedStats, PrefetchPolicy, TuneController, TuneMode,
+    within_radius, FnRefiner, JoinOrder, MbrRefiner, NnOptions, NnSearch, PartitionedStats,
+    PrefetchPolicy, TuneController, TuneMode,
 };
 use nnq_geom::{Metric, Point, Rect, Segment};
 use nnq_rtree::{
@@ -271,8 +271,6 @@ struct ReadPathOpts {
     /// size — all accounting-neutral knobs, so results and pages/query are
     /// bit-identical to `off`.
     tune: TuneMode,
-    /// `--kernel <scalar|batch>`: distance-kernel mode.
-    kernel: KernelMode,
     /// `--io-lat-us N`: injected per-access device latency (0 = raw disk).
     io_lat_us: u64,
 }
@@ -284,7 +282,6 @@ impl Default for ReadPathOpts {
             pool_shards: 1,
             prefetch: PrefetchPolicy::Off,
             tune: TuneMode::Off,
-            kernel: KernelMode::default(),
             io_lat_us: 0,
         }
     }
@@ -293,12 +290,7 @@ impl Default for ReadPathOpts {
 impl ReadPathOpts {
     fn parse(args: &Args) -> Result<Self, CliError> {
         let default = Self::default();
-        let threads: usize = args.num("threads", default.threads)?;
-        if threads == 0 {
-            return Err(CliError::Usage(
-                "flag `--threads` must be at least 1".into(),
-            ));
-        }
+        let threads = args.count("threads", default.threads)?;
         let pool_shards: usize = args.num("pool-shards", default.pool_shards)?;
         if pool_shards == 0 || !pool_shards.is_power_of_two() {
             return Err(CliError::Usage(
@@ -311,7 +303,6 @@ impl ReadPathOpts {
             prefetch: parse_named(args, "prefetch", default.prefetch)?,
             tune: parse_named(args, "tune", default.tune)?,
             io_lat_us: args.num("io-lat-us", default.io_lat_us)?,
-            kernel: args.num("kernel", default.kernel)?,
         })
     }
 }
@@ -408,8 +399,9 @@ pub fn stats(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
 /// `nnq query` — kNN or radius query against an index + its dataset.
 pub fn query(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let read = ReadPathOpts::parse(args)?;
+    let k = args.count("k", 1)?;
     if let Some(partitions) = parse_partitions(args)? {
-        return query_partitioned(args, out, partitions, &read);
+        return query_partitioned(args, out, partitions, k, &read);
     }
     let (tree, pool) = open_index_tuned(args.req("index")?, &read)?;
     let segments = load_segments_csv(args.req("data")?)?;
@@ -421,8 +413,6 @@ pub fn query(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let prefetch = controller.prefetch_policy().unwrap_or(read.prefetch);
     let (x, y) = args.coords("at")?;
     let q = Point::new([x, y]);
-    // The generalized-metric path has no batched kernels; report what ran.
-    let mut kernel_used = read.kernel;
     let refiner = FnRefiner::new(|rid: RecordId, _: &nnq_geom::Rect<2>, p: &Point<2>| {
         segments[rid.0 as usize].dist_sq_to_point(p)
     });
@@ -432,7 +422,7 @@ pub fn query(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         let radius: f64 = radius
             .parse()
             .map_err(|_| CliError::Usage(format!("bad --radius `{radius}`")))?;
-        within_radius_with(&tree, &q, radius, &refiner, read.kernel)?
+        within_radius(&tree, &q, radius, &refiner)?
     } else if let Some(metric) = args.opt("metric") {
         // Generalized metrics rank segment MBRs (centers for points); the
         // exact-geometry refiner is Euclidean-only.
@@ -446,16 +436,10 @@ pub fn query(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
                 )))
             }
         };
-        let k: usize = args.num("k", 1)?;
-        kernel_used = KernelMode::Scalar;
         metric_knn(&tree, &q, k, metric)?
     } else {
-        let k: usize = args.num("k", 1)?;
-        let opts = NnOptions {
-            prefetch,
-            ..NnOptions::with_kernel(read.kernel)
-        };
-        NnSearch::with_options(&tree, opts).query_refined(&q, k, &refiner)?
+        NnSearch::with_options(&tree, NnOptions::with_prefetch(prefetch))
+            .query_refined(&q, k, &refiner)?
     };
     let elapsed = start.elapsed();
 
@@ -478,7 +462,7 @@ pub fn query(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     // the two stats lines uniformly.
     writeln!(
         out,
-        "({} results, {} nodes read, kernel {kernel_used}, {} thread(s), {} pool shard(s), pool hit rate {:.1}%, {:.1} µs)",
+        "({} results, {} nodes read, {} thread(s), {} pool shard(s), pool hit rate {:.1}%, {:.1} µs)",
         hits.len(),
         search_stats.nodes_visited,
         read.threads,
@@ -504,6 +488,7 @@ fn query_partitioned(
     args: &Args,
     out: &mut dyn Write,
     partitions: usize,
+    k: usize,
     read: &ReadPathOpts,
 ) -> Result<(), CliError> {
     if args.opt("metric").is_some() {
@@ -524,10 +509,7 @@ fn query_partitioned(
     let refiner = FnRefiner::new(|rid: RecordId, _: &Rect<2>, p: &Point<2>| {
         segments[rid.0 as usize].dist_sq_to_point(p)
     });
-    let opts = NnOptions {
-        prefetch,
-        ..NnOptions::with_kernel(read.kernel)
-    };
+    let opts = NnOptions::with_prefetch(prefetch);
 
     let start = Instant::now();
     let (hits, pstats) = if let Some(radius) = args.opt("radius") {
@@ -536,7 +518,6 @@ fn query_partitioned(
             .map_err(|_| CliError::Usage(format!("bad --radius `{radius}`")))?;
         partitioned_radius(&tree, &q, radius, opts, &refiner, read.threads)?
     } else {
-        let k: usize = args.num("k", 1)?;
         partitioned_knn(&tree, &q, k, opts, &refiner, read.threads)?
     };
     let elapsed = start.elapsed();
@@ -559,13 +540,12 @@ fn query_partitioned(
     writeln!(
         out,
         "({} results, {} nodes read, {}/{partitions} partition(s) visited ({} pruned, {} round(s)), \
-         kernel {}, {} thread(s), pool hit rate {:.1}%, {:.1} µs)",
+         {} thread(s), pool hit rate {:.1}%, {:.1} µs)",
         hits.len(),
         pstats.search.nodes_visited,
         pstats.partitions_visited,
         pstats.partitions_pruned,
         pstats.rounds,
-        read.kernel,
         read.threads,
         pool.hit_rate() * 100.0,
         elapsed.as_secs_f64() * 1e6
@@ -581,16 +561,16 @@ fn query_partitioned(
 /// random query points.
 pub fn bench(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let read = ReadPathOpts::parse(args)?;
+    let n_queries = args.count("queries", 1000)?;
+    let k = args.count("k", 10)?;
+    let queries =
+        nnq_workloads::uniform_queries(n_queries, &default_bounds(), args.num("seed", 1)?);
     if let Some(partitions) = parse_partitions(args)? {
-        return bench_partitioned(args, out, partitions, &read);
+        return bench_partitioned(args, out, partitions, &queries, k, &read);
     }
     let (tree, pool) = open_index_tuned(args.req("index")?, &read)?;
     let segments = load_segments_csv(args.req("data")?)?;
     check_pairing(tree.len(), &segments)?;
-    let n_queries: usize = args.num("queries", 1000)?;
-    let k: usize = args.num("k", 10)?;
-    let seed: u64 = args.num("seed", 1)?;
-    let queries = nnq_workloads::uniform_queries(n_queries, &default_bounds(), seed);
     let refiner = FnRefiner::new(|rid: RecordId, _: &nnq_geom::Rect<2>, p: &Point<2>| {
         segments[rid.0 as usize].dist_sq_to_point(p)
     });
@@ -603,15 +583,12 @@ pub fn bench(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let chunk = if controller.is_active() {
         (n_queries / 8).max(1)
     } else {
-        n_queries.max(1)
+        n_queries
     };
     pool.reset_stats();
     let start = Instant::now();
     for qs in queries.chunks(chunk) {
-        let opts = NnOptions {
-            prefetch: controller.prefetch_policy().unwrap_or(read.prefetch),
-            ..NnOptions::with_kernel(read.kernel)
-        };
+        let opts = NnOptions::with_prefetch(controller.prefetch_policy().unwrap_or(read.prefetch));
         if read.threads == 1 {
             let search = NnSearch::with_options(&tree, opts);
             let mut cursor = nnq_core::QueryCursor::new();
@@ -650,12 +627,11 @@ pub fn bench(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let cstats = tree.store().cache_stats();
     writeln!(
         out,
-        "node cache: {} hits / {} reads ({:.1}% decode-free), {} nodes cached, kernel {}, {} thread(s), {} pool shard(s)",
+        "node cache: {} hits / {} reads ({:.1}% decode-free), {} nodes cached, {} thread(s), {} pool shard(s)",
         cstats.hits,
         cstats.hits + cstats.misses,
         cstats.hit_rate() * 100.0,
         cstats.len,
-        read.kernel,
         read.threads,
         pool.shard_count()
     )?;
@@ -680,15 +656,14 @@ fn bench_partitioned(
     args: &Args,
     out: &mut dyn Write,
     partitions: usize,
+    queries: &[Point<2>],
+    k: usize,
     read: &ReadPathOpts,
 ) -> Result<(), CliError> {
     let tree = open_partitioned(args.req("index")?, partitions, read)?;
     let segments = load_segments_csv(args.req("data")?)?;
     check_pairing(tree.len(), &segments)?;
-    let n_queries: usize = args.num("queries", 1000)?;
-    let k: usize = args.num("k", 10)?;
-    let seed: u64 = args.num("seed", 1)?;
-    let queries = nnq_workloads::uniform_queries(n_queries, &default_bounds(), seed);
+    let n_queries = queries.len();
     let refiner = FnRefiner::new(|rid: RecordId, _: &Rect<2>, p: &Point<2>| {
         segments[rid.0 as usize].dist_sq_to_point(p)
     });
@@ -697,17 +672,14 @@ fn bench_partitioned(
     let chunk = if controller.is_active() {
         (n_queries / 8).max(1)
     } else {
-        n_queries.max(1)
+        n_queries
     };
 
     tree.reset_stats();
     let start = Instant::now();
     let mut pstats = PartitionedStats::default();
     for qs in queries.chunks(chunk) {
-        let opts = NnOptions {
-            prefetch: controller.prefetch_policy().unwrap_or(read.prefetch),
-            ..NnOptions::with_kernel(read.kernel)
-        };
+        let opts = NnOptions::with_prefetch(controller.prefetch_policy().unwrap_or(read.prefetch));
         let (answers, bstats) = partitioned_knn_batch_with_block(
             &tree,
             qs,
@@ -726,13 +698,13 @@ fn bench_partitioned(
     }
     let elapsed = start.elapsed();
     let pool = tree.pool_stats();
-    let per_q = |v: u64| v as f64 / n_queries.max(1) as f64;
+    let per_q = |v: u64| v as f64 / n_queries as f64;
     writeln!(
         out,
         "{} queries (k = {k}) over {partitions} partition(s): {:.1} µs/query, {:.1} pages/query, \
          {:.1} physical reads/query, hit rate {:.1}%",
         n_queries,
-        elapsed.as_secs_f64() * 1e6 / n_queries.max(1) as f64,
+        elapsed.as_secs_f64() * 1e6 / n_queries as f64,
         per_q(pool.logical_reads),
         per_q(pool.physical_reads),
         pool.hit_rate() * 100.0
@@ -740,11 +712,10 @@ fn bench_partitioned(
     writeln!(
         out,
         "partitions: {:.2} visited/query, {:.2} pruned/query, {:.2} round(s)/query, \
-         kernel {}, {} thread(s), {} pool shard(s)/partition",
+         {} thread(s), {} pool shard(s)/partition",
         per_q(pstats.partitions_visited),
         per_q(pstats.partitions_pruned),
         per_q(pstats.rounds),
-        read.kernel,
         read.threads,
         read.pool_shards
     )?;
@@ -763,9 +734,9 @@ fn bench_partitioned(
 /// `nnq explain` — print the branch-and-bound decision trace for one
 /// query.
 pub fn explain(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
+    let k = args.count("k", 1)?;
     let (tree, _pool) = open_index(args.req("index")?)?;
     let (x, y) = args.coords("at")?;
-    let k: usize = args.num("k", 1)?;
     let q = Point::new([x, y]);
     let (hits, stats, trace) = NnSearch::new(&tree).query_traced(&q, k, &MbrRefiner)?;
     writeln!(out, "{}", trace.render())?;
@@ -783,11 +754,11 @@ pub fn explain(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
 /// the k nearest indexed objects; reports throughput for both outer
 /// orderings.
 pub fn join(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
+    let k = args.count("k", 4)?;
     let (tree, pool) = open_index(args.req("index")?)?;
     let segments = load_segments_csv(args.req("data")?)?;
     let outer_segments = load_segments_csv(args.req("outer")?)?;
     let outer: Vec<Point<2>> = outer_segments.iter().map(Segment::midpoint).collect();
-    let k: usize = args.num("k", 4)?;
     let refiner = FnRefiner::new(
         |rid: nnq_rtree::RecordId, _: &nnq_geom::Rect<2>, p: &Point<2>| {
             segments[rid.0 as usize].dist_sq_to_point(p)
@@ -837,21 +808,9 @@ pub fn join(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
 pub fn serve(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let read = ReadPathOpts::parse(args)?;
     let port: u16 = args.num("port", 0)?;
-    let batch_max: usize = args.num("batch-max", 32)?;
-    if batch_max == 0 {
-        return Err(CliError::Usage(
-            "flag `--batch-max` must be at least 1".into(),
-        ));
-    }
+    let batch_max = args.count("batch-max", 32)?;
     let batch_deadline_us: u64 = args.num("batch-deadline-us", 200)?;
-    let inbox_cap: usize = args.num("inbox-cap", 1024)?;
-    if inbox_cap == 0 {
-        return Err(CliError::Usage(
-            "flag `--inbox-cap` must be at least 1 (an inbox that admits \
-             nothing serves nothing)"
-                .into(),
-        ));
-    }
+    let inbox_cap = args.count("inbox-cap", 1024)?;
     // `--result-cache off|N`: memoized-answer capacity (default 1024).
     // Safe to leave on — hits replay the recorded answer and stats, so
     // responses stay bit-identical; `off` (or 0) is the escape hatch.
@@ -864,14 +823,7 @@ pub fn serve(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
             ))
         })?,
     };
-    let max_in_flight: usize = args.num("max-in-flight", 1024)?;
-    if max_in_flight == 0 {
-        return Err(CliError::Usage(
-            "flag `--max-in-flight` must be at least 1 (a connection that \
-             may hold nothing in flight can never be answered)"
-                .into(),
-        ));
-    }
+    let max_in_flight = args.count("max-in-flight", 1024)?;
     let partitions = parse_partitions(args)?;
     let index = args.req("index")?;
     let segments = load_segments_csv(args.req("data")?)?;
@@ -883,7 +835,6 @@ pub fn serve(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         batch_max,
         batch_deadline: std::time::Duration::from_micros(batch_deadline_us),
         inbox_cap,
-        kernel: read.kernel,
         prefetch: read.prefetch,
         tune: read.tune,
         result_cache,

@@ -30,6 +30,12 @@ pub fn run(argv: &[String], out: &mut dyn std::io::Write) -> Result<(), CliError
         return Err(CliError::Usage(USAGE.into()));
     };
     let args = Args::parse(rest)?;
+    if let Some(line) = USAGE
+        .lines()
+        .find(|l| l.split_whitespace().take(2).eq(["nnq", cmd.as_str()]))
+    {
+        args.only(line)?;
+    }
     match cmd.as_str() {
         "gen" => commands::generate(&args, out),
         "build" => commands::build(&args, out),
@@ -61,9 +67,9 @@ USAGE:
   nnq ingest --input <FILE> --index <FILE> [--wal <FILE>] [--group-commit-us <N>] [--id-base <N>]
   nnq delete --input <FILE> --index <FILE> [--wal <FILE>] [--group-commit-us <N>] [--id-base <N>]
   nnq stats  --index <FILE>
-  nnq query  --index <FILE> --data <FILE> --at <X,Y> [-k <K>] [--radius <R>] [--metric <l1|l2|linf>] [--kernel <scalar|batch>] [--threads <N>] [--partitions <P>] [--pool-shards <P2>] [--prefetch <off|N|adaptive>] [--tune <off|adaptive>] [--io-lat-us <N>]
-  nnq bench  --index <FILE> --data <FILE> [--queries <N>] [-k <K>] [--seed <S>] [--kernel <scalar|batch>] [--threads <N>] [--partitions <P>] [--pool-shards <P2>] [--prefetch <off|N|adaptive>] [--tune <off|adaptive>] [--io-lat-us <N>]
-  nnq serve  --index <FILE> --data <FILE> [--port <P>] [--port-file <FILE>] [--threads <N>] [--batch-max <N>] [--batch-deadline-us <N>] [--inbox-cap <N>] [--result-cache <off|N>] [--max-in-flight <N>] [--partitions <P>] [--pool-shards <P2>] [--prefetch <off|N|adaptive>] [--tune <off|adaptive>] [--kernel <scalar|batch>] [--io-lat-us <N>]
+  nnq query  --index <FILE> --data <FILE> --at <X,Y> [-k <K>] [--radius <R>] [--metric <l1|l2|linf>] [--threads <N>] [--partitions <P>] [--pool-shards <P2>] [--prefetch <off|N|adaptive>] [--tune <off|adaptive>] [--io-lat-us <N>]
+  nnq bench  --index <FILE> --data <FILE> [--queries <N>] [-k <K>] [--seed <S>] [--threads <N>] [--partitions <P>] [--pool-shards <P2>] [--prefetch <off|N|adaptive>] [--tune <off|adaptive>] [--io-lat-us <N>]
+  nnq serve  --index <FILE> --data <FILE> [--port <P>] [--port-file <FILE>] [--threads <N>] [--batch-max <N>] [--batch-deadline-us <N>] [--inbox-cap <N>] [--result-cache <off|N>] [--max-in-flight <N>] [--partitions <P>] [--pool-shards <P2>] [--prefetch <off|N|adaptive>] [--tune <off|adaptive>] [--io-lat-us <N>]
   nnq explain --index <FILE> --at <X,Y> [-k <K>]
   nnq join   --index <FILE> --data <FILE> --outer <FILE> [-k <K>]
 

@@ -160,77 +160,6 @@ fn errors_are_reported_not_panicked() {
 }
 
 #[test]
-fn kernel_flag_selects_mode_and_modes_agree() {
-    let data = tmp("kern.csv");
-    let index = tmp("kern.rtree");
-    run_ok(&["gen", "--kind", "tiger", "--n", "4000", "--out", &data]);
-    run_ok(&["build", "--input", &data, "--index", &index]);
-
-    // The two kernel modes must report identical results and node reads;
-    // only the timing line may differ.
-    let result_lines = |kernel: &str| -> (Vec<String>, String) {
-        let out = run_ok(&[
-            "query",
-            "--index",
-            &index,
-            "--data",
-            &data,
-            "--at",
-            "50000,50000",
-            "-k",
-            "5",
-            "--kernel",
-            kernel,
-        ]);
-        let ranked = out
-            .lines()
-            .filter(|l| l.contains("segment #"))
-            .map(str::to_string)
-            .collect();
-        let summary = out
-            .lines()
-            .find(|l| l.contains("results"))
-            .unwrap()
-            .to_string();
-        (ranked, summary)
-    };
-    let (scalar_hits, scalar_summary) = result_lines("scalar");
-    let (batch_hits, batch_summary) = result_lines("batch");
-    assert_eq!(scalar_hits, batch_hits);
-    assert!(scalar_summary.contains("kernel scalar"), "{scalar_summary}");
-    assert!(batch_summary.contains("kernel batch"), "{batch_summary}");
-
-    // Bench reports the kernel alongside the node-cache stats.
-    let out = run_ok(&[
-        "bench",
-        "--index",
-        &index,
-        "--data",
-        &data,
-        "--queries",
-        "20",
-        "--kernel",
-        "scalar",
-    ]);
-    assert!(out.contains("kernel scalar"), "{out}");
-
-    // A bad kernel name is a usage error.
-    let mut sink = Vec::new();
-    assert!(matches!(
-        run(
-            &argv(&[
-                "query", "--index", &index, "--data", &data, "--at", "0,0", "--kernel", "simd"
-            ]),
-            &mut sink
-        ),
-        Err(CliError::Usage(_))
-    ));
-
-    std::fs::remove_file(&data).ok();
-    std::fs::remove_file(&index).ok();
-}
-
-#[test]
 fn query_rejects_mismatched_data_file() {
     let data = tmp("a.csv");
     let other = tmp("b.csv");

@@ -22,8 +22,9 @@ pub enum AblOrdering {
 /// the same operation sequence over a struct-of-arrays node view — see
 /// `nnq_geom::SoaRects`), so traversal order, tie-breaks, results, and
 /// every [`SearchStats`] / page-access counter match exactly; only the
-/// CPU time differs. The escape hatch exists for A/B measurement and as a
-/// reference oracle in tests.
+/// CPU time differs. `Scalar` is not a user-facing knob: it is the oracle
+/// that the kernel-equivalence, kernel-mode and tracing suites compare
+/// `Batch` against.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum KernelMode {
     /// Per-entry scalar metric calls over the entry array — the reference

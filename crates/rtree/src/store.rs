@@ -829,7 +829,6 @@ mod tests {
         assert_eq!(base.physical_reads, tuned.physical_reads);
     }
 
-    #[cfg(feature = "prefetch")]
     #[test]
     fn io_miss_rate_counts_claimed_prefetches_as_device_reads() {
         // Two cold passes over the same pages: the first takes every miss

@@ -42,7 +42,7 @@ use crate::protocol::{
 };
 use nnq_core::{
     par_mixed_batch_dedup, partitioned_mixed_batch_dedup, BatchQuery, BatchStats, CachedAnswer,
-    JoinOrder, KernelMode, Neighbor, NnOptions, PrefetchPolicy, Refiner, ResultCache, SearchStats,
+    JoinOrder, Neighbor, NnOptions, PrefetchPolicy, Refiner, ResultCache, SearchStats,
     TuneController, TuneMode,
 };
 use nnq_geom::Point;
@@ -73,8 +73,6 @@ pub struct ServeConfig {
     pub batch_deadline: Duration,
     /// Inbox capacity; admission fast-rejects beyond it.
     pub inbox_cap: usize,
-    /// Distance-kernel mode for every query.
-    pub kernel: KernelMode,
     /// Static prefetch policy (the tune controller may override).
     pub prefetch: PrefetchPolicy,
     /// Online self-tuning of backend knobs, observed per drained batch.
@@ -100,7 +98,6 @@ impl Default for ServeConfig {
             batch_max: 32,
             batch_deadline: Duration::from_micros(200),
             inbox_cap: 1024,
-            kernel: KernelMode::default(),
             prefetch: PrefetchPolicy::Off,
             tune: TuneMode::Off,
             result_cache: 1024,
@@ -798,11 +795,8 @@ fn batch_loop<R: Refiner<2> + Sync>(
         shared
             .max_batch
             .fetch_max(batch.len() as u64, Ordering::Relaxed);
-        let opts = NnOptions {
-            kernel: config.kernel,
-            prefetch: controller.prefetch_policy().unwrap_or(config.prefetch),
-            ..NnOptions::default()
-        };
+        let opts =
+            NnOptions::with_prefetch(controller.prefetch_policy().unwrap_or(config.prefetch));
 
         // Pinned for the whole probe → execute → fill pipeline; a
         // concurrent COW writer can publish freely underneath.

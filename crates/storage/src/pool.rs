@@ -61,8 +61,7 @@
 //! Prefetch accounting is kept strictly separate from [`PoolStats`] in
 //! [`PrefetchStats`]: issuing or completing a hint never moves
 //! `logical_reads`, so the paper's page-access figures are bit-identical
-//! with prefetch on, off, or compiled out (disable the crate's `prefetch`
-//! feature). After [`BufferPool::prefetch_quiesce`] plus
+//! with prefetch on or off. After [`BufferPool::prefetch_quiesce`] plus
 //! [`BufferPool::clear_cache`], `useful + wasted + dropped == issued`.
 
 use crate::wal::Wal;
@@ -302,7 +301,6 @@ impl Shard {
 }
 
 /// What became of a hint offered to the prefetch queue.
-#[cfg(feature = "prefetch")]
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Hinted {
     /// It entered the queue.
@@ -489,35 +487,27 @@ impl BufferPool {
     /// shared (it takes `&mut self`); calling it more than once adds
     /// workers to the same queue. A zero worker count or queue capacity
     /// leaves the prefetcher off.
-    ///
-    /// With the crate's `prefetch` feature disabled this is a no-op and
-    /// [`BufferPool::prefetch`] hints are ignored — the compile-time "off"
-    /// the accounting contract promises.
-    #[allow(unused_variables)]
     pub fn start_prefetch(&mut self, workers: usize, queue_cap: usize) {
-        #[cfg(feature = "prefetch")]
-        {
-            if workers == 0 || queue_cap == 0 {
-                return;
-            }
-            let first = {
-                let mut st = self.core.prefetch.state.lock().unwrap();
-                st.cap = queue_cap;
-                st.shutdown = false;
-                let first = st.spawned;
-                st.spawned += workers;
-                st.active_workers = st.spawned;
-                first
-            };
-            self.core.prefetch.active.store(true, Ordering::Relaxed);
-            for i in first..first + workers {
-                let core = Arc::clone(&self.core);
-                let handle = std::thread::Builder::new()
-                    .name(format!("nnq-prefetch-{i}"))
-                    .spawn(move || prefetch_worker(core, i))
-                    .expect("failed to spawn prefetch worker");
-                self.workers.push(handle);
-            }
+        if workers == 0 || queue_cap == 0 {
+            return;
+        }
+        let first = {
+            let mut st = self.core.prefetch.state.lock().unwrap();
+            st.cap = queue_cap;
+            st.shutdown = false;
+            let first = st.spawned;
+            st.spawned += workers;
+            st.active_workers = st.spawned;
+            first
+        };
+        self.core.prefetch.active.store(true, Ordering::Relaxed);
+        for i in first..first + workers {
+            let core = Arc::clone(&self.core);
+            let handle = std::thread::Builder::new()
+                .name(format!("nnq-prefetch-{i}"))
+                .spawn(move || prefetch_worker(core, i))
+                .expect("failed to spawn prefetch worker");
+            self.workers.push(handle);
         }
     }
 
@@ -556,38 +546,27 @@ impl BufferPool {
     /// [`BufferPool::prefetch_quiesce`] can never hang (prefetch "off" is
     /// expressed by issuing no hints, i.e. depth 0, not by zero workers).
     /// Returns the active count after clamping; 0 if no prefetcher was
-    /// ever started (or the `prefetch` feature is compiled out).
+    /// ever started.
     ///
     /// Accounting-neutral by construction: workers only serve hints, which
     /// never touch [`PoolStats`].
-    #[allow(unused_variables)]
     pub fn set_prefetch_workers(&self, n: usize) -> usize {
-        #[cfg(feature = "prefetch")]
-        {
-            let mut st = self.core.prefetch.state.lock().unwrap();
-            if st.spawned == 0 {
-                return 0;
-            }
-            st.active_workers = n.clamp(1, st.spawned);
-            let active = st.active_workers;
-            drop(st);
-            // Parked workers past the old active count may need waking.
-            self.core.prefetch.cvar.notify_all();
-            active
+        let mut st = self.core.prefetch.state.lock().unwrap();
+        if st.spawned == 0 {
+            return 0;
         }
-        #[cfg(not(feature = "prefetch"))]
-        0
+        st.active_workers = n.clamp(1, st.spawned);
+        let active = st.active_workers;
+        drop(st);
+        // Parked workers past the old active count may need waking.
+        self.core.prefetch.cvar.notify_all();
+        active
     }
 
     /// Number of prefetch threads currently servicing the queue (0 when no
-    /// prefetcher is attached or the `prefetch` feature is compiled out).
+    /// prefetcher is attached).
     pub fn prefetch_workers(&self) -> usize {
-        #[cfg(feature = "prefetch")]
-        {
-            return self.core.prefetch.state.lock().unwrap().active_workers;
-        }
-        #[cfg(not(feature = "prefetch"))]
-        0
+        self.core.prefetch.state.lock().unwrap().active_workers
     }
 
     /// Journals a page image before it is written back to the device
@@ -792,8 +771,8 @@ impl BufferPool {
     /// * Page absent: queued for a background read as a **certain** hint —
     ///   the caller will come back for exactly this page — and not yet. A
     ///   repeat call while the page is queued or being read issues nothing
-    ///   new. With no background reader to take it (no prefetcher, queue
-    ///   full, `prefetch` feature off) this is `fetch`: a counted, blocking
+    ///   new. With no background reader to take it (no prefetcher or queue
+    ///   full) this is `fetch`: a counted, blocking
     ///   demand load.
     ///
     /// Nothing is held across a "not yet": no pin, no latch. A page evicted
@@ -1168,20 +1147,16 @@ impl PoolCore {
 
     /// Foreground half of a speculative prefetch: classify-or-enqueue,
     /// never blocking on I/O.
-    #[allow(unused_variables)]
     fn prefetch_enqueue(&self, id: PageId) {
-        #[cfg(feature = "prefetch")]
-        {
-            if !self.prefetch.active.load(Ordering::Relaxed) {
-                return;
-            }
-            self.prefetch.issued.fetch_add(1, Ordering::Relaxed);
-            // Dedup against resident pages. Advisory only — the worker
-            // re-checks under the shard lock before reading.
-            let wanted = id.is_valid() && !self.shard_of(id).inner.lock().map.contains_key(&id);
-            if !wanted || self.enqueue_hint(id, false) != Hinted::Queued {
-                self.prefetch.dropped.fetch_add(1, Ordering::Relaxed);
-            }
+        if !self.prefetch.active.load(Ordering::Relaxed) {
+            return;
+        }
+        self.prefetch.issued.fetch_add(1, Ordering::Relaxed);
+        // Dedup against resident pages. Advisory only — the worker
+        // re-checks under the shard lock before reading.
+        let wanted = id.is_valid() && !self.shard_of(id).inner.lock().map.contains_key(&id);
+        if !wanted || self.enqueue_hint(id, false) != Hinted::Queued {
+            self.prefetch.dropped.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -1190,22 +1165,15 @@ impl PoolCore {
     /// background read of the page is now queued or running; `false` means
     /// the caller must read it itself. Only a hint that entered the queue
     /// counts `issued`.
-    #[allow(unused_variables)]
     fn request_load(&self, id: PageId) -> bool {
-        #[cfg(feature = "prefetch")]
-        {
-            self.prefetch.active.load(Ordering::Relaxed)
-                && self.enqueue_hint(id, true) != Hinted::Refused
-        }
-        #[cfg(not(feature = "prefetch"))]
-        false
+        self.prefetch.active.load(Ordering::Relaxed)
+            && self.enqueue_hint(id, true) != Hinted::Refused
     }
 
     /// Puts `id` on the prefetch queue unless it is already queued or being
     /// read, or the queue is full. `count_issued` counts an accepted hint
     /// before a worker can see it (speculative hints were counted on
     /// arrival).
-    #[cfg(feature = "prefetch")]
     fn enqueue_hint(&self, id: PageId, count_issued: bool) -> Hinted {
         let mut st = self.prefetch.state.lock().unwrap();
         if st.queued.contains(&id) || st.in_flight.contains(&id) {
@@ -1704,7 +1672,6 @@ mod tests {
     // -- prefetch ----------------------------------------------------------
 
     /// A pool with a running prefetcher over a zero-latency MemDisk.
-    #[cfg(feature = "prefetch")]
     fn prefetch_pool(frames: usize) -> BufferPool {
         let mut p = BufferPool::new(Box::new(MemDisk::new(128)), frames);
         p.start_prefetch(2, 16);
@@ -1740,7 +1707,6 @@ mod tests {
         assert_eq!(p.stats().physical_reads, 1);
     }
 
-    #[cfg(feature = "prefetch")]
     #[test]
     fn prefetch_loads_page_without_touching_demand_counters() {
         let p = prefetch_pool(8);
@@ -1766,7 +1732,6 @@ mod tests {
         assert_eq!(pf.useful_rate(), 1.0);
     }
 
-    #[cfg(feature = "prefetch")]
     #[test]
     fn prefetch_dedups_resident_queued_and_invalid() {
         let p = prefetch_pool(8);
@@ -1784,7 +1749,6 @@ mod tests {
         assert_eq!(pf.wasted, 0);
     }
 
-    #[cfg(feature = "prefetch")]
     #[test]
     fn clear_cache_classifies_unclaimed_prefetches_as_wasted() {
         let p = prefetch_pool(8);
@@ -1804,7 +1768,6 @@ mod tests {
         assert_eq!(p.stats(), PoolStats::default());
     }
 
-    #[cfg(feature = "prefetch")]
     #[test]
     fn eviction_of_prefetched_frame_counts_wasted() {
         // 2 frames: prefetch two pages, then demand-fetch two others so
@@ -1828,7 +1791,6 @@ mod tests {
         assert_eq!(s.physical_reads, 2);
     }
 
-    #[cfg(feature = "prefetch")]
     #[test]
     fn queue_overflow_drops_hints() {
         // One worker, tiny queue, slow device: most hints must bounce.
@@ -1847,7 +1809,6 @@ mod tests {
         assert_eq!(pf.useful + pf.wasted + pf.dropped, pf.issued);
     }
 
-    #[cfg(feature = "prefetch")]
     #[test]
     fn delete_while_prefetching_does_not_resurrect_the_page() {
         // Regression test: a freed page must not reappear in a frame via a
@@ -1889,7 +1850,6 @@ mod tests {
         w[0] = 1;
     }
 
-    #[cfg(feature = "prefetch")]
     #[test]
     fn concurrent_demand_and_prefetch_agree() {
         use std::sync::Arc;
@@ -1919,7 +1879,6 @@ mod tests {
         assert_eq!(p.stats().logical_reads, 4 * 100);
     }
 
-    #[cfg(feature = "prefetch")]
     #[test]
     fn logical_reads_identical_with_and_without_prefetch() {
         // The same fetch sequence, one pool hinting ahead, one not: the
@@ -2067,7 +2026,6 @@ mod tests {
 
     /// Who performs the load under test.
     #[derive(Clone, Copy, Debug)]
-    #[cfg_attr(not(feature = "prefetch"), allow(dead_code))]
     enum Loader {
         Demand,
         Prefetch,
@@ -2205,19 +2163,16 @@ mod tests {
         racing_fetches_of_one_cold_page_cost_one_read(Loader::Demand);
     }
 
-    #[cfg(feature = "prefetch")]
     #[test]
     fn demand_miss_overlaps_a_prefetch_load_in_the_device() {
         misses_on_different_pages_overlap_in_the_device(Loader::Prefetch);
     }
 
-    #[cfg(feature = "prefetch")]
     #[test]
     fn hit_completes_while_a_prefetch_load_is_in_the_device() {
         hit_completes_while_a_miss_is_in_the_device(Loader::Prefetch);
     }
 
-    #[cfg(feature = "prefetch")]
     #[test]
     fn racing_fetches_of_one_cold_page_share_the_prefetch_load() {
         racing_fetches_of_one_cold_page_cost_one_read(Loader::Prefetch);
@@ -2228,11 +2183,7 @@ mod tests {
 
     #[test]
     fn try_fetch_with_no_background_reader_is_a_counted_demand_load() {
-        #[allow(unused_mut)]
-        let mut p = pool(4);
-        // Compiled out, starting a prefetcher starts nothing.
-        #[cfg(not(feature = "prefetch"))]
-        p.start_prefetch(2, 16);
+        let p = pool(4);
         let ids = cold_pages(&p, 2);
         assert_eq!(
             p.try_fetch(ids[0]).unwrap().expect("loaded by the call")[0],
@@ -2249,7 +2200,6 @@ mod tests {
         assert_no_pins_or_lost_frames(&p);
     }
 
-    #[cfg(feature = "prefetch")]
     #[test]
     fn try_fetch_counts_nothing_until_it_returns_the_page() {
         let disk = GateDisk::new(MemDisk::new(128));
@@ -2287,7 +2237,6 @@ mod tests {
         assert_no_pins_or_lost_frames(&p);
     }
 
-    #[cfg(feature = "prefetch")]
     #[test]
     fn try_fetch_reads_the_page_itself_when_the_queue_is_full() {
         let disk = GateDisk::new(MemDisk::new(128));
@@ -2387,7 +2336,6 @@ mod tests {
         fetch_racing_a_failed_load_gets_an_error(Loader::Demand);
     }
 
-    #[cfg(feature = "prefetch")]
     #[test]
     fn fetch_racing_a_failed_prefetch_load_gets_an_error() {
         fetch_racing_a_failed_load_gets_an_error(Loader::Prefetch);

@@ -193,7 +193,6 @@ proptest! {
                     model.resident.remove(&id);
                 }
                 TraceOp::Prefetch(slot) => {
-                    // Without the `prefetch` feature hints are ignored.
                     if pool.prefetch_active() {
                         let id = live[slot % live.len()];
                         pool.prefetch(id);

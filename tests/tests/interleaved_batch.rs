@@ -10,11 +10,6 @@
 //! scatter-gather queries (DESIGN.md §"Partitioned trees"): there the
 //! reference is a loop of `partitioned_knn` / `partitioned_radius` calls,
 //! per-query `PartitionedStats` included, and at P = 1 the single tree.
-//!
-//! With the `prefetch` feature compiled out there are no background readers:
-//! the identity and thrash tests then check that everything degrades to the
-//! blocking path with the same answers, and the gated scenarios (which need
-//! a background read to park) are not built.
 
 use nnq_core::{
     par_knn_batch_with_block, par_mixed_batch, partitioned_knn, partitioned_knn_batch_with_block,
@@ -57,7 +52,7 @@ fn build<T: DiskManager + 'static>(disk: &Arc<T>) -> (PageId, usize) {
 }
 
 /// Opens the tree on a cold one-shard pool of `frames` with
-/// `prefetch_workers` background readers (none when 0, or compiled out).
+/// `prefetch_workers` background readers (none when 0).
 fn open<T: DiskManager + 'static>(
     disk: &Arc<T>,
     meta: PageId,
@@ -237,7 +232,7 @@ fn batches_equal_the_sequential_loop_whatever_interleaves() {
     assert_eq!(tree.pool().stats().logical_reads, knn_pages);
     assert!(observed.speculative.load(Ordering::Relaxed) > 0);
     let pf = balanced(tree.pool(), "sequential Depth(2)");
-    assert_eq!(pf.issued > 0, cfg!(feature = "prefetch"), "{pf:?}");
+    assert!(pf.issued > 0, "{pf:?}");
     drop(tree);
 
     for workers in [0, 2] {
@@ -250,8 +245,7 @@ fn batches_equal_the_sequential_loop_whatever_interleaves() {
                 for order in [JoinOrder::AsGiven, JoinOrder::Hilbert] {
                     let what =
                         format!("workers={workers} policy={policy} threads={threads} {order:?}");
-                    let interleaves =
-                        workers > 0 && policy != PrefetchPolicy::Off && cfg!(feature = "prefetch");
+                    let interleaves = workers > 0 && policy != PrefetchPolicy::Off;
                     let opts = NnOptions::with_prefetch(policy);
 
                     let tree = open(&disk, meta, frames, workers);
@@ -457,8 +451,7 @@ fn partitioned_batches_equal_the_sequential_loop_whatever_interleaves() {
             ] {
                 for threads in [1, 2, 4] {
                     let what = format!("P={p} workers={workers} policy={policy} threads={threads}");
-                    let interleaves =
-                        workers > 0 && policy != PrefetchPolicy::Off && cfg!(feature = "prefetch");
+                    let interleaves = workers > 0 && policy != PrefetchPolicy::Off;
                     let opts = NnOptions::with_prefetch(policy);
 
                     // (the claim block only matters when not interleaving)
@@ -631,13 +624,12 @@ fn a_failed_demand_read_in_one_partition_fails_the_batch_and_the_tree_keeps_serv
         assert!(pool0.stats().physical_reads > 0);
         assert_eq!(pool0.prefetch_stats().issued, 0, "nobody to hint to");
         let pf = balanced_parted(&tree, "after the next batch");
-        assert_eq!(pf.useful > 0, cfg!(feature = "prefetch"), "{pf:?}");
+        assert!(pf.useful > 0, "{pf:?}");
     }
 }
 
 // -- (c), (d): scenarios that park a background read ---------------------------
 
-#[cfg(feature = "prefetch")]
 mod gated {
     use super::*;
     use nnq_core::{FnRefiner, Refiner, TraceEvent};

@@ -253,6 +253,7 @@ fn overload_fast_rejects_instead_of_queueing_or_dropping() {
         report
     });
     assert_eq!(report.errors, 0);
+    assert_eq!(report.write_errors, 0);
 }
 
 /// The shutdown-drain regression test: requests admitted before the
