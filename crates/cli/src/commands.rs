@@ -2,17 +2,17 @@
 
 use crate::args::{Args, CliError};
 use nnq_core::{
-    metric_knn, partitioned_knn, partitioned_knn_batch_with_block, partitioned_radius,
-    within_radius, FnRefiner, JoinOrder, MbrRefiner, NnOptions, NnSearch, PartitionedStats,
-    PrefetchPolicy, TuneController, TuneMode,
+    forest_batch, metric_knn, scatter_knn, scatter_radius, BatchQuery, FnRefiner, JoinOrder,
+    MbrRefiner, NnOptions, NnSearch, PartitionedStats, PrefetchPolicy, TuneController, TuneMode,
 };
 use nnq_geom::{Metric, Point, Rect, Segment};
 use nnq_rtree::{
-    BulkMethod, PartitionManifest, PartitionedTree, RTree, RTreeConfig, RecordId, SplitStrategy,
+    BackendSignals, BulkMethod, PartitionManifest, PartitionedTree, RTree, RTreeConfig, RecordId,
+    SplitStrategy, TreeAccess,
 };
+use nnq_serve::Engine;
 use nnq_storage::{
-    BufferPool, DiskManager, FileDisk, LatencyDisk, LatencyProfile, PageId, PrefetchStats, Wal,
-    PAGE_SIZE,
+    BufferPool, DiskManager, FileDisk, LatencyDisk, LatencyProfile, PageId, Wal, PAGE_SIZE,
 };
 use nnq_workloads::{
     default_bounds, gaussian_clusters, load_segments_csv, save_segments_csv, segments_to_items,
@@ -192,26 +192,31 @@ fn build_partitioned(
         out,
         "built {index}: {} entries across {partitions} partition(s), max height {max_height}, \
          {build_threads} build thread(s), {:.0} ms (manifest {})",
-        tree.len(),
+        tree.forest().len(),
         elapsed.as_secs_f64() * 1e3,
         manifest_file(index)
     )?;
     Ok(())
 }
 
-fn open_index(path: &str) -> Result<(RTree<2>, Arc<BufferPool>), CliError> {
+fn open_index(path: &str) -> Result<RTree<2>, CliError> {
     open_index_tuned(path, &ReadPathOpts::default())
 }
 
-/// Opens a partitioned index built by [`build_partitioned`]: decodes the
-/// manifest, opens every partition file on its **own** pool
-/// ([`open_index_tuned`]), and checks the partition count against
-/// `expected`.
-fn open_partitioned(
-    index: &str,
-    expected: usize,
-    opts: &ReadPathOpts,
-) -> Result<PartitionedTree<2>, CliError> {
+/// Opens the index `query`, `bench` and `serve` read and runs `body` on
+/// it; every read goes through [`Engine::forest`]. A plain index is one
+/// tree, a forest of one. With `--partitions P` the index is one built by
+/// [`build_partitioned`]: the manifest is decoded and checked against P,
+/// and every partition file opens on its **own** pool.
+fn with_index<T>(
+    args: &Args,
+    read: &ReadPathOpts,
+    body: impl FnOnce(&Engine<'_>) -> Result<T, CliError>,
+) -> Result<T, CliError> {
+    let index = args.req("index")?;
+    let Some(expected) = parse_partitions(args)? else {
+        return body(&Engine::Single(&open_index_tuned(index, read)?));
+    };
     let manifest_path = manifest_file(index);
     let text = std::fs::read_to_string(&manifest_path)
         .map_err(|e| CliError::Run(format!("reading {manifest_path}: {e}")))?;
@@ -222,20 +227,17 @@ fn open_partitioned(
             manifest.parts.len()
         )));
     }
-    let mut parts = Vec::with_capacity(expected);
-    for i in 0..expected {
-        parts.push(open_index_tuned(&partition_file(index, i), opts)?.0);
-    }
-    Ok(PartitionedTree::from_parts(parts, manifest)?)
+    let parts = (0..expected)
+        .map(|i| open_index_tuned(&partition_file(index, i), read))
+        .collect::<Result<_, _>>()?;
+    let tree = PartitionedTree::from_parts(parts, manifest)?;
+    body(&Engine::Partitioned(&tree))
 }
 
 /// Opens an index file on its own pool with the full I/O tuning surface:
 /// pool shard count, injected per-access device latency (0 = raw disk),
 /// and the prefetch pipeline's background I/O workers.
-fn open_index_tuned(
-    path: &str,
-    opts: &ReadPathOpts,
-) -> Result<(RTree<2>, Arc<BufferPool>), CliError> {
+fn open_index_tuned(path: &str, opts: &ReadPathOpts) -> Result<RTree<2>, CliError> {
     let disk = FileDisk::open(path, PAGE_SIZE)?;
     let disk: Box<dyn DiskManager> = if opts.io_lat_us > 0 {
         Box::new(LatencyDisk::new(
@@ -251,9 +253,7 @@ fn open_index_tuned(
     if opts.prefetch != PrefetchPolicy::Off || opts.tune == TuneMode::Adaptive {
         pool.start_prefetch(2, 64);
     }
-    let pool = Arc::new(pool);
-    let tree = RTree::<2>::open(Arc::clone(&pool), PageId(0))?;
-    Ok((tree, pool))
+    Ok(RTree::<2>::open(Arc::new(pool), PageId(0))?)
 }
 
 /// The read-path flags `query`, `bench`, and `serve` share.
@@ -330,34 +330,41 @@ fn tune_report(controller: &TuneController) -> Option<String> {
         .then(|| format!("tune adaptive: {}", controller.report()))
 }
 
-/// The prefetch summary printed by `query` and `bench` when the pipeline
-/// is on, summed over `pools` (one, or a partitioned tree's). Quiesces each
-/// first so every issued hint has been classified.
-fn prefetch_report<'p>(
-    pools: impl IntoIterator<Item = &'p BufferPool>,
-    policy: PrefetchPolicy,
-) -> Option<String> {
-    let mut active = false;
-    let mut pf = PrefetchStats::default();
-    for pool in pools.into_iter().filter(|pool| pool.prefetch_active()) {
-        active = true;
-        pool.prefetch_quiesce();
-        let s = pool.prefetch_stats();
-        pf.issued += s.issued;
-        pf.useful += s.useful;
-        pf.wasted += s.wasted;
-        pf.dropped += s.dropped;
+/// The counters of the forest's trees, summed, every prefetch pipeline
+/// quiesced first so each issued hint has been classified.
+fn forest_signals(trees: &[RTree<2>]) -> BackendSignals {
+    let mut sum = BackendSignals::default();
+    for tree in trees {
+        tree.pool().prefetch_quiesce();
+        sum.accumulate(&tree.backend_signals());
     }
-    active.then(|| {
+    sum
+}
+
+/// The prefetch line of `query`, `bench` and `serve`, when the pipeline
+/// is on.
+fn prefetch_report(s: &BackendSignals, policy: PrefetchPolicy) -> Option<String> {
+    (s.prefetch_workers > 0).then(|| {
         format!(
             "prefetch {policy}: {} issued, {} useful, {} wasted, {} dropped, useful rate {:.1}%",
-            pf.issued,
-            pf.useful,
-            pf.wasted,
-            pf.dropped,
-            pf.useful_rate() * 100.0
+            s.prefetch_issued,
+            s.prefetch_useful,
+            s.prefetch_wasted,
+            s.prefetch_dropped,
+            s.prefetch_useful as f64 / s.prefetch_issued.max(1) as f64 * 100.0
         )
     })
+}
+
+/// The node-cache line of `bench` and `serve`.
+fn node_cache_report(s: &BackendSignals) -> String {
+    let reads = s.cache_hits + s.cache_misses;
+    format!(
+        "node cache: {} hits / {reads} reads ({:.1}% decode-free), {} nodes cached",
+        s.cache_hits,
+        s.cache_hits as f64 / reads.max(1) as f64 * 100.0,
+        s.cache_len
+    )
 }
 
 /// Refuses an index and a data file that do not belong together: record
@@ -374,7 +381,7 @@ fn check_pairing(entries: u64, segments: &[Segment]) -> Result<(), CliError> {
 
 /// `nnq stats` — print the structure of an index file.
 pub fn stats(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
-    let (tree, _pool) = open_index(args.req("index")?)?;
+    let tree = open_index(args.req("index")?)?;
     let s = tree.stats()?;
     writeln!(out, "entries:      {}", tree.len())?;
     writeln!(out, "height:       {}", tree.height())?;
@@ -396,346 +403,232 @@ pub fn stats(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     Ok(())
 }
 
-/// `nnq query` — kNN or radius query against an index + its dataset.
-pub fn query(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
-    let read = ReadPathOpts::parse(args)?;
-    let k = args.count("k", 1)?;
-    if let Some(partitions) = parse_partitions(args)? {
-        return query_partitioned(args, out, partitions, k, &read);
-    }
-    let (tree, pool) = open_index_tuned(args.req("index")?, &read)?;
-    let segments = load_segments_csv(args.req("data")?)?;
-    check_pairing(tree.len(), &segments)?;
-    // The controller applies its initial knobs up front (one observation)
-    // and re-samples after the query so the report reflects real traffic.
-    let mut controller = TuneController::new(read.tune);
-    controller.observe_tree(&tree);
-    let prefetch = controller.prefetch_policy().unwrap_or(read.prefetch);
-    let (x, y) = args.coords("at")?;
-    let q = Point::new([x, y]);
-    let refiner = FnRefiner::new(|rid: RecordId, _: &nnq_geom::Rect<2>, p: &Point<2>| {
-        segments[rid.0 as usize].dist_sq_to_point(p)
-    });
-
-    let start = Instant::now();
-    let (hits, search_stats) = if let Some(radius) = args.opt("radius") {
-        let radius: f64 = radius
-            .parse()
-            .map_err(|_| CliError::Usage(format!("bad --radius `{radius}`")))?;
-        within_radius(&tree, &q, radius, &refiner)?
-    } else if let Some(metric) = args.opt("metric") {
-        // Generalized metrics rank segment MBRs (centers for points); the
-        // exact-geometry refiner is Euclidean-only.
-        let metric = match metric {
-            "l2" | "euclidean" => Metric::Euclidean,
-            "l1" | "manhattan" => Metric::Manhattan,
-            "linf" | "chebyshev" => Metric::Chebyshev,
-            other => {
-                return Err(CliError::Usage(format!(
-                    "unknown --metric `{other}` (want l1, l2, or linf)"
-                )))
-            }
-        };
-        metric_knn(&tree, &q, k, metric)?
-    } else {
-        NnSearch::with_options(&tree, NnOptions::with_prefetch(prefetch))
-            .query_refined(&q, k, &refiner)?
+/// `--radius R`: `None` when absent; a usage error unless finite and ≥ 0.
+fn parse_radius(args: &Args) -> Result<Option<f64>, CliError> {
+    let Some(v) = args.opt("radius") else {
+        return Ok(None);
     };
-    let elapsed = start.elapsed();
-
-    for (rank, n) in hits.iter().enumerate() {
-        let s = &segments[n.record.0 as usize];
-        writeln!(
-            out,
-            "{:>3}. segment #{:<8} [{:.1},{:.1}]->[{:.1},{:.1}]  dist {:.1}",
-            rank + 1,
-            n.record.0,
-            s.a[0],
-            s.a[1],
-            s.b[0],
-            s.b[1],
-            n.dist()
-        )?;
+    match v.parse::<f64>() {
+        Ok(r) if r.is_finite() && r >= 0.0 => Ok(Some(r)),
+        _ => Err(CliError::Usage(format!(
+            "flag `--radius` must be a finite number ≥ 0, got `{v}`"
+        ))),
     }
-    // A single query point has nothing to fan out; `--threads` is
-    // accepted for symmetry with `bench` and echoed so scripts can treat
-    // the two stats lines uniformly.
-    writeln!(
-        out,
-        "({} results, {} nodes read, {} thread(s), {} pool shard(s), pool hit rate {:.1}%, {:.1} µs)",
-        hits.len(),
-        search_stats.nodes_visited,
-        read.threads,
-        pool.shard_count(),
-        pool.stats().hit_rate() * 100.0,
-        elapsed.as_secs_f64() * 1e6
-    )?;
-    if let Some(report) = prefetch_report([&*pool], prefetch) {
-        writeln!(out, "({report})")?;
-    }
-    controller.observe_tree(&tree);
-    if let Some(report) = tune_report(&controller) {
-        writeln!(out, "({report})")?;
-    }
-    Ok(())
 }
 
-/// The `--partitions` branch of `nnq query`: scatter-gather over a
-/// partitioned index. Results are bit-identical to the single-tree
-/// query; the stats line additionally reports how many partitions the
-/// MINDIST-to-partition-MBR schedule visited vs pruned.
-fn query_partitioned(
-    args: &Args,
-    out: &mut dyn Write,
-    partitions: usize,
-    k: usize,
-    read: &ReadPathOpts,
-) -> Result<(), CliError> {
-    if args.opt("metric").is_some() {
+/// `--metric <l1|l2|linf>`: `None` when absent.
+fn parse_metric(args: &Args) -> Result<Option<Metric>, CliError> {
+    let Some(metric) = args.opt("metric") else {
+        return Ok(None);
+    };
+    let metric = match metric {
+        "l2" | "euclidean" => Metric::Euclidean,
+        "l1" | "manhattan" => Metric::Manhattan,
+        "linf" | "chebyshev" => Metric::Chebyshev,
+        other => {
+            return Err(CliError::Usage(format!(
+                "unknown --metric `{other}` (want l1, l2, or linf)"
+            )))
+        }
+    };
+    if args.opt("partitions").is_some() {
         return Err(CliError::Usage(
             "flag `--metric` is not supported with `--partitions`: \
              generalized metrics run on a single tree"
                 .into(),
         ));
     }
-    let tree = open_partitioned(args.req("index")?, partitions, read)?;
-    let mut controller = TuneController::new(read.tune);
-    controller.observe_partitioned(&tree);
-    let prefetch = controller.prefetch_policy().unwrap_or(read.prefetch);
-    let segments = load_segments_csv(args.req("data")?)?;
-    check_pairing(tree.len(), &segments)?;
-    let (x, y) = args.coords("at")?;
-    let q = Point::new([x, y]);
-    let refiner = FnRefiner::new(|rid: RecordId, _: &Rect<2>, p: &Point<2>| {
-        segments[rid.0 as usize].dist_sq_to_point(p)
-    });
-    let opts = NnOptions::with_prefetch(prefetch);
+    Ok(Some(metric))
+}
 
-    let start = Instant::now();
-    let (hits, pstats) = if let Some(radius) = args.opt("radius") {
-        let radius: f64 = radius
-            .parse()
-            .map_err(|_| CliError::Usage(format!("bad --radius `{radius}`")))?;
-        partitioned_radius(&tree, &q, radius, opts, &refiner, read.threads)?
-    } else {
-        partitioned_knn(&tree, &q, k, opts, &refiner, read.threads)?
-    };
-    let elapsed = start.elapsed();
+/// `nnq query` — kNN or radius query against an index + its dataset,
+/// scatter-gather over its forest. The stats line reports how many trees
+/// the MINDIST-to-bound schedule visited vs pruned (a plain index is one
+/// tree, always visited).
+pub fn query(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
+    let read = ReadPathOpts::parse(args)?;
+    let k = args.count("k", 1)?;
+    let radius = parse_radius(args)?;
+    let metric = parse_metric(args)?;
+    with_index(args, &read, |engine| {
+        let forest = engine.forest();
+        let trees = forest.trees();
+        let segments = load_segments_csv(args.req("data")?)?;
+        check_pairing(forest.len(), &segments)?;
+        // The controller applies its initial knobs up front (one
+        // observation) and re-samples after the query so the report
+        // reflects real traffic.
+        let mut controller = TuneController::new(read.tune);
+        controller.observe_trees(trees);
+        let prefetch = controller.prefetch_policy().unwrap_or(read.prefetch);
+        let opts = NnOptions::with_prefetch(prefetch);
+        let (x, y) = args.coords("at")?;
+        let q = Point::new([x, y]);
+        let refiner = FnRefiner::new(|rid: RecordId, _: &Rect<2>, p: &Point<2>| {
+            segments[rid.0 as usize].dist_sq_to_point(p)
+        });
 
-    for (rank, n) in hits.iter().enumerate() {
-        let s = &segments[n.record.0 as usize];
+        let start = Instant::now();
+        let (hits, stats) = match (radius, metric) {
+            (Some(radius), _) => scatter_radius(forest, &q, radius, opts, &refiner, read.threads)?,
+            // Generalized metrics rank segment MBRs (centers for points);
+            // the exact-geometry refiner is Euclidean-only.
+            (None, Some(metric)) => {
+                let (hits, search) = metric_knn(&trees[0], &q, k, metric)?;
+                let stats = PartitionedStats {
+                    search,
+                    partitions_visited: 1,
+                    partitions_pruned: 0,
+                    rounds: 1,
+                };
+                (hits, stats)
+            }
+            (None, None) => scatter_knn(forest, &q, k, opts, &refiner, read.threads)?,
+        };
+        let elapsed = start.elapsed();
+
+        for (rank, n) in hits.iter().enumerate() {
+            let s = &segments[n.record.0 as usize];
+            writeln!(
+                out,
+                "{:>3}. segment #{:<8} [{:.1},{:.1}]->[{:.1},{:.1}]  dist {:.1}",
+                rank + 1,
+                n.record.0,
+                s.a[0],
+                s.a[1],
+                s.b[0],
+                s.b[1],
+                n.dist()
+            )?;
+        }
+        // A single query point has nothing to fan out over but its trees;
+        // `--threads` is echoed so scripts can treat the `query` and
+        // `bench` stats lines uniformly.
         writeln!(
             out,
-            "{:>3}. segment #{:<8} [{:.1},{:.1}]->[{:.1},{:.1}]  dist {:.1}",
-            rank + 1,
-            n.record.0,
-            s.a[0],
-            s.a[1],
-            s.b[0],
-            s.b[1],
-            n.dist()
+            "({} results, {} nodes read, {}/{} partition(s) visited ({} pruned, {} round(s)), \
+             {} thread(s), {} pool shard(s), pool hit rate {:.1}%, {:.1} µs)",
+            hits.len(),
+            stats.search.nodes_visited,
+            stats.partitions_visited,
+            trees.len(),
+            stats.partitions_pruned,
+            stats.rounds,
+            read.threads,
+            trees[0].pool().shard_count(),
+            forest.pool_stats().hit_rate() * 100.0,
+            elapsed.as_secs_f64() * 1e6
         )?;
-    }
-    let pool = tree.pool_stats();
-    writeln!(
-        out,
-        "({} results, {} nodes read, {}/{partitions} partition(s) visited ({} pruned, {} round(s)), \
-         {} thread(s), pool hit rate {:.1}%, {:.1} µs)",
-        hits.len(),
-        pstats.search.nodes_visited,
-        pstats.partitions_visited,
-        pstats.partitions_pruned,
-        pstats.rounds,
-        read.threads,
-        pool.hit_rate() * 100.0,
-        elapsed.as_secs_f64() * 1e6
-    )?;
-    controller.observe_partitioned(&tree);
-    if let Some(report) = tune_report(&controller) {
-        writeln!(out, "({report})")?;
-    }
-    Ok(())
+        if let Some(report) = prefetch_report(&forest_signals(trees), prefetch) {
+            writeln!(out, "({report})")?;
+        }
+        controller.observe_trees(trees);
+        if let Some(report) = tune_report(&controller) {
+            writeln!(out, "({report})")?;
+        }
+        Ok(())
+    })
 }
 
 /// `nnq bench` — average query latency and page accesses over a batch of
-/// random query points.
+/// random query points, run by the work-stealing batch executor over the
+/// index's forest: each query is one scatter-gather item. Page accesses
+/// are summed across every tree's pool, so pages/query does not depend on
+/// how the index is partitioned.
 pub fn bench(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let read = ReadPathOpts::parse(args)?;
     let n_queries = args.count("queries", 1000)?;
     let k = args.count("k", 10)?;
     let queries =
         nnq_workloads::uniform_queries(n_queries, &default_bounds(), args.num("seed", 1)?);
-    if let Some(partitions) = parse_partitions(args)? {
-        return bench_partitioned(args, out, partitions, &queries, k, &read);
-    }
-    let (tree, pool) = open_index_tuned(args.req("index")?, &read)?;
-    let segments = load_segments_csv(args.req("data")?)?;
-    check_pairing(tree.len(), &segments)?;
-    let refiner = FnRefiner::new(|rid: RecordId, _: &nnq_geom::Rect<2>, p: &Point<2>| {
-        segments[rid.0 as usize].dist_sq_to_point(p)
-    });
+    let requests: Vec<BatchQuery<2>> = queries.iter().map(|&q| BatchQuery::Knn { q, k }).collect();
+    with_index(args, &read, |engine| {
+        let forest = engine.forest();
+        let trees = forest.trees();
+        let segments = load_segments_csv(args.req("data")?)?;
+        check_pairing(forest.len(), &segments)?;
+        let refiner = FnRefiner::new(|rid: RecordId, _: &Rect<2>, p: &Point<2>| {
+            segments[rid.0 as usize].dist_sq_to_point(p)
+        });
 
-    // With tuning on, the batch runs in sub-batches with a controller
-    // observation between each — the knobs it moves are accounting-
-    // neutral, so pages/query matches the untuned run exactly.
-    let mut controller = TuneController::new(read.tune);
-    controller.observe_tree(&tree);
-    let chunk = if controller.is_active() {
-        (n_queries / 8).max(1)
-    } else {
-        n_queries
-    };
-    pool.reset_stats();
-    let start = Instant::now();
-    for qs in queries.chunks(chunk) {
-        let opts = NnOptions::with_prefetch(controller.prefetch_policy().unwrap_or(read.prefetch));
-        if read.threads == 1 {
-            let search = NnSearch::with_options(&tree, opts);
-            let mut cursor = nnq_core::QueryCursor::new();
-            for q in qs {
-                search.query_refined_with(&mut cursor, q, k, &refiner)?;
-            }
+        // With tuning on, the batch runs in sub-batches with a controller
+        // observation between each — the knobs it moves are accounting-
+        // neutral, so pages/query matches the untuned run exactly.
+        let mut controller = TuneController::new(read.tune);
+        controller.observe_trees(trees);
+        let chunk = if controller.is_active() {
+            (n_queries / 8).max(1)
         } else {
-            let (_, bstats) = nnq_core::par_knn_batch_with_block(
-                &tree,
-                qs,
-                k,
-                opts,
+            n_queries
+        };
+        forest.reset_stats();
+        let start = Instant::now();
+        let mut pstats = PartitionedStats::default();
+        for reqs in requests.chunks(chunk) {
+            let policy = controller.prefetch_policy().unwrap_or(read.prefetch);
+            let (answers, bstats) = forest_batch(
+                forest,
+                reqs,
+                NnOptions::with_prefetch(policy),
                 &refiner,
                 read.threads,
                 JoinOrder::AsGiven,
                 controller.block_override(),
             )
             .map_err(|e| CliError::Run(e.to_string()))?;
+            for (_, ps) in &answers {
+                pstats.accumulate(ps);
+            }
             controller.observe_batch(&bstats);
+            controller.observe_trees(trees);
         }
-        controller.observe_tree(&tree);
-    }
-    let elapsed = start.elapsed();
-    // Aggregated over all shards; per-query logical reads (the paper's
-    // "pages accessed") are shard- and thread-count-independent.
-    let pstats = pool.stats();
-    writeln!(
-        out,
-        "{} queries (k = {k}): {:.1} µs/query, {:.1} pages/query, {:.1} physical reads/query, hit rate {:.1}%",
-        n_queries,
-        elapsed.as_secs_f64() * 1e6 / n_queries as f64,
-        pstats.logical_reads as f64 / n_queries as f64,
-        pstats.physical_reads as f64 / n_queries as f64,
-        pstats.hit_rate() * 100.0
-    )?;
-    let cstats = tree.store().cache_stats();
-    writeln!(
-        out,
-        "node cache: {} hits / {} reads ({:.1}% decode-free), {} nodes cached, {} thread(s), {} pool shard(s)",
-        cstats.hits,
-        cstats.hits + cstats.misses,
-        cstats.hit_rate() * 100.0,
-        cstats.len,
-        read.threads,
-        pool.shard_count()
-    )?;
-    if let Some(report) = prefetch_report(
-        [&*pool],
-        controller.prefetch_policy().unwrap_or(read.prefetch),
-    ) {
-        writeln!(out, "{report}")?;
-    }
-    if let Some(report) = tune_report(&controller) {
-        writeln!(out, "{report}")?;
-    }
-    Ok(())
-}
-
-/// The `--partitions` branch of `nnq bench`: the work-stealing batch
-/// executor fans queries out over workers, and each query runs its own
-/// scatter-gather pass. Page accesses are summed across every
-/// partition's pool, so pages/query is directly comparable to the
-/// single-tree figure.
-fn bench_partitioned(
-    args: &Args,
-    out: &mut dyn Write,
-    partitions: usize,
-    queries: &[Point<2>],
-    k: usize,
-    read: &ReadPathOpts,
-) -> Result<(), CliError> {
-    let tree = open_partitioned(args.req("index")?, partitions, read)?;
-    let segments = load_segments_csv(args.req("data")?)?;
-    check_pairing(tree.len(), &segments)?;
-    let n_queries = queries.len();
-    let refiner = FnRefiner::new(|rid: RecordId, _: &Rect<2>, p: &Point<2>| {
-        segments[rid.0 as usize].dist_sq_to_point(p)
-    });
-    let mut controller = TuneController::new(read.tune);
-    controller.observe_partitioned(&tree);
-    let chunk = if controller.is_active() {
-        (n_queries / 8).max(1)
-    } else {
-        n_queries
-    };
-
-    tree.reset_stats();
-    let start = Instant::now();
-    let mut pstats = PartitionedStats::default();
-    for qs in queries.chunks(chunk) {
-        let opts = NnOptions::with_prefetch(controller.prefetch_policy().unwrap_or(read.prefetch));
-        let (answers, bstats) = partitioned_knn_batch_with_block(
-            &tree,
-            qs,
-            k,
-            opts,
-            &refiner,
+        let elapsed = start.elapsed();
+        // Per-query logical reads (the paper's "pages accessed") are
+        // shard-, thread- and partition-count-independent.
+        let pool = forest.pool_stats();
+        let per_q = |v: u64| v as f64 / n_queries as f64;
+        writeln!(
+            out,
+            "{} queries (k = {k}) over {} partition(s): {:.1} µs/query, {:.1} pages/query, \
+             {:.1} physical reads/query, hit rate {:.1}%",
+            n_queries,
+            trees.len(),
+            elapsed.as_secs_f64() * 1e6 / n_queries as f64,
+            per_q(pool.logical_reads),
+            per_q(pool.physical_reads),
+            pool.hit_rate() * 100.0
+        )?;
+        let signals = forest_signals(trees);
+        writeln!(
+            out,
+            "{}, {} thread(s), {} pool shard(s)",
+            node_cache_report(&signals),
             read.threads,
-            controller.block_override(),
-        )
-        .map_err(|e| CliError::Run(e.to_string()))?;
-        for (_, ps) in &answers {
-            pstats.accumulate(ps);
+            trees[0].pool().shard_count()
+        )?;
+        writeln!(
+            out,
+            "partitions: {:.2} visited/query, {:.2} pruned/query, {:.2} round(s)/query",
+            per_q(pstats.partitions_visited),
+            per_q(pstats.partitions_pruned),
+            per_q(pstats.rounds),
+        )?;
+        let policy = controller.prefetch_policy().unwrap_or(read.prefetch);
+        if let Some(report) = prefetch_report(&signals, policy) {
+            writeln!(out, "{report}")?;
         }
-        controller.observe_batch(&bstats);
-        controller.observe_partitioned(&tree);
-    }
-    let elapsed = start.elapsed();
-    let pool = tree.pool_stats();
-    let per_q = |v: u64| v as f64 / n_queries as f64;
-    writeln!(
-        out,
-        "{} queries (k = {k}) over {partitions} partition(s): {:.1} µs/query, {:.1} pages/query, \
-         {:.1} physical reads/query, hit rate {:.1}%",
-        n_queries,
-        elapsed.as_secs_f64() * 1e6 / n_queries as f64,
-        per_q(pool.logical_reads),
-        per_q(pool.physical_reads),
-        pool.hit_rate() * 100.0
-    )?;
-    writeln!(
-        out,
-        "partitions: {:.2} visited/query, {:.2} pruned/query, {:.2} round(s)/query, \
-         {} thread(s), {} pool shard(s)/partition",
-        per_q(pstats.partitions_visited),
-        per_q(pstats.partitions_pruned),
-        per_q(pstats.rounds),
-        read.threads,
-        read.pool_shards
-    )?;
-    if let Some(report) = prefetch_report(
-        tree.partitions().iter().map(|part| &**part.pool()),
-        controller.prefetch_policy().unwrap_or(read.prefetch),
-    ) {
-        writeln!(out, "{report}")?;
-    }
-    if let Some(report) = tune_report(&controller) {
-        writeln!(out, "{report}")?;
-    }
-    Ok(())
+        if let Some(report) = tune_report(&controller) {
+            writeln!(out, "{report}")?;
+        }
+        Ok(())
+    })
 }
 
 /// `nnq explain` — print the branch-and-bound decision trace for one
 /// query.
 pub fn explain(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let k = args.count("k", 1)?;
-    let (tree, _pool) = open_index(args.req("index")?)?;
+    let tree = open_index(args.req("index")?)?;
     let (x, y) = args.coords("at")?;
     let q = Point::new([x, y]);
     let (hits, stats, trace) = NnSearch::new(&tree).query_traced(&q, k, &MbrRefiner)?;
@@ -755,7 +648,8 @@ pub fn explain(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
 /// orderings.
 pub fn join(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let k = args.count("k", 4)?;
-    let (tree, pool) = open_index(args.req("index")?)?;
+    let tree = open_index(args.req("index")?)?;
+    let pool = tree.pool();
     let segments = load_segments_csv(args.req("data")?)?;
     let outer_segments = load_segments_csv(args.req("outer")?)?;
     let outer: Vec<Point<2>> = outer_segments.iter().map(Segment::midpoint).collect();
@@ -824,7 +718,6 @@ pub fn serve(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         })?,
     };
     let max_in_flight = args.count("max-in-flight", 1024)?;
-    let partitions = parse_partitions(args)?;
     let index = args.req("index")?;
     let segments = load_segments_csv(args.req("data")?)?;
     let refiner = FnRefiner::new(|rid: RecordId, _: &Rect<2>, p: &Point<2>| {
@@ -846,7 +739,9 @@ pub fn serve(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let listener = std::net::TcpListener::bind(("127.0.0.1", port))?;
     let addr = listener.local_addr()?;
 
-    let announce = |out: &mut dyn Write| -> Result<(), CliError> {
+    let report = with_index(args, &read, |engine| {
+        let forest = engine.forest();
+        check_pairing(forest.len(), &segments)?;
         writeln!(
             out,
             "serving {index} on {addr} ({} thread(s), batch ≤ {batch_max} \
@@ -858,66 +753,25 @@ pub fn serve(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
             std::fs::write(path, addr.port().to_string())
                 .map_err(|e| CliError::Run(format!("writing {path}: {e}")))?;
         }
-        Ok(())
-    };
-
-    let report = match partitions {
-        None => {
-            let (tree, pool) = open_index_tuned(index, &read)?;
-            check_pairing(tree.len(), &segments)?;
-            announce(out)?;
-            let report = nnq_serve::serve(
-                &nnq_serve::Engine::Single(&tree),
-                &refiner,
-                listener,
-                &config,
-            )?;
-            let pstats = pool.stats();
-            let cstats = tree.store().cache_stats();
-            writeln!(
-                out,
-                "pool: hit rate {:.1}%, {} logical reads, {} physical reads, {} shard(s)",
-                pstats.hit_rate() * 100.0,
-                pstats.logical_reads,
-                pstats.physical_reads,
-                pool.shard_count()
-            )?;
-            writeln!(
-                out,
-                "node cache: {} hits / {} reads ({:.1}% decode-free), {} nodes cached",
-                cstats.hits,
-                cstats.hits + cstats.misses,
-                cstats.hit_rate() * 100.0,
-                cstats.len
-            )?;
-            if let Some(r) = prefetch_report([&*pool], read.prefetch) {
-                writeln!(out, "{r}")?;
-            }
-            report
+        let report = nnq_serve::serve(engine, &refiner, listener, &config)?;
+        let pstats = forest.pool_stats();
+        writeln!(
+            out,
+            "pool: hit rate {:.1}%, {} logical reads, {} physical reads, \
+             {} partition(s) × {} shard(s)",
+            pstats.hit_rate() * 100.0,
+            pstats.logical_reads,
+            pstats.physical_reads,
+            forest.trees().len(),
+            forest.trees()[0].pool().shard_count()
+        )?;
+        let signals = forest_signals(forest.trees());
+        writeln!(out, "{}", node_cache_report(&signals))?;
+        if let Some(r) = prefetch_report(&signals, read.prefetch) {
+            writeln!(out, "{r}")?;
         }
-        Some(partitions) => {
-            let tree = open_partitioned(index, partitions, &read)?;
-            check_pairing(tree.len(), &segments)?;
-            announce(out)?;
-            let report = nnq_serve::serve(
-                &nnq_serve::Engine::Partitioned(&tree),
-                &refiner,
-                listener,
-                &config,
-            )?;
-            let pstats = tree.pool_stats();
-            writeln!(
-                out,
-                "pool: hit rate {:.1}%, {} logical reads, {} physical reads, \
-                 {partitions} partition(s) × {} shard(s)",
-                pstats.hit_rate() * 100.0,
-                pstats.logical_reads,
-                pstats.physical_reads,
-                read.pool_shards
-            )?;
-            report
-        }
-    };
+        Ok(report)
+    })?;
     writeln!(
         out,
         "serve done: {} served, {} rejected ({} at shutdown), {} errors, \

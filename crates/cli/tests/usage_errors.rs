@@ -171,3 +171,21 @@ fn unknown_and_removed_flags_are_refused() {
         assert!(out.status.success(), "{k}: {}", stderr(&out));
     }
 }
+
+#[test]
+fn a_negative_or_non_finite_radius_is_a_usage_error() {
+    let fx = Fixture::new("radius");
+    let want = "flag `--radius` must be a finite number ≥ 0";
+    for r in ["-1", "-0.5", "nan", "inf", "-inf", "1e999", "wide"] {
+        let at = ["--at", "50000,50000", "--radius", r];
+        assert_usage(&fx.single("query", &at), want, &format!("--radius {r}"));
+        assert_usage(
+            &fx.parted("query", &at),
+            want,
+            &format!("--radius {r} --partitions"),
+        );
+    }
+    // Zero is a radius: the query answers (with whatever lies on the point).
+    let out = fx.single("query", &["--at", "50000,50000", "--radius", "0"]);
+    assert!(out.status.success(), "{}", stderr(&out));
+}

@@ -93,17 +93,15 @@ pub use options::{
     AblOrdering, KernelMode, Neighbor, NnOptions, PrefetchPolicy, SearchStats, TuneMode,
 };
 pub use parallel::{
-    par_knn_batch, par_knn_batch_stats, par_knn_batch_with_block, par_mixed_batch,
-    par_mixed_batch_dedup, BatchQuery, BatchStats,
+    par_knn_batch, par_knn_batch_stats, par_mixed_batch_dedup, BatchQuery, BatchStats,
 };
 pub use radius::{count_within_radius, within_radius, within_radius_with};
 pub use refine::{FnRefiner, MbrRefiner, Refiner};
 pub use result_cache::{CachedAnswer, ResultCache};
 pub use scan::{linear_scan_knn, scan_items_knn};
 pub use scatter::{
-    partitioned_knn, partitioned_knn_batch, partitioned_knn_batch_with_block,
-    partitioned_mixed_batch_dedup, partitioned_radius, scatter_knn, scatter_radius,
-    PartitionedStats,
+    forest_batch, forest_batch_dedup, partitioned_knn, partitioned_knn_batch, scatter_knn,
+    scatter_radius, PartitionedStats,
 };
 pub use spatial_join::{intersection_join, intersection_join_with, JoinStats};
 pub use tune::{KnobSettings, TuneBounds, TuneController};

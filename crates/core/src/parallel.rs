@@ -6,16 +6,18 @@
 //! backends are internally synchronized for reads (`&self` queries), so
 //! workers share one tree.
 //!
-//! Every batch entry point in this crate — kNN and mixed batches here, the
-//! scatter-gather rounds and partitioned batches in
-//! [`scatter`](crate::scatter) — is a call of one private primitive,
-//! [`steal_map`]. Scheduling is work-stealing over a shared atomic cursor
-//! rather than static chunking: every worker claims a small block of items
-//! at a time, so one expensive query (huge `k`, far-off point, dense
-//! region) stalls only the worker that claimed it while the rest of the
-//! batch drains through the other workers. The batch finishes in roughly
-//! `max(most expensive single query, total work / threads)` instead of
-//! `total work / threads + slowest static chunk`.
+//! Every batch in this crate runs on one executor body,
+//! [`forest_batch`](crate::forest_batch), over a forest of trees
+//! ([`scatter`](crate::scatter)); the single-tree entry points here
+//! ([`par_knn_batch`], [`par_mixed_batch_dedup`]) run it over a forest of
+//! one. That body, and the scatter-gather rounds, are calls of one private
+//! primitive, [`steal_map`]. Scheduling is work-stealing over a shared
+//! atomic cursor rather than static chunking: every worker claims a small
+//! block of items at a time, so one expensive query (huge `k`, far-off
+//! point, dense region) stalls only the worker that claimed it while the
+//! rest of the batch drains through the other workers. The batch finishes
+//! in roughly `max(most expensive single query, total work / threads)`
+//! instead of `total work / threads + slowest static chunk`.
 //!
 //! Items are **resumable**: a step of an item either finishes it or stops
 //! in front of a page that is not loaded ([`Poll::Waiting`]). Where the
@@ -40,15 +42,14 @@
 //! cache, tighter prefetch reuse — while results still come back in
 //! submission order.
 
-use crate::branch_bound::{NnSearch, QueryCursor};
 use crate::join::{hilbert_schedule, JoinOrder};
 use crate::options::{Neighbor, NnOptions, PrefetchPolicy, SearchStats};
-use crate::radius::within_radius_with;
 use crate::refine::Refiner;
+use crate::scatter::{forest_batch, forest_batch_dedup};
 use crate::Result;
 use nnq_geom::Point;
-use nnq_rtree::TreeAccess;
-use std::collections::{HashMap, VecDeque};
+use nnq_rtree::{Forest, TreeAccess};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 pub(crate) use crate::branch_bound::Poll;
@@ -85,7 +86,7 @@ impl<const D: usize> BatchQuery<D> {
     }
 }
 
-/// How a [`par_knn_batch_stats`] run distributed its queries.
+/// How a batch run distributed its queries.
 #[derive(Clone, Debug, Default)]
 pub struct BatchStats {
     /// Workers spawned (1 for the sequential fast path).
@@ -98,8 +99,8 @@ pub struct BatchStats {
     /// fewer, which is the observable signature of stealing.
     pub per_worker_queries: Vec<usize>,
     /// Queries that actually ran a traversal. Equal to the batch length
-    /// for the plain executors; smaller under
-    /// [`par_mixed_batch_dedup`] when duplicates were merged
+    /// for the plain executor; smaller under
+    /// [`forest_batch_dedup`] when duplicates were merged
     /// (`len - executed` is the number of answers fanned out for free).
     pub executed: usize,
 }
@@ -273,13 +274,10 @@ pub(crate) fn steal_map<S, O: Send>(
 /// yet" could never be answered, and the workers run item by item. (A
 /// tree without background readers in an interleaving batch just loads on
 /// demand: `try_access_node` has nobody to queue the page for.)
-pub(crate) fn interleaves<'t, const D: usize, T: TreeAccess<D> + ?Sized + 't>(
-    trees: impl IntoIterator<Item = &'t T>,
-    opts: &NnOptions,
-) -> bool {
+pub(crate) fn interleaves<const D: usize, T: TreeAccess<D>>(trees: &[T], opts: &NnOptions) -> bool {
     // (`Off` first: a batch that never hints reads no backend counter.)
     opts.prefetch != PrefetchPolicy::Off
-        && trees.into_iter().any(|tree| {
+        && trees.iter().any(|tree| {
             opts.prefetch
                 .resolve_with_activity(tree.io_miss_rate(), tree.io_reads())
                 > 0
@@ -332,14 +330,15 @@ pub fn par_knn_batch<const D: usize, T, R>(
     threads: usize,
 ) -> Result<Vec<Vec<Neighbor<D>>>>
 where
-    T: TreeAccess<D> + Sync + ?Sized,
+    T: TreeAccess<D> + Sync,
     R: Refiner<D> + Sync,
 {
     par_knn_batch_stats(tree, queries, k, opts, refiner, threads).map(|(results, _)| results)
 }
 
 /// [`par_knn_batch`] plus the scheduling telemetry: how many queries each
-/// worker claimed off the shared cursor.
+/// worker claimed off the shared cursor. The batch is a
+/// [`forest_batch`](crate::forest_batch) over `tree` as a forest of one.
 pub fn par_knn_batch_stats<const D: usize, T, R>(
     tree: &T,
     queries: &[Point<D>],
@@ -349,191 +348,24 @@ pub fn par_knn_batch_stats<const D: usize, T, R>(
     threads: usize,
 ) -> Result<(Vec<Vec<Neighbor<D>>>, BatchStats)>
 where
-    T: TreeAccess<D> + Sync + ?Sized,
+    T: TreeAccess<D> + Sync,
     R: Refiner<D> + Sync,
 {
+    let forest = Forest::of_one(tree);
+    let requests: Vec<_> = queries.iter().map(|&q| BatchQuery::Knn { q, k }).collect();
     let order = JoinOrder::AsGiven;
-    par_knn_batch_with_block(tree, queries, k, opts, refiner, threads, order, None)
+    let (answers, stats) = forest_batch(forest, &requests, opts, refiner, threads, order, None)?;
+    Ok((answers.into_iter().map(|(found, _)| found).collect(), stats))
 }
 
-/// [`par_knn_batch_stats`] with an explicit claim order and claim-block
-/// override for the shared cursor (`None` uses the [`block_size`]
-/// heuristic; the self-tuning controller's batch knob). Any schedule and
-/// any block size yield bit-identical results because every query is
-/// computed independently and results are reassembled in submission order
-/// — they only change *when* each query executes (and so cache reuse and
-/// steal behavior under imbalance), never *what* it computes.
-#[allow(clippy::too_many_arguments)]
-pub fn par_knn_batch_with_block<const D: usize, T, R>(
-    tree: &T,
-    queries: &[Point<D>],
-    k: usize,
-    opts: NnOptions,
-    refiner: &R,
-    threads: usize,
-    order: JoinOrder,
-    block_override: Option<usize>,
-) -> Result<(Vec<Vec<Neighbor<D>>>, BatchStats)>
-where
-    T: TreeAccess<D> + Sync + ?Sized,
-    R: Refiner<D> + Sync,
-{
-    let schedule = claim_order(order, queries.iter().copied());
-    let interleave = interleaves([tree], &opts);
-    steal_map(
-        queries.len(),
-        threads,
-        block_override,
-        schedule.as_deref(),
-        interleave,
-        // One cursor per in-flight query: all per-query scratch (ABL
-        // buffers, selection scratch, candidate heap) is reused across
-        // every query the worker runs on it.
-        || (NnSearch::with_options(tree, opts), QueryCursor::new()),
-        |(search, cursor), i, wait| {
-            let polled = knn_step(
-                search,
-                cursor,
-                &queries[i],
-                k,
-                refiner,
-                f64::INFINITY,
-                interleave,
-                wait,
-            )?;
-            Ok(polled.map(|(found, _)| found))
-        },
-    )
-}
-
-/// One executor step of a kNN traversal pre-pruned by `bound_sq` (`+∞`
-/// for a single tree, the round's bound for a scatter-gather partition):
-/// resumable where the batch interleaves, else the whole traversal, hints
-/// and all, as the sequential API runs it.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn knn_step<const D: usize, T, R>(
-    search: &NnSearch<'_, D, T>,
-    cursor: &mut QueryCursor<D>,
-    q: &Point<D>,
-    k: usize,
-    refiner: &R,
-    bound_sq: f64,
-    interleave: bool,
-    wait: bool,
-) -> Result<Poll<(Vec<Neighbor<D>>, SearchStats)>>
-where
-    T: TreeAccess<D> + ?Sized,
-    R: Refiner<D>,
-{
-    if interleave {
-        search.resume(cursor, q, k, refiner, bound_sq, wait)
-    } else {
-        search
-            .query_refined_bounded(cursor, q, k, refiner, bound_sq)
-            .map(Poll::Ready)
-    }
-}
-
-/// Runs a mixed batch of kNN and radius queries (the `nnq serve` drain
-/// path), fanning the batch out over `threads` workers claiming blocks
-/// from a shared cursor, optionally in Hilbert claim order. Returns, in
-/// submission order, each request's results **and** its per-query
-/// [`SearchStats`] — the serving layer reports `nodes_visited` back to
-/// the client as the query's logical page reads, the paper's cost unit.
-///
-/// Every request is computed independently from the shared tree (or
-/// snapshot), so results and per-query stats are bit-identical to a
-/// sequential loop regardless of thread count, claim-block size, or
-/// schedule — the same contract as [`par_knn_batch`].
-#[allow(clippy::type_complexity)]
-pub fn par_mixed_batch<const D: usize, T, R>(
-    tree: &T,
-    requests: &[BatchQuery<D>],
-    opts: NnOptions,
-    refiner: &R,
-    threads: usize,
-    order: JoinOrder,
-    block_override: Option<usize>,
-) -> Result<(Vec<(Vec<Neighbor<D>>, SearchStats)>, BatchStats)>
-where
-    T: TreeAccess<D> + Sync + ?Sized,
-    R: Refiner<D> + Sync,
-{
-    let schedule = claim_order(order, requests.iter().map(|r| *r.point()));
-    let interleave = interleaves([tree], &opts);
-    steal_map(
-        requests.len(),
-        threads,
-        block_override,
-        schedule.as_deref(),
-        interleave,
-        || (NnSearch::with_options(tree, opts), QueryCursor::new()),
-        // Radius queries take the standalone traversal (no cursor state,
-        // one step), kNN runs on the slot's cursor.
-        |(search, cursor), i, wait| match requests[i] {
-            BatchQuery::Knn { q, k } => knn_step(
-                search,
-                cursor,
-                &q,
-                k,
-                refiner,
-                f64::INFINITY,
-                interleave,
-                wait,
-            ),
-            BatchQuery::Radius { q, radius } => {
-                within_radius_with(tree, &q, radius, refiner, opts.kernel).map(Poll::Ready)
-            }
-        },
-    )
-}
-
-/// The intra-batch dedup fold: `run` executes only the first occurrence
-/// of each [`canonical key`](BatchQuery::canonical_key), in
-/// first-submission order (so with no duplicates `run` sees the batch
-/// itself), and each answer fans out to every duplicate's
-/// submission-order slot. The returned [`BatchStats`] are `run`'s.
-pub(crate) fn dedup<const D: usize, A: Clone>(
-    requests: &[BatchQuery<D>],
-    run: impl FnOnce(&[BatchQuery<D>]) -> Result<(Vec<A>, BatchStats)>,
-) -> Result<(Vec<A>, BatchStats)> {
-    let mut first_of: HashMap<Vec<u8>, usize> = HashMap::with_capacity(requests.len());
-    let mut unique: Vec<BatchQuery<D>> = Vec::with_capacity(requests.len());
-    let mut slot_of: Vec<usize> = Vec::with_capacity(requests.len());
-    for req in requests {
-        let slot = *first_of.entry(req.canonical_key()).or_insert_with(|| {
-            unique.push(*req);
-            unique.len() - 1
-        });
-        slot_of.push(slot);
-    }
-    let (answers, bstats) = run(&unique)?;
-    if unique.len() == requests.len() {
-        return Ok((answers, bstats));
-    }
-    let fanned = slot_of.iter().map(|&slot| answers[slot].clone()).collect();
-    Ok((fanned, bstats))
-}
-
-/// [`par_mixed_batch`] with **intra-batch deduplication**: requests whose
-/// [`canonical key`](BatchQuery::canonical_key) bytes are identical
-/// execute exactly once, and the single answer (results *and*
-/// [`SearchStats`]) fans out to every duplicate's submission-order slot.
-/// Under Zipf-skewed serving traffic a micro-batch routinely carries the
-/// same hot query many times; there is no reason to traverse for it more
-/// than once per batch.
-///
-/// Correctness rides on the same determinism contract as
-/// [`par_mixed_batch`]: each request is a pure function of `(tree, query)`
-/// for the duration of the batch, so a duplicate's answer is bit-identical
-/// to what its own execution would have produced — including the stats.
-/// Near-duplicates are never merged: the canonical key encodes `f64`
-/// parameters as raw bits, so queries one ulp apart stay distinct.
-///
-/// The returned [`BatchStats`] describe the *deduplicated* execution:
-/// `executed` (and the sum of `per_worker_queries`) is the number of
-/// unique requests, so `requests.len() - executed` is the number of
-/// traversals the merge saved.
+/// A mixed kNN/radius batch over one tree with intra-batch deduplication
+/// (the serving layer's drain path): [`forest_batch_dedup`] over `tree` as
+/// a forest of one. Returns, in submission order, each request's results
+/// **and** its per-query [`SearchStats`] — the serving layer reports
+/// `nodes_visited` back to the client as the query's logical page reads,
+/// the paper's cost unit — bit-identical to a sequential loop of
+/// standalone queries whatever the thread count, claim-block size,
+/// schedule or interleaving.
 #[allow(clippy::type_complexity)]
 pub fn par_mixed_batch_dedup<const D: usize, T, R>(
     tree: &T,
@@ -545,17 +377,29 @@ pub fn par_mixed_batch_dedup<const D: usize, T, R>(
     block_override: Option<usize>,
 ) -> Result<(Vec<(Vec<Neighbor<D>>, SearchStats)>, BatchStats)>
 where
-    T: TreeAccess<D> + Sync + ?Sized,
+    T: TreeAccess<D> + Sync,
     R: Refiner<D> + Sync,
 {
-    dedup(requests, |unique| {
-        par_mixed_batch(tree, unique, opts, refiner, threads, order, block_override)
-    })
+    let (answers, stats) = forest_batch_dedup(
+        Forest::of_one(tree),
+        requests,
+        opts,
+        refiner,
+        threads,
+        order,
+        block_override,
+    )?;
+    let answers = answers
+        .into_iter()
+        .map(|(found, stats)| (found, stats.search))
+        .collect();
+    Ok((answers, stats))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::branch_bound::NnSearch;
     use crate::refine::MbrRefiner;
     use nnq_geom::Rect;
     use nnq_rtree::{MemRTree, RecordId};
@@ -574,6 +418,24 @@ mod tests {
             .map(|_| Point::new([rng.random_range(0.0..100.0), rng.random_range(0.0..100.0)]))
             .collect();
         (tree, queries)
+    }
+
+    /// A batch over `tree` as a forest of one, every request executed (no
+    /// dedup), answers with their search counters.
+    #[allow(clippy::type_complexity)]
+    fn mixed_batch(
+        tree: &MemRTree<2>,
+        reqs: &[BatchQuery<2>],
+        threads: usize,
+        order: JoinOrder,
+        block: Option<usize>,
+    ) -> Result<(Vec<(Vec<Neighbor<2>>, SearchStats)>, BatchStats)> {
+        let forest = Forest::of_one(tree);
+        let opts = NnOptions::default();
+        let (answers, stats) =
+            forest_batch(forest, reqs, opts, &MbrRefiner, threads, order, block)?;
+        let answers = answers.into_iter().map(|(hits, s)| (hits, s.search));
+        Ok((answers.collect(), stats))
     }
 
     #[test]
@@ -646,19 +508,14 @@ mod tests {
         let (tree, queries) = tree_and_queries(3_000, 250);
         let seq = par_knn_batch(&tree, &queries, 5, NnOptions::default(), &MbrRefiner, 1).unwrap();
         for block in [1, 3, 17, 64, 1000] {
-            let (out, stats) = par_knn_batch_with_block(
-                &tree,
-                &queries,
-                5,
-                NnOptions::default(),
-                &MbrRefiner,
-                4,
-                JoinOrder::AsGiven,
-                Some(block),
-            )
-            .unwrap();
+            let reqs: Vec<_> = queries
+                .iter()
+                .map(|&q| BatchQuery::Knn { q, k: 5 })
+                .collect();
+            let (out, stats) =
+                mixed_batch(&tree, &reqs, 4, JoinOrder::AsGiven, Some(block)).unwrap();
             assert_eq!(stats.block, block, "override not applied");
-            for (a, b) in out.iter().zip(&seq) {
+            for ((a, _), b) in out.iter().zip(&seq) {
                 assert_eq!(
                     a.iter().map(|n| n.dist_sq).collect::<Vec<_>>(),
                     b.iter().map(|n| n.dist_sq).collect::<Vec<_>>(),
@@ -1008,16 +865,7 @@ mod tests {
     fn mixed_batch_bit_identical_across_threads_blocks_and_order() {
         let (tree, queries) = tree_and_queries(4_000, 180);
         let reqs = mixed_requests(&queries);
-        let (seq, _) = par_mixed_batch(
-            &tree,
-            &reqs,
-            NnOptions::default(),
-            &MbrRefiner,
-            1,
-            JoinOrder::AsGiven,
-            None,
-        )
-        .unwrap();
+        let (seq, _) = mixed_batch(&tree, &reqs, 1, JoinOrder::AsGiven, None).unwrap();
         assert_eq!(seq.len(), reqs.len());
         for (threads, order, block) in [
             (2, JoinOrder::AsGiven, None),
@@ -1025,16 +873,7 @@ mod tests {
             (8, JoinOrder::Hilbert, Some(1)),
             (3, JoinOrder::AsGiven, Some(64)),
         ] {
-            let (par, bstats) = par_mixed_batch(
-                &tree,
-                &reqs,
-                NnOptions::default(),
-                &MbrRefiner,
-                threads,
-                order,
-                block,
-            )
-            .unwrap();
+            let (par, bstats) = mixed_batch(&tree, &reqs, threads, order, block).unwrap();
             assert_eq!(bstats.per_worker_queries.iter().sum::<usize>(), reqs.len());
             for (i, ((a, sa), (b, sb))) in par.iter().zip(&seq).enumerate() {
                 assert_eq!(sa, sb, "stats diverge at request {i} (threads={threads})");
@@ -1051,16 +890,7 @@ mod tests {
     fn mixed_batch_matches_standalone_queries() {
         let (tree, queries) = tree_and_queries(2_000, 60);
         let reqs = mixed_requests(&queries);
-        let (got, _) = par_mixed_batch(
-            &tree,
-            &reqs,
-            NnOptions::default(),
-            &MbrRefiner,
-            4,
-            JoinOrder::Hilbert,
-            None,
-        )
-        .unwrap();
+        let (got, _) = mixed_batch(&tree, &reqs, 4, JoinOrder::Hilbert, None).unwrap();
         let search = NnSearch::new(&tree);
         for (req, (hits, stats)) in reqs.iter().zip(&got) {
             let (want, want_stats) = match *req {
@@ -1089,16 +919,7 @@ mod tests {
             reqs.push(*req);
             reqs.push(base[i % 5]);
         }
-        let (plain, pstats) = par_mixed_batch(
-            &tree,
-            &reqs,
-            NnOptions::default(),
-            &MbrRefiner,
-            4,
-            JoinOrder::Hilbert,
-            None,
-        )
-        .unwrap();
+        let (plain, pstats) = mixed_batch(&tree, &reqs, 4, JoinOrder::Hilbert, None).unwrap();
         assert_eq!(pstats.executed, reqs.len(), "plain executor never merges");
         for threads in [1, 4] {
             let (deduped, dstats) = par_mixed_batch_dedup(
@@ -1169,16 +990,7 @@ mod tests {
     fn dedup_with_no_duplicates_is_bit_identical_to_plain() {
         let (tree, queries) = tree_and_queries(2_000, 80);
         let reqs = mixed_requests(&queries);
-        let (plain, _) = par_mixed_batch(
-            &tree,
-            &reqs,
-            NnOptions::default(),
-            &MbrRefiner,
-            4,
-            JoinOrder::Hilbert,
-            None,
-        )
-        .unwrap();
+        let (plain, _) = mixed_batch(&tree, &reqs, 4, JoinOrder::Hilbert, None).unwrap();
         let (deduped, stats) = par_mixed_batch_dedup(
             &tree,
             &reqs,
@@ -1203,16 +1015,7 @@ mod tests {
     #[test]
     fn mixed_batch_empty_is_fine() {
         let (tree, _) = tree_and_queries(100, 0);
-        let (out, _) = par_mixed_batch(
-            &tree,
-            &[],
-            NnOptions::default(),
-            &MbrRefiner,
-            4,
-            JoinOrder::Hilbert,
-            None,
-        )
-        .unwrap();
+        let (out, _) = mixed_batch(&tree, &[], 4, JoinOrder::Hilbert, None).unwrap();
         assert!(out.is_empty());
     }
 }

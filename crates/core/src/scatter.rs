@@ -1,26 +1,30 @@
-//! Scatter-gather queries over Hilbert-range partitioned trees.
+//! The one read engine: scatter-gather queries over a [`Forest`].
+//!
+//! A forest is trees with one bound per tree. A Hilbert-range
+//! [`PartitionedTree`] is the forest of its partitions, bounded by their
+//! manifest MBRs; an unpartitioned tree is a forest of one, bounded by the
+//! whole space ([`Forest::of_one`]). Every batch, served request and CLI
+//! query runs here.
 //!
 //! The paper's Theorem 1 justifies discarding a *subtree* whose MINDIST
 //! exceeds the current k-th candidate distance; nothing in the argument
 //! requires the subtree to hang off the same root. Applied one level up,
-//! it discards a whole *partition* whose MINDIST-to-partition-MBR exceeds
-//! the bound — the scale-out form of branch-and-bound kNN. This module
-//! implements that search over any slice of [`TreeAccess`] backends plus
-//! their MBRs ([`scatter_knn`] / [`scatter_radius`]), with convenience
-//! wrappers and batch executors for [`PartitionedTree`].
+//! it discards a whole *tree* of the forest whose MINDIST-to-bound reaches
+//! the k-th distance — the scale-out form of branch-and-bound kNN
+//! ([`scatter_knn`] / [`scatter_radius`], batches in [`forest_batch`]).
 //!
 //! ## The shared-bound round protocol
 //!
-//! Partitions are scheduled in ascending `(MINDIST(q, partition MBR),
-//! partition index)` order and executed in **rounds** of doubling size
-//! (1, 1, 2, 4, 8, …). At the start of each round the bound — the k-th
-//! squared distance of the candidates merged so far, `+∞` until there are
-//! k — is sampled **once**:
+//! Trees are scheduled in ascending `(MINDIST(q, bound), tree index)`
+//! order and executed in **rounds** of doubling size (1, 1, 2, 4, 8, …).
+//! At the start of each round the bound — the k-th squared distance of
+//! the candidates merged so far, `+∞` until there are k — is sampled
+//! **once**:
 //!
-//! * every scheduled partition whose MINDIST is at or beyond the sample
-//!   is pruned, along with the entire remaining schedule (the schedule is
+//! * every scheduled tree whose MINDIST is at or beyond the sample is
+//!   pruned, along with the entire remaining schedule (the schedule is
 //!   sorted by MINDIST and the bound only tightens, so the first pruned
-//!   partition proves the rest);
+//!   tree proves the rest);
 //! * each of the round's survivors is searched through a [`QueryCursor`]
 //!   pre-pruned by that *same* sampled bound
 //!   ([`NnSearch::query_refined_bounded`]);
@@ -29,41 +33,48 @@
 //!   next round.
 //!
 //! Sampling per round — never mid-flight — is a deliberate trade: a live
-//! bound would sometimes prune a little more, but *which* pages a
-//! partition reads would then depend on thread scheduling. With the round
-//! protocol, every per-partition traversal is a pure function of
-//! `(partition, query, k, round bound)`, so results, every
-//! [`SearchStats`] counter, and the summed per-partition `logical_reads`
-//! are bit-identical however a round's partitions are run — the same
-//! accounting contract the rest of this crate keeps for caches, kernels,
-//! and prefetch. The doubling round sizes bound the cost of the
-//! serialization: the first two rounds establish a tight bound from the
-//! nearest partitions (one partition each), after which wide rounds
-//! exploit full parallelism — at most ⌈log₂ P⌉ + 1 rounds for P
-//! partitions.
+//! bound would sometimes prune a little more, but *which* pages a tree
+//! reads would then depend on thread scheduling. With the round protocol,
+//! every per-tree traversal is a pure function of `(tree, query, k, round
+//! bound)`, so results, every [`SearchStats`] counter, and the summed
+//! per-tree `logical_reads` are bit-identical however a round's trees are
+//! run — the same accounting contract the rest of this crate keeps for
+//! caches, kernels, and prefetch. The doubling round sizes bound the cost
+//! of the serialization: the first two rounds establish a tight bound from
+//! the nearest trees (one each), after which wide rounds exploit full
+//! parallelism — at most ⌈log₂ P⌉ + 1 rounds for P trees.
 //!
-//! The first round starts with an infinite bound, so the nearest
-//! partition is searched exactly as a standalone tree would be; with one
-//! partition the whole protocol degenerates to a plain single-tree query.
+//! ## The first-round shortcut
+//!
+//! The first round searches the nearest tree alone at bound `+∞`, exactly
+//! as a standalone query would, so its answer is that tree's exact k
+//! nearest, sorted by `(distance, record)`. When the next scheduled tree's
+//! MINDIST is at or beyond that answer's k-th distance (`+∞` while it
+//! holds fewer than k), or no tree is left, the second round would prune
+//! everything, and merging the answer into the empty heap would hand it
+//! back unchanged: it is returned as it is, with no heap merge and no
+//! re-sort. A forest of one always takes it — its bound is at MINDIST 0
+//! and nothing follows — so it costs what a bare single-tree traversal
+//! costs. A radius query over one surviving tree likewise keeps that
+//! tree's sorted answer.
 //!
 //! ## One protocol, two drivers
 //!
 //! The protocol's whole state is plain data in a per-query scratch
 //! (`ScatterCursor`): the schedule, the current round and its sampled
-//! bound, the round's per-partition outputs in schedule order, the merged
-//! heap, the [`PartitionedStats`] and one [`QueryCursor`]. Two drivers run
-//! a round's partitions:
+//! bound, the round's per-tree outputs in schedule order, the merged heap,
+//! the [`PartitionedStats`] and one [`QueryCursor`]. A round's trees run
+//! one of two ways:
 //!
 //! * [`scatter_knn`] (one query, [`partitioned_knn`]) runs them **in
-//!   parallel**, one executor item per partition;
-//! * a kNN item of a partitioned batch ([`partitioned_knn_batch`],
-//!   [`partitioned_mixed_batch_dedup`]) runs them **one after another** —
-//!   partition parallelism and batch parallelism would fight over the
-//!   same cores — and is resumable: where the batch interleaves
-//!   (§"Batch executor" in DESIGN.md), a partition's traversal stops in
-//!   front of a page that is not loaded, that page goes as a certain hint
-//!   to its own partition's pool, and the worker runs another query of
-//!   the batch meanwhile.
+//!   parallel**, one executor item per tree;
+//! * a kNN item of a batch ([`forest_batch`]) runs them **one after
+//!   another** — tree parallelism and batch parallelism would fight over
+//!   the same cores — and is resumable: where the batch interleaves
+//!   (§"Batch executor" in DESIGN.md), a tree's traversal stops in front
+//!   of a page that is not loaded, that page goes as a certain hint to its
+//!   own tree's pool, and the worker runs another query of the batch
+//!   meanwhile.
 //!
 //! Both compute exactly what `scatter_knn(.., threads = 1)` computes.
 
@@ -71,28 +82,27 @@ use crate::branch_bound::{NnSearch, QueryCursor};
 use crate::heap::KnnHeap;
 use crate::join::JoinOrder;
 use crate::options::{Neighbor, NnOptions, SearchStats};
-use crate::parallel::{
-    claim_order, dedup, interleaves, knn_step, steal_map, whole, BatchQuery, BatchStats, Poll,
-};
+use crate::parallel::{claim_order, interleaves, steal_map, whole, BatchQuery, BatchStats, Poll};
 use crate::radius::within_radius_with;
 use crate::refine::Refiner;
 use crate::Result;
 use nnq_geom::{mindist_sq, Point, Rect};
-use nnq_rtree::{PartitionedTree, TreeAccess};
+use nnq_rtree::{Forest, PartitionedTree, TreeAccess};
+use std::collections::HashMap;
 use std::ops::Range;
 
 /// Work counters for one scatter-gather query (or a batch of them).
 ///
-/// `search` sums the per-partition traversal counters in schedule order;
-/// the partition counters satisfy
-/// `partitions_visited + partitions_pruned == P` for every query.
+/// `search` sums the per-tree traversal counters in schedule order; the
+/// tree counters satisfy `partitions_visited + partitions_pruned == P`
+/// for every query over P trees.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PartitionedStats {
-    /// Summed per-partition traversal counters.
+    /// Summed per-tree traversal counters.
     pub search: SearchStats,
-    /// Partitions actually searched.
+    /// Trees actually searched.
     pub partitions_visited: u64,
-    /// Partitions skipped because their MINDIST-to-MBR reached the shared
+    /// Trees skipped because their MINDIST-to-bound reached the shared
     /// bound (kNN) or exceeded the radius — including empty partitions,
     /// whose empty MBR has infinite MINDIST.
     pub partitions_pruned: u64,
@@ -111,7 +121,7 @@ impl PartitionedStats {
     }
 }
 
-/// One scheduled partition: its MINDIST to the query and its index.
+/// One scheduled tree: its MINDIST to the query and its index.
 #[derive(Clone, Copy)]
 struct Sched {
     mindist_sq: f64,
@@ -119,14 +129,14 @@ struct Sched {
 }
 
 /// Fills `sched` with the MINDIST-ascending schedule (ties broken by
-/// partition index, so the order is total and deterministic).
-fn schedule<const D: usize>(sched: &mut Vec<Sched>, q: &Point<D>, mbrs: &[Rect<D>]) {
+/// tree index, so the order is total and deterministic).
+fn schedule<const D: usize>(sched: &mut Vec<Sched>, q: &Point<D>, bounds: &[Rect<D>]) {
     sched.clear();
-    sched.extend(mbrs.iter().enumerate().map(|(part, mbr)| Sched {
+    sched.extend(bounds.iter().enumerate().map(|(part, bound)| Sched {
         // An empty partition's MBR is `Rect::empty()` with infinite
         // corners: its MINDIST evaluates to +∞ and the schedule tail
         // prunes it without a special case.
-        mindist_sq: mindist_sq(q, mbr),
+        mindist_sq: mindist_sq(q, bound),
         part,
     }));
     sched.sort_by(|a, b| {
@@ -139,19 +149,19 @@ fn schedule<const D: usize>(sched: &mut Vec<Sched>, q: &Point<D>, mbrs: &[Rect<D
 /// One kNN scatter-gather query's round protocol (module docs) as plain
 /// data, reused across the queries its owner runs.
 struct ScatterCursor<const D: usize> {
-    /// The query's partitions, MINDIST-ascending.
+    /// The query's trees, MINDIST-ascending.
     sched: Vec<Sched>,
     /// The current round: the slots of `sched` it covers. Later rounds
     /// start at its end.
     round: Range<usize>,
-    /// The bound the current round's partitions are pre-pruned by.
+    /// The bound the current round's trees are pre-pruned by.
     bound: f64,
-    /// The current round's per-partition answers so far, in schedule order.
+    /// The current round's per-tree answers so far, in schedule order.
     outs: Vec<(Vec<Neighbor<D>>, SearchStats)>,
     /// The candidates of every finished round.
     heap: KnnHeap<D>,
     stats: PartitionedStats,
-    /// The traversal of the partition under way (batch items only).
+    /// The traversal of the tree under way (batch items only).
     cursor: QueryCursor<D>,
     /// Whether a query is under way.
     active: bool,
@@ -171,22 +181,42 @@ impl<const D: usize> ScatterCursor<D> {
         }
     }
 
-    /// Starts the `k`-NN query at `q` over partitions bounded by `mbrs`.
-    fn begin(&mut self, q: &Point<D>, k: usize, mbrs: &[Rect<D>]) {
+    /// Starts the `k`-NN query at `q` over trees bounded by `bounds`.
+    fn begin(&mut self, q: &Point<D>, k: usize, bounds: &[Rect<D>]) {
         self.heap.reset(k);
-        schedule(&mut self.sched, q, mbrs);
+        schedule(&mut self.sched, q, bounds);
         self.round = 0..0;
         self.outs.clear();
         self.stats = PartitionedStats::default();
         self.active = true;
     }
 
-    /// Merges the finished round's answers in schedule order, then samples
-    /// the bound and opens the next round: 1, 1, 2, 4, 8, … partitions —
-    /// cheap serial rounds while the bound is loose, wide ones once it is
-    /// tight — cut short at the first partition the bound prunes. `false`
-    /// when there is none to open: the query is over.
+    /// Opens the next round once the current one has answered; `false`
+    /// when the query is over.
     fn next_round(&mut self) -> bool {
+        !self.settled() && self.merge_and_open()
+    }
+
+    /// Whether the first round settled the query on its own (module docs,
+    /// §"The first-round shortcut"): it searched one tree, and the next
+    /// scheduled tree's MINDIST is at or beyond that answer's k-th
+    /// distance, or there is none.
+    fn settled(&self) -> bool {
+        let [(found, _)] = self.outs.as_slice() else {
+            return false;
+        };
+        let kth = found
+            .get(self.heap.k() - 1)
+            .map_or(f64::INFINITY, |n| n.dist_sq);
+        self.stats.rounds == 1 && self.sched.get(1).is_none_or(|next| next.mindist_sq >= kth)
+    }
+
+    /// Merges the finished round's answers in schedule order, then samples
+    /// the bound and opens the next round: 1, 1, 2, 4, 8, … trees — cheap
+    /// serial rounds while the bound is loose, wide ones once it is tight
+    /// — cut short at the first tree the bound prunes. `false` when there
+    /// is none to open.
+    fn merge_and_open(&mut self) -> bool {
         for (found, part_stats) in self.outs.drain(..) {
             self.stats.search.accumulate(&part_stats);
             for n in found {
@@ -217,14 +247,22 @@ impl<const D: usize> ScatterCursor<D> {
     fn finish(&mut self) -> (Vec<Neighbor<D>>, PartitionedStats) {
         self.active = false;
         self.stats.partitions_pruned = self.sched.len() as u64 - self.stats.partitions_visited;
-        (self.heap.drain_sorted(), self.stats)
+        // Only a settled first round leaves an answer unmerged.
+        let found = match self.outs.pop() {
+            Some((found, search)) => {
+                self.stats.search = search;
+                found
+            }
+            None => self.heap.drain_sorted(),
+        };
+        (found, self.stats)
     }
 
     /// One step of the query `(q, k)` as a batch item, running each
-    /// round's partitions one after another on the cursor's own
+    /// round's trees one after another on the cursor's own
     /// [`QueryCursor`]: begins the query if none is under way, else goes
     /// on where the last step stopped (the caller passes the same `q` and
-    /// `k` every time). Under `on.interleave` a partition's traversal is
+    /// `k` every time). Under `on.interleave` a tree's traversal is
     /// resumable and the step returns [`Poll::Waiting`] at the first page
     /// that is not loaded; `wait` makes the step's first read wait.
     fn step<T, R>(
@@ -239,26 +277,24 @@ impl<const D: usize> ScatterCursor<D> {
         R: Refiner<D>,
     {
         if !self.active {
-            self.begin(q, k, &on.mbrs);
+            self.begin(q, k, on.forest.bounds());
         }
         let mut advanced = false;
         loop {
-            // Once every partition of the round has answered, the next.
+            // Once every tree of the round has answered, the next.
             if self.outs.len() == self.round.len() && !self.next_round() {
                 return Ok(Poll::Ready(self.finish()));
             }
             let part = self.sched[self.round.start + self.outs.len()].part;
-            let search = NnSearch::with_options(&on.parts[part], on.opts);
-            let polled = knn_step(
-                &search,
-                &mut self.cursor,
-                q,
-                k,
-                on.refiner,
-                self.bound,
-                on.interleave,
-                wait,
-            );
+            let search = NnSearch::with_options(&on.forest.trees()[part], on.opts);
+            let (cursor, bound) = (&mut self.cursor, self.bound);
+            let polled = if on.interleave {
+                search.resume(cursor, q, k, on.refiner, bound, wait)
+            } else {
+                search
+                    .query_refined_bounded(cursor, q, k, on.refiner, bound)
+                    .map(Poll::Ready)
+            };
             match polled {
                 Ok(Poll::Ready(out)) => {
                     self.outs.push(out);
@@ -279,47 +315,27 @@ impl<const D: usize> ScatterCursor<D> {
     }
 }
 
-/// What every kNN item of one partitioned batch scatters over, and how.
+/// What every kNN item of one batch scatters over, and how.
 struct Scatter<'a, const D: usize, T, R> {
-    parts: &'a [T],
-    mbrs: Vec<Rect<D>>,
+    forest: Forest<'a, D, T>,
     opts: NnOptions,
     refiner: &'a R,
-    /// Whether the batch interleaves: partition traversals are resumable.
+    /// Whether the batch interleaves: tree traversals are resumable.
     interleave: bool,
 }
 
-impl<'a, const D: usize, R: Refiner<D>> Scatter<'a, D, nnq_rtree::RTree<D>, R> {
-    /// A batch over `tree`'s partitions and manifest MBRs, interleaving by
-    /// the executor's rule ([`interleaves`]).
-    fn new(tree: &'a PartitionedTree<D>, opts: NnOptions, refiner: &'a R) -> Self {
-        let parts = tree.partitions();
-        Self {
-            parts,
-            mbrs: manifest_mbrs(tree),
-            opts,
-            refiner,
-            interleave: interleaves(parts, &opts),
-        }
-    }
-}
-
-/// Branch-and-bound kNN over `parts`, visiting partitions in MINDIST
-/// order under the shared-bound round protocol (module docs), each
-/// round's partitions in parallel over up to `threads` workers.
+/// Branch-and-bound kNN over `forest`, visiting trees in MINDIST order
+/// under the shared-bound round protocol (module docs), each round's trees
+/// in parallel over up to `threads` workers.
 ///
-/// `mbrs[i]` must bound every object in `parts[i]`
-/// ([`Rect::empty`] for an empty partition). Results are the exact k
-/// nearest across all partitions, sorted by `(distance, record)` — and,
-/// like every counter in the returned [`PartitionedStats`], independent
-/// of `threads`.
+/// Results are the exact k nearest across all trees, sorted by
+/// `(distance, record)` — and, like every counter in the returned
+/// [`PartitionedStats`], independent of `threads`.
 ///
 /// # Panics
-/// Panics if `parts` and `mbrs` have different lengths, `k == 0`, or
-/// `threads == 0`.
+/// Panics if `k == 0` or `threads == 0`.
 pub fn scatter_knn<const D: usize, T, R>(
-    parts: &[T],
-    mbrs: &[Rect<D>],
+    forest: Forest<'_, D, T>,
     q: &Point<D>,
     k: usize,
     opts: NnOptions,
@@ -330,13 +346,12 @@ where
     T: TreeAccess<D> + Sync,
     R: Refiner<D> + Sync,
 {
-    assert_eq!(parts.len(), mbrs.len(), "one MBR per partition");
     assert!(threads > 0, "need at least one worker");
     let mut sc = ScatterCursor::new();
-    sc.begin(q, k, mbrs);
+    sc.begin(q, k, forest.bounds());
     while sc.next_round() {
         let (round, bound) = (&sc.sched[sc.round.clone()], sc.bound);
-        // One claim per partition, one cursor per worker.
+        // One claim per tree, one cursor per worker.
         let (outs, _) = steal_map(
             round.len(),
             threads,
@@ -345,7 +360,7 @@ where
             false,
             QueryCursor::new,
             whole(|qc, i| {
-                NnSearch::with_options(&parts[round[i].part], opts)
+                NnSearch::with_options(&forest.trees()[round[i].part], opts)
                     .query_refined_bounded(qc, q, k, refiner, bound)
             }),
         )?;
@@ -354,34 +369,31 @@ where
     Ok(sc.finish())
 }
 
-/// Radius query over `parts`: partitions whose MINDIST-to-MBR exceeds
-/// the (squared) radius are skipped outright; the rest are searched in
+/// Radius query over `forest`: trees whose MINDIST-to-bound exceeds the
+/// (squared) radius are skipped outright; the rest are searched in
 /// parallel in one round and the hits merged and sorted by
 /// `(distance, record)` — the same output contract as
 /// [`within_radius`](crate::within_radius) on a single tree.
 ///
 /// # Panics
-/// Panics if `parts` and `mbrs` have different lengths, `radius` is
-/// negative, or `threads == 0`.
+/// Panics if `radius` is negative or NaN, or `threads == 0`.
 pub fn scatter_radius<const D: usize, T, R>(
-    parts: &[T],
-    mbrs: &[Rect<D>],
+    forest: Forest<'_, D, T>,
     q: &Point<D>,
     radius: f64,
-    refiner: &R,
     opts: NnOptions,
+    refiner: &R,
     threads: usize,
 ) -> Result<(Vec<Neighbor<D>>, PartitionedStats)>
 where
     T: TreeAccess<D> + Sync,
     R: Refiner<D> + Sync,
 {
-    assert_eq!(parts.len(), mbrs.len(), "one MBR per partition");
     assert!(radius >= 0.0, "radius must be nonnegative");
     assert!(threads > 0, "need at least one worker");
     let radius_sq = radius * radius;
-    let mut visit = Vec::with_capacity(mbrs.len());
-    schedule(&mut visit, q, mbrs);
+    let mut visit = Vec::with_capacity(forest.bounds().len());
+    schedule(&mut visit, q, forest.bounds());
     // Unlike kNN there is no evolving bound: the survivor set is known up
     // front, so a single parallel round covers it.
     let survivors = visit
@@ -391,7 +403,7 @@ where
     visit.truncate(survivors);
     let mut stats = PartitionedStats {
         partitions_visited: visit.len() as u64,
-        partitions_pruned: (mbrs.len() - visit.len()) as u64,
+        partitions_pruned: (forest.bounds().len() - visit.len()) as u64,
         rounds: u64::from(!visit.is_empty()),
         ..PartitionedStats::default()
     };
@@ -403,29 +415,31 @@ where
         None,
         false,
         || (),
-        whole(|(), i| within_radius_with(&parts[visit[i].part], q, radius, refiner, opts.kernel)),
+        whole(|(), i| {
+            let tree = &forest.trees()[visit[i].part];
+            within_radius_with(tree, q, radius, refiner, opts.kernel)
+        }),
     )?;
 
-    let mut merged = Vec::new();
+    // One tree's answer is kept as it is: sorted already.
+    let mut outs = outs.into_iter();
+    let (mut merged, first) = outs.next().unwrap_or_default();
+    stats.search = first;
     for (found, part_stats) in outs {
         stats.search.accumulate(&part_stats);
         merged.extend(found);
     }
-    merged.sort_by(|a, b| {
-        a.dist_sq
-            .total_cmp(&b.dist_sq)
-            .then_with(|| a.record.cmp(&b.record))
-    });
+    if visit.len() > 1 {
+        merged.sort_by(|a, b| {
+            a.dist_sq
+                .total_cmp(&b.dist_sq)
+                .then_with(|| a.record.cmp(&b.record))
+        });
+    }
     Ok((merged, stats))
 }
 
-/// The manifest MBR of every partition of `tree`, in partition order.
-fn manifest_mbrs<const D: usize>(tree: &PartitionedTree<D>) -> Vec<Rect<D>> {
-    tree.manifest().parts.iter().map(|p| p.mbr).collect()
-}
-
-/// kNN over a [`PartitionedTree`]: [`scatter_knn`] against its partition
-/// trees and manifest MBRs.
+/// kNN over a [`PartitionedTree`]: [`scatter_knn`] over its forest.
 pub fn partitioned_knn<const D: usize, R: Refiner<D> + Sync>(
     tree: &PartitionedTree<D>,
     q: &Point<D>,
@@ -434,35 +448,11 @@ pub fn partitioned_knn<const D: usize, R: Refiner<D> + Sync>(
     refiner: &R,
     threads: usize,
 ) -> Result<(Vec<Neighbor<D>>, PartitionedStats)> {
-    let mbrs = manifest_mbrs(tree);
-    scatter_knn(tree.partitions(), &mbrs, q, k, opts, refiner, threads)
+    scatter_knn(tree.forest(), q, k, opts, refiner, threads)
 }
 
-/// Radius query over a [`PartitionedTree`]: [`scatter_radius`] against
-/// its partition trees and manifest MBRs.
-pub fn partitioned_radius<const D: usize, R: Refiner<D> + Sync>(
-    tree: &PartitionedTree<D>,
-    q: &Point<D>,
-    radius: f64,
-    opts: NnOptions,
-    refiner: &R,
-    threads: usize,
-) -> Result<(Vec<Neighbor<D>>, PartitionedStats)> {
-    let mbrs = manifest_mbrs(tree);
-    scatter_radius(tree.partitions(), &mbrs, q, radius, refiner, opts, threads)
-}
-
-/// A batch of kNN queries over a [`PartitionedTree`] on the one batch
-/// executor: workers claim queries off a shared cursor, as in
-/// [`par_knn_batch`](crate::par_knn_batch), and **each query's scatter
-/// runs its rounds' partitions one after another** (partition parallelism
-/// and batch parallelism would fight over the same cores). Where some
-/// partition's pool reads pages in the background and the prefetch policy
-/// is on for it, the batch interleaves like a single tree's: a worker
-/// keeps several scatter-gather queries in flight and switches at a page
-/// that is not loaded, hinting that page to its partition's pool.
-///
-/// Results come back in submission order; the aggregate
+/// A batch of kNN queries over a [`PartitionedTree`]: [`forest_batch`]
+/// over its forest, in submission order. The aggregate
 /// [`PartitionedStats`] sums the per-query stats in submission order, so
 /// both — and every query's answer and counters — are bit-identical to a
 /// loop of [`partitioned_knn`] calls, whatever the thread count, prefetch
@@ -475,87 +465,140 @@ pub fn partitioned_knn_batch<const D: usize, R: Refiner<D> + Sync>(
     refiner: &R,
     threads: usize,
 ) -> Result<(Vec<Vec<Neighbor<D>>>, PartitionedStats)> {
-    let (per_query, _) =
-        partitioned_knn_batch_with_block(tree, queries, k, opts, refiner, threads, None)?;
+    let requests: Vec<_> = queries.iter().map(|&q| BatchQuery::Knn { q, k }).collect();
+    let (answers, _) = forest_batch(
+        tree.forest(),
+        &requests,
+        opts,
+        refiner,
+        threads,
+        JoinOrder::AsGiven,
+        None,
+    )?;
     let mut totals = PartitionedStats::default();
-    let mut results = Vec::with_capacity(per_query.len());
-    for (found, stats) in per_query {
-        totals.accumulate(&stats);
-        results.push(found);
-    }
+    let results = answers
+        .into_iter()
+        .map(|(found, stats)| {
+            totals.accumulate(&stats);
+            found
+        })
+        .collect();
     Ok((results, totals))
 }
 
-/// [`partitioned_knn_batch`] with an explicit claim-block override
-/// (`None` uses the shared block-size heuristic) — the self-tuning
-/// controller's batch knob for partitioned trees — returning every
-/// query's own [`PartitionedStats`] beside its hits, and the run's
-/// [`BatchStats`] for the controller to observe. Bit-identical for any
-/// block size, for the same reason as
-/// [`par_knn_batch_with_block`](crate::par_knn_batch_with_block).
+/// The one batch executor body: a mixed kNN/radius batch over `forest`,
+/// fanned out over `threads` workers that claim requests off a shared
+/// cursor in `order` (claim blocks of `block_override`, default the
+/// shared heuristic — the self-tuning controller's batch knob). Returns,
+/// in submission order, every request's hits and its
+/// [`PartitionedStats`], plus the run's [`BatchStats`].
+///
+/// A kNN request is one [`ScatterCursor`] item: each round's trees run one
+/// after another (tree parallelism and batch parallelism would fight over
+/// the same cores), and where some tree's pool reads pages in the
+/// background and the prefetch policy is on for it, the item is resumable
+/// and the batch interleaves — a worker keeps several queries in flight
+/// and switches at a page that is not loaded, hinting that page to its
+/// tree's pool. A radius request is one sequential [`scatter_radius`]
+/// pass that finishes on its first step.
+///
+/// Every answer — hits and counters — equals the standalone
+/// [`scatter_knn`] / [`scatter_radius`] call's, whatever the thread
+/// count, claim-block size, order or interleaving: each request is
+/// computed independently and results are reassembled in submission
+/// order.
 #[allow(clippy::type_complexity)]
-pub fn partitioned_knn_batch_with_block<const D: usize, R: Refiner<D> + Sync>(
-    tree: &PartitionedTree<D>,
-    queries: &[Point<D>],
-    k: usize,
-    opts: NnOptions,
-    refiner: &R,
-    threads: usize,
-    block_override: Option<usize>,
-) -> Result<(Vec<(Vec<Neighbor<D>>, PartitionedStats)>, BatchStats)> {
-    let on = Scatter::new(tree, opts, refiner);
-    steal_map(
-        queries.len(),
-        threads,
-        block_override,
-        None,
-        on.interleave,
-        ScatterCursor::new,
-        |sc, i, wait| sc.step(&on, &queries[i], k, wait),
-    )
-}
-
-/// The partitioned sibling of
-/// [`par_mixed_batch_dedup`](crate::par_mixed_batch_dedup): a mixed
-/// kNN/radius batch over a [`PartitionedTree`], identical requests
-/// executed once, unique requests fanned out over `threads` workers in
-/// `order`. A kNN request is a [`partitioned_knn_batch`] item (resumable
-/// where the batch interleaves), a radius request one sequential
-/// scatter-gather pass that finishes on its first step. Every answer —
-/// hits and the partition-summed [`SearchStats`] — equals the standalone
-/// [`partitioned_knn`] / [`partitioned_radius`] call's, whatever the
-/// thread count, claim-block size, schedule or interleaving.
-#[allow(clippy::type_complexity)]
-pub fn partitioned_mixed_batch_dedup<const D: usize, R: Refiner<D> + Sync>(
-    tree: &PartitionedTree<D>,
+pub fn forest_batch<const D: usize, T, R>(
+    forest: Forest<'_, D, T>,
     requests: &[BatchQuery<D>],
     opts: NnOptions,
     refiner: &R,
     threads: usize,
     order: JoinOrder,
     block_override: Option<usize>,
-) -> Result<(Vec<(Vec<Neighbor<D>>, SearchStats)>, BatchStats)> {
-    let on = Scatter::new(tree, opts, refiner);
-    dedup(requests, |unique| {
-        let schedule = claim_order(order, unique.iter().map(|r| *r.point()));
-        steal_map(
-            unique.len(),
-            threads,
-            block_override,
-            schedule.as_deref(),
-            on.interleave,
-            ScatterCursor::new,
-            |sc, i, wait| {
-                let polled = match unique[i] {
-                    BatchQuery::Knn { q, k } => sc.step(&on, &q, k, wait)?,
-                    BatchQuery::Radius { q, radius } => Poll::Ready(scatter_radius(
-                        on.parts, &on.mbrs, &q, radius, on.refiner, on.opts, 1,
-                    )?),
-                };
-                Ok(polled.map(|(hits, stats)| (hits, stats.search)))
-            },
-        )
-    })
+) -> Result<(Vec<(Vec<Neighbor<D>>, PartitionedStats)>, BatchStats)>
+where
+    T: TreeAccess<D> + Sync,
+    R: Refiner<D> + Sync,
+{
+    let on = Scatter {
+        forest,
+        opts,
+        refiner,
+        interleave: interleaves(forest.trees(), &opts),
+    };
+    let schedule = claim_order(order, requests.iter().map(|r| *r.point()));
+    steal_map(
+        requests.len(),
+        threads,
+        block_override,
+        schedule.as_deref(),
+        on.interleave,
+        ScatterCursor::new,
+        |sc, i, wait| match requests[i] {
+            BatchQuery::Knn { q, k } => sc.step(&on, &q, k, wait),
+            BatchQuery::Radius { q, radius } => {
+                scatter_radius(forest, &q, radius, opts, refiner, 1).map(Poll::Ready)
+            }
+        },
+    )
+}
+
+/// [`forest_batch`] with **intra-batch deduplication**: requests whose
+/// [`canonical key`](BatchQuery::canonical_key) bytes are identical
+/// execute exactly once, and the single answer (hits *and* stats) fans out
+/// to every duplicate's submission-order slot. Under Zipf-skewed serving
+/// traffic a micro-batch routinely carries the same hot query many times;
+/// there is no reason to traverse for it more than once per batch.
+///
+/// Each request is a pure function of `(forest, query)` for the duration
+/// of the batch, so a duplicate's answer is bit-identical to what its own
+/// execution would have produced. Near-duplicates are never merged: the
+/// canonical key encodes `f64` parameters as raw bits, so queries one ulp
+/// apart stay distinct. The returned [`BatchStats`] describe the
+/// deduplicated execution: `requests.len() - executed` is the number of
+/// traversals the merge saved.
+#[allow(clippy::type_complexity)]
+pub fn forest_batch_dedup<const D: usize, T, R>(
+    forest: Forest<'_, D, T>,
+    requests: &[BatchQuery<D>],
+    opts: NnOptions,
+    refiner: &R,
+    threads: usize,
+    order: JoinOrder,
+    block_override: Option<usize>,
+) -> Result<(Vec<(Vec<Neighbor<D>>, PartitionedStats)>, BatchStats)>
+where
+    T: TreeAccess<D> + Sync,
+    R: Refiner<D> + Sync,
+{
+    // Each unique request once, in first-submission order (so with no
+    // duplicates the batch itself), then every answer fanned out to its
+    // duplicates' slots.
+    let mut first_of: HashMap<Vec<u8>, usize> = HashMap::with_capacity(requests.len());
+    let mut unique: Vec<BatchQuery<D>> = Vec::with_capacity(requests.len());
+    let mut slot_of: Vec<usize> = Vec::with_capacity(requests.len());
+    for req in requests {
+        let slot = *first_of.entry(req.canonical_key()).or_insert_with(|| {
+            unique.push(*req);
+            unique.len() - 1
+        });
+        slot_of.push(slot);
+    }
+    let (answers, bstats) = forest_batch(
+        forest,
+        &unique,
+        opts,
+        refiner,
+        threads,
+        order,
+        block_override,
+    )?;
+    if unique.len() == requests.len() {
+        return Ok((answers, bstats));
+    }
+    let fanned = slot_of.iter().map(|&slot| answers[slot].clone()).collect();
+    Ok((fanned, bstats))
 }
 
 #[cfg(test)]
@@ -712,8 +755,8 @@ mod tests {
             for p in [4usize, 16] {
                 let tree = build(items.clone(), p);
                 for threads in [1usize, 4] {
-                    let (got, stats) = partitioned_radius(
-                        &tree,
+                    let (got, stats) = scatter_radius(
+                        tree.forest(),
                         &q,
                         radius,
                         NnOptions::default(),
@@ -782,11 +825,29 @@ mod tests {
         let (hits, stats) = match *req {
             BatchQuery::Knn { q, k } => partitioned_knn(tree, &q, k, opts, &MbrRefiner, 1),
             BatchQuery::Radius { q, radius } => {
-                partitioned_radius(tree, &q, radius, opts, &MbrRefiner, 1)
+                scatter_radius(tree.forest(), &q, radius, opts, &MbrRefiner, 1)
             }
         }
         .unwrap();
         (hits, stats.search)
+    }
+
+    /// [`forest_batch_dedup`] over `tree`'s forest, answers with their
+    /// search counters.
+    #[allow(clippy::type_complexity)]
+    fn dedup_batch(
+        tree: &PartitionedTree<2>,
+        reqs: &[BatchQuery<2>],
+        opts: NnOptions,
+        refiner: &MbrRefiner,
+        threads: usize,
+        order: JoinOrder,
+        block: Option<usize>,
+    ) -> Result<(Vec<(Vec<Neighbor<2>>, SearchStats)>, BatchStats)> {
+        let (answers, bstats) =
+            forest_batch_dedup(tree.forest(), reqs, opts, refiner, threads, order, block)?;
+        let answers = answers.into_iter().map(|(hits, s)| (hits, s.search));
+        Ok((answers.collect(), bstats))
     }
 
     fn assert_same_answers(
@@ -816,7 +877,7 @@ mod tests {
             for threads in [1, 4] {
                 for order in [JoinOrder::AsGiven, JoinOrder::Hilbert] {
                     for block in [None, Some(1), Some(64)] {
-                        let (got, bstats) = partitioned_mixed_batch_dedup(
+                        let (got, bstats) = dedup_batch(
                             &tree,
                             &reqs,
                             NnOptions::default(),
@@ -851,7 +912,7 @@ mod tests {
         }
         let want: Vec<_> = reqs.iter().map(|r| standalone(&tree, r)).collect();
         for threads in [1, 4] {
-            let (got, bstats) = partitioned_mixed_batch_dedup(
+            let (got, bstats) = dedup_batch(
                 &tree,
                 &reqs,
                 NnOptions::default(),
@@ -876,7 +937,7 @@ mod tests {
                 radius: f64::from_bits(30.0f64.to_bits() + 1),
             },
         ];
-        let (_, bstats) = partitioned_mixed_batch_dedup(
+        let (_, bstats) = dedup_batch(
             &tree,
             &near,
             NnOptions::default(),
@@ -895,7 +956,7 @@ mod tests {
         let base = mixed_requests(30);
         let reqs: Vec<_> = base.iter().chain(&base[..10]).copied().collect();
         for threads in [1, 4] {
-            tree.reset_stats();
+            tree.forest().reset_stats();
             let (want, want_stats) = crate::par_mixed_batch_dedup(
                 &tree.partitions()[0],
                 &reqs,
@@ -906,9 +967,9 @@ mod tests {
                 None,
             )
             .unwrap();
-            let want_reads = tree.pool_stats().logical_reads;
-            tree.reset_stats();
-            let (got, got_stats) = partitioned_mixed_batch_dedup(
+            let want_reads = tree.forest().pool_stats().logical_reads;
+            tree.forest().reset_stats();
+            let (got, got_stats) = dedup_batch(
                 &tree,
                 &reqs,
                 NnOptions::default(),
@@ -919,7 +980,7 @@ mod tests {
             )
             .unwrap();
             assert_same_answers(&got, &want, "P=1 vs single tree");
-            assert_eq!(tree.pool_stats().logical_reads, want_reads);
+            assert_eq!(tree.forest().pool_stats().logical_reads, want_reads);
             assert!(want_reads > 0);
             assert_eq!(got_stats.executed, want_stats.executed);
             assert_eq!(got_stats.executed, base.len());
@@ -945,14 +1006,13 @@ mod tests {
         assert!(stats.rounds <= 7, "rounds = {}", stats.rounds);
     }
 
-    /// An interleaving batch's view of `parts`.
+    /// An interleaving batch's view of `parts`, bounded by `mbrs`.
     fn resumable<'a, 't>(
         parts: &'a [Stalling<'t>],
-        mbrs: &[Rect<2>],
+        mbrs: &'a [Rect<2>],
     ) -> Scatter<'a, 2, Stalling<'t>, MbrRefiner> {
         Scatter {
-            parts,
-            mbrs: mbrs.to_vec(),
+            forest: Forest::new(parts, mbrs),
             opts: NnOptions::default(),
             refiner: &MbrRefiner,
             interleave: true,
@@ -1003,7 +1063,7 @@ mod tests {
         ];
         for p in [1, 4] {
             let tree = build(items.clone(), p);
-            let mbrs = manifest_mbrs(&tree);
+            let mbrs = tree.forest().bounds();
             let opts = NnOptions::default();
             for stalls in [0, 1, 3, usize::MAX] {
                 let parts: Vec<Stalling<'_>> = tree
@@ -1011,13 +1071,12 @@ mod tests {
                     .iter()
                     .map(|t| Stalling::new(t, stalls))
                     .collect();
-                let on = resumable(&parts, &mbrs);
+                let on = resumable(&parts, mbrs);
                 // One scratch for every query, as a batch worker's slot.
                 let mut sc = ScatterCursor::new();
                 for (q, k) in &queries {
                     let what = format!("p={p} stalls={stalls} k={k}");
-                    let want =
-                        scatter_knn(tree.partitions(), &mbrs, q, *k, opts, &MbrRefiner, 2).unwrap();
+                    let want = scatter_knn(tree.forest(), q, *k, opts, &MbrRefiner, 2).unwrap();
                     let reads = || parts.iter().map(|s| s.handed_out.get()).sum::<usize>();
                     let not_yets = || parts.iter().map(|s| s.not_yets.get()).sum::<usize>();
                     let (reads0, not_yets0) = (reads(), not_yets());
@@ -1047,21 +1106,21 @@ mod tests {
     #[test]
     fn a_failed_partition_read_ends_the_scatter_item_and_leaves_its_scratch_reusable() {
         let tree = build(points(3000, 71), 4);
-        let mbrs = manifest_mbrs(&tree);
+        let mbrs = tree.forest().bounds();
         let opts = NnOptions::default();
         let q = Point::new([480.0, 510.0]);
-        let want = scatter_knn(tree.partitions(), &mbrs, &q, 12, opts, &MbrRefiner, 1).unwrap();
+        let want = scatter_knn(tree.forest(), &q, 12, opts, &MbrRefiner, 1).unwrap();
         let mut parts: Vec<Stalling<'_>> = tree
             .partitions()
             .iter()
             .map(|t| Stalling::new(t, 1))
             .collect();
         // The nearest partition's second read (its first leaf) fails.
-        let first = schedule_of(&q, &mbrs)[0];
+        let first = schedule_of(&q, mbrs)[0];
         parts[first].fail_after = 1;
         let mut sc = ScatterCursor::new();
         let err = loop {
-            match sc.step(&resumable(&parts, &mbrs), &q, 12, false) {
+            match sc.step(&resumable(&parts, mbrs), &q, 12, false) {
                 Ok(Poll::Ready(_)) => panic!("the second read fails"),
                 Ok(Poll::Waiting { .. }) => {}
                 Err(e) => break e,
@@ -1070,7 +1129,7 @@ mod tests {
         assert!(matches!(err, nnq_rtree::RTreeError::NotFound));
         assert!(!sc.active);
         parts[first].fail_after = usize::MAX;
-        let (got, _) = drive(&mut sc, &resumable(&parts, &mbrs), &q, 12, false);
+        let (got, _) = drive(&mut sc, &resumable(&parts, mbrs), &q, 12, false);
         same_scatter_answer(&got, &want, "the query after the failed one");
     }
 
@@ -1085,8 +1144,7 @@ mod tests {
     fn empty_partition_list_yields_nothing() {
         let parts: Vec<nnq_rtree::MemRTree<2>> = Vec::new();
         let (found, stats) = scatter_knn(
-            &parts,
-            &[],
+            Forest::new(&parts, &[]),
             &Point::new([0.0, 0.0]),
             3,
             NnOptions::default(),
@@ -1096,5 +1154,180 @@ mod tests {
         .unwrap();
         assert!(found.is_empty());
         assert_eq!(stats, PartitionedStats::default());
+    }
+
+    /// A forest of in-memory trees, tree `i` holding the `(x, y, record)`
+    /// points of `groups[i]` and bounded by their MBR.
+    fn forest_of(groups: &[&[(f64, f64, u64)]]) -> (Vec<nnq_rtree::MemRTree<2>>, Vec<Rect<2>>) {
+        let mut trees = Vec::new();
+        let mut mbrs = Vec::new();
+        for group in groups {
+            let tree = nnq_rtree::MemRTree::new();
+            let mut mbr = Rect::empty();
+            for &(x, y, id) in *group {
+                let r = Rect::from_point(Point::new([x, y]));
+                tree.insert(&r, RecordId(id)).unwrap();
+                mbr.union_in_place(&r);
+            }
+            trees.push(tree);
+            mbrs.push(mbr);
+        }
+        (trees, mbrs)
+    }
+
+    /// The round protocol with the first-round shortcut taken out: every
+    /// round's answers go through the heap.
+    fn merge_path(
+        forest: Forest<'_, 2, nnq_rtree::MemRTree<2>>,
+        q: &Point<2>,
+        k: usize,
+    ) -> (Vec<Neighbor<2>>, PartitionedStats) {
+        let mut sc = ScatterCursor::new();
+        sc.begin(q, k, forest.bounds());
+        while sc.merge_and_open() {
+            let bound = sc.bound;
+            sc.outs = sc.sched[sc.round.clone()]
+                .iter()
+                .map(|s| {
+                    NnSearch::new(&forest.trees()[s.part])
+                        .query_refined_bounded(&mut QueryCursor::new(), q, k, &MbrRefiner, bound)
+                        .unwrap()
+                })
+                .collect();
+        }
+        sc.finish()
+    }
+
+    /// Whether the first round alone settles `(q, k)` on `forest`.
+    fn first_round_settles(
+        forest: Forest<'_, 2, nnq_rtree::MemRTree<2>>,
+        q: &Point<2>,
+        k: usize,
+    ) -> bool {
+        let mut sc = ScatterCursor::new();
+        sc.begin(q, k, forest.bounds());
+        assert!(sc.next_round(), "the first round searches the nearest tree");
+        let nearest = &forest.trees()[sc.sched[0].part];
+        sc.outs = vec![NnSearch::new(nearest)
+            .query_refined(q, k, &MbrRefiner)
+            .unwrap()];
+        sc.settled()
+    }
+
+    /// The k nearest points of `groups` to `q` by `(distance, record)`.
+    fn brute_force(groups: &[&[(f64, f64, u64)]], q: &Point<2>, k: usize) -> Vec<(u64, f64)> {
+        let mut all: Vec<(u64, f64)> = groups
+            .iter()
+            .flat_map(|g| g.iter())
+            .map(|&(x, y, id)| (id, mindist_sq(q, &Rect::from_point(Point::new([x, y])))))
+            .collect();
+        all.sort_by(|a, b| a.1.total_cmp(&b.1).then_with(|| a.0.cmp(&b.0)));
+        all.truncate(k);
+        all
+    }
+
+    /// Runs `(q, k)` through `scatter_knn` and a batch item and checks both against the
+    /// merge path, hits and counters bit for bit; returns the answer.
+    fn both_ways(
+        forest: Forest<'_, 2, nnq_rtree::MemRTree<2>>,
+        q: &Point<2>,
+        k: usize,
+    ) -> (Vec<Neighbor<2>>, PartitionedStats) {
+        let want = merge_path(forest, q, k);
+        let opts = NnOptions::default();
+        let got = scatter_knn(forest, q, k, opts, &MbrRefiner, 2).unwrap();
+        same_scatter_answer(&got, &want, "scatter_knn vs the merge path");
+        let reqs = [BatchQuery::Knn { q: *q, k }];
+        let (batch, _) = forest_batch(
+            forest,
+            &reqs,
+            opts,
+            &MbrRefiner,
+            1,
+            JoinOrder::AsGiven,
+            None,
+        )
+        .unwrap();
+        same_scatter_answer(&batch[0], &want, "a batch item vs the merge path");
+        got
+    }
+
+    fn records_and_dists(hits: &[Neighbor<2>]) -> Vec<(u64, f64)> {
+        hits.iter().map(|n| (n.record.0, n.dist_sq)).collect()
+    }
+
+    #[test]
+    fn a_next_bound_exactly_at_the_kth_distance_is_pruned_and_the_first_round_settles() {
+        // From q = (0, 0): A holds distances² 1 and 4; B's MBR starts at
+        // distance² 4, exactly A's 2nd — rounds take `mindist < bound`.
+        let a: &[(f64, f64, u64)] = &[(1.0, 0.0, 1), (2.0, 0.0, 2)];
+        let b: &[(f64, f64, u64)] = &[(0.0, 2.0, 3), (0.0, 3.0, 4)];
+        let (trees, mbrs) = forest_of(&[a, b]);
+        let forest = Forest::new(&trees, &mbrs);
+        let q = Point::new([0.0, 0.0]);
+        assert!(first_round_settles(forest, &q, 2));
+        let (hits, stats) = both_ways(forest, &q, 2);
+        assert_eq!(records_and_dists(&hits), brute_force(&[a, b], &q, 2));
+        assert_eq!(
+            (
+                stats.partitions_visited,
+                stats.partitions_pruned,
+                stats.rounds
+            ),
+            (1, 1, 1)
+        );
+        // One step closer and B can hold something nearer: no shortcut.
+        let b_closer: &[(f64, f64, u64)] = &[(0.0, 1.9, 3), (0.0, 3.0, 4)];
+        let (trees, mbrs) = forest_of(&[a, b_closer]);
+        let forest = Forest::new(&trees, &mbrs);
+        assert!(!first_round_settles(forest, &q, 2));
+        let (hits, stats) = both_ways(forest, &q, 2);
+        assert_eq!(records_and_dists(&hits), brute_force(&[a, b_closer], &q, 2));
+        assert_eq!(stats.partitions_visited, 2);
+    }
+
+    #[test]
+    fn a_first_tree_with_fewer_than_k_records_leaves_the_bound_infinite_and_the_search_goes_on() {
+        let a: &[(f64, f64, u64)] = &[(1.0, 0.0, 1), (2.0, 0.0, 2)];
+        let b: &[(f64, f64, u64)] = &[(50.0, 0.0, 3), (60.0, 0.0, 4), (70.0, 0.0, 5)];
+        let (trees, mbrs) = forest_of(&[a, b]);
+        let forest = Forest::new(&trees, &mbrs);
+        let q = Point::new([0.0, 0.0]);
+        assert!(!first_round_settles(forest, &q, 3));
+        let (hits, stats) = both_ways(forest, &q, 3);
+        assert_eq!(records_and_dists(&hits), brute_force(&[a, b], &q, 3));
+        assert_eq!((stats.partitions_visited, stats.rounds), (2, 2));
+        // With nothing scheduled after it, a short answer is the answer.
+        let forest = Forest::of_one(&trees[0]);
+        assert!(first_round_settles(forest, &q, 3));
+        let (hits, stats) = both_ways(forest, &q, 3);
+        assert_eq!(records_and_dists(&hits), brute_force(&[a], &q, 3));
+        assert_eq!((stats.partitions_visited, stats.partitions_pruned), (1, 0));
+    }
+
+    #[test]
+    fn equal_distances_straddling_trees_at_the_kth_place() {
+        // Distances² from q = (0, 0): A = {r5: 1, r7: 4}, B = {r6: 4, r1: 9}.
+        let a: &[(f64, f64, u64)] = &[(1.0, 0.0, 5), (2.0, 0.0, 7)];
+        let b: &[(f64, f64, u64)] = &[(0.0, 2.0, 6), (0.0, 3.0, 1)];
+        let (trees, mbrs) = forest_of(&[a, b]);
+        let forest = Forest::new(&trees, &mbrs);
+        let q = Point::new([0.0, 0.0]);
+        // k = 3: both tied records make the answer, ordered by record id
+        // whichever tree they came from.
+        assert!(!first_round_settles(forest, &q, 3));
+        let (hits, _) = both_ways(forest, &q, 3);
+        assert_eq!(records_and_dists(&hits), [(5, 1.0), (6, 4.0), (7, 4.0)]);
+        assert_eq!(records_and_dists(&hits), brute_force(&[a, b], &q, 3));
+        // k = 2: the tie sits at the k-th place itself. B's MBR is at
+        // distance² 4, so B is pruned and the nearer-scheduled tree's
+        // record keeps the place, on the shortcut and the merge path alike
+        // (the heap refuses a candidate that only ties its bound); the
+        // distances are brute force's.
+        assert!(first_round_settles(forest, &q, 2));
+        let (hits, _) = both_ways(forest, &q, 2);
+        assert_eq!(records_and_dists(&hits), [(5, 1.0), (7, 4.0)]);
+        let want: Vec<f64> = brute_force(&[a, b], &q, 2).iter().map(|h| h.1).collect();
+        assert_eq!(hits.iter().map(|n| n.dist_sq).collect::<Vec<_>>(), want);
     }
 }

@@ -49,7 +49,7 @@
 use crate::options::{PrefetchPolicy, TuneMode};
 use crate::parallel::BatchStats;
 use crate::result_cache::ResultCache;
-use nnq_rtree::{BackendSignals, PartitionedTree, TreeAccess};
+use nnq_rtree::{rebalance_cache_budget, BackendSignals, TreeAccess};
 use nnq_storage::CacheStats;
 
 /// Hard bounds the controller keeps every knob inside.
@@ -115,10 +115,9 @@ pub struct KnobSettings {
 ///
 /// Drive it at batch granularity: run a batch, then call
 /// [`TuneController::observe_batch`] with the executor's stats and
-/// [`TuneController::observe_tree`] (or
-/// [`TuneController::observe_partitioned`]) with the tree — the latter
-/// samples counters, updates the EWMAs, picks new knob values, and
-/// applies them to the backend. Build the next batch's options with
+/// [`TuneController::observe_trees`] with the trees — the latter samples
+/// counters, updates the EWMAs, picks new knob values, and applies them
+/// to the backend. Build the next batch's options with
 /// [`TuneController::prefetch_policy`] and
 /// [`TuneController::block_override`].
 ///
@@ -286,51 +285,39 @@ impl TuneController {
         }
     }
 
-    /// Samples the tree's backend counters, updates the EWMAs, picks new
-    /// knob values, and applies the cache-capacity and prefetch-worker
-    /// knobs through [`TreeAccess`]. Call between batches. No-op in off
-    /// mode.
-    pub fn observe_tree<const D: usize, T: TreeAccess<D> + ?Sized>(&mut self, tree: &T) {
-        if !self.is_active() {
-            return;
-        }
-        let now = tree.backend_signals();
-        if self.step(now) {
-            tree.set_cache_capacity(self.knobs.cache_capacity);
-            tree.set_prefetch_workers(self.knobs.prefetch_workers);
-        }
-    }
-
-    /// [`TuneController::observe_tree`] for a [`PartitionedTree`]: the
-    /// EWMAs run on the partition-summed counters, the worker knob is
-    /// applied to every partition's prefetcher, and the cache knob
-    /// becomes a dataset-wide budget of `cache_capacity × partitions`
-    /// nodes redistributed toward the worst-missing partitions
-    /// (`PartitionedTree::rebalance_cache_budget`, floored at
-    /// `min_cache` per partition).
-    pub fn observe_partitioned<const D: usize>(&mut self, tree: &PartitionedTree<D>) {
+    /// Samples the backend counters of a forest's trees (one tree, or a
+    /// partitioned tree's partitions), updates the EWMAs, picks new knob
+    /// values, and applies them through [`TreeAccess`]: the worker knob
+    /// to every tree's prefetcher, and the cache knob as a budget of
+    /// `cache_capacity × trees` nodes redistributed toward the
+    /// worst-missing trees ([`rebalance_cache_budget`], floored at
+    /// `min_cache` per tree; one tree gets `cache_capacity`). The EWMAs
+    /// run on the summed counters, the cache gauges normalized back to a
+    /// per-tree figure so the ladder thresholds keep meaning. Call between
+    /// batches. No-op in off mode.
+    pub fn observe_trees<const D: usize, T: TreeAccess<D>>(&mut self, trees: &[T]) {
         if !self.is_active() {
             return;
         }
         let mut agg = BackendSignals::default();
-        for s in tree.partition_signals() {
-            agg.accumulate(&s);
+        for tree in trees {
+            agg.accumulate(&tree.backend_signals());
         }
-        // The gauges summed across partitions; normalize capacity back to
-        // a per-partition figure so the ladder thresholds keep meaning.
-        let p = tree.partition_count().max(1);
+        let p = trees.len().max(1);
         agg.cache_len /= p;
         agg.cache_capacity /= p;
         if self.step(agg) {
-            tree.rebalance_cache_budget(self.knobs.cache_capacity * p, self.bounds.min_cache);
-            tree.set_prefetch_workers(self.knobs.prefetch_workers);
+            rebalance_cache_budget(trees, self.knobs.cache_capacity * p, self.bounds.min_cache);
+            for tree in trees {
+                tree.set_prefetch_workers(self.knobs.prefetch_workers);
+            }
         }
     }
 
     /// Samples a [`ResultCache`]'s counters, updates the result-hit EWMA,
     /// and grows/shrinks the cache through [`ResultCache::resize`] by the
     /// sizing rule the decoded-node cache knob uses. Runs on its own delta
-    /// stream, so interleaving it with [`TuneController::observe_tree`]
+    /// stream, so interleaving it with [`TuneController::observe_trees`]
     /// never corrupts the pool-counter deltas.
     ///
     /// A disabled cache (capacity 0, the `--result-cache off` escape

@@ -3,10 +3,10 @@
 //! no matter how the batch is shaped or how many workers claim from it.
 
 use nnq_core::{
-    par_knn_batch, par_knn_batch_with_block, JoinOrder, MbrRefiner, Neighbor, NnOptions,
+    forest_batch, par_knn_batch, BatchQuery, JoinOrder, MbrRefiner, Neighbor, NnOptions,
 };
 use nnq_geom::{Point, Rect};
-use nnq_rtree::{MemRTree, RecordId};
+use nnq_rtree::{Forest, MemRTree, RecordId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -60,6 +60,22 @@ fn clustered_queries(seed: u64) -> Vec<Point<2>> {
     queries
 }
 
+/// A kNN batch over `tree` (a forest of one) claimed in `order`.
+fn batch(
+    tree: &MemRTree<2>,
+    queries: &[Point<2>],
+    k: usize,
+    threads: usize,
+    order: JoinOrder,
+) -> Vec<Vec<Neighbor<2>>> {
+    let forest = Forest::of_one(tree);
+    let reqs: Vec<_> = queries.iter().map(|&q| BatchQuery::Knn { q, k }).collect();
+    let opts = NnOptions::default();
+    let (answers, _) =
+        forest_batch(forest, &reqs, opts, &MbrRefiner, threads, order, None).unwrap();
+    answers.into_iter().map(|(hits, _)| hits).collect()
+}
+
 fn dists(found: &[Vec<Neighbor<2>>]) -> Vec<Vec<f64>> {
     found
         .iter()
@@ -77,18 +93,7 @@ fn records(found: &[Vec<Neighbor<2>>]) -> Vec<Vec<RecordId>> {
 fn assert_matches_sequential(tree: &MemRTree<2>, queries: &[Point<2>], k: usize) {
     let seq = par_knn_batch(tree, queries, k, NnOptions::default(), &MbrRefiner, 1).unwrap();
     for threads in [1, 2, 8] {
-        let hil = par_knn_batch_with_block(
-            tree,
-            queries,
-            k,
-            NnOptions::default(),
-            &MbrRefiner,
-            threads,
-            JoinOrder::Hilbert,
-            None,
-        )
-        .unwrap()
-        .0;
+        let hil = batch(tree, queries, k, threads, JoinOrder::Hilbert);
         assert_eq!(hil.len(), queries.len(), "threads={threads}");
         assert_eq!(dists(&hil), dists(&seq), "threads={threads}");
         assert_eq!(records(&hil), records(&seq), "threads={threads}");
@@ -115,18 +120,7 @@ fn results_come_back_in_submission_order() {
     // every slot against an independently computed single-query batch.
     let tree = build_tree(2_000, 41);
     let queries = clustered_queries(42);
-    let batch = par_knn_batch_with_block(
-        &tree,
-        &queries,
-        3,
-        NnOptions::default(),
-        &MbrRefiner,
-        8,
-        JoinOrder::Hilbert,
-        None,
-    )
-    .unwrap()
-    .0;
+    let batch = batch(&tree, &queries, 3, 8, JoinOrder::Hilbert);
     for (i, q) in queries.iter().enumerate() {
         let single = par_knn_batch(
             &tree,
@@ -146,17 +140,6 @@ fn as_given_order_is_the_default_behavior() {
     let tree = build_tree(1_000, 51);
     let queries = random_queries(64, 52);
     let default = par_knn_batch(&tree, &queries, 4, NnOptions::default(), &MbrRefiner, 4).unwrap();
-    let as_given = par_knn_batch_with_block(
-        &tree,
-        &queries,
-        4,
-        NnOptions::default(),
-        &MbrRefiner,
-        4,
-        JoinOrder::AsGiven,
-        None,
-    )
-    .unwrap()
-    .0;
+    let as_given = batch(&tree, &queries, 4, 4, JoinOrder::AsGiven);
     assert_eq!(dists(&default), dists(&as_given));
 }

@@ -4,10 +4,10 @@
 //! results to the sequential run.
 
 use nnq_core::{
-    par_knn_batch, par_knn_batch_stats, par_knn_batch_with_block, FnRefiner, JoinOrder, NnOptions,
+    forest_batch, par_knn_batch, par_knn_batch_stats, BatchQuery, FnRefiner, JoinOrder, NnOptions,
 };
 use nnq_geom::{Point, Rect};
-use nnq_rtree::{MemRTree, RecordId};
+use nnq_rtree::{Forest, MemRTree, RecordId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashSet;
@@ -138,10 +138,13 @@ fn imbalanced_batch_finishes_near_optimal_with_stealing() {
         nnq_geom::mindist_sq(q, mbr)
     });
 
-    let (results, stats) = par_knn_batch_with_block(
-        &tree,
-        &queries,
-        5,
+    let reqs: Vec<_> = queries
+        .iter()
+        .map(|&q| BatchQuery::Knn { q, k: 5 })
+        .collect();
+    let (results, stats) = forest_batch(
+        Forest::of_one(&tree),
+        &reqs,
         NnOptions::default(),
         &refiner,
         threads,

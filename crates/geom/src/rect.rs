@@ -38,11 +38,15 @@ impl<const D: usize> Rect<D> {
     /// # Panics
     /// Panics in debug builds if the corners are not ordered.
     #[inline]
-    pub fn from_sorted(lo: Point<D>, hi: Point<D>) -> Self {
-        debug_assert!(
-            (0..D).all(|i| lo[i] <= hi[i]),
-            "from_sorted requires lo <= hi component-wise"
-        );
+    pub const fn from_sorted(lo: Point<D>, hi: Point<D>) -> Self {
+        let mut i = 0;
+        while i < D {
+            debug_assert!(
+                lo.coords()[i] <= hi.coords()[i],
+                "from_sorted requires lo <= hi component-wise"
+            );
+            i += 1;
+        }
         Self { lo, hi }
     }
 

@@ -63,7 +63,10 @@ pub use codec::{node_capacity, Meta, RawNode};
 pub use config::{RTreeConfig, SplitStrategy};
 pub use entry::{Entry, RecordId};
 pub use iter::WindowIter;
-pub use partition::{hilbert_split, PartitionManifest, PartitionMeta, PartitionedTree};
+pub use partition::{
+    hilbert_split, rebalance_cache_budget, snapshot_all, whole_space, Forest, PartitionManifest,
+    PartitionMeta, PartitionedTree,
+};
 pub use store::BackendSignals;
 pub use store::{MemStore, NodeStore, PagedStore};
 pub use tree::{MemRTree, NodeView, RTree, Snapshot, TreeAccess};

@@ -1,4 +1,11 @@
-//! Hilbert-range partitioned multi-trees.
+//! Forests, and the Hilbert-range partitioned multi-tree.
+//!
+//! Every query path in `nnq-core` runs on a [`Forest`]: trees, and one
+//! bound per tree that contains everything the tree holds. The
+//! scatter-gather search orders and prunes the trees by MINDIST to their
+//! bounds. An unpartitioned tree is a forest of one whose bound is the
+//! whole space ([`whole_space`]); a [`PartitionedTree`] is the forest of
+//! its partitions, bounded by their manifest MBRs.
 //!
 //! A [`PartitionedTree`] splits a dataset into `P` independent R-trees by
 //! Hilbert key range: every item is keyed by [`nnq_geom::hilbert_key`]
@@ -25,9 +32,9 @@ use crate::bulk::BulkMethod;
 use crate::config::RTreeConfig;
 use crate::entry::RecordId;
 use crate::store::{NodeStore, PagedStore};
-use crate::tree::RTree;
+use crate::tree::{RTree, Snapshot, TreeAccess};
 use crate::{RTreeError, Result};
-use nnq_geom::{hilbert_key, Rect};
+use nnq_geom::{hilbert_key, Point, Rect};
 use nnq_storage::{BufferPool, MemDisk, PoolStats, PAGE_SIZE};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -235,15 +242,186 @@ pub fn hilbert_split<const D: usize>(
     (chunks, PartitionManifest { bounds, parts })
 }
 
+/// The bound of an unpartitioned tree: the whole space. It contains the
+/// tree whatever is written to it, and its MINDIST to any point is 0, so
+/// the search (whose first round runs at bound `+∞`) never prunes by it.
+pub const fn whole_space<const D: usize>() -> Rect<D> {
+    Rect::from_sorted(
+        Point::new([f64::NEG_INFINITY; D]),
+        Point::new([f64::INFINITY; D]),
+    )
+}
+
+/// Trees, and one bound per tree: what every query path runs on (module
+/// docs).
+pub struct Forest<'a, const D: usize, T> {
+    trees: &'a [T],
+    bounds: &'a [Rect<D>],
+}
+
+impl<'a, const D: usize, T> Forest<'a, D, T> {
+    /// The forest of `trees`, tree `i` bounded by `bounds[i]`, which must
+    /// contain everything the tree holds ([`Rect::empty`] for an empty
+    /// partition, [`whole_space`] for a tree that takes writes).
+    ///
+    /// # Panics
+    /// Panics if `trees` and `bounds` have different lengths.
+    pub fn new(trees: &'a [T], bounds: &'a [Rect<D>]) -> Self {
+        assert_eq!(trees.len(), bounds.len(), "one bound per tree");
+        Self { trees, bounds }
+    }
+
+    /// `tree` unpartitioned: a forest of one, bounded by [`whole_space`].
+    pub fn of_one(tree: &'a T) -> Self {
+        Self::new(std::slice::from_ref(tree), const { &[whole_space()] })
+    }
+
+    /// The trees.
+    pub fn trees(&self) -> &'a [T] {
+        self.trees
+    }
+
+    /// Each tree's bound, in tree order.
+    pub fn bounds(&self) -> &'a [Rect<D>] {
+        self.bounds
+    }
+}
+
+impl<const D: usize> Forest<'_, D, RTree<D, PagedStore<D>>> {
+    /// Total number of data entries across the trees.
+    pub fn len(&self) -> u64 {
+        self.trees.iter().map(RTree::len).sum()
+    }
+
+    /// Whether every tree is empty.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Buffer-pool statistics summed over the trees' pools; the summed
+    /// `logical_reads` is the dataset-wide "pages accessed" figure.
+    pub fn pool_stats(&self) -> PoolStats {
+        let mut total = PoolStats::default();
+        for tree in self.trees {
+            total.accumulate(tree.pool().stats());
+        }
+        total
+    }
+
+    /// Resets statistics on every tree's pool.
+    pub fn reset_stats(&self) {
+        for tree in self.trees {
+            tree.pool().reset_stats();
+        }
+    }
+
+    /// Drops every tree's cached frames and decoded nodes (cold-cache
+    /// measurement setup).
+    pub fn clear_caches(&self) -> Result<()> {
+        for tree in self.trees {
+            tree.pool().clear_cache()?;
+            tree.store().clear_node_cache();
+        }
+        Ok(())
+    }
+}
+
+// A forest only borrows, so it copies whatever its trees are.
+impl<const D: usize, T> Clone for Forest<'_, D, T> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<const D: usize, T> Copy for Forest<'_, D, T> {}
+
+/// Pins a snapshot of every tree at one composed version: reads the summed
+/// [`RTree::version`], pins each tree, and retries if the pinned versions
+/// do not add up to it. Versions only grow, so equal sums mean no tree
+/// committed between its version read and its pin: after the last read
+/// and before the first pin, every tree stood at its pinned version. A
+/// commit bumps one tree's version by one, so the sum grows with every
+/// commit anywhere in the forest: the snapshots' summed version names one
+/// committed state, and keys what is computed on them.
+pub fn snapshot_all<const D: usize, S: NodeStore<D>>(
+    trees: &[RTree<D, S>],
+) -> Vec<Snapshot<'_, D, S>> {
+    loop {
+        let version: u64 = trees.iter().map(RTree::version).sum();
+        let snaps: Vec<_> = trees.iter().map(RTree::snapshot).collect();
+        if snaps.iter().map(Snapshot::version).sum::<u64>() == version {
+            return snaps;
+        }
+    }
+}
+
+/// Redistributes a decoded-node cache budget of `total` nodes across
+/// `trees`, proportionally to each tree's pool miss rate (lifetime, per
+/// the current counters) with an equal-share floor of `floor` nodes so no
+/// tree is starved: the worst-missing trees get the most decode headroom.
+/// With no reads anywhere the budget falls back to an even split; one tree
+/// gets all of it. Returns the installed per-tree capacities.
+///
+/// Accounting-neutral: only [`TreeAccess::set_cache_capacity`] is
+/// touched, which never changes page-access counters.
+pub fn rebalance_cache_budget<const D: usize, T: TreeAccess<D>>(
+    trees: &[T],
+    total: usize,
+    floor: usize,
+) -> Vec<usize> {
+    let p = trees.len();
+    if p == 0 {
+        return Vec::new();
+    }
+    let floor = floor.min(total / p);
+    let spread = total - floor * p;
+    let miss: Vec<f64> = trees
+        .iter()
+        .map(|t| {
+            let s = t.backend_signals();
+            s.physical_reads as f64 / s.logical_reads.max(1) as f64
+        })
+        .collect();
+    let sum: f64 = miss.iter().sum();
+    let caps: Vec<usize> = if sum <= 0.0 {
+        // Nothing measured (or perfectly warm everywhere): even split.
+        let base = total / p;
+        let rem = total % p;
+        (0..p).map(|i| base + usize::from(i < rem)).collect()
+    } else {
+        let mut caps: Vec<usize> = miss
+            .iter()
+            .map(|m| floor + ((m / sum) * spread as f64) as usize)
+            .collect();
+        // Hand rounding leftovers to the worst misser so the budget is
+        // fully spent.
+        let spent: usize = caps.iter().sum();
+        let worst = miss
+            .iter()
+            .enumerate()
+            .max_by(|a, b| a.1.total_cmp(b.1))
+            .map(|(i, _)| i)
+            .expect("p > 0");
+        caps[worst] += total - spent;
+        caps
+    };
+    for (tree, &cap) in trees.iter().zip(&caps) {
+        tree.set_cache_capacity(cap);
+    }
+    caps
+}
+
 /// A dataset split into `P` independent R-trees by Hilbert key range.
 ///
 /// See the module docs for the construction. Queries go through the
 /// scatter-gather search in `nnq-core` (`partitioned_knn` /
-/// `partitioned_radius`), which consults [`PartitionedTree::manifest`]
-/// to order and prune partitions by MINDIST to their MBRs.
+/// `scatter_radius`) over its [`forest`](PartitionedTree::forest),
+/// which orders and prunes partitions by MINDIST to their manifest MBRs.
 pub struct PartitionedTree<const D: usize> {
     parts: Vec<RTree<D, PagedStore<D>>>,
     manifest: PartitionManifest<D>,
+    /// The manifest MBRs, in partition order: the forest's bounds.
+    bounds: Vec<Rect<D>>,
 }
 
 impl<const D: usize> PartitionedTree<D> {
@@ -343,7 +521,12 @@ impl<const D: usize> PartitionedTree<D> {
                 )));
             }
         }
-        Ok(Self { parts, manifest })
+        let bounds = manifest.parts.iter().map(|p| p.mbr).collect();
+        Ok(Self {
+            parts,
+            manifest,
+            bounds,
+        })
     }
 
     /// The partition trees, in manifest (key-range) order.
@@ -351,141 +534,26 @@ impl<const D: usize> PartitionedTree<D> {
         &self.parts
     }
 
+    /// The partitions as a forest, bounded by their manifest MBRs.
+    pub fn forest(&self) -> Forest<'_, D, RTree<D, PagedStore<D>>> {
+        Forest::new(&self.parts, &self.bounds)
+    }
+
+    /// Every partition's snapshot, pinned at one composed version
+    /// ([`snapshot_all`]).
+    pub fn snapshot(&self) -> Vec<Snapshot<'_, D>> {
+        snapshot_all(&self.parts)
+    }
+
     /// The global manifest.
     pub fn manifest(&self) -> &PartitionManifest<D> {
         &self.manifest
-    }
-
-    /// Number of partitions.
-    pub fn partition_count(&self) -> usize {
-        self.parts.len()
-    }
-
-    /// Total number of data entries across all partitions.
-    pub fn len(&self) -> u64 {
-        self.parts.iter().map(|t| t.len()).sum()
-    }
-
-    /// Whether every partition is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Composed commit version of the forest: the sum of every
-    /// partition's [`RTree::version`]. Each commit bumps exactly one
-    /// partition's version by one, so the sum is strictly monotonic
-    /// across commits anywhere in the forest — a root swap in any
-    /// partition changes the composed value, which is what makes it a
-    /// sound result-cache key for scatter-gather answers (they depend on
-    /// every partition's root).
-    pub fn version(&self) -> u64 {
-        self.parts.iter().map(|t| t.version()).sum()
-    }
-
-    /// Buffer-pool statistics summed over all partitions' pools; the
-    /// summed `logical_reads` is the dataset-wide "pages accessed" figure.
-    pub fn pool_stats(&self) -> PoolStats {
-        let mut total = PoolStats::default();
-        for tree in &self.parts {
-            total.accumulate(tree.pool().stats());
-        }
-        total
-    }
-
-    /// Resets statistics on every partition's pool.
-    pub fn reset_stats(&self) {
-        for tree in &self.parts {
-            tree.pool().reset_stats();
-        }
-    }
-
-    /// Drops every partition's cached frames and decoded nodes (cold-cache
-    /// measurement setup).
-    pub fn clear_caches(&self) -> Result<()> {
-        for tree in &self.parts {
-            tree.pool().clear_cache()?;
-            tree.store().clear_node_cache();
-        }
-        Ok(())
-    }
-
-    /// Per-partition tuning signals, in partition order (see
-    /// [`crate::BackendSignals`]).
-    pub fn partition_signals(&self) -> Vec<crate::BackendSignals> {
-        self.parts
-            .iter()
-            .map(|t| t.store().backend_signals())
-            .collect()
-    }
-
-    /// Redistributes a dataset-wide decoded-node cache budget of `total`
-    /// nodes across partitions, proportionally to each partition's pool
-    /// miss rate (lifetime, per the current counters) with an equal-share
-    /// floor of `floor` nodes so no partition is starved. The worst-missing
-    /// partitions get the most decode headroom. With no reads anywhere the
-    /// budget falls back to an even split. Returns the installed
-    /// per-partition capacities.
-    ///
-    /// Accounting-neutral: only [`PagedStore::resize_node_cache`] is
-    /// touched, which never changes page-access counters.
-    pub fn rebalance_cache_budget(&self, total: usize, floor: usize) -> Vec<usize> {
-        let p = self.parts.len();
-        if p == 0 {
-            return Vec::new();
-        }
-        let floor = floor.min(total / p);
-        let spread = total - floor * p;
-        let miss: Vec<f64> = self
-            .parts
-            .iter()
-            .map(|t| t.pool().stats().miss_rate())
-            .collect();
-        let sum: f64 = miss.iter().sum();
-        let caps: Vec<usize> = if sum <= 0.0 {
-            // Nothing measured (or perfectly warm everywhere): even split.
-            let base = total / p;
-            let rem = total % p;
-            (0..p).map(|i| base + usize::from(i < rem)).collect()
-        } else {
-            let mut caps: Vec<usize> = miss
-                .iter()
-                .map(|m| floor + ((m / sum) * spread as f64) as usize)
-                .collect();
-            // Hand rounding leftovers to the worst misser so the budget is
-            // fully spent.
-            let spent: usize = caps.iter().sum();
-            let worst = miss
-                .iter()
-                .enumerate()
-                .max_by(|a, b| a.1.total_cmp(b.1))
-                .map(|(i, _)| i)
-                .expect("p > 0");
-            caps[worst] += total - spent;
-            caps
-        };
-        for (tree, &cap) in self.parts.iter().zip(&caps) {
-            tree.store().resize_node_cache(cap);
-        }
-        caps
-    }
-
-    /// Sets the active prefetch-worker count on every partition's pool
-    /// (each partition owns an independent prefetcher). Returns the
-    /// per-partition counts after clamping (`0` for partitions without a
-    /// prefetcher).
-    pub fn set_prefetch_workers(&self, n: usize) -> Vec<usize> {
-        self.parts
-            .iter()
-            .map(|t| t.pool().set_prefetch_workers(n))
-            .collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tree::TreeAccess;
-    use nnq_geom::Point;
     use nnq_storage::PageId;
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -607,7 +675,7 @@ mod tests {
             1,
         )
         .unwrap();
-        assert_eq!(part.partition_count(), 1);
+        assert_eq!(part.partitions().len(), 1);
         assert_eq!(structure(&single), structure(&part.partitions()[0]));
     }
 
@@ -639,7 +707,7 @@ mod tests {
             assert_eq!(structure(a), structure(b));
             a.validate().unwrap();
         }
-        assert_eq!(seq.len(), 3000);
+        assert_eq!(seq.forest().len(), 3000);
     }
 
     #[test]
@@ -682,8 +750,8 @@ mod tests {
             2,
         )
         .unwrap();
-        assert!(part.is_empty());
-        assert_eq!(part.partition_count(), 4);
+        assert!(part.forest().is_empty());
+        assert_eq!(part.partitions().len(), 4);
         for tree in part.partitions() {
             assert_eq!(tree.root(), PageId::INVALID);
         }
@@ -703,7 +771,7 @@ mod tests {
         .unwrap();
 
         // No reads yet: even split, budget fully spent.
-        let caps = part.rebalance_cache_budget(1000, 64);
+        let caps = rebalance_cache_budget(part.partitions(), 1000, 64);
         assert_eq!(caps.len(), 4);
         assert_eq!(caps.iter().sum::<usize>(), 1000);
         assert!(caps.iter().all(|&c| c == 250));
@@ -713,7 +781,7 @@ mod tests {
 
         // Heat up partition 0 (warm: all hits after first pass) and leave
         // partition 3 cold-missing by clearing its frames between reads.
-        part.reset_stats();
+        part.forest().reset_stats();
         let p0 = &part.partitions()[0];
         let r0 = p0.access_root().unwrap();
         for _ in 0..64 {
@@ -725,7 +793,7 @@ mod tests {
             p3.pool().clear_cache().unwrap();
             p3.read_node(r3).unwrap();
         }
-        let caps = part.rebalance_cache_budget(1000, 64);
+        let caps = rebalance_cache_budget(part.partitions(), 1000, 64);
         assert_eq!(caps.iter().sum::<usize>(), 1000);
         assert!(caps.iter().all(|&c| c >= 64), "floor violated: {caps:?}");
         assert!(
@@ -734,9 +802,64 @@ mod tests {
         );
 
         // Per-partition signals expose the same counters the budget used.
-        let signals = part.partition_signals();
+        let signals: Vec<_> = part
+            .partitions()
+            .iter()
+            .map(|t| t.backend_signals())
+            .collect();
         assert_eq!(signals.len(), 4);
         assert!(signals[3].physical_reads > signals[0].physical_reads);
         assert_eq!(signals[3].cache_capacity, caps[3]);
+
+        // One tree gets the whole budget, whatever it missed.
+        assert_eq!(
+            rebalance_cache_budget(&part.partitions()[3..], 700, 64),
+            [700]
+        );
+    }
+
+    #[test]
+    fn a_forest_snapshot_pins_one_composed_version() {
+        let part = PartitionedTree::bulk_load_in_memory(
+            points(400, 43),
+            4,
+            RTreeConfig::default(),
+            BulkMethod::Hilbert,
+            1.0,
+            256,
+            1,
+        )
+        .unwrap();
+        let before = part.snapshot();
+        let composed = |snaps: &[Snapshot<'_, 2>]| snaps.iter().map(Snapshot::version).sum::<u64>();
+        assert_eq!(
+            composed(&before),
+            part.partitions().iter().map(RTree::version).sum()
+        );
+        let p = Point::new([1.0, 1.0]);
+        part.partitions()[2]
+            .insert(&Rect::from_point(p), RecordId(9_999))
+            .unwrap();
+        let after = part.snapshot();
+        assert_eq!(composed(&after), composed(&before) + 1);
+        assert_eq!(before[2].len() + 1, after[2].len());
+        assert_eq!(
+            part.forest().bounds(),
+            part.manifest()
+                .parts
+                .iter()
+                .map(|m| m.mbr)
+                .collect::<Vec<_>>()
+        );
+
+        // A forest of one is bounded by the whole space: MINDIST 0 from
+        // anywhere, and it contains whatever is written later.
+        let one = Forest::<2, _>::of_one(&part.partitions()[0]);
+        assert_eq!(one.trees().len(), 1);
+        let bound = one.bounds()[0];
+        assert_eq!(bound, whole_space());
+        for q in [[0.0, 0.0], [-1e300, 7.0], [f64::MAX, f64::MIN]] {
+            assert_eq!(nnq_geom::mindist_sq(&Point::new(q), &bound), 0.0);
+        }
     }
 }

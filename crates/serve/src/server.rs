@@ -2,10 +2,9 @@
 //! bounded inbox, one batcher thread draining deadline-or-size
 //! micro-batches through the work-stealing mixed-query executor, and
 //! responses written back in admission order, one socket write per
-//! connection per micro-batch. The batcher is the same code for both
-//! engines: per batch it pins a `Pinned` (the single tree's snapshot, or
-//! the partitioned tree and its composed version), and probe, execution,
-//! and fill all go through that.
+//! connection per micro-batch. Both engines are forests (one tree is a
+//! forest of one): per batch the batcher pins every tree's snapshot at one
+//! composed version, and probe, execution, and fill all go through that.
 //!
 //! Threading layout (all scoped, all joined before [`serve`] returns):
 //!
@@ -17,7 +16,7 @@
 //!                              bounded Inbox<Job>
 //!                                      │ deadline-or-size drain
 //!                                      ▼
-//!            batcher (caller's thread): Engine::pin() per batch,
+//!            batcher (caller's thread): forest snapshot per batch,
 //!            Hilbert claim order over `threads` workers, TuneController
 //!            observes every drained batch
 //!                                      │ responses encoded in place, in
@@ -41,13 +40,11 @@ use crate::protocol::{
     append_frame, encode_ok, write_frame, Request, Response, MAX_REQUEST_FRAME, MAX_RESULT_HITS,
 };
 use nnq_core::{
-    par_mixed_batch_dedup, partitioned_mixed_batch_dedup, BatchQuery, BatchStats, CachedAnswer,
-    JoinOrder, Neighbor, NnOptions, PrefetchPolicy, Refiner, ResultCache, SearchStats,
-    TuneController, TuneMode,
+    forest_batch_dedup, BatchQuery, BatchStats, CachedAnswer, JoinOrder, Neighbor, NnOptions,
+    PartitionedStats, PrefetchPolicy, Refiner, ResultCache, TuneController, TuneMode,
 };
 use nnq_geom::Point;
-use nnq_rtree::{PartitionedTree, RTree, Snapshot};
-use nnq_storage::BufferPool;
+use nnq_rtree::{snapshot_all, Forest, PartitionedTree, RTree, Snapshot};
 use std::collections::HashSet;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -56,7 +53,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 /// One executed batch's answers: hits + the recorded stats, per query.
-type AnswerList = Vec<(Vec<Neighbor<2>>, SearchStats)>;
+type AnswerList = Vec<(Vec<Neighbor<2>>, PartitionedStats)>;
 
 /// Knobs for one [`serve`] run. All sizes are hard bounds: the inbox
 /// never queues more than `inbox_cap`, a batch never exceeds `batch_max`,
@@ -109,91 +106,24 @@ impl Default for ServeConfig {
 }
 
 /// What the server serves: one R-tree, or a Hilbert-range partitioned
-/// forest behind scatter-gather.
+/// forest behind scatter-gather. Either is served as a forest: each
+/// micro-batch runs against one snapshot of every tree, so reads proceed
+/// concurrently with the copy-on-write writer.
 pub enum Engine<'a> {
-    /// A single paged R-tree. Each micro-batch runs against one
-    /// [`snapshot`](RTree::snapshot), so reads proceed concurrently with
-    /// the copy-on-write writer.
+    /// A single paged R-tree: a forest of one, bounded by the whole space.
     Single(&'a RTree<2>),
-    /// A partitioned tree; each request runs its own scatter-gather pass,
-    /// requests fan out across the batch executor's workers.
+    /// A partitioned tree: each request runs its own scatter-gather pass
+    /// over the partitions, requests fan out across the batch executor's
+    /// workers.
     Partitioned(&'a PartitionedTree<2>),
 }
 
 impl<'a> Engine<'a> {
-    /// Pins what one micro-batch's probe → execute → fill pipeline shares.
-    fn pin(&self) -> Pinned<'a> {
+    /// The forest every read of the engine runs on.
+    pub fn forest(&self) -> Forest<'a, 2, RTree<2>> {
         match *self {
-            Engine::Single(tree) => Pinned::Single(tree.snapshot()),
-            Engine::Partitioned(tree) => Pinned::Partitioned(tree, tree.version()),
-        }
-    }
-
-    /// Feeds the backend counters to the tuner and applies its knobs.
-    fn observe(&self, controller: &mut TuneController) {
-        match *self {
-            Engine::Single(tree) => controller.observe_tree(tree),
-            Engine::Partitioned(tree) => controller.observe_partitioned(tree),
-        }
-    }
-
-    /// Every buffer pool behind the engine.
-    fn pools(&self) -> impl Iterator<Item = &'a BufferPool> {
-        let trees = match *self {
-            Engine::Single(tree) => std::slice::from_ref(tree),
-            Engine::Partitioned(tree) => tree.partitions(),
-        };
-        trees.iter().map(|tree| &**tree.pool())
-    }
-}
-
-/// What a micro-batch pinned: the single tree's snapshot — a cached hit is
-/// *exactly* the answer it would compute — or, with no forest-wide
-/// snapshot to take, the partitioned tree and its composed version.
-enum Pinned<'a> {
-    Single(Snapshot<'a, 2>),
-    Partitioned(&'a PartitionedTree<2>, u64),
-}
-
-impl Pinned<'_> {
-    /// The commit version probes and fills are keyed by.
-    fn version(&self) -> u64 {
-        match self {
-            Pinned::Single(snap) => snap.version(),
-            Pinned::Partitioned(_, version) => *version,
-        }
-    }
-
-    /// Executes the batch's cache misses, once per unique query, in
-    /// Hilbert claim order over `threads` workers.
-    fn run<R: Refiner<2> + Sync>(
-        &self,
-        requests: &[BatchQuery<2>],
-        opts: NnOptions,
-        refiner: &R,
-        threads: usize,
-        block: Option<usize>,
-    ) -> nnq_core::Result<(AnswerList, BatchStats)> {
-        let order = JoinOrder::Hilbert;
-        match self {
-            Pinned::Single(snap) => {
-                par_mixed_batch_dedup(snap, requests, opts, refiner, threads, order, block)
-            }
-            Pinned::Partitioned(tree, _) => {
-                partitioned_mixed_batch_dedup(tree, requests, opts, refiner, threads, order, block)
-            }
-        }
-    }
-
-    /// Whether what `run` returned is valid at `version()`. The snapshot's
-    /// answers are by construction; the partitioned forest's only if no
-    /// commit moved the composed version while the batch ran (an
-    /// interleaved write could have been half-visible — skipping the fill
-    /// keeps the cache exact and costs only a future re-execution).
-    fn fill_ok(&self) -> bool {
-        match self {
-            Pinned::Single(_) => true,
-            Pinned::Partitioned(tree, version) => tree.version() == *version,
+            Engine::Single(tree) => Forest::of_one(tree),
+            Engine::Partitioned(tree) => tree.forest(),
         }
     }
 }
@@ -498,6 +428,7 @@ pub fn serve<R: Refiner<2> + Sync>(
     );
     listener.set_nonblocking(true)?;
     let shared = Shared::new(config);
+    let forest = engine.forest();
 
     let loop_out = std::thread::scope(|scope| {
         let shared = &shared;
@@ -535,12 +466,12 @@ pub fn serve<R: Refiner<2> + Sync>(
                 }
             }
         });
-        batch_loop(engine, refiner, config, shared)
+        batch_loop(forest, refiner, config, shared)
     });
 
     // Every reader and the acceptor joined: quiesce the I/O pipelines and
     // make the committed state durable before reporting.
-    quiesce_and_flush(engine)?;
+    quiesce_and_flush(forest.trees())?;
 
     Ok(ServeReport {
         served: shared.served.load(Ordering::Relaxed),
@@ -576,8 +507,8 @@ struct BatchLoopOut {
 /// in-flight hint classified, nothing racing the flush) and push the
 /// committed state down — through the WAL group-commit window when the
 /// pool journals, a plain flush otherwise.
-fn quiesce_and_flush(engine: &Engine<'_>) -> io::Result<()> {
-    for pool in engine.pools() {
+fn quiesce_and_flush(trees: &[RTree<2>]) -> io::Result<()> {
+    for pool in trees.iter().map(RTree::pool) {
         pool.prefetch_quiesce();
         let res = if pool.wal().is_some() {
             pool.checkpoint()
@@ -751,34 +682,35 @@ fn reader_loop(stream: TcpStream, conn: Arc<Conn>, shared: &Shared) {
 /// executor and writing responses back in admission order. Runs on the
 /// caller's thread; returns the run's tune/cache/dedup telemetry.
 ///
-/// Per batch, the answer pipeline is the same for both engines:
+/// Per batch, the answer pipeline runs on the engine's forest:
 ///
-/// 1. **Pin.** [`Engine::pin`] takes the single tree's snapshot or reads
-///    the partitioned tree's composed version; probe, execution, and fill
-///    all share the pinned version.
+/// 1. **Pin.** [`snapshot_all`] pins every tree's snapshot at one composed
+///    version; probe, execution, and fill all share it, so every answer is
+///    exactly the one that committed state gives.
 /// 2. **Probe.** Each request's canonical key (request id excluded — the
 ///    same query from any client hits) is looked up at that version;
 ///    hits are answered from the memoized `CachedAnswer`, replaying the
 ///    recorded `SearchStats` so `logical_reads` on the wire is identical
 ///    to fresh execution. Version-mismatched entries count as stale and
 ///    never serve.
-/// 3. **Execute misses, once per unique query** ([`Pinned::run`]); the
-///    tuner observes the executor's `BatchStats` and sets its claim block.
-/// 4. **Fill.** Fresh answers are memoized at the pinned version when
-///    [`Pinned::fill_ok`] says they are valid there.
+/// 3. **Execute misses, once per unique query** ([`forest_batch_dedup`]
+///    over the snapshots, in Hilbert claim order); the tuner observes the
+///    executor's `BatchStats` and sets its claim block.
+/// 4. **Fill.** Fresh answers are memoized at the pinned version.
 /// 5. **Respond in admission order**, cache hits and fresh answers
 ///    alike: each response is staged on its connection, then every
 ///    connection gets one write. If execution failed, hit jobs still get
 ///    their Ok responses; only the jobs that needed the traversal get
 ///    Errors.
 fn batch_loop<R: Refiner<2> + Sync>(
-    engine: &Engine<'_>,
+    forest: Forest<'_, 2, RTree<2>>,
     refiner: &R,
     config: &ServeConfig,
     shared: &Shared,
 ) -> BatchLoopOut {
+    let trees = forest.trees();
     let mut controller = TuneController::new(config.tune);
-    engine.observe(&mut controller);
+    controller.observe_trees(trees);
     let cache = ResultCache::<2>::new(config.result_cache);
     let mut dedup_merged: u64 = 0;
     while let Some(batch) = shared
@@ -800,8 +732,8 @@ fn batch_loop<R: Refiner<2> + Sync>(
 
         // Pinned for the whole probe → execute → fill pipeline; a
         // concurrent COW writer can publish freely underneath.
-        let pinned = engine.pin();
-        let version = pinned.version();
+        let snaps = snapshot_all(trees);
+        let version = snaps.iter().map(Snapshot::version).sum();
 
         let keys: Vec<Vec<u8>> = batch.iter().map(|j| j.query.canonical_key()).collect();
         let mut answers: Vec<Option<CachedAnswer<2>>> = (0..batch.len()).map(|_| None).collect();
@@ -828,10 +760,11 @@ fn batch_loop<R: Refiner<2> + Sync>(
         let outcome: Executed = if miss_reqs.is_empty() {
             Ok((Vec::new(), BatchStats::default()))
         } else {
+            let forest = Forest::new(&snaps, forest.bounds());
             let block = controller.block_override();
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                pinned
-                    .run(&miss_reqs, opts, refiner, config.threads, block)
+                let (threads, order) = (config.threads, JoinOrder::Hilbert);
+                forest_batch_dedup(forest, &miss_reqs, opts, refiner, threads, order, block)
                     .map_err(|e| e.to_string())
             }))
             .unwrap_or_else(|panic| Err(panic_message(&panic)))
@@ -841,13 +774,15 @@ fn batch_loop<R: Refiner<2> + Sync>(
             Ok((results, bstats)) => {
                 controller.observe_batch(&bstats);
                 dedup_merged += (miss_reqs.len() - bstats.executed) as u64;
-                let fill = cache.is_enabled() && pinned.fill_ok();
                 // Within the batch, duplicates share one execution but
                 // need only one insert.
                 let mut filled: HashSet<&[u8]> = HashSet::new();
                 for (&i, (hits, stats)) in miss_idx.iter().zip(results) {
-                    let answer = CachedAnswer { hits, stats };
-                    if fill
+                    let answer = CachedAnswer {
+                        hits,
+                        stats: stats.search,
+                    };
+                    if cache.is_enabled()
                         && answer.hits.len() <= MAX_CACHED_HITS
                         && filled.insert(keys[i].as_slice())
                     {
@@ -870,7 +805,7 @@ fn batch_loop<R: Refiner<2> + Sync>(
             }
         }
         batch.iter().for_each(|job| job.conn.finish(shared));
-        engine.observe(&mut controller);
+        controller.observe_trees(trees);
         controller.observe_result_cache(&cache);
     }
     // Inbox closed and fully drained: release waiting shutdown
@@ -901,6 +836,7 @@ fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
 mod write_out {
     use super::*;
     use crate::protocol::read_frame;
+    use nnq_core::SearchStats;
 
     /// A socket double: accepts at most `chunk` bytes per `write` call
     /// (short writes) and `budget` bytes in total, then fails with

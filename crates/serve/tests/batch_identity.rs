@@ -4,10 +4,10 @@
 //! (batch size, worker count) configuration, because micro-batching and
 //! work-stealing are throughput knobs, not semantics — on either engine.
 
-use nnq_core::MbrRefiner;
+use nnq_core::{within_radius, MbrRefiner, NnSearch};
 use nnq_geom::Point;
 use nnq_rtree::{BulkMethod, PartitionedTree, RTree, RTreeConfig};
-use nnq_serve::{Client, Engine, Request, Response, ServeConfig, ServeReport};
+use nnq_serve::{Client, Engine, Hit, Request, Response, ServeConfig, ServeReport};
 use nnq_storage::{BufferPool, MemDisk, PAGE_SIZE};
 use nnq_workloads::{default_bounds, points_to_items, uniform_points, zipf_cluster_queries};
 use std::net::TcpListener;
@@ -116,22 +116,64 @@ fn partitioned(p: usize) -> PartitionedTree<2> {
     PartitionedTree::bulk_load_in_memory(items, p, config, method, 1.0, 1 << 13, 1).unwrap()
 }
 
+fn single_tree() -> RTree<2> {
+    let items = points_to_items(&uniform_points(15_000, &default_bounds(), 61));
+    let pool = Arc::new(BufferPool::new(Box::new(MemDisk::new(PAGE_SIZE)), 1 << 15));
+    RTree::<2>::bulk_load(pool, RTreeConfig::default(), items, BulkMethod::Str, 1.0).unwrap()
+}
+
 #[test]
 fn responses_are_byte_identical_across_batch_sizes_and_threads() {
-    let pts = uniform_points(15_000, &default_bounds(), 61);
-    let items = points_to_items(&pts);
-    let pool = Arc::new(BufferPool::new(Box::new(MemDisk::new(PAGE_SIZE)), 1 << 15));
-    let tree = RTree::<2>::bulk_load(
-        Arc::clone(&pool),
-        RTreeConfig::default(),
-        items,
-        BulkMethod::Str,
-        1.0,
-    )
-    .unwrap();
-
+    let tree = single_tree();
     let default_cache = ServeConfig::default().result_cache;
     identical_across_knobs(&Engine::Single(&tree), &mixed_requests(), &[default_cache]);
+}
+
+/// The single engine is served as a forest of one: its bytes must still be
+/// those of the plain traversal of each request — the records, the exact
+/// distance bits and the logical reads `nnq query` reports.
+#[test]
+fn the_single_engine_serves_the_plain_traversals_bytes() {
+    let tree = single_tree();
+    let requests = mixed_requests();
+    let search = NnSearch::new(&tree);
+    let want: Vec<Vec<u8>> = requests
+        .iter()
+        .map(|req| {
+            let (id, answer) = match *req {
+                Request::Knn { id, x, y, k } => {
+                    let q = Point::new([x, y]);
+                    (id, search.query_refined(&q, k as usize, &MbrRefiner))
+                }
+                Request::Radius { id, x, y, radius } => {
+                    let q = Point::new([x, y]);
+                    (id, within_radius(&tree, &q, radius, &MbrRefiner))
+                }
+                _ => unreachable!(),
+            };
+            let (hits, stats) = answer.unwrap();
+            let hits = hits.iter().map(|n| Hit {
+                record: n.record.0,
+                dist_sq: n.dist_sq,
+            });
+            let logical_reads = stats.nodes_visited;
+            let hits = hits.collect();
+            Response::Ok {
+                id,
+                logical_reads,
+                hits,
+            }
+            .encode()
+        })
+        .collect();
+    for threads in [1, 4] {
+        let config = ServeConfig {
+            threads,
+            ..ServeConfig::default()
+        };
+        let (got, _) = serve_responses(&Engine::Single(&tree), &requests, &config);
+        assert_eq!(got, want, "threads={threads}");
+    }
 }
 
 #[test]

@@ -8,18 +8,19 @@
 //! own, must end the batch cleanly and leave the tree serving. The same
 //! holds for the partitioned engine, whose kNN items are whole
 //! scatter-gather queries (DESIGN.md §"Partitioned trees"): there the
-//! reference is a loop of `partitioned_knn` / `partitioned_radius` calls,
-//! per-query `PartitionedStats` included, and at P = 1 the single tree.
+//! reference is a loop of `partitioned_knn` / `scatter_radius` calls,
+//! per-query `PartitionedStats` included, and at P = 1 the single tree. A
+//! single tree runs on the same executor, as a forest of one.
 
 use nnq_core::{
-    par_knn_batch_with_block, par_mixed_batch, partitioned_knn, partitioned_knn_batch_with_block,
-    partitioned_mixed_batch_dedup, partitioned_radius, within_radius, BatchQuery, JoinOrder,
-    MbrRefiner, Neighbor, NnOptions, NnSearch, PartitionedStats, PrefetchPolicy, SearchStats,
+    forest_batch, forest_batch_dedup, partitioned_knn, scatter_radius, within_radius, BatchQuery,
+    BatchStats, JoinOrder, MbrRefiner, Neighbor, NnOptions, NnSearch, PartitionedStats,
+    PrefetchPolicy, Refiner, SearchStats,
 };
 use nnq_geom::Point;
 use nnq_rtree::{
-    BackendSignals, BulkMethod, NodeView, PartitionManifest, PartitionedTree, RTree, RTreeConfig,
-    TreeAccess,
+    BackendSignals, BulkMethod, Forest, NodeView, PartitionManifest, PartitionedTree, RTree,
+    RTreeConfig, TreeAccess,
 };
 use nnq_storage::{
     BufferPool, DiskManager, FaultDisk, LatencyDisk, LatencyProfile, MemDisk, PageId,
@@ -114,6 +115,22 @@ fn knn_requests(queries: &[Point<2>]) -> Vec<BatchQuery<2>> {
         .iter()
         .map(|q| BatchQuery::Knn { q: *q, k: K })
         .collect()
+}
+
+/// A batch of `reqs` over `tree` as a forest of one: the answers with
+/// their search counters, and the run's stats.
+fn batch_on<T: TreeAccess<2> + Sync, R: Refiner<2> + Sync>(
+    tree: &T,
+    reqs: &[BatchQuery<2>],
+    opts: NnOptions,
+    refiner: &R,
+    threads: usize,
+    order: JoinOrder,
+) -> nnq_core::Result<(Vec<Answer>, BatchStats)> {
+    let forest = Forest::of_one(tree);
+    let (answers, bstats) = forest_batch(forest, reqs, opts, refiner, threads, order, None)?;
+    let answers = answers.into_iter().map(|(hits, s)| (hits, s.search));
+    Ok((answers.collect(), bstats))
 }
 
 fn assert_same_hits(got: &[Neighbor<2>], want: &[Neighbor<2>], what: &str) {
@@ -250,19 +267,10 @@ fn batches_equal_the_sequential_loop_whatever_interleaves() {
 
                     let tree = open(&disk, meta, frames, workers);
                     let observed = Observed::new(&tree);
-                    let (got, bstats) = par_knn_batch_with_block(
-                        &observed,
-                        &queries,
-                        K,
-                        opts,
-                        &MbrRefiner,
-                        threads,
-                        order,
-                        None,
-                    )
-                    .unwrap();
+                    let (got, bstats) =
+                        batch_on(&observed, &knn, opts, &MbrRefiner, threads, order).unwrap();
                     for (i, (g, w)) in got.iter().zip(&want_knn).enumerate() {
-                        assert_same_hits(g, &w.0, &format!("{what}: kNN query {i}"));
+                        assert_same_hits(&g.0, &w.0, &format!("{what}: kNN query {i}"));
                     }
                     assert_eq!(
                         bstats.per_worker_queries.iter().sum::<usize>(),
@@ -290,8 +298,7 @@ fn batches_equal_the_sequential_loop_whatever_interleaves() {
                     let tree = open(&disk, meta, frames, workers);
                     let observed = Observed::new(&tree);
                     let (got, _) =
-                        par_mixed_batch(&observed, &mixed, opts, &MbrRefiner, threads, order, None)
-                            .unwrap();
+                        batch_on(&observed, &mixed, opts, &MbrRefiner, threads, order).unwrap();
                     assert_same_answers(&got, &want_mixed, &what);
                     assert_eq!(
                         tree.pool().stats().logical_reads,
@@ -374,19 +381,19 @@ type PartAnswer = (Vec<Neighbor<2>>, PartitionedStats);
 /// query after the other, no prefetch, one thread. Returns the answers and
 /// the summed `logical_reads` of the pass.
 fn sequential_parted(tree: &PartitionedTree<2>, reqs: &[BatchQuery<2>]) -> (Vec<PartAnswer>, u64) {
-    let before = tree.pool_stats().logical_reads;
+    let before = tree.forest().pool_stats().logical_reads;
     let opts = NnOptions::default();
     let answers = reqs
         .iter()
         .map(|req| match *req {
             BatchQuery::Knn { q, k } => partitioned_knn(tree, &q, k, opts, &MbrRefiner, 1),
             BatchQuery::Radius { q, radius } => {
-                partitioned_radius(tree, &q, radius, opts, &MbrRefiner, 1)
+                scatter_radius(tree.forest(), &q, radius, opts, &MbrRefiner, 1)
             }
         })
         .collect::<nnq_core::Result<_>>()
         .unwrap();
-    (answers, tree.pool_stats().logical_reads - before)
+    (answers, tree.forest().pool_stats().logical_reads - before)
 }
 
 /// Settles every partition's pipeline: counters balanced, nothing pinned.
@@ -394,7 +401,8 @@ fn balanced_parted(tree: &PartitionedTree<2>, what: &str) -> PrefetchStats {
     for part in tree.partitions() {
         part.pool().prefetch_quiesce();
     }
-    tree.clear_caches()
+    tree.forest()
+        .clear_caches()
         .unwrap_or_else(|e| panic!("{what}: a pin outlived the batch: {e}"));
     let mut sum = PrefetchStats::default();
     for (i, part) in tree.partitions().iter().enumerate() {
@@ -457,13 +465,13 @@ fn partitioned_batches_equal_the_sequential_loop_whatever_interleaves() {
                     // (the claim block only matters when not interleaving)
                     let block = [None, Some(1), Some(7)][threads % 3];
                     let tree = parted.open(frames, |_| workers);
-                    let (got, bstats) = partitioned_knn_batch_with_block(
-                        &tree,
-                        &queries,
-                        K,
+                    let (got, bstats) = forest_batch(
+                        tree.forest(),
+                        &knn,
                         opts,
                         &MbrRefiner,
                         threads,
+                        JoinOrder::AsGiven,
                         block,
                     )
                     .unwrap();
@@ -472,7 +480,11 @@ fn partitioned_batches_equal_the_sequential_loop_whatever_interleaves() {
                         assert_eq!(g.1, w.1, "{what}: stats of kNN query {i}");
                         assert_same_hits(&g.0, &w.0, &format!("{what}: kNN query {i}"));
                     }
-                    assert_eq!(tree.pool_stats().logical_reads, knn_pages, "{what}");
+                    assert_eq!(
+                        tree.forest().pool_stats().logical_reads,
+                        knn_pages,
+                        "{what}"
+                    );
                     let pf = balanced_parted(&tree, &what);
                     if interleaves {
                         assert_eq!(bstats.block, 1, "{what}");
@@ -483,8 +495,8 @@ fn partitioned_batches_equal_the_sequential_loop_whatever_interleaves() {
                     drop(tree);
 
                     let tree = parted.open(frames, |_| workers);
-                    let (got, _) = partitioned_mixed_batch_dedup(
-                        &tree,
+                    let (got, _) = forest_batch_dedup(
+                        tree.forest(),
                         &mixed,
                         opts,
                         &MbrRefiner,
@@ -493,12 +505,15 @@ fn partitioned_batches_equal_the_sequential_loop_whatever_interleaves() {
                         None,
                     )
                     .unwrap();
-                    let want: Vec<Answer> = want_mixed
-                        .iter()
-                        .map(|(hits, stats)| (hits.clone(), stats.search))
-                        .collect();
-                    assert_same_answers(&got, &want, &what);
-                    assert_eq!(tree.pool_stats().logical_reads, mixed_pages, "{what}");
+                    for (i, (g, w)) in got.iter().zip(&want_mixed).enumerate() {
+                        assert_eq!(g.1, w.1, "{what}: stats of request {i}");
+                        assert_same_hits(&g.0, &w.0, &format!("{what}: request {i}"));
+                    }
+                    assert_eq!(
+                        tree.forest().pool_stats().logical_reads,
+                        mixed_pages,
+                        "{what}"
+                    );
                     let pf = balanced_parted(&tree, &what);
                     if interleaves {
                         assert!(pf.useful > 0, "{what}: {pf:?}");
@@ -529,7 +544,7 @@ fn a_pool_of_four_frames_still_finishes_with_the_same_answers() {
     for order in [JoinOrder::AsGiven, JoinOrder::Hilbert] {
         let tree = open(&disk, meta, 4, 2);
         let opts = NnOptions::with_prefetch(PrefetchPolicy::Depth(2));
-        let (got, _) = par_mixed_batch(&tree, &mixed, opts, &MbrRefiner, 2, order, None).unwrap();
+        let (got, _) = batch_on(&tree, &mixed, opts, &MbrRefiner, 2, order).unwrap();
         assert_same_answers(&got, &want, "four frames");
         assert_eq!(tree.pool().stats().logical_reads, pages);
         balanced(tree.pool(), "four frames");
@@ -552,16 +567,8 @@ fn a_failed_blocking_read_fails_the_batch_and_the_tree_keeps_serving() {
     let opts = NnOptions::with_prefetch(PrefetchPolicy::Depth(2));
     for threads in [1, 2] {
         disk.fail_read(5);
-        let err = par_mixed_batch(
-            &tree,
-            &knn,
-            opts,
-            &MbrRefiner,
-            threads,
-            JoinOrder::AsGiven,
-            None,
-        )
-        .expect_err("the fifth device read fails");
+        let err = batch_on(&tree, &knn, opts, &MbrRefiner, threads, JoinOrder::AsGiven)
+            .expect_err("the fifth device read fails");
         // (or, from a worker that was waiting for the same page, the
         // failure of the load it waited on)
         let err = err.to_string();
@@ -570,16 +577,8 @@ fn a_failed_blocking_read_fails_the_batch_and_the_tree_keeps_serving() {
             "{err}"
         );
         balanced(tree.pool(), "after the failed batch");
-        let (got, _) = par_mixed_batch(
-            &tree,
-            &knn,
-            opts,
-            &MbrRefiner,
-            threads,
-            JoinOrder::AsGiven,
-            None,
-        )
-        .unwrap();
+        let (got, _) =
+            batch_on(&tree, &knn, opts, &MbrRefiner, threads, JoinOrder::AsGiven).unwrap();
         assert_same_answers(&got, &want, "the batch after the failed one");
         tree.pool().clear_cache().unwrap();
     }
@@ -598,8 +597,10 @@ fn a_failed_demand_read_in_one_partition_fails_the_batch_and_the_tree_keeps_serv
     let tree = parted.open(32, |i| usize::from(i > 0));
     let (want, _) = sequential_parted(&tree, &knn_requests(&queries));
     let opts = NnOptions::with_prefetch(PrefetchPolicy::Depth(2));
+    let knn = knn_requests(&queries);
     let batch = |threads| {
-        partitioned_knn_batch_with_block(&tree, &queries, K, opts, &MbrRefiner, threads, None)
+        let order = JoinOrder::AsGiven;
+        forest_batch(tree.forest(), &knn, opts, &MbrRefiner, threads, order, None)
     };
     for threads in [1, 2] {
         balanced_parted(&tree, "before the batch");
@@ -614,7 +615,7 @@ fn a_failed_demand_read_in_one_partition_fails_the_batch_and_the_tree_keeps_serv
             "{err}"
         );
         balanced_parted(&tree, "after the failed batch");
-        tree.reset_stats();
+        tree.forest().reset_stats();
         let (got, _) = batch(threads).unwrap();
         for (i, (g, w)) in got.iter().zip(&want).enumerate() {
             assert_eq!(g.1, w.1, "threads={threads}: stats of query {i}");
@@ -632,7 +633,7 @@ fn a_failed_demand_read_in_one_partition_fails_the_batch_and_the_tree_keeps_serv
 
 mod gated {
     use super::*;
-    use nnq_core::{FnRefiner, Refiner, TraceEvent};
+    use nnq_core::{FnRefiner, TraceEvent};
     use nnq_geom::Rect;
     use nnq_rtree::RecordId;
     use nnq_storage::{DiskStats, StorageError};
@@ -847,14 +848,13 @@ mod gated {
             queries: &[Point<2>],
             refiner: &R,
         ) -> nnq_core::Result<Vec<Answer>> {
-            par_mixed_batch(
+            batch_on(
                 &self.tree,
                 &knn_requests(queries),
                 NnOptions::with_prefetch(PrefetchPolicy::Depth(2)),
                 refiner,
                 1,
                 JoinOrder::AsGiven,
-                None,
             )
             .map(|(answers, _)| answers)
         }
@@ -1062,8 +1062,8 @@ mod gated {
         reqs: &[BatchQuery<2>],
         refiner: &R,
     ) -> nnq_core::Result<Vec<Answer>> {
-        partitioned_mixed_batch_dedup(
-            tree,
+        forest_batch_dedup(
+            tree.forest(),
             reqs,
             NnOptions::with_prefetch(PrefetchPolicy::Depth(2)),
             refiner,
@@ -1071,7 +1071,12 @@ mod gated {
             JoinOrder::AsGiven,
             None,
         )
-        .map(|(answers, _)| answers)
+        .map(|(answers, _)| {
+            answers
+                .into_iter()
+                .map(|(hits, s)| (hits, s.search))
+                .collect()
+        })
     }
 
     #[test]
@@ -1114,8 +1119,8 @@ mod gated {
 
         // Warm `b` everywhere — it reads nothing of `a`'s partition — and
         // `a` down to its first leaf.
-        tree.clear_caches().unwrap();
-        tree.reset_stats();
+        tree.forest().clear_caches().unwrap();
+        tree.forest().reset_stats();
         let opts = NnOptions::default();
         partitioned_knn(&tree, &b, K, opts, &MbrRefiner, 1).unwrap();
         assert_eq!(part_a.pool().stats().logical_reads, 0);

@@ -5,7 +5,7 @@
 //! *bit-identical* to the plain single tree, structure and counters both.
 
 use nnq_core::{
-    partitioned_knn, partitioned_knn_batch, partitioned_radius, within_radius_with, MbrRefiner,
+    partitioned_knn, partitioned_knn_batch, scatter_radius, within_radius_with, MbrRefiner,
     Neighbor, NnOptions, NnSearch, PartitionedStats, QueryCursor,
 };
 use nnq_geom::Rect;
@@ -104,10 +104,10 @@ fn partitioned_per_query_page_accounting_is_thread_invariant() {
         let mut ref_pages = Vec::with_capacity(queries.len());
         let mut ref_stats: Vec<PartitionedStats> = Vec::with_capacity(queries.len());
         for q in &queries {
-            tree.reset_stats();
+            tree.forest().reset_stats();
             let (_, stats) =
                 partitioned_knn(&tree, q, k, NnOptions::default(), &MbrRefiner, 1).unwrap();
-            ref_pages.push(tree.pool_stats().logical_reads);
+            ref_pages.push(tree.forest().pool_stats().logical_reads);
             ref_stats.push(stats);
         }
         // The scatter is round-scheduled with a bound snapshot per round,
@@ -116,13 +116,13 @@ fn partitioned_per_query_page_accounting_is_thread_invariant() {
         // any thread count.
         for threads in [2, 8] {
             for ((q, &pages), want) in queries.iter().zip(&ref_pages).zip(&ref_stats) {
-                tree.reset_stats();
+                tree.forest().reset_stats();
                 let (_, stats) =
                     partitioned_knn(&tree, q, k, NnOptions::default(), &MbrRefiner, threads)
                         .unwrap();
                 assert_eq!(stats, *want, "P={p} threads={threads}");
                 assert_eq!(
-                    tree.pool_stats().logical_reads,
+                    tree.forest().pool_stats().logical_reads,
                     pages,
                     "P={p} threads={threads}: pages accessed moved with thread count"
                 );
@@ -146,7 +146,7 @@ fn single_partition_accounting_is_bit_identical_to_single_tree() {
             .unwrap();
         let want_pages = reference.pool().stats().logical_reads;
 
-        tree.reset_stats();
+        tree.forest().reset_stats();
         let (found, stats) =
             partitioned_knn(&tree, q, k, NnOptions::default(), &MbrRefiner, 1).unwrap();
         // Same records, same distances, same per-query search counters,
@@ -154,7 +154,7 @@ fn single_partition_accounting_is_bit_identical_to_single_tree() {
         // to the plain branch-and-bound traversal of an identical tree.
         assert_eq!(key(&found), key(&want));
         assert_eq!(stats.search, want_stats);
-        assert_eq!(tree.pool_stats().logical_reads, want_pages);
+        assert_eq!(tree.forest().pool_stats().logical_reads, want_pages);
         assert_eq!(stats.partitions_visited, 1);
         assert_eq!(stats.partitions_pruned, 0);
     }
@@ -177,8 +177,8 @@ fn partitioned_radius_matches_single_tree() {
                         nnq_core::KernelMode::default(),
                     )
                     .unwrap();
-                    let (found, stats) = partitioned_radius(
-                        &tree,
+                    let (found, stats) = scatter_radius(
+                        tree.forest(),
                         q,
                         radius,
                         NnOptions::default(),
@@ -215,7 +215,7 @@ fn partitioned_batch_sums_per_query_stats_and_is_thread_invariant() {
     }
 
     for threads in [1, 2, 8] {
-        tree.reset_stats();
+        tree.forest().reset_stats();
         let (results, totals) = partitioned_knn_batch(
             &tree,
             &queries,

@@ -6,11 +6,17 @@
 //! tests drive that end to end over the wire: answers stay bit-identical
 //! to ground truth under concurrent commits, version bumps demonstrably
 //! invalidate the whole cache, and a hot cached answer is never replayed
-//! once an insert has changed what the query must return.
+//! once an insert has changed what the query must return. Both engines are
+//! forests: a partitioned one pins every partition at one composed version
+//! per batch, so each answer is that of one committed state, and a single
+//! tree is a forest of one whose bound never freezes.
 
-use nnq_core::{within_radius_with, KernelMode, MbrRefiner, NnOptions, NnSearch};
+use nnq_core::{
+    partitioned_knn, scatter_radius, within_radius_with, KernelMode, MbrRefiner, NnOptions,
+    NnSearch,
+};
 use nnq_geom::{Point, Rect};
-use nnq_rtree::{BulkMethod, RTree, RTreeConfig, RecordId};
+use nnq_rtree::{BulkMethod, PartitionedTree, RTree, RTreeConfig, RecordId};
 use nnq_serve::{Client, Engine, Request, Response, ServeConfig};
 use nnq_storage::{BufferPool, MemDisk, PAGE_SIZE};
 use nnq_workloads::{default_bounds, points_to_items, uniform_points, uniform_queries};
@@ -268,5 +274,242 @@ fn hot_cached_answer_dies_with_the_commit_that_outdates_it() {
     assert!(
         report.result_stale >= 1,
         "the first post-commit probe must see its entry stale"
+    );
+}
+
+/// A single tree is served as a forest of one bounded by the whole space,
+/// so a tree that was empty when the server started still answers with
+/// whatever is committed into it later.
+#[test]
+fn a_single_engine_on_an_empty_tree_serves_what_is_committed_later() {
+    let pool = Arc::new(BufferPool::new(Box::new(MemDisk::new(PAGE_SIZE)), 1 << 10));
+    let tree = RTree::<2>::create(pool, RTreeConfig::default()).unwrap();
+    let q = Point::new([-7.5e6, 3.0e6]);
+    let knn = Request::Knn {
+        id: 0,
+        x: q[0],
+        y: q[1],
+        k: 2,
+    };
+    let radius = Request::Radius {
+        id: 1,
+        x: q[0],
+        y: q[1],
+        radius: 10.0,
+    };
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let config = ServeConfig::default();
+    let report = std::thread::scope(|scope| {
+        let tree = &tree;
+        let server = scope.spawn(move || {
+            nnq_serve::serve(&Engine::Single(tree), &MbrRefiner, listener, &config).unwrap()
+        });
+        let mut client = Client::connect(addr).unwrap();
+        for req in [&knn, &radius] {
+            assert!(response_hits(&client.call(req).unwrap()).1.is_empty());
+        }
+        for i in 0..3u64 {
+            let p = Point::new([q[0] + i as f64, q[1]]);
+            tree.insert(&Rect::from_point(p), RecordId(40 + i)).unwrap();
+        }
+        for req in [&knn, &radius] {
+            let (_, hits) = response_hits(&client.call(req).unwrap());
+            assert_eq!(hits, sequential_hits(tree, req), "{req:?}");
+        }
+        assert_eq!(response_hits(&client.call(&knn).unwrap()).1.len(), 2);
+        assert!(matches!(
+            client.call(&Request::Shutdown).unwrap(),
+            Response::Bye
+        ));
+        server.join().unwrap()
+    });
+    assert_eq!((report.served, report.errors), (5, 0));
+}
+
+/// One served answer: the logical reads it reports and its hits.
+type Served = (u64, Vec<(u64, u64)>);
+
+/// What every request answers on `tree` as it stands: the standalone
+/// scatter-gather queries the batch executor must reproduce.
+fn answers_of(tree: &PartitionedTree<2>, requests: &[Request]) -> Vec<Served> {
+    let opts = NnOptions::default();
+    requests
+        .iter()
+        .map(|req| {
+            let (hits, stats) = match *req {
+                Request::Knn { x, y, k, .. } => {
+                    let q = Point::new([x, y]);
+                    partitioned_knn(tree, &q, k as usize, opts, &MbrRefiner, 1).unwrap()
+                }
+                Request::Radius { x, y, radius, .. } => {
+                    let q = Point::new([x, y]);
+                    scatter_radius(tree.forest(), &q, radius, opts, &MbrRefiner, 1).unwrap()
+                }
+                _ => unreachable!(),
+            };
+            let hits = hits
+                .iter()
+                .map(|n| (n.record.0, n.dist_sq.to_bits()))
+                .collect();
+            (stats.search.nodes_visited, hits)
+        })
+        .collect()
+}
+
+/// The writer-under-traffic oracle on the partitioned engine: a writer
+/// commits inserts through the partitions (each inside its partition's
+/// manifest MBR, next to the queries aimed there) while the server answers
+/// with the result cache on. Every answer — hits and logical reads — must
+/// be the one some committed prefix of the writes gives, and since a
+/// batch's answers are exact at the composed version it pinned, every
+/// cache miss is filled.
+#[test]
+fn the_partitioned_engine_answers_from_one_committed_state_while_a_writer_commits() {
+    let parted = || {
+        let items = points_to_items(&uniform_points(12_000, &default_bounds(), 109));
+        let (config, method) = (RTreeConfig::default(), BulkMethod::Hilbert);
+        PartitionedTree::bulk_load_in_memory(items, 4, config, method, 1.0, 1 << 12, 1).unwrap()
+    };
+    let tree = parted();
+    let centers: Vec<Point<2>> = tree
+        .manifest()
+        .parts
+        .iter()
+        .map(|m| m.mbr.center())
+        .collect();
+    // Three writes per partition, a step apart beside its MBR's center.
+    let writes: Vec<(usize, Point<2>)> = (0..12)
+        .map(|j| {
+            let c = centers[j % 4];
+            (
+                j % 4,
+                Point::new([c[0] + 0.5 + (j / 4) as f64, c[1] + 0.25]),
+            )
+        })
+        .collect();
+    for (i, p) in &writes {
+        assert!(tree.manifest().parts[*i].mbr.contains_point(p));
+    }
+    let mut requests: Vec<Request> = Vec::new();
+    for c in &centers {
+        let (x, y, id) = (c[0], c[1], requests.len() as u64);
+        requests.push(Request::Knn { id, x, y, k: 3 });
+        requests.push(Request::Radius {
+            id: id + 1,
+            x,
+            y,
+            radius: 2.5,
+        });
+    }
+    for q in uniform_queries(32, &default_bounds(), 110) {
+        requests.push(request_for(requests.len() as u64, &q));
+    }
+    let n = requests.len() as u64;
+
+    // The answers of every committed prefix of the writes, on a twin.
+    let twin = parted();
+    let mut states = vec![answers_of(&twin, &requests)];
+    for (j, (i, p)) in writes.iter().enumerate() {
+        let rid = RecordId(5_000_000 + j as u64);
+        twin.partitions()[*i]
+            .insert(&Rect::from_point(*p), rid)
+            .unwrap();
+        states.push(answers_of(&twin, &requests));
+    }
+    assert_ne!(
+        states[0],
+        states[writes.len()],
+        "the writes must change answers"
+    );
+
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let config = ServeConfig {
+        threads: 2,
+        batch_max: 8,
+        batch_deadline: Duration::from_micros(100),
+        result_cache: 1024,
+        ..ServeConfig::default()
+    };
+    let (rounds, report) = std::thread::scope(|scope| {
+        let tree = &tree;
+        let server = scope.spawn(move || {
+            nnq_serve::serve(&Engine::Partitioned(tree), &MbrRefiner, listener, &config).unwrap()
+        });
+        let writes = &writes;
+        let writer = scope.spawn(move || {
+            for (j, (i, p)) in writes.iter().enumerate() {
+                let rid = RecordId(5_000_000 + j as u64);
+                tree.partitions()[*i]
+                    .insert(&Rect::from_point(*p), rid)
+                    .unwrap();
+                std::thread::sleep(Duration::from_micros(500));
+            }
+        });
+
+        let mut client = Client::connect(addr).unwrap();
+        let mut round = |phase: &str| -> Vec<usize> {
+            for req in &requests {
+                client.send(req).unwrap();
+            }
+            (0..requests.len())
+                .map(|r| {
+                    let resp = client.recv().unwrap();
+                    let Response::Ok {
+                        id,
+                        logical_reads,
+                        hits,
+                    } = resp
+                    else {
+                        panic!("{phase}: expected ok, got {resp:?}");
+                    };
+                    assert_eq!(id, requests[r].id().unwrap());
+                    let bits = hits.iter().map(|h| (h.record, h.dist_sq.to_bits()));
+                    let got: Served = (logical_reads, bits.collect());
+                    states
+                        .iter()
+                        .position(|state| state[r] == got)
+                        .unwrap_or_else(|| {
+                            panic!("{phase}: request {r} matches no committed state")
+                        })
+                })
+                .collect()
+        };
+        let mut rounds = 0;
+        while rounds < 2 || !writer.is_finished() {
+            round(&format!("concurrent round {rounds}"));
+            rounds += 1;
+        }
+        writer.join().unwrap();
+        // Quiet from here on: every answer is the last state's.
+        for phase in ["settled", "warm"] {
+            let last = round(phase);
+            for (r, &state) in last.iter().enumerate() {
+                assert_eq!(states[state][r], states[writes.len()][r], "{phase}: {r}");
+            }
+            rounds += 1;
+        }
+        let mut ctl = Client::connect(addr).unwrap();
+        assert!(matches!(
+            ctl.call(&Request::Shutdown).unwrap(),
+            Response::Bye
+        ));
+        (rounds, server.join().unwrap())
+    });
+
+    assert_eq!(report.served, rounds * n);
+    assert_eq!(report.errors + report.write_errors + report.rejected, 0);
+    // No fill is skipped: every probe that found no current entry ran and
+    // was memoized (the requests of a round are distinct, and no answer is
+    // too large to cache).
+    assert_eq!(
+        report.result_inserts,
+        report.result_misses + report.result_stale
+    );
+    assert!(
+        report.result_hits >= n,
+        "the warm round must hit, got {}",
+        report.result_hits
     );
 }

@@ -9,11 +9,14 @@
 //! pages.
 
 use nnq_core::{
-    par_knn_batch_with_block, partitioned_knn_batch_with_block, JoinOrder, MbrRefiner, Neighbor,
-    NnOptions, NnSearch, PartitionedStats, QueryCursor, SearchStats, TuneController, TuneMode,
+    forest_batch, BatchQuery, JoinOrder, MbrRefiner, Neighbor, NnOptions, NnSearch,
+    PartitionedStats, QueryCursor, SearchStats, TuneController, TuneMode,
 };
 use nnq_geom::{Point, Rect};
-use nnq_rtree::{BulkMethod, PartitionedTree, RTree, RTreeConfig, RecordId, TreeAccess};
+use nnq_rtree::{
+    rebalance_cache_budget, BulkMethod, Forest, PartitionedTree, RTree, RTreeConfig, RecordId,
+    TreeAccess,
+};
 use nnq_storage::{BufferPool, MemDisk, PAGE_SIZE};
 use nnq_workloads::{
     cluster_centers, default_bounds, points_to_items, uniform_points, uniform_queries,
@@ -75,6 +78,13 @@ fn parted(p: usize) -> PartitionedTree<2> {
     .unwrap()
 }
 
+fn knn_requests(queries: &[Point<2>]) -> Vec<BatchQuery<2>> {
+    queries
+        .iter()
+        .map(|&q| BatchQuery::Knn { q, k: K })
+        .collect()
+}
+
 /// Bit-exact fingerprint of a result list.
 fn key(results: &[Neighbor<2>]) -> Vec<(u64, u64)> {
     results
@@ -100,7 +110,8 @@ fn single_run(tune: TuneMode, threads: usize, perturb: bool) -> Run {
     let tree = single_tree();
     let qs = queries();
     let mut controller = TuneController::new(tune);
-    controller.observe_tree(&tree);
+    let trees = std::slice::from_ref(&tree);
+    controller.observe_trees(trees);
     tree.pool().reset_stats();
 
     let mut per_query_pages = Vec::new();
@@ -126,10 +137,9 @@ fn single_run(tune: TuneMode, threads: usize, perturb: bool) -> Run {
                 dists.push(key(&found));
             }
         } else {
-            let (results, bstats) = par_knn_batch_with_block(
-                &tree,
-                chunk,
-                K,
+            let (results, bstats) = forest_batch(
+                Forest::of_one(&tree),
+                &knn_requests(chunk),
                 opts,
                 &MbrRefiner,
                 threads,
@@ -138,7 +148,7 @@ fn single_run(tune: TuneMode, threads: usize, perturb: bool) -> Run {
             )
             .unwrap();
             controller.observe_batch(&bstats);
-            dists.extend(results.iter().map(|r| key(r)));
+            dists.extend(results.iter().map(|r| key(&r.0)));
         }
         if perturb {
             // External knob changes between chunks: shrink/grow the node
@@ -148,7 +158,7 @@ fn single_run(tune: TuneMode, threads: usize, perturb: bool) -> Run {
             tree.set_cache_capacity(caps[i % caps.len()]);
             tree.set_prefetch_workers(1 + i % 2);
         }
-        controller.observe_tree(&tree);
+        controller.observe_trees(trees);
     }
     Run {
         per_query_pages,
@@ -159,14 +169,14 @@ fn single_run(tune: TuneMode, threads: usize, perturb: bool) -> Run {
 }
 
 /// The partitioned equivalent: scatter-gather batches in chunks with
-/// `observe_batch` (claim block) and `observe_partitioned` (budget
-/// rebalance + worker gating) between them.
+/// `observe_batch` (claim block) and `observe_trees` (budget rebalance +
+/// worker gating) between them.
 fn parted_run(p: usize, tune: TuneMode, threads: usize, perturb: bool) -> Run {
     let tree = parted(p);
     let qs = queries();
     let mut controller = TuneController::new(tune);
-    controller.observe_partitioned(&tree);
-    tree.reset_stats();
+    controller.observe_trees(tree.partitions());
+    tree.forest().reset_stats();
 
     let mut dists = Vec::with_capacity(qs.len());
     let mut pstats = PartitionedStats::default();
@@ -184,9 +194,16 @@ fn parted_run(p: usize, tune: TuneMode, threads: usize, perturb: bool) -> Run {
         } else {
             controller.block_override()
         };
-        let (answers, bstats) =
-            partitioned_knn_batch_with_block(&tree, chunk, K, opts, &MbrRefiner, threads, block)
-                .unwrap();
+        let (answers, bstats) = forest_batch(
+            tree.forest(),
+            &knn_requests(chunk),
+            opts,
+            &MbrRefiner,
+            threads,
+            JoinOrder::AsGiven,
+            block,
+        )
+        .unwrap();
         assert_eq!(bstats.per_worker_queries.iter().sum::<usize>(), chunk.len());
         if let (Some(b), true) = (block, threads > 1) {
             assert_eq!(bstats.block, b, "claim-block override not applied");
@@ -198,14 +215,16 @@ fn parted_run(p: usize, tune: TuneMode, threads: usize, perturb: bool) -> Run {
         }
         if perturb {
             let budgets = [p * 64, p * 4096, p * 96];
-            tree.rebalance_cache_budget(budgets[i % budgets.len()], 64);
-            tree.set_prefetch_workers(1 + i % 2);
+            rebalance_cache_budget(tree.partitions(), budgets[i % budgets.len()], 64);
+            for part in tree.partitions() {
+                part.set_prefetch_workers(1 + i % 2);
+            }
         }
-        controller.observe_partitioned(&tree);
+        controller.observe_trees(tree.partitions());
     }
     Run {
         per_query_pages: Vec::new(),
-        aggregate_pages: tree.pool_stats().logical_reads,
+        aggregate_pages: tree.forest().pool_stats().logical_reads,
         stats: pstats.search,
         dists,
     }
@@ -286,7 +305,8 @@ fn adaptive_controller_actually_moves_knobs() {
     let tree = single_tree();
     let qs = queries();
     let mut controller = TuneController::new(TuneMode::Adaptive);
-    controller.observe_tree(&tree);
+    let trees = std::slice::from_ref(&tree);
+    controller.observe_trees(trees);
     for chunk in qs.chunks(CHUNK) {
         let opts = NnOptions {
             prefetch: controller
@@ -301,7 +321,7 @@ fn adaptive_controller_actually_moves_knobs() {
                 .query_refined_with(&mut cursor, q, K, &MbrRefiner)
                 .unwrap();
         }
-        controller.observe_tree(&tree);
+        controller.observe_trees(trees);
     }
     assert!(controller.samples() >= 2, "{}", controller.report());
     assert!(controller.adjustments() >= 1, "{}", controller.report());
