@@ -220,11 +220,11 @@ fn with_index<T>(
     let manifest_path = manifest_file(index);
     let text = std::fs::read_to_string(&manifest_path)
         .map_err(|e| CliError::Run(format!("reading {manifest_path}: {e}")))?;
-    let manifest = PartitionManifest::<2>::decode(&text)?;
-    if manifest.parts.len() != expected {
+    let manifest = PartitionManifest::decode(&text)?;
+    if manifest.counts.len() != expected {
         return Err(CliError::Usage(format!(
             "--partitions {expected} does not match {manifest_path} ({} partitions)",
-            manifest.parts.len()
+            manifest.counts.len()
         )));
     }
     let parts = (0..expected)
@@ -389,7 +389,7 @@ pub fn stats(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     writeln!(out, "avg fill:     {:.2}", s.avg_fill)?;
     writeln!(out, "split:        {:?}", tree.config().split)?;
     writeln!(out, "nodes/level:  {:?}", s.nodes_per_level)?;
-    let b = tree.bounds()?;
+    let b = tree.bounds();
     if !b.is_empty() {
         writeln!(
             out,

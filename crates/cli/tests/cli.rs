@@ -229,6 +229,53 @@ fn bench_rejects_a_data_file_that_does_not_match_the_index() {
 }
 
 #[test]
+fn a_corrupt_manifest_is_an_error_not_a_panic() {
+    let data = tmp("corrupt.csv");
+    let parted = tmp("corrupt-parted.rtree");
+    let manifest = format!("{parted}.manifest");
+    run_ok(&["gen", "--kind", "uniform", "--n", "500", "--out", &data]);
+    run_ok(&[
+        "build",
+        "--input",
+        &data,
+        "--index",
+        &parted,
+        "--method",
+        "hilbert",
+        "--partitions",
+        "4",
+    ]);
+    let good = std::fs::read_to_string(&manifest).unwrap();
+    // A partition count the file does not back with part lines: the
+    // largest one, and one line short.
+    let short: String = good
+        .lines()
+        .take(good.lines().count() - 1)
+        .collect::<Vec<_>>()
+        .join("\n");
+    for bad in [
+        good.replace("partitions 4", "partitions 18446744073709551615"),
+        short,
+    ] {
+        std::fs::write(&manifest, &bad).unwrap();
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_nnq"))
+            .args(["query", "--index", &parted, "--data", &data])
+            .args(["--at", "1,1", "--partitions", "4"])
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{bad}: {stderr}");
+        assert!(stderr.contains("manifest"), "{bad}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{bad}: {stderr}");
+    }
+    std::fs::remove_file(&data).ok();
+    for i in 0..4 {
+        std::fs::remove_file(format!("{parted}.p{i}")).ok();
+    }
+    std::fs::remove_file(&manifest).ok();
+}
+
+#[test]
 fn explain_join_and_metric_queries() {
     let data = tmp("ext.csv");
     let outer = tmp("ext-outer.csv");

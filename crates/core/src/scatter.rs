@@ -1,10 +1,12 @@
 //! The one read engine: scatter-gather queries over a [`Forest`].
 //!
-//! A forest is trees with one bound per tree. A Hilbert-range
-//! [`PartitionedTree`] is the forest of its partitions, bounded by their
-//! manifest MBRs; an unpartitioned tree is a forest of one, bounded by the
-//! whole space ([`Forest::of_one`]). Every batch, served request and CLI
-//! query runs here.
+//! A forest is a slice of trees, each bounded by the root MBR its
+//! committed meta holds ([`TreeAccess::bounds`]): the bound of exactly the
+//! version the search reads, a live tree's or a snapshot's, so it contains
+//! whatever was written to the tree. A Hilbert-range [`PartitionedTree`]
+//! is the forest of its partitions; an unpartitioned tree is a forest of
+//! one ([`Forest::of_one`]). Every batch, served request and CLI query
+//! runs here.
 //!
 //! The paper's Theorem 1 justifies discarding a *subtree* whose MINDIST
 //! exceeds the current k-th candidate distance; nothing in the argument
@@ -53,10 +55,9 @@
 //! holds fewer than k), or no tree is left, the second round would prune
 //! everything, and merging the answer into the empty heap would hand it
 //! back unchanged: it is returned as it is, with no heap merge and no
-//! re-sort. A forest of one always takes it — its bound is at MINDIST 0
-//! and nothing follows — so it costs what a bare single-tree traversal
-//! costs. A radius query over one surviving tree likewise keeps that
-//! tree's sorted answer.
+//! re-sort. A forest of one always takes it — nothing follows its one
+//! tree — so it costs what a bare single-tree traversal costs. A radius
+//! query over one surviving tree likewise keeps that tree's sorted answer.
 //!
 //! ## One protocol, two drivers
 //!
@@ -86,7 +87,7 @@ use crate::parallel::{claim_order, interleaves, steal_map, whole, BatchQuery, Ba
 use crate::radius::within_radius_with;
 use crate::refine::Refiner;
 use crate::Result;
-use nnq_geom::{mindist_sq, Point, Rect};
+use nnq_geom::{mindist_sq, Point};
 use nnq_rtree::{Forest, PartitionedTree, TreeAccess};
 use std::collections::HashMap;
 use std::ops::Range;
@@ -102,9 +103,9 @@ pub struct PartitionedStats {
     pub search: SearchStats,
     /// Trees actually searched.
     pub partitions_visited: u64,
-    /// Trees skipped because their MINDIST-to-bound reached the shared
-    /// bound (kNN) or exceeded the radius — including empty partitions,
-    /// whose empty MBR has infinite MINDIST.
+    /// Trees skipped because the MINDIST to their bound reached the shared
+    /// bound (kNN) or exceeded the radius — including empty trees, whose
+    /// empty bound has infinite MINDIST.
     pub partitions_pruned: u64,
     /// Rounds executed by the kNN protocol (1 for any non-empty radius
     /// scatter).
@@ -128,15 +129,16 @@ struct Sched {
     part: usize,
 }
 
-/// Fills `sched` with the MINDIST-ascending schedule (ties broken by
-/// tree index, so the order is total and deterministic).
-fn schedule<const D: usize>(sched: &mut Vec<Sched>, q: &Point<D>, bounds: &[Rect<D>]) {
+/// Fills `sched` with the MINDIST-ascending schedule of `trees` by their
+/// bounds (ties broken by tree index, so the order is total and
+/// deterministic).
+fn schedule<const D: usize, T: TreeAccess<D>>(sched: &mut Vec<Sched>, q: &Point<D>, trees: &[T]) {
     sched.clear();
-    sched.extend(bounds.iter().enumerate().map(|(part, bound)| Sched {
-        // An empty partition's MBR is `Rect::empty()` with infinite
-        // corners: its MINDIST evaluates to +∞ and the schedule tail
-        // prunes it without a special case.
-        mindist_sq: mindist_sq(q, bound),
+    sched.extend(trees.iter().enumerate().map(|(part, tree)| Sched {
+        // An empty tree's bound is `Rect::empty()` with infinite corners:
+        // its MINDIST evaluates to +∞ and the schedule tail prunes it
+        // without a special case.
+        mindist_sq: mindist_sq(q, &tree.bounds()),
         part,
     }));
     sched.sort_by(|a, b| {
@@ -181,10 +183,10 @@ impl<const D: usize> ScatterCursor<D> {
         }
     }
 
-    /// Starts the `k`-NN query at `q` over trees bounded by `bounds`.
-    fn begin(&mut self, q: &Point<D>, k: usize, bounds: &[Rect<D>]) {
+    /// Starts the `k`-NN query at `q` over `trees`.
+    fn begin<T: TreeAccess<D>>(&mut self, q: &Point<D>, k: usize, trees: &[T]) {
         self.heap.reset(k);
-        schedule(&mut self.sched, q, bounds);
+        schedule(&mut self.sched, q, trees);
         self.round = 0..0;
         self.outs.clear();
         self.stats = PartitionedStats::default();
@@ -277,7 +279,7 @@ impl<const D: usize> ScatterCursor<D> {
         R: Refiner<D>,
     {
         if !self.active {
-            self.begin(q, k, on.forest.bounds());
+            self.begin(q, k, on.forest.trees());
         }
         let mut advanced = false;
         loop {
@@ -317,7 +319,7 @@ impl<const D: usize> ScatterCursor<D> {
 
 /// What every kNN item of one batch scatters over, and how.
 struct Scatter<'a, const D: usize, T, R> {
-    forest: Forest<'a, D, T>,
+    forest: Forest<'a, T>,
     opts: NnOptions,
     refiner: &'a R,
     /// Whether the batch interleaves: tree traversals are resumable.
@@ -335,7 +337,7 @@ struct Scatter<'a, const D: usize, T, R> {
 /// # Panics
 /// Panics if `k == 0` or `threads == 0`.
 pub fn scatter_knn<const D: usize, T, R>(
-    forest: Forest<'_, D, T>,
+    forest: Forest<'_, T>,
     q: &Point<D>,
     k: usize,
     opts: NnOptions,
@@ -348,7 +350,7 @@ where
 {
     assert!(threads > 0, "need at least one worker");
     let mut sc = ScatterCursor::new();
-    sc.begin(q, k, forest.bounds());
+    sc.begin(q, k, forest.trees());
     while sc.next_round() {
         let (round, bound) = (&sc.sched[sc.round.clone()], sc.bound);
         // One claim per tree, one cursor per worker.
@@ -378,7 +380,7 @@ where
 /// # Panics
 /// Panics if `radius` is negative or NaN, or `threads == 0`.
 pub fn scatter_radius<const D: usize, T, R>(
-    forest: Forest<'_, D, T>,
+    forest: Forest<'_, T>,
     q: &Point<D>,
     radius: f64,
     opts: NnOptions,
@@ -392,8 +394,8 @@ where
     assert!(radius >= 0.0, "radius must be nonnegative");
     assert!(threads > 0, "need at least one worker");
     let radius_sq = radius * radius;
-    let mut visit = Vec::with_capacity(forest.bounds().len());
-    schedule(&mut visit, q, forest.bounds());
+    let mut visit = Vec::with_capacity(forest.trees().len());
+    schedule(&mut visit, q, forest.trees());
     // Unlike kNN there is no evolving bound: the survivor set is known up
     // front, so a single parallel round covers it.
     let survivors = visit
@@ -403,7 +405,7 @@ where
     visit.truncate(survivors);
     let mut stats = PartitionedStats {
         partitions_visited: visit.len() as u64,
-        partitions_pruned: (forest.bounds().len() - visit.len()) as u64,
+        partitions_pruned: (forest.trees().len() - visit.len()) as u64,
         rounds: u64::from(!visit.is_empty()),
         ..PartitionedStats::default()
     };
@@ -509,7 +511,7 @@ pub fn partitioned_knn_batch<const D: usize, R: Refiner<D> + Sync>(
 /// order.
 #[allow(clippy::type_complexity)]
 pub fn forest_batch<const D: usize, T, R>(
-    forest: Forest<'_, D, T>,
+    forest: Forest<'_, T>,
     requests: &[BatchQuery<D>],
     opts: NnOptions,
     refiner: &R,
@@ -560,7 +562,7 @@ where
 /// traversals the merge saved.
 #[allow(clippy::type_complexity)]
 pub fn forest_batch_dedup<const D: usize, T, R>(
-    forest: Forest<'_, D, T>,
+    forest: Forest<'_, T>,
     requests: &[BatchQuery<D>],
     opts: NnOptions,
     refiner: &R,
@@ -607,6 +609,7 @@ mod tests {
     use crate::refine::MbrRefiner;
     use crate::stalling::Stalling;
     use crate::within_radius;
+    use nnq_geom::Rect;
     use nnq_rtree::{BulkMethod, RTreeConfig, RecordId};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -1006,13 +1009,10 @@ mod tests {
         assert!(stats.rounds <= 7, "rounds = {}", stats.rounds);
     }
 
-    /// An interleaving batch's view of `parts`, bounded by `mbrs`.
-    fn resumable<'a, 't>(
-        parts: &'a [Stalling<'t>],
-        mbrs: &'a [Rect<2>],
-    ) -> Scatter<'a, 2, Stalling<'t>, MbrRefiner> {
+    /// An interleaving batch's view of `parts`.
+    fn resumable<'a, 't>(parts: &'a [Stalling<'t>]) -> Scatter<'a, 2, Stalling<'t>, MbrRefiner> {
         Scatter {
-            forest: Forest::new(parts, mbrs),
+            forest: Forest::new(parts),
             opts: NnOptions::default(),
             refiner: &MbrRefiner,
             interleave: true,
@@ -1063,7 +1063,6 @@ mod tests {
         ];
         for p in [1, 4] {
             let tree = build(items.clone(), p);
-            let mbrs = tree.forest().bounds();
             let opts = NnOptions::default();
             for stalls in [0, 1, 3, usize::MAX] {
                 let parts: Vec<Stalling<'_>> = tree
@@ -1071,7 +1070,7 @@ mod tests {
                     .iter()
                     .map(|t| Stalling::new(t, stalls))
                     .collect();
-                let on = resumable(&parts, mbrs);
+                let on = resumable(&parts);
                 // One scratch for every query, as a batch worker's slot.
                 let mut sc = ScatterCursor::new();
                 for (q, k) in &queries {
@@ -1106,7 +1105,6 @@ mod tests {
     #[test]
     fn a_failed_partition_read_ends_the_scatter_item_and_leaves_its_scratch_reusable() {
         let tree = build(points(3000, 71), 4);
-        let mbrs = tree.forest().bounds();
         let opts = NnOptions::default();
         let q = Point::new([480.0, 510.0]);
         let want = scatter_knn(tree.forest(), &q, 12, opts, &MbrRefiner, 1).unwrap();
@@ -1116,11 +1114,11 @@ mod tests {
             .map(|t| Stalling::new(t, 1))
             .collect();
         // The nearest partition's second read (its first leaf) fails.
-        let first = schedule_of(&q, mbrs)[0];
+        let first = schedule_of(&q, tree.partitions())[0];
         parts[first].fail_after = 1;
         let mut sc = ScatterCursor::new();
         let err = loop {
-            match sc.step(&resumable(&parts, mbrs), &q, 12, false) {
+            match sc.step(&resumable(&parts), &q, 12, false) {
                 Ok(Poll::Ready(_)) => panic!("the second read fails"),
                 Ok(Poll::Waiting { .. }) => {}
                 Err(e) => break e,
@@ -1129,14 +1127,14 @@ mod tests {
         assert!(matches!(err, nnq_rtree::RTreeError::NotFound));
         assert!(!sc.active);
         parts[first].fail_after = usize::MAX;
-        let (got, _) = drive(&mut sc, &resumable(&parts, mbrs), &q, 12, false);
+        let (got, _) = drive(&mut sc, &resumable(&parts), &q, 12, false);
         same_scatter_answer(&got, &want, "the query after the failed one");
     }
 
     /// The partition indices of `q`'s schedule, nearest first.
-    fn schedule_of(q: &Point<2>, mbrs: &[Rect<2>]) -> Vec<usize> {
+    fn schedule_of<T: TreeAccess<2>>(q: &Point<2>, trees: &[T]) -> Vec<usize> {
         let mut sched = Vec::new();
-        schedule(&mut sched, q, mbrs);
+        schedule(&mut sched, q, trees);
         sched.iter().map(|s| s.part).collect()
     }
 
@@ -1144,7 +1142,7 @@ mod tests {
     fn empty_partition_list_yields_nothing() {
         let parts: Vec<nnq_rtree::MemRTree<2>> = Vec::new();
         let (found, stats) = scatter_knn(
-            Forest::new(&parts, &[]),
+            Forest::new(&parts),
             &Point::new([0.0, 0.0]),
             3,
             NnOptions::default(),
@@ -1156,34 +1154,29 @@ mod tests {
         assert_eq!(stats, PartitionedStats::default());
     }
 
-    /// A forest of in-memory trees, tree `i` holding the `(x, y, record)`
-    /// points of `groups[i]` and bounded by their MBR.
-    fn forest_of(groups: &[&[(f64, f64, u64)]]) -> (Vec<nnq_rtree::MemRTree<2>>, Vec<Rect<2>>) {
-        let mut trees = Vec::new();
-        let mut mbrs = Vec::new();
-        for group in groups {
+    /// In-memory trees, tree `i` holding the `(x, y, record)` points of
+    /// `groups[i]` (and so bounded by their MBR).
+    fn forest_of(groups: &[&[(f64, f64, u64)]]) -> Vec<nnq_rtree::MemRTree<2>> {
+        let tree_of = |group: &[(f64, f64, u64)]| {
             let tree = nnq_rtree::MemRTree::new();
-            let mut mbr = Rect::empty();
-            for &(x, y, id) in *group {
+            for &(x, y, id) in group {
                 let r = Rect::from_point(Point::new([x, y]));
                 tree.insert(&r, RecordId(id)).unwrap();
-                mbr.union_in_place(&r);
             }
-            trees.push(tree);
-            mbrs.push(mbr);
-        }
-        (trees, mbrs)
+            tree
+        };
+        groups.iter().map(|group| tree_of(group)).collect()
     }
 
     /// The round protocol with the first-round shortcut taken out: every
     /// round's answers go through the heap.
     fn merge_path(
-        forest: Forest<'_, 2, nnq_rtree::MemRTree<2>>,
+        forest: Forest<'_, nnq_rtree::MemRTree<2>>,
         q: &Point<2>,
         k: usize,
     ) -> (Vec<Neighbor<2>>, PartitionedStats) {
         let mut sc = ScatterCursor::new();
-        sc.begin(q, k, forest.bounds());
+        sc.begin(q, k, forest.trees());
         while sc.merge_and_open() {
             let bound = sc.bound;
             sc.outs = sc.sched[sc.round.clone()]
@@ -1200,12 +1193,12 @@ mod tests {
 
     /// Whether the first round alone settles `(q, k)` on `forest`.
     fn first_round_settles(
-        forest: Forest<'_, 2, nnq_rtree::MemRTree<2>>,
+        forest: Forest<'_, nnq_rtree::MemRTree<2>>,
         q: &Point<2>,
         k: usize,
     ) -> bool {
         let mut sc = ScatterCursor::new();
-        sc.begin(q, k, forest.bounds());
+        sc.begin(q, k, forest.trees());
         assert!(sc.next_round(), "the first round searches the nearest tree");
         let nearest = &forest.trees()[sc.sched[0].part];
         sc.outs = vec![NnSearch::new(nearest)
@@ -1229,7 +1222,7 @@ mod tests {
     /// Runs `(q, k)` through `scatter_knn` and a batch item and checks both against the
     /// merge path, hits and counters bit for bit; returns the answer.
     fn both_ways(
-        forest: Forest<'_, 2, nnq_rtree::MemRTree<2>>,
+        forest: Forest<'_, nnq_rtree::MemRTree<2>>,
         q: &Point<2>,
         k: usize,
     ) -> (Vec<Neighbor<2>>, PartitionedStats) {
@@ -1262,8 +1255,8 @@ mod tests {
         // distance² 4, exactly A's 2nd — rounds take `mindist < bound`.
         let a: &[(f64, f64, u64)] = &[(1.0, 0.0, 1), (2.0, 0.0, 2)];
         let b: &[(f64, f64, u64)] = &[(0.0, 2.0, 3), (0.0, 3.0, 4)];
-        let (trees, mbrs) = forest_of(&[a, b]);
-        let forest = Forest::new(&trees, &mbrs);
+        let trees = forest_of(&[a, b]);
+        let forest = Forest::new(&trees);
         let q = Point::new([0.0, 0.0]);
         assert!(first_round_settles(forest, &q, 2));
         let (hits, stats) = both_ways(forest, &q, 2);
@@ -1278,8 +1271,8 @@ mod tests {
         );
         // One step closer and B can hold something nearer: no shortcut.
         let b_closer: &[(f64, f64, u64)] = &[(0.0, 1.9, 3), (0.0, 3.0, 4)];
-        let (trees, mbrs) = forest_of(&[a, b_closer]);
-        let forest = Forest::new(&trees, &mbrs);
+        let trees = forest_of(&[a, b_closer]);
+        let forest = Forest::new(&trees);
         assert!(!first_round_settles(forest, &q, 2));
         let (hits, stats) = both_ways(forest, &q, 2);
         assert_eq!(records_and_dists(&hits), brute_force(&[a, b_closer], &q, 2));
@@ -1290,8 +1283,8 @@ mod tests {
     fn a_first_tree_with_fewer_than_k_records_leaves_the_bound_infinite_and_the_search_goes_on() {
         let a: &[(f64, f64, u64)] = &[(1.0, 0.0, 1), (2.0, 0.0, 2)];
         let b: &[(f64, f64, u64)] = &[(50.0, 0.0, 3), (60.0, 0.0, 4), (70.0, 0.0, 5)];
-        let (trees, mbrs) = forest_of(&[a, b]);
-        let forest = Forest::new(&trees, &mbrs);
+        let trees = forest_of(&[a, b]);
+        let forest = Forest::new(&trees);
         let q = Point::new([0.0, 0.0]);
         assert!(!first_round_settles(forest, &q, 3));
         let (hits, stats) = both_ways(forest, &q, 3);
@@ -1310,8 +1303,8 @@ mod tests {
         // Distances² from q = (0, 0): A = {r5: 1, r7: 4}, B = {r6: 4, r1: 9}.
         let a: &[(f64, f64, u64)] = &[(1.0, 0.0, 5), (2.0, 0.0, 7)];
         let b: &[(f64, f64, u64)] = &[(0.0, 2.0, 6), (0.0, 3.0, 1)];
-        let (trees, mbrs) = forest_of(&[a, b]);
-        let forest = Forest::new(&trees, &mbrs);
+        let trees = forest_of(&[a, b]);
+        let forest = Forest::new(&trees);
         let q = Point::new([0.0, 0.0]);
         // k = 3: both tied records make the answer, ordered by record id
         // whichever tree they came from.

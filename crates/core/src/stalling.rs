@@ -3,6 +3,7 @@
 //! suspend queries on it.
 
 use crate::Result;
+use nnq_geom::Rect;
 use nnq_rtree::{NodeView, RTree, TreeAccess};
 use nnq_storage::PageId;
 use std::cell::Cell;
@@ -55,5 +56,8 @@ impl TreeAccess<2> for Stalling<'_> {
     }
     fn num_records(&self) -> u64 {
         self.tree.num_records()
+    }
+    fn bounds(&self) -> Rect<2> {
+        self.tree.bounds()
     }
 }

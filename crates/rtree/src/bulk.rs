@@ -87,7 +87,7 @@ fn pack_into<const D: usize, S: NodeStore<D>>(
 ) -> Result<()> {
     if items.is_empty() {
         // Still persist the (empty) metadata so paged trees reopen cleanly.
-        return tree.set_meta_after_bulk(nnq_storage::PageId::INVALID, 0, 0);
+        return tree.set_meta_after_bulk(nnq_storage::PageId::INVALID, 0, 0, Rect::empty());
     }
     for (mbr, _) in &items {
         assert!(mbr.is_valid(), "cannot index an invalid rectangle");
@@ -111,7 +111,8 @@ fn pack_into<const D: usize, S: NodeStore<D>>(
             parents.push(Entry::for_child(entries_mbr(chunk), page));
         }
         if parents.len() == 1 {
-            return tree.set_meta_after_bulk(parents[0].child(), u32::from(level) + 1, count);
+            let (root, height) = (parents[0].child(), u32::from(level) + 1);
+            return tree.set_meta_after_bulk(root, height, count, parents[0].mbr);
         }
         entries = parents;
         level += 1;

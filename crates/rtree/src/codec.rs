@@ -14,7 +14,9 @@
 //! ```
 //!
 //! The meta page (page 0 of the tree's storage) records the root pointer,
-//! height, entry count, and the configuration needed to reopen the tree.
+//! height, entry count, the configuration needed to reopen the tree, and
+//! the root's MBR (coordinates as `f64` bits, lo corner then hi, like a
+//! node entry's).
 
 use crate::config::{RTreeConfig, SplitStrategy};
 use crate::entry::Entry;
@@ -25,7 +27,9 @@ use nnq_storage::PageId;
 
 const NODE_MAGIC: u32 = 0x4E4E_5154;
 const META_MAGIC: u32 = 0x4E4E_514D;
-const META_VERSION: u16 = 1;
+const META_VERSION: u16 = 2;
+/// Bytes of a meta page in front of the root MBR.
+const META_HEADER: usize = 33;
 const NODE_HEADER: usize = 8;
 
 /// Size in bytes of one serialized entry for dimension `D`.
@@ -147,7 +151,7 @@ pub(crate) fn decode_node<const D: usize>(page_id: PageId, page: &[u8]) -> Resul
 
 /// Persistent metadata describing the tree.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Meta {
+pub struct Meta<const D: usize> {
     /// Dimensionality of the indexed rectangles.
     pub dims: u16,
     /// Root node handle ([`PageId::INVALID`] when empty).
@@ -156,11 +160,28 @@ pub struct Meta {
     pub height: u32,
     /// Number of data entries.
     pub count: u64,
+    /// The root node's MBR, which contains everything the tree holds
+    /// ([`Rect::empty`] when empty).
+    pub bounds: Rect<D>,
     /// The tree's configuration.
     pub config: RTreeConfig,
 }
 
-pub(crate) fn encode_meta(page: &mut [u8], meta: &Meta) {
+impl<const D: usize> Meta<D> {
+    /// The meta of an empty tree.
+    pub(crate) fn empty(config: RTreeConfig) -> Self {
+        Self {
+            dims: D as u16,
+            root: PageId::INVALID,
+            height: 0,
+            count: 0,
+            bounds: Rect::empty(),
+            config,
+        }
+    }
+}
+
+pub(crate) fn encode_meta<const D: usize>(page: &mut [u8], meta: &Meta<D>) {
     let mut buf = &mut page[..];
     buf.put_u32_le(META_MAGIC);
     buf.put_u16_le(META_VERSION);
@@ -172,14 +193,24 @@ pub(crate) fn encode_meta(page: &mut [u8], meta: &Meta) {
     buf.put_u8((meta.config.min_fill * 100.0).round() as u8);
     buf.put_u8((meta.config.reinsert_fraction * 100.0).round() as u8);
     buf.put_u16_le(meta.config.max_entries_override.unwrap_or(0) as u16);
+    for &c in meta
+        .bounds
+        .lo()
+        .coords()
+        .iter()
+        .chain(meta.bounds.hi().coords())
+    {
+        buf.put_f64_le(c);
+    }
 }
 
-pub(crate) fn decode_meta(page_id: PageId, page: &[u8]) -> Result<Meta> {
+/// Decodes the meta page of a `D`-dimensional tree.
+pub(crate) fn decode_meta<const D: usize>(page_id: PageId, page: &[u8]) -> Result<Meta<D>> {
     let bad = |reason: String| RTreeError::BadNode {
         page: page_id,
         reason,
     };
-    if page.len() < 33 {
+    if page.len() < META_HEADER + 16 * D {
         return Err(bad("page shorter than meta header".into()));
     }
     let mut buf = page;
@@ -192,6 +223,11 @@ pub(crate) fn decode_meta(page_id: PageId, page: &[u8]) -> Result<Meta> {
         return Err(bad(format!("unsupported meta version {version}")));
     }
     let dims = buf.get_u16_le();
+    if usize::from(dims) != D {
+        return Err(bad(format!(
+            "dimension mismatch: tree has {dims}, caller wants {D}"
+        )));
+    }
     let root = PageId(buf.get_u64_le());
     let height = buf.get_u32_le();
     let count = buf.get_u64_le();
@@ -204,11 +240,28 @@ pub(crate) fn decode_meta(page_id: PageId, page: &[u8]) -> Result<Meta> {
     let min_fill = f64::from(buf.get_u8()) / 100.0;
     let reinsert_fraction = f64::from(buf.get_u8()) / 100.0;
     let over = buf.get_u16_le();
+    let mut lo = [0.0; D];
+    let mut hi = [0.0; D];
+    for c in lo.iter_mut().chain(hi.iter_mut()) {
+        *c = buf.get_f64_le();
+    }
+    let ordered_and_finite = lo
+        .iter()
+        .zip(&hi)
+        .all(|(l, h)| l.is_finite() && h.is_finite() && l <= h);
+    let bounds = if ordered_and_finite {
+        Rect::from_sorted(Point::new(lo), Point::new(hi))
+    } else if lo == [f64::INFINITY; D] && hi == [f64::NEG_INFINITY; D] {
+        Rect::empty()
+    } else {
+        return Err(bad(format!("invalid root MBR {lo:?} .. {hi:?}")));
+    };
     Ok(Meta {
         dims,
         root,
         height,
         count,
+        bounds,
         config: RTreeConfig {
             split,
             min_fill,
@@ -288,29 +341,72 @@ mod tests {
         assert!(decode_node::<2>(PageId(1), &page).is_err());
     }
 
-    #[test]
-    fn meta_roundtrip() {
-        let meta = Meta {
+    fn meta(bounds: Rect<2>) -> Meta<2> {
+        Meta {
             dims: 2,
             root: PageId(17),
             height: 3,
             count: 123_456,
+            bounds,
             config: RTreeConfig {
                 split: SplitStrategy::RStar,
                 min_fill: 0.4,
                 reinsert_fraction: 0.3,
                 max_entries_override: Some(16),
             },
-        };
-        let mut page = vec![0u8; 64];
-        encode_meta(&mut page, &meta);
-        let got = decode_meta(PageId(0), &page).unwrap();
-        assert_eq!(got, meta);
+        }
+    }
+
+    fn bound_bits(r: &Rect<2>) -> Vec<u64> {
+        let coords = r.lo().coords().iter().chain(r.hi().coords());
+        coords.map(|c| c.to_bits()).collect()
+    }
+
+    #[test]
+    fn meta_roundtrip() {
+        // A negative zero and a subnormal survive only as exact bits.
+        let tiny = f64::from_bits(1);
+        for bounds in [
+            rect([-0.0, -3.5e300], [tiny, 7.25]),
+            Rect::from_point(Point::new([1.0 / 3.0, -2.0])),
+            Rect::empty(),
+        ] {
+            let meta = meta(bounds);
+            let mut page = vec![0u8; 128];
+            encode_meta(&mut page, &meta);
+            let got = decode_meta::<2>(PageId(0), &page).unwrap();
+            assert_eq!(got, meta);
+            assert_eq!(bound_bits(&got.bounds), bound_bits(&bounds));
+        }
     }
 
     #[test]
     fn meta_rejects_garbage() {
         let page = vec![0xAB; 64];
-        assert!(decode_meta(PageId(0), &page).is_err());
+        assert!(decode_meta::<2>(PageId(0), &page).is_err());
+    }
+
+    #[test]
+    fn meta_rejects_an_older_version_a_wrong_dimension_and_a_bad_bound() {
+        let mut page = vec![0u8; 4096];
+        encode_meta(&mut page, &meta(rect([0.0, 0.0], [1.0, 1.0])));
+        let reason = |page: &[u8]| match decode_meta::<2>(PageId(0), page) {
+            Err(RTreeError::BadNode { reason, .. }) => reason,
+            other => panic!("expected a bad meta page, got {other:?}"),
+        };
+        // A version-1 page: the same header, no bound behind it.
+        let mut v1 = page.clone();
+        v1[4..6].copy_from_slice(&1u16.to_le_bytes());
+        v1[META_HEADER..].fill(0);
+        assert_eq!(reason(&v1), "unsupported meta version 1");
+        assert!(reason(&page[..META_HEADER + 8]).contains("shorter"));
+        assert!(decode_meta::<3>(PageId(0), &page).is_err());
+        // A NaN corner, and inverted corners that are not the empty bound.
+        let mut nan = page.clone();
+        nan[META_HEADER..META_HEADER + 8].copy_from_slice(&f64::NAN.to_le_bytes());
+        assert!(reason(&nan).contains("invalid root MBR"));
+        let mut inverted = page.clone();
+        inverted[META_HEADER..META_HEADER + 8].copy_from_slice(&2.0f64.to_le_bytes());
+        assert!(reason(&inverted).contains("invalid root MBR"));
     }
 }

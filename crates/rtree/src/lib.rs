@@ -64,8 +64,7 @@ pub use config::{RTreeConfig, SplitStrategy};
 pub use entry::{Entry, RecordId};
 pub use iter::WindowIter;
 pub use partition::{
-    hilbert_split, rebalance_cache_budget, snapshot_all, whole_space, Forest, PartitionManifest,
-    PartitionMeta, PartitionedTree,
+    rebalance_cache_budget, snapshot_all, Forest, PartitionManifest, PartitionedTree,
 };
 pub use store::BackendSignals;
 pub use store::{MemStore, NodeStore, PagedStore};

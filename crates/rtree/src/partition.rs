@@ -1,11 +1,12 @@
 //! Forests, and the Hilbert-range partitioned multi-tree.
 //!
-//! Every query path in `nnq-core` runs on a [`Forest`]: trees, and one
-//! bound per tree that contains everything the tree holds. The
-//! scatter-gather search orders and prunes the trees by MINDIST to their
-//! bounds. An unpartitioned tree is a forest of one whose bound is the
-//! whole space ([`whole_space`]); a [`PartitionedTree`] is the forest of
-//! its partitions, bounded by their manifest MBRs.
+//! Every query path in `nnq-core` runs on a [`Forest`]: a slice of trees.
+//! Each tree carries its own bound: its committed meta holds its root's
+//! MBR ([`TreeAccess::bounds`]), which contains everything the tree holds
+//! whatever is written to it. The scatter-gather search orders and prunes
+//! the trees by MINDIST to those bounds. An unpartitioned tree is a forest
+//! of one ([`Forest::of_one`]); a [`PartitionedTree`] is the forest of its
+//! partitions.
 //!
 //! A [`PartitionedTree`] splits a dataset into `P` independent R-trees by
 //! Hilbert key range: every item is keyed by [`nnq_geom::hilbert_key`]
@@ -13,20 +14,19 @@
 //! sequence is cut into `P` equal-count chunks. Because consecutive
 //! Hilbert keys are spatially adjacent, each chunk — and therefore each
 //! partition's tree — covers a compact region of space, which is what
-//! makes MINDIST-to-partition-MBR pruning effective (see the scatter-gather
-//! search in `nnq-core`).
+//! makes pruning by partition bound effective (see the scatter-gather
+//! search in `nnq-core`). The split only places the loaded data: a later
+//! write may go to any partition, wherever its point lies, and that
+//! partition's bound grows to hold it.
 //!
 //! Each partition is a complete, self-contained [`RTree`] on its **own**
 //! [`BufferPool`] (own frame budget, own decoded-node cache, own
-//! prefetcher). The only shared state is the [`PartitionManifest`]: the
-//! dataset bounds the keys were computed in plus, per partition, its
-//! observed key range, entry count, and MBR. The manifest is tiny and
-//! text-encoded ([`PartitionManifest::encode`]) with `f64` coordinates
-//! stored as raw bit patterns, so a round trip through disk is exact.
+//! prefetcher). Beside the partition files, a [`PartitionManifest`]
+//! records how many partitions there are and how many entries each held,
+//! which is what the reopen path checks the opened trees against.
 //!
 //! This is the in-process rehearsal of a scale-out deployment: each
-//! partition could live on its own machine, with the manifest as the
-//! router's only global knowledge.
+//! partition could live on its own machine.
 
 use crate::bulk::BulkMethod;
 use crate::config::RTreeConfig;
@@ -34,153 +34,69 @@ use crate::entry::RecordId;
 use crate::store::{NodeStore, PagedStore};
 use crate::tree::{RTree, Snapshot, TreeAccess};
 use crate::{RTreeError, Result};
-use nnq_geom::{hilbert_key, Point, Rect};
+use nnq_geom::{hilbert_key, Rect};
 use nnq_storage::{BufferPool, MemDisk, PoolStats, PAGE_SIZE};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// Per-partition metadata recorded in the [`PartitionManifest`].
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct PartitionMeta<const D: usize> {
-    /// Smallest Hilbert key observed in this partition (0 when empty).
-    pub key_lo: u64,
-    /// Largest Hilbert key observed in this partition (0 when empty).
-    pub key_hi: u64,
-    /// Number of data entries in this partition.
-    pub count: u64,
-    /// Tight MBR of the partition's entries ([`Rect::empty`] when empty).
-    pub mbr: Rect<D>,
+/// What a partitioned index records beside its partition files: each
+/// partition's entry count, in partition order.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct PartitionManifest {
+    /// Number of data entries per partition.
+    pub counts: Vec<u64>,
 }
 
-/// The global metadata of a partitioned tree: the dataset bounds the
-/// Hilbert keys were computed in, plus one [`PartitionMeta`] per
-/// partition, in key order.
-#[derive(Clone, Debug, PartialEq)]
-pub struct PartitionManifest<const D: usize> {
-    /// Dataset bounds used to normalize centers into the Hilbert grid.
-    pub bounds: Rect<D>,
-    /// Per-partition metadata, ordered by key range.
-    pub parts: Vec<PartitionMeta<D>>,
-}
+const MANIFEST_HEADER: &str = "nnq-partition-manifest v2";
 
-const MANIFEST_HEADER: &str = "nnq-partition-manifest v1";
-
-fn rect_bits<const D: usize>(r: &Rect<D>, out: &mut String) {
-    use std::fmt::Write;
-    for i in 0..D {
-        let _ = write!(out, " {}", r.lo()[i].to_bits());
-    }
-    for i in 0..D {
-        let _ = write!(out, " {}", r.hi()[i].to_bits());
-    }
-}
-
-fn parse_rect<const D: usize>(tokens: &mut std::str::SplitWhitespace<'_>) -> Result<Rect<D>> {
-    let mut lo = [0.0f64; D];
-    let mut hi = [0.0f64; D];
-    for slot in lo.iter_mut().chain(hi.iter_mut()) {
-        *slot = f64::from_bits(parse_u64(tokens)?);
-    }
-    // A manifest rectangle is either a tight union of valid MBRs (ordered
-    // corners) or `Rect::empty()` (inverted infinite corners, which
-    // `Rect::new` would flip); restore the canonical empty value directly.
-    if (0..D).any(|i| lo[i] > hi[i]) {
-        return Ok(Rect::empty());
-    }
-    Ok(Rect::new(
-        nnq_geom::Point::new(lo),
-        nnq_geom::Point::new(hi),
-    ))
-}
-
-fn parse_u64(tokens: &mut std::str::SplitWhitespace<'_>) -> Result<u64> {
-    tokens
-        .next()
-        .and_then(|t| t.parse().ok())
-        .ok_or_else(|| RTreeError::Invalid("manifest: truncated or non-numeric token".into()))
-}
-
-impl<const D: usize> PartitionManifest<D> {
-    /// Total entry count across all partitions.
-    pub fn total_count(&self) -> u64 {
-        self.parts.iter().map(|p| p.count).sum()
-    }
-
-    /// Serializes the manifest to its text form. Coordinates are written
-    /// as `f64::to_bits` integers, so [`PartitionManifest::decode`]
-    /// reconstructs them bit-exactly (including infinities in the empty
-    /// rectangle).
+impl PartitionManifest {
+    /// Serializes the manifest to its text form: the header, a
+    /// `partitions P` line, then one `part <count>` line per partition.
     pub fn encode(&self) -> String {
         use std::fmt::Write;
-        let mut out = String::new();
-        let _ = writeln!(out, "{MANIFEST_HEADER}");
-        let _ = writeln!(out, "dims {D}");
-        let _ = writeln!(out, "partitions {}", self.parts.len());
-        let mut line = String::from("bounds");
-        rect_bits(&self.bounds, &mut line);
-        let _ = writeln!(out, "{line}");
-        for p in &self.parts {
-            let mut line = format!("part {} {} {}", p.key_lo, p.key_hi, p.count);
-            rect_bits(&p.mbr, &mut line);
-            let _ = writeln!(out, "{line}");
+        let mut out = format!("{MANIFEST_HEADER}\npartitions {}\n", self.counts.len());
+        for count in &self.counts {
+            let _ = writeln!(out, "part {count}");
         }
         out
     }
 
     /// Parses a manifest previously produced by
-    /// [`PartitionManifest::encode`].
+    /// [`PartitionManifest::encode`]. The partition count is only what the
+    /// file claims: fewer `part` lines than it names are an error, and
+    /// nothing is allocated from it up front.
     pub fn decode(text: &str) -> Result<Self> {
+        let bad = |msg: String| RTreeError::Invalid(format!("manifest: {msg}"));
         let mut lines = text.lines();
-        let bad = |msg: &str| RTreeError::Invalid(format!("manifest: {msg}"));
         if lines.next() != Some(MANIFEST_HEADER) {
-            return Err(bad("missing or unknown header"));
+            return Err(bad("missing or unknown header".into()));
         }
-        let dims_line = lines.next().ok_or_else(|| bad("missing dims line"))?;
-        let dims: usize = dims_line
-            .strip_prefix("dims ")
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| bad("malformed dims line"))?;
-        if dims != D {
-            return Err(bad(&format!(
-                "dimension mismatch: file has {dims}, caller wants {D}"
+        let partitions: usize = lines
+            .next()
+            .and_then(|line| line.strip_prefix("partitions "))
+            .and_then(|n| n.parse().ok())
+            .ok_or_else(|| bad("malformed partitions line".into()))?;
+        let counts = lines
+            .take(partitions)
+            .map(|line| {
+                line.strip_prefix("part ")
+                    .and_then(|n| n.parse().ok())
+                    .ok_or_else(|| bad(format!("malformed part line {line:?}")))
+            })
+            .collect::<Result<Vec<u64>>>()?;
+        if counts.len() < partitions {
+            return Err(bad(format!(
+                "{partitions} partitions claimed but {} listed",
+                counts.len()
             )));
         }
-        let count_line = lines.next().ok_or_else(|| bad("missing partitions line"))?;
-        let count: usize = count_line
-            .strip_prefix("partitions ")
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| bad("malformed partitions line"))?;
-        let bounds_line = lines.next().ok_or_else(|| bad("missing bounds line"))?;
-        let mut tokens = bounds_line
-            .strip_prefix("bounds")
-            .ok_or_else(|| bad("malformed bounds line"))?
-            .split_whitespace();
-        let bounds = parse_rect::<D>(&mut tokens)?;
-        let mut parts = Vec::with_capacity(count);
-        for _ in 0..count {
-            let line = lines.next().ok_or_else(|| bad("truncated part list"))?;
-            let mut tokens = line
-                .strip_prefix("part")
-                .ok_or_else(|| bad("malformed part line"))?
-                .split_whitespace();
-            let key_lo = parse_u64(&mut tokens)?;
-            let key_hi = parse_u64(&mut tokens)?;
-            let n = parse_u64(&mut tokens)?;
-            let mbr = parse_rect::<D>(&mut tokens)?;
-            parts.push(PartitionMeta {
-                key_lo,
-                key_hi,
-                count: n,
-                mbr,
-            });
-        }
-        Ok(Self { bounds, parts })
+        Ok(Self { counts })
     }
 }
 
 /// Splits `items` into `partitions` equal-count chunks by Hilbert key
-/// range and returns the chunks with their [`PartitionManifest`].
+/// range.
 ///
 /// Items are keyed by [`hilbert_key`] over the union of all item MBRs —
 /// the *same* keying the Hilbert bulk loader uses — and stably sorted by
@@ -192,10 +108,10 @@ impl<const D: usize> PartitionManifest<D> {
 ///
 /// # Panics
 /// Panics if `partitions == 0` or any MBR is invalid.
-pub fn hilbert_split<const D: usize>(
+pub(crate) fn hilbert_split<const D: usize>(
     items: Vec<(Rect<D>, RecordId)>,
     partitions: usize,
-) -> (Vec<Vec<(Rect<D>, RecordId)>>, PartitionManifest<D>) {
+) -> Vec<Vec<(Rect<D>, RecordId)>> {
     assert!(partitions > 0, "need at least one partition");
     let mut bounds = Rect::empty();
     for (mbr, _) in &items {
@@ -211,83 +127,37 @@ pub fn hilbert_split<const D: usize>(
     // to a plain Hilbert bulk load.
     keyed.sort_by_key(|(k, _)| *k);
 
-    let n = keyed.len();
-    let base = n / partitions;
-    let extra = n % partitions;
-    let mut chunks = Vec::with_capacity(partitions);
-    let mut parts = Vec::with_capacity(partitions);
-    let mut it = keyed.into_iter();
-    for i in 0..partitions {
-        let take = base + usize::from(i < extra);
-        let mut chunk = Vec::with_capacity(take);
-        let (mut key_lo, mut key_hi) = (u64::MAX, 0u64);
-        let mut mbr = Rect::empty();
-        for (key, item) in it.by_ref().take(take) {
-            key_lo = key_lo.min(key);
-            key_hi = key_hi.max(key);
-            mbr.union_in_place(&item.0);
-            chunk.push(item);
-        }
-        if chunk.is_empty() {
-            (key_lo, key_hi) = (0, 0);
-        }
-        parts.push(PartitionMeta {
-            key_lo,
-            key_hi,
-            count: chunk.len() as u64,
-            mbr,
-        });
-        chunks.push(chunk);
-    }
-    (chunks, PartitionManifest { bounds, parts })
+    let (base, extra) = (keyed.len() / partitions, keyed.len() % partitions);
+    let mut it = keyed.into_iter().map(|(_, item)| item);
+    (0..partitions)
+        .map(|i| it.by_ref().take(base + usize::from(i < extra)).collect())
+        .collect()
 }
 
-/// The bound of an unpartitioned tree: the whole space. It contains the
-/// tree whatever is written to it, and its MINDIST to any point is 0, so
-/// the search (whose first round runs at bound `+∞`) never prunes by it.
-pub const fn whole_space<const D: usize>() -> Rect<D> {
-    Rect::from_sorted(
-        Point::new([f64::NEG_INFINITY; D]),
-        Point::new([f64::INFINITY; D]),
-    )
-}
-
-/// Trees, and one bound per tree: what every query path runs on (module
-/// docs).
-pub struct Forest<'a, const D: usize, T> {
+/// Trees: what every query path runs on (module docs). Each tree bounds
+/// itself ([`TreeAccess::bounds`]).
+pub struct Forest<'a, T> {
     trees: &'a [T],
-    bounds: &'a [Rect<D>],
 }
 
-impl<'a, const D: usize, T> Forest<'a, D, T> {
-    /// The forest of `trees`, tree `i` bounded by `bounds[i]`, which must
-    /// contain everything the tree holds ([`Rect::empty`] for an empty
-    /// partition, [`whole_space`] for a tree that takes writes).
-    ///
-    /// # Panics
-    /// Panics if `trees` and `bounds` have different lengths.
-    pub fn new(trees: &'a [T], bounds: &'a [Rect<D>]) -> Self {
-        assert_eq!(trees.len(), bounds.len(), "one bound per tree");
-        Self { trees, bounds }
+impl<'a, T> Forest<'a, T> {
+    /// The forest of `trees`.
+    pub fn new(trees: &'a [T]) -> Self {
+        Self { trees }
     }
 
-    /// `tree` unpartitioned: a forest of one, bounded by [`whole_space`].
+    /// `tree` unpartitioned: a forest of one.
     pub fn of_one(tree: &'a T) -> Self {
-        Self::new(std::slice::from_ref(tree), const { &[whole_space()] })
+        Self::new(std::slice::from_ref(tree))
     }
 
     /// The trees.
     pub fn trees(&self) -> &'a [T] {
         self.trees
     }
-
-    /// Each tree's bound, in tree order.
-    pub fn bounds(&self) -> &'a [Rect<D>] {
-        self.bounds
-    }
 }
 
-impl<const D: usize> Forest<'_, D, RTree<D, PagedStore<D>>> {
+impl<const D: usize> Forest<'_, RTree<D, PagedStore<D>>> {
     /// Total number of data entries across the trees.
     pub fn len(&self) -> u64 {
         self.trees.iter().map(RTree::len).sum()
@@ -327,13 +197,13 @@ impl<const D: usize> Forest<'_, D, RTree<D, PagedStore<D>>> {
 }
 
 // A forest only borrows, so it copies whatever its trees are.
-impl<const D: usize, T> Clone for Forest<'_, D, T> {
+impl<T> Clone for Forest<'_, T> {
     fn clone(&self) -> Self {
         *self
     }
 }
 
-impl<const D: usize, T> Copy for Forest<'_, D, T> {}
+impl<T> Copy for Forest<'_, T> {}
 
 /// Pins a snapshot of every tree at one composed version: reads the summed
 /// [`RTree::version`], pins each tree, and retries if the pinned versions
@@ -416,12 +286,9 @@ pub fn rebalance_cache_budget<const D: usize, T: TreeAccess<D>>(
 /// See the module docs for the construction. Queries go through the
 /// scatter-gather search in `nnq-core` (`partitioned_knn` /
 /// `scatter_radius`) over its [`forest`](PartitionedTree::forest),
-/// which orders and prunes partitions by MINDIST to their manifest MBRs.
+/// which orders and prunes partitions by MINDIST to their bounds.
 pub struct PartitionedTree<const D: usize> {
     parts: Vec<RTree<D, PagedStore<D>>>,
-    manifest: PartitionManifest<D>,
-    /// The manifest MBRs, in partition order: the forest's bounds.
-    bounds: Vec<Rect<D>>,
 }
 
 impl<const D: usize> PartitionedTree<D> {
@@ -443,7 +310,7 @@ impl<const D: usize> PartitionedTree<D> {
     ) -> Result<Self> {
         let p = pools.len();
         assert!(p > 0, "need at least one partition pool");
-        let (chunks, manifest) = hilbert_split(items, p);
+        let chunks = hilbert_split(items, p);
         let threads = build_threads.clamp(1, p);
         // Each slot holds one partition's build input; workers claim
         // slots through the cursor and leave the built tree (or error)
@@ -469,11 +336,14 @@ impl<const D: usize> PartitionedTree<D> {
                 });
             }
         });
+        // A fresh vector, not `results`' buffer reused in place by
+        // `collect`: keeping that allocation alive raised the peak RSS of
+        // the 1M-point `batch_cold` set-up by 38 MiB.
         let mut parts = Vec::with_capacity(p);
         for slot in results {
             parts.push(slot.into_inner().expect("worker filled every slot")?);
         }
-        Self::from_parts(parts, manifest)
+        Ok(Self { parts })
     }
 
     /// Bulk-loads a partitioned tree on fresh in-memory pools of
@@ -503,40 +373,34 @@ impl<const D: usize> PartitionedTree<D> {
     /// manifest). Validates that the manifest and trees agree.
     pub fn from_parts(
         parts: Vec<RTree<D, PagedStore<D>>>,
-        manifest: PartitionManifest<D>,
+        manifest: PartitionManifest,
     ) -> Result<Self> {
-        if parts.len() != manifest.parts.len() {
+        if parts.len() != manifest.counts.len() {
             return Err(RTreeError::Invalid(format!(
                 "manifest lists {} partitions but {} trees were supplied",
-                manifest.parts.len(),
+                manifest.counts.len(),
                 parts.len()
             )));
         }
-        for (i, (tree, meta)) in parts.iter().zip(&manifest.parts).enumerate() {
-            if tree.len() != meta.count {
+        for (i, (tree, &count)) in parts.iter().zip(&manifest.counts).enumerate() {
+            if tree.len() != count {
                 return Err(RTreeError::Invalid(format!(
-                    "partition {i}: manifest says {} entries, tree has {}",
-                    meta.count,
+                    "partition {i}: manifest says {count} entries, tree has {}",
                     tree.len()
                 )));
             }
         }
-        let bounds = manifest.parts.iter().map(|p| p.mbr).collect();
-        Ok(Self {
-            parts,
-            manifest,
-            bounds,
-        })
+        Ok(Self { parts })
     }
 
-    /// The partition trees, in manifest (key-range) order.
+    /// The partition trees, in key-range order.
     pub fn partitions(&self) -> &[RTree<D, PagedStore<D>>] {
         &self.parts
     }
 
-    /// The partitions as a forest, bounded by their manifest MBRs.
-    pub fn forest(&self) -> Forest<'_, D, RTree<D, PagedStore<D>>> {
-        Forest::new(&self.parts, &self.bounds)
+    /// The partitions as a forest.
+    pub fn forest(&self) -> Forest<'_, RTree<D, PagedStore<D>>> {
+        Forest::new(&self.parts)
     }
 
     /// Every partition's snapshot, pinned at one composed version
@@ -545,15 +409,19 @@ impl<const D: usize> PartitionedTree<D> {
         snapshot_all(&self.parts)
     }
 
-    /// The global manifest.
-    pub fn manifest(&self) -> &PartitionManifest<D> {
-        &self.manifest
+    /// The manifest of the partitions as they stand: what a reopen
+    /// checks the opened trees against.
+    pub fn manifest(&self) -> PartitionManifest {
+        PartitionManifest {
+            counts: self.parts.iter().map(RTree::len).collect(),
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nnq_geom::Point;
     use nnq_storage::PageId;
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -589,68 +457,104 @@ mod tests {
         out
     }
 
+    fn build(items: Vec<(Rect<2>, RecordId)>, partitions: usize) -> PartitionedTree<2> {
+        let (config, method) = (RTreeConfig::default(), BulkMethod::Hilbert);
+        PartitionedTree::bulk_load_in_memory(items, partitions, config, method, 1.0, 4096, 1)
+            .unwrap()
+    }
+
+    fn mbr_of(chunk: &[(Rect<2>, RecordId)]) -> Rect<2> {
+        let mut mbr = Rect::empty();
+        for (r, _) in chunk {
+            mbr.union_in_place(r);
+        }
+        mbr
+    }
+
     #[test]
     fn split_balances_counts_and_orders_keys() {
         let items = points(1003, 7);
-        let (chunks, manifest) = hilbert_split(items.clone(), 4);
+        let chunks = hilbert_split(items.clone(), 4);
         assert_eq!(chunks.len(), 4);
         let sizes: Vec<usize> = chunks.iter().map(Vec::len).collect();
         assert_eq!(sizes.iter().sum::<usize>(), 1003);
         assert!(sizes.iter().all(|&s| s == 250 || s == 251));
         // Key ranges are disjoint and ascending across partitions.
-        for w in manifest.parts.windows(2) {
-            assert!(w[0].key_hi <= w[1].key_lo);
+        let bounds = mbr_of(&items);
+        let key_range = |chunk: &[(Rect<2>, RecordId)]| {
+            let keys = chunk.iter().map(|(r, _)| hilbert_key(&r.center(), &bounds));
+            (keys.clone().min().unwrap(), keys.max().unwrap())
+        };
+        for w in chunks.windows(2) {
+            assert!(key_range(&w[0]).1 <= key_range(&w[1]).0);
         }
         // Every item survives exactly once.
         let mut ids: Vec<u64> = chunks.iter().flatten().map(|(_, rid)| rid.0).collect();
         ids.sort_unstable();
         assert_eq!(ids, (0..1003).collect::<Vec<_>>());
-        assert_eq!(manifest.total_count(), 1003);
-        // Manifest MBRs cover their chunks tightly.
-        for (chunk, meta) in chunks.iter().zip(&manifest.parts) {
-            let mut mbr = Rect::empty();
-            for (r, _) in chunk {
-                mbr.union_in_place(r);
-            }
-            assert_eq!(mbr, meta.mbr);
-            assert_eq!(meta.count as usize, chunk.len());
+        // Each partition bounds itself by exactly its chunk's MBR, and the
+        // manifest counts its entries.
+        let tree = build(items, 4);
+        assert_eq!(tree.forest().len(), 1003);
+        for ((chunk, part), &count) in chunks
+            .iter()
+            .zip(tree.partitions())
+            .zip(&tree.manifest().counts)
+        {
+            assert_eq!(part.bounds(), mbr_of(chunk));
+            assert_eq!(count as usize, chunk.len());
         }
     }
 
     #[test]
     fn split_with_more_partitions_than_items_leaves_empty_tails() {
         let items = points(3, 1);
-        let (chunks, manifest) = hilbert_split(items, 8);
+        let chunks = hilbert_split(items.clone(), 8);
         assert_eq!(chunks.len(), 8);
         assert!(chunks[..3].iter().all(|c| c.len() == 1));
         assert!(chunks[3..].iter().all(Vec::is_empty));
-        for meta in &manifest.parts[3..] {
-            assert_eq!((meta.key_lo, meta.key_hi, meta.count), (0, 0, 0));
-            assert!(meta.mbr.is_empty());
+        let tree = build(items, 8);
+        assert_eq!(tree.manifest().counts[3..], [0; 5]);
+        for part in &tree.partitions()[3..] {
+            assert!(part.bounds().is_empty());
         }
     }
 
     #[test]
     fn manifest_roundtrips_bit_exactly() {
-        let (_, manifest) = hilbert_split(points(257, 11), 5);
-        let decoded = PartitionManifest::<2>::decode(&manifest.encode()).unwrap();
+        let manifest = build(points(257, 11), 5).manifest();
+        let decoded = PartitionManifest::decode(&manifest.encode()).unwrap();
         assert_eq!(decoded, manifest);
-        // Including empty partitions with infinite empty-rect coordinates.
-        let (_, manifest) = hilbert_split(points(2, 3), 4);
-        let decoded = PartitionManifest::<2>::decode(&manifest.encode()).unwrap();
+        // Including empty partitions.
+        let manifest = build(points(2, 3), 4).manifest();
+        assert_eq!(manifest.counts, [1, 1, 0, 0]);
+        let decoded = PartitionManifest::decode(&manifest.encode()).unwrap();
         assert_eq!(decoded, manifest);
     }
 
     #[test]
     fn manifest_decode_rejects_garbage() {
-        assert!(PartitionManifest::<2>::decode("not a manifest").is_err());
-        let (_, manifest) = hilbert_split(points(10, 5), 2);
-        let text = manifest.encode();
-        // Wrong dimension.
-        assert!(PartitionManifest::<3>::decode(&text).is_err());
+        assert!(PartitionManifest::decode("not a manifest").is_err());
+        let text = PartitionManifest { counts: vec![5, 5] }.encode();
+        // The retired version.
+        let v1 = text.replace(" v2", " v1");
+        assert!(PartitionManifest::decode(&v1).is_err());
         // Truncated part list.
-        let truncated: String = text.lines().take(4).collect::<Vec<_>>().join("\n");
-        assert!(PartitionManifest::<2>::decode(&truncated).is_err());
+        let truncated: String = text.lines().take(3).collect::<Vec<_>>().join("\n");
+        assert!(PartitionManifest::decode(&truncated).is_err());
+        // A part line that is not a count.
+        assert!(PartitionManifest::decode(&text.replace("part 5\n", "part five\n")).is_err());
+    }
+
+    #[test]
+    fn manifest_decode_refuses_a_partition_count_its_part_lines_do_not_back() {
+        for claimed in [u64::MAX.to_string(), (usize::MAX / 8).to_string()] {
+            let text = format!("{MANIFEST_HEADER}\npartitions {claimed}\npart 7\n");
+            let err = PartitionManifest::decode(&text).unwrap_err().to_string();
+            assert!(err.contains("partitions claimed but 1 listed"), "{err}");
+        }
+        let text = format!("{MANIFEST_HEADER}\npartitions 99999999999999999999999\n");
+        assert!(PartitionManifest::decode(&text).is_err());
     }
 
     #[test]
@@ -713,9 +617,9 @@ mod tests {
     #[test]
     fn from_parts_validates_counts() {
         let items = points(100, 41);
-        let (chunks, manifest) = hilbert_split(items, 2);
+        let manifest = build(items.clone(), 2).manifest();
         let mut trees = Vec::new();
-        for chunk in chunks {
+        for chunk in hilbert_split(items, 2) {
             let pool = Arc::new(BufferPool::new(Box::new(MemDisk::new(PAGE_SIZE)), 1024));
             trees.push(
                 RTree::<2>::bulk_load(
@@ -733,8 +637,8 @@ mod tests {
         assert!(PartitionedTree::from_parts(vec![one], manifest.clone()).is_err());
         // Mismatched counts rejected.
         let mut bad = manifest.clone();
-        bad.parts.truncate(1);
-        bad.parts[0].count += 1;
+        bad.counts.truncate(1);
+        bad.counts[0] += 1;
         assert!(PartitionedTree::from_parts(trees, bad).is_err());
     }
 
@@ -843,23 +747,24 @@ mod tests {
         let after = part.snapshot();
         assert_eq!(composed(&after), composed(&before) + 1);
         assert_eq!(before[2].len() + 1, after[2].len());
-        assert_eq!(
-            part.forest().bounds(),
-            part.manifest()
-                .parts
-                .iter()
-                .map(|m| m.mbr)
-                .collect::<Vec<_>>()
-        );
+        // Each snapshot's bound is its own version's: only the later one
+        // holds the new point, as the tree itself now does.
+        assert!(!before[2].bounds().contains_point(&p));
+        assert!(after[2].bounds().contains_point(&p));
+        assert_eq!(after[2].bounds(), part.partitions()[2].bounds());
+        let roots = |snaps: &[Snapshot<'_, 2>]| -> Vec<Rect<2>> {
+            let nodes = snaps.iter().map(|s| s.access_node(s.root()).unwrap());
+            nodes.map(|node| node.mbr()).collect()
+        };
+        let bounds = |snaps: &[Snapshot<'_, 2>]| -> Vec<Rect<2>> {
+            snaps.iter().map(TreeAccess::bounds).collect()
+        };
+        assert_eq!(bounds(&before), roots(&before));
+        assert_eq!(bounds(&after), roots(&after));
 
-        // A forest of one is bounded by the whole space: MINDIST 0 from
-        // anywhere, and it contains whatever is written later.
-        let one = Forest::<2, _>::of_one(&part.partitions()[0]);
+        // A forest of one is that tree, bounded by itself.
+        let one = Forest::of_one(&part.partitions()[0]);
         assert_eq!(one.trees().len(), 1);
-        let bound = one.bounds()[0];
-        assert_eq!(bound, whole_space());
-        for q in [[0.0, 0.0], [-1e300, 7.0], [f64::MAX, f64::MIN]] {
-            assert_eq!(nnq_geom::mindist_sq(&Point::new(q), &bound), 0.0);
-        }
+        assert_eq!(one.trees()[0].bounds(), part.partitions()[0].bounds());
     }
 }

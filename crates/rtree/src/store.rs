@@ -63,7 +63,7 @@ pub trait NodeStore<const D: usize> {
     fn free(&self, id: PageId) -> Result<()>;
 
     /// Persists the tree metadata.
-    fn write_meta(&self, meta: &Meta) -> Result<()>;
+    fn write_meta(&self, meta: &Meta<D>) -> Result<()>;
 
     /// Atomically publishes a new tree state built copy-on-write: `meta`
     /// is the new root/height/count and `shadow` lists the freshly
@@ -73,7 +73,7 @@ pub trait NodeStore<const D: usize> {
     /// only then install the meta page — so a crash at any point either
     /// replays the whole commit or none of it. The default (no journal)
     /// just writes the metadata.
-    fn publish(&self, meta: &Meta, _shadow: &[PageId]) -> Result<()> {
+    fn publish(&self, meta: &Meta<D>, _shadow: &[PageId]) -> Result<()> {
         self.write_meta(meta)
     }
 
@@ -239,7 +239,7 @@ impl<const D: usize> PagedStore<D> {
 
     /// Opens a store whose meta page is `meta_page`, returning the decoded
     /// metadata alongside.
-    pub fn open(pool: Arc<BufferPool>, meta_page: PageId) -> Result<(Self, Meta)> {
+    pub fn open(pool: Arc<BufferPool>, meta_page: PageId) -> Result<(Self, Meta<D>)> {
         Self::open_with_cache(pool, meta_page, Self::DEFAULT_CACHE_CAPACITY)
     }
 
@@ -249,7 +249,7 @@ impl<const D: usize> PagedStore<D> {
         pool: Arc<BufferPool>,
         meta_page: PageId,
         cache_capacity: usize,
-    ) -> Result<(Self, Meta)> {
+    ) -> Result<(Self, Meta<D>)> {
         let meta = {
             let guard = pool.fetch(meta_page)?;
             decode_meta(meta_page, &guard)?
@@ -371,13 +371,13 @@ impl<const D: usize> NodeStore<D> for PagedStore<D> {
         Ok(())
     }
 
-    fn write_meta(&self, meta: &Meta) -> Result<()> {
+    fn write_meta(&self, meta: &Meta<D>) -> Result<()> {
         let mut guard = self.pool.fetch_write(self.meta_page)?;
         encode_meta(&mut guard, meta);
         Ok(())
     }
 
-    fn publish(&self, meta: &Meta, shadow: &[PageId]) -> Result<()> {
+    fn publish(&self, meta: &Meta<D>, shadow: &[PageId]) -> Result<()> {
         if let Some(wal) = self.pool.wal() {
             // One commit group: every shadow page image, then the new
             // meta image, sealed by the commit record. Replay applies the
@@ -567,7 +567,7 @@ impl<const D: usize> NodeStore<D> for MemStore<D> {
         Ok(())
     }
 
-    fn write_meta(&self, _meta: &Meta) -> Result<()> {
+    fn write_meta(&self, _meta: &Meta<D>) -> Result<()> {
         Ok(()) // in-memory trees keep their meta in the RTree struct only
     }
 }

@@ -121,6 +121,12 @@ pub trait TreeAccess<const D: usize> {
     /// Number of data entries in the tree.
     fn num_records(&self) -> u64;
 
+    /// The root's MBR as last committed ([`Rect::empty`] for an empty
+    /// tree): it contains everything the tree holds, so the scatter-gather
+    /// search in `nnq-core` schedules and prunes whole trees by it. Read
+    /// from the committed meta; no page is read.
+    fn bounds(&self) -> Rect<D>;
+
     /// Hints that `page` will likely be accessed soon. Advisory and
     /// non-blocking; the default does nothing. Implementations must not
     /// let a hint change the result or the accounting of any subsequent
@@ -181,6 +187,10 @@ impl<const D: usize, S: NodeStore<D>> TreeAccess<D> for RTree<D, S> {
 
     fn num_records(&self) -> u64 {
         self.len()
+    }
+
+    fn bounds(&self) -> Rect<D> {
+        self.meta.read().bounds
     }
 
     fn prefetch_node(&self, page: PageId) {
@@ -293,7 +303,7 @@ impl Epochs {
 /// (a commit may reclaim pages an unpinned traversal still wants).
 pub struct Snapshot<'t, const D: usize, S: NodeStore<D> = PagedStore<D>> {
     tree: &'t RTree<D, S>,
-    meta: Meta,
+    meta: Meta<D>,
     epoch: u64,
     version: u64,
 }
@@ -346,6 +356,10 @@ impl<const D: usize, S: NodeStore<D>> TreeAccess<D> for Snapshot<'_, D, S> {
         self.meta.count
     }
 
+    fn bounds(&self) -> Rect<D> {
+        self.meta.bounds
+    }
+
     fn prefetch_node(&self, page: PageId) {
         self.tree.store.prefetch(page);
     }
@@ -396,7 +410,7 @@ impl<const D: usize, S: NodeStore<D>> Drop for Snapshot<'_, D, S> {
 pub struct RTree<const D: usize, S = PagedStore<D>> {
     store: S,
     /// The committed tree state; swapped atomically at commit.
-    meta: RwLock<Meta>,
+    meta: RwLock<Meta<D>>,
     /// The tree configuration (immutable after construction; also carried
     /// inside `meta` for persistence).
     config: RTreeConfig,
@@ -440,13 +454,7 @@ impl<const D: usize> RTree<D, PagedStore<D>> {
         let capacity = <PagedStore<D> as NodeStore<D>>::node_capacity(&store);
         let max_entries = config.effective_max(capacity);
         let min_entries = config.min_entries(max_entries);
-        let meta = Meta {
-            dims: D as u16,
-            root: PageId::INVALID,
-            height: 0,
-            count: 0,
-            config,
-        };
+        let meta = Meta::empty(config);
         NodeStore::<D>::write_meta(&store, &meta)?;
         Ok(Self {
             store,
@@ -463,15 +471,6 @@ impl<const D: usize> RTree<D, PagedStore<D>> {
     /// Opens an existing paged tree whose meta page is `meta_page`.
     pub fn open(pool: Arc<BufferPool>, meta_page: PageId) -> Result<Self> {
         let (store, meta) = PagedStore::open(pool, meta_page)?;
-        if meta.dims != D as u16 {
-            return Err(RTreeError::BadNode {
-                page: meta_page,
-                reason: format!(
-                    "dimension mismatch: tree has {}, caller wants {D}",
-                    meta.dims
-                ),
-            });
-        }
         let capacity = <PagedStore<D> as NodeStore<D>>::node_capacity(&store);
         let max_entries = meta.config.effective_max(capacity);
         let min_entries = meta.config.min_entries(max_entries);
@@ -527,17 +526,19 @@ impl<const D: usize> Default for MemRTree<D> {
 
 /// A copy-on-write transaction: the private working state of one mutation.
 ///
-/// `root`/`height`/`count` are the transaction's view of the tree;
-/// nothing becomes visible to readers until [`RTree::commit`] publishes
-/// them. `fresh` pages were allocated by this transaction — they are
-/// invisible to readers, so the transaction may rewrite them in place
+/// `root`/`height`/`count`/`bounds` are the transaction's view of the
+/// tree (`bounds` is the root's MBR, set wherever the root node is
+/// rewritten); nothing becomes visible to readers until [`RTree::commit`]
+/// publishes them. `fresh` pages were allocated by this transaction — they
+/// are invisible to readers, so the transaction may rewrite them in place
 /// (one copy per page per transaction, not per touch). `retired` pages
 /// belong to the committed tree and are handed to the epoch limbo at
 /// commit (or simply kept, on abort).
-struct Txn {
+struct Txn<const D: usize> {
     root: PageId,
     height: u32,
     count: u64,
+    bounds: Rect<D>,
     fresh: HashSet<PageId>,
     retired: Vec<PageId>,
 }
@@ -583,16 +584,6 @@ impl<const D: usize, S: NodeStore<D>> RTree<D, S> {
     /// The storage backend (advanced use).
     pub fn store(&self) -> &S {
         &self.store
-    }
-
-    /// The MBR of the whole dataset ([`Rect::empty`] when the tree is
-    /// empty).
-    pub fn bounds(&self) -> Result<Rect<D>> {
-        let root = self.root();
-        if !root.is_valid() {
-            return Ok(Rect::empty());
-        }
-        Ok(self.read_node(root)?.mbr())
     }
 
     /// Takes a consistent read view of the current committed state. Pages
@@ -643,20 +634,27 @@ impl<const D: usize, S: NodeStore<D>> RTree<D, S> {
         Ok(node.map(|node| NodeView::new(page, node)))
     }
 
-    pub(crate) fn make_meta(&self, root: PageId, height: u32, count: u64) -> Meta {
+    fn make_meta(&self, root: PageId, height: u32, count: u64, bounds: Rect<D>) -> Meta<D> {
         Meta {
             dims: D as u16,
             root,
             height,
             count,
+            bounds,
             config: self.config,
         }
     }
 
-    /// Installs the root pointer, height, and entry count after a bulk
-    /// load (see `bulk.rs`).
-    pub(crate) fn set_meta_after_bulk(&self, root: PageId, height: u32, count: u64) -> Result<()> {
-        let meta = self.make_meta(root, height, count);
+    /// Installs the root pointer, height, entry count and root MBR after a
+    /// bulk load (see `bulk.rs`).
+    pub(crate) fn set_meta_after_bulk(
+        &self,
+        root: PageId,
+        height: u32,
+        count: u64,
+        bounds: Rect<D>,
+    ) -> Result<()> {
+        let meta = self.make_meta(root, height, count, bounds);
         self.store.write_meta(&meta)?;
         let mut guard = self.meta.write();
         *guard = meta;
@@ -672,13 +670,7 @@ impl<const D: usize, S: NodeStore<D>> RTree<D, S> {
         let min_entries = config.min_entries(max_entries);
         Self {
             store,
-            meta: RwLock::new(Meta {
-                dims: D as u16,
-                root: PageId::INVALID,
-                height: 0,
-                count: 0,
-                config,
-            }),
+            meta: RwLock::new(Meta::empty(config)),
             config,
             writer: Mutex::new(()),
             epochs: Epochs::default(),
@@ -690,12 +682,13 @@ impl<const D: usize, S: NodeStore<D>> RTree<D, S> {
 
     // -- copy-on-write transaction machinery ---------------------------------
 
-    fn begin(&self) -> Txn {
+    fn begin(&self) -> Txn<D> {
         let meta = self.meta.read();
         Txn {
             root: meta.root,
             height: meta.height,
             count: meta.count,
+            bounds: meta.bounds,
             fresh: HashSet::new(),
             retired: Vec::new(),
         }
@@ -704,8 +697,8 @@ impl<const D: usize, S: NodeStore<D>> RTree<D, S> {
     /// Publishes the transaction: journals + installs the new meta
     /// (readers switch roots here), then retires replaced pages into the
     /// epoch limbo, freeing whatever no snapshot can still reach.
-    fn commit(&self, mut txn: Txn) -> Result<()> {
-        let meta = self.make_meta(txn.root, txn.height, txn.count);
+    fn commit(&self, mut txn: Txn<D>) -> Result<()> {
+        let meta = self.make_meta(txn.root, txn.height, txn.count, txn.bounds);
         let mut shadow: Vec<PageId> = txn.fresh.iter().copied().collect();
         shadow.sort_unstable(); // deterministic journal order
         if let Err(e) = self.store.publish(&meta, &shadow) {
@@ -727,7 +720,7 @@ impl<const D: usize, S: NodeStore<D>> RTree<D, S> {
 
     /// Releases a failed transaction's fresh pages; retired pages stay
     /// live (they are still referenced by the committed tree).
-    fn rollback(&self, txn: &mut Txn) {
+    fn rollback(&self, txn: &mut Txn<D>) {
         for page in txn.fresh.drain() {
             let _ = self.store.free(page);
         }
@@ -740,7 +733,7 @@ impl<const D: usize, S: NodeStore<D>> RTree<D, S> {
     /// retired. Returns the page id now holding the node.
     fn cow_write(
         &self,
-        txn: &mut Txn,
+        txn: &mut Txn<D>,
         page: PageId,
         level: u16,
         entries: &[Entry<D>],
@@ -757,7 +750,7 @@ impl<const D: usize, S: NodeStore<D>> RTree<D, S> {
     }
 
     /// Allocates a brand-new node owned by this transaction.
-    fn cow_alloc(&self, txn: &mut Txn, level: u16, entries: &[Entry<D>]) -> Result<PageId> {
+    fn cow_alloc(&self, txn: &mut Txn<D>, level: u16, entries: &[Entry<D>]) -> Result<PageId> {
         let page = self.store.alloc(level, entries)?;
         txn.fresh.insert(page);
         Ok(page)
@@ -765,7 +758,7 @@ impl<const D: usize, S: NodeStore<D>> RTree<D, S> {
 
     /// Discards the node at `page`: immediately if this transaction
     /// allocated it, else deferred to the commit's retirement batch.
-    fn cow_free(&self, txn: &mut Txn, page: PageId) -> Result<()> {
+    fn cow_free(&self, txn: &mut Txn<D>, page: PageId) -> Result<()> {
         if txn.fresh.remove(&page) {
             self.store.free(page)
         } else {
@@ -784,7 +777,7 @@ impl<const D: usize, S: NodeStore<D>> RTree<D, S> {
     /// and rewritten in place).
     fn replace_in_path(
         &self,
-        txn: &mut Txn,
+        txn: &mut Txn<D>,
         path: &[(PageId, usize)],
         mut old_child: PageId,
         mut new_child: PageId,
@@ -803,9 +796,11 @@ impl<const D: usize, S: NodeStore<D>> RTree<D, S> {
             new_child = new_page;
             child_mbr = entries_mbr(&entries);
         }
+        // Every level changed up to the root, whose MBR is now `child_mbr`.
         if txn.root == old_child {
             txn.root = new_child;
         }
+        txn.bounds = child_mbr;
         Ok(())
     }
 
@@ -829,7 +824,7 @@ impl<const D: usize, S: NodeStore<D>> RTree<D, S> {
             }
             pages.push(page);
         }
-        let meta = self.make_meta(PageId::INVALID, 0, 0);
+        let meta = Meta::empty(self.config);
         self.store.publish(&meta, &[])?;
         {
             let mut guard = self.meta.write();
@@ -901,11 +896,12 @@ impl<const D: usize, S: NodeStore<D>> RTree<D, S> {
         self.commit(txn)
     }
 
-    fn insert_txn(&self, txn: &mut Txn, entry: Entry<D>) -> Result<()> {
+    fn insert_txn(&self, txn: &mut Txn<D>, entry: Entry<D>) -> Result<()> {
         if txn.height == 0 {
             txn.root = self.cow_alloc(txn, 0, &[entry])?;
             txn.height = 1;
             txn.count = 1;
+            txn.bounds = entry.mbr;
             return Ok(());
         }
         let mut reinserted = HashSet::new();
@@ -919,7 +915,7 @@ impl<const D: usize, S: NodeStore<D>> RTree<D, S> {
     /// copy-on-write against `txn`.
     fn insert_at(
         &self,
-        txn: &mut Txn,
+        txn: &mut Txn<D>,
         entry: Entry<D>,
         target_level: u16,
         reinserted: &mut HashSet<u16>,
@@ -985,6 +981,7 @@ impl<const D: usize, S: NodeStore<D>> RTree<D, S> {
                         ],
                     )?;
                     txn.height += 1;
+                    txn.bounds = left_mbr.union(&right_mbr);
                     return Ok(());
                 }
                 Some((parent_page, idx)) => {
@@ -1064,7 +1061,7 @@ impl<const D: usize, S: NodeStore<D>> RTree<D, S> {
         }
     }
 
-    fn delete_txn(&self, txn: &mut Txn, mbr: &Rect<D>, rid: RecordId) -> Result<()> {
+    fn delete_txn(&self, txn: &mut Txn<D>, mbr: &Rect<D>, rid: RecordId) -> Result<()> {
         if txn.height == 0 {
             return Err(RTreeError::NotFound);
         }
@@ -1092,6 +1089,7 @@ impl<const D: usize, S: NodeStore<D>> RTree<D, S> {
             if is_root {
                 let new_page = self.cow_write(txn, page, level, &entries)?;
                 txn.root = new_page;
+                txn.bounds = entries_mbr(&entries);
                 break;
             }
             if entries.len() < self.min_entries {
@@ -1114,7 +1112,8 @@ impl<const D: usize, S: NodeStore<D>> RTree<D, S> {
             }
         }
 
-        // Shrink the root while it is an internal node with a single child.
+        // Shrink the root while it is an internal node with a single child
+        // (whose MBR is the root's).
         loop {
             let root = self.read_node(txn.root)?;
             if !root.is_leaf() && root.entries().len() == 1 {
@@ -1126,6 +1125,7 @@ impl<const D: usize, S: NodeStore<D>> RTree<D, S> {
                 self.cow_free(txn, txn.root)?;
                 txn.root = PageId::INVALID;
                 txn.height = 0;
+                txn.bounds = Rect::empty();
                 break;
             } else {
                 break;
@@ -1146,8 +1146,9 @@ impl<const D: usize, S: NodeStore<D>> RTree<D, S> {
     /// Reinserts an entry orphaned by CondenseTree at `level`. If the tree
     /// has shrunk below that level, the orphan's subtree is dismantled and
     /// its data entries inserted individually.
-    fn reinsert_orphan(&self, txn: &mut Txn, entry: Entry<D>, level: u16) -> Result<()> {
+    fn reinsert_orphan(&self, txn: &mut Txn<D>, entry: Entry<D>, level: u16) -> Result<()> {
         if txn.height == 0 {
+            txn.bounds = entry.mbr;
             if level == 0 {
                 txn.root = self.cow_alloc(txn, 0, &[entry])?;
                 txn.height = 1;
@@ -1177,7 +1178,12 @@ impl<const D: usize, S: NodeStore<D>> RTree<D, S> {
     /// Collects all data entries beneath `page`, discarding the visited
     /// nodes (copy-on-write: committed pages are retired, fresh ones
     /// freed).
-    fn collect_and_free(&self, txn: &mut Txn, page: PageId, out: &mut Vec<Entry<D>>) -> Result<()> {
+    fn collect_and_free(
+        &self,
+        txn: &mut Txn<D>,
+        page: PageId,
+        out: &mut Vec<Entry<D>>,
+    ) -> Result<()> {
         let node = self.read_node(page)?;
         if node.is_leaf() {
             out.extend_from_slice(node.entries());

@@ -2,7 +2,7 @@
 
 use crate::entry::entries_mbr;
 use crate::store::NodeStore;
-use crate::tree::RTree;
+use crate::tree::{RTree, TreeAccess};
 use crate::{RTreeError, Result};
 use nnq_geom::Rect;
 use nnq_storage::PageId;
@@ -41,7 +41,9 @@ impl<const D: usize, S: NodeStore<D>> RTree<D, S> {
     ///    least the configured minimum for non-root nodes;
     /// 4. child levels decrease by exactly one;
     /// 5. the recorded entry count matches the actual number of leaf
-    ///    entries.
+    ///    entries;
+    /// 6. the bound in the committed meta ([`TreeAccess::bounds`]) is the
+    ///    root node's MBR ([`Rect::empty`] when the tree is empty).
     ///
     /// Bulk-loaded (packed) trees may legitimately contain trailing nodes
     /// below the dynamic minimum fill, so [`RTree::validate`] uses the
@@ -49,14 +51,21 @@ impl<const D: usize, S: NodeStore<D>> RTree<D, S> {
     /// [`RTree::validate_strict`].
     pub fn validate_with(&self, strict_fill: bool) -> Result<()> {
         if self.height() == 0 {
-            if self.root().is_valid() || !self.is_empty() {
+            if self.root().is_valid() || !self.is_empty() || self.bounds() != Rect::empty() {
                 return Err(RTreeError::Invalid(
-                    "empty tree must have no root and zero count".into(),
+                    "empty tree must have no root, zero count and an empty bound".into(),
                 ));
             }
             return Ok(());
         }
         let root = self.read_node(self.root())?;
+        if self.bounds() != root.mbr() {
+            return Err(RTreeError::Invalid(format!(
+                "meta bound {:?} is not the root MBR {:?}",
+                self.bounds(),
+                root.mbr()
+            )));
+        }
         if u32::from(root.level()) != self.height() - 1 {
             return Err(RTreeError::Invalid(format!(
                 "root level {} does not match height {}",

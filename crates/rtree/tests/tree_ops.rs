@@ -2,7 +2,7 @@
 //! loading, and persistence, all cross-checked against brute force.
 
 use nnq_geom::{Point, Rect};
-use nnq_rtree::{BulkMethod, RTree, RTreeConfig, RecordId, SplitStrategy};
+use nnq_rtree::{BulkMethod, RTree, RTreeConfig, RecordId, SplitStrategy, TreeAccess};
 use nnq_storage::{BufferPool, FileDisk, MemDisk, PAGE_SIZE};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -64,7 +64,7 @@ fn empty_tree_behaves() {
     let tree = RTree::<2>::create(mem_pool(16), RTreeConfig::default()).unwrap();
     assert!(tree.is_empty());
     assert_eq!(tree.height(), 0);
-    assert!(tree.bounds().unwrap().is_empty());
+    assert!(tree.bounds().is_empty());
     assert!(tree
         .window(&Rect::new(Point::new([0.0, 0.0]), Point::new([1.0, 1.0])))
         .unwrap()

@@ -107,10 +107,11 @@ impl Default for ServeConfig {
 
 /// What the server serves: one R-tree, or a Hilbert-range partitioned
 /// forest behind scatter-gather. Either is served as a forest: each
-/// micro-batch runs against one snapshot of every tree, so reads proceed
-/// concurrently with the copy-on-write writer.
+/// micro-batch runs against one snapshot of every tree, bounded by that
+/// snapshot's own root MBR, so reads proceed concurrently with the
+/// copy-on-write writer and see wherever it wrote.
 pub enum Engine<'a> {
-    /// A single paged R-tree: a forest of one, bounded by the whole space.
+    /// A single paged R-tree: a forest of one.
     Single(&'a RTree<2>),
     /// A partitioned tree: each request runs its own scatter-gather pass
     /// over the partitions, requests fan out across the batch executor's
@@ -120,7 +121,7 @@ pub enum Engine<'a> {
 
 impl<'a> Engine<'a> {
     /// The forest every read of the engine runs on.
-    pub fn forest(&self) -> Forest<'a, 2, RTree<2>> {
+    pub fn forest(&self) -> Forest<'a, RTree<2>> {
         match *self {
             Engine::Single(tree) => Forest::of_one(tree),
             Engine::Partitioned(tree) => tree.forest(),
@@ -703,7 +704,7 @@ fn reader_loop(stream: TcpStream, conn: Arc<Conn>, shared: &Shared) {
 ///    their Ok responses; only the jobs that needed the traversal get
 ///    Errors.
 fn batch_loop<R: Refiner<2> + Sync>(
-    forest: Forest<'_, 2, RTree<2>>,
+    forest: Forest<'_, RTree<2>>,
     refiner: &R,
     config: &ServeConfig,
     shared: &Shared,
@@ -760,7 +761,7 @@ fn batch_loop<R: Refiner<2> + Sync>(
         let outcome: Executed = if miss_reqs.is_empty() {
             Ok((Vec::new(), BatchStats::default()))
         } else {
-            let forest = Forest::new(&snaps, forest.bounds());
+            let forest = Forest::new(&snaps);
             let block = controller.block_override();
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 let (threads, order) = (config.threads, JoinOrder::Hilbert);

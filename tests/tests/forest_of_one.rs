@@ -1,10 +1,10 @@
 //! An unpartitioned tree is a forest of one (DESIGN.md §"Partitioned
 //! trees"): every batch entry point runs it through the one scatter-gather
-//! executor, bounded by the whole space. That must be invisible: hits
-//! (records and distance bits), every `SearchStats` counter and the pages
-//! read equal the plain single-tree traversal's, for the empty tree too,
-//! and the whole-space bound keeps seeing whatever is written to the tree
-//! after the forest was formed.
+//! executor, bounded by its committed root MBR. That must be invisible:
+//! hits (records and distance bits), every `SearchStats` counter and the
+//! pages read equal the plain single-tree traversal's, for the empty tree
+//! too, and the bound keeps seeing whatever is written to the tree after
+//! the forest was formed.
 
 use nnq_core::{
     forest_batch, forest_batch_dedup, par_knn_batch, par_knn_batch_stats, par_mixed_batch_dedup,
@@ -95,7 +95,7 @@ fn every_batch_entry_point_over_one_tree_is_the_single_tree() {
         let (want_knn, knn_pages) = reference(&single, &knn);
         assert_eq!(want_pages == 0, n == 0);
         // The same tree again, as the one partition of a partitioned tree:
-        // bounded by its data's MBR, which an empty partition leaves empty.
+        // bounded by its data's MBR, which an empty tree leaves empty.
         let (config, method) = (RTreeConfig::default(), BulkMethod::Hilbert);
         let p1 = PartitionedTree::bulk_load_in_memory(items(n), 1, config, method, 1.0, 1 << 13, 1)
             .unwrap();
@@ -225,8 +225,8 @@ fn every_batch_entry_point_over_one_tree_is_the_single_tree() {
 #[test]
 fn a_forest_of_one_keeps_seeing_what_is_written_after_it_was_formed() {
     // Writes far outside the data's extent, and into a tree that was empty
-    // when its forest was formed: a bound frozen at the tree's MBR would
-    // prune both.
+    // when its forest was formed: a bound frozen when the forest was formed
+    // would prune both.
     let far = Point::new([9.0e6, -9.0e6]);
     for n in [3_000, 0] {
         let single = &tree(n);

@@ -17,7 +17,7 @@ use nnq_core::{
     BatchStats, JoinOrder, MbrRefiner, Neighbor, NnOptions, NnSearch, PartitionedStats,
     PrefetchPolicy, Refiner, SearchStats,
 };
-use nnq_geom::Point;
+use nnq_geom::{Point, Rect};
 use nnq_rtree::{
     BackendSignals, BulkMethod, Forest, NodeView, PartitionManifest, PartitionedTree, RTree,
     RTreeConfig, TreeAccess,
@@ -193,6 +193,9 @@ impl TreeAccess<2> for Observed<'_> {
     fn num_records(&self) -> u64 {
         self.tree.num_records()
     }
+    fn bounds(&self) -> Rect<2> {
+        self.tree.bounds()
+    }
     fn prefetch_node(&self, page: PageId) {
         self.speculative.fetch_add(1, Ordering::Relaxed);
         self.tree.prefetch_node(page);
@@ -326,7 +329,7 @@ fn batches_equal_the_sequential_loop_whatever_interleaves() {
 struct Parted<T: DiskManager> {
     disks: Vec<Arc<T>>,
     metas: Vec<PageId>,
-    manifest: PartitionManifest<2>,
+    manifest: PartitionManifest,
     /// Pages of the largest partition.
     pages: usize,
 }
@@ -358,7 +361,7 @@ fn build_parted<T: DiskManager + 'static>(disks: Vec<Arc<T>>) -> Parted<T> {
             .map(|part| part.pool().live_pages() as usize)
             .max()
             .unwrap(),
-        manifest: tree.manifest().clone(),
+        manifest: tree.manifest(),
         disks,
     }
 }
@@ -1104,10 +1107,9 @@ mod gated {
         // `a` searches its nearest partition first, unbounded: exactly as
         // a tree of its own.
         let near = tree
-            .manifest()
-            .parts
+            .partitions()
             .iter()
-            .map(|part| nnq_geom::mindist_sq(&a, &part.mbr))
+            .map(|part| nnq_geom::mindist_sq(&a, &part.bounds()))
             .enumerate()
             .min_by(|x, y| x.1.total_cmp(&y.1))
             .unwrap()

@@ -5,13 +5,16 @@
 //! *bit-identical* to the plain single tree, structure and counters both.
 
 use nnq_core::{
-    partitioned_knn, partitioned_knn_batch, scatter_radius, within_radius_with, MbrRefiner,
-    Neighbor, NnOptions, NnSearch, PartitionedStats, QueryCursor,
+    forest_batch, partitioned_knn, partitioned_knn_batch, scatter_radius, within_radius_with,
+    BatchQuery, JoinOrder, MbrRefiner, Neighbor, NnOptions, NnSearch, PartitionedStats,
+    QueryCursor,
 };
-use nnq_geom::Rect;
-use nnq_rtree::{BulkMethod, PartitionedTree, RTree, RTreeConfig, RecordId};
+use nnq_geom::{Point, Rect};
+use nnq_rtree::{BulkMethod, PartitionedTree, RTree, RTreeConfig, RecordId, TreeAccess};
+use nnq_serve::{Client, Engine, Request, Response, ServeConfig};
 use nnq_storage::{BufferPool, MemDisk, PAGE_SIZE};
 use nnq_workloads::{default_bounds, points_to_items, uniform_points, uniform_queries};
+use std::net::TcpListener;
 use std::sync::Arc;
 
 /// Pool big enough that every partition stays resident.
@@ -269,4 +272,66 @@ fn insert_many_is_equivalent_to_per_record_inserts() {
         assert_eq!(key(&ra), key(&rb));
         assert_eq!(stats_a, stats_b);
     }
+}
+
+/// A partition bounds itself by its committed root MBR, not by the region
+/// it was built for: a record written through partition 0 deep inside
+/// partition 3's region is found by every read path, the served one too.
+#[test]
+fn a_write_outside_its_partitions_build_bound_is_found_by_every_read_path() {
+    let tree = parted(4);
+    let (first, last) = (&tree.partitions()[0], &tree.partitions()[3]);
+    let p = last.bounds().center();
+    assert!(!first.bounds().contains_point(&p));
+    let rid = RecordId(9_000_000);
+    first.insert(&Rect::from_point(p), rid).unwrap();
+    assert!(first.bounds().contains_point(&p));
+
+    let q = Point::new([p[0] + 0.375, p[1] - 0.5]);
+    let opts = NnOptions::default();
+    let (found, _) = partitioned_knn(&tree, &q, 1, opts, &MbrRefiner, 2).unwrap();
+    assert_eq!(found[0].record, rid, "partitioned_knn");
+    let records = |found: &[Neighbor<2>]| found.iter().map(|n| n.record).collect::<Vec<_>>();
+    let (found, _) = scatter_radius(tree.forest(), &q, 1.0, opts, &MbrRefiner, 2).unwrap();
+    assert_eq!(records(&found), [rid], "scatter_radius");
+    let reqs = [
+        BatchQuery::Knn { q, k: 1 },
+        BatchQuery::Radius { q, radius: 1.0 },
+    ];
+    let (answers, _) = forest_batch(
+        tree.forest(),
+        &reqs,
+        opts,
+        &MbrRefiner,
+        2,
+        JoinOrder::AsGiven,
+        None,
+    )
+    .unwrap();
+    for (answer, what) in answers.iter().zip(["kNN", "radius"]) {
+        assert_eq!(records(&answer.0), [rid], "forest_batch {what}");
+    }
+
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let config = ServeConfig::default();
+    std::thread::scope(|scope| {
+        let tree = &tree;
+        let server = scope.spawn(move || {
+            nnq_serve::serve(&Engine::Partitioned(tree), &MbrRefiner, listener, &config).unwrap()
+        });
+        let mut client = Client::connect(addr).unwrap();
+        let (x, y) = (q[0], q[1]);
+        let served = client.call(&Request::Knn { id: 1, x, y, k: 1 }).unwrap();
+        let Response::Ok { hits, .. } = served else {
+            panic!("expected ok, got {served:?}");
+        };
+        assert_eq!(hits.len(), 1);
+        assert_eq!(hits[0].record, rid.0, "served");
+        assert!(matches!(
+            client.call(&Request::Shutdown).unwrap(),
+            Response::Bye
+        ));
+        server.join().unwrap();
+    });
 }

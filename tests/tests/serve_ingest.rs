@@ -8,15 +8,15 @@
 //! invalidate the whole cache, and a hot cached answer is never replayed
 //! once an insert has changed what the query must return. Both engines are
 //! forests: a partitioned one pins every partition at one composed version
-//! per batch, so each answer is that of one committed state, and a single
-//! tree is a forest of one whose bound never freezes.
+//! per batch, so each answer is that of one committed state, and every
+//! tree is bounded by its own committed root MBR, which never freezes.
 
 use nnq_core::{
     partitioned_knn, scatter_radius, within_radius_with, KernelMode, MbrRefiner, NnOptions,
     NnSearch,
 };
 use nnq_geom::{Point, Rect};
-use nnq_rtree::{BulkMethod, PartitionedTree, RTree, RTreeConfig, RecordId};
+use nnq_rtree::{BulkMethod, PartitionedTree, RTree, RTreeConfig, RecordId, TreeAccess};
 use nnq_serve::{Client, Engine, Request, Response, ServeConfig};
 use nnq_storage::{BufferPool, MemDisk, PAGE_SIZE};
 use nnq_workloads::{default_bounds, points_to_items, uniform_points, uniform_queries};
@@ -277,9 +277,9 @@ fn hot_cached_answer_dies_with_the_commit_that_outdates_it() {
     );
 }
 
-/// A single tree is served as a forest of one bounded by the whole space,
-/// so a tree that was empty when the server started still answers with
-/// whatever is committed into it later.
+/// A single tree is served as a forest of one bounded by its committed
+/// root MBR, so a tree that was empty when the server started still
+/// answers with whatever is committed into it later.
 #[test]
 fn a_single_engine_on_an_empty_tree_serves_what_is_committed_later() {
     let pool = Arc::new(BufferPool::new(Box::new(MemDisk::new(PAGE_SIZE)), 1 << 10));
@@ -358,12 +358,14 @@ fn answers_of(tree: &PartitionedTree<2>, requests: &[Request]) -> Vec<Served> {
 }
 
 /// The writer-under-traffic oracle on the partitioned engine: a writer
-/// commits inserts through the partitions (each inside its partition's
-/// manifest MBR, next to the queries aimed there) while the server answers
-/// with the result cache on. Every answer — hits and logical reads — must
-/// be the one some committed prefix of the writes gives, and since a
-/// batch's answers are exact at the composed version it pinned, every
-/// cache miss is filled.
+/// commits inserts through the partitions while the server answers with
+/// the result cache on. Half of the writes land inside the partition they
+/// go to, the other half deep inside a neighbour's region, outside the
+/// bound the partition was built with; every partition bounds itself by
+/// its committed root MBR, so each is found wherever it lies. Every answer
+/// — hits and logical reads — must be the one some committed prefix of the
+/// writes gives, and since a batch's answers are exact at the composed
+/// version it pinned, every cache miss is filled.
 #[test]
 fn the_partitioned_engine_answers_from_one_committed_state_while_a_writer_commits() {
     let parted = || {
@@ -372,24 +374,23 @@ fn the_partitioned_engine_answers_from_one_committed_state_while_a_writer_commit
         PartitionedTree::bulk_load_in_memory(items, 4, config, method, 1.0, 1 << 12, 1).unwrap()
     };
     let tree = parted();
-    let centers: Vec<Point<2>> = tree
-        .manifest()
-        .parts
-        .iter()
-        .map(|m| m.mbr.center())
-        .collect();
-    // Three writes per partition, a step apart beside its MBR's center.
+    let built: Vec<Rect<2>> = tree.partitions().iter().map(|t| t.bounds()).collect();
+    let centers: Vec<Point<2>> = built.iter().map(Rect::center).collect();
+    // Three writes per partition, a step apart. Write j goes to partition
+    // j mod 4; an even one lands beside that partition's own centre, an
+    // odd one beside the next partition's.
     let writes: Vec<(usize, Point<2>)> = (0..12)
         .map(|j| {
-            let c = centers[j % 4];
-            (
-                j % 4,
-                Point::new([c[0] + 0.5 + (j / 4) as f64, c[1] + 0.25]),
-            )
+            let c = centers[(j + j % 2) % 4];
+            let p = Point::new([
+                c[0] + 0.5 + (j / 4) as f64,
+                c[1] + 0.25 * (1 + j % 2) as f64,
+            ]);
+            (j % 4, p)
         })
         .collect();
-    for (i, p) in &writes {
-        assert!(tree.manifest().parts[*i].mbr.contains_point(p));
+    for (j, (i, p)) in writes.iter().enumerate() {
+        assert_eq!(built[*i].contains_point(p), j % 2 == 0, "write {j}");
     }
     let mut requests: Vec<Request> = Vec::new();
     for c in &centers {
@@ -422,6 +423,17 @@ fn the_partitioned_engine_answers_from_one_committed_state_while_a_writer_commit
         states[writes.len()],
         "the writes must change answers"
     );
+    // Once all are in, the radius query at each centre finds every write
+    // within its reach, whichever partition holds it.
+    for (c, centre) in centers.iter().enumerate() {
+        let (_, hits) = &states[writes.len()][2 * c + 1];
+        for (j, (_, p)) in writes.iter().enumerate() {
+            if p.dist(centre) <= 2.5 {
+                let rid = 5_000_000 + j as u64;
+                assert!(hits.iter().any(|h| h.0 == rid), "centre {c}: write {j}");
+            }
+        }
+    }
 
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();

@@ -1,22 +1,28 @@
 //! Readers racing a mutator over the copy-on-write update path.
 //!
-//! Two invariants from the issue's acceptance criteria:
+//! Two invariants:
 //!
 //! 1. **Prefix consistency.** Query threads holding [`RTree::snapshot`]s
 //!    while a mutator applies a scripted insert/delete sequence must
 //!    always return results equal to a brute-force oracle over *some
 //!    prefix* of the applied sequence — never a torn in-between state.
+//!    The same holds for scatter-gather queries over the snapshots of a
+//!    four-partition forest whose writes land wherever the script puts
+//!    them, inside their partition's build bound or not.
 //! 2. **Quiesced determinism.** After the race quiesces, the tree must be
 //!    structurally identical to one built by applying the same sequence
 //!    with no concurrency: per-query `logical_reads` byte-identical, and
 //!    query results equal to a bulk-loaded tree over the same final
 //!    contents.
 
-use nnq_core::{scan_items_knn, MbrRefiner, NnSearch};
+use nnq_core::{scan_items_knn, scatter_knn, MbrRefiner, NnOptions, NnSearch};
 use nnq_geom::{Point, Rect};
-use nnq_rtree::{BulkMethod, RTree, RTreeConfig, RecordId};
+use nnq_rtree::{
+    snapshot_all, BulkMethod, Forest, PartitionedTree, RTree, RTreeConfig, RecordId, TreeAccess,
+};
 use nnq_storage::{BufferPool, MemDisk, PAGE_SIZE};
 use nnq_workloads::{default_bounds, points_to_items, uniform_points, uniform_queries};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -279,4 +285,109 @@ fn quiesced_tree_is_byte_identical_to_sequential_build() {
             "quiesced tree disagrees with a bulk-loaded equal tree"
         );
     }
+}
+
+#[test]
+fn forest_queries_racing_writes_spread_over_four_partitions_match_a_prefix_oracle() {
+    const N_OPS: usize = 480;
+    const K: usize = 5;
+    const P: usize = 4;
+    let base = points_to_items(&uniform_points(600, &default_bounds(), 59));
+    let (ops, states) = build_script(&base, N_OPS);
+    let queries = uniform_queries(64, &default_bounds(), 61);
+    let (config, method) = (RTreeConfig::default(), BulkMethod::Hilbert);
+    let tree =
+        PartitionedTree::bulk_load_in_memory(base, P, config, method, 1.0, 1 << 12, 1).unwrap();
+
+    // Insert op i goes to partition i mod P, wherever its point lies; a
+    // delete goes to the partition holding its record.
+    let mut holder: HashMap<RecordId, usize> = HashMap::new();
+    for (i, part) in tree.partitions().iter().enumerate() {
+        holder.extend(part.scan().unwrap().into_iter().map(|(_, rid)| (rid, i)));
+    }
+    let targets: Vec<usize> = ops
+        .iter()
+        .enumerate()
+        .map(|(i, op)| match op {
+            Op::Insert(_, rid) => *holder.entry(*rid).or_insert(i % P),
+            Op::Delete(_, rid) => holder.remove(rid).expect("a delete's record is live"),
+        })
+        .collect();
+    let outside = ops.iter().zip(&targets).filter(|(op, &t)| {
+        let bound = tree.partitions()[t].bounds();
+        matches!(op, Op::Insert(mbr, _) if !bound.contains_rect(mbr))
+    });
+    assert!(
+        outside.count() > N_OPS / 4,
+        "most inserts must leave their build bound"
+    );
+
+    let applied = AtomicUsize::new(0);
+    let done = AtomicBool::new(false);
+    let mut observations: Vec<(usize, usize, usize, Vec<f64>)> = Vec::new();
+    std::thread::scope(|s| {
+        let mutator = s.spawn(|| {
+            for (op, &t) in ops.iter().zip(&targets) {
+                apply(&tree.partitions()[t], op);
+                applied.fetch_add(1, Ordering::Release);
+            }
+            done.store(true, Ordering::Release);
+        });
+        let readers: Vec<_> = (0..3)
+            .map(|tid| {
+                let (tree, applied, done, queries) = (&tree, &applied, &done, &queries);
+                s.spawn(move || {
+                    let mut seen = Vec::new();
+                    let opts = NnOptions::default();
+                    let search_iter = (0usize..).take_while(|_| !done.load(Ordering::Acquire));
+                    for it in search_iter {
+                        let qi = (it * 7 + tid * 13) % queries.len();
+                        let lo = applied.load(Ordering::Acquire);
+                        let snaps = snapshot_all(tree.partitions());
+                        let forest = Forest::new(&snaps);
+                        let (got, _) =
+                            scatter_knn(forest, &queries[qi], K, opts, &MbrRefiner, 1).unwrap();
+                        let hi = applied.load(Ordering::Acquire);
+                        if seen.len() < 500 {
+                            seen.push((lo, hi, qi, dists(&got)));
+                        }
+                    }
+                    seen
+                })
+            })
+            .collect();
+        mutator.join().unwrap();
+        for r in readers {
+            observations.extend(r.join().unwrap());
+        }
+    });
+
+    assert!(
+        observations.len() >= 10,
+        "the readers barely ran ({} observations) — not a race",
+        observations.len()
+    );
+    for (lo, hi, qi, got) in &observations {
+        let hi = (hi + 1).min(N_OPS);
+        let ok = (*lo..=hi).any(|j| {
+            let want = scan_items_knn(&states[j], &queries[*qi], K, &MbrRefiner);
+            dists(&want) == *got
+        });
+        assert!(
+            ok,
+            "query {qi} observed a state outside prefixes [{lo}, {hi}]: {got:?}"
+        );
+    }
+
+    // Quiesced: every partition is a valid tree, its bound included, and
+    // together they hold exactly what the whole script leaves.
+    let mut got = Vec::new();
+    for part in tree.partitions() {
+        part.validate().unwrap();
+        got.extend(part.scan().unwrap().iter().map(|(_, r)| r.0));
+    }
+    got.sort_unstable();
+    let mut want: Vec<u64> = states[N_OPS].iter().map(|(_, r)| r.0).collect();
+    want.sort_unstable();
+    assert_eq!(got, want);
 }
