@@ -3,16 +3,17 @@
 use crate::args::{Args, CliError};
 use nnq_core::{
     forest_batch, metric_knn, scatter_knn, scatter_radius, BatchQuery, FnRefiner, JoinOrder,
-    MbrRefiner, NnOptions, NnSearch, PartitionedStats, PrefetchPolicy, TuneController, TuneMode,
+    MbrRefiner, NnOptions, NnSearch, PartitionedStats, PrefetchPolicy,
 };
 use nnq_geom::{Metric, Point, Rect, Segment};
 use nnq_rtree::{
-    BackendSignals, BulkMethod, PartitionManifest, PartitionedTree, RTree, RTreeConfig, RecordId,
-    SplitStrategy, TreeAccess,
+    BulkMethod, PartitionManifest, PartitionedTree, RTree, RTreeConfig, RecordId, SplitStrategy,
+    TreeAccess,
 };
 use nnq_serve::Engine;
 use nnq_storage::{
-    BufferPool, DiskManager, FileDisk, LatencyDisk, LatencyProfile, PageId, Wal, PAGE_SIZE,
+    BufferPool, DiskManager, FileDisk, LatencyDisk, LatencyProfile, PageId, PrefetchStats, Wal,
+    PAGE_SIZE,
 };
 use nnq_workloads::{
     default_bounds, gaussian_clusters, load_segments_csv, save_segments_csv, segments_to_items,
@@ -221,10 +222,18 @@ fn with_index<T>(
     let text = std::fs::read_to_string(&manifest_path)
         .map_err(|e| CliError::Run(format!("reading {manifest_path}: {e}")))?;
     let manifest = PartitionManifest::decode(&text)?;
-    if manifest.counts.len() != expected {
+    let named = manifest.partitions;
+    if named != expected {
+        // A manifest naming a partition file that does not exist is
+        // corrupt; otherwise it is the flag that disagrees.
+        let last = partition_file(index, named - 1);
+        if !std::path::Path::new(&last).exists() {
+            return Err(CliError::Run(format!(
+                "{manifest_path} names {named} partitions but {last} does not exist"
+            )));
+        }
         return Err(CliError::Usage(format!(
-            "--partitions {expected} does not match {manifest_path} ({} partitions)",
-            manifest.counts.len()
+            "--partitions {expected} does not match {manifest_path} ({named} partitions)"
         )));
     }
     let parts = (0..expected)
@@ -248,9 +257,7 @@ fn open_index_tuned(path: &str, opts: &ReadPathOpts) -> Result<RTree<2>, CliErro
         Box::new(disk)
     };
     let mut pool = BufferPool::with_shards(disk, 4096, opts.pool_shards);
-    // The adaptive tuner needs the pipeline running even when the static
-    // policy is `off`: it may decide to raise the depth later.
-    if opts.prefetch != PrefetchPolicy::Off || opts.tune == TuneMode::Adaptive {
+    if opts.prefetch != PrefetchPolicy::Off {
         pool.start_prefetch(2, 64);
     }
     Ok(RTree::<2>::open(Arc::new(pool), PageId(0))?)
@@ -265,12 +272,6 @@ struct ReadPathOpts {
     pool_shards: usize,
     /// `--prefetch <off|N|adaptive>`: traversal prefetch policy.
     prefetch: PrefetchPolicy,
-    /// `--tune <off|adaptive>`: online self-tuning controller. Adaptive
-    /// mode resamples the backend counters between query batches and
-    /// retunes prefetch depth/workers, node-cache capacity, and claim-block
-    /// size — all accounting-neutral knobs, so results and pages/query are
-    /// bit-identical to `off`.
-    tune: TuneMode,
     /// `--io-lat-us N`: injected per-access device latency (0 = raw disk).
     io_lat_us: u64,
 }
@@ -281,7 +282,6 @@ impl Default for ReadPathOpts {
             threads: 1,
             pool_shards: 1,
             prefetch: PrefetchPolicy::Off,
-            tune: TuneMode::Off,
             io_lat_us: 0,
         }
     }
@@ -301,7 +301,6 @@ impl ReadPathOpts {
             threads,
             pool_shards,
             prefetch: parse_named(args, "prefetch", default.prefetch)?,
-            tune: parse_named(args, "tune", default.tune)?,
             io_lat_us: args.num("io-lat-us", default.io_lat_us)?,
         })
     }
@@ -321,49 +320,46 @@ where
     }
 }
 
-/// The tuning summary printed by `query` and `bench` when the controller
-/// is active: the final knob state plus how many observations moved a
-/// knob.
-fn tune_report(controller: &TuneController) -> Option<String> {
-    controller
-        .is_active()
-        .then(|| format!("tune adaptive: {}", controller.report()))
-}
-
-/// The counters of the forest's trees, summed, every prefetch pipeline
-/// quiesced first so each issued hint has been classified.
-fn forest_signals(trees: &[RTree<2>]) -> BackendSignals {
-    let mut sum = BackendSignals::default();
-    for tree in trees {
-        tree.pool().prefetch_quiesce();
-        sum.accumulate(&tree.backend_signals());
-    }
-    sum
-}
-
 /// The prefetch line of `query`, `bench` and `serve`, when the pipeline
-/// is on.
-fn prefetch_report(s: &BackendSignals, policy: PrefetchPolicy) -> Option<String> {
-    (s.prefetch_workers > 0).then(|| {
+/// is on: the trees' counters summed, every pipeline quiesced first so
+/// each issued hint has been classified.
+fn prefetch_report(trees: &[RTree<2>], policy: PrefetchPolicy) -> Option<String> {
+    let mut s = PrefetchStats::default();
+    let mut workers = 0;
+    for tree in trees {
+        let pool = tree.pool();
+        pool.prefetch_quiesce();
+        let pf = pool.prefetch_stats();
+        s.issued += pf.issued;
+        s.useful += pf.useful;
+        s.wasted += pf.wasted;
+        s.dropped += pf.dropped;
+        workers += pool.prefetch_workers();
+    }
+    (workers > 0).then(|| {
         format!(
             "prefetch {policy}: {} issued, {} useful, {} wasted, {} dropped, useful rate {:.1}%",
-            s.prefetch_issued,
-            s.prefetch_useful,
-            s.prefetch_wasted,
-            s.prefetch_dropped,
-            s.prefetch_useful as f64 / s.prefetch_issued.max(1) as f64 * 100.0
+            s.issued,
+            s.useful,
+            s.wasted,
+            s.dropped,
+            s.useful_rate() * 100.0
         )
     })
 }
 
-/// The node-cache line of `bench` and `serve`.
-fn node_cache_report(s: &BackendSignals) -> String {
-    let reads = s.cache_hits + s.cache_misses;
+/// The node-cache line of `bench` and `serve`: the trees' counters summed.
+fn node_cache_report(trees: &[RTree<2>]) -> String {
+    let (mut hits, mut reads, mut cached) = (0, 0, 0);
+    for tree in trees {
+        let c = tree.store().cache_stats();
+        hits += c.hits;
+        reads += c.hits + c.misses;
+        cached += c.len;
+    }
     format!(
-        "node cache: {} hits / {reads} reads ({:.1}% decode-free), {} nodes cached",
-        s.cache_hits,
-        s.cache_hits as f64 / reads.max(1) as f64 * 100.0,
-        s.cache_len
+        "node cache: {hits} hits / {reads} reads ({:.1}% decode-free), {cached} nodes cached",
+        hits as f64 / reads.max(1) as f64 * 100.0
     )
 }
 
@@ -455,13 +451,7 @@ pub fn query(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         let trees = forest.trees();
         let segments = load_segments_csv(args.req("data")?)?;
         check_pairing(forest.len(), &segments)?;
-        // The controller applies its initial knobs up front (one
-        // observation) and re-samples after the query so the report
-        // reflects real traffic.
-        let mut controller = TuneController::new(read.tune);
-        controller.observe_trees(trees);
-        let prefetch = controller.prefetch_policy().unwrap_or(read.prefetch);
-        let opts = NnOptions::with_prefetch(prefetch);
+        let opts = NnOptions::with_prefetch(read.prefetch);
         let (x, y) = args.coords("at")?;
         let q = Point::new([x, y]);
         let refiner = FnRefiner::new(|rid: RecordId, _: &Rect<2>, p: &Point<2>| {
@@ -519,11 +509,7 @@ pub fn query(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
             forest.pool_stats().hit_rate() * 100.0,
             elapsed.as_secs_f64() * 1e6
         )?;
-        if let Some(report) = prefetch_report(&forest_signals(trees), prefetch) {
-            writeln!(out, "({report})")?;
-        }
-        controller.observe_trees(trees);
-        if let Some(report) = tune_report(&controller) {
+        if let Some(report) = prefetch_report(trees, read.prefetch) {
             writeln!(out, "({report})")?;
         }
         Ok(())
@@ -551,36 +537,21 @@ pub fn bench(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
             segments[rid.0 as usize].dist_sq_to_point(p)
         });
 
-        // With tuning on, the batch runs in sub-batches with a controller
-        // observation between each — the knobs it moves are accounting-
-        // neutral, so pages/query matches the untuned run exactly.
-        let mut controller = TuneController::new(read.tune);
-        controller.observe_trees(trees);
-        let chunk = if controller.is_active() {
-            (n_queries / 8).max(1)
-        } else {
-            n_queries
-        };
         forest.reset_stats();
         let start = Instant::now();
+        let (answers, _) = forest_batch(
+            forest,
+            &requests,
+            NnOptions::with_prefetch(read.prefetch),
+            &refiner,
+            read.threads,
+            JoinOrder::AsGiven,
+            None,
+        )
+        .map_err(|e| CliError::Run(e.to_string()))?;
         let mut pstats = PartitionedStats::default();
-        for reqs in requests.chunks(chunk) {
-            let policy = controller.prefetch_policy().unwrap_or(read.prefetch);
-            let (answers, bstats) = forest_batch(
-                forest,
-                reqs,
-                NnOptions::with_prefetch(policy),
-                &refiner,
-                read.threads,
-                JoinOrder::AsGiven,
-                controller.block_override(),
-            )
-            .map_err(|e| CliError::Run(e.to_string()))?;
-            for (_, ps) in &answers {
-                pstats.accumulate(ps);
-            }
-            controller.observe_batch(&bstats);
-            controller.observe_trees(trees);
+        for (_, ps) in &answers {
+            pstats.accumulate(ps);
         }
         let elapsed = start.elapsed();
         // Per-query logical reads (the paper's "pages accessed") are
@@ -598,11 +569,10 @@ pub fn bench(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
             per_q(pool.physical_reads),
             pool.hit_rate() * 100.0
         )?;
-        let signals = forest_signals(trees);
         writeln!(
             out,
             "{}, {} thread(s), {} pool shard(s)",
-            node_cache_report(&signals),
+            node_cache_report(trees),
             read.threads,
             trees[0].pool().shard_count()
         )?;
@@ -613,11 +583,7 @@ pub fn bench(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
             per_q(pstats.partitions_pruned),
             per_q(pstats.rounds),
         )?;
-        let policy = controller.prefetch_policy().unwrap_or(read.prefetch);
-        if let Some(report) = prefetch_report(&signals, policy) {
-            writeln!(out, "{report}")?;
-        }
-        if let Some(report) = tune_report(&controller) {
+        if let Some(report) = prefetch_report(trees, read.prefetch) {
             writeln!(out, "{report}")?;
         }
         Ok(())
@@ -729,7 +695,6 @@ pub fn serve(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         batch_deadline: std::time::Duration::from_micros(batch_deadline_us),
         inbox_cap,
         prefetch: read.prefetch,
-        tune: read.tune,
         result_cache,
         max_in_flight,
     };
@@ -765,9 +730,8 @@ pub fn serve(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
             forest.trees().len(),
             forest.trees()[0].pool().shard_count()
         )?;
-        let signals = forest_signals(forest.trees());
-        writeln!(out, "{}", node_cache_report(&signals))?;
-        if let Some(r) = prefetch_report(&signals, read.prefetch) {
+        writeln!(out, "{}", node_cache_report(forest.trees()))?;
+        if let Some(r) = prefetch_report(forest.trees(), read.prefetch) {
             writeln!(out, "{r}")?;
         }
         Ok(report)
@@ -828,9 +792,6 @@ pub fn serve(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
             report.result_evictions,
             report.dedup_merged
         )?;
-    }
-    if let Some(r) = &report.tune_report {
-        writeln!(out, "tune adaptive: {r}")?;
     }
     Ok(())
 }

@@ -276,6 +276,69 @@ fn a_corrupt_manifest_is_an_error_not_a_panic() {
 }
 
 #[test]
+fn a_partition_written_after_its_build_is_still_read() {
+    // `ingest` commits to a partition file as to any tree. The manifest
+    // records P alone, so what the build counted cannot refuse the
+    // partitioned reads that follow.
+    let nnq = |args: &[&str]| {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_nnq"))
+            .args(args)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{args:?}: {stderr}");
+        String::from_utf8(out.stdout).unwrap()
+    };
+    let (built, extra, all) = (tmp("live.csv"), tmp("live-extra.csv"), tmp("live-all.csv"));
+    let parted = tmp("live-parted.rtree");
+    nnq(&["gen", "--kind", "uniform", "--n", "1000", "--out", &built]);
+    nnq(&[
+        "gen", "--kind", "uniform", "--n", "5", "--seed", "7", "--out", &extra,
+    ]);
+    nnq(&[
+        "build",
+        "--input",
+        &built,
+        "--index",
+        &parted,
+        "--method",
+        "hilbert",
+        "--partitions",
+        "2",
+    ]);
+    let p0 = format!("{parted}.p0");
+    nnq(&[
+        "ingest",
+        "--input",
+        &extra,
+        "--index",
+        &p0,
+        "--id-base",
+        "1000",
+    ]);
+    // The data file holds every record: the built ones, then the ingested.
+    let extra_text = std::fs::read_to_string(&extra).unwrap();
+    std::fs::write(&all, std::fs::read_to_string(&built).unwrap() + &extra_text).unwrap();
+
+    let first = extra_text.lines().find(|l| !l.starts_with('#')).unwrap();
+    let at = first.split(',').take(2).collect::<Vec<_>>().join(",");
+    let read = ["--data", &all, "--partitions", "2"];
+    let out = nnq(&[&["query", "--index", &parted, "--at", &at][..], &read].concat());
+    assert!(out.contains("1. segment #1000 "), "{out}");
+    let out = nnq(&[&["bench", "--index", &parted, "--queries", "50"][..], &read].concat());
+    assert!(
+        out.contains("50 queries (k = 10) over 2 partition(s)"),
+        "{out}"
+    );
+
+    for file in [&built, &extra, &all, &p0] {
+        std::fs::remove_file(file).ok();
+    }
+    std::fs::remove_file(format!("{parted}.p1")).ok();
+    std::fs::remove_file(format!("{parted}.manifest")).ok();
+}
+
+#[test]
 fn explain_join_and_metric_queries() {
     let data = tmp("ext.csv");
     let outer = tmp("ext-outer.csv");
@@ -655,165 +718,6 @@ fn prefetch_and_io_latency_flags() {
 
     std::fs::remove_file(&data).ok();
     std::fs::remove_file(&index).ok();
-}
-
-#[test]
-fn tune_flag_is_accounting_neutral_and_reports_knobs() {
-    let data = tmp("tune.csv");
-    let index = tmp("tune.rtree");
-    run_ok(&[
-        "gen",
-        "--kind",
-        "clustered",
-        "--n",
-        "4000",
-        "--seed",
-        "13",
-        "--out",
-        &data,
-    ]);
-    run_ok(&[
-        "build", "--input", &data, "--index", &index, "--method", "str",
-    ]);
-
-    // Bench: the controller may move any knob mid-run, but pages/query —
-    // the paper's metric — must match the untuned run exactly.
-    let bench_out = |extra: &[&str]| -> String {
-        let mut args = vec![
-            "bench",
-            "--index",
-            &index,
-            "--data",
-            &data,
-            "--queries",
-            "80",
-            "-k",
-            "5",
-        ];
-        args.extend_from_slice(extra);
-        run_ok(&args)
-    };
-    let pages = |out: &str| -> String {
-        out.lines()
-            .next()
-            .unwrap()
-            .split(", ")
-            .find(|f| f.ends_with("pages/query"))
-            .unwrap()
-            .to_string()
-    };
-    let off = bench_out(&["--tune", "off"]);
-    assert!(!off.contains("tune adaptive"), "{off}");
-    for extra in [
-        vec!["--tune", "adaptive"],
-        vec!["--tune", "adaptive", "--threads", "4"],
-        vec!["--tune", "adaptive", "--prefetch", "4", "--io-lat-us", "20"],
-    ] {
-        let on = bench_out(&extra);
-        assert_eq!(pages(&on), pages(&off), "{extra:?}: {on}");
-        assert!(on.contains("tune adaptive: depth="), "{on}");
-        assert!(on.contains("adjustments="), "{on}");
-        assert!(on.contains("samples="), "{on}");
-    }
-
-    // Query accepts the flag too and reports the final knob state.
-    let q = run_ok(&[
-        "query",
-        "--index",
-        &index,
-        "--data",
-        &data,
-        "--at",
-        "50000,50000",
-        "-k",
-        "3",
-        "--tune",
-        "adaptive",
-    ]);
-    assert!(q.contains("3 results"), "{q}");
-    assert!(q.contains("tune adaptive: depth="), "{q}");
-
-    // Bad values are usage errors on both commands.
-    let mut sink = Vec::new();
-    for bad in [
-        vec![
-            "bench",
-            "--index",
-            &index,
-            "--data",
-            &data,
-            "--tune",
-            "sometimes",
-        ],
-        vec![
-            "query", "--index", &index, "--data", &data, "--at", "0,0", "--tune", "on",
-        ],
-    ] {
-        assert!(
-            matches!(run(&argv(&bad), &mut sink), Err(CliError::Usage(_))),
-            "expected usage error for {bad:?}"
-        );
-    }
-
-    std::fs::remove_file(&data).ok();
-    std::fs::remove_file(&index).ok();
-}
-
-#[test]
-fn tune_flag_partitioned_matches_untuned() {
-    let data = tmp("tunep.csv");
-    let index = tmp("tunep.rtree");
-    run_ok(&[
-        "gen", "--kind", "tiger", "--n", "4000", "--seed", "17", "--out", &data,
-    ]);
-    run_ok(&[
-        "build",
-        "--input",
-        &data,
-        "--index",
-        &index,
-        "--method",
-        "hilbert",
-        "--partitions",
-        "4",
-    ]);
-    let bench_out = |extra: &[&str]| -> String {
-        let mut args = vec![
-            "bench",
-            "--index",
-            &index,
-            "--data",
-            &data,
-            "--queries",
-            "60",
-            "-k",
-            "5",
-            "--partitions",
-            "4",
-        ];
-        args.extend_from_slice(extra);
-        run_ok(&args)
-    };
-    let pages = |out: &str| -> String {
-        out.lines()
-            .next()
-            .unwrap()
-            .split(", ")
-            .find(|f| f.ends_with("pages/query"))
-            .unwrap()
-            .to_string()
-    };
-    let off = bench_out(&[]);
-    for threads in ["1", "4"] {
-        let on = bench_out(&["--tune", "adaptive", "--threads", threads]);
-        assert_eq!(pages(&on), pages(&off), "threads={threads}: {on}");
-        assert!(on.contains("tune adaptive: depth="), "{on}");
-    }
-    std::fs::remove_file(&data).ok();
-    for i in 0..4 {
-        std::fs::remove_file(format!("{index}.p{i}")).ok();
-    }
-    std::fs::remove_file(format!("{index}.manifest")).ok();
 }
 
 #[test]
@@ -1244,7 +1148,6 @@ fn serve_flag_validation() {
         vec!["serve", "--port", "70000"], // > u16::MAX
         vec!["serve", "--pool-shards", "3"],
         vec!["serve", "--prefetch", "sometimes"],
-        vec!["serve", "--tune", "maybe"],
         vec!["serve", "--partitions", "0"],
         vec!["serve"], // missing --index
     ] {

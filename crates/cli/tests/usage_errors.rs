@@ -156,6 +156,13 @@ fn unknown_and_removed_flags_are_refused() {
         "unknown flag `--kernel`",
         "kernel",
     );
+    for cmd in ["query", "bench", "serve"] {
+        assert_usage(
+            &fx.single(cmd, &["--tune", "adaptive"]),
+            "unknown flag `--tune`",
+            cmd,
+        );
+    }
     // A flag one subcommand takes is still unknown to another.
     assert_usage(
         &nnq(&["stats", "--index", &fx.index, "--threads", "2"]),

@@ -79,7 +79,6 @@ mod scatter;
 mod spatial_join;
 #[cfg(test)]
 mod stalling;
-mod tune;
 
 pub use best_first::{best_first_knn, best_first_knn_opts, best_first_knn_with};
 pub use branch_bound::{NnSearch, QueryCursor};
@@ -89,9 +88,7 @@ pub use heap::KnnHeap;
 pub use incremental::IncrementalNn;
 pub use join::{hilbert_schedule, knn_join, JoinOrder};
 pub use metric_knn::metric_knn;
-pub use options::{
-    AblOrdering, KernelMode, Neighbor, NnOptions, PrefetchPolicy, SearchStats, TuneMode,
-};
+pub use options::{AblOrdering, KernelMode, Neighbor, NnOptions, PrefetchPolicy, SearchStats};
 pub use parallel::{
     par_knn_batch, par_knn_batch_stats, par_mixed_batch_dedup, BatchQuery, BatchStats,
 };
@@ -104,7 +101,6 @@ pub use scatter::{
     scatter_radius, PartitionedStats,
 };
 pub use spatial_join::{intersection_join, intersection_join_with, JoinStats};
-pub use tune::{KnobSettings, TuneBounds, TuneController};
 
 /// Result alias shared with the index layer.
 pub type Result<T> = nnq_rtree::Result<T>;

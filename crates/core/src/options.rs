@@ -177,55 +177,6 @@ impl std::str::FromStr for PrefetchPolicy {
     }
 }
 
-/// Whether the online self-tuning controller ([`crate::tune`]) retunes the
-/// backend's runtime knobs between query batches.
-///
-/// Like every other knob in [`NnOptions`], tuning is strictly
-/// accounting-neutral: the controller only touches knobs proven not to
-/// affect `logical_reads` or [`SearchStats`] (prefetch depth/workers,
-/// decoded-node cache capacity, batch block size, per-partition cache
-/// budget), so results and the paper's page-access figures are
-/// bit-identical with tuning on, off, or mid-adjustment.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum TuneMode {
-    /// Knobs stay wherever they were set by hand. The default.
-    #[default]
-    Off,
-    /// The controller samples backend counters at batch granularity and
-    /// retunes the knobs.
-    Adaptive,
-}
-
-impl TuneMode {
-    /// Lower-case label for CLI/bench output.
-    pub fn label(self) -> &'static str {
-        match self {
-            TuneMode::Off => "off",
-            TuneMode::Adaptive => "adaptive",
-        }
-    }
-}
-
-impl std::fmt::Display for TuneMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.label())
-    }
-}
-
-impl std::str::FromStr for TuneMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "off" => Ok(TuneMode::Off),
-            "adaptive" => Ok(TuneMode::Adaptive),
-            other => Err(format!(
-                "unknown tune mode `{other}` (want off or adaptive)"
-            )),
-        }
-    }
-}
-
 /// Options controlling the branch-and-bound search.
 ///
 /// The defaults enable everything, matching the paper's full algorithm;
@@ -256,9 +207,6 @@ pub struct NnOptions {
     /// Prefetch-hint policy (see [`PrefetchPolicy`]); never changes
     /// results or page-access accounting, only wall-clock under latency.
     pub prefetch: PrefetchPolicy,
-    /// Online self-tuning of backend knobs between batches (see
-    /// [`TuneMode`]); never changes results or page-access accounting.
-    pub tune: TuneMode,
 }
 
 impl Default for NnOptions {
@@ -271,7 +219,6 @@ impl Default for NnOptions {
             epsilon: 0.0,
             kernel: KernelMode::default(),
             prefetch: PrefetchPolicy::default(),
-            tune: TuneMode::default(),
         }
     }
 }
@@ -307,14 +254,6 @@ impl NnOptions {
     pub fn with_prefetch(prefetch: PrefetchPolicy) -> Self {
         Self {
             prefetch,
-            ..Self::default()
-        }
-    }
-
-    /// The paper's full algorithm with an explicit tune mode.
-    pub fn with_tune(tune: TuneMode) -> Self {
-        Self {
-            tune,
             ..Self::default()
         }
     }
@@ -485,19 +424,6 @@ mod tests {
         // Off and explicit depths are never floored.
         assert_eq!(PrefetchPolicy::Off.resolve_with_activity(0.0, 0), 0);
         assert_eq!(PrefetchPolicy::Depth(5).resolve_with_activity(0.0, 0), 5);
-    }
-
-    #[test]
-    fn tune_mode_parses_and_prints() {
-        assert_eq!("off".parse::<TuneMode>().unwrap(), TuneMode::Off);
-        assert_eq!("adaptive".parse::<TuneMode>().unwrap(), TuneMode::Adaptive);
-        assert!("auto".parse::<TuneMode>().is_err());
-        assert_eq!(TuneMode::Adaptive.to_string(), "adaptive");
-        assert_eq!(NnOptions::default().tune, TuneMode::Off);
-        assert_eq!(
-            NnOptions::with_tune(TuneMode::Adaptive).tune,
-            TuneMode::Adaptive
-        );
     }
 
     #[test]

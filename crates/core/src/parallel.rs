@@ -281,7 +281,7 @@ pub(crate) fn interleaves<const D: usize, T: TreeAccess<D>>(trees: &[T], opts: &
             opts.prefetch
                 .resolve_with_activity(tree.io_miss_rate(), tree.io_reads())
                 > 0
-                && tree.backend_signals().prefetch_workers > 0
+                && tree.prefetch_workers() > 0
         })
 }
 

@@ -21,10 +21,9 @@
 //! the answer had when it was computed; the backend performs no reads,
 //! so pool counters advance only on misses.
 //!
-//! The container is `nnq_storage::ClockCache` (lock-striped CLOCK rings,
-//! in-place `resize` for the self-tuning controller), with the version
-//! check as its validity predicate and a hash of the key bytes as the
-//! stripe choice.
+//! The container is `nnq_storage::ClockCache` (lock-striped CLOCK rings),
+//! with the version check as its validity predicate and a hash of the key
+//! bytes as the stripe choice.
 
 use crate::options::{Neighbor, SearchStats};
 use crate::parallel::BatchQuery;
@@ -108,12 +107,6 @@ impl<const D: usize> ResultCache<D> {
     /// Drops every memoized answer (counters are kept).
     pub fn clear(&self) {
         self.0.clear();
-    }
-
-    /// Retunes the cache to hold `capacity` answers in place (see
-    /// `ClockCache::resize`). Returns the capacity installed.
-    pub fn resize(&self, capacity: usize) -> usize {
-        self.0.resize(capacity)
     }
 
     /// Counter snapshot.
@@ -229,7 +222,7 @@ mod tests {
     }
 
     #[test]
-    fn clock_evicts_unreferenced_first_and_resize_is_in_place() {
+    fn clock_evicts_past_capacity() {
         let cache = ResultCache::<2>::new(8);
         let keys: Vec<Vec<u8>> = (0..16u64)
             .map(|i| {
@@ -246,19 +239,5 @@ mod tests {
         let s = cache.stats();
         assert!(s.len <= 8);
         assert!(s.evictions >= 8, "over-filling a ring of 8 evicts");
-
-        // Shrink: occupants past the new capacity are evicted, len obeys.
-        cache.resize(2);
-        assert!(cache.stats().len <= 2);
-        assert_eq!(cache.stats().capacity, 2);
-        // Grow again and refill: the ring accepts new entries.
-        cache.resize(32);
-        for (i, key) in keys.iter().enumerate() {
-            cache.insert(key, 2, answer(i as u64));
-        }
-        assert_eq!(cache.stats().len, 16);
-        for key in &keys {
-            assert!(cache.lookup(key, 2).is_some());
-        }
     }
 }

@@ -2,11 +2,11 @@
 //!
 //! Every query path in `nnq-core` runs on a [`Forest`]: a slice of trees.
 //! Each tree carries its own bound: its committed meta holds its root's
-//! MBR ([`TreeAccess::bounds`]), which contains everything the tree holds
-//! whatever is written to it. The scatter-gather search orders and prunes
-//! the trees by MINDIST to those bounds. An unpartitioned tree is a forest
-//! of one ([`Forest::of_one`]); a [`PartitionedTree`] is the forest of its
-//! partitions.
+//! MBR ([`TreeAccess::bounds`](crate::TreeAccess::bounds)), which
+//! contains everything the tree holds whatever is written to it. The
+//! scatter-gather search orders and prunes the trees by MINDIST to those
+//! bounds. An unpartitioned tree is a forest of one ([`Forest::of_one`]);
+//! a [`PartitionedTree`] is the forest of its partitions.
 //!
 //! A [`PartitionedTree`] splits a dataset into `P` independent R-trees by
 //! Hilbert key range: every item is keyed by [`nnq_geom::hilbert_key`]
@@ -22,8 +22,9 @@
 //! Each partition is a complete, self-contained [`RTree`] on its **own**
 //! [`BufferPool`] (own frame budget, own decoded-node cache, own
 //! prefetcher). Beside the partition files, a [`PartitionManifest`]
-//! records how many partitions there are and how many entries each held,
-//! which is what the reopen path checks the opened trees against.
+//! records how many partitions there are. It records nothing about what
+//! they hold: each tree's committed meta is the truth about its entries
+//! and its bound, whatever has been written to it since the build.
 //!
 //! This is the in-process rehearsal of a scale-out deployment: each
 //! partition could live on its own machine.
@@ -32,7 +33,7 @@ use crate::bulk::BulkMethod;
 use crate::config::RTreeConfig;
 use crate::entry::RecordId;
 use crate::store::{NodeStore, PagedStore};
-use crate::tree::{RTree, Snapshot, TreeAccess};
+use crate::tree::{RTree, Snapshot};
 use crate::{RTreeError, Result};
 use nnq_geom::{hilbert_key, Rect};
 use nnq_storage::{BufferPool, MemDisk, PoolStats, PAGE_SIZE};
@@ -40,58 +41,39 @@ use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// What a partitioned index records beside its partition files: each
-/// partition's entry count, in partition order.
+/// What a partitioned index records beside its partition files: how many
+/// there are.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PartitionManifest {
-    /// Number of data entries per partition.
-    pub counts: Vec<u64>,
+    /// Number of partitions, `≥ 1`.
+    pub partitions: usize,
 }
 
-const MANIFEST_HEADER: &str = "nnq-partition-manifest v2";
+const MANIFEST_HEADER: &str = "nnq-partition-manifest v3";
 
 impl PartitionManifest {
-    /// Serializes the manifest to its text form: the header, a
-    /// `partitions P` line, then one `part <count>` line per partition.
+    /// Serializes the manifest to its text form: the header, then a
+    /// `partitions P` line.
     pub fn encode(&self) -> String {
-        use std::fmt::Write;
-        let mut out = format!("{MANIFEST_HEADER}\npartitions {}\n", self.counts.len());
-        for count in &self.counts {
-            let _ = writeln!(out, "part {count}");
-        }
-        out
+        format!("{MANIFEST_HEADER}\npartitions {}\n", self.partitions)
     }
 
     /// Parses a manifest previously produced by
-    /// [`PartitionManifest::encode`]. The partition count is only what the
-    /// file claims: fewer `part` lines than it names are an error, and
-    /// nothing is allocated from it up front.
+    /// [`PartitionManifest::encode`]. Another version's header, or a
+    /// partition count that is missing or zero, is an error.
     pub fn decode(text: &str) -> Result<Self> {
-        let bad = |msg: String| RTreeError::Invalid(format!("manifest: {msg}"));
+        let bad = |msg: &str| RTreeError::Invalid(format!("manifest: {msg}"));
         let mut lines = text.lines();
         if lines.next() != Some(MANIFEST_HEADER) {
-            return Err(bad("missing or unknown header".into()));
+            return Err(bad("missing or unknown header"));
         }
-        let partitions: usize = lines
+        let partitions = lines
             .next()
             .and_then(|line| line.strip_prefix("partitions "))
             .and_then(|n| n.parse().ok())
-            .ok_or_else(|| bad("malformed partitions line".into()))?;
-        let counts = lines
-            .take(partitions)
-            .map(|line| {
-                line.strip_prefix("part ")
-                    .and_then(|n| n.parse().ok())
-                    .ok_or_else(|| bad(format!("malformed part line {line:?}")))
-            })
-            .collect::<Result<Vec<u64>>>()?;
-        if counts.len() < partitions {
-            return Err(bad(format!(
-                "{partitions} partitions claimed but {} listed",
-                counts.len()
-            )));
-        }
-        Ok(Self { counts })
+            .filter(|&p| p > 0)
+            .ok_or_else(|| bad("malformed partitions line"))?;
+        Ok(Self { partitions })
     }
 }
 
@@ -135,7 +117,7 @@ pub(crate) fn hilbert_split<const D: usize>(
 }
 
 /// Trees: what every query path runs on (module docs). Each tree bounds
-/// itself ([`TreeAccess::bounds`]).
+/// itself ([`TreeAccess::bounds`](crate::TreeAccess::bounds)).
 pub struct Forest<'a, T> {
     trees: &'a [T],
 }
@@ -223,62 +205,6 @@ pub fn snapshot_all<const D: usize, S: NodeStore<D>>(
             return snaps;
         }
     }
-}
-
-/// Redistributes a decoded-node cache budget of `total` nodes across
-/// `trees`, proportionally to each tree's pool miss rate (lifetime, per
-/// the current counters) with an equal-share floor of `floor` nodes so no
-/// tree is starved: the worst-missing trees get the most decode headroom.
-/// With no reads anywhere the budget falls back to an even split; one tree
-/// gets all of it. Returns the installed per-tree capacities.
-///
-/// Accounting-neutral: only [`TreeAccess::set_cache_capacity`] is
-/// touched, which never changes page-access counters.
-pub fn rebalance_cache_budget<const D: usize, T: TreeAccess<D>>(
-    trees: &[T],
-    total: usize,
-    floor: usize,
-) -> Vec<usize> {
-    let p = trees.len();
-    if p == 0 {
-        return Vec::new();
-    }
-    let floor = floor.min(total / p);
-    let spread = total - floor * p;
-    let miss: Vec<f64> = trees
-        .iter()
-        .map(|t| {
-            let s = t.backend_signals();
-            s.physical_reads as f64 / s.logical_reads.max(1) as f64
-        })
-        .collect();
-    let sum: f64 = miss.iter().sum();
-    let caps: Vec<usize> = if sum <= 0.0 {
-        // Nothing measured (or perfectly warm everywhere): even split.
-        let base = total / p;
-        let rem = total % p;
-        (0..p).map(|i| base + usize::from(i < rem)).collect()
-    } else {
-        let mut caps: Vec<usize> = miss
-            .iter()
-            .map(|m| floor + ((m / sum) * spread as f64) as usize)
-            .collect();
-        // Hand rounding leftovers to the worst misser so the budget is
-        // fully spent.
-        let spent: usize = caps.iter().sum();
-        let worst = miss
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.total_cmp(b.1))
-            .map(|(i, _)| i)
-            .expect("p > 0");
-        caps[worst] += total - spent;
-        caps
-    };
-    for (tree, &cap) in trees.iter().zip(&caps) {
-        tree.set_cache_capacity(cap);
-    }
-    caps
 }
 
 /// A dataset split into `P` independent R-trees by Hilbert key range.
@@ -370,25 +296,18 @@ impl<const D: usize> PartitionedTree<D> {
 
     /// Assembles a partitioned tree from already-built partitions (the
     /// reopen path: partitions opened from their own files plus a decoded
-    /// manifest). Validates that the manifest and trees agree.
+    /// manifest). Validates that the manifest names as many partitions as
+    /// were supplied.
     pub fn from_parts(
         parts: Vec<RTree<D, PagedStore<D>>>,
         manifest: PartitionManifest,
     ) -> Result<Self> {
-        if parts.len() != manifest.counts.len() {
+        if parts.len() != manifest.partitions {
             return Err(RTreeError::Invalid(format!(
                 "manifest lists {} partitions but {} trees were supplied",
-                manifest.counts.len(),
+                manifest.partitions,
                 parts.len()
             )));
-        }
-        for (i, (tree, &count)) in parts.iter().zip(&manifest.counts).enumerate() {
-            if tree.len() != count {
-                return Err(RTreeError::Invalid(format!(
-                    "partition {i}: manifest says {count} entries, tree has {}",
-                    tree.len()
-                )));
-            }
         }
         Ok(Self { parts })
     }
@@ -409,11 +328,11 @@ impl<const D: usize> PartitionedTree<D> {
         snapshot_all(&self.parts)
     }
 
-    /// The manifest of the partitions as they stand: what a reopen
-    /// checks the opened trees against.
+    /// The manifest of the partitions: what a reopen checks the number of
+    /// opened trees against.
     pub fn manifest(&self) -> PartitionManifest {
         PartitionManifest {
-            counts: self.parts.iter().map(RTree::len).collect(),
+            partitions: self.parts.len(),
         }
     }
 }
@@ -421,6 +340,7 @@ impl<const D: usize> PartitionedTree<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tree::TreeAccess;
     use nnq_geom::Point;
     use nnq_storage::PageId;
     use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -492,17 +412,13 @@ mod tests {
         let mut ids: Vec<u64> = chunks.iter().flatten().map(|(_, rid)| rid.0).collect();
         ids.sort_unstable();
         assert_eq!(ids, (0..1003).collect::<Vec<_>>());
-        // Each partition bounds itself by exactly its chunk's MBR, and the
-        // manifest counts its entries.
+        // Each partition bounds itself by exactly its chunk's MBR and holds
+        // its entries.
         let tree = build(items, 4);
         assert_eq!(tree.forest().len(), 1003);
-        for ((chunk, part), &count) in chunks
-            .iter()
-            .zip(tree.partitions())
-            .zip(&tree.manifest().counts)
-        {
+        for (chunk, part) in chunks.iter().zip(tree.partitions()) {
             assert_eq!(part.bounds(), mbr_of(chunk));
-            assert_eq!(count as usize, chunk.len());
+            assert_eq!(part.len() as usize, chunk.len());
         }
     }
 
@@ -514,8 +430,8 @@ mod tests {
         assert!(chunks[..3].iter().all(|c| c.len() == 1));
         assert!(chunks[3..].iter().all(Vec::is_empty));
         let tree = build(items, 8);
-        assert_eq!(tree.manifest().counts[3..], [0; 5]);
         for part in &tree.partitions()[3..] {
+            assert_eq!(part.len(), 0);
             assert!(part.bounds().is_empty());
         }
     }
@@ -527,7 +443,7 @@ mod tests {
         assert_eq!(decoded, manifest);
         // Including empty partitions.
         let manifest = build(points(2, 3), 4).manifest();
-        assert_eq!(manifest.counts, [1, 1, 0, 0]);
+        assert_eq!(manifest.partitions, 4);
         let decoded = PartitionManifest::decode(&manifest.encode()).unwrap();
         assert_eq!(decoded, manifest);
     }
@@ -535,26 +451,17 @@ mod tests {
     #[test]
     fn manifest_decode_rejects_garbage() {
         assert!(PartitionManifest::decode("not a manifest").is_err());
-        let text = PartitionManifest { counts: vec![5, 5] }.encode();
-        // The retired version.
-        let v1 = text.replace(" v2", " v1");
-        assert!(PartitionManifest::decode(&v1).is_err());
-        // Truncated part list.
-        let truncated: String = text.lines().take(3).collect::<Vec<_>>().join("\n");
-        assert!(PartitionManifest::decode(&truncated).is_err());
-        // A part line that is not a count.
-        assert!(PartitionManifest::decode(&text.replace("part 5\n", "part five\n")).is_err());
-    }
-
-    #[test]
-    fn manifest_decode_refuses_a_partition_count_its_part_lines_do_not_back() {
-        for claimed in [u64::MAX.to_string(), (usize::MAX / 8).to_string()] {
-            let text = format!("{MANIFEST_HEADER}\npartitions {claimed}\npart 7\n");
-            let err = PartitionManifest::decode(&text).unwrap_err().to_string();
-            assert!(err.contains("partitions claimed but 1 listed"), "{err}");
+        let text = PartitionManifest { partitions: 2 }.encode();
+        // The retired versions.
+        for old in [" v1", " v2"] {
+            assert!(PartitionManifest::decode(&text.replace(" v3", old)).is_err());
         }
-        let text = format!("{MANIFEST_HEADER}\npartitions 99999999999999999999999\n");
-        assert!(PartitionManifest::decode(&text).is_err());
+        // No partitions line.
+        assert!(PartitionManifest::decode(MANIFEST_HEADER).is_err());
+        // A count that is not a count, or zero.
+        for bad in ["partitions two", "partitions 0", "partitions -1"] {
+            assert!(PartitionManifest::decode(&text.replace("partitions 2", bad)).is_err());
+        }
     }
 
     #[test]
@@ -634,12 +541,7 @@ mod tests {
         }
         // Mismatched lengths rejected.
         let one = trees.pop().unwrap();
-        assert!(PartitionedTree::from_parts(vec![one], manifest.clone()).is_err());
-        // Mismatched counts rejected.
-        let mut bad = manifest.clone();
-        bad.counts.truncate(1);
-        bad.counts[0] += 1;
-        assert!(PartitionedTree::from_parts(trees, bad).is_err());
+        assert!(PartitionedTree::from_parts(vec![one], manifest).is_err());
     }
 
     #[test]
@@ -659,67 +561,6 @@ mod tests {
         for tree in part.partitions() {
             assert_eq!(tree.root(), PageId::INVALID);
         }
-    }
-
-    #[test]
-    fn cache_budget_rebalance_spends_total_and_favors_missers() {
-        let part = PartitionedTree::bulk_load_in_memory(
-            points(2000, 31),
-            4,
-            RTreeConfig::default(),
-            BulkMethod::Hilbert,
-            1.0,
-            4096,
-            1,
-        )
-        .unwrap();
-
-        // No reads yet: even split, budget fully spent.
-        let caps = rebalance_cache_budget(part.partitions(), 1000, 64);
-        assert_eq!(caps.len(), 4);
-        assert_eq!(caps.iter().sum::<usize>(), 1000);
-        assert!(caps.iter().all(|&c| c == 250));
-        for (tree, &cap) in part.partitions().iter().zip(&caps) {
-            assert_eq!(tree.store().cache_stats().capacity, cap);
-        }
-
-        // Heat up partition 0 (warm: all hits after first pass) and leave
-        // partition 3 cold-missing by clearing its frames between reads.
-        part.forest().reset_stats();
-        let p0 = &part.partitions()[0];
-        let r0 = p0.access_root().unwrap();
-        for _ in 0..64 {
-            p0.read_node(r0).unwrap();
-        }
-        let p3 = &part.partitions()[3];
-        let r3 = p3.access_root().unwrap();
-        for _ in 0..64 {
-            p3.pool().clear_cache().unwrap();
-            p3.read_node(r3).unwrap();
-        }
-        let caps = rebalance_cache_budget(part.partitions(), 1000, 64);
-        assert_eq!(caps.iter().sum::<usize>(), 1000);
-        assert!(caps.iter().all(|&c| c >= 64), "floor violated: {caps:?}");
-        assert!(
-            caps[3] > caps[0],
-            "worst misser must get the biggest share: {caps:?}"
-        );
-
-        // Per-partition signals expose the same counters the budget used.
-        let signals: Vec<_> = part
-            .partitions()
-            .iter()
-            .map(|t| t.backend_signals())
-            .collect();
-        assert_eq!(signals.len(), 4);
-        assert!(signals[3].physical_reads > signals[0].physical_reads);
-        assert_eq!(signals[3].cache_capacity, caps[3]);
-
-        // One tree gets the whole budget, whatever it missed.
-        assert_eq!(
-            rebalance_cache_budget(&part.partitions()[3..], 700, 64),
-            [700]
-        );
     }
 
     #[test]

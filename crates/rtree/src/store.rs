@@ -89,8 +89,7 @@ pub trait NodeStore<const D: usize> {
     /// not enter: a pool whose every cold page arrives through a hint is
     /// as cold as one that takes every miss itself, and must not look
     /// warm to the adaptive prefetch policy in `nnq-core`, which keys on
-    /// this (as does `TuneController`, on per-batch deltas of the same
-    /// three counters).
+    /// this.
     fn io_miss_rate(&self) -> f64 {
         0.0
     }
@@ -103,86 +102,11 @@ pub trait NodeStore<const D: usize> {
         0
     }
 
-    /// Snapshot of the backend's tuning signals (pool, prefetch, and
-    /// node-cache counters). Backends without such counters return the
-    /// all-zero default, which the controller treats as "nothing to tune".
-    fn backend_signals(&self) -> BackendSignals {
-        BackendSignals::default()
-    }
-
-    /// Retunes the backend's decoded-node cache to hold `cap` nodes, if it
-    /// has one. Must be accounting-neutral (page-access counters cannot
-    /// depend on cache contents). Returns the installed capacity (`0`
-    /// where the knob does not exist).
-    fn set_cache_capacity(&self, _cap: usize) -> usize {
+    /// Background readers that serve this backend's hints (`0` where
+    /// there is no prefetcher). `nnq-core` interleaves a batch only over
+    /// a backend that has some.
+    fn prefetch_workers(&self) -> usize {
         0
-    }
-
-    /// Sets how many background prefetch workers actively service hints,
-    /// if the backend has a prefetcher. Returns the active count after
-    /// clamping (`0` where the knob does not exist).
-    fn set_prefetch_workers(&self, _n: usize) -> usize {
-        0
-    }
-}
-
-/// One snapshot of every counter the self-tuning controller reads,
-/// gathered across the storage stack (buffer pool, prefetch pipeline,
-/// decoded-node cache) by [`NodeStore::backend_signals`].
-///
-/// All counters are cumulative since the last stats reset; the controller
-/// works on deltas between successive snapshots. Every one of them lives
-/// *outside* the query result path — they describe how the backend served
-/// reads, never what the reads returned — which is why a controller acting
-/// on them is accounting-neutral by construction.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct BackendSignals {
-    /// Pool page fetches (the paper's "pages accessed").
-    pub logical_reads: u64,
-    /// Pool fetches served from a resident frame.
-    pub pool_hits: u64,
-    /// Pool fetches that went to the device.
-    pub physical_reads: u64,
-    /// Prefetch hints issued (see `PrefetchStats`).
-    pub prefetch_issued: u64,
-    /// Prefetched frames later claimed by a demand fetch.
-    pub prefetch_useful: u64,
-    /// Prefetched frames evicted/cleared untouched.
-    pub prefetch_wasted: u64,
-    /// Hints that never reached the device.
-    pub prefetch_dropped: u64,
-    /// Decoded-node cache probes served without a decode.
-    pub cache_hits: u64,
-    /// Decoded-node cache probes that had to decode.
-    pub cache_misses: u64,
-    /// Decoded nodes dropped to make room (or by a shrinking resize).
-    pub cache_evictions: u64,
-    /// Nodes currently cached.
-    pub cache_len: usize,
-    /// Current decoded-node cache capacity.
-    pub cache_capacity: usize,
-    /// Prefetch workers currently servicing hints.
-    pub prefetch_workers: usize,
-}
-
-impl BackendSignals {
-    /// Adds `other` counter-wise; gauges (`cache_len`, `cache_capacity`,
-    /// `prefetch_workers`) are summed too, giving dataset-wide totals for
-    /// a partitioned tree.
-    pub fn accumulate(&mut self, other: &BackendSignals) {
-        self.logical_reads += other.logical_reads;
-        self.pool_hits += other.pool_hits;
-        self.physical_reads += other.physical_reads;
-        self.prefetch_issued += other.prefetch_issued;
-        self.prefetch_useful += other.prefetch_useful;
-        self.prefetch_wasted += other.prefetch_wasted;
-        self.prefetch_dropped += other.prefetch_dropped;
-        self.cache_hits += other.cache_hits;
-        self.cache_misses += other.cache_misses;
-        self.cache_evictions += other.cache_evictions;
-        self.cache_len += other.cache_len;
-        self.cache_capacity += other.cache_capacity;
-        self.prefetch_workers += other.prefetch_workers;
     }
 }
 
@@ -301,15 +225,6 @@ impl<const D: usize> PagedStore<D> {
     pub fn clear_node_cache(&self) {
         self.cache.clear();
     }
-
-    /// Retunes the decoded-node cache to hold `cap` nodes in place (see
-    /// [`ClockCache::resize`]). Safe at
-    /// any point — including mid-query — because `read` fetches the page
-    /// from the pool before probing the cache, so page accounting never
-    /// depends on cache contents. Returns the installed capacity.
-    pub fn resize_node_cache(&self, cap: usize) -> usize {
-        self.cache.resize(cap)
-    }
 }
 
 impl<const D: usize> PagedStore<D> {
@@ -423,33 +338,8 @@ impl<const D: usize> NodeStore<D> for PagedStore<D> {
         self.pool.stats().logical_reads
     }
 
-    fn backend_signals(&self) -> BackendSignals {
-        let pool = self.pool.stats();
-        let pf = self.pool.prefetch_stats();
-        let cache = self.cache.stats();
-        BackendSignals {
-            logical_reads: pool.logical_reads,
-            pool_hits: pool.hits,
-            physical_reads: pool.physical_reads,
-            prefetch_issued: pf.issued,
-            prefetch_useful: pf.useful,
-            prefetch_wasted: pf.wasted,
-            prefetch_dropped: pf.dropped,
-            cache_hits: cache.hits,
-            cache_misses: cache.misses,
-            cache_evictions: cache.evictions,
-            cache_len: cache.len,
-            cache_capacity: cache.capacity,
-            prefetch_workers: self.pool.prefetch_workers(),
-        }
-    }
-
-    fn set_cache_capacity(&self, cap: usize) -> usize {
-        self.resize_node_cache(cap)
-    }
-
-    fn set_prefetch_workers(&self, n: usize) -> usize {
-        self.pool.set_prefetch_workers(n)
+    fn prefetch_workers(&self) -> usize {
+        self.pool.prefetch_workers()
     }
 }
 
@@ -758,75 +648,6 @@ mod tests {
                 assert_eq!(raw.entries[0].record(), RecordId(i as u64));
             }
         }
-    }
-
-    #[test]
-    fn node_cache_resize_grows_and_shrinks_in_place() {
-        let store = paged(8);
-        let ids: Vec<_> = (0..8)
-            .map(|i| store.alloc(0, &[entry(i)]).unwrap())
-            .collect();
-        for &id in &ids {
-            NodeStore::read(&store, id).unwrap();
-        }
-        assert_eq!(store.cache_stats().len, 8);
-        let stripes = store.cache_stats().stripes;
-
-        // Shrink: tail occupants are evicted, the stripe count is
-        // untouched.
-        assert_eq!(store.resize_node_cache(2), 2);
-        let cs = store.cache_stats();
-        assert_eq!(cs.capacity, 2);
-        assert!(cs.len <= 2);
-        assert_eq!(cs.evictions, 8 - cs.len as u64);
-        assert_eq!(cs.stripes, stripes);
-
-        // Grow: empty slots appear, everything stays readable and the
-        // cache fills back up.
-        assert_eq!(store.resize_node_cache(16), 16);
-        for (i, &id) in ids.iter().enumerate() {
-            let raw = NodeStore::read(&store, id).unwrap();
-            assert_eq!(raw.entries[0].record(), RecordId(i as u64));
-        }
-        assert_eq!(store.cache_stats().len, 8);
-
-        // Resize to zero empties the cache entirely; inserts become no-ops
-        // (no `% 0` sweep) and reads still work.
-        assert_eq!(store.resize_node_cache(0), 0);
-        assert_eq!(store.cache_stats().len, 0);
-        NodeStore::read(&store, ids[0]).unwrap();
-        assert_eq!(store.cache_stats().len, 0);
-
-        // And back from zero: the fixed stripe layout accepts new slots.
-        assert_eq!(store.resize_node_cache(4), 4);
-        NodeStore::read(&store, ids[0]).unwrap();
-        assert_eq!(store.cache_stats().len, 1);
-    }
-
-    #[test]
-    fn node_cache_resize_is_accounting_neutral() {
-        // Same read sequence, with a resize in the middle: pool counters
-        // must be identical to an untouched-run baseline.
-        let run = |resize_mid: bool| {
-            let store = paged(8);
-            let ids: Vec<_> = (0..16)
-                .map(|i| store.alloc(0, &[entry(i)]).unwrap())
-                .collect();
-            store.pool().reset_stats();
-            for (i, &id) in ids.iter().enumerate() {
-                NodeStore::read(&store, id).unwrap();
-                if resize_mid && i == 7 {
-                    store.resize_node_cache(2);
-                    store.resize_node_cache(64);
-                }
-            }
-            store.pool().stats()
-        };
-        let base = run(false);
-        let tuned = run(true);
-        assert_eq!(base.logical_reads, tuned.logical_reads);
-        assert_eq!(base.hits, tuned.hits);
-        assert_eq!(base.physical_reads, tuned.physical_reads);
     }
 
     #[test]

@@ -148,25 +148,9 @@ pub trait TreeAccess<const D: usize> {
         0
     }
 
-    /// Snapshot of the backend's tuning counters (all-zero default for
-    /// backends with nothing to tune). See
-    /// [`crate::BackendSignals`].
-    fn backend_signals(&self) -> crate::BackendSignals {
-        crate::BackendSignals::default()
-    }
-
-    /// Retunes the backend's decoded-node cache capacity, returning the
-    /// installed value (`0` where the knob does not exist). Implementations
-    /// must be accounting-neutral: no effect on any `access_node` result or
-    /// page-access counter.
-    fn set_cache_capacity(&self, _cap: usize) -> usize {
-        0
-    }
-
-    /// Sets the number of active prefetch workers behind this access path,
-    /// returning the count after clamping (`0` where the knob does not
-    /// exist). Accounting-neutral for the same reason `prefetch_node` is.
-    fn set_prefetch_workers(&self, _n: usize) -> usize {
+    /// Background readers that serve this access path's hints (`0` where
+    /// there is no prefetcher). See [`NodeStore::prefetch_workers`].
+    fn prefetch_workers(&self) -> usize {
         0
     }
 }
@@ -205,16 +189,8 @@ impl<const D: usize, S: NodeStore<D>> TreeAccess<D> for RTree<D, S> {
         self.store.io_reads()
     }
 
-    fn backend_signals(&self) -> crate::BackendSignals {
-        self.store.backend_signals()
-    }
-
-    fn set_cache_capacity(&self, cap: usize) -> usize {
-        self.store.set_cache_capacity(cap)
-    }
-
-    fn set_prefetch_workers(&self, n: usize) -> usize {
-        self.store.set_prefetch_workers(n)
+    fn prefetch_workers(&self) -> usize {
+        self.store.prefetch_workers()
     }
 }
 
@@ -372,16 +348,8 @@ impl<const D: usize, S: NodeStore<D>> TreeAccess<D> for Snapshot<'_, D, S> {
         self.tree.store.io_reads()
     }
 
-    fn backend_signals(&self) -> crate::BackendSignals {
-        self.tree.store.backend_signals()
-    }
-
-    fn set_cache_capacity(&self, cap: usize) -> usize {
-        self.tree.store.set_cache_capacity(cap)
-    }
-
-    fn set_prefetch_workers(&self, n: usize) -> usize {
-        self.tree.store.set_prefetch_workers(n)
+    fn prefetch_workers(&self) -> usize {
+        self.tree.store.prefetch_workers()
     }
 }
 

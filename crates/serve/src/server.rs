@@ -17,8 +17,7 @@
 //!                                      │ deadline-or-size drain
 //!                                      ▼
 //!            batcher (caller's thread): forest snapshot per batch,
-//!            Hilbert claim order over `threads` workers, TuneController
-//!            observes every drained batch
+//!            Hilbert claim order over `threads` workers
 //!                                      │ responses encoded in place, in
 //!                                      ▼ admission order, per connection
 //!            write-out: one `write_all` per connection per batch (early
@@ -41,7 +40,7 @@ use crate::protocol::{
 };
 use nnq_core::{
     forest_batch_dedup, BatchQuery, BatchStats, CachedAnswer, JoinOrder, Neighbor, NnOptions,
-    PartitionedStats, PrefetchPolicy, Refiner, ResultCache, TuneController, TuneMode,
+    PartitionedStats, PrefetchPolicy, Refiner, ResultCache,
 };
 use nnq_geom::Point;
 use nnq_rtree::{snapshot_all, Forest, PartitionedTree, RTree, Snapshot};
@@ -70,10 +69,8 @@ pub struct ServeConfig {
     pub batch_deadline: Duration,
     /// Inbox capacity; admission fast-rejects beyond it.
     pub inbox_cap: usize,
-    /// Static prefetch policy (the tune controller may override).
+    /// Prefetch policy of every batch.
     pub prefetch: PrefetchPolicy,
-    /// Online self-tuning of backend knobs, observed per drained batch.
-    pub tune: TuneMode,
     /// Result-cache capacity in complete memoized answers; `0` disables
     /// caching (`--result-cache off`). Safe to leave on: hits replay the
     /// recorded answer *and* its `SearchStats`, so responses stay
@@ -96,7 +93,6 @@ impl Default for ServeConfig {
             batch_deadline: Duration::from_micros(200),
             inbox_cap: 1024,
             prefetch: PrefetchPolicy::Off,
-            tune: TuneMode::Off,
             result_cache: 1024,
             // Matches the default inbox capacity: a lone connection may
             // still use the whole inbox when nobody else wants it.
@@ -171,13 +167,11 @@ pub struct ServeReport {
     pub result_stale: u64,
     /// Answers memoized into the result cache.
     pub result_inserts: u64,
-    /// Memoized answers evicted (CLOCK pressure or a tuning shrink).
+    /// Memoized answers evicted by CLOCK pressure.
     pub result_evictions: u64,
     /// Duplicate requests inside micro-batches whose traversal was merged
     /// into another identical request's execution.
     pub dedup_merged: u64,
-    /// Final self-tuning report, when the controller was active.
-    pub tune_report: Option<String>,
 }
 
 impl ServeReport {
@@ -493,13 +487,11 @@ pub fn serve<R: Refiner<2> + Sync>(
         result_inserts: loop_out.result_cache.inserts,
         result_evictions: loop_out.result_cache.evictions,
         dedup_merged: loop_out.dedup_merged,
-        tune_report: loop_out.tune_report,
     })
 }
 
 /// What [`batch_loop`] hands back to [`serve`] for the final report.
 struct BatchLoopOut {
-    tune_report: Option<String>,
     result_cache: nnq_storage::CacheStats,
     dedup_merged: u64,
 }
@@ -681,7 +673,7 @@ fn reader_loop(stream: TcpStream, conn: Arc<Conn>, shared: &Shared) {
 /// Drains micro-batches until the inbox closes and empties, executing
 /// each through the result cache and the deduplicating mixed-query
 /// executor and writing responses back in admission order. Runs on the
-/// caller's thread; returns the run's tune/cache/dedup telemetry.
+/// caller's thread; returns the run's cache/dedup telemetry.
 ///
 /// Per batch, the answer pipeline runs on the engine's forest:
 ///
@@ -695,8 +687,7 @@ fn reader_loop(stream: TcpStream, conn: Arc<Conn>, shared: &Shared) {
 ///    to fresh execution. Version-mismatched entries count as stale and
 ///    never serve.
 /// 3. **Execute misses, once per unique query** ([`forest_batch_dedup`]
-///    over the snapshots, in Hilbert claim order); the tuner observes the
-///    executor's `BatchStats` and sets its claim block.
+///    over the snapshots, in Hilbert claim order).
 /// 4. **Fill.** Fresh answers are memoized at the pinned version.
 /// 5. **Respond in admission order**, cache hits and fresh answers
 ///    alike: each response is staged on its connection, then every
@@ -710,8 +701,7 @@ fn batch_loop<R: Refiner<2> + Sync>(
     shared: &Shared,
 ) -> BatchLoopOut {
     let trees = forest.trees();
-    let mut controller = TuneController::new(config.tune);
-    controller.observe_trees(trees);
+    let opts = NnOptions::with_prefetch(config.prefetch);
     let cache = ResultCache::<2>::new(config.result_cache);
     let mut dedup_merged: u64 = 0;
     while let Some(batch) = shared
@@ -728,8 +718,6 @@ fn batch_loop<R: Refiner<2> + Sync>(
         shared
             .max_batch
             .fetch_max(batch.len() as u64, Ordering::Relaxed);
-        let opts =
-            NnOptions::with_prefetch(controller.prefetch_policy().unwrap_or(config.prefetch));
 
         // Pinned for the whole probe → execute → fill pipeline; a
         // concurrent COW writer can publish freely underneath.
@@ -762,10 +750,9 @@ fn batch_loop<R: Refiner<2> + Sync>(
             Ok((Vec::new(), BatchStats::default()))
         } else {
             let forest = Forest::new(&snaps);
-            let block = controller.block_override();
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 let (threads, order) = (config.threads, JoinOrder::Hilbert);
-                forest_batch_dedup(forest, &miss_reqs, opts, refiner, threads, order, block)
+                forest_batch_dedup(forest, &miss_reqs, opts, refiner, threads, order, None)
                     .map_err(|e| e.to_string())
             }))
             .unwrap_or_else(|panic| Err(panic_message(&panic)))
@@ -773,7 +760,6 @@ fn batch_loop<R: Refiner<2> + Sync>(
 
         let failure = match outcome {
             Ok((results, bstats)) => {
-                controller.observe_batch(&bstats);
                 dedup_merged += (miss_reqs.len() - bstats.executed) as u64;
                 // Within the batch, duplicates share one execution but
                 // need only one insert.
@@ -806,15 +792,12 @@ fn batch_loop<R: Refiner<2> + Sync>(
             }
         }
         batch.iter().for_each(|job| job.conn.finish(shared));
-        controller.observe_trees(trees);
-        controller.observe_result_cache(&cache);
     }
     // Inbox closed and fully drained: release waiting shutdown
     // requesters, then stop the acceptor and readers.
     shared.mark_drained();
     shared.stop.store(true, Ordering::Release);
     BatchLoopOut {
-        tune_report: controller.is_active().then(|| controller.report()),
         result_cache: cache.stats(),
         dedup_merged,
     }

@@ -17,14 +17,12 @@
 //!   value. An entry that fails it is a *stale* probe: counted on its
 //!   own, not served, and its reference bit is left clear, so it is the
 //!   next victim unless an insert refreshes it in place.
-//! * **In-place resize.** The stripe count (and so the key → stripe
-//!   mapping) is fixed at construction. [`ClockCache::resize`] grows a
-//!   ring by appending empty slots and shrinks it by popping tail slots,
-//!   evicting their occupants. The map always mirrors the ring — a key is
-//!   mapped iff its slot holds it — so removal and resize leave no
-//!   residue, and the ring length changes only through `resize`.
-//!   Capacity 0 disables the cache: every probe misses and inserts and
-//!   removals do nothing.
+//! * **Fixed capacity.** The capacity, the stripe count and the ring
+//!   lengths are set at construction: stripe `i` of `S` owns
+//!   `capacity / S` slots, plus one if `i < capacity % S`. The map always
+//!   mirrors the ring — a key is mapped iff its slot holds it — so removal
+//!   leaves no residue. Capacity 0 disables the cache: every probe misses
+//!   and inserts and removals do nothing.
 //!
 //! The cache never reads pages, so what it holds cannot change a page
 //! count: its users probe it *after* the accounted work (the node cache
@@ -33,12 +31,12 @@
 //! readers do not serialize on stats.
 
 use crate::PageId;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 use std::borrow::Borrow;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// How a key picks its stripe: the cache uses the low bits of
 /// `stripe_bits`. Equality is still decided on the full key.
@@ -85,7 +83,7 @@ pub struct CacheStats {
     pub stale: u64,
     /// Entries stored, in-place refreshes included.
     pub inserts: u64,
-    /// Entries dropped by the CLOCK hand or a shrinking resize.
+    /// Entries dropped by the CLOCK hand.
     pub evictions: u64,
     /// Entries dropped by [`ClockCache::remove`].
     pub invalidations: u64,
@@ -115,12 +113,8 @@ impl CacheStats {
 /// docs). Values are handed out by clone, so `V` is typically an `Arc` or
 /// a small record.
 pub struct ClockCache<K, V> {
-    /// Total slots across stripes. Atomic so [`ClockCache::resize`] can
-    /// retune it through `&self` while readers are active.
-    capacity: AtomicUsize,
-    /// Held across a whole resize, so concurrent resizes cannot leave the
-    /// rings summing to neither capacity.
-    resizing: Mutex<()>,
+    /// Total slots across stripes.
+    capacity: usize,
     stripe_mask: u64,
     stripes: Vec<RwLock<Ring<K, V>>>,
     hits: AtomicU64,
@@ -174,16 +168,17 @@ impl<K: Hash + Eq, V> ClockCache<K, V> {
     }
 
     fn with_stripes(capacity: usize, stripes: usize) -> Self {
-        debug_assert!(stripes.is_power_of_two());
-        let cache = Self {
-            capacity: AtomicUsize::new(0),
-            resizing: Mutex::new(()),
+        // Every stripe of an enabled cache owns at least one slot.
+        debug_assert!(stripes.is_power_of_two() && (capacity == 0 || stripes <= capacity));
+        Self {
+            capacity,
             stripe_mask: (stripes - 1) as u64,
             stripes: (0..stripes)
-                .map(|_| {
+                .map(|i| {
+                    let len = capacity / stripes + usize::from(i < capacity % stripes);
                     RwLock::new(Ring {
                         map: HashMap::new(),
-                        slots: Vec::new(),
+                        slots: (0..len).map(|_| Slot::empty()).collect(),
                         hand: 0,
                     })
                 })
@@ -194,14 +189,12 @@ impl<K: Hash + Eq, V> ClockCache<K, V> {
             inserts: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             invalidations: AtomicU64::new(0),
-        };
-        cache.resize(capacity);
-        cache
+        }
     }
 
-    /// Whether the cache can hold anything at all right now.
+    /// Whether the cache can hold anything at all.
     pub fn is_enabled(&self) -> bool {
-        self.capacity.load(Ordering::Relaxed) > 0
+        self.capacity > 0
     }
 
     #[inline]
@@ -269,10 +262,6 @@ impl<K: Hash + Eq, V> ClockCache<K, V> {
             return;
         }
         let n = slots.len();
-        if n == 0 {
-            // This stripe's share of a tiny capacity is nothing.
-            return;
-        }
         // Terminates within two sweeps: after one full pass every bit is
         // clear.
         let idx = loop {
@@ -325,31 +314,6 @@ impl<K: Hash + Eq, V> ClockCache<K, V> {
         }
     }
 
-    /// Retunes the cache to hold `capacity` entries, in place and under
-    /// `&self`, at any time — readers included. Stripe `i` gets
-    /// `capacity / S` slots, plus one if `i < capacity % S`. Evicted tail
-    /// occupants count as evictions. Returns the capacity installed.
-    pub fn resize(&self, capacity: usize) -> usize {
-        let _serial = self.resizing.lock();
-        let stripes = self.stripes.len();
-        for (i, stripe) in self.stripes.iter().enumerate() {
-            let target = capacity / stripes + usize::from(i < capacity % stripes);
-            let mut ring = stripe.write();
-            while ring.slots.len() > target {
-                if let Some((key, _)) = ring.slots.pop().and_then(|slot| slot.entry) {
-                    ring.map.remove(&key);
-                    self.evictions.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            ring.slots.resize_with(target, Slot::empty);
-            if ring.hand >= target {
-                ring.hand = 0;
-            }
-        }
-        self.capacity.store(capacity, Ordering::Relaxed);
-        capacity
-    }
-
     /// Counter snapshot.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
@@ -360,7 +324,7 @@ impl<K: Hash + Eq, V> ClockCache<K, V> {
             evictions: self.evictions.load(Ordering::Relaxed),
             invalidations: self.invalidations.load(Ordering::Relaxed),
             len: self.stripes.iter().map(|s| s.read().map.len()).sum(),
-            capacity: self.capacity.load(Ordering::Relaxed),
+            capacity: self.capacity,
             stripes: self.stripes.len(),
         }
     }
@@ -394,11 +358,10 @@ mod tests {
 
     #[test]
     fn hammer_keeps_the_rings_and_the_map_in_step() {
-        // Four threads race probes, inserts, removals and resizes (to zero
-        // among others) on a small cache. Every hit must hand back its own
-        // key's value, and the structure must be whole afterwards.
+        // Four threads race probes, inserts and removals on a small cache.
+        // Every hit must hand back its own key's value, and the structure
+        // must be whole afterwards.
         let cache = ClockCache::<PageId, u64>::new(16);
-        let sizes = [0usize, 1, 7, 16, 33];
         std::thread::scope(|s| {
             for t in 0..4u64 {
                 let cache = &cache;
@@ -412,18 +375,14 @@ mod tests {
                                 }
                             }
                             6 | 7 => cache.insert(&key, key.0 * 3),
-                            8 => cache.remove(&key),
-                            _ => {
-                                cache.resize(sizes[((i / 10 + t) % 5) as usize]);
-                            }
+                            _ => cache.remove(&key),
                         }
                     }
                 });
             }
         });
         assert_invariants(&cache);
-        // Still a working cache at whatever size the last resize left.
-        cache.resize(16);
+        // Still a working cache.
         for k in 0..64 {
             cache.insert(&PageId(k), k * 3);
         }
@@ -460,23 +419,17 @@ mod tests {
     }
 
     #[test]
-    fn stripes_cover_every_capacity_at_construction_and_after_resize() {
-        let caps = [0usize, 1, 2, 3, 7, 64];
-        for &cap in &caps {
+    fn stripes_cover_every_capacity_at_construction() {
+        for cap in [0usize, 1, 2, 3, 7, 64] {
             let cache = ClockCache::<PageId, u64>::new(cap);
             let stripes = cache.stats().stripes;
             assert!(stripes >= 1 && stripes.is_power_of_two());
             assert_eq!(ring_len(&cache), cap, "capacity {cap}");
-            for &next in caps.iter().chain([cap].iter()) {
-                assert_eq!(cache.resize(next), next);
-                assert_eq!(ring_len(&cache), next, "{cap} -> {next}");
-                assert_eq!(cache.stats().stripes, stripes);
-                for k in 0..2 * next as u64 + 1 {
-                    cache.insert(&PageId(k), k);
-                }
-                assert_invariants(&cache);
-                assert_eq!(cache.is_enabled(), next > 0);
+            for k in 0..2 * cap as u64 + 1 {
+                cache.insert(&PageId(k), k);
             }
+            assert_invariants(&cache);
+            assert_eq!(cache.is_enabled(), cap > 0);
         }
     }
 
@@ -496,32 +449,5 @@ mod tests {
         assert_eq!(ring_len(&cache), 8, "ring grew after churn");
         assert_eq!(cache.stats().invalidations, 10_000);
         assert_eq!(cache.stats().len, 0);
-    }
-
-    #[test]
-    fn resize_grows_and_shrinks_in_place() {
-        let cache = ClockCache::<Box<[u8]>, u64>::new(8);
-        let keys: Vec<[u8; 8]> = (0..8u64).map(u64::to_le_bytes).collect();
-        for (i, key) in keys.iter().enumerate() {
-            cache.insert(&key[..], i as u64);
-        }
-        let stripes = cache.stats().stripes;
-        assert_eq!(cache.resize(2), 2);
-        assert_eq!(ring_len(&cache), 2);
-        let stats = cache.stats();
-        assert_eq!(stats.evictions, 8 - stats.len as u64);
-        assert_eq!(stats.stripes, stripes);
-        assert_invariants(&cache);
-
-        assert_eq!(cache.resize(16), 16);
-        assert_eq!(ring_len(&cache), 16);
-        for (i, key) in keys.iter().enumerate() {
-            cache.insert(&key[..], i as u64);
-        }
-        assert_eq!(cache.stats().len, 8);
-        for (i, key) in keys.iter().enumerate() {
-            assert_eq!(cache.get(&key[..], |_| true), Probe::Hit(i as u64));
-        }
-        assert_invariants(&cache);
     }
 }

@@ -320,15 +320,6 @@ struct PrefetchState {
     in_flight: HashSet<PageId>,
     cap: usize,
     shutdown: bool,
-    /// Threads spawned by [`BufferPool::start_prefetch`] (their indices are
-    /// `0..spawned`).
-    spawned: usize,
-    /// Workers with index `< active_workers` service the queue; the rest
-    /// park on the condvar. Runtime-adjustable via
-    /// [`BufferPool::set_prefetch_workers`] — never below 1 while spawned
-    /// threads exist, so queued hints always drain and
-    /// [`BufferPool::prefetch_quiesce`] cannot hang.
-    active_workers: usize,
 }
 
 struct PrefetchShared {
@@ -351,8 +342,6 @@ impl PrefetchShared {
                 in_flight: HashSet::new(),
                 cap: 0,
                 shutdown: false,
-                spawned: 0,
-                active_workers: 0,
             }),
             cvar: std::sync::Condvar::new(),
             active: AtomicBool::new(false),
@@ -491,21 +480,18 @@ impl BufferPool {
         if workers == 0 || queue_cap == 0 {
             return;
         }
-        let first = {
+        {
             let mut st = self.core.prefetch.state.lock().unwrap();
             st.cap = queue_cap;
             st.shutdown = false;
-            let first = st.spawned;
-            st.spawned += workers;
-            st.active_workers = st.spawned;
-            first
-        };
+        }
         self.core.prefetch.active.store(true, Ordering::Relaxed);
+        let first = self.workers.len();
         for i in first..first + workers {
             let core = Arc::clone(&self.core);
             let handle = std::thread::Builder::new()
                 .name(format!("nnq-prefetch-{i}"))
-                .spawn(move || prefetch_worker(core, i))
+                .spawn(move || prefetch_worker(core))
                 .expect("failed to spawn prefetch worker");
             self.workers.push(handle);
         }
@@ -540,33 +526,10 @@ impl BufferPool {
         self.core.quiesce_prefetch();
     }
 
-    /// Sets how many of the spawned prefetch threads actively service the
-    /// queue; the rest park on the condvar. Clamped to `[1, spawned]` — a
-    /// floor of one keeps queued hints draining so
-    /// [`BufferPool::prefetch_quiesce`] can never hang (prefetch "off" is
-    /// expressed by issuing no hints, i.e. depth 0, not by zero workers).
-    /// Returns the active count after clamping; 0 if no prefetcher was
-    /// ever started.
-    ///
-    /// Accounting-neutral by construction: workers only serve hints, which
-    /// never touch [`PoolStats`].
-    pub fn set_prefetch_workers(&self, n: usize) -> usize {
-        let mut st = self.core.prefetch.state.lock().unwrap();
-        if st.spawned == 0 {
-            return 0;
-        }
-        st.active_workers = n.clamp(1, st.spawned);
-        let active = st.active_workers;
-        drop(st);
-        // Parked workers past the old active count may need waking.
-        self.core.prefetch.cvar.notify_all();
-        active
-    }
-
-    /// Number of prefetch threads currently servicing the queue (0 when no
+    /// Number of background prefetch threads serving the queue (0 when no
     /// prefetcher is attached).
     pub fn prefetch_workers(&self) -> usize {
-        self.core.prefetch.state.lock().unwrap().active_workers
+        self.workers.len()
     }
 
     /// Journals a page image before it is written back to the device
@@ -950,7 +913,7 @@ impl Drop for BufferPool {
 
 /// Background prefetch worker: pops hints off the shared queue and loads
 /// them into frames until shutdown.
-fn prefetch_worker(core: Arc<PoolCore>, index: usize) {
+fn prefetch_worker(core: Arc<PoolCore>) {
     loop {
         let id = {
             let mut st = core.prefetch.state.lock().unwrap();
@@ -958,14 +921,10 @@ fn prefetch_worker(core: Arc<PoolCore>, index: usize) {
                 if st.shutdown {
                     return;
                 }
-                // Workers past the active count park until re-enabled by
-                // `set_prefetch_workers` (or shutdown).
-                if index < st.active_workers {
-                    if let Some(id) = st.queue.pop_front() {
-                        st.queued.remove(&id);
-                        st.in_flight.insert(id);
-                        break id;
-                    }
+                if let Some(id) = st.queue.pop_front() {
+                    st.queued.remove(&id);
+                    st.in_flight.insert(id);
+                    break id;
                 }
                 st = core.prefetch.cvar.wait(st).unwrap();
             }

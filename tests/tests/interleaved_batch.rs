@@ -19,8 +19,8 @@ use nnq_core::{
 };
 use nnq_geom::{Point, Rect};
 use nnq_rtree::{
-    BackendSignals, BulkMethod, Forest, NodeView, PartitionManifest, PartitionedTree, RTree,
-    RTreeConfig, TreeAccess,
+    BulkMethod, Forest, NodeView, PartitionManifest, PartitionedTree, RTree, RTreeConfig,
+    TreeAccess,
 };
 use nnq_storage::{
     BufferPool, DiskManager, FaultDisk, LatencyDisk, LatencyProfile, MemDisk, PageId,
@@ -206,8 +206,8 @@ impl TreeAccess<2> for Observed<'_> {
     fn io_reads(&self) -> u64 {
         self.tree.io_reads()
     }
-    fn backend_signals(&self) -> BackendSignals {
-        self.tree.backend_signals()
+    fn prefetch_workers(&self) -> usize {
+        self.tree.prefetch_workers()
     }
 }
 
@@ -592,12 +592,32 @@ fn a_failed_demand_read_in_one_partition_fails_the_batch_and_the_tree_keeps_serv
     // Partition 0 reads through a failing device and has no background
     // reader, the others have one each: the batch interleaves, and
     // partition 0's pages load on demand, by the workers.
-    let disks = (0..4)
+    let faults: Vec<Arc<FaultDisk<MemDisk>>> = (0..4)
         .map(|_| Arc::new(FaultDisk::new(MemDisk::new(PAGE_SIZE))))
         .collect();
-    let parted = build_parted(disks);
+    let parted = build_parted(
+        faults
+            .iter()
+            .map(|f| gated::GateDisk::new(Arc::clone(f)))
+            .collect(),
+    );
     let queries = uniform_queries(64, &default_bounds(), 86);
     let tree = parted.open(32, |i| usize::from(i > 0));
+    // A partition with a background reader that the batch reads: some
+    // query's nearest, which its first round visits.
+    let nearest = |q: &Point<2>| {
+        (0..4)
+            .min_by(|&x, &y| {
+                let d = |i: usize| nnq_geom::mindist_sq(q, &tree.partitions()[i].bounds());
+                d(x).total_cmp(&d(y))
+            })
+            .unwrap()
+    };
+    let p = queries.iter().map(nearest).find(|&p| p > 0).unwrap();
+    let (pool_p, root_p) = (
+        tree.partitions()[p].pool(),
+        tree.partitions()[p].access_root().unwrap(),
+    );
     let (want, _) = sequential_parted(&tree, &knn_requests(&queries));
     let opts = NnOptions::with_prefetch(PrefetchPolicy::Depth(2));
     let knn = knn_requests(&queries);
@@ -607,7 +627,7 @@ fn a_failed_demand_read_in_one_partition_fails_the_batch_and_the_tree_keeps_serv
     };
     for threads in [1, 2] {
         balanced_parted(&tree, "before the batch");
-        parted.disks[0].fail_read(3);
+        faults[0].fail_read(3);
         let err = batch(threads)
             .expect_err("the third device read of partition 0 fails")
             .to_string();
@@ -619,7 +639,23 @@ fn a_failed_demand_read_in_one_partition_fails_the_batch_and_the_tree_keeps_serv
         );
         balanced_parted(&tree, "after the failed batch");
         tree.forest().reset_stats();
-        let (got, _) = batch(threads).unwrap();
+        // Partition p's background reader is loading its root, held in
+        // the device, when the batch's demand for it arrives: every read
+        // of the partition goes through the root, so a worker pins the
+        // loading frame (claiming the hint) before the gate opens.
+        let gate = &parted.disks[p];
+        gate.park_reads_of(root_p);
+        pool_p.prefetch(root_p);
+        gate.wait_parked();
+        let (got, _) = std::thread::scope(|scope| {
+            let batch = scope.spawn(|| batch(threads));
+            gated::wait_until("the batch to pin the loading root", || {
+                pool_p.stats().logical_reads > 0
+            });
+            gate.release();
+            batch.join().unwrap()
+        })
+        .unwrap();
         for (i, (g, w)) in got.iter().zip(&want).enumerate() {
             assert_eq!(g.1, w.1, "threads={threads}: stats of query {i}");
             assert_same_hits(&g.0, &w.0, &format!("threads={threads}: query {i}"));
@@ -646,7 +682,7 @@ mod gated {
     /// Only a hang is ever timed: it becomes a failure.
     const HANG: Duration = Duration::from_secs(20);
 
-    fn wait_until(what: &str, cond: impl Fn() -> bool) {
+    pub(super) fn wait_until(what: &str, cond: impl Fn() -> bool) {
         let start = Instant::now();
         while !cond() {
             assert!(start.elapsed() < HANG, "timed out waiting for {what}");
@@ -664,14 +700,14 @@ mod gated {
     /// A device whose `read_page` of one chosen page parks until released,
     /// so a test can hold exactly that load inside the device (the
     /// `pool.rs` "load protocol under concurrency" idiom, per page).
-    struct GateDisk<T: DiskManager> {
+    pub(super) struct GateDisk<T: DiskManager> {
         inner: T,
         state: Mutex<GateState>,
         cvar: Condvar,
     }
 
     impl<T: DiskManager> GateDisk<T> {
-        fn new(inner: T) -> Arc<Self> {
+        pub(super) fn new(inner: T) -> Arc<Self> {
             Arc::new(Self {
                 inner,
                 state: Default::default(),
@@ -679,17 +715,17 @@ mod gated {
             })
         }
 
-        fn park_reads_of(&self, page: PageId) {
+        pub(super) fn park_reads_of(&self, page: PageId) {
             self.state.lock().unwrap().page = Some(page);
         }
 
-        fn release(&self) {
+        pub(super) fn release(&self) {
             self.state.lock().unwrap().page = None;
             self.cvar.notify_all();
         }
 
         /// Blocks until a read is parked in the gate.
-        fn wait_parked(&self) {
+        pub(super) fn wait_parked(&self) {
             let st = self.state.lock().unwrap();
             let (_st, timeout) = self
                 .cvar

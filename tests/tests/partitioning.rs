@@ -235,6 +235,47 @@ fn partitioned_batch_sums_per_query_stats_and_is_thread_invariant() {
 }
 
 #[test]
+fn a_claim_block_override_moves_no_answer_or_page_of_a_partitioned_batch() {
+    let queries = uniform_queries(120, &default_bounds(), 84);
+    let reqs: Vec<BatchQuery<2>> = queries
+        .iter()
+        .map(|&q| BatchQuery::Knn { q, k: 5 })
+        .collect();
+    for p in [1, 4] {
+        let tree = parted(p);
+        let run = |threads, block| {
+            tree.forest().reset_stats();
+            let (answers, bstats) = forest_batch(
+                tree.forest(),
+                &reqs,
+                NnOptions::default(),
+                &MbrRefiner,
+                threads,
+                JoinOrder::AsGiven,
+                block,
+            )
+            .unwrap();
+            let answers: Vec<_> = answers.iter().map(|(hits, s)| (key(hits), *s)).collect();
+            (answers, tree.forest().pool_stats().logical_reads, bstats)
+        };
+        let (want, want_pages, _) = run(1, None);
+        assert!(want_pages > 0);
+        for block in [1, 7, 64, 1000] {
+            let (got, pages, bstats) = run(8, Some(block));
+            assert_eq!(
+                bstats.block, block,
+                "P={p}: claim-block override not applied"
+            );
+            assert_eq!(got, want, "P={p} block={block}: answers moved");
+            assert_eq!(
+                pages, want_pages,
+                "P={p} block={block}: pages accessed moved"
+            );
+        }
+    }
+}
+
+#[test]
 fn insert_many_is_equivalent_to_per_record_inserts() {
     let items = points_to_items(&uniform_points(2_000, &default_bounds(), 83));
 
