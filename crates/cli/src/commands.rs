@@ -660,16 +660,15 @@ pub fn join(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
 /// shutdown frame, then print the run's counters.
 ///
 /// The server answers kNN and radius requests over the length-prefixed
-/// wire protocol (see `nnq-serve`), micro-batching admitted requests on a
-/// deadline-or-size trigger and executing each batch against a fresh tree
-/// snapshot with the work-stealing executor. Overload fast-rejects;
-/// results and per-query logical reads are bit-identical to sequential
-/// `nnq query` invocations.
+/// wire protocol (see `nnq-serve`), micro-batching whatever is queued
+/// (up to `--batch-max`) whenever the batcher is free and executing each
+/// batch against a fresh tree snapshot with the work-stealing executor.
+/// Overload fast-rejects; results and per-query logical reads are
+/// bit-identical to sequential `nnq query` invocations.
 pub fn serve(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let read = ReadPathOpts::parse(args)?;
     let port: u16 = args.num("port", 0)?;
     let batch_max = args.count("batch-max", 32)?;
-    let batch_deadline_us: u64 = args.num("batch-deadline-us", 200)?;
     let inbox_cap = args.count("inbox-cap", 1024)?;
     // `--result-cache off|N`: memoized-answer capacity (default 1024).
     // Safe to leave on — hits replay the recorded answer and stats, so
@@ -692,11 +691,11 @@ pub fn serve(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let config = nnq_serve::ServeConfig {
         threads: read.threads,
         batch_max,
-        batch_deadline: std::time::Duration::from_micros(batch_deadline_us),
         inbox_cap,
         prefetch: read.prefetch,
         result_cache,
         max_in_flight,
+        ..nnq_serve::ServeConfig::default()
     };
 
     // Bind before opening the index so `--port 0` (ephemeral) reports the
@@ -709,8 +708,8 @@ pub fn serve(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         check_pairing(forest.len(), &segments)?;
         writeln!(
             out,
-            "serving {index} on {addr} ({} thread(s), batch ≤ {batch_max} \
-             / {batch_deadline_us} µs, inbox {inbox_cap})",
+            "serving {index} on {addr} ({} thread(s), batch ≤ {batch_max}, \
+             inbox {inbox_cap})",
             read.threads
         )?;
         out.flush()?;

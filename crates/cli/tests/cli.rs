@@ -1143,7 +1143,6 @@ fn serve_flag_validation() {
         vec!["serve", "--batch-max", "0"],
         vec!["serve", "--batch-max", "lots"],
         vec!["serve", "--inbox-cap", "0"],
-        vec!["serve", "--batch-deadline-us", "soon"],
         vec!["serve", "--port", "notaport"],
         vec!["serve", "--port", "70000"], // > u16::MAX
         vec!["serve", "--pool-shards", "3"],
@@ -1215,8 +1214,6 @@ fn serve_answers_like_query_and_reports_stats_on_shutdown() {
             "2",
             "--batch-max",
             "8",
-            "--batch-deadline-us",
-            "100",
         ]);
         std::thread::spawn(move || -> Result<String, CliError> {
             let mut out = Vec::new();

@@ -163,6 +163,16 @@ fn unknown_and_removed_flags_are_refused() {
             cmd,
         );
     }
+    // The batch deadline is gone: the batcher takes what is queued. No
+    // index is named, so a binary that still took the flag fails on the
+    // missing `--index` instead of serving.
+    for value in ["100", "soon"] {
+        assert_usage(
+            &nnq(&["serve", "--batch-deadline-us", value]),
+            "unknown flag `--batch-deadline-us`",
+            value,
+        );
+    }
     // A flag one subcommand takes is still unknown to another.
     assert_usage(
         &nnq(&["stats", "--index", &fx.index, "--threads", "2"]),

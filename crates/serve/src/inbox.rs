@@ -6,11 +6,16 @@
 //! hint — overload surfaces as explicit, bounded-latency pushback instead
 //! of an unbounded queue silently converting overload into tail latency.
 //!
-//! The single batcher thread drains in micro-batches on a
-//! **deadline-or-size** trigger: a batch fires as soon as `max` requests
-//! are queued, or when the *oldest queued request* has waited `deadline`,
-//! whichever comes first. Draining preserves admission order exactly, so
-//! responses to admitted requests never reorder.
+//! The single batcher thread drains in micro-batches. With a **zero
+//! deadline** (the server's default) a batch is whatever is queued, up to
+//! `max`, the moment the batcher is free: it never waits for a batch to
+//! fill, and under load batches still fill because requests queue while
+//! the previous batch executes. A **nonzero deadline** keeps the
+//! deadline-or-size trigger that tests use to compose batches by waiting:
+//! a batch fires as soon as `max` requests are queued, or when the
+//! *oldest queued request* has waited `deadline`, whichever comes first.
+//! Draining preserves admission order exactly, so responses to admitted
+//! requests never reorder.
 //!
 //! This module is deliberately free of sockets and queries (`Inbox<T>` is
 //! generic over the queued item) so the trigger semantics are unit-tested
@@ -37,8 +42,8 @@ struct State<T> {
     closed: bool,
 }
 
-/// Bounded multi-producer single-consumer inbox with a deadline-or-size
-/// drain trigger. See the module docs.
+/// Bounded multi-producer single-consumer inbox with a drain-what-is-queued
+/// (or deadline-or-size) trigger. See the module docs.
 pub struct Inbox<T> {
     state: Mutex<State<T>>,
     cond: Condvar,
@@ -112,10 +117,11 @@ impl<T> Inbox<T> {
     /// admission order. Returns `None` when the inbox is closed and
     /// empty — the batcher's termination signal.
     ///
-    /// Trigger: once at least one request is queued, the batch fires when
-    /// `max` requests are queued **or** the oldest queued request has
-    /// waited `deadline` since arrival, whichever comes first. A closed
-    /// inbox fires immediately (shutdown drains promptly).
+    /// Trigger: once at least one request is queued, a zero `deadline`
+    /// takes what is queued (up to `max`) at once. A nonzero `deadline`
+    /// fires when `max` requests are queued **or** the oldest queued
+    /// request has waited `deadline` since arrival, whichever comes first.
+    /// A closed inbox fires immediately (shutdown drains promptly).
     pub fn drain_batch(&self, max: usize, deadline: Duration) -> Option<Vec<T>> {
         assert!(max > 0, "batch size must be at least 1");
         let mut s = self.state.lock().unwrap();
@@ -131,7 +137,8 @@ impl<T> Inbox<T> {
         }
         // Phase 2: the batch is open; its deadline is anchored to the
         // arrival of the oldest queued request, so no admitted request
-        // waits in the batcher longer than `deadline`.
+        // waits in the batcher longer than `deadline`. A zero deadline has
+        // already passed, so the loop takes what is queued without waiting.
         let fire_at = s.queue.front().map(|(t, _)| *t).unwrap() + deadline;
         while s.queue.len() < max && !s.closed {
             let now = Instant::now();
@@ -272,7 +279,12 @@ mod tests {
         }
         // Exactly the first `cap` get in; every caller learned its fate.
         assert_eq!((admitted, rejected), (4, 6));
-        assert_eq!(inbox.drain_batch(16, LONG).unwrap(), vec![0, 1, 2, 3]);
+        // The default drain takes the 4 queued at once (a 30 s deadline
+        // here would wait it out: 4 never reach the size trigger of 16).
+        assert_eq!(
+            inbox.drain_batch(16, Duration::ZERO).unwrap(),
+            vec![0, 1, 2, 3]
+        );
         // Capacity freed: admission works again.
         assert_eq!(inbox.try_admit(99), Admit::Admitted);
     }
@@ -302,6 +314,37 @@ mod tests {
         std::thread::sleep(Duration::from_millis(20));
         inbox.close();
         assert_eq!(waiter.join().unwrap(), None);
+    }
+
+    #[test]
+    fn a_zero_deadline_drains_what_is_queued() {
+        // No producer is around: a drain that waited for the size trigger
+        // (3 < 32) would hang here.
+        let inbox = Inbox::new(64);
+        for i in 0..3 {
+            assert_eq!(inbox.try_admit(i), Admit::Admitted);
+        }
+        assert_eq!(
+            inbox.drain_batch(32, Duration::ZERO).unwrap(),
+            vec![0, 1, 2]
+        );
+        assert!(inbox.is_empty());
+    }
+
+    #[test]
+    fn a_zero_deadline_drain_still_blocks_for_the_first_request() {
+        let inbox = Arc::new(Inbox::new(8));
+        let drainer = {
+            let inbox = Arc::clone(&inbox);
+            std::thread::spawn(move || inbox.drain_batch(32, Duration::ZERO))
+        };
+        // Whether the drainer is already parked or not, the admitted item
+        // is what it returns: a zero deadline never returns an empty batch.
+        assert_eq!(inbox.try_admit(7), Admit::Admitted);
+        assert_eq!(drainer.join().unwrap(), Some(vec![7]));
+        // A closed empty inbox is still the termination signal.
+        inbox.close();
+        assert_eq!(inbox.drain_batch(32, Duration::ZERO), None);
     }
 
     #[test]

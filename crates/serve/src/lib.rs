@@ -11,8 +11,9 @@
 //!
 //! Pieces:
 //! - [`protocol`] — the framed wire format (requests, responses, limits);
-//! - [`inbox`] — bounded admission queue + deadline-or-size micro-batch
-//!   trigger (overload fast-rejects, it never queues unboundedly);
+//! - [`inbox`] — bounded admission queue whose batcher takes what is
+//!   queued when it is free (overload fast-rejects, it never queues
+//!   unboundedly);
 //! - [`server`] — the serve loop: framed readers, Hilbert-scheduled
 //!   batch execution over a per-batch snapshot, graceful drain;
 //! - [`client`] — a small blocking client for tests, the CLI, and the
@@ -29,4 +30,4 @@ pub mod server;
 pub use client::Client;
 pub use inbox::{Admit, Inbox};
 pub use protocol::{Hit, ProtocolError, Request, Response, MAX_K, MAX_RESULT_HITS};
-pub use server::{serve, Engine, ServeConfig, ServeReport};
+pub use server::{serve, Engine, ServeConfig, ServeReport, RETRY_AFTER_US};

@@ -1,5 +1,5 @@
 //! The `nnq serve` server: thread-per-connection framed readers feeding a
-//! bounded inbox, one batcher thread draining deadline-or-size
+//! bounded inbox, one batcher thread draining what is queued as
 //! micro-batches through the work-stealing mixed-query executor, and
 //! responses written back in admission order, one socket write per
 //! connection per micro-batch. Both engines are forests (one tree is a
@@ -14,7 +14,7 @@
 //!                                      │   full/closed → fast-reject
 //!                                      ▼
 //!                              bounded Inbox<Job>
-//!                                      │ deadline-or-size drain
+//!                                      │ drain what is queued (≤ batch_max)
 //!                                      ▼
 //!            batcher (caller's thread): forest snapshot per batch,
 //!            Hilbert claim order over `threads` workers
@@ -51,21 +51,31 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
+/// The back-off hint of an overload rejection (inbox full or over the
+/// per-connection cap). 1 ms is a chosen hint, not a measured one: it is
+/// roughly the time one full batch of 32 takes at the 35–53 k/s
+/// saturation rate measured for all-distinct kNN/radius requests on a
+/// 2-thread host, so a client that honours it retries once the batcher
+/// has freed a batch's worth of room. No client in this repository acts
+/// on the hint.
+pub const RETRY_AFTER_US: u32 = 1_000;
+
 /// One executed batch's answers: hits + the recorded stats, per query.
 type AnswerList = Vec<(Vec<Neighbor<2>>, PartitionedStats)>;
 
 /// Knobs for one [`serve`] run. All sizes are hard bounds: the inbox
-/// never queues more than `inbox_cap`, a batch never exceeds `batch_max`,
-/// and an admitted request never waits in the batcher longer than
-/// `batch_deadline`.
+/// never queues more than `inbox_cap`, and a batch never exceeds
+/// `batch_max`.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
     /// Worker threads the batch executor fans each micro-batch over.
     pub threads: usize,
     /// Micro-batch size trigger.
     pub batch_max: usize,
-    /// Micro-batch deadline trigger, anchored to the oldest queued
-    /// request's arrival.
+    /// Zero (default): a batch is what is queued when the batcher is
+    /// free. Nonzero: the deadline-or-size trigger, anchored to the
+    /// oldest queued request's arrival, kept for tests that compose
+    /// batches by waiting.
     pub batch_deadline: Duration,
     /// Inbox capacity; admission fast-rejects beyond it.
     pub inbox_cap: usize,
@@ -90,7 +100,7 @@ impl Default for ServeConfig {
         Self {
             threads: 1,
             batch_max: 32,
-            batch_deadline: Duration::from_micros(200),
+            batch_deadline: Duration::ZERO,
             inbox_cap: 1024,
             prefetch: PrefetchPolicy::Off,
             result_cache: 1024,
@@ -349,7 +359,6 @@ struct Shared {
     socket_writes: AtomicU64,
     accept_errors: AtomicU64,
     rejected_overcap: AtomicU64,
-    retry_after_us: u32,
     max_in_flight: usize,
 }
 
@@ -372,7 +381,6 @@ impl Shared {
             socket_writes: AtomicU64::new(0),
             accept_errors: AtomicU64::new(0),
             rejected_overcap: AtomicU64::new(0),
-            retry_after_us: config.batch_deadline.as_micros().min(u128::from(u32::MAX)) as u32,
             max_in_flight: config.max_in_flight.max(1),
         }
     }
@@ -634,7 +642,7 @@ fn reader_loop(stream: TcpStream, conn: Arc<Conn>, shared: &Shared) {
                     shared.rejected_overcap.fetch_add(1, Ordering::Relaxed);
                     let _ = conn.send(&Response::Rejected {
                         id,
-                        retry_after_us: shared.retry_after_us.max(1),
+                        retry_after_us: RETRY_AFTER_US,
                         shutting_down: false,
                     });
                     continue;
@@ -651,7 +659,7 @@ fn reader_loop(stream: TcpStream, conn: Arc<Conn>, shared: &Shared) {
                         shared.rejected.fetch_add(1, Ordering::Relaxed);
                         let _ = conn.send(&Response::Rejected {
                             id,
-                            retry_after_us: shared.retry_after_us.max(1),
+                            retry_after_us: RETRY_AFTER_US,
                             shutting_down: false,
                         });
                     }

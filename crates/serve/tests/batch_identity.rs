@@ -81,29 +81,33 @@ fn mixed_requests() -> Vec<Request> {
         .collect()
 }
 
-/// Serves `requests` under batch {1, 32} × threads {1, 8} × `caches`,
-/// asserting the response bytes never differ.
+/// Serves `requests` under batch deadline {0 (the default), 100 µs} ×
+/// batch {1, 32} × threads {1, 8} × `caches`, asserting the response
+/// bytes never differ.
 fn identical_across_knobs(engine: &Engine<'_>, requests: &[Request], caches: &[usize]) {
     let mut baseline: Option<Vec<Vec<u8>>> = None;
     for &result_cache in caches {
-        for batch_max in [1usize, 32] {
-            for threads in [1usize, 8] {
-                let config = ServeConfig {
-                    threads,
-                    batch_max,
-                    batch_deadline: Duration::from_micros(100),
-                    inbox_cap: 1024,
-                    result_cache,
-                    ..ServeConfig::default()
-                };
-                let (got, _) = serve_responses(engine, requests, &config);
-                let want = baseline.get_or_insert_with(|| got.clone());
-                for (i, (g, w)) in got.iter().zip(want.iter()).enumerate() {
-                    assert_eq!(
-                        g, w,
-                        "batch={batch_max} threads={threads} cache={result_cache}: \
-                         response {i} not byte-identical to the first configuration"
-                    );
+        for batch_deadline in [Duration::ZERO, Duration::from_micros(100)] {
+            for batch_max in [1usize, 32] {
+                for threads in [1usize, 8] {
+                    let config = ServeConfig {
+                        threads,
+                        batch_max,
+                        batch_deadline,
+                        inbox_cap: 1024,
+                        result_cache,
+                        ..ServeConfig::default()
+                    };
+                    let (got, _) = serve_responses(engine, requests, &config);
+                    let want = baseline.get_or_insert_with(|| got.clone());
+                    for (i, (g, w)) in got.iter().zip(want.iter()).enumerate() {
+                        assert_eq!(
+                            g, w,
+                            "deadline={batch_deadline:?} batch={batch_max} \
+                             threads={threads} cache={result_cache}: \
+                             response {i} not byte-identical to the first configuration"
+                        );
+                    }
                 }
             }
         }

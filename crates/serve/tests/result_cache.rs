@@ -10,7 +10,7 @@
 use nnq_core::MbrRefiner;
 use nnq_geom::Point;
 use nnq_rtree::{BulkMethod, RTree, RTreeConfig};
-use nnq_serve::{Client, Engine, Request, Response, ServeConfig, ServeReport};
+use nnq_serve::{Client, Engine, Request, Response, ServeConfig, ServeReport, RETRY_AFTER_US};
 use nnq_storage::{BufferPool, MemDisk, PAGE_SIZE};
 use nnq_workloads::{default_bounds, points_to_items, uniform_points, zipf_cluster_queries};
 use std::net::TcpListener;
@@ -302,7 +302,10 @@ fn greedy_pipeliner_is_capped_with_fast_rejections() {
                     shutting_down,
                     ..
                 } => {
-                    assert!(retry_after_us > 0, "over-cap rejection needs a retry hint");
+                    assert_eq!(
+                        retry_after_us, RETRY_AFTER_US,
+                        "over-cap rejection carries the fixed retry hint, not the deadline"
+                    );
                     assert!(!shutting_down);
                     rejected += 1;
                 }

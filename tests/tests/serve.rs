@@ -7,7 +7,7 @@
 use nnq_core::{within_radius_with, KernelMode, MbrRefiner, NnOptions, NnSearch};
 use nnq_geom::Point;
 use nnq_rtree::{BulkMethod, RTree, RTreeConfig};
-use nnq_serve::{Client, Engine, Request, Response, ServeConfig};
+use nnq_serve::{Client, Engine, Request, Response, ServeConfig, RETRY_AFTER_US};
 use nnq_storage::{BufferPool, MemDisk, PAGE_SIZE};
 use nnq_workloads::{default_bounds, points_to_items, uniform_points, uniform_queries};
 use std::net::TcpListener;
@@ -229,7 +229,10 @@ fn overload_fast_rejects_instead_of_queueing_or_dropping() {
                     shutting_down,
                     ..
                 } => {
-                    assert!(retry_after_us > 0, "overload rejection needs a retry hint");
+                    assert_eq!(
+                        retry_after_us, RETRY_AFTER_US,
+                        "overload rejection carries the fixed retry hint, not the deadline"
+                    );
                     assert!(!shutting_down);
                     rejected += 1;
                 }
