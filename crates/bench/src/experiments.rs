@@ -1,17 +1,17 @@
 //! The sixteen reproduction experiments (DESIGN.md §5).
 //!
-//! Each function prints one or more paper-style tables to stdout; the
-//! recorded full-scale output lives in `experiments_full.txt` and is
-//! analyzed in `EXPERIMENTS.md`. All page/node counters are deterministic
-//! for a fixed `NNQ_SCALE`; only wall-clock columns vary run to run.
+//! Each function returns one or more paper-style tables; the recorded
+//! full-scale output lives in `experiments_full.txt` and is analyzed in
+//! `EXPERIMENTS.md`. Every column not marked wall clock is deterministic
+//! for a fixed scale, and `tests/golden.rs` pins those columns.
 
 use crate::datasets::Dataset;
 use crate::harness::{
-    build_tree, default_build, measure, measure_knn, queries_for, BuildMethod, BuiltTree,
-    SegmentRefiner, QUERY_POOL_FRAMES,
+    build_tree, default_build, measure, measure_knn, queries_for, BuildMethod, SegmentRefiner,
+    QUERY_POOL_FRAMES,
 };
-use crate::scaled;
 use crate::table::{f, Table};
+use crate::Scale;
 use nnq_core::{best_first_knn, AblOrdering, IncrementalNn, MbrRefiner, NnOptions, NnSearch};
 use nnq_rtree::{BulkMethod, RTree, RTreeConfig};
 use nnq_storage::{BufferPool, MemDisk, PAGE_SIZE};
@@ -24,8 +24,8 @@ const SEED: u64 = 0xBEEF;
 ///
 /// Claim: the branch-and-bound search touches a tiny, slowly-growing
 /// fraction of the tree as k goes from 1 to 25.
-pub fn e1() {
-    let n = scaled(100_000);
+pub fn e1(scale: Scale) -> Vec<Table> {
+    let n = scale.of(100_000);
     let queries = queries_for(200, SEED);
     let ks = [1usize, 2, 5, 10, 15, 20, 25];
     let mut table = Table::new(
@@ -45,7 +45,7 @@ pub fn e1() {
     for d in Dataset::standard_trio(n, SEED) {
         let built = default_build(&d);
         let total = built.tree.stats().unwrap().nodes;
-        let mut row = vec![d.name.to_string(), total.to_string()];
+        let mut row = vec![d.name.into(), total.into()];
         for &k in &ks {
             let m = measure_knn(
                 &built,
@@ -58,14 +58,14 @@ pub fn e1() {
         }
         table.row(row);
     }
-    table.print();
+    vec![table]
 }
 
 /// E2 — MINDIST vs MINMAXDIST ABL ordering (the paper's central
 /// comparison). Claim: MINDIST ordering accesses no more (usually fewer)
 /// pages on average.
-pub fn e2() {
-    let n = scaled(100_000);
+pub fn e2(scale: Scale) -> Vec<Table> {
+    let n = scale.of(100_000);
     let queries = queries_for(200, SEED + 1);
     let ks = [1usize, 5, 10, 25];
     let mut table = Table::new(
@@ -90,22 +90,22 @@ pub fn e2() {
                 d.segments.as_deref(),
             );
             table.row(vec![
-                d.name.to_string(),
-                k.to_string(),
+                d.name.into(),
+                k.into(),
                 f(md.pages, 1),
                 f(mm.pages, 1),
                 f(mm.pages / md.pages, 2),
             ]);
         }
     }
-    table.print();
+    vec![table]
 }
 
 /// E3 — pruning-strategy ablation. Claim: each strategy reduces work;
 /// upward pruning (S3) does the heavy lifting; S1/S2 help mostly before
 /// the first k candidates are found.
-pub fn e3() {
-    let n = scaled(100_000);
+pub fn e3(scale: Scale) -> Vec<Table> {
+    let n = scale.of(100_000);
     let queries = queries_for(200, SEED + 2);
     let variants: [(&str, NnOptions); 4] = [
         ("none", NnOptions::no_pruning()),
@@ -126,6 +126,7 @@ pub fn e3() {
         ),
         ("S1+S2+S3", NnOptions::default()),
     ];
+    let mut tables = Vec::new();
     for d in [Dataset::uniform(n, SEED), Dataset::tiger(n, SEED + 2)] {
         let built = default_build(&d);
         let mut table = Table::new(
@@ -144,8 +145,8 @@ pub fn e3() {
             for (label, opts) in &variants {
                 let m = measure_knn(&built, &queries, k, *opts, d.segments.as_deref());
                 table.row(vec![
-                    label.to_string(),
-                    k.to_string(),
+                    (*label).into(),
+                    k.into(),
                     f(m.nodes, 1),
                     f(m.pruned_downward, 1),
                     f(m.pruned_object, 1),
@@ -154,19 +155,21 @@ pub fn e3() {
                 ]);
             }
         }
-        table.print();
+        tables.push(table);
     }
+    tables
 }
 
 /// E4 — scalability: pages vs dataset size. Claim: logarithmic growth.
-pub fn e4() {
+pub fn e4(scale: Scale) -> Vec<Table> {
     let queries = queries_for(200, SEED + 3);
     let mut table = Table::new(
         "E4: pages per query vs dataset size (uniform, k = 10, STR build)",
         &["N", "height", "total pages", "pages/query", "time [µs]"],
-    );
+    )
+    .wall_clock(&["time [µs]"]);
     for exp in 12..=20u32 {
-        let n = scaled(1usize << exp);
+        let n = scale.of(1usize << exp);
         let d = Dataset::uniform(n, SEED + u64::from(exp));
         let built = build_tree(
             &d.items,
@@ -175,20 +178,20 @@ pub fn e4() {
         );
         let m = measure_knn(&built, &queries, 10, NnOptions::default(), None);
         table.row(vec![
-            n.to_string(),
-            built.tree.height().to_string(),
-            built.tree.stats().unwrap().nodes.to_string(),
+            n.into(),
+            built.tree.height().to_string().into(),
+            built.tree.stats().unwrap().nodes.into(),
             f(m.pages, 1),
             f(m.time_us, 1),
         ]);
     }
-    table.print();
+    vec![table]
 }
 
 /// E5 — buffering: physical reads vs LRU buffer size. Claim: small
 /// buffers already capture the locality of the depth-first search.
-pub fn e5() {
-    let n = scaled(100_000);
+pub fn e5(scale: Scale) -> Vec<Table> {
+    let n = scale.of(100_000);
     let d = Dataset::tiger(n, SEED + 4);
     // Build once on a shared device, then re-open under pools of varying
     // size.
@@ -227,19 +230,19 @@ pub fn e5() {
         });
         let stats = pool.stats();
         table.row(vec![
-            frames.to_string(),
+            frames.into(),
             f(m.pages, 1),
             f(m.physical, 1),
             f(stats.hit_rate(), 3),
         ]);
     }
-    table.print();
+    vec![table]
 }
 
 /// E6 — index vs sequential scan (the motivating comparison). Claim: the
 /// branch-and-bound search wins by orders of magnitude and the gap widens
 /// with N.
-pub fn e6() {
+pub fn e6(scale: Scale) -> Vec<Table> {
     let queries = queries_for(50, SEED + 5);
     let mut table = Table::new(
         "E6: branch-and-bound vs sequential scan (uniform, k = 10)",
@@ -251,8 +254,9 @@ pub fn e6() {
             "scan µs",
             "speedup",
         ],
-    );
-    for &n in &[scaled(10_000), scaled(50_000), scaled(200_000)] {
+    )
+    .wall_clock(&["B&B µs", "scan µs", "speedup"]);
+    for &n in &[scale.of(10_000), scale.of(50_000), scale.of(200_000)] {
         let d = Dataset::uniform(n, SEED + n as u64);
         let built = default_build(&d);
         let m = measure_knn(&built, &queries, 10, NnOptions::default(), None);
@@ -262,7 +266,7 @@ pub fn e6() {
                 .1
         });
         table.row(vec![
-            n.to_string(),
+            n.into(),
             f(m.pages, 1),
             f(scan.pages, 1),
             f(m.time_us, 1),
@@ -270,14 +274,14 @@ pub fn e6() {
             f(scan.time_us / m.time_us, 1),
         ]);
     }
-    table.print();
+    vec![table]
 }
 
 /// E7 — construction method vs query cost. Claim: packed trees answer NN
 /// queries at least as cheaply as dynamically built ones; R* beats
 /// Guttman's splits; linear is worst.
-pub fn e7() {
-    let n = scaled(100_000);
+pub fn e7(scale: Scale) -> Vec<Table> {
+    let n = scale.of(100_000);
     let d = Dataset::tiger(n, SEED + 6);
     let queries = queries_for(200, SEED + 6);
     let mut table = Table::new(
@@ -290,7 +294,8 @@ pub fn e7() {
             "overlap",
             "pages/query",
         ],
-    );
+    )
+    .wall_clock(&["build [ms]"]);
     for method in BuildMethod::all() {
         let built = build_tree(&d.items, method, QUERY_POOL_FRAMES);
         built.tree.validate().unwrap();
@@ -303,22 +308,22 @@ pub fn e7() {
             d.segments.as_deref(),
         );
         table.row(vec![
-            method.label().to_string(),
+            method.label().into(),
             f(built.build_time.as_secs_f64() * 1e3, 0),
-            stats.nodes.to_string(),
+            stats.nodes.into(),
             f(stats.avg_fill, 2),
             f(stats.overlap_per_level.iter().sum::<f64>() / 1e6, 1),
             f(m.pages, 1),
         ]);
     }
-    table.print();
+    vec![table]
 }
 
 /// E8 — depth-first (the paper) vs best-first vs incremental
 /// (later literature). Claim: best-first reads the fewest pages; ordered
 /// DFS stays close on well-built trees.
-pub fn e8() {
-    let n = scaled(100_000);
+pub fn e8(scale: Scale) -> Vec<Table> {
+    let n = scale.of(100_000);
     let d = Dataset::tiger(n, SEED + 7);
     let built = default_build(&d);
     let segments = d.segments.as_deref().unwrap();
@@ -343,22 +348,22 @@ pub fn e8() {
             *it.stats()
         });
         table.row(vec![
-            k.to_string(),
+            k.into(),
             f(dfs.pages, 1),
             f(bf.pages, 1),
             f(inc.pages, 1),
             f(dfs.pages / bf.pages, 2),
         ]);
     }
-    table.print();
+    vec![table]
 }
 
 /// E9 — page-size sweep: the paper-era question of how node capacity
 /// (page size) trades fanout against per-page cost. Claim: larger pages
 /// mean fewer page accesses per query but more bytes moved; the page
 /// count falls roughly linearly in the fanout.
-pub fn e9() {
-    let n = scaled(100_000);
+pub fn e9(scale: Scale) -> Vec<Table> {
+    let n = scale.of(100_000);
     let d = Dataset::uniform(n, SEED + 8);
     let queries = queries_for(200, SEED + 8);
     let mut table = Table::new(
@@ -390,15 +395,15 @@ pub fn e9() {
             search.query_with_stats(q, 10).unwrap().1
         });
         table.row(vec![
-            page_size.to_string(),
-            tree.max_entries().to_string(),
-            tree.height().to_string(),
-            tree.stats().unwrap().nodes.to_string(),
+            page_size.into(),
+            tree.max_entries().into(),
+            tree.height().to_string().into(),
+            tree.stats().unwrap().nodes.into(),
             f(m.pages, 1),
             f(m.pages * page_size as f64 / 1024.0, 1),
         ]);
     }
-    table.print();
+    vec![table]
 }
 
 /// E10 — query-distribution impact: queries uniform over the world vs
@@ -408,8 +413,8 @@ pub fn e9() {
 /// towns where many sibling MBRs overlap the kNN ball, while uniform
 /// queries often land in empty countryside whose large ball intersects
 /// few, well-separated nodes.
-pub fn e10() {
-    let n = scaled(100_000);
+pub fn e10(scale: Scale) -> Vec<Table> {
+    let n = scale.of(100_000);
     let mut table = Table::new(
         format!("E10: query distribution vs cost (N = {n}, k = 10)"),
         &["dataset", "uniform q pages", "data-near q pages", "ratio"],
@@ -441,13 +446,13 @@ pub fn e10() {
             d.segments.as_deref(),
         );
         table.row(vec![
-            d.name.to_string(),
+            d.name.into(),
             f(mu.pages, 1),
             f(mn.pages, 1),
             f(mu.pages / mn.pages, 2),
         ]);
     }
-    table.print();
+    vec![table]
 }
 
 /// E11 — backend comparison (extension): the paper's disk R-tree vs the
@@ -455,8 +460,8 @@ pub fn e10() {
 /// Claim: identical answers; CPU time favors the memory-resident
 /// structures; the R-tree's page discipline is the price of disk
 /// residency.
-pub fn e11() {
-    let n = scaled(100_000);
+pub fn e11(scale: Scale) -> Vec<Table> {
+    let n = scale.of(100_000);
     let d = Dataset::uniform(n, SEED + 10);
     let queries = queries_for(500, SEED + 10);
 
@@ -482,7 +487,8 @@ pub fn e11() {
             "paged nodes",
             "kd nodes",
         ],
-    );
+    )
+    .wall_clock(&["paged µs", "mem-rtree µs", "kd-tree µs"]);
     // Warm every structure (page cache, allocator, branch predictors) so
     // the timed passes compare steady states.
     for q in &queries {
@@ -512,7 +518,7 @@ pub fn e11() {
         let kd_us = start.elapsed().as_secs_f64() * 1e6 / queries.len() as f64;
         let _ = mem_nodes;
         table.row(vec![
-            k.to_string(),
+            k.into(),
             f(mp.time_us, 1),
             f(mem_us, 1),
             f(kd_us, 1),
@@ -520,16 +526,16 @@ pub fn e11() {
             f(kd_nodes as f64 / queries.len() as f64, 1),
         ]);
     }
-    table.print();
+    vec![table]
 }
 
 /// E12 — kNN-join locality (extension): processing the outer set in
 /// Hilbert order makes consecutive queries hit the same subtree, so a
 /// small LRU buffer absorbs most node reads. Claim: same logical work,
 /// far fewer physical reads under a constrained buffer.
-pub fn e12() {
-    let n = scaled(100_000);
-    let n_outer = scaled(20_000);
+pub fn e12(scale: Scale) -> Vec<Table> {
+    let n = scale.of(100_000);
+    let n_outer = scale.of(20_000);
     let d = Dataset::uniform(n, SEED + 11);
     let outer = nnq_workloads::uniform_points(n_outer, &nnq_workloads::default_bounds(), SEED + 11);
 
@@ -556,7 +562,8 @@ pub fn e12() {
     let mut table = Table::new(
         format!("E12: kNN-join outer ordering vs physical reads (N = {n}, outer = {n_outer}, k = 4, tree = {total_pages} pages)"),
         &["buffer [pages]", "order", "physical reads", "hit rate", "time [ms]"],
-    );
+    )
+    .wall_clock(&["time [ms]"]);
     for frames in [16usize, 64, 256] {
         for (label, order) in [
             ("as-given", nnq_core::JoinOrder::AsGiven),
@@ -571,23 +578,23 @@ pub fn e12() {
             let elapsed = start.elapsed();
             let s = pool.stats();
             table.row(vec![
-                frames.to_string(),
-                label.to_string(),
-                s.physical_reads.to_string(),
+                frames.into(),
+                (*label).into(),
+                s.physical_reads.into(),
                 f(s.hit_rate(), 3),
                 f(elapsed.as_secs_f64() * 1e3, 0),
             ]);
         }
     }
-    table.print();
+    vec![table]
 }
 
 /// E13 — parallel batch scaling (extension; the paper's conclusion lists
 /// parallel NN as future work). Claim: independent queries over a shared
 /// tree scale near-linearly until memory bandwidth bites.
-pub fn e13() {
-    let n = scaled(200_000);
-    let n_queries = scaled(20_000);
+pub fn e13(scale: Scale) -> Vec<Table> {
+    let n = scale.of(200_000);
+    let n_queries = scale.of(20_000);
     let d = Dataset::uniform(n, SEED + 12);
     let tree = nnq_rtree::MemRTree::<2>::new();
     for (mbr, rid) in &d.items {
@@ -612,7 +619,8 @@ pub fn e13() {
             "E13: parallel batch kNN scaling (mem R-tree, N = {n}, {n_queries} queries, k = 10, {cores} core(s) available)"
         ),
         &["threads", "total [ms]", "queries/s", "speedup"],
-    );
+    )
+    .wall_clock(&["total [ms]", "queries/s", "speedup"]);
     let mut base = 0.0f64;
     for threads in [1usize, 2, 4, 8] {
         let start = Instant::now();
@@ -631,13 +639,13 @@ pub fn e13() {
             base = secs;
         }
         table.row(vec![
-            threads.to_string(),
+            threads.into(),
             f(secs * 1e3, 0),
             f(queries.len() as f64 / secs, 0),
             f(base / secs, 2),
         ]);
     }
-    table.print();
+    vec![table]
 }
 
 /// E14 — disk-resident refinement (extension of the paper's filter-refine
@@ -645,8 +653,8 @@ pub fn e13() {
 /// device, refinement pays page accesses too. Claim: refinement adds a
 /// small, k-proportional number of heap-page reads on top of the index
 /// pages.
-pub fn e14() {
-    let n = scaled(100_000);
+pub fn e14(scale: Scale) -> Vec<Table> {
+    let n = scale.of(100_000);
     let segments = nnq_workloads::tiger_like_segments(&nnq_workloads::TigerParams {
         segments: n,
         seed: SEED + 13,
@@ -705,20 +713,20 @@ pub fn e14() {
         let heap_pages_q = pool.stats().logical_reads as f64 / queries.len() as f64;
 
         table.row(vec![
-            k.to_string(),
+            k.into(),
             f(slice_pages, 1),
             f(heap_pages_q, 1),
             f(heap_pages_q - slice_pages, 1),
         ]);
     }
-    table.print();
+    vec![table]
 }
 
 /// E15 — (1+ε)-approximate kNN (extension): trading guaranteed accuracy
 /// for page accesses. Claim: modest ε buys a meaningful reduction in
 /// nodes visited while observed error stays far below the guarantee.
-pub fn e15() {
-    let n = scaled(100_000);
+pub fn e15(scale: Scale) -> Vec<Table> {
+    let n = scale.of(100_000);
     let d = Dataset::clustered(n, SEED + 14);
     let built = default_build(&d);
     let queries = queries_for(300, SEED + 14);
@@ -770,13 +778,13 @@ pub fn e15() {
             f(1.0 + eps, 2),
         ]);
     }
-    table.print();
+    vec![table]
 }
 
 /// E16 — spatial intersection join (extension; the companion operation
 /// the paper's conclusion points at). Claim: synchronized traversal reads
 /// orders of magnitude fewer nodes than an index-nested-loop join.
-pub fn e16() {
+pub fn e16(scale: Scale) -> Vec<Table> {
     let mut table = Table::new(
         "E16: intersection join vs index-nested-loop (rect data)",
         &[
@@ -787,8 +795,9 @@ pub fn e16() {
             "ratio",
             "time [ms]",
         ],
-    );
-    for &n in &[scaled(10_000), scaled(40_000)] {
+    )
+    .wall_clock(&["time [ms]"]);
+    for &n in &[scale.of(10_000), scale.of(40_000)] {
         let a = Dataset::clustered(n, SEED + 15);
         // Grow points into small rectangles so intersections exist.
         let to_rects = |items: &[(nnq_geom::Rect<2>, nnq_rtree::RecordId)], grow: f64| {
@@ -835,19 +844,22 @@ pub fn e16() {
         let nested = sampled as f64 / sample_count as f64 * a_items.len() as f64;
         let join_reads = (stats.nodes_left + stats.nodes_right) as f64;
         table.row(vec![
-            n.to_string(),
-            pairs.len().to_string(),
+            n.into(),
+            pairs.len().into(),
             f(join_reads, 0),
             f(nested, 0),
             f(nested / join_reads, 1),
             f(elapsed.as_secs_f64() * 1e3, 0),
         ]);
     }
-    table.print();
+    vec![table]
 }
 
+/// One experiment: runs at a scale and returns its tables.
+pub type Experiment = fn(Scale) -> Vec<Table>;
+
 /// Every experiment by name, in order.
-pub const EXPERIMENTS: [(&str, fn()); 16] = [
+pub const EXPERIMENTS: [(&str, Experiment); 16] = [
     ("E1", e1),
     ("E2", e2),
     ("E3", e3),
@@ -865,22 +877,3 @@ pub const EXPERIMENTS: [(&str, fn()); 16] = [
     ("E15", e15),
     ("E16", e16),
 ];
-
-/// Runs every experiment in sequence, printing total wall time.
-pub fn run_all() {
-    let start = Instant::now();
-    for (name, run) in EXPERIMENTS {
-        let t = Instant::now();
-        run();
-        eprintln!("[{name} finished in {:.1}s]", t.elapsed().as_secs_f64());
-    }
-    eprintln!(
-        "\nAll experiments finished in {:.1}s (NNQ_SCALE = {}).",
-        start.elapsed().as_secs_f64(),
-        crate::scale()
-    );
-}
-
-/// Ensures an otherwise-unused helper stays exercised.
-#[allow(dead_code)]
-fn _use_built(_: &BuiltTree) {}
