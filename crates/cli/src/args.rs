@@ -119,7 +119,7 @@ impl Args {
         }
     }
 
-    /// A required `x,y` coordinate pair.
+    /// A required `x,y` coordinate pair of finite numbers.
     pub fn coords(&self, name: &str) -> Result<(f64, f64), CliError> {
         let raw = self.req(name)?;
         let mut parts = raw.split(',');
@@ -127,7 +127,9 @@ impl Args {
             s.ok_or_else(|| CliError::Usage(format!("flag `--{name}` wants `x,y`")))?
                 .trim()
                 .parse()
-                .map_err(|_| CliError::Usage(format!("flag `--{name}`: bad number in `{raw}`")))
+                .ok()
+                .filter(|v: &f64| v.is_finite())
+                .ok_or_else(|| CliError::Usage(format!("flag `--{name}`: bad number in `{raw}`")))
         };
         let x = parse(parts.next())?;
         let y = parse(parts.next())?;
@@ -173,6 +175,10 @@ mod tests {
         assert!(a.coords("at").is_err());
         let a = Args::parse(&argv(&["--at", "x,y"])).unwrap();
         assert!(a.coords("at").is_err());
+        for raw in ["1,nan", "inf,1", "1,-inf"] {
+            let a = Args::parse(&argv(&["--at", raw])).unwrap();
+            assert!(a.coords("at").is_err(), "{raw}");
+        }
     }
 
     #[test]

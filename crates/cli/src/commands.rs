@@ -348,17 +348,17 @@ fn prefetch_report(trees: &[RTree<2>], policy: PrefetchPolicy) -> Option<String>
     })
 }
 
-/// The node-cache line of `bench` and `serve`: the trees' counters summed.
+/// The node-cache line of `bench` and `serve`: node reads that took the
+/// decoded node their pool frame held, summed over the trees.
 fn node_cache_report(trees: &[RTree<2>]) -> String {
-    let (mut hits, mut reads, mut cached) = (0, 0, 0);
+    let (mut hits, mut reads) = (0, 0);
     for tree in trees {
         let c = tree.store().cache_stats();
         hits += c.hits;
         reads += c.hits + c.misses;
-        cached += c.len;
     }
     format!(
-        "node cache: {hits} hits / {reads} reads ({:.1}% decode-free), {cached} nodes cached",
+        "node cache: {hits} hits / {reads} reads ({:.1}% decode-free)",
         hits as f64 / reads.max(1) as f64 * 100.0
     )
 }

@@ -77,7 +77,7 @@ Datasets are segment CSV files (`ax,ay,bx,by` per line); point datasets use
 degenerate segments. Indexes are page files created by `build` (the meta
 page is page 0). `build --partitions P` needs a bulk method and splits the
 dataset into P Hilbert-key-range trees (`<index>.p<i>` + `<index>.manifest`);
-`query`/`bench --partitions P` run scatter-gather over them with one shared
-k-th-distance bound. `serve` runs until a client sends a shutdown frame
+`query`/`bench --partitions P` run scatter-gather over them, pruning each
+tree by its own root MBR. `serve` runs until a client sends a shutdown frame
 (see the `nnq-serve` crate for the wire protocol); `--port 0` binds an
 ephemeral port, written to `--port-file` for scripts.";

@@ -126,6 +126,39 @@ fn knn_results_are_sorted_and_k_limited() {
 }
 
 #[test]
+fn a_k_beyond_the_data_returns_every_object() {
+    // Through the binary: a k that the executor tried to preallocate for
+    // aborted the process instead of returning.
+    let data = tmp("huge-k.csv");
+    let index = tmp("huge-k.rtree");
+    run_ok(&["gen", "--kind", "uniform", "--n", "2000", "--out", &data]);
+    run_ok(&["build", "--input", &data, "--index", &index]);
+    let nnq = |cmd: &str, extra: &[&str]| {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_nnq"))
+            .args([
+                cmd,
+                "--index",
+                &index,
+                "--data",
+                &data,
+                "-k",
+                "100000000000",
+            ])
+            .args(extra)
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "{cmd}: {out:?}");
+        String::from_utf8(out.stdout).unwrap()
+    };
+    let out = nnq("query", &["--at", "1,2"]);
+    assert!(out.contains("(2000 results"), "{out}");
+    let out = nnq("bench", &["--queries", "3"]);
+    assert!(out.contains("3 queries (k = 100000000000)"), "{out}");
+    std::fs::remove_file(&data).ok();
+    std::fs::remove_file(&index).ok();
+}
+
+#[test]
 fn errors_are_reported_not_panicked() {
     // Unknown command.
     let mut out = Vec::new();

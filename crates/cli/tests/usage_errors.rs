@@ -206,3 +206,23 @@ fn a_negative_or_non_finite_radius_is_a_usage_error() {
     let out = fx.single("query", &["--at", "50000,50000", "--radius", "0"]);
     assert!(out.status.success(), "{}", stderr(&out));
 }
+
+#[test]
+fn a_non_finite_point_is_a_usage_error() {
+    let fx = Fixture::new("point");
+    let want = "flag `--at`: bad number";
+    for at in ["1,nan", "inf,1", "-inf,1", "1,1e999"] {
+        let q = ["--at", at];
+        assert_usage(&fx.single("query", &q), want, &format!("query --at {at}"));
+        assert_usage(
+            &fx.parted("query", &q),
+            want,
+            &format!("query --at {at} --partitions"),
+        );
+        assert_usage(
+            &nnq(&["explain", "--index", &fx.index, "--at", at]),
+            want,
+            &format!("explain --at {at}"),
+        );
+    }
+}

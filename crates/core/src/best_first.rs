@@ -7,7 +7,7 @@
 //! ever read.
 
 use crate::heap::KnnHeap;
-use crate::options::{KernelMode, Neighbor, NnOptions, SearchStats};
+use crate::options::{KernelMode, Neighbor, SearchStats};
 use crate::refine::Refiner;
 use crate::Result;
 use nnq_geom::{mindist_sq, mindist_sq_batch, Point};
@@ -53,25 +53,8 @@ pub fn best_first_knn_with<const D: usize, T: TreeAccess<D> + ?Sized, R: Refiner
     refiner: &R,
     kernel: KernelMode,
 ) -> Result<(Vec<Neighbor<D>>, SearchStats)> {
-    best_first_knn_opts(tree, q, k, refiner, NnOptions::with_kernel(kernel))
-}
-
-/// [`best_first_knn`] honoring the kernel and prefetch fields of `opts`
-/// (the pruning toggles do not apply — best-first has no ABL). The kernel
-/// and prefetch knobs never change results or statistics.
-pub fn best_first_knn_opts<const D: usize, T: TreeAccess<D> + ?Sized, R: Refiner<D>>(
-    tree: &T,
-    q: &Point<D>,
-    k: usize,
-    refiner: &R,
-    opts: NnOptions,
-) -> Result<(Vec<Neighbor<D>>, SearchStats)> {
     assert!(k > 0, "k must be at least 1");
-    let batch = opts.kernel == KernelMode::Batch;
-    let prefetch_depth = opts
-        .prefetch
-        .resolve_with_activity(tree.io_miss_rate(), tree.io_reads());
-    let mut hint_scratch: Vec<(f64, PageId)> = Vec::new();
+    let batch = kernel == KernelMode::Batch;
     let mut mindists: Vec<f64> = Vec::new();
     let mut heap = KnnHeap::new(k);
     let mut stats = SearchStats::default();
@@ -112,25 +95,6 @@ pub fn best_first_knn_opts<const D: usize, T: TreeAccess<D> + ?Sized, R: Refiner
                 };
                 if d < heap.bound_sq() {
                     queue.push(Reverse((QueueKey(d), e.child())));
-                }
-            }
-            // Heap-guided prefetch: hint this node's nearest surviving
-            // children past the nearest one (matching the ABL rule — the
-            // single closest child is usually the very next pop, fetched
-            // synchronously before a hint could help). Advisory only.
-            if prefetch_depth > 0 {
-                hint_scratch.clear();
-                hint_scratch.extend(node.entries().iter().enumerate().filter_map(|(j, e)| {
-                    let d = if batch {
-                        mindists[j]
-                    } else {
-                        mindist_sq(q, &e.mbr)
-                    };
-                    (d < heap.bound_sq()).then_some((d, e.child()))
-                }));
-                hint_scratch.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-                for &(_, child) in hint_scratch.iter().skip(1).take(prefetch_depth) {
-                    tree.prefetch_node(child);
                 }
             }
         }

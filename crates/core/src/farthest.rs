@@ -46,7 +46,7 @@ impl<const D: usize> FarHeap<D> {
     fn new(k: usize) -> Self {
         Self {
             k,
-            heap: BinaryHeap::with_capacity(k + 1),
+            heap: BinaryHeap::with_capacity(crate::heap::prealloc(k)),
             entries: Vec::new(),
         }
     }

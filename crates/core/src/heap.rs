@@ -27,6 +27,18 @@ impl<const D: usize> Ord for HeapItem<D> {
     }
 }
 
+/// Most candidates a heap reserves room for up front. A `k` far beyond the
+/// data would otherwise allocate for answers that cannot exist; a heap
+/// that does fill past this grows as candidates arrive.
+const MAX_PREALLOC: usize = 1 << 10;
+
+/// The slots a heap of `k` candidates reserves: `k` and the one a push
+/// holds before the pop that trims it, capped before the `+ 1` so that
+/// `usize::MAX` does not overflow.
+pub(crate) fn prealloc(k: usize) -> usize {
+    k.min(MAX_PREALLOC) + 1
+}
+
 /// A bounded max-heap holding the k nearest candidates seen so far.
 ///
 /// [`KnnHeap::bound_sq`] — the squared distance of the k-th (worst)
@@ -46,7 +58,7 @@ impl<const D: usize> KnnHeap<D> {
         assert!(k > 0, "k must be at least 1");
         Self {
             k,
-            heap: BinaryHeap::with_capacity(k + 1),
+            heap: BinaryHeap::with_capacity(prealloc(k)),
         }
     }
 
@@ -64,9 +76,7 @@ impl<const D: usize> KnnHeap<D> {
         assert!(k > 0, "k must be at least 1");
         self.k = k;
         self.heap.clear();
-        if self.heap.capacity() < k + 1 {
-            self.heap.reserve(k + 1 - self.heap.len());
-        }
+        self.heap.reserve(prealloc(k));
     }
 
     /// Number of candidates currently held (at most k).

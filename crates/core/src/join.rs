@@ -57,7 +57,7 @@ where
 
 /// Indices of `outer` sorted along a Hilbert curve over the points'
 /// bounding box (first two dimensions).
-pub fn hilbert_schedule<const D: usize>(outer: &[Point<D>]) -> Vec<usize> {
+pub(crate) fn hilbert_schedule<const D: usize>(outer: &[Point<D>]) -> Vec<usize> {
     let mut bounds = Rect::<D>::empty();
     for p in outer {
         bounds.union_in_place(&Rect::from_point(*p));

@@ -80,19 +80,19 @@ mod spatial_join;
 #[cfg(test)]
 mod stalling;
 
-pub use best_first::{best_first_knn, best_first_knn_opts, best_first_knn_with};
+pub use best_first::{best_first_knn, best_first_knn_with};
 pub use branch_bound::{NnSearch, QueryCursor};
 pub use explain::{Decision, Trace, TraceEvent};
 pub use farthest::{farthest_knn, farthest_knn_with};
 pub use heap::KnnHeap;
 pub use incremental::IncrementalNn;
-pub use join::{hilbert_schedule, knn_join, JoinOrder};
+pub use join::{knn_join, JoinOrder};
 pub use metric_knn::metric_knn;
 pub use options::{AblOrdering, KernelMode, Neighbor, NnOptions, PrefetchPolicy, SearchStats};
 pub use parallel::{
     par_knn_batch, par_knn_batch_stats, par_mixed_batch_dedup, BatchQuery, BatchStats,
 };
-pub use radius::{count_within_radius, within_radius, within_radius_with};
+pub use radius::{within_radius, within_radius_with};
 pub use refine::{FnRefiner, MbrRefiner, Refiner};
 pub use result_cache::{CachedAnswer, ResultCache};
 pub use scan::{linear_scan_knn, scan_items_knn};

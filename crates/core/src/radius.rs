@@ -94,17 +94,6 @@ pub fn within_radius_with<const D: usize, T: TreeAccess<D> + ?Sized, R: Refiner<
     Ok((out, stats))
 }
 
-/// Counts the objects within `radius` of `q` without materializing them.
-pub fn count_within_radius<const D: usize, T: TreeAccess<D> + ?Sized, R: Refiner<D>>(
-    tree: &T,
-    q: &Point<D>,
-    radius: f64,
-    refiner: &R,
-) -> Result<u64> {
-    let (hits, _) = within_radius(tree, q, radius, refiner)?;
-    Ok(hits.len() as u64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -172,17 +161,6 @@ mod tests {
         assert_eq!(got[0].dist_sq, 0.0);
         let (got, _) = within_radius(&tree, &Point::new([2.5, 3.0]), 0.0, &MbrRefiner).unwrap();
         assert!(got.is_empty());
-    }
-
-    #[test]
-    fn count_matches_materialized_query() {
-        let tree = grid_tree(15);
-        let q = Point::new([7.0, 7.0]);
-        let (hits, _) = within_radius(&tree, &q, 4.0, &MbrRefiner).unwrap();
-        assert_eq!(
-            count_within_radius(&tree, &q, 4.0, &MbrRefiner).unwrap(),
-            hits.len() as u64
-        );
     }
 
     #[test]

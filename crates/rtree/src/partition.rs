@@ -20,8 +20,8 @@
 //! partition's bound grows to hold it.
 //!
 //! Each partition is a complete, self-contained [`RTree`] on its **own**
-//! [`BufferPool`] (own frame budget, own decoded-node cache, own
-//! prefetcher). Beside the partition files, a [`PartitionManifest`]
+//! [`BufferPool`] (own frame budget, whose frames hold their decoded
+//! nodes, own prefetcher). Beside the partition files, a [`PartitionManifest`]
 //! records how many partitions there are. It records nothing about what
 //! they hold: each tree's committed meta is the truth about its entries
 //! and its bound, whatever has been written to it since the build.

@@ -4,25 +4,23 @@
 //! written once against the [`NodeStore`] trait; two backends implement it:
 //!
 //! * [`PagedStore`] — one node per fixed-size disk page on an
-//!   `nnq-storage` buffer pool, fronted by a decoded-node cache. This is
-//!   the configuration the paper measures (every node read is a page
-//!   access). The cache is an `nnq_storage::ClockCache` keyed by page id
-//!   and probed only after the pool fetch. Its one rule of its own is
-//!   page invalidation: writing, freeing or reallocating a page removes
-//!   the page's entry, so a probe is a hit or a miss, never stale.
+//!   `nnq-storage` buffer pool. This is the configuration the paper
+//!   measures (every node read is a page access). The decoded node lives
+//!   in the pool frame that holds its page, so a page is decoded once per
+//!   load or write, and the pool alone decides what stays resident.
 //! * [`MemStore`] — an arena of heap-allocated nodes with a configurable
 //!   fanout. No page accounting, maximum speed; the "rstar-style"
 //!   in-memory index for applications that don't need persistence.
 //!
 //! `read` hands out `Arc<RawNode<D>>` in both backends, so navigating a
 //! tree shares decoded nodes instead of copying entry arrays: the paged
-//! backend serves repeat reads from its cache, and the in-memory backend
+//! backend serves repeat reads from the frame, and the in-memory backend
 //! clones an `Arc` straight out of the arena.
 
 use crate::codec::{decode_meta, decode_node, encode_meta, encode_node, Meta, RawNode};
 use crate::entry::Entry;
 use crate::{RTreeError, Result};
-use nnq_storage::{BufferPool, CacheStats, ClockCache, PageId, Probe};
+use nnq_storage::{BufferPool, CacheStats, PageId, PageReadGuard};
 use parking_lot::RwLock;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -115,16 +113,18 @@ pub trait NodeStore<const D: usize> {
 // ---------------------------------------------------------------------------
 
 /// Disk-page-backed node storage (one node per page, meta on its own
-/// page), fronted by a capacity-bounded decoded-node cache.
+/// page).
 ///
-/// Every `read` still performs a buffer-pool `fetch` — logical and
-/// physical page accounting, and the pool's frame recency, are identical
-/// with or without the cache — but a cached page skips the decode and the
-/// per-read entry-array allocation, returning a shared `Arc<RawNode>`.
+/// Every `read` performs a buffer-pool `fetch` — the paper's page access,
+/// counted and stamped for recency by the pool — and then takes the
+/// decoded node from the fetched frame, decoding the page only if no
+/// reader has decoded it since it last changed.
 pub struct PagedStore<const D: usize> {
     pool: Arc<BufferPool>,
     meta_page: PageId,
-    cache: ClockCache<PageId, Arc<RawNode<D>>>,
+    /// Node reads, and those of them that decoded the page.
+    node_reads: AtomicU64,
+    decodes: AtomicU64,
     /// Commit-group ids for WAL publication, unique per store.
     txn_counter: AtomicU64,
     /// Group-commit window in microseconds (`0` = sync every commit).
@@ -132,62 +132,37 @@ pub struct PagedStore<const D: usize> {
 }
 
 impl<const D: usize> PagedStore<D> {
-    /// Default decoded-node cache capacity, in nodes. At the default page
-    /// size a 2-d node is ~4 KiB of entries, so this is a few MiB — small
-    /// next to the buffer pool it shadows.
-    pub const DEFAULT_CACHE_CAPACITY: usize = 1024;
-
     /// Default group-commit window in microseconds: commits within a
     /// millisecond of the last WAL sync share its durability point. `0`
     /// would sync the journal on every commit.
     pub const DEFAULT_GROUP_COMMIT_US: u64 = 1_000;
 
-    /// Creates a store, allocating a fresh meta page.
-    pub fn create(pool: Arc<BufferPool>) -> Result<Self> {
-        Self::create_with_cache(pool, Self::DEFAULT_CACHE_CAPACITY)
-    }
-
-    /// Creates a store with an explicit decoded-node cache capacity
-    /// (`0` disables the cache).
-    pub fn create_with_cache(pool: Arc<BufferPool>, cache_capacity: usize) -> Result<Self> {
-        let (meta_page, guard) = pool.new_page()?;
-        drop(guard);
-        Ok(Self {
+    fn with_meta_page(pool: Arc<BufferPool>, meta_page: PageId) -> Self {
+        Self {
             pool,
             meta_page,
-            cache: ClockCache::new(cache_capacity),
+            node_reads: AtomicU64::new(0),
+            decodes: AtomicU64::new(0),
             txn_counter: AtomicU64::new(0),
             group_commit_us: AtomicU64::new(Self::DEFAULT_GROUP_COMMIT_US),
-        })
+        }
+    }
+
+    /// Creates a store, allocating a fresh meta page.
+    pub fn create(pool: Arc<BufferPool>) -> Result<Self> {
+        let (meta_page, guard) = pool.new_page()?;
+        drop(guard);
+        Ok(Self::with_meta_page(pool, meta_page))
     }
 
     /// Opens a store whose meta page is `meta_page`, returning the decoded
     /// metadata alongside.
     pub fn open(pool: Arc<BufferPool>, meta_page: PageId) -> Result<(Self, Meta<D>)> {
-        Self::open_with_cache(pool, meta_page, Self::DEFAULT_CACHE_CAPACITY)
-    }
-
-    /// Opens a store with an explicit decoded-node cache capacity
-    /// (`0` disables the cache).
-    pub fn open_with_cache(
-        pool: Arc<BufferPool>,
-        meta_page: PageId,
-        cache_capacity: usize,
-    ) -> Result<(Self, Meta<D>)> {
         let meta = {
             let guard = pool.fetch(meta_page)?;
             decode_meta(meta_page, &guard)?
         };
-        Ok((
-            Self {
-                pool,
-                meta_page,
-                cache: ClockCache::new(cache_capacity),
-                txn_counter: AtomicU64::new(0),
-                group_commit_us: AtomicU64::new(Self::DEFAULT_GROUP_COMMIT_US),
-            },
-            meta,
-        ))
+        Ok((Self::with_meta_page(pool, meta_page), meta))
     }
 
     /// Sets the group-commit window: a publish syncs the WAL only if at
@@ -212,31 +187,35 @@ impl<const D: usize> PagedStore<D> {
         self.meta_page
     }
 
-    /// Snapshot of the decoded-node cache counters. They sit beside the
-    /// pool's [`nnq_storage::PoolStats`]: the pool counts page accesses
-    /// (the paper's cost metric), the cache counts how many of them were
-    /// also spared a decode.
+    /// How node reads were served: `hits` took the node their frame held,
+    /// `misses` decoded the page (the other counters stay 0). The pool
+    /// counts the page accesses (the paper's cost metric); this counts how
+    /// many of them were also spared a decode.
     pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
-    }
-
-    /// Drops every cached node (counters are kept). Useful for cold-cache
-    /// measurements.
-    pub fn clear_node_cache(&self) {
-        self.cache.clear();
-    }
-}
-
-impl<const D: usize> PagedStore<D> {
-    /// The decoded node of the fetched page `id`: shared from the cache, or
-    /// decoded from `page` and cached.
-    fn node_of(&self, id: PageId, page: &[u8]) -> Result<Arc<RawNode<D>>> {
-        if let Probe::Hit(node) = self.cache.get(&id, |_| true) {
-            return Ok(node);
+        let misses = self.decodes.load(Ordering::Relaxed);
+        let reads = self.node_reads.load(Ordering::Relaxed);
+        CacheStats {
+            hits: reads.saturating_sub(misses), // a read counts before it decodes
+            misses,
+            ..CacheStats::default()
         }
-        let node = Arc::new(decode_node(id, page)?);
-        self.cache.insert(&id, Arc::clone(&node));
-        Ok(node)
+    }
+
+    /// Drops every decoded node the pool's frames hold and keeps the pages
+    /// (counters are kept), so the next read of each node decodes. Useful
+    /// for measuring the decode.
+    pub fn clear_node_cache(&self) {
+        self.pool.clear_decoded();
+    }
+
+    /// The decoded node of the fetched page `id`: the one its frame holds,
+    /// or decoded from the page and left in the frame.
+    fn node_of(&self, id: PageId, page: &PageReadGuard<'_>) -> Result<Arc<RawNode<D>>> {
+        self.node_reads.fetch_add(1, Ordering::Relaxed);
+        page.decoded(|bytes| {
+            self.decodes.fetch_add(1, Ordering::Relaxed);
+            decode_node(id, bytes)
+        })
     }
 }
 
@@ -246,16 +225,13 @@ impl<const D: usize> NodeStore<D> for PagedStore<D> {
     }
 
     fn read(&self, id: PageId) -> Result<Arc<RawNode<D>>> {
-        // Fetch the page *before* consulting the cache so the pool's
-        // logical/physical read counters and frame recency are exactly
-        // what they would be without the node cache: the paper's cost
-        // metric is page accesses, and the cache must not change it.
+        // Every read is a counted page access, whether or not the frame
+        // already holds the decoded node.
         let guard = self.pool.fetch(id)?;
         self.node_of(id, &guard)
     }
 
     fn try_read(&self, id: PageId) -> Result<Option<Arc<RawNode<D>>>> {
-        // Same order as `read`: the pool decides, and counts, first.
         match self.pool.try_fetch(id)? {
             Some(guard) => self.node_of(id, &guard).map(Some),
             None => Ok(None),
@@ -265,25 +241,17 @@ impl<const D: usize> NodeStore<D> for PagedStore<D> {
     fn write(&self, id: PageId, level: u16, entries: &[Entry<D>]) -> Result<()> {
         let mut guard = self.pool.fetch_write(id)?;
         encode_node(&mut guard, level, entries);
-        drop(guard);
-        self.cache.remove(&id);
         Ok(())
     }
 
     fn alloc(&self, level: u16, entries: &[Entry<D>]) -> Result<PageId> {
         let (page, mut guard) = self.pool.new_page()?;
         encode_node(&mut guard, level, entries);
-        drop(guard);
-        // The pool may hand back a previously freed page id; make sure no
-        // decoded ghost of the old occupant survives.
-        self.cache.remove(&page);
         Ok(page)
     }
 
     fn free(&self, id: PageId) -> Result<()> {
-        self.pool.delete_page(id)?;
-        self.cache.remove(&id);
-        Ok(())
+        Ok(self.pool.delete_page(id)?)
     }
 
     fn write_meta(&self, meta: &Meta<D>) -> Result<()> {
@@ -319,9 +287,6 @@ impl<const D: usize> NodeStore<D> for PagedStore<D> {
     }
 
     fn prefetch(&self, id: PageId) {
-        // Forward to the pool even when the node is in the decoded cache:
-        // `read` always fetches the page first (for the accounting above),
-        // so having the frame resident pays off either way.
         self.pool.prefetch(id);
     }
 
@@ -467,7 +432,7 @@ mod tests {
     use super::*;
     use crate::entry::RecordId;
     use nnq_geom::{Point, Rect};
-    use nnq_storage::{BufferPool, MemDisk, PAGE_SIZE};
+    use nnq_storage::{BufferPool, FaultDisk, MemDisk, Wal, PAGE_SIZE};
 
     fn entry(i: u64) -> Entry<2> {
         Entry::for_record(Rect::from_point(Point::new([i as f64, 0.0])), RecordId(i))
@@ -521,9 +486,9 @@ mod tests {
         MemStore::<2>::new(3);
     }
 
-    fn paged(cache: usize) -> PagedStore<2> {
-        let pool = Arc::new(BufferPool::new(Box::new(MemDisk::new(PAGE_SIZE)), 64));
-        PagedStore::create_with_cache(pool, cache).unwrap()
+    fn paged(frames: usize) -> PagedStore<2> {
+        let pool = Arc::new(BufferPool::new(Box::new(MemDisk::new(PAGE_SIZE)), frames));
+        PagedStore::create(pool).unwrap()
     }
 
     #[test]
@@ -539,11 +504,10 @@ mod tests {
         let cs = store.cache_stats();
         assert_eq!(cs.misses, 1);
         assert_eq!(cs.hits, 1);
-        assert_eq!(cs.len, 1);
         assert!((cs.hit_rate() - 0.5).abs() < 1e-12);
 
-        // The pool still saw every logical read — the cache must not
-        // change the paper's page-access accounting.
+        // The pool still saw every logical read — the decoded node must
+        // not change the paper's page-access accounting.
         let after = store.pool().stats();
         assert_eq!(after.logical_reads - before.logical_reads, 2);
     }
@@ -554,100 +518,122 @@ mod tests {
         let id = store.alloc(0, &[entry(1)]).unwrap();
         let a = NodeStore::read(&store, id).unwrap();
         store.write(id, 0, &[entry(7)]).unwrap();
-        assert_eq!(store.cache_stats().invalidations, 1);
         let b = NodeStore::read(&store, id).unwrap();
         assert!(!Arc::ptr_eq(&a, &b));
         assert_eq!(b.entries[0].record(), RecordId(7));
+        assert_eq!(store.cache_stats().misses, 2, "the write forces a decode");
 
         store.free(id).unwrap();
-        assert_eq!(store.cache_stats().len, 0);
+        assert!(NodeStore::read(&store, id).is_err(), "a freed node is gone");
     }
 
     #[test]
     fn paged_store_cache_eviction_is_bounded() {
-        let store = paged(2);
+        // Three frames: the meta page and two nodes. A node evicted from
+        // the pool loses its decoded node with its frame.
+        let store = paged(3);
         let ids: Vec<_> = (0..4)
             .map(|i| store.alloc(0, &[entry(i)]).unwrap())
             .collect();
         for &id in &ids {
             NodeStore::read(&store, id).unwrap();
         }
-        let cs = store.cache_stats();
-        assert_eq!(cs.misses, 4);
-        assert_eq!(cs.len, 2);
-        assert_eq!(cs.evictions, 2);
-        // The CLOCK hand replaced the unreferenced older nodes; the
-        // most recent read is still resident.
+        assert_eq!(store.cache_stats().misses, 4);
+        assert!(store.pool().stats().evictions >= 2);
+        // The most recent read is still resident, decoded.
         NodeStore::read(&store, ids[3]).unwrap();
         assert_eq!(store.cache_stats().hits, 1);
-    }
-
-    #[test]
-    fn node_cache_clock_keeps_hot_nodes() {
-        // A node that is re-read between insertions keeps its reference
-        // bit set and survives sweeps that evict cold nodes — the
-        // behavioral win of CLOCK over the FIFO it replaced.
-        let store = paged(4);
-        let hot = store.alloc(0, &[entry(100)]).unwrap();
-        NodeStore::read(&store, hot).unwrap(); // decode + cache
-        for i in 0..32 {
-            let id = store.alloc(0, &[entry(i)]).unwrap();
-            NodeStore::read(&store, id).unwrap(); // churn the ring
-            NodeStore::read(&store, hot).unwrap(); // keep the bit set
-        }
-        let before = store.cache_stats();
-        NodeStore::read(&store, hot).unwrap();
-        let after = store.cache_stats();
-        assert_eq!(after.hits, before.hits + 1, "hot node was evicted");
+        // The first was evicted and decodes again.
+        let raw = NodeStore::read(&store, ids[0]).unwrap();
+        assert_eq!(raw.entries[0].record(), RecordId(0));
+        assert_eq!(store.cache_stats().misses, 5);
     }
 
     #[test]
     fn node_cache_invalidation_leaves_no_residue() {
-        // Hammer write/invalidate cycles: the live map stays bounded by
-        // capacity throughout (the ring length is `ClockCache`'s own
-        // test).
+        // Hammer read/write cycles: every read after a write decodes the
+        // new bytes, and the last written payload is what a read sees.
         let store = paged(8);
         let id = store.alloc(0, &[entry(0)]).unwrap();
         for i in 0..10_000u64 {
-            NodeStore::read(&store, id).unwrap(); // insert into the cache
-            store.write(id, 0, &[entry(i)]).unwrap(); // invalidate it
-            if i % 256 == 0 {
-                let cs = store.cache_stats();
-                assert!(cs.len <= cs.capacity, "live entries exceed capacity");
-            }
+            NodeStore::read(&store, id).unwrap(); // decode into the frame
+            store.write(id, 0, &[entry(i)]).unwrap(); // drop it
         }
         let cs = store.cache_stats();
-        assert_eq!(cs.capacity, 8);
-        assert!(cs.len <= cs.capacity);
-        assert_eq!(cs.invalidations, 10_000);
-        // The entry is gone: the next read decodes fresh and sees the
-        // last written payload.
+        assert_eq!((cs.hits, cs.misses), (0, 10_000));
         let raw = NodeStore::read(&store, id).unwrap();
         assert_eq!(raw.entries[0].record(), RecordId(9_999));
     }
 
+    /// The node `store` reads under `id` is the one its page's bytes
+    /// decode to now.
+    fn assert_fresh(store: &PagedStore<2>, id: PageId) {
+        let read = NodeStore::read(store, id).unwrap();
+        let image = store.pool().page_image(id).unwrap();
+        let fresh: RawNode<2> = decode_node(id, &image).unwrap();
+        assert_eq!(read.level, fresh.level, "{id}");
+        assert_eq!(read.entries, fresh.entries, "{id}");
+    }
+
     #[test]
-    fn node_cache_stripes_cover_capacity_and_ids() {
-        // Whatever stripe count the host picks, the cache holds at most
-        // its capacity and every id stays readable.
-        for cap in [1usize, 2, 3, 7, 64] {
-            let store = paged(cap);
-            let cs = store.cache_stats();
-            assert!(cs.stripes >= 1 && cs.stripes.is_power_of_two());
-            assert_eq!(cs.capacity, cap, "capacity {cap}");
-            let ids: Vec<_> = (0..2 * cap as u64)
-                .map(|i| store.alloc(0, &[entry(i)]).unwrap())
-                .collect();
-            for &id in &ids {
-                NodeStore::read(&store, id).unwrap();
-            }
-            let cs = store.cache_stats();
-            assert!(cs.len <= cap);
-            for (i, &id) in ids.iter().enumerate() {
-                let raw = NodeStore::read(&store, id).unwrap();
-                assert_eq!(raw.entries[0].record(), RecordId(i as u64));
-            }
+    fn frame_slot_every_page_change_reads_a_fresh_decode() {
+        // Write, free and alloc of a recycled id, through the store.
+        let store = paged(8);
+        let a = store.alloc(0, &[entry(1)]).unwrap();
+        assert_fresh(&store, a);
+        store.write(a, 1, &[entry(2), entry(3)]).unwrap();
+        assert_fresh(&store, a);
+        store.free(a).unwrap();
+        assert!(NodeStore::read(&store, a).is_err());
+        let c = store.alloc(0, &[entry(4)]).unwrap();
+        assert_eq!(c, a, "the device recycles the freed id");
+        assert_fresh(&store, c);
+        let raw = NodeStore::read(&store, c).unwrap();
+        assert_eq!(raw.entries[0].record(), RecordId(4));
+
+        // Eviction, and a failed load, into a frame that held another
+        // node: with one frame every load reuses it.
+        let disk = Arc::new(FaultDisk::new(MemDisk::new(PAGE_SIZE)));
+        let pool = Arc::new(BufferPool::new(Box::new(Arc::clone(&disk)), 1));
+        let store = PagedStore::<2>::create(pool).unwrap();
+        let a = store.alloc(0, &[entry(10)]).unwrap();
+        let b = store.alloc(0, &[entry(20)]).unwrap();
+        for id in [a, b, a, b] {
+            assert_fresh(&store, id);
         }
+        disk.fail_read(1);
+        assert!(NodeStore::read(&store, a).is_err(), "the injected fault");
+        assert_fresh(&store, a);
+        assert_fresh(&store, b);
+        assert_eq!(store.cache_stats().hits, 0, "every read loaded its frame");
+
+        // Reopen after WAL replay: a pool over the replayed device reads
+        // the committed bytes, not the ones the device held before.
+        let wal_path =
+            std::env::temp_dir().join(format!("nnq-frame-slot-{}.wal", std::process::id()));
+        let disk = Arc::new(MemDisk::new(PAGE_SIZE));
+        let (meta_page, a) = {
+            let wal = Wal::create(&wal_path).unwrap();
+            let pool = Arc::new(BufferPool::with_wal(Box::new(Arc::clone(&disk)), 8, wal));
+            let store = PagedStore::<2>::create(pool).unwrap();
+            let a = store.alloc(0, &[entry(1)]).unwrap();
+            store.pool().checkpoint().unwrap();
+            NodeStore::read(&store, a).unwrap();
+            store.write(a, 0, &[entry(2)]).unwrap();
+            let meta = Meta::empty(crate::RTreeConfig::default());
+            store.publish(&meta, &[a]).unwrap();
+            store.pool().wal().unwrap().sync().unwrap();
+            // Dropped without a flush: the device still holds entry 1.
+            (store.meta_page(), a)
+        };
+        let wal = Wal::open(&wal_path).unwrap();
+        wal.replay(disk.as_ref()).unwrap();
+        let pool = Arc::new(BufferPool::with_wal(Box::new(Arc::clone(&disk)), 8, wal));
+        let (store, _) = PagedStore::<2>::open(pool, meta_page).unwrap();
+        assert_fresh(&store, a);
+        let raw = NodeStore::read(&store, a).unwrap();
+        assert_eq!(raw.entries[0].record(), RecordId(2));
+        std::fs::remove_file(&wal_path).ok();
     }
 
     #[test]
@@ -658,7 +644,7 @@ mod tests {
         // adaptive policy's signal must say so both times.
         let mut pool = BufferPool::new(Box::new(MemDisk::new(PAGE_SIZE)), 64);
         pool.start_prefetch(1, 16);
-        let store = PagedStore::<2>::create_with_cache(Arc::new(pool), 8).unwrap();
+        let store = PagedStore::<2>::create(Arc::new(pool)).unwrap();
         let ids: Vec<_> = (0..8)
             .map(|i| store.alloc(0, &[entry(i)]).unwrap())
             .collect();
@@ -689,18 +675,5 @@ mod tests {
         assert_eq!(pool.prefetch_stats().useful, 8);
         assert_eq!(pool.stats().miss_rate(), 0.0, "demand misses only");
         assert_eq!(store.io_miss_rate(), 1.0, "as cold as the first pass");
-    }
-
-    #[test]
-    fn paged_store_zero_capacity_disables_cache() {
-        let store = paged(0);
-        let id = store.alloc(0, &[entry(1)]).unwrap();
-        let a = NodeStore::read(&store, id).unwrap();
-        let b = NodeStore::read(&store, id).unwrap();
-        assert!(!Arc::ptr_eq(&a, &b));
-        let cs = store.cache_stats();
-        assert_eq!(cs.hits, 0);
-        assert_eq!(cs.misses, 2);
-        assert_eq!(cs.len, 0);
     }
 }

@@ -17,7 +17,7 @@
 //! page it references is immutable until the snapshot is dropped.
 //! Replaced pages are *retired* into an epoch-tagged limbo list and freed
 //! only when no snapshot pinned at or before the retiring epoch remains —
-//! so page reclamation (and with it decoded-node-cache invalidation) is
+//! so page reclamation (and with it the end of a page's decoded node) is
 //! keyed to publication, never to a traversal in progress.
 
 use crate::codec::{Meta, RawNode};
@@ -592,7 +592,7 @@ impl<const D: usize, S: NodeStore<D>> RTree<D, S> {
     ///
     /// On a paged tree every call counts as one logical page access in the
     /// pool's statistics — exactly the paper's cost unit — whether or not
-    /// the decoded node was served from the node cache.
+    /// the page's frame already held the decoded node.
     pub fn read_node(&self, page: PageId) -> Result<NodeView<D>> {
         Ok(NodeView::new(page, self.store.read(page)?))
     }

@@ -35,9 +35,7 @@ const HIT_BYTES: usize = 8 + 8;
 pub const MAX_RESULT_HITS: usize = (MAX_RESPONSE_FRAME - OK_HEADER_BYTES) / HIT_BYTES;
 
 /// Largest admissible `k`: a kNN answer with more hits could not be
-/// framed, and the executor preallocates its result heap from `k`, so an
-/// unbounded `k` is also an unbounded allocation. Enforced by
-/// [`Request::validate`] before admission.
+/// framed. Enforced by [`Request::validate`] before admission.
 pub const MAX_K: u32 = MAX_RESULT_HITS as u32;
 
 const OP_KNN: u8 = 0x01;
@@ -330,10 +328,9 @@ impl Request {
 
     /// Validates query parameters before admission: coordinates must be
     /// finite (the Hilbert schedule orders by them), `k` must be in
-    /// `1..=MAX_K` (the executor asserts `k > 0` and preallocates from
-    /// `k`, so both bounds must hold before a request reaches it), and a
-    /// radius must be finite and nonnegative. Returns the rejection
-    /// message on failure.
+    /// `1..=MAX_K` (the executor asserts `k > 0`, and a larger answer
+    /// could not be framed), and a radius must be finite and nonnegative.
+    /// Returns the rejection message on failure.
     pub fn validate(&self) -> Result<(), &'static str> {
         match *self {
             Request::Knn { x, y, k, .. } => {
@@ -673,7 +670,7 @@ mod tests {
         .validate()
         .is_err());
         // k = 0 would trip the executor's `k > 0` assertion; k beyond
-        // MAX_K could neither be framed nor safely preallocated. Both
+        // MAX_K could not be framed. Both
         // must be turned into Error responses before admission.
         assert!(Request::Knn {
             id: 1,

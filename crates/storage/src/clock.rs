@@ -1,13 +1,11 @@
-//! The lock-striped CLOCK cache under both of `nnq`'s in-memory caches:
-//! the decoded-node cache of `nnq-rtree`'s `PagedStore` (page id →
-//! decoded node) and `nnq-core`'s query-result cache (canonical query
-//! bytes → versioned answer).
+//! The lock-striped CLOCK cache under `nnq-core`'s query-result cache
+//! (canonical query bytes → versioned answer).
 //!
 //! * **Stripes.** The cache is split into `S` stripes (`S` a power of
 //!   two: the machine's parallelism rounded up, clamped to 64 and halved
 //!   until every stripe owns at least one slot). A key lives in the stripe
-//!   its [`StripeKey`] bits select, so readers of different stripes never
-//!   touch the same lock.
+//!   the low bits of its hash select, so readers of different stripes
+//!   never touch the same lock.
 //! * **Second chance.** Each stripe is a ring of slots swept by a CLOCK
 //!   hand. A hit takes only the stripe's *read* lock and sets the slot's
 //!   atomic reference bit; an insert sweeps the hand, clearing set bits
@@ -25,41 +23,16 @@
 //!   and inserts and removals do nothing.
 //!
 //! The cache never reads pages, so what it holds cannot change a page
-//! count: its users probe it *after* the accounted work (the node cache
-//! after the pool fetch) or replay the recorded accounting on a hit (the
-//! result cache). Counters are atomics outside the locks so concurrent
-//! readers do not serialize on stats.
+//! count: the result cache replays the recorded accounting on a hit.
+//! Counters are atomics outside the locks so concurrent readers do not
+//! serialize on stats.
 
-use crate::PageId;
 use parking_lot::RwLock;
 use std::borrow::Borrow;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-
-/// How a key picks its stripe: the cache uses the low bits of
-/// `stripe_bits`. Equality is still decided on the full key.
-pub trait StripeKey {
-    /// Bits whose low end selects the key's stripe.
-    fn stripe_bits(&self) -> u64;
-}
-
-impl StripeKey for PageId {
-    /// The page id itself: consecutive pages fall in different stripes.
-    fn stripe_bits(&self) -> u64 {
-        self.0
-    }
-}
-
-impl StripeKey for [u8] {
-    /// A per-process hash of the bytes.
-    fn stripe_bits(&self) -> u64 {
-        let mut h = DefaultHasher::new();
-        self.hash(&mut h);
-        h.finish()
-    }
-}
 
 /// What [`ClockCache::get`] found.
 #[derive(Debug, PartialEq, Eq)]
@@ -72,7 +45,8 @@ pub enum Probe<V> {
     Miss,
 }
 
-/// Counters of a [`ClockCache`], snapshot by [`ClockCache::stats`].
+/// Counters of a [`ClockCache`] ([`ClockCache::stats`]), or, `hits` and
+/// `misses` only, of the decoded nodes `nnq-rtree` keeps in pool frames.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Probes served from a valid entry.
@@ -197,9 +171,13 @@ impl<K: Hash + Eq, V> ClockCache<K, V> {
         self.capacity > 0
     }
 
+    /// The stripe of `key`: the low bits of its `DefaultHasher` hash
+    /// (`Borrow` requires `K` and `Q` to hash alike).
     #[inline]
-    fn stripe<Q: StripeKey + ?Sized>(&self, key: &Q) -> &RwLock<Ring<K, V>> {
-        &self.stripes[(key.stripe_bits() & self.stripe_mask) as usize]
+    fn stripe<Q: Hash + ?Sized>(&self, key: &Q) -> &RwLock<Ring<K, V>> {
+        let mut h = DefaultHasher::new();
+        key.hash(&mut h);
+        &self.stripes[(h.finish() & self.stripe_mask) as usize]
     }
 
     /// Probes for `key`. An entry whose value satisfies `valid` is a hit
@@ -208,7 +186,7 @@ impl<K: Hash + Eq, V> ClockCache<K, V> {
     pub fn get<Q>(&self, key: &Q, valid: impl FnOnce(&V) -> bool) -> Probe<V>
     where
         K: Borrow<Q>,
-        Q: StripeKey + Hash + Eq + ?Sized,
+        Q: Hash + Eq + ?Sized,
         V: Clone,
     {
         if !self.is_enabled() {
@@ -246,7 +224,7 @@ impl<K: Hash + Eq, V> ClockCache<K, V> {
     pub fn insert<Q>(&self, key: &Q, value: V)
     where
         K: Borrow<Q> + Clone,
-        Q: StripeKey + Hash + Eq + ToOwned + ?Sized,
+        Q: Hash + Eq + ToOwned + ?Sized,
         Q::Owned: Into<K>,
     {
         if !self.is_enabled() {
@@ -292,7 +270,7 @@ impl<K: Hash + Eq, V> ClockCache<K, V> {
     pub fn remove<Q>(&self, key: &Q)
     where
         K: Borrow<Q>,
-        Q: StripeKey + Hash + Eq + ?Sized,
+        Q: Hash + Eq + ?Sized,
     {
         if !self.is_enabled() {
             return;
@@ -333,6 +311,7 @@ impl<K: Hash + Eq, V> ClockCache<K, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::PageId;
     use std::fmt::Debug;
 
     fn ring_len<K, V>(cache: &ClockCache<K, V>) -> usize {

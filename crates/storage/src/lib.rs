@@ -13,10 +13,11 @@
 //!   pin/unpin semantics, dirty tracking, and detailed [`PoolStats`]. The
 //!   paper's "pages accessed" is [`PoolStats::logical_reads`]; with a finite
 //!   pool, cold-cache behaviour is visible in
-//!   [`PoolStats::physical_reads`].
+//!   [`PoolStats::physical_reads`]. A frame also keeps what a reader
+//!   decoded from its page ([`PageReadGuard::decoded`]) until the page
+//!   changes.
 //! * [`ClockCache`] — the lock-striped CLOCK cache with a validity
-//!   predicate under the decoded-node and result caches of the crates
-//!   above, with its [`CacheStats`].
+//!   predicate under `nnq-core`'s result cache, with its [`CacheStats`].
 //!
 //! Pages are fixed-size byte arrays; interpreting their contents is the
 //! caller's job (the `nnq-rtree` crate stores one R-tree node per page).
@@ -45,7 +46,7 @@ mod heap;
 mod pool;
 mod wal;
 
-pub use clock::{CacheStats, ClockCache, Probe, StripeKey};
+pub use clock::{CacheStats, ClockCache, Probe};
 pub use disk::{
     DiskManager, DiskStats, FaultDisk, FileDisk, LatencyDisk, LatencyProfile, MemDisk, TornDisk,
     TornMode,

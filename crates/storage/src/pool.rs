@@ -67,19 +67,38 @@
 use crate::wal::Wal;
 use crate::{DiskManager, DiskStats, PageId, Result, StorageError};
 use parking_lot::{ArcRwLockReadGuard, ArcRwLockWriteGuard, Mutex, MutexGuard, RawRwLock, RwLock};
+use std::any::Any;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 
-/// A frame's latched contents: one page of bytes — or none. A load whose
-/// device read failed empties the buffer before it releases the latch, so
-/// the fetchers that pinned the frame while the read was running find no
-/// page to serve; the next install restores the length.
-type FrameData = Arc<RwLock<Vec<u8>>>;
-type ReadGuardInner = ArcRwLockReadGuard<RawRwLock, Vec<u8>>;
-type WriteGuardInner = ArcRwLockWriteGuard<RawRwLock, Vec<u8>>;
+/// A frame's latched contents.
+#[derive(Default)]
+struct FrameBody {
+    /// One page of bytes — or none: before the first install, and after a
+    /// load whose device read failed, which empties the buffer before it
+    /// releases the latch so that the fetchers that pinned the frame
+    /// meanwhile find no page to serve. An install sets the length.
+    bytes: Vec<u8>,
+    /// What a reader made of `bytes` ([`PageReadGuard::decoded`]).
+    decoded: OnceLock<Arc<dyn Any + Send + Sync>>,
+}
+
+type FrameData = Arc<RwLock<FrameBody>>;
+type ReadGuardInner = ArcRwLockReadGuard<RawRwLock, FrameBody>;
+type WriteGuardInner = ArcRwLockWriteGuard<RawRwLock, FrameBody>;
+
+/// Takes a frame's write latch and drops its decoded value: every change
+/// of a frame's bytes, and every mapping of a page to it, latches here.
+/// (Eviction and `delete_page` only unmap a frame; they must not wait for
+/// a latch that a flush may hold through a device write.)
+fn latch_write(data: &FrameData) -> WriteGuardInner {
+    let mut guard = RwLock::write_arc(data);
+    guard.decoded.take();
+    guard
+}
 
 /// What a fetch of `id` that finds the frame emptied by a failed load
 /// reports: it waited out, or arrived just after, another fetch's read.
@@ -276,11 +295,11 @@ struct Shard {
 }
 
 impl Shard {
-    fn new(frames: usize, page_size: usize) -> Self {
+    fn new(frames: usize) -> Self {
         let frames = (0..frames)
             .map(|_| Frame {
                 page: PageId::INVALID,
-                data: Arc::new(RwLock::new(vec![0u8; page_size])),
+                data: Arc::default(),
                 dirty: false,
                 pins: 0,
                 tick: 0,
@@ -430,11 +449,10 @@ impl BufferPool {
         while shards > capacity {
             shards /= 2; // stay a power of two, every shard gets ≥ 1 frame
         }
-        let page_size = disk.page_size();
         let base = capacity / shards;
         let rem = capacity % shards;
         let shard_vec = (0..shards)
-            .map(|i| Shard::new(base + usize::from(i < rem), page_size))
+            .map(|i| Shard::new(base + usize::from(i < rem)))
             .collect::<Vec<_>>();
         Self {
             core: Arc::new(PoolCore {
@@ -565,7 +583,7 @@ impl BufferPool {
             }
         };
         if let Some((frame_idx, data)) = resident {
-            let image = data.read().to_vec();
+            let image = data.read().bytes.clone();
             self.core.unpin(shard_idx, frame_idx);
             return if image.is_empty() {
                 Err(load_failed(id))
@@ -672,9 +690,9 @@ impl BufferPool {
                 if page.is_valid() && pins == 0 {
                     if dirty {
                         let data = Arc::clone(&inner.frames[idx].data);
-                        let buf = data.read();
-                        self.log_writeback(page, &buf)?;
-                        self.core.disk.write_page(page, &buf)?;
+                        let body = data.read();
+                        self.log_writeback(page, &body.bytes)?;
+                        self.core.disk.write_page(page, &body.bytes)?;
                         shard.stats.writebacks.fetch_add(1, Ordering::Relaxed);
                     }
                     inner.map.remove(&page);
@@ -691,6 +709,21 @@ impl BufferPool {
             }
         }
         Ok(())
+    }
+
+    /// Drops the decoded value ([`PageReadGuard::decoded`]) of every
+    /// resident page and keeps the pages, for measuring the decode. The
+    /// calling thread must hold no guard of this pool.
+    pub fn clear_decoded(&self) {
+        for shard in &self.core.shards {
+            // Latched off the shard lock, which a failed load takes while
+            // it holds its frame's latch.
+            let inner = shard.inner.lock();
+            let mapped = inner.frames.iter().filter(|f| f.page.is_valid());
+            let frames: Vec<_> = mapped.map(|f| Arc::clone(&f.data)).collect();
+            drop(inner);
+            frames.iter().for_each(|data| drop(latch_write(data)));
+        }
     }
 
     /// Fetches a page for shared (read) access.
@@ -775,7 +808,7 @@ impl BufferPool {
             pool: self,
             shard: shard_idx,
             frame: frame_idx,
-            guard: RwLock::write_arc(&data),
+            guard: latch_write(&data),
         };
         if guard.is_empty() {
             return Err(load_failed(id));
@@ -797,9 +830,9 @@ impl BufferPool {
         let frame_idx = self.core.acquire_frame(shard, &mut inner)?;
         let data = inner.install(frame_idx, id, true, false);
         drop(inner);
-        let mut guard = RwLock::write_arc(&data);
-        guard.clear();
-        guard.resize(self.core.disk.page_size(), 0);
+        let mut guard = latch_write(&data);
+        guard.bytes.clear();
+        guard.bytes.resize(self.core.disk.page_size(), 0);
         Ok((
             id,
             PageWriteGuard {
@@ -870,9 +903,9 @@ impl BufferPool {
                 // The latch is released before the shard lock is taken
                 // again: a loader waits for this latch *under* that lock.
                 let written = {
-                    let buf = data.read();
-                    self.log_writeback(page, &buf)?;
-                    self.core.disk.write_page(page, &buf)
+                    let body = data.read();
+                    self.log_writeback(page, &body.bytes)?;
+                    self.core.disk.write_page(page, &body.bytes)
                 };
                 match written {
                     // Freed between the probe and the write.
@@ -1022,15 +1055,15 @@ impl PoolCore {
         prefetched: bool,
     ) -> Result<FrameData> {
         let data = inner.install(frame_idx, id, dirty, prefetched);
-        let mut buf = RwLock::write_arc(&data);
+        let mut buf = latch_write(&data);
         drop(inner);
-        buf.resize(self.disk.page_size(), 0);
-        let read = self.disk.read_page(id, &mut buf);
+        buf.bytes.resize(self.disk.page_size(), 0);
+        let read = self.disk.read_page(id, &mut buf.bytes);
         if read.is_err() {
             // Empty the frame and unmap it before the latch is released:
             // whoever latches next finds no page, whoever fetches next
             // misses cleanly.
-            buf.clear();
+            buf.bytes.clear();
             let mut inner = self.shards[shard_idx].inner.lock();
             inner.map.remove(&id);
             let f = &mut inner.frames[frame_idx];
@@ -1071,9 +1104,9 @@ impl PoolCore {
         };
         if dirty {
             let data = Arc::clone(&inner.frames[victim].data);
-            let buf = data.read();
-            self.log_writeback(page, &buf)?;
-            self.disk.write_page(page, &buf)?;
+            let body = data.read();
+            self.log_writeback(page, &body.bytes)?;
+            self.disk.write_page(page, &body.bytes)?;
             shard.stats.writebacks.fetch_add(1, Ordering::Relaxed);
         }
         inner.map.remove(&page);
@@ -1249,7 +1282,25 @@ pub struct PageReadGuard<'a> {
 impl Deref for PageReadGuard<'_> {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
-        &self.guard
+        &self.guard.bytes
+    }
+}
+
+impl PageReadGuard<'_> {
+    /// What `decode` makes of this page: the first reader since the bytes
+    /// last changed decodes and leaves the value in the frame (of racing
+    /// readers, the first to finish), and later readers share it. A reader
+    /// of another type than the stored one decodes without storing.
+    pub fn decoded<T: Any + Send + Sync, E>(
+        &self,
+        decode: impl FnOnce(&[u8]) -> std::result::Result<T, E>,
+    ) -> std::result::Result<Arc<T>, E> {
+        if let Some(Ok(value)) = self.guard.decoded.get().map(|v| Arc::clone(v).downcast()) {
+            return Ok(value);
+        }
+        let value = Arc::new(decode(&self.guard.bytes)?);
+        let _ = self.guard.decoded.set(value.clone());
+        Ok(value)
     }
 }
 
@@ -1271,13 +1322,13 @@ pub struct PageWriteGuard<'a> {
 impl Deref for PageWriteGuard<'_> {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
-        &self.guard
+        &self.guard.bytes
     }
 }
 
 impl DerefMut for PageWriteGuard<'_> {
     fn deref_mut(&mut self) -> &mut [u8] {
-        &mut self.guard
+        &mut self.guard.bytes
     }
 }
 
@@ -2298,5 +2349,100 @@ mod tests {
     #[test]
     fn fetch_racing_a_failed_prefetch_load_gets_an_error() {
         fetch_racing_a_failed_load_gets_an_error(Loader::Prefetch);
+    }
+
+    /// The first byte of page `id` as a frame-held decoded value, and
+    /// whether this read ran the decode.
+    fn first_byte(p: &BufferPool, id: PageId) -> (Arc<u8>, bool) {
+        let mut ran = false;
+        let value = p
+            .fetch(id)
+            .unwrap()
+            .decoded(|bytes| {
+                ran = true;
+                Ok::<_, ()>(bytes[0])
+            })
+            .unwrap();
+        (value, ran)
+    }
+
+    fn write_first_byte(p: &BufferPool, id: PageId, byte: u8) {
+        p.fetch_write(id).unwrap()[0] = byte;
+    }
+
+    #[test]
+    fn frame_slot_is_shared_until_the_page_changes() {
+        let p = pool(4);
+        let (a, mut w) = p.new_page().unwrap();
+        w[0] = 1;
+        drop(w);
+        let failed = p.fetch(a).unwrap().decoded(|_| Err::<u8, _>("bad"));
+        assert_eq!(failed, Err("bad"), "a failed decode stores nothing");
+        let (one, ran) = first_byte(&p, a);
+        assert_eq!((*one, ran), (1, true));
+        let (again, ran) = first_byte(&p, a);
+        assert!(Arc::ptr_eq(&one, &again) && !ran, "a second read shares it");
+
+        // Another type decodes without storing, and leaves the stored
+        // value alone.
+        let wide = p
+            .fetch(a)
+            .unwrap()
+            .decoded(|b| Ok::<_, ()>(u16::from(b[0]) + 256));
+        assert_eq!(wide, Ok(Arc::new(257)));
+        assert!(!first_byte(&p, a).1);
+
+        write_first_byte(&p, a, 2);
+        assert_eq!(first_byte(&p, a), (Arc::new(2), true), "a write drops it");
+        p.delete_page(a).unwrap();
+        let (b, mut w) = p.new_page().unwrap();
+        assert_eq!(b, a, "the device recycles the freed id");
+        w[0] = 3;
+        drop(w);
+        assert_eq!(first_byte(&p, b), (Arc::new(3), true), "a new page decodes");
+    }
+
+    #[test]
+    fn frame_slot_is_dropped_with_its_frame() {
+        // One frame: every load evicts the other page and reuses it.
+        let disk = Arc::new(FaultDisk::new(MemDisk::new(128)));
+        let p = BufferPool::new(Box::new(Arc::clone(&disk)), 1);
+        let mut ids = Vec::new();
+        for byte in [1, 2] {
+            let (id, mut w) = p.new_page().unwrap();
+            w[0] = byte;
+            ids.push(id);
+        }
+        let [a, b] = ids[..] else { unreachable!() };
+        for (id, byte) in [(a, 1), (b, 2), (a, 1)] {
+            assert_eq!(first_byte(&p, id), (Arc::new(byte), true), "{id}");
+        }
+        disk.fail_read(1);
+        assert!(p.fetch(b).is_err(), "the injected fault");
+        assert_eq!(
+            first_byte(&p, a),
+            (Arc::new(1), true),
+            "{a} after a failed load"
+        );
+        assert_eq!(
+            p.stats().evictions,
+            5,
+            "every load but the last reused the frame"
+        );
+    }
+
+    #[test]
+    fn frame_slot_clear_decoded_keeps_the_bytes() {
+        let p = pool(4);
+        let (a, mut w) = p.new_page().unwrap();
+        w[0] = 7;
+        drop(w);
+        first_byte(&p, a);
+        p.reset_stats();
+        p.clear_decoded();
+        assert_eq!(first_byte(&p, a), (Arc::new(7), true));
+        assert_eq!(first_byte(&p, a), (Arc::new(7), false));
+        let s = p.stats();
+        assert_eq!((s.hits, s.physical_reads), (2, 0), "no device read");
     }
 }
