@@ -12,8 +12,8 @@ use nnq_rtree::{
 };
 use nnq_serve::Engine;
 use nnq_storage::{
-    BufferPool, DiskManager, FileDisk, LatencyDisk, LatencyProfile, PageId, PrefetchStats, Wal,
-    PAGE_SIZE,
+    BufferPool, CacheStats, DiskManager, FileDisk, LatencyDisk, LatencyProfile, PageId,
+    PrefetchStats, Wal, PAGE_SIZE,
 };
 use nnq_workloads::{
     default_bounds, gaussian_clusters, load_segments_csv, save_segments_csv, segments_to_items,
@@ -629,6 +629,9 @@ pub fn join(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         ("hilbert", JoinOrder::Hilbert),
     ] {
         pool.reset_stats();
+        // The node-read counters are never reset: this ordering's own are
+        // the difference across it.
+        let before = tree.store().cache_stats();
         let start = Instant::now();
         let results = nnq_core::knn_join(
             &tree,
@@ -641,7 +644,12 @@ pub fn join(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         let secs = start.elapsed().as_secs_f64();
         let pstats = pool.stats();
         let produced: usize = results.iter().map(Vec::len).sum();
-        let cstats = tree.store().cache_stats();
+        let after = tree.store().cache_stats();
+        let cstats = CacheStats {
+            hits: after.hits - before.hits,
+            misses: after.misses - before.misses,
+            ..CacheStats::default()
+        };
         writeln!(
             out,
             "{label:>9}: {} pairs in {:.0} ms ({:.0} outer/s), {} physical reads, hit rate {:.1}%, node-cache {:.1}%",

@@ -437,6 +437,44 @@ fn explain_join_and_metric_queries() {
     std::fs::remove_file(&index).ok();
 }
 
+/// `join` runs the outer points in two orderings on one opened index; each
+/// line reports the node reads of its own pass. The first pass decodes
+/// every node it reads, and the second finds all of them decoded in the
+/// pool's frames.
+#[test]
+fn join_reports_each_orderings_own_node_cache_rate() {
+    let data = tmp("joinrate.csv");
+    let outer = tmp("joinrate-outer.csv");
+    let index = tmp("joinrate.rtree");
+    run_ok(&[
+        "gen", "--kind", "uniform", "--n", "2000", "--seed", "4", "--out", &data,
+    ]);
+    run_ok(&[
+        "gen", "--kind", "uniform", "--n", "3", "--seed", "5", "--out", &outer,
+    ]);
+    run_ok(&["build", "--input", &data, "--index", &index]);
+    let run = std::process::Command::new(env!("CARGO_BIN_EXE_nnq"))
+        .args([
+            "join", "--index", &index, "--data", &data, "--outer", &outer, "-k", "4",
+        ])
+        .output()
+        .unwrap();
+    assert!(run.status.success(), "{run:?}");
+    let out = String::from_utf8(run.stdout).unwrap();
+    let line = |label: &str| {
+        out.lines()
+            .find(|l| l.trim_start().starts_with(label))
+            .unwrap_or_else(|| panic!("no `{label}` line: {out}"))
+            .to_string()
+    };
+    assert!(!line("as-given:").ends_with("node-cache 100.0%"), "{out}");
+    assert!(line("hilbert:").ends_with("node-cache 100.0%"), "{out}");
+
+    std::fs::remove_file(&data).ok();
+    std::fs::remove_file(&outer).ok();
+    std::fs::remove_file(&index).ok();
+}
+
 #[test]
 fn threads_and_pool_shards_flags() {
     let data = tmp("par.csv");

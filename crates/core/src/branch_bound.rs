@@ -7,6 +7,14 @@
 //! control returns from a subtree (the re-check happens naturally because
 //! the candidate bound is consulted immediately before each descent).
 //!
+//! Strategy 1 needs only the node's own list, so it is applied before the
+//! sort: the entries it prunes are counted in
+//! [`SearchStats::pruned_downward`] and removed from the ABL before it is
+//! sorted, and only the survivors are sorted and walked. While a [`Trace`]
+//! is recorded the list keeps them, sorted among the rest, so that each
+//! gets its `PrunedDownward` event in list order; the counts are the same
+//! either way.
+//!
 //! ## One iterative, resumable traversal
 //!
 //! The depth-first order is kept by an explicit stack in the
@@ -414,6 +422,12 @@ fn kth_smallest(values: &mut [f64], k: usize) -> f64 {
     *kth
 }
 
+/// Strategy 1: a branch whose MINDIST exceeds the node's bound cannot hold
+/// one of the k nearest (a NaN MINDIST is never pruned).
+fn prunes_downward(mindist: f64, downward_bound: f64) -> bool {
+    mindist > downward_bound
+}
+
 impl<const D: usize, T: TreeAccess<D> + ?Sized, R: Refiner<D>> Ctx<'_, '_, D, T, R> {
     /// Advances the traversal in the cursor under `reads`, to its answer
     /// or to the next page that is not loaded; an error ends it.
@@ -487,7 +501,7 @@ impl<const D: usize, T: TreeAccess<D> + ?Sized, R: Refiner<D>> Ctx<'_, '_, D, T,
                 continue;
             };
             level.pos += 1;
-            if self.opts.prune_downward && a.mindist > level.downward_bound {
+            if self.opts.prune_downward && prunes_downward(a.mindist, level.downward_bound) {
                 self.cursor.stats.pruned_downward += 1;
                 self.trace_branch(a, Decision::PrunedDownward);
                 continue;
@@ -679,10 +693,21 @@ impl<const D: usize, T: TreeAccess<D> + ?Sized, R: Refiner<D>> Ctx<'_, '_, D, T,
             f64::INFINITY
         };
 
+        // Strategy 1 rejects an entry whatever its place in the list, so
+        // the entries it prunes are counted here and leave the list before
+        // the sort; `next_branch` walks only the survivors. A recorded
+        // trace keeps them, since their events are what `explain` prints.
+        if self.trace.is_none() && self.opts.prune_downward {
+            let before = abl.len();
+            abl.retain(|a| !prunes_downward(a.mindist, downward_bound));
+            self.cursor.stats.pruned_downward += (before - abl.len()) as u64;
+        }
+
         // Sort by the configured metric (the paper's E2 comparison). The
         // sort stays *stable* so sibling order under tied keys — and with
         // it the traversal's page-access sequence — is unchanged from the
-        // pre-cursor implementation.
+        // pre-cursor implementation (a stable sort of the survivors is
+        // the survivors' subsequence of the whole list's stable sort).
         match self.opts.ordering {
             AblOrdering::MinDist => {
                 abl.sort_by(|a, b| a.mindist.total_cmp(&b.mindist));
@@ -1066,5 +1091,174 @@ mod tests {
         assert_eq!(kth_smallest(&mut v, 4), f64::INFINITY);
         let mut v: [f64; 0] = [];
         assert_eq!(kth_smallest(&mut v, 1), f64::INFINITY);
+    }
+
+    /// An untraced traversal drops the entries strategy 1 prunes before it
+    /// sorts an ABL; a traced one keeps them, for their events. Both must read
+    /// the same nodes and return the same hits (record and distance bits) and
+    /// [`SearchStats`], for every query shape and option that reaches
+    /// `open_internal`.
+    mod traced_agreement {
+        use super::*;
+        use nnq_rtree::MemRTree;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        /// Points and small rectangles on a coarse grid, so that many MINDISTs
+        /// and MINMAXDISTs tie, some records lying on top of each other.
+        fn items(seed: u64, n: usize) -> Vec<Rect<2>> {
+            let mut rng = StdRng::seed_from_u64(seed);
+            (0..n)
+                .map(|_| {
+                    let lo = [
+                        rng.random_range(0..60) as f64,
+                        rng.random_range(0..60) as f64,
+                    ];
+                    let (w, h) = if rng.random_range(0..2) == 0 {
+                        (0.0, 0.0)
+                    } else {
+                        (rng.random_range(0..3) as f64, rng.random_range(0..3) as f64)
+                    };
+                    Rect::new(Point::new(lo), Point::new([lo[0] + w, lo[1] + h]))
+                })
+                .collect()
+        }
+
+        fn paged(items: &[Rect<2>], config: RTreeConfig) -> RTree<2> {
+            let pool = Arc::new(BufferPool::new(Box::new(MemDisk::new(PAGE_SIZE)), 4096));
+            let tree = RTree::<2>::create(pool, config).unwrap();
+            for (i, r) in items.iter().enumerate() {
+                tree.insert(r, RecordId(i as u64)).unwrap();
+            }
+            tree
+        }
+
+        fn mem(items: &[Rect<2>], fanout: usize) -> MemRTree<2> {
+            let tree = MemRTree::with_config(RTreeConfig::default(), fanout);
+            for (i, r) in items.iter().enumerate() {
+                tree.insert(r, RecordId(i as u64)).unwrap();
+            }
+            tree
+        }
+
+        /// Every ordering × kernel × ε, k ∈ {1, 4, 17}: the plain query, a
+        /// region-constrained one and one bounded by a finite k-th distance,
+        /// each untraced against the same traversal recording a trace. Returns
+        /// how many branches strategy 1 pruned in the plain queries, which must
+        /// not be none for the check to mean anything.
+        fn check<T: TreeAccess<2> + ?Sized>(tree: &T, seed: u64) -> u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut pruned_downward = 0;
+            for ordering in [AblOrdering::MinDist, AblOrdering::MinMaxDist] {
+                for kernel in [KernelMode::Scalar, KernelMode::Batch] {
+                    for epsilon in [0.0, 0.5] {
+                        let opts = NnOptions {
+                            ordering,
+                            kernel,
+                            epsilon,
+                            ..NnOptions::default()
+                        };
+                        let nn = NnSearch::with_options(tree, opts);
+                        for k in [1, 4, 17] {
+                            let q = Point::new([
+                                rng.random_range(-5.0..65.0),
+                                rng.random_range(-5.0..65.0),
+                            ]);
+                            let traced = |region: Option<Rect<2>>, bound: f64| {
+                                let mut trace = Trace::default();
+                                let mut cursor = QueryCursor::new();
+                                let answer = nn
+                                    .run(
+                                        &mut cursor,
+                                        &q,
+                                        k,
+                                        &MbrRefiner,
+                                        region,
+                                        bound,
+                                        Some(&mut trace),
+                                    )
+                                    .unwrap();
+                                assert!(!trace.events.is_empty());
+                                answer
+                            };
+
+                            let plain = nn.query_refined(&q, k, &MbrRefiner).unwrap();
+                            let (hits, stats, _) = nn.query_traced(&q, k, &MbrRefiner).unwrap();
+                            same_answer(&plain, &(hits, stats));
+                            pruned_downward += plain.1.pruned_downward;
+
+                            // A region turns strategy 1 off (`run`), so this
+                            // leg never reaches the pre-sort drop: it only
+                            // guards that traced and untraced region queries
+                            // keep taking one path.
+                            let region = Rect::new(
+                                Point::new([q[0] - 15.0, q[1] - 10.0]),
+                                Point::new([q[0] + 10.0, q[1] + 15.0]),
+                            );
+                            let constrained =
+                                nn.query_in_region(&q, k, &region, &MbrRefiner).unwrap();
+                            same_answer(&constrained, &traced(Some(region), f64::INFINITY));
+
+                            let bound = plain.0.last().map_or(f64::INFINITY, |n| n.dist_sq);
+                            let mut cursor = QueryCursor::new();
+                            let bounded = nn
+                                .query_refined_bounded(&mut cursor, &q, k, &MbrRefiner, bound)
+                                .unwrap();
+                            same_answer(&bounded, &traced(None, bound));
+                        }
+                    }
+                }
+            }
+            pruned_downward
+        }
+
+        #[test]
+        fn on_random_paged_trees() {
+            let small = paged(&items(11, 1_500), RTreeConfig::for_testing(6));
+            assert!(check(&small, 12) > 0);
+            let wide = paged(&items(13, 3_000), RTreeConfig::default());
+            assert!(check(&wide, 14) > 0);
+        }
+
+        #[test]
+        fn on_random_mem_trees() {
+            for (seed, fanout) in [(21, 5), (22, 16), (23, 64)] {
+                let tree = mem(&items(seed, 2_000), fanout);
+                assert!(check(&tree, seed + 100) > 0, "fanout {fanout}");
+            }
+        }
+
+        #[test]
+        fn on_a_suspended_run() {
+            let tree = paged(&items(31, 2_000), RTreeConfig::for_testing(8));
+            let mut rng = StdRng::seed_from_u64(32);
+            for ordering in [AblOrdering::MinDist, AblOrdering::MinMaxDist] {
+                for k in [1, 4, 17] {
+                    let opts = NnOptions {
+                        ordering,
+                        ..NnOptions::default()
+                    };
+                    let q = Point::new([rng.random_range(0.0..60.0), rng.random_range(0.0..60.0)]);
+                    let stalling = Stalling::new(&tree, 1);
+                    let search = NnSearch::with_options(&stalling, opts);
+                    let mut cursor = QueryCursor::new();
+                    let suspended = loop {
+                        match search
+                            .resume(&mut cursor, &q, k, &MbrRefiner, f64::INFINITY, false)
+                            .unwrap()
+                        {
+                            Poll::Ready(answer) => break answer,
+                            Poll::Waiting { .. } => {}
+                        }
+                    };
+                    assert!(stalling.not_yets.get() > 0, "the run was suspended");
+                    assert!(k == 17 || suspended.1.pruned_downward > 0);
+                    let (hits, stats, _) = NnSearch::with_options(&tree, opts)
+                        .query_traced(&q, k, &MbrRefiner)
+                        .unwrap();
+                    same_answer(&suspended, &(hits, stats));
+                }
+            }
+        }
     }
 }

@@ -6,6 +6,7 @@
 //! same optimistic bound the kNN search prunes with, used here as an
 //! absolute cutoff.
 
+use crate::heap::sort_hits;
 use crate::options::{KernelMode, Neighbor, SearchStats};
 use crate::refine::Refiner;
 use crate::Result;
@@ -13,8 +14,8 @@ use nnq_geom::{mindist_sq, mindist_sq_batch, Point};
 use nnq_rtree::TreeAccess;
 
 /// Returns every object whose exact distance from `q` is at most `radius`
-/// (linear units, not squared), sorted by increasing distance, along with
-/// the traversal counters.
+/// (linear units, not squared), sorted by increasing distance and then
+/// record id (`heap.rs`'s `sort_hits`), along with the traversal counters.
 pub fn within_radius<const D: usize, T: TreeAccess<D> + ?Sized, R: Refiner<D>>(
     tree: &T,
     q: &Point<D>,
@@ -86,11 +87,7 @@ pub fn within_radius_with<const D: usize, T: TreeAccess<D> + ?Sized, R: Refiner<
             }
         }
     }
-    out.sort_by(|a, b| {
-        a.dist_sq
-            .total_cmp(&b.dist_sq)
-            .then_with(|| a.record.cmp(&b.record))
-    });
+    sort_hits(&mut out);
     Ok((out, stats))
 }
 

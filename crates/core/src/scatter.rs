@@ -80,7 +80,7 @@
 //! Both compute exactly what `scatter_knn(.., threads = 1)` computes.
 
 use crate::branch_bound::{NnSearch, QueryCursor};
-use crate::heap::KnnHeap;
+use crate::heap::{sort_hits, KnnHeap};
 use crate::join::JoinOrder;
 use crate::options::{Neighbor, NnOptions, SearchStats};
 use crate::parallel::{claim_order, interleaves, steal_map, whole, BatchQuery, BatchStats, Poll};
@@ -432,11 +432,7 @@ where
         merged.extend(found);
     }
     if visit.len() > 1 {
-        merged.sort_by(|a, b| {
-            a.dist_sq
-                .total_cmp(&b.dist_sq)
-                .then_with(|| a.record.cmp(&b.record))
-        });
+        sort_hits(&mut merged);
     }
     Ok((merged, stats))
 }
