@@ -270,7 +270,8 @@ struct ReadPathOpts {
     /// `--pool-shards N`: buffer-pool shard count; must be a power of two
     /// ≥ 1 (shards are selected by masking the page id's low bits).
     pool_shards: usize,
-    /// `--prefetch <off|N|adaptive>`: traversal prefetch policy.
+    /// `--prefetch <off|adaptive>`: whether batches interleave (`bench`
+    /// and `serve`; `query` runs one query, which never does).
     prefetch: PrefetchPolicy,
     /// `--io-lat-us N`: injected per-access device latency (0 = raw disk).
     io_lat_us: u64,
@@ -320,7 +321,7 @@ where
     }
 }
 
-/// The prefetch line of `query`, `bench` and `serve`, when the pipeline
+/// The prefetch line of `bench` and `serve`, when the pipeline
 /// is on: the trees' counters summed, every pipeline quiesced first so
 /// each issued hint has been classified.
 fn prefetch_report(trees: &[RTree<2>], policy: PrefetchPolicy) -> Option<String> {
@@ -451,7 +452,7 @@ pub fn query(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         let trees = forest.trees();
         let segments = load_segments_csv(args.req("data")?)?;
         check_pairing(forest.len(), &segments)?;
-        let opts = NnOptions::with_prefetch(read.prefetch);
+        let opts = NnOptions::default();
         let (x, y) = args.coords("at")?;
         let q = Point::new([x, y]);
         let refiner = FnRefiner::new(|rid: RecordId, _: &Rect<2>, p: &Point<2>| {
@@ -509,9 +510,6 @@ pub fn query(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
             forest.pool_stats().hit_rate() * 100.0,
             elapsed.as_secs_f64() * 1e6
         )?;
-        if let Some(report) = prefetch_report(trees, read.prefetch) {
-            writeln!(out, "({report})")?;
-        }
         Ok(())
     })
 }

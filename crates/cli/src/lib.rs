@@ -67,9 +67,9 @@ USAGE:
   nnq ingest --input <FILE> --index <FILE> [--wal <FILE>] [--group-commit-us <N>] [--id-base <N>]
   nnq delete --input <FILE> --index <FILE> [--wal <FILE>] [--group-commit-us <N>] [--id-base <N>]
   nnq stats  --index <FILE>
-  nnq query  --index <FILE> --data <FILE> --at <X,Y> [-k <K>] [--radius <R>] [--metric <l1|l2|linf>] [--threads <N>] [--partitions <P>] [--pool-shards <P2>] [--prefetch <off|N|adaptive>] [--io-lat-us <N>]
-  nnq bench  --index <FILE> --data <FILE> [--queries <N>] [-k <K>] [--seed <S>] [--threads <N>] [--partitions <P>] [--pool-shards <P2>] [--prefetch <off|N|adaptive>] [--io-lat-us <N>]
-  nnq serve  --index <FILE> --data <FILE> [--port <P>] [--port-file <FILE>] [--threads <N>] [--batch-max <N>] [--inbox-cap <N>] [--result-cache <off|N>] [--max-in-flight <N>] [--partitions <P>] [--pool-shards <P2>] [--prefetch <off|N|adaptive>] [--io-lat-us <N>]
+  nnq query  --index <FILE> --data <FILE> --at <X,Y> [-k <K>] [--radius <R>] [--metric <l1|l2|linf>] [--threads <N>] [--partitions <P>] [--pool-shards <P2>] [--io-lat-us <N>]
+  nnq bench  --index <FILE> --data <FILE> [--queries <N>] [-k <K>] [--seed <S>] [--threads <N>] [--partitions <P>] [--pool-shards <P2>] [--prefetch <off|adaptive>] [--io-lat-us <N>]
+  nnq serve  --index <FILE> --data <FILE> [--port <P>] [--port-file <FILE>] [--threads <N>] [--batch-max <N>] [--inbox-cap <N>] [--result-cache <off|N>] [--max-in-flight <N>] [--partitions <P>] [--pool-shards <P2>] [--prefetch <off|adaptive>] [--io-lat-us <N>]
   nnq explain --index <FILE> --at <X,Y> [-k <K>]
   nnq join   --index <FILE> --data <FILE> --outer <FILE> [-k <K>]
 

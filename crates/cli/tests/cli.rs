@@ -622,42 +622,6 @@ fn prefetch_and_io_latency_flags() {
     run_ok(&["gen", "--kind", "uniform", "--n", "4000", "--out", &data]);
     run_ok(&["build", "--input", &data, "--index", &index]);
 
-    // Query with the pipeline on reports the prefetch stats line, and the
-    // result set is byte-identical to the prefetch-off run.
-    let query_out = |extra: &[&str]| -> String {
-        let mut args = vec![
-            "query",
-            "--index",
-            &index,
-            "--data",
-            &data,
-            "--at",
-            "50000,50000",
-            "-k",
-            "5",
-        ];
-        args.extend_from_slice(extra);
-        run_ok(&args)
-    };
-    let hits = |out: &str| -> Vec<String> {
-        out.lines()
-            .filter(|l| l.contains("segment #"))
-            .map(str::to_string)
-            .collect()
-    };
-    let off = query_out(&[]);
-    assert!(!off.contains("prefetch"), "{off}");
-    for policy in ["2", "8", "adaptive"] {
-        let on = query_out(&["--prefetch", policy, "--io-lat-us", "50"]);
-        assert_eq!(hits(&on), hits(&off), "policy {policy}: {on}");
-        assert!(on.contains(&format!("prefetch {policy}:")), "{on}");
-        assert!(on.contains("issued"), "{on}");
-        assert!(on.contains("useful rate"), "{on}");
-    }
-    // `--prefetch off` is accepted and stays silent (no workers started).
-    let off_explicit = query_out(&["--prefetch", "off"]);
-    assert!(!off_explicit.contains("prefetch"), "{off_explicit}");
-
     // Bench: the paper's pages/query metric must not move with prefetch,
     // and the stats line reports useful/wasted counts and the useful rate.
     let bench_out = |extra: &[&str]| -> String {
@@ -683,9 +647,10 @@ fn prefetch_and_io_latency_flags() {
             .to_string()
     };
     let base = bench_out(&[]);
-    let pf = bench_out(&["--prefetch", "4", "--io-lat-us", "20"]);
+    assert!(!base.contains("prefetch"), "{base}");
+    let pf = bench_out(&["--prefetch", "adaptive", "--io-lat-us", "20"]);
     assert_eq!(pages(&pf), pages(&base), "{pf}");
-    assert!(pf.contains("prefetch 4:"), "{pf}");
+    assert!(pf.contains("prefetch adaptive:"), "{pf}");
     assert!(pf.contains("useful"), "{pf}");
     assert!(pf.contains("wasted"), "{pf}");
 
@@ -709,24 +674,23 @@ fn prefetch_and_io_latency_flags() {
     };
     let base = parted(&[]);
     assert!(!base.contains("prefetch"), "{base}");
-    for policy in ["4", "adaptive"] {
-        let pf = parted(&["--prefetch", policy, "--io-lat-us", "20"]);
-        assert_eq!(pages(&pf), pages(&base), "{pf}");
-        let line = pf
-            .lines()
-            .find(|l| l.starts_with(&format!("prefetch {policy}:")))
-            .unwrap_or_else(|| panic!("no prefetch line: {pf}"));
-        assert!(
-            line.contains("issued") && line.contains("useful rate"),
-            "{pf}"
-        );
-    }
+    let pf = parted(&["--prefetch", "adaptive", "--io-lat-us", "20"]);
+    assert_eq!(pages(&pf), pages(&base), "{pf}");
+    let line = pf
+        .lines()
+        .find(|l| l.starts_with("prefetch adaptive:"))
+        .unwrap_or_else(|| panic!("no prefetch line: {pf}"));
+    assert!(
+        line.contains("issued") && line.contains("useful rate"),
+        "{pf}"
+    );
     for i in 0..4 {
         std::fs::remove_file(format!("{index}.p{i}")).ok();
     }
     std::fs::remove_file(format!("{index}.manifest")).ok();
 
-    // Bad values are usage errors on both commands.
+    // Bad values are usage errors on both commands; `query` runs one
+    // query, which never interleaves, and takes no `--prefetch` at all.
     let mut sink = Vec::new();
     for bad in [
         vec![
@@ -738,18 +702,7 @@ fn prefetch_and_io_latency_flags() {
             "--at",
             "0,0",
             "--prefetch",
-            "sometimes",
-        ],
-        vec![
-            "query",
-            "--index",
-            &index,
-            "--data",
-            &data,
-            "--at",
-            "0,0",
-            "--prefetch",
-            "-3",
+            "adaptive",
         ],
         vec![
             "query",
@@ -770,6 +723,15 @@ fn prefetch_and_io_latency_flags() {
             &data,
             "--prefetch",
             "deep",
+        ],
+        vec![
+            "bench",
+            "--index",
+            &index,
+            "--data",
+            &data,
+            "--prefetch",
+            "4",
         ],
         vec![
             "bench",
@@ -1218,6 +1180,7 @@ fn serve_flag_validation() {
         vec!["serve", "--port", "70000"], // > u16::MAX
         vec!["serve", "--pool-shards", "3"],
         vec!["serve", "--prefetch", "sometimes"],
+        vec!["serve", "--prefetch", "2"],
         vec!["serve", "--partitions", "0"],
         vec!["serve"], // missing --index
     ] {

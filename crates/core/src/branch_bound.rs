@@ -162,16 +162,13 @@ impl<const D: usize> Default for QueryCursor<D> {
 /// How a traversal treats a node whose page is not loaded.
 #[derive(Clone, Copy)]
 enum Reads {
-    /// Wait for it, every time: the query runs to its end in one call. It
-    /// has nothing else to overlap the wait with, so it keeps the
-    /// speculative ABL-sibling hints of its prefetch policy.
+    /// Wait for it, every time: the query runs to its end in one call and
+    /// issues no hint.
     Blocking,
     /// Hand control back ([`Poll::Waiting`]) with the page queued for a
     /// background read — a *certain* hint: this query visits that page
-    /// next. Only such hints are issued; the speculative ones would fill
-    /// the queue and the I/O workers with reads nobody claims. With
-    /// `wait_first` the first read of the call waits instead, which is how
-    /// a caller with nothing else runnable makes progress.
+    /// next. With `wait_first` the first read of the call waits instead,
+    /// which is how a caller with nothing else runnable makes progress.
     Suspending { wait_first: bool },
 }
 
@@ -271,7 +268,7 @@ impl<'t, const D: usize, T: TreeAccess<D> + ?Sized> NnSearch<'t, D, T> {
     /// appear in the returned list while the local heap is not yet full
     /// — a gather stage that merges across partitions discards them by
     /// distance, so correctness is unaffected.
-    pub fn query_refined_bounded<R: Refiner<D>>(
+    pub(crate) fn query_refined_bounded<R: Refiner<D>>(
         &self,
         cursor: &mut QueryCursor<D>,
         q: &Point<D>,
@@ -345,7 +342,6 @@ impl<'t, const D: usize, T: TreeAccess<D> + ?Sized> NnSearch<'t, D, T> {
             region: None,
             cursor,
             trace: None,
-            prefetch_depth: 0,
             shared_bound_sq: init_bound_sq,
         };
         ctx.advance(Reads::Suspending { wait_first: wait })
@@ -371,9 +367,6 @@ impl<'t, const D: usize, T: TreeAccess<D> + ?Sized> NnSearch<'t, D, T> {
             opts.prune_object = false;
         }
         cursor.begin(k, self.tree.access_root());
-        let prefetch_depth = opts
-            .prefetch
-            .resolve_with_activity(self.tree.io_miss_rate(), self.tree.io_reads());
         let ctx = Ctx {
             tree: self.tree,
             opts,
@@ -382,7 +375,6 @@ impl<'t, const D: usize, T: TreeAccess<D> + ?Sized> NnSearch<'t, D, T> {
             region,
             cursor,
             trace,
-            prefetch_depth,
             shared_bound_sq: init_bound_sq,
         };
         match ctx.advance(Reads::Blocking)? {
@@ -400,10 +392,6 @@ struct Ctx<'t, 'r, const D: usize, T: ?Sized, R> {
     region: Option<Rect<D>>,
     cursor: &'r mut QueryCursor<D>,
     trace: Option<&'r mut Trace>,
-    /// Speculative prefetch-hint depth, resolved from `opts.prefetch` once
-    /// per query (the adaptive policy samples the backend miss rate at
-    /// query start); 0 for a suspending traversal.
-    prefetch_depth: usize,
     /// Externally supplied upper bound on the k-th nearest squared
     /// distance (`+∞` outside scatter-gather): upward pruning compares
     /// against the tighter of this and the local heap's bound. Fixed for
@@ -714,18 +702,6 @@ impl<const D: usize, T: TreeAccess<D> + ?Sized, R: Refiner<D>> Ctx<'_, '_, D, T,
             }
             AblOrdering::MinMaxDist => {
                 abl.sort_by(|a, b| a.minmaxdist.total_cmp(&b.minmaxdist));
-            }
-        }
-
-        // ABL-guided prefetch: the sorted list is the paper's own oracle
-        // for which pages are visited next, so hint the entries past the
-        // head (abl[0] is fetched synchronously by the descent that
-        // follows) to the backend's asynchronous prefetcher. Advisory only
-        // — results, traversal order, SearchStats, and logical_reads are
-        // untouched.
-        if self.prefetch_depth > 0 {
-            for a in abl.iter().skip(1).take(self.prefetch_depth) {
-                self.tree.prefetch_node(a.child);
             }
         }
 

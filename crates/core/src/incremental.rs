@@ -78,37 +78,22 @@ pub struct IncrementalNn<'t, const D: usize, R, T: TreeAccess<D> + ?Sized = RTre
     queue: BinaryHeap<Reverse<Keyed<D>>>,
     stats: SearchStats,
     kernel: KernelMode,
-    /// Number of non-nearest children hinted to the store per internal-node
-    /// expansion (0 = no prefetch). Advisory only; never changes results.
-    prefetch_depth: usize,
     /// Scratch for the batched per-node `MINDIST` pass, reused across the
     /// whole iteration.
     mindists: Vec<f64>,
-    /// Scratch for ordering prefetch hints by distance, reused across the
-    /// whole iteration.
-    hint_scratch: Vec<(f64, PageId)>,
 }
 
 impl<'t, const D: usize, R: Refiner<D>, T: TreeAccess<D> + ?Sized> IncrementalNn<'t, D, R, T> {
     /// Starts a distance-browsing iteration from `q`.
     pub fn new(tree: &'t T, q: Point<D>, refiner: R) -> Self {
-        Self::with_kernel(tree, q, refiner, KernelMode::default())
+        Self::with_options(tree, q, refiner, NnOptions::default())
     }
 
-    /// [`IncrementalNn::new`] with an explicit distance-kernel mode. Both
-    /// modes produce bit-identical neighbors and statistics.
-    pub fn with_kernel(tree: &'t T, q: Point<D>, refiner: R, kernel: KernelMode) -> Self {
-        Self::with_options(tree, q, refiner, NnOptions::with_kernel(kernel))
-    }
-
-    /// [`IncrementalNn::new`] honoring the kernel and prefetch fields of
-    /// `opts` (the pruning toggles do not apply — distance browsing has no
-    /// ABL). Neither knob ever changes the yielded neighbors or statistics;
-    /// the prefetch policy is resolved once, at construction.
+    /// [`IncrementalNn::new`] honoring the kernel field of `opts`; both
+    /// kernel modes produce bit-identical neighbors and statistics. The
+    /// pruning toggles and the prefetch policy do not apply: distance
+    /// browsing has no ABL, and a lone traversal issues no hints.
     pub fn with_options(tree: &'t T, q: Point<D>, refiner: R, opts: NnOptions) -> Self {
-        let prefetch_depth = opts
-            .prefetch
-            .resolve_with_activity(tree.io_miss_rate(), tree.io_reads());
         let mut queue = BinaryHeap::new();
         if let Some(root) = tree.access_root() {
             queue.push(Reverse(Keyed {
@@ -124,9 +109,7 @@ impl<'t, const D: usize, R: Refiner<D>, T: TreeAccess<D> + ?Sized> IncrementalNn
             queue,
             stats: SearchStats::default(),
             kernel: opts.kernel,
-            prefetch_depth,
             mindists: Vec::new(),
-            hint_scratch: Vec::new(),
         }
     }
 
@@ -194,30 +177,6 @@ impl<const D: usize, R: Refiner<D>, T: TreeAccess<D> + ?Sized> Iterator
                                 rank: 2,
                                 item: Item::Node(e.child()),
                             }));
-                        }
-                        // Queue-guided prefetch: hint this node's nearest
-                        // children past the nearest one (the closest child is
-                        // typically the very next node pop, fetched
-                        // synchronously before a hint could help). Advisory
-                        // only — never affects what `next` yields.
-                        if self.prefetch_depth > 0 {
-                            self.hint_scratch.clear();
-                            self.hint_scratch
-                                .extend(node.entries().iter().enumerate().map(|(j, e)| {
-                                    let d = if batch {
-                                        self.mindists[j]
-                                    } else {
-                                        mindist_sq(&self.q, &e.mbr)
-                                    };
-                                    (d, e.child())
-                                }));
-                            self.hint_scratch
-                                .sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-                            for &(_, child) in
-                                self.hint_scratch.iter().skip(1).take(self.prefetch_depth)
-                            {
-                                self.tree.prefetch_node(child);
-                            }
                         }
                     }
                 }

@@ -66,96 +66,42 @@ impl std::str::FromStr for KernelMode {
     }
 }
 
-/// How aggressively the traversals hint upcoming node reads to the
-/// storage backend's asynchronous prefetcher.
+/// Whether a batch may hand a cold page to the storage backend's
+/// background readers and run another query while it loads.
 ///
-/// The Active Branch List is a ready-made prefetch oracle: after sorting,
-/// its MINDIST-ordered entries are — by the paper's own Theorem-2 argument
-/// — the pages most likely visited next. Under `Depth(n)`, each traversal
-/// issues hints for the `n` entries *past the head* of its local ordering
-/// (the head itself is fetched synchronously right after, so hinting it
-/// buys nothing).
+/// The only hint any traversal issues is a *certain* one: the page an
+/// interleaved query is suspended on, which that query reads next (see
+/// `parallel.rs`). A query run on its own has nothing to overlap a wait
+/// with, so it issues none.
 ///
-/// Hints are advisory: a policy **never** changes results, traversal
-/// order, [`SearchStats`], or the pool's `logical_reads` — only wall-clock
-/// time under real or injected I/O latency. Prefetch activity is accounted
-/// separately (`nnq_storage::PrefetchStats`).
+/// A policy **never** changes results, traversal order, [`SearchStats`],
+/// or the pool's `logical_reads` — only wall-clock time under real or
+/// injected I/O latency. Prefetch activity is accounted separately
+/// (`nnq_storage::PrefetchStats`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum PrefetchPolicy {
-    /// Issue no hints. The default.
+    /// Never interleave: every batch runs item by item. The default, and
+    /// the oracle the interleaved runs are compared against.
     #[default]
     Off,
-    /// Hint the next `n` entries past the head of the ABL / child ordering
-    /// at every internal node (`Depth(0)` behaves like `Off`).
-    Depth(usize),
-    /// Pick a depth per query from the backend's observed cache miss rate:
-    /// off while the cache is absorbing nearly everything, depth 2 under
-    /// moderate miss rates, depth 8 when mostly cold.
+    /// Interleave a batch when one of its trees' pools has background
+    /// readers (`TreeAccess::prefetch_workers`).
     Adaptive,
 }
 
 impl PrefetchPolicy {
-    /// Hint depth `Adaptive` uses while the backend is still untouched.
-    ///
-    /// The miss-rate signal has a blind spot at cold start: by the
-    /// zero-reads convention (`nnq_storage::PoolStats::miss_rate`), an
-    /// untouched pool reports a miss rate of `0.0` — the same value a
-    /// perfectly warm pool reports — so a naive `resolve` picks depth 0
-    /// for the very first queries, exactly when every access is a device
-    /// read and prefetch helps most. [`PrefetchPolicy::resolve_with_activity`]
-    /// floors the depth at this value until the first logical read lands.
-    pub const COLD_START_DEPTH: usize = 2;
-
-    /// Resolves the policy to a concrete hint depth for one query, given
-    /// the backend's current miss rate (`TreeAccess::io_miss_rate`).
-    ///
-    /// `Adaptive` cannot distinguish a cold backend from a warm one here
-    /// (both report miss rate `0.0`); traversals use
-    /// [`PrefetchPolicy::resolve_with_activity`], which also sees the
-    /// read counter.
-    pub fn resolve(self, miss_rate: f64) -> usize {
+    /// Lower-case label for CLI/bench output.
+    pub fn label(self) -> &'static str {
         match self {
-            PrefetchPolicy::Off => 0,
-            PrefetchPolicy::Depth(n) => n,
-            PrefetchPolicy::Adaptive => {
-                if miss_rate >= 0.5 {
-                    8
-                } else if miss_rate >= 0.05 {
-                    2
-                } else {
-                    0
-                }
-            }
-        }
-    }
-
-    /// Like [`PrefetchPolicy::resolve`], but with the backend's lifetime
-    /// logical-read counter (`TreeAccess::io_reads`) to disambiguate the
-    /// zero-reads convention: an `Adaptive` policy over an untouched
-    /// backend (`logical_reads == 0`) floors the depth at
-    /// [`PrefetchPolicy::COLD_START_DEPTH`] instead of resolving to 0.
-    /// `Off` and `Depth` are unaffected.
-    pub fn resolve_with_activity(self, miss_rate: f64, logical_reads: u64) -> usize {
-        if matches!(self, PrefetchPolicy::Adaptive) && logical_reads == 0 {
-            return Self::COLD_START_DEPTH;
-        }
-        self.resolve(miss_rate)
-    }
-
-    /// Lower-case label for CLI/bench output (`off`, `adaptive`, or the
-    /// depth as a number).
-    pub fn label(self) -> String {
-        match self {
-            PrefetchPolicy::Off => "off".to_string(),
-            PrefetchPolicy::Depth(n) => n.to_string(),
-            PrefetchPolicy::Adaptive => "adaptive".to_string(),
+            PrefetchPolicy::Off => "off",
+            PrefetchPolicy::Adaptive => "adaptive",
         }
     }
 }
 
 impl std::fmt::Display for PrefetchPolicy {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.label())
+        f.write_str(self.label())
     }
 }
 
@@ -166,13 +112,9 @@ impl std::str::FromStr for PrefetchPolicy {
         match s {
             "off" => Ok(PrefetchPolicy::Off),
             "adaptive" => Ok(PrefetchPolicy::Adaptive),
-            other => match other.parse::<usize>() {
-                Ok(0) => Ok(PrefetchPolicy::Off),
-                Ok(n) => Ok(PrefetchPolicy::Depth(n)),
-                Err(_) => Err(format!(
-                    "unknown prefetch policy `{other}` (want off, adaptive, or a depth)"
-                )),
-            },
+            other => Err(format!(
+                "unknown prefetch policy `{other}` (want off or adaptive)"
+            )),
         }
     }
 }
@@ -204,7 +146,7 @@ pub struct NnOptions {
     /// Distance-kernel implementation (scalar reference vs batched SoA);
     /// never changes results, only speed.
     pub kernel: KernelMode,
-    /// Prefetch-hint policy (see [`PrefetchPolicy`]); never changes
+    /// Whether batches interleave (see [`PrefetchPolicy`]); never changes
     /// results or page-access accounting, only wall-clock under latency.
     pub prefetch: PrefetchPolicy,
 }
@@ -375,55 +317,17 @@ mod tests {
             "adaptive".parse::<PrefetchPolicy>().unwrap(),
             PrefetchPolicy::Adaptive
         );
-        assert_eq!(
-            "8".parse::<PrefetchPolicy>().unwrap(),
-            PrefetchPolicy::Depth(8)
-        );
-        // Depth 0 normalizes to Off.
-        assert_eq!("0".parse::<PrefetchPolicy>().unwrap(), PrefetchPolicy::Off);
-        assert!("-2".parse::<PrefetchPolicy>().is_err());
-        assert!("always".parse::<PrefetchPolicy>().is_err());
+        for bad in ["4", "0", "-2", "always"] {
+            let err = bad.parse::<PrefetchPolicy>().unwrap_err();
+            assert!(err.contains("off or adaptive"), "{err}");
+        }
         assert_eq!(PrefetchPolicy::Off.to_string(), "off");
-        assert_eq!(PrefetchPolicy::Depth(4).to_string(), "4");
         assert_eq!(PrefetchPolicy::Adaptive.to_string(), "adaptive");
         assert_eq!(NnOptions::default().prefetch, PrefetchPolicy::Off);
         assert_eq!(
             NnOptions::with_prefetch(PrefetchPolicy::Adaptive).prefetch,
             PrefetchPolicy::Adaptive
         );
-    }
-
-    #[test]
-    fn prefetch_policy_resolution() {
-        assert_eq!(PrefetchPolicy::Off.resolve(1.0), 0);
-        assert_eq!(PrefetchPolicy::Depth(5).resolve(0.0), 5);
-        assert_eq!(PrefetchPolicy::Adaptive.resolve(0.0), 0);
-        assert_eq!(PrefetchPolicy::Adaptive.resolve(0.2), 2);
-        assert_eq!(PrefetchPolicy::Adaptive.resolve(0.9), 8);
-    }
-
-    #[test]
-    fn adaptive_prefetch_cold_start_floor() {
-        // Regression: an untouched pool reports miss rate 0.0 (zero-reads
-        // convention), which used to resolve Adaptive to depth 0 on the
-        // very first — coldest — queries. With the activity counter the
-        // policy floors at COLD_START_DEPTH until the first read lands.
-        assert_eq!(
-            PrefetchPolicy::Adaptive.resolve_with_activity(0.0, 0),
-            PrefetchPolicy::COLD_START_DEPTH
-        );
-        // After any activity the miss-rate ladder is authoritative again:
-        // a genuinely warm backend drops to 0...
-        assert_eq!(
-            PrefetchPolicy::Adaptive.resolve_with_activity(0.0, 10_000),
-            0
-        );
-        // ...and a missing one keeps its ladder depths.
-        assert_eq!(PrefetchPolicy::Adaptive.resolve_with_activity(0.2, 1), 2);
-        assert_eq!(PrefetchPolicy::Adaptive.resolve_with_activity(0.9, 1), 8);
-        // Off and explicit depths are never floored.
-        assert_eq!(PrefetchPolicy::Off.resolve_with_activity(0.0, 0), 0);
-        assert_eq!(PrefetchPolicy::Depth(5).resolve_with_activity(0.0, 0), 5);
     }
 
     #[test]

@@ -22,10 +22,10 @@
 //! Items are **resumable**: a step of an item either finishes it or stops
 //! in front of a page that is not loaded ([`Poll::Waiting`]). Where the
 //! backend reads pages in the background and the batch's prefetch policy
-//! is on, a worker **interleaves**: it holds up to [`IN_FLIGHT`] claimed
-//! kNN traversals, resumes them oldest first, claims a new item for every
-//! slot that frees up, and sleeps in a device read — its oldest item's —
-//! only when every item it holds is waiting for a page. The wait of one
+//! is `Adaptive`, a worker **interleaves**: it holds up to [`IN_FLIGHT`]
+//! claimed kNN traversals, resumes them oldest first, claims a new item for
+//! every slot that frees up, and sleeps in a device read — its oldest
+//! item's — only when every item it holds is waiting for a page. The wait of one
 //! query is then another's compute time, and the pages the suspended
 //! queries wait for are all being read at once. Everywhere else a worker
 //! holds one item and every item finishes on its first step.
@@ -267,22 +267,15 @@ pub(crate) fn steal_map<S, O: Send>(
 }
 
 /// Whether a batch of kNN traversals over `trees` — one tree, or the
-/// partitions a scatter-gather query reads — interleaves: for some tree
-/// the prefetch policy resolves to hinting at all, and there are
-/// background readers to take the pages suspended queries wait for.
-/// Otherwise (policy off, warm or in-memory backend, no prefetcher) a "not
-/// yet" could never be answered, and the workers run item by item. (A
-/// tree without background readers in an interleaving batch just loads on
-/// demand: `try_access_node` has nobody to queue the page for.)
+/// partitions a scatter-gather query reads — interleaves: the policy is
+/// `Adaptive` and some tree's pool has background readers to take the
+/// pages suspended queries wait for. Otherwise (policy off, in-memory
+/// backend, no prefetcher) a "not yet" could never be answered, and the
+/// workers run item by item. (A tree without background readers in an
+/// interleaving batch just loads on demand: `try_access_node` has nobody
+/// to queue the page for. A warm tree never suspends at all.)
 pub(crate) fn interleaves<const D: usize, T: TreeAccess<D>>(trees: &[T], opts: &NnOptions) -> bool {
-    // (`Off` first: a batch that never hints reads no backend counter.)
-    opts.prefetch != PrefetchPolicy::Off
-        && trees.iter().any(|tree| {
-            opts.prefetch
-                .resolve_with_activity(tree.io_miss_rate(), tree.io_reads())
-                > 0
-                && tree.prefetch_workers() > 0
-        })
+    opts.prefetch == PrefetchPolicy::Adaptive && trees.iter().any(|t| t.prefetch_workers() > 0)
 }
 
 /// The claim schedule for `order` over a batch's query points: `None`

@@ -494,7 +494,7 @@ pub fn partitioned_knn_batch<const D: usize, R: Refiner<D> + Sync>(
 /// A kNN request is one [`ScatterCursor`] item: each round's trees run one
 /// after another (tree parallelism and batch parallelism would fight over
 /// the same cores), and where some tree's pool reads pages in the
-/// background and the prefetch policy is on for it, the item is resumable
+/// background and the prefetch policy is `Adaptive`, the item is resumable
 /// and the batch interleaves — a worker keeps several queries in flight
 /// and switches at a page that is not loaded, hinting that page to its
 /// tree's pool. A radius request is one sequential [`scatter_radius`]

@@ -194,8 +194,18 @@ fn incremental_identical_across_kernels() {
     let items = random_items(2_000, 51);
     let tree = mem_tree(&items);
     let q = Point::new([37.0, 59.0]);
-    let mut scalar = IncrementalNn::with_kernel(&tree, q, MbrRefiner, KernelMode::Scalar);
-    let mut batch = IncrementalNn::with_kernel(&tree, q, MbrRefiner, KernelMode::Batch);
+    let mut scalar = IncrementalNn::with_options(
+        &tree,
+        q,
+        MbrRefiner,
+        NnOptions::with_kernel(KernelMode::Scalar),
+    );
+    let mut batch = IncrementalNn::with_options(
+        &tree,
+        q,
+        MbrRefiner,
+        NnOptions::with_kernel(KernelMode::Batch),
+    );
     let ns: Vec<Neighbor<2>> = scalar
         .by_ref()
         .take(500)

@@ -75,31 +75,6 @@ pub trait NodeStore<const D: usize> {
         self.write_meta(meta)
     }
 
-    /// Hints that `id` will likely be read soon. Purely advisory and
-    /// non-blocking; the default does nothing (in-memory backends have no
-    /// I/O to hide). Must never change what any subsequent `read` returns
-    /// or how it is accounted.
-    fn prefetch(&self, _id: PageId) {}
-
-    /// Device reads per logical page read, in `[0, 1]` (`0.0` where the
-    /// notion does not apply): `(demand misses + prefetched pages a read
-    /// then claimed) / logical reads`. Who performed the device read does
-    /// not enter: a pool whose every cold page arrives through a hint is
-    /// as cold as one that takes every miss itself, and must not look
-    /// warm to the adaptive prefetch policy in `nnq-core`, which keys on
-    /// this.
-    fn io_miss_rate(&self) -> f64 {
-        0.0
-    }
-
-    /// Lifetime logical page reads the backend has served (`0` where the
-    /// notion does not apply). `nnq-core` uses this to tell a genuinely
-    /// cold backend (`io_miss_rate() == 0.0` by the zero-reads convention)
-    /// from a perfectly warm one.
-    fn io_reads(&self) -> u64 {
-        0
-    }
-
     /// Background readers that serve this backend's hints (`0` where
     /// there is no prefetcher). `nnq-core` interleaves a batch only over
     /// a backend that has some.
@@ -284,23 +259,6 @@ impl<const D: usize> NodeStore<D> for PagedStore<D> {
         }
         // The in-pool root swap: a single meta-page write.
         self.write_meta(meta)
-    }
-
-    fn prefetch(&self, id: PageId) {
-        self.pool.prefetch(id);
-    }
-
-    fn io_miss_rate(&self) -> f64 {
-        let pool = self.pool.stats();
-        if pool.logical_reads == 0 {
-            return 0.0;
-        }
-        let device_reads = pool.physical_reads + self.pool.prefetch_stats().useful;
-        device_reads as f64 / pool.logical_reads as f64
-    }
-
-    fn io_reads(&self) -> u64 {
-        self.pool.stats().logical_reads
     }
 
     fn prefetch_workers(&self) -> usize {
@@ -634,46 +592,5 @@ mod tests {
         let raw = NodeStore::read(&store, a).unwrap();
         assert_eq!(raw.entries[0].record(), RecordId(2));
         std::fs::remove_file(&wal_path).ok();
-    }
-
-    #[test]
-    fn io_miss_rate_counts_claimed_prefetches_as_device_reads() {
-        // Two cold passes over the same pages: the first takes every miss
-        // itself, the second has each page prefetched and then claims it
-        // (all pool hits). Both cost one device read per page, and the
-        // adaptive policy's signal must say so both times.
-        let mut pool = BufferPool::new(Box::new(MemDisk::new(PAGE_SIZE)), 64);
-        pool.start_prefetch(1, 16);
-        let store = PagedStore::<2>::create(Arc::new(pool)).unwrap();
-        let ids: Vec<_> = (0..8)
-            .map(|i| store.alloc(0, &[entry(i)]).unwrap())
-            .collect();
-        let pool = Arc::clone(store.pool());
-        let chill = || {
-            pool.flush_all().unwrap();
-            pool.clear_cache().unwrap();
-            pool.reset_stats();
-        };
-
-        chill();
-        assert_eq!(store.io_miss_rate(), 0.0, "no reads yet");
-        for &id in &ids {
-            NodeStore::read(&store, id).unwrap();
-        }
-        assert_eq!(pool.stats().physical_reads, 8);
-        assert_eq!(store.io_miss_rate(), 1.0);
-
-        chill();
-        for &id in &ids {
-            store.prefetch(id);
-        }
-        pool.prefetch_quiesce();
-        for &id in &ids {
-            NodeStore::read(&store, id).unwrap();
-        }
-        assert_eq!(pool.stats().physical_reads, 0, "every read was a hit");
-        assert_eq!(pool.prefetch_stats().useful, 8);
-        assert_eq!(pool.stats().miss_rate(), 0.0, "demand misses only");
-        assert_eq!(store.io_miss_rate(), 1.0, "as cold as the first pass");
     }
 }

@@ -127,27 +127,6 @@ pub trait TreeAccess<const D: usize> {
     /// from the committed meta; no page is read.
     fn bounds(&self) -> Rect<D>;
 
-    /// Hints that `page` will likely be accessed soon. Advisory and
-    /// non-blocking; the default does nothing. Implementations must not
-    /// let a hint change the result or the accounting of any subsequent
-    /// [`TreeAccess::access_node`].
-    fn prefetch_node(&self, _page: PageId) {}
-
-    /// Device reads per node access, in `[0, 1]` (`0.0` where there is no
-    /// I/O) — demand misses plus claimed prefetches, see
-    /// [`NodeStore::io_miss_rate`]. Drives the adaptive prefetch policy.
-    fn io_miss_rate(&self) -> f64 {
-        0.0
-    }
-
-    /// Lifetime logical page reads behind this access path (`0` where
-    /// there is no I/O). Distinguishes a cold backend from a perfectly
-    /// warm one when `io_miss_rate` reports `0.0` for both (the zero-reads
-    /// convention).
-    fn io_reads(&self) -> u64 {
-        0
-    }
-
     /// Background readers that serve this access path's hints (`0` where
     /// there is no prefetcher). See [`NodeStore::prefetch_workers`].
     fn prefetch_workers(&self) -> usize {
@@ -175,18 +154,6 @@ impl<const D: usize, S: NodeStore<D>> TreeAccess<D> for RTree<D, S> {
 
     fn bounds(&self) -> Rect<D> {
         self.meta.read().bounds
-    }
-
-    fn prefetch_node(&self, page: PageId) {
-        self.store.prefetch(page);
-    }
-
-    fn io_miss_rate(&self) -> f64 {
-        self.store.io_miss_rate()
-    }
-
-    fn io_reads(&self) -> u64 {
-        self.store.io_reads()
     }
 
     fn prefetch_workers(&self) -> usize {
@@ -334,18 +301,6 @@ impl<const D: usize, S: NodeStore<D>> TreeAccess<D> for Snapshot<'_, D, S> {
 
     fn bounds(&self) -> Rect<D> {
         self.meta.bounds
-    }
-
-    fn prefetch_node(&self, page: PageId) {
-        self.tree.store.prefetch(page);
-    }
-
-    fn io_miss_rate(&self) -> f64 {
-        self.tree.store.io_miss_rate()
-    }
-
-    fn io_reads(&self) -> u64 {
-        self.tree.store.io_reads()
     }
 
     fn prefetch_workers(&self) -> usize {

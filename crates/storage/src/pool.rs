@@ -50,13 +50,13 @@
 //! the load protocol above, counting the frame `prefetched` where a demand
 //! miss counts a `physical_read`.
 //!
-//! Hints come in two kinds. A **speculative** hint (`prefetch`) names a
-//! page a traversal may visit — a sibling in its branch list, pruned as
-//! often as not. A **certain** hint is issued by `try_fetch` for the absent
-//! page its caller is suspended on: it is the next page that query reads.
-//! Both ride the same queue, workers and counters; a certain hint counts
-//! `issued` only when the queue takes it (otherwise the caller reads the
-//! page itself, as a demand miss).
+//! The one hint the traversals in `nnq-core` issue is a **certain** one:
+//! `try_fetch` queues the absent page its caller is suspended on — the
+//! next page that query reads — and counts it `issued` only when the queue
+//! takes it (otherwise the caller reads the page itself, as a demand miss).
+//! They issue no speculative hint: a page a query *may* visit, such as a
+//! sibling in its branch list, is pruned as often as not. `prefetch` takes
+//! any other hint through the same queue, workers and counters.
 //!
 //! Prefetch accounting is kept strictly separate from [`PoolStats`] in
 //! [`PrefetchStats`]: issuing or completing a hint never moves
@@ -151,10 +151,9 @@ impl PoolStats {
     /// Fraction of fetches that had to read the device themselves — the
     /// **demand** miss rate — in `[0, 1]` (`0.0` for an untouched pool,
     /// same convention as [`PoolStats::hit_rate`]). Working prefetch
-    /// lowers it without the pool getting any warmer, so it is not the
-    /// signal the adaptive prefetch policy keys on (that is
-    /// `NodeStore::io_miss_rate` in `nnq-rtree`, which adds the claimed
-    /// prefetches back).
+    /// lowers it without the pool getting any warmer: device reads per
+    /// logical read are `(physical_reads + PrefetchStats::useful) /
+    /// logical_reads`.
     pub fn miss_rate(&self) -> f64 {
         if self.logical_reads == 0 {
             0.0

@@ -1,7 +1,8 @@
 //! Interleaved batch traversals (DESIGN.md §"Batch executor"): where the
 //! backend reads pages in the background and the batch's prefetch policy is
-//! on, a worker keeps several kNN traversals in flight and switches at the
-//! page that is not loaded. None of that may show in the output — hits,
+//! `Adaptive`, a worker keeps several kNN traversals in flight and switches
+//! at the page that is not loaded, hinting that page; a query run outside a
+//! batch hints nothing. None of that may show in the output — hits,
 //! per-query `SearchStats` and summed `logical_reads` equal a sequential
 //! loop's — the prefetch counters must still balance, a suspended query must
 //! hold nothing in the pool, and a failed read, background or the worker's
@@ -13,21 +14,19 @@
 //! single tree runs on the same executor, as a forest of one.
 
 use nnq_core::{
-    forest_batch, forest_batch_dedup, partitioned_knn, scatter_radius, within_radius, BatchQuery,
-    BatchStats, JoinOrder, MbrRefiner, Neighbor, NnOptions, NnSearch, PartitionedStats,
-    PrefetchPolicy, Refiner, SearchStats,
+    forest_batch, forest_batch_dedup, partitioned_knn, scatter_knn, scatter_radius, within_radius,
+    BatchQuery, BatchStats, IncrementalNn, JoinOrder, MbrRefiner, Neighbor, NnOptions, NnSearch,
+    PartitionedStats, PrefetchPolicy, Refiner, SearchStats,
 };
-use nnq_geom::{Point, Rect};
+use nnq_geom::Point;
 use nnq_rtree::{
-    BulkMethod, Forest, NodeView, PartitionManifest, PartitionedTree, RTree, RTreeConfig,
-    TreeAccess,
+    BulkMethod, Forest, PartitionManifest, PartitionedTree, RTree, RTreeConfig, TreeAccess,
 };
 use nnq_storage::{
     BufferPool, DiskManager, FaultDisk, LatencyDisk, LatencyProfile, MemDisk, PageId,
     PrefetchStats, PAGE_SIZE,
 };
 use nnq_workloads::{default_bounds, points_to_items, uniform_points, uniform_queries};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 const N_POINTS: usize = 20_000;
@@ -163,54 +162,6 @@ fn balanced(pool: &BufferPool, what: &str) -> PrefetchStats {
     pf
 }
 
-/// The tree, counting the speculative hints (`prefetch_node`) traversals
-/// issue through it. Certain hints do not come this way: they are issued by
-/// the pool, inside `try_access_node`.
-struct Observed<'t> {
-    tree: &'t RTree<2>,
-    speculative: AtomicU64,
-}
-
-impl<'t> Observed<'t> {
-    fn new(tree: &'t RTree<2>) -> Self {
-        Self {
-            tree,
-            speculative: AtomicU64::new(0),
-        }
-    }
-}
-
-impl TreeAccess<2> for Observed<'_> {
-    fn access_root(&self) -> Option<PageId> {
-        self.tree.access_root()
-    }
-    fn access_node(&self, page: PageId) -> nnq_rtree::Result<NodeView<2>> {
-        self.tree.access_node(page)
-    }
-    fn try_access_node(&self, page: PageId) -> nnq_rtree::Result<Option<NodeView<2>>> {
-        self.tree.try_access_node(page)
-    }
-    fn num_records(&self) -> u64 {
-        self.tree.num_records()
-    }
-    fn bounds(&self) -> Rect<2> {
-        self.tree.bounds()
-    }
-    fn prefetch_node(&self, page: PageId) {
-        self.speculative.fetch_add(1, Ordering::Relaxed);
-        self.tree.prefetch_node(page);
-    }
-    fn io_miss_rate(&self) -> f64 {
-        self.tree.io_miss_rate()
-    }
-    fn io_reads(&self) -> u64 {
-        self.tree.io_reads()
-    }
-    fn prefetch_workers(&self) -> usize {
-        self.tree.prefetch_workers()
-    }
-}
-
 // -- (a) identity ------------------------------------------------------------
 
 #[test]
@@ -235,32 +186,20 @@ fn batches_equal_the_sequential_loop_whatever_interleaves() {
     assert!(knn_pages > 0 && mixed_pages > 0);
     drop(reference);
 
-    // The sequential API keeps its speculative hints.
+    // The sequential API issues no hint, even with background readers
+    // there to take one.
     let tree = open(&disk, meta, frames, 2);
-    let observed = Observed::new(&tree);
-    let hinting = NnSearch::with_options(
-        &observed,
-        NnOptions::with_prefetch(PrefetchPolicy::Depth(2)),
-    );
+    let search = NnSearch::with_options(&tree, NnOptions::with_prefetch(PrefetchPolicy::Adaptive));
     for (q, want) in queries.iter().zip(&want_knn) {
-        assert_same_hits(
-            &hinting.query(q, K).unwrap(),
-            &want.0,
-            "sequential Depth(2)",
-        );
+        assert_same_hits(&search.query(q, K).unwrap(), &want.0, "sequential");
     }
     assert_eq!(tree.pool().stats().logical_reads, knn_pages);
-    assert!(observed.speculative.load(Ordering::Relaxed) > 0);
-    let pf = balanced(tree.pool(), "sequential Depth(2)");
-    assert!(pf.issued > 0, "{pf:?}");
+    let pf = balanced(tree.pool(), "sequential");
+    assert_eq!(pf.issued, 0, "{pf:?}");
     drop(tree);
 
     for workers in [0, 2] {
-        for policy in [
-            PrefetchPolicy::Off,
-            PrefetchPolicy::Depth(2),
-            PrefetchPolicy::Adaptive,
-        ] {
+        for policy in [PrefetchPolicy::Off, PrefetchPolicy::Adaptive] {
             for threads in [1, 2, 4] {
                 for order in [JoinOrder::AsGiven, JoinOrder::Hilbert] {
                     let what =
@@ -269,9 +208,8 @@ fn batches_equal_the_sequential_loop_whatever_interleaves() {
                     let opts = NnOptions::with_prefetch(policy);
 
                     let tree = open(&disk, meta, frames, workers);
-                    let observed = Observed::new(&tree);
                     let (got, bstats) =
-                        batch_on(&observed, &knn, opts, &MbrRefiner, threads, order).unwrap();
+                        batch_on(&tree, &knn, opts, &MbrRefiner, threads, order).unwrap();
                     for (i, (g, w)) in got.iter().zip(&want_knn).enumerate() {
                         assert_same_hits(&g.0, &w.0, &format!("{what}: kNN query {i}"));
                     }
@@ -284,14 +222,12 @@ fn batches_equal_the_sequential_loop_whatever_interleaves() {
                         knn_pages,
                         "{what}: kNN pages"
                     );
-                    let speculative = observed.speculative.load(Ordering::Relaxed);
                     let pf = balanced(tree.pool(), &what);
                     if interleaves {
                         // The batch really interleaved: pages arrived through
-                        // certain hints, and no other hint was issued.
+                        // certain hints.
                         assert_eq!(bstats.block, 1, "{what}");
                         assert!(pf.useful > 0, "{what}: {pf:?}");
-                        assert_eq!(speculative, 0, "{what}");
                     } else {
                         // Policy off, or nobody to hint to.
                         assert_eq!(pf.issued, 0, "{what}: {pf:?}");
@@ -299,20 +235,17 @@ fn batches_equal_the_sequential_loop_whatever_interleaves() {
                     drop(tree);
 
                     let tree = open(&disk, meta, frames, workers);
-                    let observed = Observed::new(&tree);
                     let (got, _) =
-                        batch_on(&observed, &mixed, opts, &MbrRefiner, threads, order).unwrap();
+                        batch_on(&tree, &mixed, opts, &MbrRefiner, threads, order).unwrap();
                     assert_same_answers(&got, &want_mixed, &what);
                     assert_eq!(
                         tree.pool().stats().logical_reads,
                         mixed_pages,
                         "{what}: mixed pages"
                     );
-                    let speculative = observed.speculative.load(Ordering::Relaxed);
                     let pf = balanced(tree.pool(), &what);
                     if interleaves {
                         assert!(pf.useful > 0, "{what}: {pf:?}");
-                        assert_eq!(speculative, 0, "{what}");
                     } else {
                         assert_eq!(pf.issued, 0, "{what}: {pf:?}");
                     }
@@ -320,6 +253,24 @@ fn batches_equal_the_sequential_loop_whatever_interleaves() {
             }
         }
     }
+
+    // A warm pool with background readers: the batch interleaves (the rule
+    // asks for readers, not misses), never finds a page absent, and
+    // answers as the reference does.
+    let tree = open(&disk, meta, pages, 2);
+    sequential(&tree, tree.pool(), &knn);
+    tree.pool().reset_stats();
+    let opts = NnOptions::with_prefetch(PrefetchPolicy::Adaptive);
+    let (got, bstats) = batch_on(&tree, &knn, opts, &MbrRefiner, 2, JoinOrder::AsGiven).unwrap();
+    assert_eq!(bstats.block, 1, "warm: interleaved");
+    for (i, (g, w)) in got.iter().zip(&want_knn).enumerate() {
+        assert_same_hits(&g.0, &w.0, &format!("warm: kNN query {i}"));
+    }
+    let pool = tree.pool().stats();
+    assert_eq!(pool.logical_reads, knn_pages, "warm: kNN pages");
+    assert_eq!(pool.physical_reads, 0, "warm: {pool:?}");
+    let pf = balanced(tree.pool(), "warm");
+    assert_eq!(pf.issued, 0, "warm: {pf:?}");
 }
 
 // -- (a') identity, partitioned ------------------------------------------------
@@ -455,11 +406,7 @@ fn partitioned_batches_equal_the_sequential_loop_whatever_interleaves() {
         drop(reference);
 
         for workers in [0, 1] {
-            for policy in [
-                PrefetchPolicy::Off,
-                PrefetchPolicy::Depth(2),
-                PrefetchPolicy::Adaptive,
-            ] {
+            for policy in [PrefetchPolicy::Off, PrefetchPolicy::Adaptive] {
                 for threads in [1, 2, 4] {
                     let what = format!("P={p} workers={workers} policy={policy} threads={threads}");
                     let interleaves = workers > 0 && policy != PrefetchPolicy::Off;
@@ -529,6 +476,67 @@ fn partitioned_batches_equal_the_sequential_loop_whatever_interleaves() {
     }
 }
 
+// -- (a'') a query outside a batch hints nothing ------------------------------
+
+#[test]
+fn adaptive_queries_outside_a_batch_issue_no_hints() {
+    // Cold pools with running background readers, a slow device, the
+    // `Adaptive` policy: a query run on its own — a sequential kNN, a
+    // distance-browsing walk, one scatter-gather query over four trees —
+    // has no other query to run while a page loads, so it hints none.
+    let disk = Arc::new(LatencyDisk::new(
+        MemDisk::new(PAGE_SIZE),
+        LatencyProfile::symmetric_us(0),
+    ));
+    let (meta, pages) = build(&disk);
+    disk.set_latency(LatencyProfile::symmetric_us(25));
+    let frames = pages / 8;
+    let opts = NnOptions::with_prefetch(PrefetchPolicy::Adaptive);
+    let queries = uniform_queries(24, &default_bounds(), 87);
+
+    let tree = open(&disk, meta, frames, 2);
+    let search = NnSearch::with_options(&tree, opts);
+    for q in &queries {
+        assert_eq!(search.query(q, K).unwrap().len(), K);
+    }
+    assert!(tree.pool().stats().physical_reads > 0);
+    let pf = balanced(tree.pool(), "sequential kNN");
+    assert_eq!(pf.issued, 0, "sequential kNN: {pf:?}");
+    drop(tree);
+
+    let tree = open(&disk, meta, frames, 2);
+    for q in &queries {
+        let walk = IncrementalNn::with_options(&tree, *q, MbrRefiner, opts);
+        let hits = walk.take(3 * K).collect::<nnq_core::Result<Vec<_>>>();
+        assert_eq!(hits.unwrap().len(), 3 * K);
+    }
+    assert!(tree.pool().stats().physical_reads > 0);
+    let pf = balanced(tree.pool(), "incremental walk");
+    assert_eq!(pf.issued, 0, "incremental walk: {pf:?}");
+    drop(tree);
+
+    let disks = (0..4)
+        .map(|_| {
+            Arc::new(LatencyDisk::new(
+                MemDisk::new(PAGE_SIZE),
+                LatencyProfile::symmetric_us(0),
+            ))
+        })
+        .collect();
+    let parted = build_parted(disks);
+    for disk in &parted.disks {
+        disk.set_latency(LatencyProfile::symmetric_us(25));
+    }
+    let tree = parted.open((parted.pages / 8).max(8), |_| 1);
+    for q in &queries {
+        let (hits, _) = scatter_knn(tree.forest(), q, K, opts, &MbrRefiner, 2).unwrap();
+        assert_eq!(hits.len(), K);
+    }
+    assert!(tree.forest().pool_stats().physical_reads > 0);
+    let pf = balanced_parted(&tree, "scatter_knn");
+    assert_eq!(pf.issued, 0, "scatter_knn: {pf:?}");
+}
+
 // -- (b) progress under thrash -----------------------------------------------
 
 #[test]
@@ -546,7 +554,7 @@ fn a_pool_of_four_frames_still_finishes_with_the_same_answers() {
 
     for order in [JoinOrder::AsGiven, JoinOrder::Hilbert] {
         let tree = open(&disk, meta, 4, 2);
-        let opts = NnOptions::with_prefetch(PrefetchPolicy::Depth(2));
+        let opts = NnOptions::with_prefetch(PrefetchPolicy::Adaptive);
         let (got, _) = batch_on(&tree, &mixed, opts, &MbrRefiner, 2, order).unwrap();
         assert_same_answers(&got, &want, "four frames");
         assert_eq!(tree.pool().stats().logical_reads, pages);
@@ -567,7 +575,7 @@ fn a_failed_blocking_read_fails_the_batch_and_the_tree_keeps_serving() {
     let (want, _) = sequential(&tree, tree.pool(), &knn);
     tree.pool().clear_cache().unwrap();
 
-    let opts = NnOptions::with_prefetch(PrefetchPolicy::Depth(2));
+    let opts = NnOptions::with_prefetch(PrefetchPolicy::Adaptive);
     for threads in [1, 2] {
         disk.fail_read(5);
         let err = batch_on(&tree, &knn, opts, &MbrRefiner, threads, JoinOrder::AsGiven)
@@ -619,7 +627,7 @@ fn a_failed_demand_read_in_one_partition_fails_the_batch_and_the_tree_keeps_serv
         tree.partitions()[p].access_root().unwrap(),
     );
     let (want, _) = sequential_parted(&tree, &knn_requests(&queries));
-    let opts = NnOptions::with_prefetch(PrefetchPolicy::Depth(2));
+    let opts = NnOptions::with_prefetch(PrefetchPolicy::Adaptive);
     let knn = knn_requests(&queries);
     let batch = |threads| {
         let order = JoinOrder::AsGiven;
@@ -890,7 +898,7 @@ mod gated {
             batch_on(
                 &self.tree,
                 &knn_requests(queries),
-                NnOptions::with_prefetch(PrefetchPolicy::Depth(2)),
+                NnOptions::with_prefetch(PrefetchPolicy::Adaptive),
                 refiner,
                 1,
                 JoinOrder::AsGiven,
@@ -1104,7 +1112,7 @@ mod gated {
         forest_batch_dedup(
             tree.forest(),
             reqs,
-            NnOptions::with_prefetch(PrefetchPolicy::Depth(2)),
+            NnOptions::with_prefetch(PrefetchPolicy::Adaptive),
             refiner,
             1,
             JoinOrder::AsGiven,
