@@ -674,13 +674,14 @@ pub fn join(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
 pub fn serve(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let read = ReadPathOpts::parse(args)?;
     let port: u16 = args.num("port", 0)?;
-    let batch_max = args.count("batch-max", 32)?;
-    let inbox_cap = args.count("inbox-cap", 1024)?;
-    // `--result-cache off|N`: memoized-answer capacity (default 1024).
-    // Safe to leave on — hits replay the recorded answer and stats, so
-    // responses stay bit-identical; `off` (or 0) is the escape hatch.
+    let defaults = nnq_serve::ServeConfig::default();
+    let batch_max = args.count("batch-max", defaults.batch_max)?;
+    let inbox_cap = args.count("inbox-cap", defaults.inbox_cap)?;
+    // `--result-cache off|N`: memoized-answer capacity. Safe to leave on —
+    // hits replay the recorded answer and stats, so responses stay
+    // bit-identical; `off` (or 0) is the escape hatch.
     let result_cache: usize = match args.opt("result-cache") {
-        None => 1024,
+        None => defaults.result_cache,
         Some("off") => 0,
         Some(v) => v.parse().map_err(|_| {
             CliError::Usage(format!(
@@ -688,7 +689,7 @@ pub fn serve(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
             ))
         })?,
     };
-    let max_in_flight = args.count("max-in-flight", 1024)?;
+    let max_in_flight = args.count("max-in-flight", defaults.max_in_flight)?;
     let index = args.req("index")?;
     let segments = load_segments_csv(args.req("data")?)?;
     let refiner = FnRefiner::new(|rid: RecordId, _: &Rect<2>, p: &Point<2>| {
@@ -701,7 +702,7 @@ pub fn serve(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         prefetch: read.prefetch,
         result_cache,
         max_in_flight,
-        ..nnq_serve::ServeConfig::default()
+        ..defaults
     };
 
     // Bind before opening the index so `--port 0` (ephemeral) reports the

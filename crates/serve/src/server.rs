@@ -177,7 +177,8 @@ pub struct ServeReport {
     pub result_stale: u64,
     /// Answers memoized into the result cache.
     pub result_inserts: u64,
-    /// Memoized answers evicted by CLOCK pressure.
+    /// Memoized answers the CLOCK hand evicted, for the entry count or
+    /// the byte ceiling.
     pub result_evictions: u64,
     /// Duplicate requests inside micro-batches whose traversal was merged
     /// into another identical request's execution.
@@ -398,9 +399,9 @@ impl Shared {
     }
 }
 
-/// Most hits an answer may hold and still be memoized (≈ 192 KiB): bounds
-/// the default result cache near 200 MiB, where `MAX_RESULT_HITS` alone
-/// allowed ~64 MiB × 1 024 entries. Larger answers are served, not cached.
+/// Most hits an answer may hold and still be memoized (≈ 192 KiB of
+/// neighbors). Larger answers are served, not cached; the cache bounds
+/// its total itself, by a fixed byte ceiling.
 const MAX_CACHED_HITS: usize = 4096;
 
 /// How often blocked readers and the acceptor re-check the stop flag.

@@ -15,9 +15,8 @@
 //!   pool, cold-cache behaviour is visible in
 //!   [`PoolStats::physical_reads`]. A frame also keeps what a reader
 //!   decoded from its page ([`PageReadGuard::decoded`]) until the page
-//!   changes.
-//! * [`ClockCache`] — the lock-striped CLOCK cache with a validity
-//!   predicate under `nnq-core`'s result cache, with its [`CacheStats`].
+//!   changes; [`CacheStats`] counts how node reads found it, and is also
+//!   the counter set of `nnq-core`'s result cache.
 //!
 //! Pages are fixed-size byte arrays; interpreting their contents is the
 //! caller's job (the `nnq-rtree` crate stores one R-tree node per page).
@@ -39,21 +38,19 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod clock;
 mod disk;
 mod error;
 mod heap;
 mod pool;
 mod wal;
 
-pub use clock::{CacheStats, ClockCache, Probe};
 pub use disk::{
     DiskManager, DiskStats, FaultDisk, FileDisk, LatencyDisk, LatencyProfile, MemDisk, TornDisk,
     TornMode,
 };
 pub use error::{Result, StorageError};
 pub use heap::{HeapFile, HeapRecordId};
-pub use pool::{BufferPool, PageReadGuard, PageWriteGuard, PoolStats, PrefetchStats};
+pub use pool::{BufferPool, CacheStats, PageReadGuard, PageWriteGuard, PoolStats, PrefetchStats};
 pub use wal::Wal;
 
 /// The default page size in bytes (4 KiB, the classical database page).

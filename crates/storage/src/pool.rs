@@ -138,7 +138,7 @@ impl PoolStats {
     ///
     /// An untouched pool (`logical_reads == 0`) reports `0.0`, not NaN:
     /// callers format this directly into reports, and "no fetches" renders
-    /// most honestly as a 0% hit rate. [`crate::CacheStats::hit_rate`]
+    /// most honestly as a 0% hit rate. [`CacheStats::hit_rate`]
     /// follows the same convention.
     pub fn hit_rate(&self) -> f64 {
         if self.logical_reads == 0 {
@@ -171,6 +171,38 @@ impl PoolStats {
         self.physical_reads += other.physical_reads;
         self.evictions += other.evictions;
         self.writebacks += other.writebacks;
+    }
+}
+
+/// Counters of `nnq-core`'s result cache, or, `hits` and `misses` only,
+/// of the decoded nodes `nnq-rtree` keeps in pool frames.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct CacheStats {
+    /// Probes served from a valid entry.
+    pub hits: u64,
+    /// Probes with no entry for the key.
+    pub misses: u64,
+    /// Probes whose entry was recorded at another version.
+    pub stale: u64,
+    /// Entries stored, in-place refreshes included.
+    pub inserts: u64,
+    /// Entries dropped by the CLOCK hand.
+    pub evictions: u64,
+    /// Entries currently cached.
+    pub len: usize,
+}
+
+impl CacheStats {
+    /// Fraction of probes served from the cache, stale probes counted as
+    /// non-hits; `0.0` when nothing was probed (the convention of
+    /// [`PoolStats::hit_rate`]).
+    pub fn hit_rate(&self) -> f64 {
+        let total = self.hits + self.misses + self.stale;
+        if total == 0 {
+            0.0
+        } else {
+            self.hits as f64 / total as f64
+        }
     }
 }
 
