@@ -858,7 +858,15 @@ impl BufferPool {
         let shard = &self.core.shards[shard_idx];
         // The page is zeroed on the device; cache it without a device read.
         let mut inner = shard.inner.lock();
-        let frame_idx = self.core.acquire_frame(shard, &mut inner)?;
+        let frame_idx = match self.core.acquire_frame(shard, &mut inner) {
+            Ok(frame_idx) => frame_idx,
+            Err(e) => {
+                drop(inner);
+                // Nothing holds the fresh id: free it, or the device leaks it.
+                let _ = self.core.disk.deallocate(id);
+                return Err(e);
+            }
+        };
         let data = inner.install(frame_idx, id, true, false);
         drop(inner);
         let mut guard = latch_write(&data);
@@ -1028,9 +1036,9 @@ impl PoolCore {
         let shard_idx = (id.0 & self.shard_mask) as usize;
         let shard = &self.shards[shard_idx];
         let mut inner = shard.inner.lock();
-        shard.stats.logical_reads.fetch_add(1, Ordering::Relaxed);
 
         if let Some(&frame_idx) = inner.map.get(&id) {
+            shard.stats.logical_reads.fetch_add(1, Ordering::Relaxed);
             // If another thread (demand or prefetch) is still loading this
             // frame it holds the write latch, and the caller's latch
             // acquisition waits there, not on the shard, for the bytes.
@@ -1038,8 +1046,11 @@ impl PoolCore {
             return Ok((shard_idx, frame_idx, data));
         }
 
-        shard.stats.physical_reads.fetch_add(1, Ordering::Relaxed);
+        // A miss counts once it holds a frame: a fetch refused for lack of
+        // one read nothing.
         let frame_idx = self.acquire_frame(shard, &mut inner)?;
+        shard.stats.logical_reads.fetch_add(1, Ordering::Relaxed);
+        shard.stats.physical_reads.fetch_add(1, Ordering::Relaxed);
         let data = self.load(shard_idx, inner, frame_idx, id, write_intent, false)?;
         Ok((shard_idx, frame_idx, data))
     }
@@ -1453,15 +1464,26 @@ mod tests {
     fn pinned_pages_are_not_evicted() {
         let p = pool(2);
         let (a, wa) = p.new_page().unwrap();
+        drop(wa);
         let (_b, wb) = p.new_page().unwrap();
-        // Both frames pinned: a third page cannot enter the pool.
+        // `c` evicts `a`; then both frames are pinned, and neither a third
+        // page nor `a` can enter the pool.
+        let (_c, wc) = p.new_page().unwrap();
+        let (stats, live) = (p.stats(), p.live_pages());
         let err = p.new_page();
         assert!(matches!(err, Err(StorageError::PoolExhausted { .. })));
-        drop(wa);
+        assert!(matches!(
+            p.fetch(a),
+            Err(StorageError::PoolExhausted { .. })
+        ));
+        // A refusal reads nothing and leaves no device page allocated.
+        assert_eq!(p.stats(), stats);
+        assert_eq!(p.live_pages(), live);
         drop(wb);
+        drop(wc);
         // Now there is room again.
         assert!(p.new_page().is_ok());
-        let _ = a;
+        assert!(p.fetch(a).is_ok());
     }
 
     #[test]

@@ -1017,8 +1017,9 @@ mod gated {
             hold.let_go();
             // `b` finishes; `a` is all the worker holds, so it waits for
             // the page (a hit on the loading frame) until the gate opens.
+            // The refused fetch above read nothing and counted nothing.
             wait_until("the worker to wait for a's leaf", || {
-                pool.stats().logical_reads > s.logical_reads + FRAMES as u64
+                pool.stats().logical_reads > s.logical_reads + others.len() as u64
             });
             scene.gate.release();
             batch.join().unwrap().unwrap()
