@@ -41,6 +41,11 @@ impl From<nnq_storage::StorageError> for CliError {
     }
 }
 
+/// The error of opening the file `path`, naming it.
+pub(crate) fn opening<E: fmt::Display>(path: &str) -> impl FnOnce(E) -> CliError + '_ {
+    move |e| CliError::Run(format!("opening {path}: {e}"))
+}
+
 /// Parsed `--flag value` arguments.
 pub struct Args {
     flags: HashMap<String, String>,

@@ -1,18 +1,17 @@
 //! The subcommands: gen, build, stats, query, bench, serve, explain, join.
 
-use crate::args::{Args, CliError};
+use crate::args::{opening, Args, CliError};
 use nnq_core::{
     forest_batch, metric_knn, scatter_knn, scatter_radius, BatchQuery, FnRefiner, JoinOrder,
     MbrRefiner, NnOptions, NnSearch, PartitionedStats, PrefetchPolicy,
 };
 use nnq_geom::{Metric, Point, Rect, Segment};
 use nnq_rtree::{
-    BulkMethod, PartitionManifest, PartitionedTree, RTree, RTreeConfig, RecordId, SplitStrategy,
-    TreeAccess,
+    BulkMethod, PartitionedTree, RTree, RTreeConfig, RecordId, SplitStrategy, TreeAccess,
 };
 use nnq_serve::Engine;
 use nnq_storage::{
-    BufferPool, CacheStats, DiskManager, FileDisk, LatencyDisk, LatencyProfile, PageId,
+    BufferPool, CacheStats, DiskManager, FileDisk, LatencyDisk, LatencyProfile, PageId, PoolStats,
     PrefetchStats, Wal, PAGE_SIZE,
 };
 use nnq_workloads::{
@@ -20,6 +19,7 @@ use nnq_workloads::{
     tiger_like_segments, uniform_points, TigerParams,
 };
 use std::io::Write;
+use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -71,20 +71,6 @@ fn parse_build_method(name: &str) -> Result<Result<SplitStrategy, BulkMethod>, C
     })
 }
 
-/// `--partitions P`: Hilbert-range partition count; `None` when absent
-/// (single-tree mode), must be ≥ 1 when given.
-fn parse_partitions(args: &Args) -> Result<Option<usize>, CliError> {
-    match args.opt("partitions") {
-        None => Ok(None),
-        Some(v) => match v.parse::<usize>() {
-            Ok(0) | Err(_) => Err(CliError::Usage(format!(
-                "flag `--partitions` must be an integer ≥ 1, got `{v}`"
-            ))),
-            Ok(p) => Ok(Some(p)),
-        },
-    }
-}
-
 /// File layout of a partitioned index rooted at `index`: partition `i`'s
 /// page file.
 fn partition_file(index: &str, i: usize) -> String {
@@ -96,16 +82,47 @@ fn manifest_file(index: &str) -> String {
     format!("{index}.manifest")
 }
 
+const MANIFEST_HEADER: &str = "nnq-partition-manifest v3";
+
+/// The text of a partitioned index's manifest: the header, then a
+/// `partitions P` line. The manifest is the one record of P: counting the
+/// partition files present would read a lost one as a smaller index, and
+/// stale files of an earlier, larger build as partitions.
+fn encode_manifest(partitions: usize) -> String {
+    format!("{MANIFEST_HEADER}\npartitions {partitions}\n")
+}
+
+/// P, from a manifest's text. Another version's header, or a partition
+/// count that is missing or zero, is an error.
+fn decode_manifest(text: &str) -> Result<usize, String> {
+    let mut lines = text.lines();
+    if lines.next() != Some(MANIFEST_HEADER) {
+        return Err("manifest: missing or unknown header".into());
+    }
+    lines
+        .next()
+        .and_then(|line| line.strip_prefix("partitions "))
+        .and_then(|n| n.parse().ok())
+        .filter(|&p| p > 0)
+        .ok_or_else(|| "manifest: malformed partitions line".into())
+}
+
+/// A dataset file, its errors naming it.
+fn load_csv(path: &str) -> Result<Vec<Segment>, CliError> {
+    load_segments_csv(path).map_err(opening(path))
+}
+
 /// `nnq build` — build a persistent index file from a dataset.
 pub fn build(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let input = args.req("input")?;
     let index = args.req("index")?;
     let method = parse_build_method(args.opt("method").unwrap_or("quadratic"))?;
 
-    let segments = load_segments_csv(input)?;
+    let segments = load_csv(input)?;
     let items = segments_to_items(&segments);
 
-    if let Some(partitions) = parse_partitions(args)? {
+    if args.opt("partitions").is_some() {
+        let partitions = args.count("partitions", 1)?;
         let Err(bulk) = method else {
             return Err(CliError::Usage(
                 "flag `--partitions` requires a bulk method (str, hilbert, or lowx): \
@@ -180,7 +197,7 @@ fn build_partitioned(
     for part in tree.partitions() {
         part.pool().flush_all()?;
     }
-    std::fs::write(manifest_file(index), tree.manifest().encode())
+    std::fs::write(manifest_file(index), encode_manifest(partitions))
         .map_err(|e| CliError::Run(format!("writing manifest: {e}")))?;
     let elapsed = start.elapsed();
     let max_height = tree
@@ -193,7 +210,7 @@ fn build_partitioned(
         out,
         "built {index}: {} entries across {partitions} partition(s), max height {max_height}, \
          {build_threads} build thread(s), {:.0} ms (manifest {})",
-        tree.forest().len(),
+        tree.partitions().iter().map(RTree::len).sum::<u64>(),
         elapsed.as_secs_f64() * 1e3,
         manifest_file(index)
     )?;
@@ -205,49 +222,48 @@ fn open_index(path: &str) -> Result<RTree<2>, CliError> {
 }
 
 /// Opens the index `query`, `bench` and `serve` read and runs `body` on
-/// it; every read goes through [`Engine::forest`]. A plain index is one
-/// tree, a forest of one. With `--partitions P` the index is one built by
-/// [`build_partitioned`]: the manifest is decoded and checked against P,
-/// and every partition file opens on its **own** pool.
+/// it; every read goes through [`Engine::trees`]. An index with no
+/// manifest is one tree. One with a manifest is one built by
+/// [`build_partitioned`]: every partition file the manifest names opens on
+/// its **own** pool, and a plain index file under the same name, or a
+/// missing partition file, is an error.
 fn with_index<T>(
     args: &Args,
     read: &ReadPathOpts,
     body: impl FnOnce(&Engine<'_>) -> Result<T, CliError>,
 ) -> Result<T, CliError> {
     let index = args.req("index")?;
-    let Some(expected) = parse_partitions(args)? else {
+    let manifest = manifest_file(index);
+    if !Path::new(&manifest).exists() {
         return body(&Engine::Single(&open_index_tuned(index, read)?));
-    };
-    let manifest_path = manifest_file(index);
-    let text = std::fs::read_to_string(&manifest_path)
-        .map_err(|e| CliError::Run(format!("reading {manifest_path}: {e}")))?;
-    let manifest = PartitionManifest::decode(&text)?;
-    let named = manifest.partitions;
-    if named != expected {
-        // A manifest naming a partition file that does not exist is
-        // corrupt; otherwise it is the flag that disagrees.
-        let last = partition_file(index, named - 1);
-        if !std::path::Path::new(&last).exists() {
-            return Err(CliError::Run(format!(
-                "{manifest_path} names {named} partitions but {last} does not exist"
-            )));
-        }
-        return Err(CliError::Usage(format!(
-            "--partitions {expected} does not match {manifest_path} ({named} partitions)"
+    }
+    if Path::new(index).exists() {
+        return Err(CliError::Run(format!(
+            "both the plain index {index} and the partitioned index {manifest} exist: \
+             remove the one that is stale"
         )));
     }
-    let parts = (0..expected)
-        .map(|i| open_index_tuned(&partition_file(index, i), read))
-        .collect::<Result<_, _>>()?;
-    let tree = PartitionedTree::from_parts(parts, manifest)?;
-    body(&Engine::Partitioned(&tree))
+    let text = std::fs::read_to_string(&manifest).map_err(opening(&manifest))?;
+    let named = decode_manifest(&text).map_err(opening(&manifest))?;
+    // One file at a time: P is read from a file, so nothing is sized by it.
+    let mut trees = Vec::new();
+    for i in 0..named {
+        let file = partition_file(index, i);
+        if !Path::new(&file).exists() {
+            return Err(CliError::Run(format!(
+                "{manifest} names {named} partitions but {file} does not exist"
+            )));
+        }
+        trees.push(open_index_tuned(&file, read)?);
+    }
+    body(&Engine::Partitioned(&trees))
 }
 
 /// Opens an index file on its own pool with the full I/O tuning surface:
 /// pool shard count, injected per-access device latency (0 = raw disk),
 /// and the prefetch pipeline's background I/O workers.
 fn open_index_tuned(path: &str, opts: &ReadPathOpts) -> Result<RTree<2>, CliError> {
-    let disk = FileDisk::open(path, PAGE_SIZE)?;
+    let disk = FileDisk::open(path, PAGE_SIZE).map_err(opening(path))?;
     let disk: Box<dyn DiskManager> = if opts.io_lat_us > 0 {
         Box::new(LatencyDisk::new(
             disk,
@@ -260,7 +276,7 @@ fn open_index_tuned(path: &str, opts: &ReadPathOpts) -> Result<RTree<2>, CliErro
     if opts.prefetch != PrefetchPolicy::Off {
         pool.start_prefetch(2, 64);
     }
-    Ok(RTree::<2>::open(Arc::new(pool), PageId(0))?)
+    RTree::<2>::open(Arc::new(pool), PageId(0)).map_err(opening(path))
 }
 
 /// The read-path flags `query`, `bench`, and `serve` share.
@@ -364,9 +380,20 @@ fn node_cache_report(trees: &[RTree<2>]) -> String {
     )
 }
 
+/// Buffer-pool statistics summed over the trees' pools; the summed
+/// `logical_reads` is the dataset-wide "pages accessed" figure.
+fn pool_stats(trees: &[RTree<2>]) -> PoolStats {
+    let mut total = PoolStats::default();
+    for tree in trees {
+        total.accumulate(tree.pool().stats());
+    }
+    total
+}
+
 /// Refuses an index and a data file that do not belong together: record
 /// ids index the data file, so a shorter one would be read out of bounds.
-fn check_pairing(entries: u64, segments: &[Segment]) -> Result<(), CliError> {
+fn check_pairing(trees: &[RTree<2>], segments: &[Segment]) -> Result<(), CliError> {
+    let entries: u64 = trees.iter().map(RTree::len).sum();
     if segments.len() as u64 != entries {
         return Err(CliError::Run(format!(
             "index has {entries} entries but data file has {} segments — wrong pairing?",
@@ -428,18 +455,11 @@ fn parse_metric(args: &Args) -> Result<Option<Metric>, CliError> {
             )))
         }
     };
-    if args.opt("partitions").is_some() {
-        return Err(CliError::Usage(
-            "flag `--metric` is not supported with `--partitions`: \
-             generalized metrics run on a single tree"
-                .into(),
-        ));
-    }
     Ok(Some(metric))
 }
 
 /// `nnq query` — kNN or radius query against an index + its dataset,
-/// scatter-gather over its forest. The stats line reports how many trees
+/// scatter-gather over its trees. The stats line reports how many trees
 /// the MINDIST-to-bound schedule visited vs pruned (a plain index is one
 /// tree, always visited).
 pub fn query(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
@@ -448,10 +468,16 @@ pub fn query(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let radius = parse_radius(args)?;
     let metric = parse_metric(args)?;
     with_index(args, &read, |engine| {
-        let forest = engine.forest();
-        let trees = forest.trees();
-        let segments = load_segments_csv(args.req("data")?)?;
-        check_pairing(forest.len(), &segments)?;
+        if metric.is_some() && matches!(engine, Engine::Partitioned(_)) {
+            return Err(CliError::Usage(
+                "flag `--metric` is not supported on a partitioned index: \
+                 generalized metrics run on a single tree"
+                    .into(),
+            ));
+        }
+        let trees = engine.trees();
+        let segments = load_csv(args.req("data")?)?;
+        check_pairing(trees, &segments)?;
         let opts = NnOptions::default();
         let (x, y) = args.coords("at")?;
         let q = Point::new([x, y]);
@@ -461,7 +487,7 @@ pub fn query(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
 
         let start = Instant::now();
         let (hits, stats) = match (radius, metric) {
-            (Some(radius), _) => scatter_radius(forest, &q, radius, opts, &refiner, read.threads)?,
+            (Some(radius), _) => scatter_radius(trees, &q, radius, opts, &refiner, read.threads)?,
             // Generalized metrics rank segment MBRs (centers for points);
             // the exact-geometry refiner is Euclidean-only.
             (None, Some(metric)) => {
@@ -474,7 +500,7 @@ pub fn query(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
                 };
                 (hits, stats)
             }
-            (None, None) => scatter_knn(forest, &q, k, opts, &refiner, read.threads)?,
+            (None, None) => scatter_knn(trees, &q, k, opts, &refiner, read.threads)?,
         };
         let elapsed = start.elapsed();
 
@@ -507,7 +533,7 @@ pub fn query(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
             stats.rounds,
             read.threads,
             trees[0].pool().shard_count(),
-            forest.pool_stats().hit_rate() * 100.0,
+            pool_stats(trees).hit_rate() * 100.0,
             elapsed.as_secs_f64() * 1e6
         )?;
         Ok(())
@@ -516,7 +542,7 @@ pub fn query(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
 
 /// `nnq bench` — average query latency and page accesses over a batch of
 /// random query points, run by the work-stealing batch executor over the
-/// index's forest: each query is one scatter-gather item. Page accesses
+/// index's trees: each query is one scatter-gather item. Page accesses
 /// are summed across every tree's pool, so pages/query does not depend on
 /// how the index is partitioned.
 pub fn bench(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
@@ -527,18 +553,19 @@ pub fn bench(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         nnq_workloads::uniform_queries(n_queries, &default_bounds(), args.num("seed", 1)?);
     let requests: Vec<BatchQuery<2>> = queries.iter().map(|&q| BatchQuery::Knn { q, k }).collect();
     with_index(args, &read, |engine| {
-        let forest = engine.forest();
-        let trees = forest.trees();
-        let segments = load_segments_csv(args.req("data")?)?;
-        check_pairing(forest.len(), &segments)?;
+        let trees = engine.trees();
+        let segments = load_csv(args.req("data")?)?;
+        check_pairing(trees, &segments)?;
         let refiner = FnRefiner::new(|rid: RecordId, _: &Rect<2>, p: &Point<2>| {
             segments[rid.0 as usize].dist_sq_to_point(p)
         });
 
-        forest.reset_stats();
+        for tree in trees {
+            tree.pool().reset_stats();
+        }
         let start = Instant::now();
         let (answers, _) = forest_batch(
-            forest,
+            trees,
             &requests,
             NnOptions::with_prefetch(read.prefetch),
             &refiner,
@@ -554,7 +581,7 @@ pub fn bench(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         let elapsed = start.elapsed();
         // Per-query logical reads (the paper's "pages accessed") are
         // shard-, thread- and partition-count-independent.
-        let pool = forest.pool_stats();
+        let pool = pool_stats(trees);
         let per_q = |v: u64| v as f64 / n_queries as f64;
         writeln!(
             out,
@@ -614,8 +641,8 @@ pub fn join(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let k = args.count("k", 4)?;
     let tree = open_index(args.req("index")?)?;
     let pool = tree.pool();
-    let segments = load_segments_csv(args.req("data")?)?;
-    let outer_segments = load_segments_csv(args.req("outer")?)?;
+    let segments = load_csv(args.req("data")?)?;
+    let outer_segments = load_csv(args.req("outer")?)?;
     let outer: Vec<Point<2>> = outer_segments.iter().map(Segment::midpoint).collect();
     let refiner = FnRefiner::new(
         |rid: nnq_rtree::RecordId, _: &nnq_geom::Rect<2>, p: &Point<2>| {
@@ -691,7 +718,7 @@ pub fn serve(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     };
     let max_in_flight = args.count("max-in-flight", defaults.max_in_flight)?;
     let index = args.req("index")?;
-    let segments = load_segments_csv(args.req("data")?)?;
+    let segments = load_csv(args.req("data")?)?;
     let refiner = FnRefiner::new(|rid: RecordId, _: &Rect<2>, p: &Point<2>| {
         segments[rid.0 as usize].dist_sq_to_point(p)
     });
@@ -711,8 +738,8 @@ pub fn serve(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let addr = listener.local_addr()?;
 
     let report = with_index(args, &read, |engine| {
-        let forest = engine.forest();
-        check_pairing(forest.len(), &segments)?;
+        let trees = engine.trees();
+        check_pairing(trees, &segments)?;
         writeln!(
             out,
             "serving {index} on {addr} ({} thread(s), batch ≤ {batch_max}, \
@@ -725,7 +752,7 @@ pub fn serve(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
                 .map_err(|e| CliError::Run(format!("writing {path}: {e}")))?;
         }
         let report = nnq_serve::serve(engine, &refiner, listener, &config)?;
-        let pstats = forest.pool_stats();
+        let pstats = pool_stats(trees);
         writeln!(
             out,
             "pool: hit rate {:.1}%, {} logical reads, {} physical reads, \
@@ -733,11 +760,11 @@ pub fn serve(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
             pstats.hit_rate() * 100.0,
             pstats.logical_reads,
             pstats.physical_reads,
-            forest.trees().len(),
-            forest.trees()[0].pool().shard_count()
+            trees.len(),
+            trees[0].pool().shard_count()
         )?;
-        writeln!(out, "{}", node_cache_report(forest.trees()))?;
-        if let Some(r) = prefetch_report(forest.trees(), read.prefetch) {
+        writeln!(out, "{}", node_cache_report(trees))?;
+        if let Some(r) = prefetch_report(trees, read.prefetch) {
             writeln!(out, "{r}")?;
         }
         Ok(report)
@@ -828,10 +855,10 @@ fn mutate(args: &Args, out: &mut dyn Write, op: MutateOp) -> Result<(), CliError
     // ingesting a second dataset should pass a disjoint base.
     let id_base: u64 = args.num("id-base", 0)?;
     let group_commit_us: u64 = args.num("group-commit-us", 1_000)?;
-    let segments = load_segments_csv(input)?;
+    let segments = load_csv(input)?;
     let items = segments_to_items(&segments);
 
-    let disk = FileDisk::open(index, PAGE_SIZE)?;
+    let disk = FileDisk::open(index, PAGE_SIZE).map_err(opening(index))?;
     let pool = match args.opt("wal") {
         Some(path) => {
             let wal = if std::path::Path::new(path).exists() {
@@ -846,7 +873,7 @@ fn mutate(args: &Args, out: &mut dyn Write, op: MutateOp) -> Result<(), CliError
         }
         None => Arc::new(BufferPool::new(Box::new(disk), 4096)),
     };
-    let tree = RTree::<2>::open(Arc::clone(&pool), PageId(0))?;
+    let tree = RTree::<2>::open(Arc::clone(&pool), PageId(0)).map_err(opening(index))?;
     tree.set_group_commit_us(group_commit_us);
 
     let start = Instant::now();
@@ -923,4 +950,38 @@ fn mutate(args: &Args, out: &mut dyn Write, op: MutateOp) -> Result<(), CliError
     }
     writeln!(out, ", {:.0} ms", elapsed.as_secs_f64() * 1e3)?;
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn manifest_roundtrips_bit_exactly() {
+        for partitions in [1, 4, 5, usize::MAX] {
+            assert_eq!(
+                decode_manifest(&encode_manifest(partitions)),
+                Ok(partitions)
+            );
+        }
+        // The bytes every v3 index on disk holds.
+        let four = "nnq-partition-manifest v3\npartitions 4\n";
+        assert_eq!(encode_manifest(4), four);
+    }
+
+    #[test]
+    fn manifest_decode_rejects_garbage() {
+        assert!(decode_manifest("not a manifest").is_err());
+        let text = encode_manifest(2);
+        // The retired versions.
+        for old in [" v1", " v2"] {
+            assert!(decode_manifest(&text.replace(" v3", old)).is_err());
+        }
+        // No partitions line.
+        assert!(decode_manifest(MANIFEST_HEADER).is_err());
+        // A count that is not a count, or zero.
+        for bad in ["partitions two", "partitions 0", "partitions -1"] {
+            assert!(decode_manifest(&text.replace("partitions 2", bad)).is_err());
+        }
+    }
 }

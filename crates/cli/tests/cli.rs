@@ -234,10 +234,7 @@ fn bench_rejects_a_data_file_that_does_not_match_the_index() {
     ]);
     // The real binary: a refiner indexing past the data file would panic
     // (exit 101) where the check exits 1 with its message.
-    for (idx, extra) in [
-        (&index, vec![]),
-        (&parted, vec!["--partitions", "4", "--threads", "2"]),
-    ] {
+    for (idx, extra) in [(&index, vec![]), (&parted, vec!["--threads", "2"])] {
         let out = std::process::Command::new(env!("CARGO_BIN_EXE_nnq"))
             .args(["bench", "--index", idx, "--data", &short, "--queries", "50"])
             .args(&extra)
@@ -293,7 +290,7 @@ fn a_corrupt_manifest_is_an_error_not_a_panic() {
         std::fs::write(&manifest, &bad).unwrap();
         let out = std::process::Command::new(env!("CARGO_BIN_EXE_nnq"))
             .args(["query", "--index", &parted, "--data", &data])
-            .args(["--at", "1,1", "--partitions", "4"])
+            .args(["--at", "1,1"])
             .output()
             .unwrap();
         let stderr = String::from_utf8_lossy(&out.stderr);
@@ -355,7 +352,7 @@ fn a_partition_written_after_its_build_is_still_read() {
 
     let first = extra_text.lines().find(|l| !l.starts_with('#')).unwrap();
     let at = first.split(',').take(2).collect::<Vec<_>>().join(",");
-    let read = ["--data", &all, "--partitions", "2"];
+    let read = ["--data", &all];
     let out = nnq(&[&["query", "--index", &parted, "--at", &at][..], &read].concat());
     assert!(out.contains("1. segment #1000 "), "{out}");
     let out = nnq(&[&["bench", "--index", &parted, "--queries", "50"][..], &read].concat());
@@ -656,6 +653,8 @@ fn prefetch_and_io_latency_flags() {
 
     // The partitioned bench prints the same line, summed over every
     // partition's pool; its interleaved batches leave pages/query alone.
+    // (A plain index beside it under the same name would be refused.)
+    std::fs::remove_file(&index).unwrap();
     run_ok(&[
         "build",
         "--input",
@@ -668,7 +667,7 @@ fn prefetch_and_io_latency_flags() {
         "4",
     ]);
     let parted = |extra: &[&str]| -> String {
-        let mut args = vec!["--partitions", "4", "--threads", "2"];
+        let mut args = vec!["--threads", "2"];
         args.extend_from_slice(extra);
         bench_out(&args)
     };
@@ -907,8 +906,6 @@ fn partitioned_build_query_bench_match_single_tree() {
             "50000,50000",
             "-k",
             "5",
-            "--partitions",
-            "4",
             "--threads",
             threads,
         ]);
@@ -936,8 +933,6 @@ fn partitioned_build_query_bench_match_single_tree() {
         "50000,50000",
         "--radius",
         "4000",
-        "--partitions",
-        "4",
     ]);
     assert_eq!(
         hits(&parted_radius),
@@ -958,8 +953,6 @@ fn partitioned_build_query_bench_match_single_tree() {
             "40",
             "-k",
             "5",
-            "--partitions",
-            "4",
             "--threads",
             threads,
         ])
@@ -1036,7 +1029,6 @@ fn partitioned_flag_validation() {
         ),
         Err(CliError::Usage(_))
     ));
-    // A partition-count mismatch against the manifest is caught at open.
     run_ok(&[
         "build",
         "--input",
@@ -1048,39 +1040,10 @@ fn partitioned_flag_validation() {
         "--partitions",
         "4",
     ]);
-    assert!(matches!(
-        run(
-            &argv(&[
-                "query",
-                "--index",
-                &index,
-                "--data",
-                &data,
-                "--at",
-                "0,0",
-                "--partitions",
-                "2",
-            ]),
-            &mut sink
-        ),
-        Err(CliError::Usage(_))
-    ));
     // Generalized metrics are single-tree only.
     assert!(matches!(
         run(
-            &argv(&[
-                "query",
-                "--index",
-                &index,
-                "--data",
-                &data,
-                "--at",
-                "0,0",
-                "--partitions",
-                "4",
-                "--metric",
-                "l1",
-            ]),
+            &argv(&["query", "--index", &index, "--data", &data, "--at", "0,0", "--metric", "l1",]),
             &mut sink
         ),
         Err(CliError::Usage(_))
@@ -1181,7 +1144,6 @@ fn serve_flag_validation() {
         vec!["serve", "--pool-shards", "3"],
         vec!["serve", "--prefetch", "sometimes"],
         vec!["serve", "--prefetch", "2"],
-        vec!["serve", "--partitions", "0"],
         vec!["serve"], // missing --index
     ] {
         assert!(
@@ -1385,8 +1347,6 @@ fn serve_partitioned_engine_smoke() {
         "50000,50000",
         "-k",
         "5",
-        "--partitions",
-        "4",
     ]);
     let seq_ids: Vec<u64> = seq
         .lines()
@@ -1405,8 +1365,6 @@ fn serve_partitioned_engine_smoke() {
             "0",
             "--port-file",
             &port_file,
-            "--partitions",
-            "4",
             "--threads",
             "2",
         ]);
@@ -1469,4 +1427,157 @@ fn ingest_without_wal_and_unjournaled_flags() {
     assert!(!out.contains("wal syncs"), "{out}");
     std::fs::remove_file(&data).ok();
     std::fs::remove_file(&index).ok();
+}
+
+/// The real binary's exit code and stderr for `args`.
+fn nnq_fails(args: &[&str]) -> (Option<i32>, String) {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_nnq"))
+        .args(args)
+        .output()
+        .unwrap();
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+#[test]
+fn a_file_that_cannot_be_opened_is_named() {
+    let data = tmp("named.csv");
+    let index = tmp("named.rtree");
+    let nope = tmp("named-nope");
+    run_ok(&["gen", "--kind", "uniform", "--n", "300", "--out", &data]);
+    run_ok(&["build", "--input", &data, "--index", &index]);
+    let at = ["--at", "1,1"];
+    for args in [
+        [&["query", "--index", &nope, "--data", &data][..], &at].concat(),
+        vec!["stats", "--index", &nope],
+        vec!["explain", "--index", &nope, "--at", "1,1"],
+        [&["query", "--index", &index, "--data", &nope][..], &at].concat(),
+        vec!["bench", "--index", &index, "--data", &nope],
+        vec!["build", "--input", &nope, "--index", &index],
+        vec!["ingest", "--input", &data, "--index", &nope],
+        vec!["join", "--index", &index, "--data", &data, "--outer", &nope],
+    ] {
+        let (code, stderr) = nnq_fails(&args);
+        assert_eq!(code, Some(1), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("opening {nope}: ")),
+            "{args:?}: {stderr}"
+        );
+    }
+    std::fs::remove_file(&data).ok();
+    std::fs::remove_file(&index).ok();
+}
+
+/// Builds `<index>` over `data` as a 4-partition Hilbert index.
+fn build_parted(data: &str, index: &str) {
+    run_ok(&[
+        "build",
+        "--input",
+        data,
+        "--index",
+        index,
+        "--method",
+        "hilbert",
+        "--partitions",
+        "4",
+    ]);
+}
+
+fn remove_parted(index: &str) {
+    for i in 0..4 {
+        std::fs::remove_file(format!("{index}.p{i}")).ok();
+    }
+    std::fs::remove_file(format!("{index}.manifest")).ok();
+}
+
+#[test]
+fn open_rule_a_missing_partition_file_names_the_manifest_and_the_file() {
+    let data = tmp("lost.csv");
+    let parted = tmp("lost-parted.rtree");
+    run_ok(&["gen", "--kind", "uniform", "--n", "800", "--out", &data]);
+    build_parted(&data, &parted);
+    let lost = format!("{parted}.p1");
+    std::fs::remove_file(&lost).unwrap();
+    let at = ["--at", "1,1"];
+    for args in [
+        [&["query", "--index", &parted, "--data", &data][..], &at].concat(),
+        vec!["bench", "--index", &parted, "--data", &data],
+        vec!["serve", "--index", &parted, "--data", &data, "--port", "0"],
+    ] {
+        let (code, stderr) = nnq_fails(&args);
+        assert_eq!(code, Some(1), "{args:?}: {stderr}");
+        let want = format!("{parted}.manifest names 4 partitions but {lost} does not exist");
+        assert!(stderr.contains(&want), "{args:?}: {stderr}");
+    }
+    std::fs::remove_file(&data).ok();
+    remove_parted(&parted);
+}
+
+#[test]
+fn open_rule_a_plain_and_a_partitioned_index_under_one_name_are_refused() {
+    let data = tmp("twice.csv");
+    let index = tmp("twice.rtree");
+    run_ok(&["gen", "--kind", "uniform", "--n", "800", "--out", &data]);
+    run_ok(&["build", "--input", &data, "--index", &index]);
+    build_parted(&data, &index);
+    let (code, stderr) = nnq_fails(&["query", "--index", &index, "--data", &data, "--at", "1,1"]);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(
+        stderr.contains(&format!("plain index {index} ")),
+        "{stderr}"
+    );
+    assert!(stderr.contains(&format!("{index}.manifest")), "{stderr}");
+    std::fs::remove_file(&data).ok();
+    std::fs::remove_file(&index).ok();
+    remove_parted(&index);
+}
+
+#[test]
+fn open_rule_an_index_from_an_earlier_build_opens_with_no_flag_and_answers_alike() {
+    let data = tmp("v3.csv");
+    let single = tmp("v3-single.rtree");
+    let parted = tmp("v3-parted.rtree");
+    run_ok(&[
+        "gen", "--kind", "tiger", "--n", "2000", "--seed", "5", "--out", &data,
+    ]);
+    run_ok(&[
+        "build", "--input", &data, "--index", &single, "--method", "hilbert",
+    ]);
+    build_parted(&data, &parted);
+    // The manifest exactly as every earlier v3 build wrote it: the page
+    // files' format is the tree's own.
+    let v3 = "nnq-partition-manifest v3\npartitions 4\n";
+    std::fs::write(format!("{parted}.manifest"), v3).unwrap();
+    let hits = |index: &str, extra: &[&str]| -> Vec<String> {
+        let args = [&["query", "--index", index, "--data", &data][..], extra].concat();
+        let out = run_ok(&args);
+        let hits: Vec<String> = out
+            .lines()
+            .filter(|l| l.contains("segment #"))
+            .map(str::to_string)
+            .collect();
+        assert!(!hits.is_empty(), "{out}");
+        hits
+    };
+    for extra in [
+        &["--at", "50000,50000", "-k", "7"][..],
+        &["--at", "20000,70000", "--radius", "3000"],
+    ] {
+        assert_eq!(hits(&parted, extra), hits(&single, extra), "{extra:?}");
+    }
+    let out = run_ok(&[
+        "bench",
+        "--index",
+        &parted,
+        "--data",
+        &data,
+        "--queries",
+        "20",
+    ]);
+    assert!(out.contains("over 4 partition(s)"), "{out}");
+    std::fs::remove_file(&data).ok();
+    std::fs::remove_file(&single).ok();
+    remove_parted(&parted);
 }

@@ -53,10 +53,9 @@ impl Fixture {
         nnq(&argv)
     }
 
-    /// [`Fixture::single`] on the partitioned index, with `--partitions 4`.
+    /// [`Fixture::single`] on the partitioned index.
     fn parted(&self, cmd: &str, extra: &[&str]) -> Output {
         let mut argv = vec![cmd, "--index", &self.parted, "--data", &self.data];
-        argv.extend_from_slice(&["--partitions", "4"]);
         argv.extend_from_slice(extra);
         nnq(&argv)
     }
@@ -98,12 +97,12 @@ fn zero_k_is_a_usage_error_on_every_subcommand() {
     let want = "flag `--k` must be at least 1";
     let at = ["--at", "50000,50000", "-k", "0"];
     assert_usage(&fx.single("query", &at), want, "query");
-    assert_usage(&fx.parted("query", &at), want, "query --partitions");
+    assert_usage(&fx.parted("query", &at), want, "query, partitioned");
     assert_usage(&fx.single("bench", &["-k", "0"]), want, "bench");
     assert_usage(
         &fx.parted("bench", &["-k", "0"]),
         want,
-        "bench --partitions",
+        "bench, partitioned",
     );
     assert_usage(
         &nnq(&["explain", "--index", &fx.index, "--at", "1,1", "-k", "0"]),
@@ -124,7 +123,7 @@ fn zero_queries_is_a_usage_error() {
     assert_usage(
         &fx.parted("bench", &["--queries", "0"]),
         want,
-        "bench --partitions",
+        "bench, partitioned",
     );
     // One query is the smallest batch, and its averages are real numbers.
     let out = fx.parted("bench", &["--queries", "1"]);
@@ -145,7 +144,7 @@ fn unknown_and_removed_flags_are_refused() {
         "unknown flag `--bogus`",
         "bogus",
     );
-    // A typo of `--partitions` would otherwise serve the single tree.
+    // A typo is refused, not dropped.
     assert_usage(
         &fx.single("query", &with("--partition", "4")),
         "unknown flag `--partition`",
@@ -156,12 +155,15 @@ fn unknown_and_removed_flags_are_refused() {
         "unknown flag `--kernel`",
         "kernel",
     );
-    for cmd in ["query", "bench", "serve"] {
-        assert_usage(
-            &fx.single(cmd, &["--tune", "adaptive"]),
-            "unknown flag `--tune`",
-            cmd,
-        );
+    // The index's manifest, not a flag, says how many partitions it has.
+    for (flag, value) in [("--tune", "adaptive"), ("--partitions", "4")] {
+        for cmd in ["query", "bench", "serve"] {
+            assert_usage(
+                &fx.parted(cmd, &[flag, value]),
+                &format!("unknown flag `{flag}`"),
+                cmd,
+            );
+        }
     }
     // The batch deadline is gone: the batcher takes what is queued. No
     // index is named, so a binary that still took the flag fails on the
@@ -199,7 +201,7 @@ fn a_negative_or_non_finite_radius_is_a_usage_error() {
         assert_usage(
             &fx.parted("query", &at),
             want,
-            &format!("--radius {r} --partitions"),
+            &format!("--radius {r}, partitioned"),
         );
     }
     // Zero is a radius: the query answers (with whatever lies on the point).
@@ -217,7 +219,7 @@ fn a_non_finite_point_is_a_usage_error() {
         assert_usage(
             &fx.parted("query", &q),
             want,
-            &format!("query --at {at} --partitions"),
+            &format!("query --at {at}, partitioned"),
         );
         assert_usage(
             &nnq(&["explain", "--index", &fx.index, "--at", at]),

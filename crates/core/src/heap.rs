@@ -277,7 +277,7 @@ mod hit_order {
     use super::*;
     use crate::{scatter_radius, within_radius, FnRefiner, NnOptions};
     use nnq_geom::Point;
-    use nnq_rtree::{Forest, MemRTree, RTreeConfig};
+    use nnq_rtree::{MemRTree, RTreeConfig};
     use std::sync::Mutex;
 
     /// The ordering every hit list had before `sort_hits`: a stable sort.
@@ -410,15 +410,8 @@ mod hit_order {
             let trees: Vec<_> = (0..4).map(|t| line(n, 1_000.0 * t as f64)).collect();
             let q = Point::new([1_500.0, 0.0]);
             let log = Log::default();
-            let (got, stats) = scatter_radius(
-                Forest::new(&trees),
-                &q,
-                1e9,
-                NnOptions::default(),
-                &logging(&log),
-                1,
-            )
-            .unwrap();
+            let (got, stats) =
+                scatter_radius(&trees, &q, 1e9, NnOptions::default(), &logging(&log), 1).unwrap();
             assert_eq!(stats.partitions_visited, 4);
             // One worker refines the trees one after another, so the log
             // holds every hit in the order the merge receives them.
@@ -426,15 +419,8 @@ mod hit_order {
             assert_eq!(got.len(), 4 * n);
             assert_order(&got, &reference(&refined), &format!("4 × {n} points"));
             let log = Log::default();
-            let (two_workers, _) = scatter_radius(
-                Forest::new(&trees),
-                &q,
-                1e9,
-                NnOptions::default(),
-                &logging(&log),
-                2,
-            )
-            .unwrap();
+            let (two_workers, _) =
+                scatter_radius(&trees, &q, 1e9, NnOptions::default(), &logging(&log), 2).unwrap();
             assert_order(&two_workers, &got, &format!("4 × {n} points, two workers"));
         }
     }

@@ -7,9 +7,9 @@
 //! workers share one tree.
 //!
 //! Every batch in this crate runs on one executor body,
-//! [`forest_batch`](crate::forest_batch), over a forest of trees
+//! [`forest_batch`](crate::forest_batch), over a slice of trees
 //! ([`scatter`](crate::scatter)); the single-tree entry points here
-//! ([`par_knn_batch`], [`par_mixed_batch_dedup`]) run it over a forest of
+//! ([`par_knn_batch`], [`par_mixed_batch_dedup`]) run it over a slice of
 //! one. That body, and the scatter-gather rounds, are calls of one private
 //! primitive, [`steal_map`]. Scheduling is work-stealing over a shared
 //! atomic cursor rather than static chunking: every worker claims a small
@@ -48,7 +48,7 @@ use crate::refine::Refiner;
 use crate::scatter::{forest_batch, forest_batch_dedup};
 use crate::Result;
 use nnq_geom::Point;
-use nnq_rtree::{Forest, TreeAccess};
+use nnq_rtree::TreeAccess;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -331,7 +331,7 @@ where
 
 /// [`par_knn_batch`] plus the scheduling telemetry: how many queries each
 /// worker claimed off the shared cursor. The batch is a
-/// [`forest_batch`](crate::forest_batch) over `tree` as a forest of one.
+/// [`forest_batch`](crate::forest_batch) over `tree` alone.
 pub fn par_knn_batch_stats<const D: usize, T, R>(
     tree: &T,
     queries: &[Point<D>],
@@ -344,16 +344,16 @@ where
     T: TreeAccess<D> + Sync,
     R: Refiner<D> + Sync,
 {
-    let forest = Forest::of_one(tree);
+    let trees = std::slice::from_ref(tree);
     let requests: Vec<_> = queries.iter().map(|&q| BatchQuery::Knn { q, k }).collect();
     let order = JoinOrder::AsGiven;
-    let (answers, stats) = forest_batch(forest, &requests, opts, refiner, threads, order, None)?;
+    let (answers, stats) = forest_batch(trees, &requests, opts, refiner, threads, order, None)?;
     Ok((answers.into_iter().map(|(found, _)| found).collect(), stats))
 }
 
 /// A mixed kNN/radius batch over one tree with intra-batch deduplication
-/// (the serving layer's drain path): [`forest_batch_dedup`] over `tree` as
-/// a forest of one. Returns, in submission order, each request's results
+/// (the serving layer's drain path): [`forest_batch_dedup`] over `tree`
+/// alone. Returns, in submission order, each request's results
 /// **and** its per-query [`SearchStats`] — the serving layer reports
 /// `nodes_visited` back to the client as the query's logical page reads,
 /// the paper's cost unit — bit-identical to a sequential loop of
@@ -374,7 +374,7 @@ where
     R: Refiner<D> + Sync,
 {
     let (answers, stats) = forest_batch_dedup(
-        Forest::of_one(tree),
+        std::slice::from_ref(tree),
         requests,
         opts,
         refiner,
@@ -413,8 +413,8 @@ mod tests {
         (tree, queries)
     }
 
-    /// A batch over `tree` as a forest of one, every request executed (no
-    /// dedup), answers with their search counters.
+    /// A batch over `tree` alone, every request executed (no dedup),
+    /// answers with their search counters.
     #[allow(clippy::type_complexity)]
     fn mixed_batch(
         tree: &MemRTree<2>,
@@ -423,10 +423,9 @@ mod tests {
         order: JoinOrder,
         block: Option<usize>,
     ) -> Result<(Vec<(Vec<Neighbor<2>>, SearchStats)>, BatchStats)> {
-        let forest = Forest::of_one(tree);
+        let trees = std::slice::from_ref(tree);
         let opts = NnOptions::default();
-        let (answers, stats) =
-            forest_batch(forest, reqs, opts, &MbrRefiner, threads, order, block)?;
+        let (answers, stats) = forest_batch(trees, reqs, opts, &MbrRefiner, threads, order, block)?;
         let answers = answers.into_iter().map(|(hits, s)| (hits, s.search));
         Ok((answers.collect(), stats))
     }

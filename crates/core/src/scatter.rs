@@ -1,11 +1,11 @@
-//! The one read engine: scatter-gather queries over a [`Forest`].
+//! The one read engine: scatter-gather queries over a forest.
 //!
-//! A forest is a slice of trees, each bounded by the root MBR its
+//! A forest is a slice of trees, `&[T]`, each bounded by the root MBR its
 //! committed meta holds ([`TreeAccess::bounds`]): the bound of exactly the
 //! version the search reads, a live tree's or a snapshot's, so it contains
 //! whatever was written to the tree. A Hilbert-range [`PartitionedTree`]
-//! is the forest of its partitions; an unpartitioned tree is a forest of
-//! one ([`Forest::of_one`]). Every batch, served request and CLI query
+//! is the slice of its partitions; an unpartitioned tree is a slice of
+//! one (`std::slice::from_ref`). Every batch, served request and CLI query
 //! runs here.
 //!
 //! The paper's Theorem 1 justifies discarding a *subtree* whose MINDIST
@@ -88,7 +88,7 @@ use crate::radius::within_radius_with;
 use crate::refine::Refiner;
 use crate::Result;
 use nnq_geom::{mindist_sq, Point};
-use nnq_rtree::{Forest, PartitionedTree, TreeAccess};
+use nnq_rtree::{PartitionedTree, TreeAccess};
 use std::collections::HashMap;
 use std::ops::Range;
 
@@ -279,7 +279,7 @@ impl<const D: usize> ScatterCursor<D> {
         R: Refiner<D>,
     {
         if !self.active {
-            self.begin(q, k, on.forest.trees());
+            self.begin(q, k, on.trees);
         }
         let mut advanced = false;
         loop {
@@ -288,7 +288,7 @@ impl<const D: usize> ScatterCursor<D> {
                 return Ok(Poll::Ready(self.finish()));
             }
             let part = self.sched[self.round.start + self.outs.len()].part;
-            let search = NnSearch::with_options(&on.forest.trees()[part], on.opts);
+            let search = NnSearch::with_options(&on.trees[part], on.opts);
             let (cursor, bound) = (&mut self.cursor, self.bound);
             let polled = if on.interleave {
                 search.resume(cursor, q, k, on.refiner, bound, wait)
@@ -319,14 +319,14 @@ impl<const D: usize> ScatterCursor<D> {
 
 /// What every kNN item of one batch scatters over, and how.
 struct Scatter<'a, const D: usize, T, R> {
-    forest: Forest<'a, T>,
+    trees: &'a [T],
     opts: NnOptions,
     refiner: &'a R,
     /// Whether the batch interleaves: tree traversals are resumable.
     interleave: bool,
 }
 
-/// Branch-and-bound kNN over `forest`, visiting trees in MINDIST order
+/// Branch-and-bound kNN over `trees`, visiting them in MINDIST order
 /// under the shared-bound round protocol (module docs), each round's trees
 /// in parallel over up to `threads` workers.
 ///
@@ -337,7 +337,7 @@ struct Scatter<'a, const D: usize, T, R> {
 /// # Panics
 /// Panics if `k == 0` or `threads == 0`.
 pub fn scatter_knn<const D: usize, T, R>(
-    forest: Forest<'_, T>,
+    trees: &[T],
     q: &Point<D>,
     k: usize,
     opts: NnOptions,
@@ -350,7 +350,7 @@ where
 {
     assert!(threads > 0, "need at least one worker");
     let mut sc = ScatterCursor::new();
-    sc.begin(q, k, forest.trees());
+    sc.begin(q, k, trees);
     while sc.next_round() {
         let (round, bound) = (&sc.sched[sc.round.clone()], sc.bound);
         // One claim per tree, one cursor per worker.
@@ -362,7 +362,7 @@ where
             false,
             QueryCursor::new,
             whole(|qc, i| {
-                NnSearch::with_options(&forest.trees()[round[i].part], opts)
+                NnSearch::with_options(&trees[round[i].part], opts)
                     .query_refined_bounded(qc, q, k, refiner, bound)
             }),
         )?;
@@ -371,7 +371,7 @@ where
     Ok(sc.finish())
 }
 
-/// Radius query over `forest`: trees whose MINDIST-to-bound exceeds the
+/// Radius query over `trees`: those whose MINDIST-to-bound exceeds the
 /// (squared) radius are skipped outright; the rest are searched in
 /// parallel in one round and the hits merged and sorted by
 /// `(distance, record)` — the same output contract as
@@ -380,7 +380,7 @@ where
 /// # Panics
 /// Panics if `radius` is negative or NaN, or `threads == 0`.
 pub fn scatter_radius<const D: usize, T, R>(
-    forest: Forest<'_, T>,
+    trees: &[T],
     q: &Point<D>,
     radius: f64,
     opts: NnOptions,
@@ -394,8 +394,8 @@ where
     assert!(radius >= 0.0, "radius must be nonnegative");
     assert!(threads > 0, "need at least one worker");
     let radius_sq = radius * radius;
-    let mut visit = Vec::with_capacity(forest.trees().len());
-    schedule(&mut visit, q, forest.trees());
+    let mut visit = Vec::with_capacity(trees.len());
+    schedule(&mut visit, q, trees);
     // Unlike kNN there is no evolving bound: the survivor set is known up
     // front, so a single parallel round covers it.
     let survivors = visit
@@ -405,7 +405,7 @@ where
     visit.truncate(survivors);
     let mut stats = PartitionedStats {
         partitions_visited: visit.len() as u64,
-        partitions_pruned: (forest.trees().len() - visit.len()) as u64,
+        partitions_pruned: (trees.len() - visit.len()) as u64,
         rounds: u64::from(!visit.is_empty()),
         ..PartitionedStats::default()
     };
@@ -418,7 +418,7 @@ where
         false,
         || (),
         whole(|(), i| {
-            let tree = &forest.trees()[visit[i].part];
+            let tree = &trees[visit[i].part];
             within_radius_with(tree, q, radius, refiner, opts.kernel)
         }),
     )?;
@@ -437,7 +437,7 @@ where
     Ok((merged, stats))
 }
 
-/// kNN over a [`PartitionedTree`]: [`scatter_knn`] over its forest.
+/// kNN over a [`PartitionedTree`]: [`scatter_knn`] over its partitions.
 pub fn partitioned_knn<const D: usize, R: Refiner<D> + Sync>(
     tree: &PartitionedTree<D>,
     q: &Point<D>,
@@ -446,11 +446,11 @@ pub fn partitioned_knn<const D: usize, R: Refiner<D> + Sync>(
     refiner: &R,
     threads: usize,
 ) -> Result<(Vec<Neighbor<D>>, PartitionedStats)> {
-    scatter_knn(tree.forest(), q, k, opts, refiner, threads)
+    scatter_knn(tree.partitions(), q, k, opts, refiner, threads)
 }
 
 /// A batch of kNN queries over a [`PartitionedTree`]: [`forest_batch`]
-/// over its forest, in submission order. The aggregate
+/// over its partitions, in submission order. The aggregate
 /// [`PartitionedStats`] sums the per-query stats in submission order, so
 /// both — and every query's answer and counters — are bit-identical to a
 /// loop of [`partitioned_knn`] calls, whatever the thread count, prefetch
@@ -465,7 +465,7 @@ pub fn partitioned_knn_batch<const D: usize, R: Refiner<D> + Sync>(
 ) -> Result<(Vec<Vec<Neighbor<D>>>, PartitionedStats)> {
     let requests: Vec<_> = queries.iter().map(|&q| BatchQuery::Knn { q, k }).collect();
     let (answers, _) = forest_batch(
-        tree.forest(),
+        tree.partitions(),
         &requests,
         opts,
         refiner,
@@ -484,7 +484,7 @@ pub fn partitioned_knn_batch<const D: usize, R: Refiner<D> + Sync>(
     Ok((results, totals))
 }
 
-/// The one batch executor body: a mixed kNN/radius batch over `forest`,
+/// The one batch executor body: a mixed kNN/radius batch over `trees`,
 /// fanned out over `threads` workers that claim requests off a shared
 /// cursor in `order` (claim blocks of `block_override`, default the
 /// shared heuristic — the self-tuning controller's batch knob). Returns,
@@ -507,7 +507,7 @@ pub fn partitioned_knn_batch<const D: usize, R: Refiner<D> + Sync>(
 /// order.
 #[allow(clippy::type_complexity)]
 pub fn forest_batch<const D: usize, T, R>(
-    forest: Forest<'_, T>,
+    trees: &[T],
     requests: &[BatchQuery<D>],
     opts: NnOptions,
     refiner: &R,
@@ -520,10 +520,10 @@ where
     R: Refiner<D> + Sync,
 {
     let on = Scatter {
-        forest,
+        trees,
         opts,
         refiner,
-        interleave: interleaves(forest.trees(), &opts),
+        interleave: interleaves(trees, &opts),
     };
     let schedule = claim_order(order, requests.iter().map(|r| *r.point()));
     steal_map(
@@ -536,7 +536,7 @@ where
         |sc, i, wait| match requests[i] {
             BatchQuery::Knn { q, k } => sc.step(&on, &q, k, wait),
             BatchQuery::Radius { q, radius } => {
-                scatter_radius(forest, &q, radius, opts, refiner, 1).map(Poll::Ready)
+                scatter_radius(trees, &q, radius, opts, refiner, 1).map(Poll::Ready)
             }
         },
     )
@@ -549,7 +549,7 @@ where
 /// traffic a micro-batch routinely carries the same hot query many times;
 /// there is no reason to traverse for it more than once per batch.
 ///
-/// Each request is a pure function of `(forest, query)` for the duration
+/// Each request is a pure function of `(trees, query)` for the duration
 /// of the batch, so a duplicate's answer is bit-identical to what its own
 /// execution would have produced. Near-duplicates are never merged: the
 /// canonical key encodes `f64` parameters as raw bits, so queries one ulp
@@ -558,7 +558,7 @@ where
 /// traversals the merge saved.
 #[allow(clippy::type_complexity)]
 pub fn forest_batch_dedup<const D: usize, T, R>(
-    forest: Forest<'_, T>,
+    trees: &[T],
     requests: &[BatchQuery<D>],
     opts: NnOptions,
     refiner: &R,
@@ -584,7 +584,7 @@ where
         slot_of.push(slot);
     }
     let (answers, bstats) = forest_batch(
-        forest,
+        trees,
         &unique,
         opts,
         refiner,
@@ -755,7 +755,7 @@ mod tests {
                 let tree = build(items.clone(), p);
                 for threads in [1usize, 4] {
                     let (got, stats) = scatter_radius(
-                        tree.forest(),
+                        tree.partitions(),
                         &q,
                         radius,
                         NnOptions::default(),
@@ -824,14 +824,14 @@ mod tests {
         let (hits, stats) = match *req {
             BatchQuery::Knn { q, k } => partitioned_knn(tree, &q, k, opts, &MbrRefiner, 1),
             BatchQuery::Radius { q, radius } => {
-                scatter_radius(tree.forest(), &q, radius, opts, &MbrRefiner, 1)
+                scatter_radius(tree.partitions(), &q, radius, opts, &MbrRefiner, 1)
             }
         }
         .unwrap();
         (hits, stats.search)
     }
 
-    /// [`forest_batch_dedup`] over `tree`'s forest, answers with their
+    /// [`forest_batch_dedup`] over `tree`'s partitions, answers with their
     /// search counters.
     #[allow(clippy::type_complexity)]
     fn dedup_batch(
@@ -843,8 +843,15 @@ mod tests {
         order: JoinOrder,
         block: Option<usize>,
     ) -> Result<(Vec<(Vec<Neighbor<2>>, SearchStats)>, BatchStats)> {
-        let (answers, bstats) =
-            forest_batch_dedup(tree.forest(), reqs, opts, refiner, threads, order, block)?;
+        let (answers, bstats) = forest_batch_dedup(
+            tree.partitions(),
+            reqs,
+            opts,
+            refiner,
+            threads,
+            order,
+            block,
+        )?;
         let answers = answers.into_iter().map(|(hits, s)| (hits, s.search));
         Ok((answers.collect(), bstats))
     }
@@ -955,7 +962,8 @@ mod tests {
         let base = mixed_requests(30);
         let reqs: Vec<_> = base.iter().chain(&base[..10]).copied().collect();
         for threads in [1, 4] {
-            tree.forest().reset_stats();
+            let pool = tree.partitions()[0].pool();
+            pool.reset_stats();
             let (want, want_stats) = crate::par_mixed_batch_dedup(
                 &tree.partitions()[0],
                 &reqs,
@@ -966,8 +974,8 @@ mod tests {
                 None,
             )
             .unwrap();
-            let want_reads = tree.forest().pool_stats().logical_reads;
-            tree.forest().reset_stats();
+            let want_reads = pool.stats().logical_reads;
+            pool.reset_stats();
             let (got, got_stats) = dedup_batch(
                 &tree,
                 &reqs,
@@ -979,7 +987,7 @@ mod tests {
             )
             .unwrap();
             assert_same_answers(&got, &want, "P=1 vs single tree");
-            assert_eq!(tree.forest().pool_stats().logical_reads, want_reads);
+            assert_eq!(pool.stats().logical_reads, want_reads);
             assert!(want_reads > 0);
             assert_eq!(got_stats.executed, want_stats.executed);
             assert_eq!(got_stats.executed, base.len());
@@ -1008,7 +1016,7 @@ mod tests {
     /// An interleaving batch's view of `parts`.
     fn resumable<'a, 't>(parts: &'a [Stalling<'t>]) -> Scatter<'a, 2, Stalling<'t>, MbrRefiner> {
         Scatter {
-            forest: Forest::new(parts),
+            trees: parts,
             opts: NnOptions::default(),
             refiner: &MbrRefiner,
             interleave: true,
@@ -1071,7 +1079,7 @@ mod tests {
                 let mut sc = ScatterCursor::new();
                 for (q, k) in &queries {
                     let what = format!("p={p} stalls={stalls} k={k}");
-                    let want = scatter_knn(tree.forest(), q, *k, opts, &MbrRefiner, 2).unwrap();
+                    let want = scatter_knn(tree.partitions(), q, *k, opts, &MbrRefiner, 2).unwrap();
                     let reads = || parts.iter().map(|s| s.handed_out.get()).sum::<usize>();
                     let not_yets = || parts.iter().map(|s| s.not_yets.get()).sum::<usize>();
                     let (reads0, not_yets0) = (reads(), not_yets());
@@ -1103,7 +1111,7 @@ mod tests {
         let tree = build(points(3000, 71), 4);
         let opts = NnOptions::default();
         let q = Point::new([480.0, 510.0]);
-        let want = scatter_knn(tree.forest(), &q, 12, opts, &MbrRefiner, 1).unwrap();
+        let want = scatter_knn(tree.partitions(), &q, 12, opts, &MbrRefiner, 1).unwrap();
         let mut parts: Vec<Stalling<'_>> = tree
             .partitions()
             .iter()
@@ -1138,7 +1146,7 @@ mod tests {
     fn empty_partition_list_yields_nothing() {
         let parts: Vec<nnq_rtree::MemRTree<2>> = Vec::new();
         let (found, stats) = scatter_knn(
-            Forest::new(&parts),
+            &parts,
             &Point::new([0.0, 0.0]),
             3,
             NnOptions::default(),
@@ -1167,18 +1175,18 @@ mod tests {
     /// The round protocol with the first-round shortcut taken out: every
     /// round's answers go through the heap.
     fn merge_path(
-        forest: Forest<'_, nnq_rtree::MemRTree<2>>,
+        forest: &[nnq_rtree::MemRTree<2>],
         q: &Point<2>,
         k: usize,
     ) -> (Vec<Neighbor<2>>, PartitionedStats) {
         let mut sc = ScatterCursor::new();
-        sc.begin(q, k, forest.trees());
+        sc.begin(q, k, forest);
         while sc.merge_and_open() {
             let bound = sc.bound;
             sc.outs = sc.sched[sc.round.clone()]
                 .iter()
                 .map(|s| {
-                    NnSearch::new(&forest.trees()[s.part])
+                    NnSearch::new(&forest[s.part])
                         .query_refined_bounded(&mut QueryCursor::new(), q, k, &MbrRefiner, bound)
                         .unwrap()
                 })
@@ -1188,15 +1196,11 @@ mod tests {
     }
 
     /// Whether the first round alone settles `(q, k)` on `forest`.
-    fn first_round_settles(
-        forest: Forest<'_, nnq_rtree::MemRTree<2>>,
-        q: &Point<2>,
-        k: usize,
-    ) -> bool {
+    fn first_round_settles(forest: &[nnq_rtree::MemRTree<2>], q: &Point<2>, k: usize) -> bool {
         let mut sc = ScatterCursor::new();
-        sc.begin(q, k, forest.trees());
+        sc.begin(q, k, forest);
         assert!(sc.next_round(), "the first round searches the nearest tree");
-        let nearest = &forest.trees()[sc.sched[0].part];
+        let nearest = &forest[sc.sched[0].part];
         sc.outs = vec![NnSearch::new(nearest)
             .query_refined(q, k, &MbrRefiner)
             .unwrap()];
@@ -1218,7 +1222,7 @@ mod tests {
     /// Runs `(q, k)` through `scatter_knn` and a batch item and checks both against the
     /// merge path, hits and counters bit for bit; returns the answer.
     fn both_ways(
-        forest: Forest<'_, nnq_rtree::MemRTree<2>>,
+        forest: &[nnq_rtree::MemRTree<2>],
         q: &Point<2>,
         k: usize,
     ) -> (Vec<Neighbor<2>>, PartitionedStats) {
@@ -1252,7 +1256,7 @@ mod tests {
         let a: &[(f64, f64, u64)] = &[(1.0, 0.0, 1), (2.0, 0.0, 2)];
         let b: &[(f64, f64, u64)] = &[(0.0, 2.0, 3), (0.0, 3.0, 4)];
         let trees = forest_of(&[a, b]);
-        let forest = Forest::new(&trees);
+        let forest = &trees;
         let q = Point::new([0.0, 0.0]);
         assert!(first_round_settles(forest, &q, 2));
         let (hits, stats) = both_ways(forest, &q, 2);
@@ -1268,7 +1272,7 @@ mod tests {
         // One step closer and B can hold something nearer: no shortcut.
         let b_closer: &[(f64, f64, u64)] = &[(0.0, 1.9, 3), (0.0, 3.0, 4)];
         let trees = forest_of(&[a, b_closer]);
-        let forest = Forest::new(&trees);
+        let forest = &trees;
         assert!(!first_round_settles(forest, &q, 2));
         let (hits, stats) = both_ways(forest, &q, 2);
         assert_eq!(records_and_dists(&hits), brute_force(&[a, b_closer], &q, 2));
@@ -1280,14 +1284,14 @@ mod tests {
         let a: &[(f64, f64, u64)] = &[(1.0, 0.0, 1), (2.0, 0.0, 2)];
         let b: &[(f64, f64, u64)] = &[(50.0, 0.0, 3), (60.0, 0.0, 4), (70.0, 0.0, 5)];
         let trees = forest_of(&[a, b]);
-        let forest = Forest::new(&trees);
+        let forest = &trees;
         let q = Point::new([0.0, 0.0]);
         assert!(!first_round_settles(forest, &q, 3));
         let (hits, stats) = both_ways(forest, &q, 3);
         assert_eq!(records_and_dists(&hits), brute_force(&[a, b], &q, 3));
         assert_eq!((stats.partitions_visited, stats.rounds), (2, 2));
         // With nothing scheduled after it, a short answer is the answer.
-        let forest = Forest::of_one(&trees[0]);
+        let forest = std::slice::from_ref(&trees[0]);
         assert!(first_round_settles(forest, &q, 3));
         let (hits, stats) = both_ways(forest, &q, 3);
         assert_eq!(records_and_dists(&hits), brute_force(&[a], &q, 3));
@@ -1300,7 +1304,7 @@ mod tests {
         let a: &[(f64, f64, u64)] = &[(1.0, 0.0, 5), (2.0, 0.0, 7)];
         let b: &[(f64, f64, u64)] = &[(0.0, 2.0, 6), (0.0, 3.0, 1)];
         let trees = forest_of(&[a, b]);
-        let forest = Forest::new(&trees);
+        let forest = &trees;
         let q = Point::new([0.0, 0.0]);
         // k = 3: both tied records make the answer, ordered by record id
         // whichever tree they came from.

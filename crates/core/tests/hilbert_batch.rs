@@ -6,7 +6,7 @@ use nnq_core::{
     forest_batch, par_knn_batch, BatchQuery, JoinOrder, MbrRefiner, Neighbor, NnOptions,
 };
 use nnq_geom::{Point, Rect};
-use nnq_rtree::{Forest, MemRTree, RecordId};
+use nnq_rtree::{MemRTree, RecordId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -68,7 +68,7 @@ fn batch(
     threads: usize,
     order: JoinOrder,
 ) -> Vec<Vec<Neighbor<2>>> {
-    let forest = Forest::of_one(tree);
+    let forest = std::slice::from_ref(tree);
     let reqs: Vec<_> = queries.iter().map(|&q| BatchQuery::Knn { q, k }).collect();
     let opts = NnOptions::default();
     let (answers, _) =

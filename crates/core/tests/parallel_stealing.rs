@@ -7,7 +7,7 @@ use nnq_core::{
     forest_batch, par_knn_batch, par_knn_batch_stats, BatchQuery, FnRefiner, JoinOrder, NnOptions,
 };
 use nnq_geom::{Point, Rect};
-use nnq_rtree::{Forest, MemRTree, RecordId};
+use nnq_rtree::{MemRTree, RecordId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashSet;
@@ -143,7 +143,7 @@ fn imbalanced_batch_finishes_near_optimal_with_stealing() {
         .map(|&q| BatchQuery::Knn { q, k: 5 })
         .collect();
     let (results, stats) = forest_batch(
-        Forest::of_one(&tree),
+        std::slice::from_ref(&tree),
         &reqs,
         NnOptions::default(),
         &refiner,

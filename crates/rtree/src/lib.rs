@@ -63,7 +63,7 @@ pub use codec::{node_capacity, Meta, RawNode};
 pub use config::{RTreeConfig, SplitStrategy};
 pub use entry::{Entry, RecordId};
 pub use iter::WindowIter;
-pub use partition::{snapshot_all, Forest, PartitionManifest, PartitionedTree};
+pub use partition::{snapshot_all, PartitionedTree};
 pub use store::{MemStore, NodeStore, PagedStore};
 pub use tree::{MemRTree, NodeView, RTree, Snapshot, TreeAccess};
 pub use validate::TreeStats;

@@ -1,12 +1,12 @@
-//! Forests, and the Hilbert-range partitioned multi-tree.
+//! The Hilbert-range partitioned multi-tree.
 //!
-//! Every query path in `nnq-core` runs on a [`Forest`]: a slice of trees.
-//! Each tree carries its own bound: its committed meta holds its root's
-//! MBR ([`TreeAccess::bounds`](crate::TreeAccess::bounds)), which
-//! contains everything the tree holds whatever is written to it. The
-//! scatter-gather search orders and prunes the trees by MINDIST to those
-//! bounds. An unpartitioned tree is a forest of one ([`Forest::of_one`]);
-//! a [`PartitionedTree`] is the forest of its partitions.
+//! Every query path in `nnq-core` runs on a slice of trees. Each tree
+//! carries its own bound: its committed meta holds its root's MBR
+//! ([`TreeAccess::bounds`](crate::TreeAccess::bounds)), which contains
+//! everything the tree holds whatever is written to it. The scatter-gather
+//! search orders and prunes the trees by MINDIST to those bounds. An
+//! unpartitioned tree is a slice of one; a [`PartitionedTree`] is the
+//! slice of its partitions.
 //!
 //! A [`PartitionedTree`] splits a dataset into `P` independent R-trees by
 //! Hilbert key range: every item is keyed by [`nnq_geom::hilbert_key`]
@@ -21,10 +21,10 @@
 //!
 //! Each partition is a complete, self-contained [`RTree`] on its **own**
 //! [`BufferPool`] (own frame budget, whose frames hold their decoded
-//! nodes, own prefetcher). Beside the partition files, a [`PartitionManifest`]
-//! records how many partitions there are. It records nothing about what
-//! they hold: each tree's committed meta is the truth about its entries
-//! and its bound, whatever has been written to it since the build.
+//! nodes, own prefetcher). Each tree's committed meta is the truth about
+//! its entries and its bound, whatever has been written to it since the
+//! build; how the partitions are laid out in files is the caller's
+//! business.
 //!
 //! This is the in-process rehearsal of a scale-out deployment: each
 //! partition could live on its own machine.
@@ -34,48 +34,10 @@ use crate::config::RTreeConfig;
 use crate::entry::RecordId;
 use crate::store::{NodeStore, PagedStore};
 use crate::tree::{RTree, Snapshot};
-use crate::{RTreeError, Result};
+use crate::Result;
 use nnq_geom::{hilbert_key, Rect};
-use nnq_storage::{BufferPool, MemDisk, PoolStats, PAGE_SIZE};
-use parking_lot::Mutex;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use nnq_storage::{BufferPool, MemDisk, PAGE_SIZE};
 use std::sync::Arc;
-
-/// What a partitioned index records beside its partition files: how many
-/// there are.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct PartitionManifest {
-    /// Number of partitions, `≥ 1`.
-    pub partitions: usize,
-}
-
-const MANIFEST_HEADER: &str = "nnq-partition-manifest v3";
-
-impl PartitionManifest {
-    /// Serializes the manifest to its text form: the header, then a
-    /// `partitions P` line.
-    pub fn encode(&self) -> String {
-        format!("{MANIFEST_HEADER}\npartitions {}\n", self.partitions)
-    }
-
-    /// Parses a manifest previously produced by
-    /// [`PartitionManifest::encode`]. Another version's header, or a
-    /// partition count that is missing or zero, is an error.
-    pub fn decode(text: &str) -> Result<Self> {
-        let bad = |msg: &str| RTreeError::Invalid(format!("manifest: {msg}"));
-        let mut lines = text.lines();
-        if lines.next() != Some(MANIFEST_HEADER) {
-            return Err(bad("missing or unknown header"));
-        }
-        let partitions = lines
-            .next()
-            .and_then(|line| line.strip_prefix("partitions "))
-            .and_then(|n| n.parse().ok())
-            .filter(|&p| p > 0)
-            .ok_or_else(|| bad("malformed partitions line"))?;
-        Ok(Self { partitions })
-    }
-}
 
 /// Splits `items` into `partitions` equal-count chunks by Hilbert key
 /// range.
@@ -116,77 +78,6 @@ pub(crate) fn hilbert_split<const D: usize>(
         .collect()
 }
 
-/// Trees: what every query path runs on (module docs). Each tree bounds
-/// itself ([`TreeAccess::bounds`](crate::TreeAccess::bounds)).
-pub struct Forest<'a, T> {
-    trees: &'a [T],
-}
-
-impl<'a, T> Forest<'a, T> {
-    /// The forest of `trees`.
-    pub fn new(trees: &'a [T]) -> Self {
-        Self { trees }
-    }
-
-    /// `tree` unpartitioned: a forest of one.
-    pub fn of_one(tree: &'a T) -> Self {
-        Self::new(std::slice::from_ref(tree))
-    }
-
-    /// The trees.
-    pub fn trees(&self) -> &'a [T] {
-        self.trees
-    }
-}
-
-impl<const D: usize> Forest<'_, RTree<D, PagedStore<D>>> {
-    /// Total number of data entries across the trees.
-    pub fn len(&self) -> u64 {
-        self.trees.iter().map(RTree::len).sum()
-    }
-
-    /// Whether every tree is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Buffer-pool statistics summed over the trees' pools; the summed
-    /// `logical_reads` is the dataset-wide "pages accessed" figure.
-    pub fn pool_stats(&self) -> PoolStats {
-        let mut total = PoolStats::default();
-        for tree in self.trees {
-            total.accumulate(tree.pool().stats());
-        }
-        total
-    }
-
-    /// Resets statistics on every tree's pool.
-    pub fn reset_stats(&self) {
-        for tree in self.trees {
-            tree.pool().reset_stats();
-        }
-    }
-
-    /// Drops every tree's cached frames and decoded nodes (cold-cache
-    /// measurement setup).
-    pub fn clear_caches(&self) -> Result<()> {
-        for tree in self.trees {
-            tree.pool().clear_cache()?;
-            tree.store().clear_node_cache();
-        }
-        Ok(())
-    }
-}
-
-// A forest only borrows, so it copies whatever its trees are.
-impl<T> Clone for Forest<'_, T> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-
-impl<T> Copy for Forest<'_, T> {}
-
 /// Pins a snapshot of every tree at one composed version: reads the summed
 /// [`RTree::version`], pins each tree, and retries if the pinned versions
 /// do not add up to it. Versions only grow, so equal sums mean no tree
@@ -210,9 +101,9 @@ pub fn snapshot_all<const D: usize, S: NodeStore<D>>(
 /// A dataset split into `P` independent R-trees by Hilbert key range.
 ///
 /// See the module docs for the construction. Queries go through the
-/// scatter-gather search in `nnq-core` (`partitioned_knn` /
-/// `scatter_radius`) over its [`forest`](PartitionedTree::forest),
-/// which orders and prunes partitions by MINDIST to their bounds.
+/// scatter-gather search in `nnq-core` (`scatter_knn` / `scatter_radius`)
+/// over its [`partitions`](PartitionedTree::partitions), which orders and
+/// prunes them by MINDIST to their bounds.
 pub struct PartitionedTree<const D: usize> {
     parts: Vec<RTree<D, PagedStore<D>>>,
 }
@@ -220,9 +111,8 @@ pub struct PartitionedTree<const D: usize> {
 impl<const D: usize> PartitionedTree<D> {
     /// Bulk-loads a partitioned tree, one partition per pool in `pools`,
     /// using up to `build_threads` threads to build partitions in
-    /// parallel (work is claimed from a shared cursor; the result is
-    /// independent of the thread count because each partition's build is
-    /// self-contained on its own pool).
+    /// parallel (the result is independent of the thread count because
+    /// each partition's build is self-contained on its own pool).
     ///
     /// # Panics
     /// Panics if `pools` is empty or any MBR is invalid.
@@ -236,38 +126,42 @@ impl<const D: usize> PartitionedTree<D> {
     ) -> Result<Self> {
         let p = pools.len();
         assert!(p > 0, "need at least one partition pool");
-        let chunks = hilbert_split(items, p);
         let threads = build_threads.clamp(1, p);
-        // Each slot holds one partition's build input; workers claim
-        // slots through the cursor and leave the built tree (or error)
-        // in the matching result slot.
-        type BuildSlot<const D: usize> = Mutex<Option<(Arc<BufferPool>, Vec<(Rect<D>, RecordId)>)>>;
-        let slots: Vec<BuildSlot<D>> = pools
-            .into_iter()
-            .zip(chunks)
-            .map(|pair| Mutex::new(Some(pair)))
-            .collect();
-        let results: Vec<Mutex<Option<Result<RTree<D, PagedStore<D>>>>>> =
-            (0..p).map(|_| Mutex::new(None)).collect();
-        let cursor = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= p {
-                        break;
-                    }
-                    let (pool, chunk) = slots[i].lock().take().expect("slot claimed once");
-                    *results[i].lock() = Some(RTree::bulk_load(pool, config, chunk, method, fill));
-                });
-            }
+        // Worker `t` builds partitions `i ≡ t (mod threads)`, in order. The
+        // chunks are equal-count, so the workers are as evenly loaded as
+        // a shared cursor would leave them.
+        let mut jobs: Vec<Vec<_>> = (0..threads).map(|_| Vec::new()).collect();
+        for (i, job) in pools.into_iter().zip(hilbert_split(items, p)).enumerate() {
+            jobs[i % threads].push(job);
+        }
+        let built: Vec<Vec<Result<RTree<D, PagedStore<D>>>>> = std::thread::scope(|scope| {
+            let workers: Vec<_> = jobs
+                .into_iter()
+                .map(|jobs| {
+                    scope.spawn(move || {
+                        jobs.into_iter()
+                            .map(|(pool, chunk)| {
+                                RTree::bulk_load(pool, config, chunk, method, fill)
+                            })
+                            .collect()
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .map(|w| {
+                    w.join()
+                        .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+                })
+                .collect()
         });
-        // A fresh vector, not `results`' buffer reused in place by
+        // A fresh vector, not a worker's buffer reused in place by
         // `collect`: keeping that allocation alive raised the peak RSS of
         // the 1M-point `batch_cold` set-up by 38 MiB.
+        let mut built: Vec<_> = built.into_iter().map(Vec::into_iter).collect();
         let mut parts = Vec::with_capacity(p);
-        for slot in results {
-            parts.push(slot.into_inner().expect("worker filled every slot")?);
+        for i in 0..p {
+            parts.push(built[i % threads].next().expect("one tree per partition")?);
         }
         Ok(Self { parts })
     }
@@ -294,46 +188,9 @@ impl<const D: usize> PartitionedTree<D> {
         Self::bulk_load_on(pools, config, items, method, fill, build_threads)
     }
 
-    /// Assembles a partitioned tree from already-built partitions (the
-    /// reopen path: partitions opened from their own files plus a decoded
-    /// manifest). Validates that the manifest names as many partitions as
-    /// were supplied.
-    pub fn from_parts(
-        parts: Vec<RTree<D, PagedStore<D>>>,
-        manifest: PartitionManifest,
-    ) -> Result<Self> {
-        if parts.len() != manifest.partitions {
-            return Err(RTreeError::Invalid(format!(
-                "manifest lists {} partitions but {} trees were supplied",
-                manifest.partitions,
-                parts.len()
-            )));
-        }
-        Ok(Self { parts })
-    }
-
     /// The partition trees, in key-range order.
     pub fn partitions(&self) -> &[RTree<D, PagedStore<D>>] {
         &self.parts
-    }
-
-    /// The partitions as a forest.
-    pub fn forest(&self) -> Forest<'_, RTree<D, PagedStore<D>>> {
-        Forest::new(&self.parts)
-    }
-
-    /// Every partition's snapshot, pinned at one composed version
-    /// ([`snapshot_all`]).
-    pub fn snapshot(&self) -> Vec<Snapshot<'_, D>> {
-        snapshot_all(&self.parts)
-    }
-
-    /// The manifest of the partitions: what a reopen checks the number of
-    /// opened trees against.
-    pub fn manifest(&self) -> PartitionManifest {
-        PartitionManifest {
-            partitions: self.parts.len(),
-        }
     }
 }
 
@@ -415,7 +272,6 @@ mod tests {
         // Each partition bounds itself by exactly its chunk's MBR and holds
         // its entries.
         let tree = build(items, 4);
-        assert_eq!(tree.forest().len(), 1003);
         for (chunk, part) in chunks.iter().zip(tree.partitions()) {
             assert_eq!(part.bounds(), mbr_of(chunk));
             assert_eq!(part.len() as usize, chunk.len());
@@ -433,34 +289,6 @@ mod tests {
         for part in &tree.partitions()[3..] {
             assert_eq!(part.len(), 0);
             assert!(part.bounds().is_empty());
-        }
-    }
-
-    #[test]
-    fn manifest_roundtrips_bit_exactly() {
-        let manifest = build(points(257, 11), 5).manifest();
-        let decoded = PartitionManifest::decode(&manifest.encode()).unwrap();
-        assert_eq!(decoded, manifest);
-        // Including empty partitions.
-        let manifest = build(points(2, 3), 4).manifest();
-        assert_eq!(manifest.partitions, 4);
-        let decoded = PartitionManifest::decode(&manifest.encode()).unwrap();
-        assert_eq!(decoded, manifest);
-    }
-
-    #[test]
-    fn manifest_decode_rejects_garbage() {
-        assert!(PartitionManifest::decode("not a manifest").is_err());
-        let text = PartitionManifest { partitions: 2 }.encode();
-        // The retired versions.
-        for old in [" v1", " v2"] {
-            assert!(PartitionManifest::decode(&text.replace(" v3", old)).is_err());
-        }
-        // No partitions line.
-        assert!(PartitionManifest::decode(MANIFEST_HEADER).is_err());
-        // A count that is not a count, or zero.
-        for bad in ["partitions two", "partitions 0", "partitions -1"] {
-            assert!(PartitionManifest::decode(&text.replace("partitions 2", bad)).is_err());
         }
     }
 
@@ -513,35 +341,12 @@ mod tests {
             4,
         )
         .unwrap();
-        assert_eq!(seq.manifest(), par.manifest());
+        assert_eq!(seq.partitions().len(), par.partitions().len());
         for (a, b) in seq.partitions().iter().zip(par.partitions()) {
             assert_eq!(structure(a), structure(b));
             a.validate().unwrap();
         }
-        assert_eq!(seq.forest().len(), 3000);
-    }
-
-    #[test]
-    fn from_parts_validates_counts() {
-        let items = points(100, 41);
-        let manifest = build(items.clone(), 2).manifest();
-        let mut trees = Vec::new();
-        for chunk in hilbert_split(items, 2) {
-            let pool = Arc::new(BufferPool::new(Box::new(MemDisk::new(PAGE_SIZE)), 1024));
-            trees.push(
-                RTree::<2>::bulk_load(
-                    pool,
-                    RTreeConfig::default(),
-                    chunk,
-                    BulkMethod::Hilbert,
-                    1.0,
-                )
-                .unwrap(),
-            );
-        }
-        // Mismatched lengths rejected.
-        let one = trees.pop().unwrap();
-        assert!(PartitionedTree::from_parts(vec![one], manifest).is_err());
+        assert_eq!(par.partitions().iter().map(RTree::len).sum::<u64>(), 3000);
     }
 
     #[test]
@@ -556,9 +361,9 @@ mod tests {
             2,
         )
         .unwrap();
-        assert!(part.forest().is_empty());
         assert_eq!(part.partitions().len(), 4);
         for tree in part.partitions() {
+            assert_eq!(tree.len(), 0);
             assert_eq!(tree.root(), PageId::INVALID);
         }
     }
@@ -575,7 +380,7 @@ mod tests {
             1,
         )
         .unwrap();
-        let before = part.snapshot();
+        let before = snapshot_all(part.partitions());
         let composed = |snaps: &[Snapshot<'_, 2>]| snaps.iter().map(Snapshot::version).sum::<u64>();
         assert_eq!(
             composed(&before),
@@ -585,7 +390,7 @@ mod tests {
         part.partitions()[2]
             .insert(&Rect::from_point(p), RecordId(9_999))
             .unwrap();
-        let after = part.snapshot();
+        let after = snapshot_all(part.partitions());
         assert_eq!(composed(&after), composed(&before) + 1);
         assert_eq!(before[2].len() + 1, after[2].len());
         // Each snapshot's bound is its own version's: only the later one
@@ -602,10 +407,5 @@ mod tests {
         };
         assert_eq!(bounds(&before), roots(&before));
         assert_eq!(bounds(&after), roots(&after));
-
-        // A forest of one is that tree, bounded by itself.
-        let one = Forest::of_one(&part.partitions()[0]);
-        assert_eq!(one.trees().len(), 1);
-        assert_eq!(one.trees()[0].bounds(), part.partitions()[0].bounds());
     }
 }

@@ -2,9 +2,10 @@
 //! bounded inbox, one batcher thread draining what is queued as
 //! micro-batches through the work-stealing mixed-query executor, and
 //! responses written back in admission order, one socket write per
-//! connection per micro-batch. Both engines are forests (one tree is a
-//! forest of one): per batch the batcher pins every tree's snapshot at one
-//! composed version, and probe, execution, and fill all go through that.
+//! connection per micro-batch. Both engines are slices of trees (one tree
+//! is a slice of one): per batch the batcher pins every tree's snapshot at
+//! one composed version, and probe, execution, and fill all go through
+//! that.
 //!
 //! Threading layout (all scoped, all joined before [`serve`] returns):
 //!
@@ -43,7 +44,7 @@ use nnq_core::{
     PartitionedStats, PrefetchPolicy, Refiner, ResultCache,
 };
 use nnq_geom::Point;
-use nnq_rtree::{snapshot_all, Forest, PartitionedTree, RTree, Snapshot};
+use nnq_rtree::{snapshot_all, RTree, Snapshot};
 use std::collections::HashSet;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -111,26 +112,26 @@ impl Default for ServeConfig {
     }
 }
 
-/// What the server serves: one R-tree, or a Hilbert-range partitioned
-/// forest behind scatter-gather. Either is served as a forest: each
-/// micro-batch runs against one snapshot of every tree, bounded by that
-/// snapshot's own root MBR, so reads proceed concurrently with the
-/// copy-on-write writer and see wherever it wrote.
+/// What the server serves: one R-tree, or the partitions of a
+/// Hilbert-range partitioned index behind scatter-gather. Either is served
+/// as a slice of trees: each micro-batch runs against one snapshot of
+/// every tree, bounded by that snapshot's own root MBR, so reads proceed
+/// concurrently with the copy-on-write writer and see wherever it wrote.
 pub enum Engine<'a> {
-    /// A single paged R-tree: a forest of one.
+    /// A single paged R-tree: a slice of one.
     Single(&'a RTree<2>),
-    /// A partitioned tree: each request runs its own scatter-gather pass
-    /// over the partitions, requests fan out across the batch executor's
-    /// workers.
-    Partitioned(&'a PartitionedTree<2>),
+    /// A partitioned index's trees: each request runs its own
+    /// scatter-gather pass over them, requests fan out across the batch
+    /// executor's workers.
+    Partitioned(&'a [RTree<2>]),
 }
 
 impl<'a> Engine<'a> {
-    /// The forest every read of the engine runs on.
-    pub fn forest(&self) -> Forest<'a, RTree<2>> {
+    /// The trees every read of the engine runs on.
+    pub fn trees(&self) -> &'a [RTree<2>] {
         match *self {
-            Engine::Single(tree) => Forest::of_one(tree),
-            Engine::Partitioned(tree) => tree.forest(),
+            Engine::Single(tree) => std::slice::from_ref(tree),
+            Engine::Partitioned(trees) => trees,
         }
     }
 }
@@ -432,7 +433,7 @@ pub fn serve<R: Refiner<2> + Sync>(
     );
     listener.set_nonblocking(true)?;
     let shared = Shared::new(config);
-    let forest = engine.forest();
+    let trees = engine.trees();
 
     let loop_out = std::thread::scope(|scope| {
         let shared = &shared;
@@ -470,12 +471,12 @@ pub fn serve<R: Refiner<2> + Sync>(
                 }
             }
         });
-        batch_loop(forest, refiner, config, shared)
+        batch_loop(trees, refiner, config, shared)
     });
 
     // Every reader and the acceptor joined: quiesce the I/O pipelines and
     // make the committed state durable before reporting.
-    quiesce_and_flush(forest.trees())?;
+    quiesce_and_flush(trees)?;
 
     Ok(ServeReport {
         served: shared.served.load(Ordering::Relaxed),
@@ -684,7 +685,7 @@ fn reader_loop(stream: TcpStream, conn: Arc<Conn>, shared: &Shared) {
 /// executor and writing responses back in admission order. Runs on the
 /// caller's thread; returns the run's cache/dedup telemetry.
 ///
-/// Per batch, the answer pipeline runs on the engine's forest:
+/// Per batch, the answer pipeline runs on the engine's trees:
 ///
 /// 1. **Pin.** [`snapshot_all`] pins every tree's snapshot at one composed
 ///    version; probe, execution, and fill all share it, so every answer is
@@ -704,12 +705,11 @@ fn reader_loop(stream: TcpStream, conn: Arc<Conn>, shared: &Shared) {
 ///    their Ok responses; only the jobs that needed the traversal get
 ///    Errors.
 fn batch_loop<R: Refiner<2> + Sync>(
-    forest: Forest<'_, RTree<2>>,
+    trees: &[RTree<2>],
     refiner: &R,
     config: &ServeConfig,
     shared: &Shared,
 ) -> BatchLoopOut {
-    let trees = forest.trees();
     let opts = NnOptions::with_prefetch(config.prefetch);
     let cache = ResultCache::<2>::new(config.result_cache);
     let mut dedup_merged: u64 = 0;
@@ -758,10 +758,9 @@ fn batch_loop<R: Refiner<2> + Sync>(
         let outcome: Executed = if miss_reqs.is_empty() {
             Ok((Vec::new(), BatchStats::default()))
         } else {
-            let forest = Forest::new(&snaps);
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 let (threads, order) = (config.threads, JoinOrder::Hilbert);
-                forest_batch_dedup(forest, &miss_reqs, opts, refiner, threads, order, None)
+                forest_batch_dedup(&snaps, &miss_reqs, opts, refiner, threads, order, None)
                     .map_err(|e| e.to_string())
             }))
             .unwrap_or_else(|panic| Err(panic_message(&panic)))

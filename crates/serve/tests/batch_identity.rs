@@ -183,7 +183,11 @@ fn the_single_engine_serves_the_plain_traversals_bytes() {
 #[test]
 fn partitioned_responses_are_byte_identical_across_knobs_and_caching() {
     let tree = partitioned(4);
-    identical_across_knobs(&Engine::Partitioned(&tree), &mixed_requests(), &[0, 1024]);
+    identical_across_knobs(
+        &Engine::Partitioned(tree.partitions()),
+        &mixed_requests(),
+        &[0, 1024],
+    );
 }
 
 #[test]
@@ -194,7 +198,7 @@ fn one_partition_serves_the_single_engines_bytes() {
         threads: 4,
         ..ServeConfig::default()
     };
-    let (parted, _) = serve_responses(&Engine::Partitioned(&tree), &requests, &config);
+    let (parted, _) = serve_responses(&Engine::Partitioned(tree.partitions()), &requests, &config);
     let (single, _) = serve_responses(&Engine::Single(&tree.partitions()[0]), &requests, &config);
     assert_eq!(parted, single);
 }
@@ -221,7 +225,8 @@ fn partitioned_batch_of_duplicates_runs_one_traversal() {
         result_cache: 0,
         ..ServeConfig::default()
     };
-    let (responses, report) = serve_responses(&Engine::Partitioned(&tree), &requests, &config);
+    let (responses, report) =
+        serve_responses(&Engine::Partitioned(tree.partitions()), &requests, &config);
     assert_eq!(report.dedup_merged, COPIES - 1);
     // Identical payloads apart from the request id each answer echoes.
     let payload = |bytes: &Vec<u8>| match Response::decode(bytes).unwrap() {

@@ -12,7 +12,7 @@ use nnq_core::{
     NnSearch, SearchStats,
 };
 use nnq_geom::{Point, Rect};
-use nnq_rtree::{BulkMethod, Forest, PartitionedTree, RTree, RTreeConfig, RecordId};
+use nnq_rtree::{BulkMethod, PartitionedTree, RTree, RTreeConfig, RecordId};
 use nnq_storage::{BufferPool, MemDisk, PAGE_SIZE};
 use nnq_workloads::{default_bounds, points_to_items, uniform_points, uniform_queries};
 use std::sync::Arc;
@@ -100,7 +100,7 @@ fn every_batch_entry_point_over_one_tree_is_the_single_tree() {
         let p1 = PartitionedTree::bulk_load_in_memory(items(n), 1, config, method, 1.0, 1 << 13, 1)
             .unwrap();
         let pool = single.pool();
-        let forest = Forest::of_one(&single);
+        let forest = std::slice::from_ref(&single);
         for threads in [1, 4] {
             let what = |entry: &str| format!("n={n} threads={threads} {entry}");
             let search = |answers: Vec<(Vec<Neighbor<2>>, nnq_core::PartitionedStats)>| {
@@ -230,7 +230,7 @@ fn a_forest_of_one_keeps_seeing_what_is_written_after_it_was_formed() {
     let far = Point::new([9.0e6, -9.0e6]);
     for n in [3_000, 0] {
         let single = &tree(n);
-        let forest = Forest::of_one(single);
+        let forest = std::slice::from_ref(single);
         for i in 0..5u64 {
             let p = Point::new([far[0] + i as f64, far[1]]);
             single

@@ -9,21 +9,19 @@
 //! own, must end the batch cleanly and leave the tree serving. The same
 //! holds for the partitioned engine, whose kNN items are whole
 //! scatter-gather queries (DESIGN.md §"Partitioned trees"): there the
-//! reference is a loop of `partitioned_knn` / `scatter_radius` calls,
+//! reference is a loop of `scatter_knn` / `scatter_radius` calls,
 //! per-query `PartitionedStats` included, and at P = 1 the single tree. A
 //! single tree runs on the same executor, as a forest of one.
 
 use nnq_core::{
-    forest_batch, forest_batch_dedup, partitioned_knn, scatter_knn, scatter_radius, within_radius,
-    BatchQuery, BatchStats, IncrementalNn, JoinOrder, MbrRefiner, Neighbor, NnOptions, NnSearch,
+    forest_batch, forest_batch_dedup, scatter_knn, scatter_radius, within_radius, BatchQuery,
+    BatchStats, IncrementalNn, JoinOrder, MbrRefiner, Neighbor, NnOptions, NnSearch,
     PartitionedStats, PrefetchPolicy, Refiner, SearchStats,
 };
 use nnq_geom::Point;
-use nnq_rtree::{
-    BulkMethod, Forest, PartitionManifest, PartitionedTree, RTree, RTreeConfig, TreeAccess,
-};
+use nnq_rtree::{BulkMethod, PartitionedTree, RTree, RTreeConfig, TreeAccess};
 use nnq_storage::{
-    BufferPool, DiskManager, FaultDisk, LatencyDisk, LatencyProfile, MemDisk, PageId,
+    BufferPool, DiskManager, FaultDisk, LatencyDisk, LatencyProfile, MemDisk, PageId, PoolStats,
     PrefetchStats, PAGE_SIZE,
 };
 use nnq_workloads::{default_bounds, points_to_items, uniform_points, uniform_queries};
@@ -126,8 +124,8 @@ fn batch_on<T: TreeAccess<2> + Sync, R: Refiner<2> + Sync>(
     threads: usize,
     order: JoinOrder,
 ) -> nnq_core::Result<(Vec<Answer>, BatchStats)> {
-    let forest = Forest::of_one(tree);
-    let (answers, bstats) = forest_batch(forest, reqs, opts, refiner, threads, order, None)?;
+    let trees = std::slice::from_ref(tree);
+    let (answers, bstats) = forest_batch(trees, reqs, opts, refiner, threads, order, None)?;
     let answers = answers.into_iter().map(|(hits, s)| (hits, s.search));
     Ok((answers.collect(), bstats))
 }
@@ -276,11 +274,10 @@ fn batches_equal_the_sequential_loop_whatever_interleaves() {
 // -- (a') identity, partitioned ------------------------------------------------
 
 /// A partitioned tree's device side: one disk and meta page per partition,
-/// and the manifest, so every run can open it on fresh, cold pools.
+/// so every run can open it on fresh, cold pools.
 struct Parted<T: DiskManager> {
     disks: Vec<Arc<T>>,
     metas: Vec<PageId>,
-    manifest: PartitionManifest,
     /// Pages of the largest partition.
     pages: usize,
 }
@@ -312,7 +309,6 @@ fn build_parted<T: DiskManager + 'static>(disks: Vec<Arc<T>>) -> Parted<T> {
             .map(|part| part.pool().live_pages() as usize)
             .max()
             .unwrap(),
-        manifest: tree.manifest(),
         disks,
     }
 }
@@ -320,12 +316,20 @@ fn build_parted<T: DiskManager + 'static>(disks: Vec<Arc<T>>) -> Parted<T> {
 impl<T: DiskManager + 'static> Parted<T> {
     /// Opens every partition cold ([`open`]) on `frames` frames and
     /// `workers(i)` background readers.
-    fn open(&self, frames: usize, workers: impl Fn(usize) -> usize) -> PartitionedTree<2> {
-        let parts = (0..self.disks.len())
+    fn open(&self, frames: usize, workers: impl Fn(usize) -> usize) -> Vec<RTree<2>> {
+        (0..self.disks.len())
             .map(|i| open(&self.disks[i], self.metas[i], frames, workers(i)))
-            .collect();
-        PartitionedTree::from_parts(parts, self.manifest.clone()).unwrap()
+            .collect()
     }
+}
+
+/// Buffer-pool statistics summed over the trees' pools.
+fn pool_stats(trees: &[RTree<2>]) -> PoolStats {
+    let mut total = PoolStats::default();
+    for tree in trees {
+        total.accumulate(tree.pool().stats());
+    }
+    total
 }
 
 /// A partitioned answer: hits and the query's own counters.
@@ -334,32 +338,35 @@ type PartAnswer = (Vec<Neighbor<2>>, PartitionedStats);
 /// The sequential loop a partitioned batch must equal: one scatter-gather
 /// query after the other, no prefetch, one thread. Returns the answers and
 /// the summed `logical_reads` of the pass.
-fn sequential_parted(tree: &PartitionedTree<2>, reqs: &[BatchQuery<2>]) -> (Vec<PartAnswer>, u64) {
-    let before = tree.forest().pool_stats().logical_reads;
+fn sequential_parted(tree: &[RTree<2>], reqs: &[BatchQuery<2>]) -> (Vec<PartAnswer>, u64) {
+    let before = pool_stats(tree).logical_reads;
     let opts = NnOptions::default();
     let answers = reqs
         .iter()
         .map(|req| match *req {
-            BatchQuery::Knn { q, k } => partitioned_knn(tree, &q, k, opts, &MbrRefiner, 1),
+            BatchQuery::Knn { q, k } => scatter_knn(tree, &q, k, opts, &MbrRefiner, 1),
             BatchQuery::Radius { q, radius } => {
-                scatter_radius(tree.forest(), &q, radius, opts, &MbrRefiner, 1)
+                scatter_radius(tree, &q, radius, opts, &MbrRefiner, 1)
             }
         })
         .collect::<nnq_core::Result<_>>()
         .unwrap();
-    (answers, tree.forest().pool_stats().logical_reads - before)
+    (answers, pool_stats(tree).logical_reads - before)
 }
 
 /// Settles every partition's pipeline: counters balanced, nothing pinned.
-fn balanced_parted(tree: &PartitionedTree<2>, what: &str) -> PrefetchStats {
-    for part in tree.partitions() {
+fn balanced_parted(tree: &[RTree<2>], what: &str) -> PrefetchStats {
+    for part in tree {
         part.pool().prefetch_quiesce();
     }
-    tree.forest()
-        .clear_caches()
-        .unwrap_or_else(|e| panic!("{what}: a pin outlived the batch: {e}"));
+    for part in tree {
+        part.pool()
+            .clear_cache()
+            .unwrap_or_else(|e| panic!("{what}: a pin outlived the batch: {e}"));
+        part.store().clear_node_cache();
+    }
     let mut sum = PrefetchStats::default();
-    for (i, part) in tree.partitions().iter().enumerate() {
+    for (i, part) in tree.iter().enumerate() {
         let pf = balanced(part.pool(), &format!("{what}, partition {i}"));
         sum.issued += pf.issued;
         sum.useful += pf.useful;
@@ -395,7 +402,7 @@ fn partitioned_batches_equal_the_sequential_loop_whatever_interleaves() {
         assert!(knn_pages > 0 && mixed_pages > 0);
         if p == 1 {
             // One partition is the single tree: same answers, same counters.
-            let single = &reference.partitions()[0];
+            let single = &reference[0];
             let (want_single, _) = sequential(single, single.pool(), &mixed);
             let search: Vec<Answer> = want_mixed
                 .iter()
@@ -416,7 +423,7 @@ fn partitioned_batches_equal_the_sequential_loop_whatever_interleaves() {
                     let block = [None, Some(1), Some(7)][threads % 3];
                     let tree = parted.open(frames, |_| workers);
                     let (got, bstats) = forest_batch(
-                        tree.forest(),
+                        &tree,
                         &knn,
                         opts,
                         &MbrRefiner,
@@ -430,11 +437,7 @@ fn partitioned_batches_equal_the_sequential_loop_whatever_interleaves() {
                         assert_eq!(g.1, w.1, "{what}: stats of kNN query {i}");
                         assert_same_hits(&g.0, &w.0, &format!("{what}: kNN query {i}"));
                     }
-                    assert_eq!(
-                        tree.forest().pool_stats().logical_reads,
-                        knn_pages,
-                        "{what}"
-                    );
+                    assert_eq!(pool_stats(&tree).logical_reads, knn_pages, "{what}");
                     let pf = balanced_parted(&tree, &what);
                     if interleaves {
                         assert_eq!(bstats.block, 1, "{what}");
@@ -446,7 +449,7 @@ fn partitioned_batches_equal_the_sequential_loop_whatever_interleaves() {
 
                     let tree = parted.open(frames, |_| workers);
                     let (got, _) = forest_batch_dedup(
-                        tree.forest(),
+                        &tree,
                         &mixed,
                         opts,
                         &MbrRefiner,
@@ -459,11 +462,7 @@ fn partitioned_batches_equal_the_sequential_loop_whatever_interleaves() {
                         assert_eq!(g.1, w.1, "{what}: stats of request {i}");
                         assert_same_hits(&g.0, &w.0, &format!("{what}: request {i}"));
                     }
-                    assert_eq!(
-                        tree.forest().pool_stats().logical_reads,
-                        mixed_pages,
-                        "{what}"
-                    );
+                    assert_eq!(pool_stats(&tree).logical_reads, mixed_pages, "{what}");
                     let pf = balanced_parted(&tree, &what);
                     if interleaves {
                         assert!(pf.useful > 0, "{what}: {pf:?}");
@@ -529,10 +528,10 @@ fn adaptive_queries_outside_a_batch_issue_no_hints() {
     }
     let tree = parted.open((parted.pages / 8).max(8), |_| 1);
     for q in &queries {
-        let (hits, _) = scatter_knn(tree.forest(), q, K, opts, &MbrRefiner, 2).unwrap();
+        let (hits, _) = scatter_knn(&tree, q, K, opts, &MbrRefiner, 2).unwrap();
         assert_eq!(hits.len(), K);
     }
-    assert!(tree.forest().pool_stats().physical_reads > 0);
+    assert!(pool_stats(&tree).physical_reads > 0);
     let pf = balanced_parted(&tree, "scatter_knn");
     assert_eq!(pf.issued, 0, "scatter_knn: {pf:?}");
 }
@@ -616,22 +615,19 @@ fn a_failed_demand_read_in_one_partition_fails_the_batch_and_the_tree_keeps_serv
     let nearest = |q: &Point<2>| {
         (0..4)
             .min_by(|&x, &y| {
-                let d = |i: usize| nnq_geom::mindist_sq(q, &tree.partitions()[i].bounds());
+                let d = |i: usize| nnq_geom::mindist_sq(q, &tree[i].bounds());
                 d(x).total_cmp(&d(y))
             })
             .unwrap()
     };
     let p = queries.iter().map(nearest).find(|&p| p > 0).unwrap();
-    let (pool_p, root_p) = (
-        tree.partitions()[p].pool(),
-        tree.partitions()[p].access_root().unwrap(),
-    );
+    let (pool_p, root_p) = (tree[p].pool(), tree[p].access_root().unwrap());
     let (want, _) = sequential_parted(&tree, &knn_requests(&queries));
     let opts = NnOptions::with_prefetch(PrefetchPolicy::Adaptive);
     let knn = knn_requests(&queries);
     let batch = |threads| {
         let order = JoinOrder::AsGiven;
-        forest_batch(tree.forest(), &knn, opts, &MbrRefiner, threads, order, None)
+        forest_batch(&tree, &knn, opts, &MbrRefiner, threads, order, None)
     };
     for threads in [1, 2] {
         balanced_parted(&tree, "before the batch");
@@ -646,7 +642,9 @@ fn a_failed_demand_read_in_one_partition_fails_the_batch_and_the_tree_keeps_serv
             "{err}"
         );
         balanced_parted(&tree, "after the failed batch");
-        tree.forest().reset_stats();
+        for part in &tree {
+            part.pool().reset_stats();
+        }
         // Partition p's background reader is loading its root, held in
         // the device, when the batch's demand for it arrives: every read
         // of the partition goes through the root, so a worker pins the
@@ -668,7 +666,7 @@ fn a_failed_demand_read_in_one_partition_fails_the_batch_and_the_tree_keeps_serv
             assert_eq!(g.1, w.1, "threads={threads}: stats of query {i}");
             assert_same_hits(&g.0, &w.0, &format!("threads={threads}: query {i}"));
         }
-        let pool0 = tree.partitions()[0].pool();
+        let pool0 = tree[0].pool();
         assert!(pool0.stats().physical_reads > 0);
         assert_eq!(pool0.prefetch_stats().issued, 0, "nobody to hint to");
         let pf = balanced_parted(&tree, "after the next batch");
@@ -1106,12 +1104,12 @@ mod gated {
 
     /// One interleaving partitioned batch of `reqs` on a single worker.
     fn scatter_batch<R: Refiner<2> + Sync>(
-        tree: &PartitionedTree<2>,
+        tree: &[RTree<2>],
         reqs: &[BatchQuery<2>],
         refiner: &R,
     ) -> nnq_core::Result<Vec<Answer>> {
         forest_batch_dedup(
-            tree.forest(),
+            tree,
             reqs,
             NnOptions::with_prefetch(PrefetchPolicy::Adaptive),
             refiner,
@@ -1152,24 +1150,26 @@ mod gated {
         // `a` searches its nearest partition first, unbounded: exactly as
         // a tree of its own.
         let near = tree
-            .partitions()
             .iter()
             .map(|part| nnq_geom::mindist_sq(&a, &part.bounds()))
             .enumerate()
             .min_by(|x, y| x.1.total_cmp(&y.1))
             .unwrap()
             .0;
-        let part_a = &tree.partitions()[near];
+        let part_a = &tree[near];
         let path_a = path(part_a, &a);
         let a_leaf = path_a.iter().find(|(_, level)| *level == 0).unwrap().0;
         let a_upper = path_a.iter().take_while(|(_, level)| *level > 0);
 
         // Warm `b` everywhere — it reads nothing of `a`'s partition — and
         // `a` down to its first leaf.
-        tree.forest().clear_caches().unwrap();
-        tree.forest().reset_stats();
+        for part in &tree {
+            part.pool().clear_cache().unwrap();
+            part.store().clear_node_cache();
+            part.pool().reset_stats();
+        }
         let opts = NnOptions::default();
-        partitioned_knn(&tree, &b, K, opts, &MbrRefiner, 1).unwrap();
+        scatter_knn(&tree, &b, K, opts, &MbrRefiner, 1).unwrap();
         assert_eq!(part_a.pool().stats().logical_reads, 0);
         for &(page, _) in a_upper {
             drop(part_a.pool().fetch(page).unwrap());

@@ -24,6 +24,19 @@ fn dataset() -> Vec<(Rect<2>, RecordId)> {
     points_to_items(&uniform_points(8_000, &default_bounds(), 77))
 }
 
+/// Resets every partition's pool counters.
+fn reset_stats(tree: &PartitionedTree<2>) {
+    for part in tree.partitions() {
+        part.pool().reset_stats();
+    }
+}
+
+/// Logical reads summed over every partition's pool.
+fn logical_reads(tree: &PartitionedTree<2>) -> u64 {
+    let pools = tree.partitions().iter().map(RTree::pool);
+    pools.map(|pool| pool.stats().logical_reads).sum()
+}
+
 fn single_tree() -> RTree<2> {
     let pool = Arc::new(BufferPool::new(
         Box::new(MemDisk::new(PAGE_SIZE)),
@@ -107,10 +120,10 @@ fn partitioned_per_query_page_accounting_is_thread_invariant() {
         let mut ref_pages = Vec::with_capacity(queries.len());
         let mut ref_stats: Vec<PartitionedStats> = Vec::with_capacity(queries.len());
         for q in &queries {
-            tree.forest().reset_stats();
+            reset_stats(&tree);
             let (_, stats) =
                 partitioned_knn(&tree, q, k, NnOptions::default(), &MbrRefiner, 1).unwrap();
-            ref_pages.push(tree.forest().pool_stats().logical_reads);
+            ref_pages.push(logical_reads(&tree));
             ref_stats.push(stats);
         }
         // The scatter is round-scheduled with a bound snapshot per round,
@@ -119,13 +132,13 @@ fn partitioned_per_query_page_accounting_is_thread_invariant() {
         // any thread count.
         for threads in [2, 8] {
             for ((q, &pages), want) in queries.iter().zip(&ref_pages).zip(&ref_stats) {
-                tree.forest().reset_stats();
+                reset_stats(&tree);
                 let (_, stats) =
                     partitioned_knn(&tree, q, k, NnOptions::default(), &MbrRefiner, threads)
                         .unwrap();
                 assert_eq!(stats, *want, "P={p} threads={threads}");
                 assert_eq!(
-                    tree.forest().pool_stats().logical_reads,
+                    logical_reads(&tree),
                     pages,
                     "P={p} threads={threads}: pages accessed moved with thread count"
                 );
@@ -149,7 +162,7 @@ fn single_partition_accounting_is_bit_identical_to_single_tree() {
             .unwrap();
         let want_pages = reference.pool().stats().logical_reads;
 
-        tree.forest().reset_stats();
+        reset_stats(&tree);
         let (found, stats) =
             partitioned_knn(&tree, q, k, NnOptions::default(), &MbrRefiner, 1).unwrap();
         // Same records, same distances, same per-query search counters,
@@ -157,7 +170,7 @@ fn single_partition_accounting_is_bit_identical_to_single_tree() {
         // to the plain branch-and-bound traversal of an identical tree.
         assert_eq!(key(&found), key(&want));
         assert_eq!(stats.search, want_stats);
-        assert_eq!(tree.forest().pool_stats().logical_reads, want_pages);
+        assert_eq!(logical_reads(&tree), want_pages);
         assert_eq!(stats.partitions_visited, 1);
         assert_eq!(stats.partitions_pruned, 0);
     }
@@ -181,7 +194,7 @@ fn partitioned_radius_matches_single_tree() {
                     )
                     .unwrap();
                     let (found, stats) = scatter_radius(
-                        tree.forest(),
+                        tree.partitions(),
                         q,
                         radius,
                         NnOptions::default(),
@@ -218,7 +231,7 @@ fn partitioned_batch_sums_per_query_stats_and_is_thread_invariant() {
     }
 
     for threads in [1, 2, 8] {
-        tree.forest().reset_stats();
+        reset_stats(&tree);
         let (results, totals) = partitioned_knn_batch(
             &tree,
             &queries,
@@ -244,9 +257,9 @@ fn a_claim_block_override_moves_no_answer_or_page_of_a_partitioned_batch() {
     for p in [1, 4] {
         let tree = parted(p);
         let run = |threads, block| {
-            tree.forest().reset_stats();
+            reset_stats(&tree);
             let (answers, bstats) = forest_batch(
-                tree.forest(),
+                tree.partitions(),
                 &reqs,
                 NnOptions::default(),
                 &MbrRefiner,
@@ -256,7 +269,7 @@ fn a_claim_block_override_moves_no_answer_or_page_of_a_partitioned_batch() {
             )
             .unwrap();
             let answers: Vec<_> = answers.iter().map(|(hits, s)| (key(hits), *s)).collect();
-            (answers, tree.forest().pool_stats().logical_reads, bstats)
+            (answers, logical_reads(&tree), bstats)
         };
         let (want, want_pages, _) = run(1, None);
         assert!(want_pages > 0);
@@ -333,14 +346,14 @@ fn a_write_outside_its_partitions_build_bound_is_found_by_every_read_path() {
     let (found, _) = partitioned_knn(&tree, &q, 1, opts, &MbrRefiner, 2).unwrap();
     assert_eq!(found[0].record, rid, "partitioned_knn");
     let records = |found: &[Neighbor<2>]| found.iter().map(|n| n.record).collect::<Vec<_>>();
-    let (found, _) = scatter_radius(tree.forest(), &q, 1.0, opts, &MbrRefiner, 2).unwrap();
+    let (found, _) = scatter_radius(tree.partitions(), &q, 1.0, opts, &MbrRefiner, 2).unwrap();
     assert_eq!(records(&found), [rid], "scatter_radius");
     let reqs = [
         BatchQuery::Knn { q, k: 1 },
         BatchQuery::Radius { q, radius: 1.0 },
     ];
     let (answers, _) = forest_batch(
-        tree.forest(),
+        tree.partitions(),
         &reqs,
         opts,
         &MbrRefiner,
@@ -359,7 +372,13 @@ fn a_write_outside_its_partitions_build_bound_is_found_by_every_read_path() {
     std::thread::scope(|scope| {
         let tree = &tree;
         let server = scope.spawn(move || {
-            nnq_serve::serve(&Engine::Partitioned(tree), &MbrRefiner, listener, &config).unwrap()
+            nnq_serve::serve(
+                &Engine::Partitioned(tree.partitions()),
+                &MbrRefiner,
+                listener,
+                &config,
+            )
+            .unwrap()
         });
         let mut client = Client::connect(addr).unwrap();
         let (x, y) = (q[0], q[1]);

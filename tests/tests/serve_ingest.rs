@@ -344,7 +344,7 @@ fn answers_of(tree: &PartitionedTree<2>, requests: &[Request]) -> Vec<Served> {
                 }
                 Request::Radius { x, y, radius, .. } => {
                     let q = Point::new([x, y]);
-                    scatter_radius(tree.forest(), &q, radius, opts, &MbrRefiner, 1).unwrap()
+                    scatter_radius(tree.partitions(), &q, radius, opts, &MbrRefiner, 1).unwrap()
                 }
                 _ => unreachable!(),
             };
@@ -447,7 +447,13 @@ fn the_partitioned_engine_answers_from_one_committed_state_while_a_writer_commit
     let (rounds, report) = std::thread::scope(|scope| {
         let tree = &tree;
         let server = scope.spawn(move || {
-            nnq_serve::serve(&Engine::Partitioned(tree), &MbrRefiner, listener, &config).unwrap()
+            nnq_serve::serve(
+                &Engine::Partitioned(tree.partitions()),
+                &MbrRefiner,
+                listener,
+                &config,
+            )
+            .unwrap()
         });
         let writes = &writes;
         let writer = scope.spawn(move || {

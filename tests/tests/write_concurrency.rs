@@ -18,7 +18,7 @@
 use nnq_core::{scan_items_knn, scatter_knn, MbrRefiner, NnOptions, NnSearch};
 use nnq_geom::{Point, Rect};
 use nnq_rtree::{
-    snapshot_all, BulkMethod, Forest, PartitionedTree, RTree, RTreeConfig, RecordId, TreeAccess,
+    snapshot_all, BulkMethod, PartitionedTree, RTree, RTreeConfig, RecordId, TreeAccess,
 };
 use nnq_storage::{BufferPool, MemDisk, PAGE_SIZE};
 use nnq_workloads::{default_bounds, points_to_items, uniform_points, uniform_queries};
@@ -344,7 +344,7 @@ fn forest_queries_racing_writes_spread_over_four_partitions_match_a_prefix_oracl
                         let qi = (it * 7 + tid * 13) % queries.len();
                         let lo = applied.load(Ordering::Acquire);
                         let snaps = snapshot_all(tree.partitions());
-                        let forest = Forest::new(&snaps);
+                        let forest = &snaps;
                         let (got, _) =
                             scatter_knn(forest, &queries[qi], K, opts, &MbrRefiner, 1).unwrap();
                         let hi = applied.load(Ordering::Acquire);
