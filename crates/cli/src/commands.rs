@@ -2,10 +2,10 @@
 
 use crate::args::{opening, Args, CliError};
 use nnq_core::{
-    forest_batch, metric_knn, scatter_knn, scatter_radius, BatchQuery, FnRefiner, JoinOrder,
-    MbrRefiner, NnOptions, NnSearch, PartitionedStats, PrefetchPolicy,
+    forest_batch, scatter_knn, scatter_radius, BatchQuery, FnRefiner, JoinOrder, MbrRefiner,
+    NnOptions, NnSearch, PartitionedStats, PrefetchPolicy,
 };
-use nnq_geom::{Metric, Point, Rect, Segment};
+use nnq_geom::{Point, Rect, Segment};
 use nnq_rtree::{
     BulkMethod, PartitionedTree, RTree, RTreeConfig, RecordId, SplitStrategy, TreeAccess,
 };
@@ -221,6 +221,20 @@ fn open_index(path: &str) -> Result<RTree<2>, CliError> {
     open_index_tuned(path, &ReadPathOpts::default())
 }
 
+/// The `--index` of a subcommand that reads or writes one tree only
+/// (`explain`, `join`, `ingest`, `delete`): an index with a manifest is
+/// refused, naming the manifest.
+fn single_tree_index(args: &Args) -> Result<&str, CliError> {
+    let index = args.req("index")?;
+    let manifest = manifest_file(index);
+    if Path::new(&manifest).exists() {
+        return Err(CliError::Usage(format!(
+            "{index} is a partitioned index ({manifest}); this subcommand runs on a single tree"
+        )));
+    }
+    Ok(index)
+}
+
 /// Opens the index `query`, `bench` and `serve` read and runs `body` on
 /// it; every read goes through [`Engine::trees`]. An index with no
 /// manifest is one tree. One with a manifest is one built by
@@ -403,28 +417,38 @@ fn check_pairing(trees: &[RTree<2>], segments: &[Segment]) -> Result<(), CliErro
     Ok(())
 }
 
-/// `nnq stats` — print the structure of an index file.
+/// `nnq stats` — print the structure of an index: one block per tree,
+/// each headed by its partition file when the index is partitioned.
 pub fn stats(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
-    let tree = open_index(args.req("index")?)?;
-    let s = tree.stats()?;
-    writeln!(out, "entries:      {}", tree.len())?;
-    writeln!(out, "height:       {}", tree.height())?;
-    writeln!(out, "nodes:        {} ({} leaves)", s.nodes, s.leaves)?;
-    writeln!(out, "avg fill:     {:.2}", s.avg_fill)?;
-    writeln!(out, "split:        {:?}", tree.config().split)?;
-    writeln!(out, "nodes/level:  {:?}", s.nodes_per_level)?;
-    let b = tree.bounds();
-    if !b.is_empty() {
-        writeln!(
-            out,
-            "bounds:       ({:.0}, {:.0}) .. ({:.0}, {:.0})",
-            b.lo()[0],
-            b.lo()[1],
-            b.hi()[0],
-            b.hi()[1]
-        )?;
-    }
-    Ok(())
+    let index = args.req("index")?;
+    with_index(args, &ReadPathOpts::default(), |engine| {
+        let trees = engine.trees();
+        for (i, tree) in trees.iter().enumerate() {
+            if let Engine::Partitioned(_) = engine {
+                let file = partition_file(index, i);
+                writeln!(out, "partition {i} of {}: {file}", trees.len())?;
+            }
+            let s = tree.stats()?;
+            writeln!(out, "entries:      {}", tree.len())?;
+            writeln!(out, "height:       {}", tree.height())?;
+            writeln!(out, "nodes:        {} ({} leaves)", s.nodes, s.leaves)?;
+            writeln!(out, "avg fill:     {:.2}", s.avg_fill)?;
+            writeln!(out, "split:        {:?}", tree.config().split)?;
+            writeln!(out, "nodes/level:  {:?}", s.nodes_per_level)?;
+            let b = tree.bounds();
+            if !b.is_empty() {
+                writeln!(
+                    out,
+                    "bounds:       ({:.0}, {:.0}) .. ({:.0}, {:.0})",
+                    b.lo()[0],
+                    b.lo()[1],
+                    b.hi()[0],
+                    b.hi()[1]
+                )?;
+            }
+        }
+        Ok(())
+    })
 }
 
 /// `--radius R`: `None` when absent; a usage error unless finite and ≥ 0.
@@ -440,24 +464,6 @@ fn parse_radius(args: &Args) -> Result<Option<f64>, CliError> {
     }
 }
 
-/// `--metric <l1|l2|linf>`: `None` when absent.
-fn parse_metric(args: &Args) -> Result<Option<Metric>, CliError> {
-    let Some(metric) = args.opt("metric") else {
-        return Ok(None);
-    };
-    let metric = match metric {
-        "l2" | "euclidean" => Metric::Euclidean,
-        "l1" | "manhattan" => Metric::Manhattan,
-        "linf" | "chebyshev" => Metric::Chebyshev,
-        other => {
-            return Err(CliError::Usage(format!(
-                "unknown --metric `{other}` (want l1, l2, or linf)"
-            )))
-        }
-    };
-    Ok(Some(metric))
-}
-
 /// `nnq query` — kNN or radius query against an index + its dataset,
 /// scatter-gather over its trees. The stats line reports how many trees
 /// the MINDIST-to-bound schedule visited vs pruned (a plain index is one
@@ -466,15 +472,7 @@ pub fn query(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let read = ReadPathOpts::parse(args)?;
     let k = args.count("k", 1)?;
     let radius = parse_radius(args)?;
-    let metric = parse_metric(args)?;
     with_index(args, &read, |engine| {
-        if metric.is_some() && matches!(engine, Engine::Partitioned(_)) {
-            return Err(CliError::Usage(
-                "flag `--metric` is not supported on a partitioned index: \
-                 generalized metrics run on a single tree"
-                    .into(),
-            ));
-        }
         let trees = engine.trees();
         let segments = load_csv(args.req("data")?)?;
         check_pairing(trees, &segments)?;
@@ -486,21 +484,9 @@ pub fn query(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         });
 
         let start = Instant::now();
-        let (hits, stats) = match (radius, metric) {
-            (Some(radius), _) => scatter_radius(trees, &q, radius, opts, &refiner, read.threads)?,
-            // Generalized metrics rank segment MBRs (centers for points);
-            // the exact-geometry refiner is Euclidean-only.
-            (None, Some(metric)) => {
-                let (hits, search) = metric_knn(&trees[0], &q, k, metric)?;
-                let stats = PartitionedStats {
-                    search,
-                    partitions_visited: 1,
-                    partitions_pruned: 0,
-                    rounds: 1,
-                };
-                (hits, stats)
-            }
-            (None, None) => scatter_knn(trees, &q, k, opts, &refiner, read.threads)?,
+        let (hits, stats) = match radius {
+            Some(radius) => scatter_radius(trees, &q, radius, opts, &refiner, read.threads)?,
+            None => scatter_knn(trees, &q, k, opts, &refiner, read.threads)?,
         };
         let elapsed = start.elapsed();
 
@@ -619,7 +605,7 @@ pub fn bench(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
 /// query.
 pub fn explain(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let k = args.count("k", 1)?;
-    let tree = open_index(args.req("index")?)?;
+    let tree = open_index(single_tree_index(args)?)?;
     let (x, y) = args.coords("at")?;
     let q = Point::new([x, y]);
     let (hits, stats, trace) = NnSearch::new(&tree).query_traced(&q, k, &MbrRefiner)?;
@@ -639,7 +625,7 @@ pub fn explain(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
 /// orderings.
 pub fn join(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let k = args.count("k", 4)?;
-    let tree = open_index(args.req("index")?)?;
+    let tree = open_index(single_tree_index(args)?)?;
     let pool = tree.pool();
     let segments = load_csv(args.req("data")?)?;
     let outer_segments = load_csv(args.req("outer")?)?;
@@ -848,7 +834,7 @@ pub fn delete(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
 }
 
 fn mutate(args: &Args, out: &mut dyn Write, op: MutateOp) -> Result<(), CliError> {
-    let index = args.req("index")?;
+    let index = single_tree_index(args)?;
     let input = args.req("input")?;
     // Record ids are assigned per input line, offset by --id-base; `build`
     // numbers from 0, so deleting built entries wants the default, while

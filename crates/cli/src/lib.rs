@@ -67,7 +67,7 @@ USAGE:
   nnq ingest --input <FILE> --index <FILE> [--wal <FILE>] [--group-commit-us <N>] [--id-base <N>]
   nnq delete --input <FILE> --index <FILE> [--wal <FILE>] [--group-commit-us <N>] [--id-base <N>]
   nnq stats  --index <FILE>
-  nnq query  --index <FILE> --data <FILE> --at <X,Y> [-k <K>] [--radius <R>] [--metric <l1|l2|linf>] [--threads <N>] [--pool-shards <P2>] [--io-lat-us <N>]
+  nnq query  --index <FILE> --data <FILE> --at <X,Y> [-k <K>] [--radius <R>] [--threads <N>] [--pool-shards <P2>] [--io-lat-us <N>]
   nnq bench  --index <FILE> --data <FILE> [--queries <N>] [-k <K>] [--seed <S>] [--threads <N>] [--pool-shards <P2>] [--prefetch <off|adaptive>] [--io-lat-us <N>]
   nnq serve  --index <FILE> --data <FILE> [--port <P>] [--port-file <FILE>] [--threads <N>] [--batch-max <N>] [--inbox-cap <N>] [--result-cache <off|N>] [--max-in-flight <N>] [--pool-shards <P2>] [--prefetch <off|adaptive>] [--io-lat-us <N>]
   nnq explain --index <FILE> --at <X,Y> [-k <K>]
@@ -79,6 +79,7 @@ page is page 0). `build --partitions P` needs a bulk method and splits the
 dataset into P Hilbert-key-range trees (`<index>.p<i>` + `<index>.manifest`,
 which records P); `query`, `bench` and `serve` open such an index by its
 manifest and run scatter-gather over its trees, pruning each by its own
-root MBR. `serve` runs until a client sends a shutdown frame
+root MBR. `stats` prints one block per tree; `explain`, `join`, `ingest`
+and `delete` run on a single tree and refuse a partitioned index. `serve` runs until a client sends a shutdown frame
 (see the `nnq-serve` crate for the wire protocol); `--port 0` binds an
 ephemeral port, written to `--port-file` for scripts.";

@@ -369,7 +369,7 @@ fn a_partition_written_after_its_build_is_still_read() {
 }
 
 #[test]
-fn explain_join_and_metric_queries() {
+fn explain_and_join_queries() {
     let data = tmp("ext.csv");
     let outer = tmp("ext-outer.csv");
     let index = tmp("ext.rtree");
@@ -391,35 +391,6 @@ fn explain_join_and_metric_queries() {
     ]);
     assert!(out.contains("node page#"), "{out}");
     assert!(out.contains("pruned"), "{out}");
-
-    // Metric queries rank by the chosen metric.
-    for metric in ["l1", "l2", "linf"] {
-        let out = run_ok(&[
-            "query",
-            "--index",
-            &index,
-            "--data",
-            &data,
-            "--at",
-            "50000,50000",
-            "-k",
-            "3",
-            "--metric",
-            metric,
-        ]);
-        assert!(out.contains("3 results"), "{metric}: {out}");
-    }
-    // Unknown metric is a usage error.
-    let mut sink = Vec::new();
-    assert!(matches!(
-        run(
-            &argv(&[
-                "query", "--index", &index, "--data", &data, "--at", "0,0", "--metric", "cosine"
-            ]),
-            &mut sink
-        ),
-        Err(CliError::Usage(_))
-    ));
 
     // Join runs both orderings and reports pairs.
     let out = run_ok(&[
@@ -1040,14 +1011,6 @@ fn partitioned_flag_validation() {
         "--partitions",
         "4",
     ]);
-    // Generalized metrics are single-tree only.
-    assert!(matches!(
-        run(
-            &argv(&["query", "--index", &index, "--data", &data, "--at", "0,0", "--metric", "l1",]),
-            &mut sink
-        ),
-        Err(CliError::Usage(_))
-    ));
     std::fs::remove_file(&data).ok();
     for i in 0..4 {
         std::fs::remove_file(format!("{index}.p{i}")).ok();
@@ -1505,6 +1468,7 @@ fn open_rule_a_missing_partition_file_names_the_manifest_and_the_file() {
         [&["query", "--index", &parted, "--data", &data][..], &at].concat(),
         vec!["bench", "--index", &parted, "--data", &data],
         vec!["serve", "--index", &parted, "--data", &data, "--port", "0"],
+        vec!["stats", "--index", &parted],
     ] {
         let (code, stderr) = nnq_fails(&args);
         assert_eq!(code, Some(1), "{args:?}: {stderr}");
@@ -1579,5 +1543,45 @@ fn open_rule_an_index_from_an_earlier_build_opens_with_no_flag_and_answers_alike
     assert!(out.contains("over 4 partition(s)"), "{out}");
     std::fs::remove_file(&data).ok();
     std::fs::remove_file(&single).ok();
+    remove_parted(&parted);
+}
+
+/// `stats` prints each tree of a partitioned index; the subcommands that
+/// run on one tree refuse it, naming its manifest.
+#[test]
+fn single_tree_commands_name_the_manifest() {
+    let data = tmp("single.csv");
+    let parted = tmp("single-parted.rtree");
+    run_ok(&["gen", "--kind", "uniform", "--n", "800", "--out", &data]);
+    build_parted(&data, &parted);
+
+    let out = run_ok(&["stats", "--index", &parted]);
+    for i in 0..4 {
+        assert!(
+            out.contains(&format!("partition {i} of 4: {parted}.p{i}\n")),
+            "{out}"
+        );
+    }
+    let entries: u64 = out
+        .lines()
+        .filter_map(|l| l.strip_prefix("entries:"))
+        .map(|v| v.trim().parse::<u64>().unwrap())
+        .sum();
+    assert_eq!(entries, 800, "{out}");
+
+    let manifest = format!("{parted}.manifest");
+    for args in [
+        vec!["explain", "--index", &parted, "--at", "1,1"],
+        vec![
+            "join", "--index", &parted, "--data", &data, "--outer", &data,
+        ],
+        vec!["ingest", "--input", &data, "--index", &parted],
+        vec!["delete", "--input", &data, "--index", &parted],
+    ] {
+        let (code, stderr) = nnq_fails(&args);
+        assert_eq!(code, Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(&manifest), "{args:?}: {stderr}");
+    }
+    std::fs::remove_file(&data).ok();
     remove_parted(&parted);
 }

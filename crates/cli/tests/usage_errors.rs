@@ -155,6 +155,12 @@ fn unknown_and_removed_flags_are_refused() {
         "unknown flag `--kernel`",
         "kernel",
     );
+    // Generalized metrics are gone: a query ranks by Euclidean distance.
+    assert_usage(
+        &fx.single("query", &with("--metric", "l1")),
+        "unknown flag `--metric`",
+        "metric",
+    );
     // The index's manifest, not a flag, says how many partitions it has.
     for (flag, value) in [("--tune", "adaptive"), ("--partitions", "4")] {
         for cmd in ["query", "bench", "serve"] {

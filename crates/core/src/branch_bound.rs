@@ -57,7 +57,7 @@ use crate::heap::KnnHeap;
 use crate::options::{AblOrdering, KernelMode, Neighbor, NnOptions, SearchStats};
 use crate::refine::{MbrRefiner, Refiner};
 use crate::Result;
-use nnq_geom::{mindist_sq, mindist_sq_batch, minmaxdist_sq, minmaxdist_sq_batch, Point, Rect};
+use nnq_geom::{mindist_sq, mindist_sq_batch, minmaxdist_sq, minmaxdist_sq_batch, Point};
 use nnq_rtree::{NodeView, RTree, TreeAccess};
 use nnq_storage::PageId;
 
@@ -235,7 +235,7 @@ impl<'t, const D: usize, T: TreeAccess<D> + ?Sized> NnSearch<'t, D, T> {
         refiner: &R,
     ) -> Result<(Vec<Neighbor<D>>, SearchStats)> {
         let mut cursor = QueryCursor::new();
-        self.run(&mut cursor, q, k, refiner, None, f64::INFINITY, None)
+        self.run(&mut cursor, q, k, refiner, f64::INFINITY, None)
     }
 
     /// Like [`NnSearch::query_refined`], reusing `cursor`'s buffers — the
@@ -248,7 +248,7 @@ impl<'t, const D: usize, T: TreeAccess<D> + ?Sized> NnSearch<'t, D, T> {
         k: usize,
         refiner: &R,
     ) -> Result<(Vec<Neighbor<D>>, SearchStats)> {
-        self.run(cursor, q, k, refiner, None, f64::INFINITY, None)
+        self.run(cursor, q, k, refiner, f64::INFINITY, None)
     }
 
     /// Like [`NnSearch::query_refined_with`], but the traversal starts
@@ -276,27 +276,7 @@ impl<'t, const D: usize, T: TreeAccess<D> + ?Sized> NnSearch<'t, D, T> {
         refiner: &R,
         init_bound_sq: f64,
     ) -> Result<(Vec<Neighbor<D>>, SearchStats)> {
-        self.run(cursor, q, k, refiner, None, init_bound_sq, None)
-    }
-
-    /// Finds the `k` nearest objects whose MBR intersects `region` — the
-    /// "nearest POIs inside the visible map area" query. Subtrees disjoint
-    /// from the region are skipped before any metric is computed.
-    ///
-    /// Note: with a region constraint, `MINMAXDIST` no longer guarantees
-    /// an *eligible* object in every face-touching position, so strategies
-    /// 1 and 2 are suspended for constrained queries; upward pruning (by
-    /// candidate distance) remains in force.
-    pub fn query_in_region<R: Refiner<D>>(
-        &self,
-        q: &Point<D>,
-        k: usize,
-        region: &Rect<D>,
-        refiner: &R,
-    ) -> Result<(Vec<Neighbor<D>>, SearchStats)> {
-        let mut cursor = QueryCursor::new();
-        let region = Some(*region);
-        self.run(&mut cursor, q, k, refiner, region, f64::INFINITY, None)
+        self.run(cursor, q, k, refiner, init_bound_sq, None)
     }
 
     /// Like [`NnSearch::query_refined`], additionally recording a full
@@ -310,7 +290,7 @@ impl<'t, const D: usize, T: TreeAccess<D> + ?Sized> NnSearch<'t, D, T> {
         let mut cursor = QueryCursor::new();
         let mut trace = Trace::default();
         let traced = Some(&mut trace);
-        let (found, stats) = self.run(&mut cursor, q, k, refiner, None, f64::INFINITY, traced)?;
+        let (found, stats) = self.run(&mut cursor, q, k, refiner, f64::INFINITY, traced)?;
         Ok((found, stats, trace))
     }
 
@@ -339,7 +319,6 @@ impl<'t, const D: usize, T: TreeAccess<D> + ?Sized> NnSearch<'t, D, T> {
             opts: self.opts,
             q: *q,
             refiner,
-            region: None,
             cursor,
             trace: None,
             shared_bound_sq: init_bound_sq,
@@ -348,31 +327,21 @@ impl<'t, const D: usize, T: TreeAccess<D> + ?Sized> NnSearch<'t, D, T> {
     }
 
     /// A whole query, start to end, waiting for every page.
-    #[allow(clippy::too_many_arguments)]
     fn run<R: Refiner<D>>(
         &self,
         cursor: &mut QueryCursor<D>,
         q: &Point<D>,
         k: usize,
         refiner: &R,
-        region: Option<Rect<D>>,
         init_bound_sq: f64,
         trace: Option<&mut Trace>,
     ) -> Result<(Vec<Neighbor<D>>, SearchStats)> {
-        let mut opts = self.opts;
-        if region.is_some() {
-            // MINMAXDIST's object guarantee does not survive filtering, so
-            // the bounds of strategies 1 and 2 are unsound here.
-            opts.prune_downward = false;
-            opts.prune_object = false;
-        }
         cursor.begin(k, self.tree.access_root());
         let ctx = Ctx {
             tree: self.tree,
-            opts,
+            opts: self.opts,
             q: *q,
             refiner,
-            region,
             cursor,
             trace,
             shared_bound_sq: init_bound_sq,
@@ -389,7 +358,6 @@ struct Ctx<'t, 'r, const D: usize, T: ?Sized, R> {
     opts: NnOptions,
     q: Point<D>,
     refiner: &'r R,
-    region: Option<Rect<D>>,
     cursor: &'r mut QueryCursor<D>,
     trace: Option<&'r mut Trace>,
     /// Externally supplied upper bound on the k-th nearest squared
@@ -512,9 +480,7 @@ impl<const D: usize, T: TreeAccess<D> + ?Sized, R: Refiner<D>> Ctx<'_, '_, D, T,
         self.cursor.stats.leaves_visited += 1;
         let batch = self.opts.kernel == KernelMode::Batch;
         // Batch mode: one kernel pass over the node's SoA view fills the
-        // per-entry MINDISTs the object loop below reads. Entries the
-        // region filter skips get a (discarded) value too — same bits for
-        // every value actually consumed, so the traversal is unchanged.
+        // per-entry MINDISTs the object loop below reads.
         if batch {
             let q = self.q;
             let cursor = &mut *self.cursor;
@@ -539,12 +505,6 @@ impl<const D: usize, T: TreeAccess<D> + ?Sized, R: Refiner<D>> Ctx<'_, '_, D, T,
             f64::INFINITY
         };
         for (j, e) in node.entries().iter().enumerate() {
-            if let Some(region) = &self.region {
-                if !e.mbr.intersects(region) {
-                    self.trace_object(e.record(), f64::NAN, None, Decision::OutsideRegion, false);
-                    continue;
-                }
-            }
             let filter = if batch {
                 self.cursor.batch_mindist[j]
             } else {
@@ -634,38 +594,24 @@ impl<const D: usize, T: TreeAccess<D> + ?Sized, R: Refiner<D>> Ctx<'_, '_, D, T,
         // identically; batch mode just computes the two metrics in two
         // vectorized passes over the node's SoA view instead of 2·entries
         // scalar calls.
-        let region = self.region;
-        let in_region =
-            |e: &nnq_rtree::Entry<D>| region.as_ref().is_none_or(|rg| e.mbr.intersects(rg));
         match self.opts.kernel {
             KernelMode::Scalar => {
-                abl.extend(
-                    node.entries()
-                        .iter()
-                        .filter(|e| in_region(e))
-                        .map(|e| AblEntry {
-                            mindist: mindist_sq(&self.q, &e.mbr),
-                            minmaxdist: minmaxdist_sq(&self.q, &e.mbr),
-                            child: e.child(),
-                        }),
-                );
+                abl.extend(node.entries().iter().map(|e| AblEntry {
+                    mindist: mindist_sq(&self.q, &e.mbr),
+                    minmaxdist: minmaxdist_sq(&self.q, &e.mbr),
+                    child: e.child(),
+                }));
             }
             KernelMode::Batch => {
                 let q = self.q;
                 let cursor = &mut *self.cursor;
                 mindist_sq_batch(&q, node.soa(), &mut cursor.batch_mindist);
                 minmaxdist_sq_batch(&q, node.soa(), &mut cursor.batch_minmax);
-                abl.extend(
-                    node.entries()
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, e)| in_region(e))
-                        .map(|(j, e)| AblEntry {
-                            mindist: cursor.batch_mindist[j],
-                            minmaxdist: cursor.batch_minmax[j],
-                            child: e.child(),
-                        }),
-                );
+                abl.extend(node.entries().iter().enumerate().map(|(j, e)| AblEntry {
+                    mindist: cursor.batch_mindist[j],
+                    minmaxdist: cursor.batch_minmax[j],
+                    child: e.child(),
+                }));
             }
         }
         self.cursor.stats.abl_entries += abl.len() as u64;
@@ -1117,9 +1063,9 @@ mod tests {
             tree
         }
 
-        /// Every ordering × kernel × ε, k ∈ {1, 4, 17}: the plain query, a
-        /// region-constrained one and one bounded by a finite k-th distance,
-        /// each untraced against the same traversal recording a trace. Returns
+        /// Every ordering × kernel × ε, k ∈ {1, 4, 17}: the plain query and
+        /// one bounded by a finite k-th distance, each untraced against the
+        /// same traversal recording a trace. Returns
         /// how many branches strategy 1 pruned in the plain queries, which must
         /// not be none for the check to mean anything.
         fn check<T: TreeAccess<2> + ?Sized>(tree: &T, seed: u64) -> u64 {
@@ -1140,19 +1086,11 @@ mod tests {
                                 rng.random_range(-5.0..65.0),
                                 rng.random_range(-5.0..65.0),
                             ]);
-                            let traced = |region: Option<Rect<2>>, bound: f64| {
+                            let traced = |bound: f64| {
                                 let mut trace = Trace::default();
                                 let mut cursor = QueryCursor::new();
                                 let answer = nn
-                                    .run(
-                                        &mut cursor,
-                                        &q,
-                                        k,
-                                        &MbrRefiner,
-                                        region,
-                                        bound,
-                                        Some(&mut trace),
-                                    )
+                                    .run(&mut cursor, &q, k, &MbrRefiner, bound, Some(&mut trace))
                                     .unwrap();
                                 assert!(!trace.events.is_empty());
                                 answer
@@ -1163,24 +1101,12 @@ mod tests {
                             same_answer(&plain, &(hits, stats));
                             pruned_downward += plain.1.pruned_downward;
 
-                            // A region turns strategy 1 off (`run`), so this
-                            // leg never reaches the pre-sort drop: it only
-                            // guards that traced and untraced region queries
-                            // keep taking one path.
-                            let region = Rect::new(
-                                Point::new([q[0] - 15.0, q[1] - 10.0]),
-                                Point::new([q[0] + 10.0, q[1] + 15.0]),
-                            );
-                            let constrained =
-                                nn.query_in_region(&q, k, &region, &MbrRefiner).unwrap();
-                            same_answer(&constrained, &traced(Some(region), f64::INFINITY));
-
                             let bound = plain.0.last().map_or(f64::INFINITY, |n| n.dist_sq);
                             let mut cursor = QueryCursor::new();
                             let bounded = nn
                                 .query_refined_bounded(&mut cursor, &q, k, &MbrRefiner, bound)
                                 .unwrap();
-                            same_answer(&bounded, &traced(None, bound));
+                            same_answer(&bounded, &traced(bound));
                         }
                     }
                 }

@@ -21,9 +21,6 @@ pub enum Decision {
     PrunedObject,
     /// Discarded by strategy 3 (upward pruning).
     PrunedUpward,
-    /// Skipped because it does not intersect the query's region
-    /// constraint.
-    OutsideRegion,
 }
 
 /// One event of a traced query, in traversal order.

@@ -64,11 +64,9 @@
 mod best_first;
 mod branch_bound;
 mod explain;
-mod farthest;
 mod heap;
 mod incremental;
 mod join;
-mod metric_knn;
 mod options;
 mod parallel;
 mod radius;
@@ -83,11 +81,9 @@ mod stalling;
 pub use best_first::{best_first_knn, best_first_knn_with};
 pub use branch_bound::{NnSearch, QueryCursor};
 pub use explain::{Decision, Trace, TraceEvent};
-pub use farthest::{farthest_knn, farthest_knn_with};
 pub use heap::KnnHeap;
 pub use incremental::IncrementalNn;
 pub use join::{knn_join, JoinOrder};
-pub use metric_knn::metric_knn;
 pub use options::{AblOrdering, KernelMode, Neighbor, NnOptions, PrefetchPolicy, SearchStats};
 pub use parallel::{
     par_knn_batch, par_knn_batch_stats, par_mixed_batch_dedup, BatchQuery, BatchStats,

@@ -1,6 +1,5 @@
 //! Backend-agnostic behaviour: the NN algorithms must return identical
-//! answers over paged and in-memory trees, and the region-constrained
-//! query must match its brute-force definition.
+//! answers over paged and in-memory trees.
 
 use nnq_core::{
     best_first_knn, linear_scan_knn, scan_items_knn, IncrementalNn, MbrRefiner, NnSearch,
@@ -117,49 +116,6 @@ fn all_algorithms_agree_across_backends() {
             assert_eq!(dists, truth);
         }
     }
-}
-
-#[test]
-fn region_constrained_knn_matches_brute_force() {
-    let items = random_items(4_000, 5);
-    let tree = paged_tree(&items);
-    let search = NnSearch::new(&tree);
-    let mut rng = StdRng::seed_from_u64(7);
-    for _ in 0..30 {
-        let q = Point::new([rng.random_range(0.0..100.0), rng.random_range(0.0..100.0)]);
-        let x = rng.random_range(0.0..70.0);
-        let y = rng.random_range(0.0..70.0);
-        let region = Rect::new(Point::new([x, y]), Point::new([x + 30.0, y + 30.0]));
-        let (got, _) = search.query_in_region(&q, 5, &region, &MbrRefiner).unwrap();
-        // Brute force: filter to the region, then take the 5 nearest.
-        let eligible: Vec<(Rect<2>, RecordId)> = items
-            .iter()
-            .filter(|(mbr, _)| mbr.intersects(&region))
-            .copied()
-            .collect();
-        let want = scan_items_knn(&eligible, &q, 5, &MbrRefiner);
-        assert_eq!(
-            got.iter().map(|n| n.dist_sq).collect::<Vec<_>>(),
-            want.iter().map(|n| n.dist_sq).collect::<Vec<_>>()
-        );
-        // Every result's MBR intersects the region.
-        for n in &got {
-            assert!(n.mbr.intersects(&region));
-        }
-    }
-}
-
-#[test]
-fn region_constrained_knn_with_empty_region() {
-    let items = random_items(500, 9);
-    let tree = paged_tree(&items);
-    let search = NnSearch::new(&tree);
-    // A region outside the data: no results.
-    let region = Rect::new(Point::new([500.0, 500.0]), Point::new([600.0, 600.0]));
-    let (got, _) = search
-        .query_in_region(&Point::new([50.0, 50.0]), 5, &region, &MbrRefiner)
-        .unwrap();
-    assert!(got.is_empty());
 }
 
 #[test]

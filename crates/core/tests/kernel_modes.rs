@@ -5,8 +5,8 @@
 //! even if the returned neighbors happen to coincide.
 
 use nnq_core::{
-    best_first_knn_with, farthest_knn_with, intersection_join_with, within_radius_with,
-    AblOrdering, IncrementalNn, KernelMode, MbrRefiner, Neighbor, NnOptions, NnSearch,
+    best_first_knn_with, intersection_join_with, within_radius_with, AblOrdering, IncrementalNn,
+    KernelMode, MbrRefiner, Neighbor, NnOptions, NnSearch,
 };
 use nnq_geom::{Point, Rect};
 use nnq_rtree::{MemRTree, RTree, RTreeConfig, RecordId};
@@ -168,23 +168,6 @@ fn radius_identical_across_kernels() {
                 within_radius_with(&tree, &q, radius, &MbrRefiner, KernelMode::Batch).unwrap();
             assert_same_neighbors(&ns, &nb, "radius");
             assert_eq!(ss, sb, "radius stats");
-        }
-    }
-}
-
-#[test]
-fn farthest_identical_across_kernels() {
-    let items = random_items(3_000, 41);
-    let tree = mem_tree(&items);
-    let mut rng = StdRng::seed_from_u64(42);
-    for _ in 0..20 {
-        let q = Point::new([rng.random_range(0.0..100.0), rng.random_range(0.0..100.0)]);
-        for k in [1usize, 11] {
-            let (ns, ss) =
-                farthest_knn_with(&tree, &q, k, &MbrRefiner, KernelMode::Scalar).unwrap();
-            let (nb, sb) = farthest_knn_with(&tree, &q, k, &MbrRefiner, KernelMode::Batch).unwrap();
-            assert_same_neighbors(&ns, &nb, "farthest");
-            assert_eq!(ss, sb, "farthest stats");
         }
     }
 }

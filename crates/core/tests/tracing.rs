@@ -164,7 +164,6 @@ fn fingerprint(events: &[TraceEvent]) -> u64 {
         Decision::PrunedDownward => 1,
         Decision::PrunedObject => 2,
         Decision::PrunedUpward => 3,
-        Decision::OutsideRegion => 4,
     };
     for e in events {
         match e {

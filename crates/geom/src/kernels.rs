@@ -16,7 +16,7 @@
 //! rectangle. Floating-point addition is not associative, so this is a
 //! real constraint, not a given: the kernels perform the *same operation
 //! sequence per entry* as the scalar code (per-dimension terms accumulated
-//! in dimension order for `MINDIST`/`MAXDIST`; the shared
+//! in dimension order for `MINDIST`; the shared
 //! `minmaxdist_sq_core` for `MINMAXDIST`), and IEEE-754 arithmetic is
 //! deterministic, so the results agree bit-for-bit. Rust performs no
 //! fast-math reassociation or implicit FMA contraction, in debug or
@@ -323,26 +323,6 @@ pub fn minmaxdist_sq_batch<const D: usize>(q: &Point<D>, rects: &SoaRects<D>, ou
     patch_empty(rects, out);
 }
 
-/// `MAXDIST²` from `q` to every rectangle of `rects`, written into `out`
-/// (cleared and refilled). Bit-identical per entry to
-/// [`crate::maxdist_sq`].
-pub fn maxdist_sq_batch<const D: usize>(q: &Point<D>, rects: &SoaRects<D>, out: &mut Vec<f64>) {
-    out.clear();
-    out.resize(rects.len(), 0.0);
-    for i in 0..D {
-        let c = q[i];
-        let lo = rects.lo_axis(i);
-        let hi = rects.hi_axis(i);
-        for (o, (&l, &h)) in out.iter_mut().zip(lo.iter().zip(hi)) {
-            let dl = (c - l).abs();
-            let dh = (c - h).abs();
-            let d = dl.max(dh);
-            *o += d * d;
-        }
-    }
-    patch_empty(rects, out);
-}
-
 /// For every rectangle of `rects`, whether it intersects `window`
 /// (boundary-touching counts, exactly as [`Rect::intersects`]). Written
 /// into `out` (cleared and refilled).
@@ -370,7 +350,7 @@ pub fn intersects_batch<const D: usize>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{maxdist_sq, mindist_sq, minmaxdist_sq};
+    use crate::{mindist_sq, minmaxdist_sq};
 
     fn sample_rects() -> Vec<Rect<2>> {
         let mut rects = Vec::new();
@@ -410,11 +390,10 @@ mod tests {
             Point::new([3.25, -8.5]),
             Point::new([1e9, -1e9]),
         ];
-        let (mut md, mut mm, mut xd) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut md, mut mm) = (Vec::new(), Vec::new());
         for q in &queries {
             mindist_sq_batch(q, &soa, &mut md);
             minmaxdist_sq_batch(q, &soa, &mut mm);
-            maxdist_sq_batch(q, &soa, &mut xd);
             for (j, r) in rects.iter().enumerate() {
                 assert_eq!(md[j].to_bits(), mindist_sq(q, r).to_bits(), "mindist {j}");
                 assert_eq!(
@@ -422,7 +401,6 @@ mod tests {
                     minmaxdist_sq(q, r).to_bits(),
                     "minmaxdist {j}"
                 );
-                assert_eq!(xd[j].to_bits(), maxdist_sq(q, r).to_bits(), "maxdist {j}");
             }
         }
     }

@@ -7,11 +7,11 @@
 //! * [`Point`] and [`Rect`] — fixed-dimension, `f64`-coordinate primitives
 //!   with the rectangle algebra an R-tree needs (union, intersection, area,
 //!   margin, overlap);
-//! * the paper's point-to-rectangle metrics [`mindist_sq`], [`minmaxdist_sq`]
-//!   and [`maxdist_sq`] (squared forms; use [`Dist`] helpers for
+//! * the paper's point-to-rectangle metrics [`mindist_sq`] and
+//!   [`minmaxdist_sq`] (squared forms; use [`Dist`] helpers for
 //!   square-rooted values);
 //! * [`SoaRects`] and the batched kernels ([`mindist_sq_batch`],
-//!   [`minmaxdist_sq_batch`], [`maxdist_sq_batch`], [`intersects_batch`]) —
+//!   [`minmaxdist_sq_batch`], [`intersects_batch`]) —
 //!   one auto-vectorizable pass per node's entry array, bit-identical to
 //!   the scalar metrics (see the kernel module docs for the contract);
 //! * [`Segment`] — 2-D line segments with exact point-to-segment distance,
@@ -41,18 +41,14 @@
 
 mod curve;
 mod kernels;
-mod lp;
 mod metrics;
 mod point;
 mod rect;
 mod segment;
 
 pub use curve::{hilbert_index, hilbert_key, zorder_index, HILBERT_ORDER};
-pub use kernels::{
-    intersects_batch, maxdist_sq_batch, mindist_sq_batch, minmaxdist_sq_batch, SoaRects,
-};
-pub use lp::Metric;
-pub use metrics::{maxdist_sq, mindist_sq, minmaxdist_sq, Dist};
+pub use kernels::{intersects_batch, mindist_sq_batch, minmaxdist_sq_batch, SoaRects};
+pub use metrics::{mindist_sq, minmaxdist_sq, Dist};
 pub use point::Point;
 pub use rect::Rect;
 pub use segment::Segment;

@@ -12,10 +12,6 @@
 //!   enclosed object, so there is guaranteed to be an object within
 //!   `MINMAXDIST(P, R)` of `P`: a *pessimistic* upper bound on the
 //!   nearest-neighbor distance inside `R` (Theorem 2).
-//! * **MAXDIST(P, R)** — the distance to the farthest corner; an upper bound
-//!   on the distance to any object in `R` (not needed by the search
-//!   algorithm but useful for testing and for workloads with non-minimal
-//!   boxes).
 //!
 //! These bounds justify the paper's three pruning strategies; see
 //! `nnq-core` for the search algorithm that applies them.
@@ -206,37 +202,22 @@ pub(crate) fn minmaxdist_sq_core<const D: usize>(
     }
 }
 
-/// `MAXDIST(P, R)²`: squared distance from `p` to the farthest corner of
-/// `r`. Returns `+∞` for empty rectangles.
-#[inline]
-pub fn maxdist_sq<const D: usize>(p: &Point<D>, r: &Rect<D>) -> f64 {
-    if r.is_empty() {
-        return f64::INFINITY;
-    }
-    maxdist_sq_core(p.coords(), r.lo().coords(), r.hi().coords())
-}
-
-/// The per-entry `MAXDIST²` computation on raw coordinates. Like
-/// [`mindist_sq_core`], the batched kernel ([`crate::maxdist_sq_batch`])
-/// transposes exactly this loop; any change here must be mirrored there.
-#[inline(always)]
-pub(crate) fn maxdist_sq_core<const D: usize>(p: &[f64; D], lo: &[f64; D], hi: &[f64; D]) -> f64 {
-    let mut acc = 0.0;
-    for i in 0..D {
-        let dl = (p[i] - lo[i]).abs();
-        let dh = (p[i] - hi[i]).abs();
-        let d = dl.max(dh);
-        acc += d * d;
-    }
-    acc
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn r2(lo: [f64; 2], hi: [f64; 2]) -> Rect<2> {
         Rect::new(Point::new(lo), Point::new(hi))
+    }
+
+    /// Squared distance from `p` to the farthest corner of `r`.
+    fn farthest_corner_sq<const D: usize>(p: &Point<D>, r: &Rect<D>) -> f64 {
+        (0..D)
+            .map(|i| {
+                let d = (p[i] - r.lo()[i]).abs().max((p[i] - r.hi()[i]).abs());
+                d * d
+            })
+            .sum()
     }
 
     #[test]
@@ -276,11 +257,11 @@ mod tests {
         let p = Point::new([0.0, 0.0]);
         assert_eq!(minmaxdist_sq(&p, &r), 25.0);
         assert_eq!(mindist_sq(&p, &r), 25.0);
-        assert_eq!(maxdist_sq(&p, &r), 25.0);
     }
 
     #[test]
     fn metric_ordering_mindist_le_minmaxdist_le_maxdist() {
+        // MAXDIST (the farthest corner) bounds MINMAXDIST from above.
         let r = r2([2.0, -1.0], [5.0, 7.0]);
         for p in [
             Point::new([0.0, 0.0]),
@@ -290,7 +271,7 @@ mod tests {
         ] {
             let lo = mindist_sq(&p, &r);
             let mid = minmaxdist_sq(&p, &r);
-            let hi = maxdist_sq(&p, &r);
+            let hi = farthest_corner_sq(&p, &r);
             assert!(lo <= mid, "mindist {lo} > minmaxdist {mid} at {p:?}");
             assert!(mid <= hi, "minmaxdist {mid} > maxdist {hi} at {p:?}");
         }
@@ -302,16 +283,6 @@ mod tests {
         let p = Point::new([0.0, 0.0]);
         assert_eq!(mindist_sq(&p, &e), f64::INFINITY);
         assert_eq!(minmaxdist_sq(&p, &e), f64::INFINITY);
-        assert_eq!(maxdist_sq(&p, &e), f64::INFINITY);
-    }
-
-    #[test]
-    fn maxdist_is_farthest_corner() {
-        let r = r2([0.0, 0.0], [2.0, 2.0]);
-        // From (-1,-1), the farthest corner is (2,2): squared distance 18.
-        assert_eq!(maxdist_sq(&Point::new([-1.0, -1.0]), &r), 18.0);
-        // From the center, all corners are equidistant: 2.
-        assert_eq!(maxdist_sq(&Point::new([1.0, 1.0]), &r), 2.0);
     }
 
     #[test]
@@ -331,7 +302,6 @@ mod tests {
         // near face x=0 (dist 1), far corners y,z at dist 1 each: 1+1+1=3
         // candidates along y/z: near 1, far x dist 3^2=9 ... k=x wins.
         assert_eq!(minmaxdist_sq(&p, &r), 3.0);
-        assert_eq!(maxdist_sq(&p, &r), 9.0 + 1.0 + 1.0);
     }
 
     #[test]

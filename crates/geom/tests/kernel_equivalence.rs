@@ -5,8 +5,8 @@
 //! to keep page-access counts independent of the kernel mode.
 
 use nnq_geom::{
-    intersects_batch, maxdist_sq, maxdist_sq_batch, mindist_sq, mindist_sq_batch, minmaxdist_sq,
-    minmaxdist_sq_batch, Point, Rect, SoaRects,
+    intersects_batch, mindist_sq, mindist_sq_batch, minmaxdist_sq, minmaxdist_sq_batch, Point,
+    Rect, SoaRects,
 };
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -79,19 +79,6 @@ fn check_bitwise<const D: usize>(raw: &[f64]) -> Result<(), TestCaseError> {
             j,
             out[j],
             minmaxdist_sq(&q, r)
-        );
-    }
-
-    maxdist_sq_batch(&q, &soa, &mut out);
-    for (j, r) in rects.iter().enumerate() {
-        prop_assert_eq!(
-            out[j].to_bits(),
-            maxdist_sq(&q, r).to_bits(),
-            "MAXDIST D={} entry {}: batch {:?} != scalar {:?}",
-            D,
-            j,
-            out[j],
-            maxdist_sq(&q, r)
         );
     }
 

@@ -1,14 +1,13 @@
-//! A tour of the query toolbox beyond plain kNN: radius queries,
-//! region-constrained kNN, k-farthest, generalized metrics, and the
-//! explain trace — all on one dataset.
+//! A tour of the query toolbox on one dataset: plain kNN, a radius query,
+//! and the explain trace of the branch-and-bound decisions.
 //!
 //! ```text
 //! cargo run -p nnq-examples --release --bin query_toolbox
 //! ```
 
-use nnq_core::{farthest_knn, metric_knn, within_radius, MbrRefiner, NnSearch};
+use nnq_core::{within_radius, MbrRefiner, NnSearch};
 use nnq_examples::meters;
-use nnq_geom::{Metric, Point, Rect};
+use nnq_geom::{Point, Rect};
 use nnq_rtree::{MemRTree, RecordId};
 use nnq_workloads::{default_bounds, gaussian_clusters};
 
@@ -39,38 +38,7 @@ fn main() {
         stats.nodes_visited
     );
 
-    // 3. Nearest sites *inside the visible map tile*.
-    let tile = Rect::new(
-        Point::new([60_000.0, 40_000.0]),
-        Point::new([80_000.0, 60_000.0]),
-    );
-    let (in_tile, _) = search
-        .query_in_region(&me, 3, &tile, &MbrRefiner)
-        .expect("region");
-    println!("\n3 nearest sites inside the tile {tile:?}:");
-    for n in &in_tile {
-        println!("  #{:<6} at {}", n.record.0, meters(n.dist_sq));
-    }
-
-    // 4. The 2 farthest sites (coverage analysis).
-    let (far, _) = farthest_knn(&tree, &me, 2, &MbrRefiner).expect("farthest");
-    println!("\n2 farthest sites:");
-    for n in &far {
-        println!("  #{:<6} at {}", n.record.0, meters(n.dist_sq));
-    }
-
-    // 5. Nearest under different metrics: walking grids vs straight lines.
-    println!("\nNearest site under each metric:");
-    for metric in [Metric::Euclidean, Metric::Manhattan, Metric::Chebyshev] {
-        let (hits, _) = metric_knn(&tree, &me, 1, metric).expect("metric knn");
-        println!(
-            "  {metric:?}: #{:<6} at distance {:.1}",
-            hits[0].record.0,
-            hits[0].dist()
-        );
-    }
-
-    // 6. Explain: watch the branch-and-bound decisions for a 1-NN query.
+    // 3. Explain: watch the branch-and-bound decisions for a 1-NN query.
     let (_, stats, trace) = search.query_traced(&me, 1, &MbrRefiner).expect("trace");
     println!(
         "\nExplain (1-NN): {} nodes entered, {} branches pruned; first events:",
