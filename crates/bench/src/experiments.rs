@@ -333,18 +333,15 @@ pub fn e8(scale: Scale) -> Vec<Table> {
         format!("E8: pages per query by algorithm (tiger-like, N = {n})"),
         &["k", "DFS (RKV'95)", "best-first", "incremental", "DFS/BF"],
     );
+    let opts = NnOptions::default();
     for &k in &[1usize, 2, 5, 10, 15, 20, 25] {
-        let dfs = measure_knn(&built, &queries, k, NnOptions::default(), Some(segments));
+        let dfs = measure_knn(&built, &queries, k, opts, Some(segments));
         let bf = measure(&built.pool, &queries, |q| {
-            best_first_knn(&built.tree, q, k, &refiner).unwrap().1
+            best_first_knn(&built.tree, q, k, opts, &refiner).unwrap().1
         });
         let inc = measure(&built.pool, &queries, |q| {
-            let mut it = IncrementalNn::new(&built.tree, *q, &refiner);
-            for _ in 0..k {
-                if it.next().is_none() {
-                    break;
-                }
-            }
+            let mut it = IncrementalNn::new(&built.tree, *q, opts, &refiner);
+            it.by_ref().take(k).for_each(drop);
             *it.stats()
         });
         table.row(vec![
@@ -828,7 +825,8 @@ pub fn e16(scale: Scale) -> Vec<Table> {
             QUERY_POOL_FRAMES,
         );
         let start = Instant::now();
-        let (pairs, stats) = nnq_core::intersection_join(&left.tree, &right.tree).unwrap();
+        let (pairs, stats) =
+            nnq_core::intersection_join(&left.tree, &right.tree, NnOptions::default()).unwrap();
         let elapsed = start.elapsed();
         // An index-nested-loop join runs one window query per left record;
         // estimate its node reads by sampling 200 of them.

@@ -10,6 +10,9 @@ pub enum CliError {
     Usage(String),
     /// An I/O or index error while executing a command.
     Run(String),
+    /// The output was closed by its reader (`nnq stats | head -1`): the
+    /// command stops, and it is not a failure.
+    BrokenPipe,
 }
 
 impl fmt::Display for CliError {
@@ -17,6 +20,7 @@ impl fmt::Display for CliError {
         match self {
             CliError::Usage(msg) => write!(f, "{msg}"),
             CliError::Run(msg) => write!(f, "error: {msg}"),
+            CliError::BrokenPipe => write!(f, "error: output closed"),
         }
     }
 }
@@ -25,7 +29,11 @@ impl std::error::Error for CliError {}
 
 impl From<std::io::Error> for CliError {
     fn from(e: std::io::Error) -> Self {
-        CliError::Run(e.to_string())
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            CliError::BrokenPipe
+        } else {
+            CliError::Run(e.to_string())
+        }
     }
 }
 

@@ -149,6 +149,7 @@ pub fn build(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         }
     };
     pool.flush_all()?;
+    remove_stale(index, 0)?;
     let elapsed = start.elapsed();
     debug_assert_eq!(
         tree.meta_page(),
@@ -166,6 +167,50 @@ pub fn build(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         elapsed.as_secs_f64() * 1e3
     )?;
     Ok(())
+}
+
+/// Removes the files an earlier build under the name `index` left that
+/// the index just written does not own: the other kind's (the manifest
+/// after a plain build, the plain file after a partitioned one) and every
+/// partition file `<index>.p<N>` with N ≥ `partitions` (0 for a plain
+/// index). Called only once the new index is on disk, so that a later
+/// open finds exactly one index under the name.
+fn remove_stale(index: &str, partitions: usize) -> Result<(), CliError> {
+    let other_kind = if partitions == 0 {
+        manifest_file(index)
+    } else {
+        index.to_string()
+    };
+    remove_if_present(Path::new(&other_kind))?;
+    let path = Path::new(index);
+    let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
+    let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
+        return Ok(());
+    };
+    let prefix = format!("{name}.p");
+    for entry in std::fs::read_dir(dir.unwrap_or(Path::new(".")))? {
+        let entry = entry?;
+        let file_name = entry.file_name();
+        // Exactly the names `partition_file` makes: `p1`, not `p01`/`p+1`.
+        let n = file_name
+            .to_str()
+            .and_then(|f| f.strip_prefix(&prefix))
+            .and_then(|n| n.parse::<usize>().ok().filter(|i| i.to_string() == n));
+        if n.is_some_and(|n| n >= partitions) {
+            remove_if_present(&entry.path())?;
+        }
+    }
+    Ok(())
+}
+
+fn remove_if_present(path: &Path) -> Result<(), CliError> {
+    match std::fs::remove_file(path) {
+        Err(e) if e.kind() != std::io::ErrorKind::NotFound => Err(CliError::Run(format!(
+            "removing stale {}: {e}",
+            path.display()
+        ))),
+        _ => Ok(()),
+    }
 }
 
 /// Builds a Hilbert-range partitioned index: one page file per partition
@@ -199,6 +244,7 @@ fn build_partitioned(
     }
     std::fs::write(manifest_file(index), encode_manifest(partitions))
         .map_err(|e| CliError::Run(format!("writing manifest: {e}")))?;
+    remove_stale(index, partitions)?;
     let elapsed = start.elapsed();
     let max_height = tree
         .partitions()

@@ -624,8 +624,6 @@ fn prefetch_and_io_latency_flags() {
 
     // The partitioned bench prints the same line, summed over every
     // partition's pool; its interleaved batches leave pages/query alone.
-    // (A plain index beside it under the same name would be refused.)
-    std::fs::remove_file(&index).unwrap();
     run_ok(&[
         "build",
         "--input",
@@ -1483,9 +1481,13 @@ fn open_rule_a_missing_partition_file_names_the_manifest_and_the_file() {
 fn open_rule_a_plain_and_a_partitioned_index_under_one_name_are_refused() {
     let data = tmp("twice.csv");
     let index = tmp("twice.rtree");
+    let plain = tmp("twice-plain.rtree");
     run_ok(&["gen", "--kind", "uniform", "--n", "800", "--out", &data]);
-    run_ok(&["build", "--input", &data, "--index", &index]);
+    run_ok(&["build", "--input", &data, "--index", &plain]);
     build_parted(&data, &index);
+    // A rebuild leaves one index under a name, so put the plain file
+    // beside the manifest by hand.
+    std::fs::copy(&plain, &index).unwrap();
     let (code, stderr) = nnq_fails(&["query", "--index", &index, "--data", &data, "--at", "1,1"]);
     assert_eq!(code, Some(1), "{stderr}");
     assert!(
@@ -1494,7 +1496,118 @@ fn open_rule_a_plain_and_a_partitioned_index_under_one_name_are_refused() {
     );
     assert!(stderr.contains(&format!("{index}.manifest")), "{stderr}");
     std::fs::remove_file(&data).ok();
+    std::fs::remove_file(&plain).ok();
     std::fs::remove_file(&index).ok();
+    remove_parted(&index);
+}
+
+/// Builds `index` over `data` with the Hilbert bulk load, as P partitions
+/// or (`None`) as one plain tree.
+fn build_hilbert(data: &str, index: &str, partitions: Option<usize>) {
+    let p = partitions.map(|p| p.to_string());
+    let mut args = vec![
+        "build", "--input", data, "--index", index, "--method", "hilbert",
+    ];
+    if let Some(p) = &p {
+        args.extend(["--partitions", p]);
+    }
+    run_ok(&args);
+}
+
+/// The files in `index`'s directory under its name: the plain file, the
+/// manifest and the partition files.
+fn index_files(index: &str) -> std::collections::BTreeSet<String> {
+    let path = std::path::Path::new(index);
+    let name = path.file_name().unwrap().to_str().unwrap();
+    std::fs::read_dir(path.parent().unwrap())
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .filter(|f| f == name || f.strip_prefix(name).is_some_and(|r| r.starts_with('.')))
+        .collect()
+}
+
+/// Builds `first`, then `second`, under one name: the name must then hold
+/// exactly `second`'s files, and `query` must answer from it as from a
+/// fresh build of `second`.
+fn rebuild_leaves_one_index(name: &str, first: Option<usize>, second: Option<usize>) {
+    let data = tmp(&format!("{name}.csv"));
+    let index = tmp(&format!("{name}.rtree"));
+    let fresh = tmp(&format!("{name}-fresh.rtree"));
+    run_ok(&[
+        "gen", "--kind", "tiger", "--n", "2000", "--seed", "5", "--out", &data,
+    ]);
+    build_hilbert(&data, &index, first);
+    build_hilbert(&data, &index, second);
+    build_hilbert(&data, &fresh, second);
+
+    let want: std::collections::BTreeSet<String> = match second {
+        None => [format!("{name}.rtree")].into(),
+        Some(p) => (0..p)
+            .map(|i| format!("{name}.rtree.p{i}"))
+            .chain([format!("{name}.rtree.manifest")])
+            .collect(),
+    };
+    assert_eq!(index_files(&index), want);
+
+    let hits = |index: &str, extra: &[&str]| -> Vec<String> {
+        let args = [&["query", "--index", index, "--data", &data][..], extra].concat();
+        let out = run_ok(&args);
+        out.lines()
+            .filter(|l| l.contains("segment #"))
+            .map(str::to_string)
+            .collect()
+    };
+    for extra in [
+        &["--at", "50000,50000", "-k", "7"][..],
+        &["--at", "20000,70000", "--radius", "3000"],
+    ] {
+        let got = hits(&index, extra);
+        assert!(!got.is_empty(), "{extra:?}");
+        assert_eq!(got, hits(&fresh, extra), "{extra:?}");
+    }
+    std::fs::remove_file(&data).ok();
+    for f in index_files(&index).into_iter().chain(index_files(&fresh)) {
+        std::fs::remove_file(std::path::Path::new(&index).with_file_name(f)).ok();
+    }
+}
+
+#[test]
+fn a_partitioned_build_over_a_plain_index_replaces_it() {
+    rebuild_leaves_one_index("rebuild-to-parted", None, Some(4));
+}
+
+#[test]
+fn a_plain_build_over_a_partitioned_index_replaces_it() {
+    rebuild_leaves_one_index("rebuild-to-plain", Some(4), None);
+}
+
+#[test]
+fn a_build_with_fewer_partitions_removes_the_surplus_files() {
+    rebuild_leaves_one_index("rebuild-to-fewer", Some(4), Some(2));
+}
+
+/// A reader that closes its end of the output (`nnq stats | head -1`)
+/// ends the command quietly: exit 0 and nothing on stderr.
+#[cfg(unix)]
+#[test]
+fn a_closed_stdout_is_not_an_error() {
+    let data = tmp("pipe.csv");
+    let index = tmp("pipe.rtree");
+    run_ok(&["gen", "--kind", "uniform", "--n", "800", "--out", &data]);
+    build_parted(&data, &index);
+    // The reading end is closed before the command starts, so its first
+    // write fails with a broken pipe.
+    let (reader, writer) = std::os::unix::net::UnixStream::pair().unwrap();
+    drop(reader);
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_nnq"))
+        .args(["stats", "--index", &index])
+        .stdout(std::os::fd::OwnedFd::from(writer))
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(stderr.is_empty(), "{stderr}");
+    std::fs::remove_file(&data).ok();
     remove_parted(&index);
 }
 

@@ -7,10 +7,10 @@
 //! ever read.
 
 use crate::heap::KnnHeap;
-use crate::options::{KernelMode, Neighbor, SearchStats};
+use crate::options::{Neighbor, NnOptions, SearchStats};
 use crate::refine::Refiner;
 use crate::Result;
-use nnq_geom::{mindist_sq, mindist_sq_batch, Point};
+use nnq_geom::Point;
 use nnq_rtree::TreeAccess;
 use nnq_storage::PageId;
 use std::cmp::Reverse;
@@ -34,27 +34,16 @@ impl Ord for QueueKey {
 ///
 /// Returns the neighbors (sorted by increasing distance) and the usual work
 /// counters; `abl_entries` and the pruning counters remain zero because the
-/// algorithm has no ABL.
+/// algorithm has no ABL. Of `opts` only the kernel applies; both kernel
+/// modes give bit-identical results and statistics.
 pub fn best_first_knn<const D: usize, T: TreeAccess<D> + ?Sized, R: Refiner<D>>(
     tree: &T,
     q: &Point<D>,
     k: usize,
+    opts: NnOptions,
     refiner: &R,
-) -> Result<(Vec<Neighbor<D>>, SearchStats)> {
-    best_first_knn_with(tree, q, k, refiner, KernelMode::default())
-}
-
-/// [`best_first_knn`] with an explicit distance-kernel mode. Both modes
-/// produce bit-identical results and statistics.
-pub fn best_first_knn_with<const D: usize, T: TreeAccess<D> + ?Sized, R: Refiner<D>>(
-    tree: &T,
-    q: &Point<D>,
-    k: usize,
-    refiner: &R,
-    kernel: KernelMode,
 ) -> Result<(Vec<Neighbor<D>>, SearchStats)> {
     assert!(k > 0, "k must be at least 1");
-    let batch = kernel == KernelMode::Batch;
     let mut mindists: Vec<f64> = Vec::new();
     let mut heap = KnnHeap::new(k);
     let mut stats = SearchStats::default();
@@ -68,17 +57,10 @@ pub fn best_first_knn_with<const D: usize, T: TreeAccess<D> + ?Sized, R: Refiner
         }
         let node = tree.access_node(page)?;
         stats.nodes_visited += 1;
-        if batch {
-            mindist_sq_batch(q, node.soa(), &mut mindists);
-        }
+        opts.kernel.mindists(q, &node, &mut mindists);
         if node.is_leaf() {
             stats.leaves_visited += 1;
-            for (j, e) in node.entries().iter().enumerate() {
-                let filter = if batch {
-                    mindists[j]
-                } else {
-                    mindist_sq(q, &e.mbr)
-                };
+            for (e, &filter) in node.entries().iter().zip(&mindists) {
                 if filter >= heap.bound_sq() {
                     continue;
                 }
@@ -87,19 +69,14 @@ pub fn best_first_knn_with<const D: usize, T: TreeAccess<D> + ?Sized, R: Refiner
                 heap.offer(e.record(), e.mbr, exact);
             }
         } else {
-            for (j, e) in node.entries().iter().enumerate() {
-                let d = if batch {
-                    mindists[j]
-                } else {
-                    mindist_sq(q, &e.mbr)
-                };
+            for (e, &d) in node.entries().iter().zip(&mindists) {
                 if d < heap.bound_sq() {
                     queue.push(Reverse((QueueKey(d), e.child())));
                 }
             }
         }
     }
-    Ok((heap.into_sorted(), stats))
+    Ok((heap.drain_sorted(), stats))
 }
 
 #[cfg(test)]
@@ -135,7 +112,8 @@ mod tests {
             let q = Point::new([rng.random_range(0.0..100.0), rng.random_range(0.0..100.0)]);
             for k in [1usize, 5, 17] {
                 let a = nn.query(&q, k).unwrap();
-                let (b, _) = best_first_knn(&tree, &q, k, &MbrRefiner).unwrap();
+                let (b, _) =
+                    best_first_knn(&tree, &q, k, NnOptions::default(), &MbrRefiner).unwrap();
                 let da: Vec<f64> = a.iter().map(|n| n.dist_sq).collect();
                 let db: Vec<f64> = b.iter().map(|n| n.dist_sq).collect();
                 assert_eq!(da, db);
@@ -152,7 +130,7 @@ mod tests {
         for _ in 0..20 {
             let q = Point::new([rng.random_range(0.0..100.0), rng.random_range(0.0..100.0)]);
             let (_, dfs) = nn.query_with_stats(&q, 10).unwrap();
-            let (_, bf) = best_first_knn(&tree, &q, 10, &MbrRefiner).unwrap();
+            let (_, bf) = best_first_knn(&tree, &q, 10, NnOptions::default(), &MbrRefiner).unwrap();
             assert!(
                 bf.nodes_visited <= dfs.nodes_visited,
                 "best-first {} > DFS {}",
@@ -166,7 +144,14 @@ mod tests {
     fn empty_tree() {
         let pool = Arc::new(BufferPool::new(Box::new(MemDisk::new(PAGE_SIZE)), 16));
         let tree = RTree::<2>::create(pool, RTreeConfig::default()).unwrap();
-        let (out, stats) = best_first_knn(&tree, &Point::new([0.0, 0.0]), 3, &MbrRefiner).unwrap();
+        let (out, stats) = best_first_knn(
+            &tree,
+            &Point::new([0.0, 0.0]),
+            3,
+            NnOptions::default(),
+            &MbrRefiner,
+        )
+        .unwrap();
         assert!(out.is_empty());
         assert_eq!(stats.nodes_visited, 0);
     }

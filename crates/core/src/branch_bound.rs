@@ -46,18 +46,21 @@
 //!
 //! ## Batched queries
 //!
-//! Each query needs an ABL per tree level, a `MINMAXDIST` scratch vector,
-//! and the candidate heap. A [`QueryCursor`] owns all three and is reused
-//! across queries ([`NnSearch::query_refined_with`]), so a warm batch over
-//! a cached tree performs no per-visit allocations; the convenience
-//! methods ([`NnSearch::query`] etc.) create a throwaway cursor.
+//! Each query needs an ABL per tree level, the per-node distance buffers
+//! the kernels fill (`KernelMode::mindists`/`minmaxdists`), a selection
+//! scratch vector, and the candidate heap. A crate-private
+//! [`QueryCursor`] owns them all and is reused across queries
+//! ([`NnSearch::query_refined_with`]) by `knn_join`, the scatter-gather
+//! search and the batch executor, so a warm batch over a cached tree
+//! performs no per-visit allocations; the public methods
+//! ([`NnSearch::query`] etc.) create a throwaway cursor.
 
 use crate::explain::{Decision, Trace, TraceEvent};
 use crate::heap::KnnHeap;
-use crate::options::{AblOrdering, KernelMode, Neighbor, NnOptions, SearchStats};
+use crate::options::{AblOrdering, Neighbor, NnOptions, SearchStats};
 use crate::refine::{MbrRefiner, Refiner};
 use crate::Result;
-use nnq_geom::{mindist_sq, mindist_sq_batch, minmaxdist_sq, minmaxdist_sq_batch, Point};
+use nnq_geom::Point;
 use nnq_rtree::{NodeView, RTree, TreeAccess};
 use nnq_storage::PageId;
 
@@ -71,9 +74,9 @@ pub struct NnSearch<'t, const D: usize, T: TreeAccess<D> + ?Sized = RTree<D>> {
 }
 
 /// Reusable per-query working memory for the branch-and-bound search:
-/// one Active Branch List buffer per tree level, a `MINMAXDIST` scratch
-/// vector, and the bounded candidate heap — and, while a query is under
-/// way, its whole traversal state.
+/// one Active Branch List buffer per tree level, the per-node distance
+/// and selection scratch, and the bounded candidate heap — and, while a
+/// query is under way, its whole traversal state.
 ///
 /// Construct once, pass to [`NnSearch::query_refined_with`] for every
 /// query of a batch; after the first few queries the search reaches a
@@ -81,7 +84,7 @@ pub struct NnSearch<'t, const D: usize, T: TreeAccess<D> + ?Sized = RTree<D>> {
 /// is plain data — independent of any particular tree — but must not be
 /// shared across threads concurrently (give each worker its own, as
 /// [`crate::par_knn_batch`] does).
-pub struct QueryCursor<const D: usize> {
+pub(crate) struct QueryCursor<const D: usize> {
     heap: KnnHeap<D>,
     /// One ABL per tree depth. `levels[..open]` belong to the internal
     /// nodes on the path from the root to the node being visited, each
@@ -95,12 +98,10 @@ pub struct QueryCursor<const D: usize> {
     stats: SearchStats,
     /// Scratch for the k-th-smallest MINMAXDIST selections (S1/S2).
     minmax: Vec<f64>,
-    /// Per-entry MINDIST output of the batch kernel for the node being
-    /// visited (`KernelMode::Batch` only).
-    batch_mindist: Vec<f64>,
-    /// Per-entry MINMAXDIST output of the batch kernel for the node being
-    /// visited (`KernelMode::Batch` only).
-    batch_minmax: Vec<f64>,
+    /// Per-entry MINDIST of the node being visited.
+    mindists: Vec<f64>,
+    /// Per-entry MINMAXDIST of the internal node being opened.
+    minmaxdists: Vec<f64>,
 }
 
 /// One open internal node of a traversal.
@@ -132,8 +133,8 @@ impl<const D: usize> QueryCursor<D> {
             next: None,
             stats: SearchStats::default(),
             minmax: Vec::new(),
-            batch_mindist: Vec::new(),
-            batch_minmax: Vec::new(),
+            mindists: Vec::new(),
+            minmaxdists: Vec::new(),
         }
     }
 
@@ -150,12 +151,6 @@ impl<const D: usize> QueryCursor<D> {
         self.open = 0;
         self.next = root;
         self.stats = SearchStats::default();
-    }
-}
-
-impl<const D: usize> Default for QueryCursor<D> {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -241,7 +236,7 @@ impl<'t, const D: usize, T: TreeAccess<D> + ?Sized> NnSearch<'t, D, T> {
     /// Like [`NnSearch::query_refined`], reusing `cursor`'s buffers — the
     /// batched entry point: one cursor amortizes all per-query scratch
     /// (ABL, selection scratch, candidate heap) across a whole workload.
-    pub fn query_refined_with<R: Refiner<D>>(
+    pub(crate) fn query_refined_with<R: Refiner<D>>(
         &self,
         cursor: &mut QueryCursor<D>,
         q: &Point<D>,
@@ -478,38 +473,21 @@ impl<const D: usize, T: TreeAccess<D> + ?Sized, R: Refiner<D>> Ctx<'_, '_, D, T,
 
     fn visit_leaf(&mut self, node: &NodeView<D>) {
         self.cursor.stats.leaves_visited += 1;
-        let batch = self.opts.kernel == KernelMode::Batch;
-        // Batch mode: one kernel pass over the node's SoA view fills the
-        // per-entry MINDISTs the object loop below reads.
-        if batch {
-            let q = self.q;
-            let cursor = &mut *self.cursor;
-            mindist_sq_batch(&q, node.soa(), &mut cursor.batch_mindist);
-        }
+        let (q, kernel) = (self.q, self.opts.kernel);
+        // The per-entry MINDISTs the object loop below reads.
+        kernel.mindists(&q, node, &mut self.cursor.mindists);
         // Strategy 2 bound: the k-th smallest MINMAXDIST among this leaf's
         // entries guarantees k objects within that distance.
         let object_bound = if self.opts.prune_object {
-            let q = self.q;
             let k = self.cursor.heap.k();
             let cursor = &mut *self.cursor;
-            if batch {
-                minmaxdist_sq_batch(&q, node.soa(), &mut cursor.minmax);
-            } else {
-                cursor.minmax.clear();
-                cursor
-                    .minmax
-                    .extend(node.entries().iter().map(|e| minmaxdist_sq(&q, &e.mbr)));
-            }
+            kernel.minmaxdists(&q, node, &mut cursor.minmax);
             kth_smallest(&mut cursor.minmax, k)
         } else {
             f64::INFINITY
         };
         for (j, e) in node.entries().iter().enumerate() {
-            let filter = if batch {
-                self.cursor.batch_mindist[j]
-            } else {
-                mindist_sq(&self.q, &e.mbr)
-            };
+            let filter = self.cursor.mindists[j];
             if self.opts.prune_object && filter > object_bound {
                 self.cursor.stats.pruned_object += 1;
                 self.trace_object(e.record(), filter, None, Decision::PrunedObject, false);
@@ -591,29 +569,16 @@ impl<const D: usize, T: TreeAccess<D> + ?Sized, R: Refiner<D>> Ctx<'_, '_, D, T,
         // Generate the Active Branch List. Both kernel modes produce the
         // same bits per entry (see `nnq_geom`'s kernel contract), so the
         // stable sort below and every pruning comparison behave
-        // identically; batch mode just computes the two metrics in two
-        // vectorized passes over the node's SoA view instead of 2·entries
-        // scalar calls.
-        match self.opts.kernel {
-            KernelMode::Scalar => {
-                abl.extend(node.entries().iter().map(|e| AblEntry {
-                    mindist: mindist_sq(&self.q, &e.mbr),
-                    minmaxdist: minmaxdist_sq(&self.q, &e.mbr),
-                    child: e.child(),
-                }));
-            }
-            KernelMode::Batch => {
-                let q = self.q;
-                let cursor = &mut *self.cursor;
-                mindist_sq_batch(&q, node.soa(), &mut cursor.batch_mindist);
-                minmaxdist_sq_batch(&q, node.soa(), &mut cursor.batch_minmax);
-                abl.extend(node.entries().iter().enumerate().map(|(j, e)| AblEntry {
-                    mindist: cursor.batch_mindist[j],
-                    minmaxdist: cursor.batch_minmax[j],
-                    child: e.child(),
-                }));
-            }
-        }
+        // identically.
+        let (q, kernel) = (self.q, self.opts.kernel);
+        let cursor = &mut *self.cursor;
+        kernel.mindists(&q, node, &mut cursor.mindists);
+        kernel.minmaxdists(&q, node, &mut cursor.minmaxdists);
+        abl.extend(node.entries().iter().enumerate().map(|(j, e)| AblEntry {
+            mindist: cursor.mindists[j],
+            minmaxdist: cursor.minmaxdists[j],
+            child: e.child(),
+        }));
         self.cursor.stats.abl_entries += abl.len() as u64;
 
         // Strategy 1 bound: k-th smallest MINMAXDIST within this ABL.
@@ -1022,6 +987,7 @@ mod tests {
     /// `open_internal`.
     mod traced_agreement {
         use super::*;
+        use crate::options::KernelMode;
         use nnq_rtree::MemRTree;
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};

@@ -119,17 +119,9 @@ impl<const D: usize> KnnHeap<D> {
         true
     }
 
-    /// Consumes the heap, returning neighbors sorted by increasing
-    /// distance (ties broken by record id for determinism).
-    pub fn into_sorted(self) -> Vec<Neighbor<D>> {
-        let mut v: Vec<Neighbor<D>> = self.heap.into_iter().map(|i| i.0).collect();
-        sort_hits(&mut v);
-        v
-    }
-
-    /// Drains the heap into a sorted result vector (same order as
-    /// [`KnnHeap::into_sorted`]) while keeping the heap's storage for the
-    /// next [`KnnHeap::reset`].
+    /// Drains the heap into a result vector sorted by increasing distance
+    /// (ties broken by record id for determinism) while keeping the
+    /// heap's storage for the next [`KnnHeap::reset`].
     pub fn drain_sorted(&mut self) -> Vec<Neighbor<D>> {
         let mut v: Vec<Neighbor<D>> = self.heap.drain().map(|i| i.0).collect();
         sort_hits(&mut v);
@@ -196,7 +188,7 @@ mod tests {
         for (i, d) in [7.0, 3.0, 5.0, 1.0, 9.0].into_iter().enumerate() {
             h.offer(RecordId(i as u64), r(d), d);
         }
-        let out = h.into_sorted();
+        let out = h.drain_sorted();
         assert_eq!(out.len(), 2);
         assert_eq!(out[0].dist_sq, 1.0);
         assert_eq!(out[1].dist_sq, 3.0);
@@ -209,7 +201,7 @@ mod tests {
         assert!(!h.offer(RecordId(1), r(1.0), 4.0)); // ties do not replace
         assert!(!h.offer(RecordId(2), r(2.0), 6.0));
         assert!(h.offer(RecordId(3), r(3.0), 1.0));
-        let out = h.into_sorted();
+        let out = h.drain_sorted();
         assert_eq!(out[0].record, RecordId(3));
     }
 
@@ -234,7 +226,7 @@ mod tests {
         h.offer(RecordId(5), r(0.0), 1.0);
         h.offer(RecordId(2), r(0.0), 1.0);
         h.offer(RecordId(9), r(0.0), 0.5);
-        let out = h.into_sorted();
+        let out = h.drain_sorted();
         assert_eq!(
             out.iter().map(|n| n.record).collect::<Vec<_>>(),
             vec![RecordId(9), RecordId(2), RecordId(5)]

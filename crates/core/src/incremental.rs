@@ -8,7 +8,7 @@
 
 use crate::options::{KernelMode, Neighbor, NnOptions, SearchStats};
 use crate::refine::Refiner;
-use nnq_geom::{mindist_sq, mindist_sq_batch, Point, Rect};
+use nnq_geom::{Point, Rect};
 use nnq_rtree::{RTree, RecordId, TreeAccess};
 use nnq_storage::PageId;
 use std::cmp::Reverse;
@@ -53,7 +53,7 @@ impl<const D: usize> Ord for Keyed<D> {
 /// from a query point.
 ///
 /// ```
-/// use nnq_core::{IncrementalNn, MbrRefiner};
+/// use nnq_core::{IncrementalNn, MbrRefiner, NnOptions};
 /// use nnq_rtree::{RTree, RTreeConfig, RecordId};
 /// use nnq_storage::{BufferPool, MemDisk, PAGE_SIZE};
 /// use nnq_geom::{Point, Rect};
@@ -64,7 +64,8 @@ impl<const D: usize> Ord for Keyed<D> {
 /// for i in 0..10u64 {
 ///     tree.insert(&Rect::from_point(Point::new([i as f64, 0.0])), RecordId(i)).unwrap();
 /// }
-/// let mut iter = IncrementalNn::new(&tree, Point::new([3.2, 0.0]), MbrRefiner);
+/// let q = Point::new([3.2, 0.0]);
+/// let mut iter = IncrementalNn::new(&tree, q, NnOptions::default(), MbrRefiner);
 /// let first = iter.next().unwrap().unwrap();
 /// assert_eq!(first.record, RecordId(3));
 /// // Keep pulling as long as you like; distances never decrease.
@@ -78,22 +79,17 @@ pub struct IncrementalNn<'t, const D: usize, R, T: TreeAccess<D> + ?Sized = RTre
     queue: BinaryHeap<Reverse<Keyed<D>>>,
     stats: SearchStats,
     kernel: KernelMode,
-    /// Scratch for the batched per-node `MINDIST` pass, reused across the
-    /// whole iteration.
+    /// Scratch for the per-node `MINDIST` pass, reused across the whole
+    /// iteration.
     mindists: Vec<f64>,
 }
 
 impl<'t, const D: usize, R: Refiner<D>, T: TreeAccess<D> + ?Sized> IncrementalNn<'t, D, R, T> {
-    /// Starts a distance-browsing iteration from `q`.
-    pub fn new(tree: &'t T, q: Point<D>, refiner: R) -> Self {
-        Self::with_options(tree, q, refiner, NnOptions::default())
-    }
-
-    /// [`IncrementalNn::new`] honoring the kernel field of `opts`; both
-    /// kernel modes produce bit-identical neighbors and statistics. The
-    /// pruning toggles and the prefetch policy do not apply: distance
-    /// browsing has no ABL, and a lone traversal issues no hints.
-    pub fn with_options(tree: &'t T, q: Point<D>, refiner: R, opts: NnOptions) -> Self {
+    /// Starts a distance-browsing iteration from `q`. Of `opts` only the
+    /// kernel applies, and both kernel modes produce bit-identical
+    /// neighbors and statistics: distance browsing has no ABL to prune,
+    /// and a lone traversal issues no prefetch hints.
+    pub fn new(tree: &'t T, q: Point<D>, opts: NnOptions, refiner: R) -> Self {
         let mut queue = BinaryHeap::new();
         if let Some(root) = tree.access_root() {
             queue.push(Reverse(Keyed {
@@ -149,31 +145,20 @@ impl<const D: usize, R: Refiner<D>, T: TreeAccess<D> + ?Sized> Iterator
                         Err(e) => return Some(Err(e)),
                     };
                     self.stats.nodes_visited += 1;
-                    let batch = self.kernel == KernelMode::Batch;
-                    if batch {
-                        mindist_sq_batch(&self.q, node.soa(), &mut self.mindists);
-                    }
+                    self.kernel.mindists(&self.q, &node, &mut self.mindists);
                     if node.is_leaf() {
                         self.stats.leaves_visited += 1;
-                        for (j, e) in node.entries().iter().enumerate() {
+                        for (e, &dist) in node.entries().iter().zip(&self.mindists) {
                             self.queue.push(Reverse(Keyed {
-                                dist: if batch {
-                                    self.mindists[j]
-                                } else {
-                                    mindist_sq(&self.q, &e.mbr)
-                                },
+                                dist,
                                 rank: 1,
                                 item: Item::Filtered(e.record(), e.mbr),
                             }));
                         }
                     } else {
-                        for (j, e) in node.entries().iter().enumerate() {
+                        for (e, &dist) in node.entries().iter().zip(&self.mindists) {
                             self.queue.push(Reverse(Keyed {
-                                dist: if batch {
-                                    self.mindists[j]
-                                } else {
-                                    mindist_sq(&self.q, &e.mbr)
-                                },
+                                dist,
                                 rank: 2,
                                 item: Item::Node(e.child()),
                             }));
@@ -213,7 +198,7 @@ mod tests {
     fn yields_all_objects_in_nondecreasing_order() {
         let tree = random_tree(500, 6);
         let q = Point::new([25.0, 25.0]);
-        let all: Vec<Neighbor<2>> = IncrementalNn::new(&tree, q, MbrRefiner)
+        let all: Vec<Neighbor<2>> = IncrementalNn::new(&tree, q, NnOptions::default(), MbrRefiner)
             .collect::<crate::Result<_>>()
             .unwrap();
         assert_eq!(all.len(), 500);
@@ -228,7 +213,7 @@ mod tests {
         let nn = NnSearch::new(&tree);
         let q = Point::new([10.0, 40.0]);
         let knn = nn.query(&q, 12).unwrap();
-        let inc: Vec<Neighbor<2>> = IncrementalNn::new(&tree, q, MbrRefiner)
+        let inc: Vec<Neighbor<2>> = IncrementalNn::new(&tree, q, NnOptions::default(), MbrRefiner)
             .take(12)
             .collect::<crate::Result<_>>()
             .unwrap();
@@ -241,7 +226,12 @@ mod tests {
     fn lazy_iteration_reads_few_nodes() {
         let tree = random_tree(5000, 8);
         let total_nodes = tree.stats().unwrap().nodes;
-        let mut iter = IncrementalNn::new(&tree, Point::new([25.0, 25.0]), MbrRefiner);
+        let mut iter = IncrementalNn::new(
+            &tree,
+            Point::new([25.0, 25.0]),
+            NnOptions::default(),
+            MbrRefiner,
+        );
         let _first = iter.next().unwrap().unwrap();
         assert!(
             iter.stats().nodes_visited * 10 < total_nodes,
@@ -255,7 +245,12 @@ mod tests {
     fn empty_tree_yields_nothing() {
         let pool = Arc::new(BufferPool::new(Box::new(MemDisk::new(PAGE_SIZE)), 16));
         let tree = RTree::<2>::create(pool, RTreeConfig::default()).unwrap();
-        let mut iter = IncrementalNn::new(&tree, Point::new([0.0, 0.0]), MbrRefiner);
+        let mut iter = IncrementalNn::new(
+            &tree,
+            Point::new([0.0, 0.0]),
+            NnOptions::default(),
+            MbrRefiner,
+        );
         assert!(iter.next().is_none());
     }
 }

@@ -33,6 +33,12 @@
 //! * [`IncrementalNn`] — distance browsing: an iterator yielding neighbors
 //!   in nondecreasing distance order.
 //!
+//! Each query family has one public entry, and each takes its options as
+//! one [`NnOptions`] — `best_first_knn(tree, q, k, opts, refiner)`,
+//! `IncrementalNn::new(tree, q, opts, refiner)`,
+//! `intersection_join(left, right, opts)` — so the distance kernel
+//! ([`KernelMode`]) is chosen by `opts.kernel` everywhere.
+//!
 //! Objects may be points, rectangles, or anything with a rectangular
 //! filter bound: exact distances are supplied by a [`Refiner`]
 //! (filter-refine, as the paper does for map segments).
@@ -78,8 +84,8 @@ mod spatial_join;
 #[cfg(test)]
 mod stalling;
 
-pub use best_first::{best_first_knn, best_first_knn_with};
-pub use branch_bound::{NnSearch, QueryCursor};
+pub use best_first::best_first_knn;
+pub use branch_bound::NnSearch;
 pub use explain::{Decision, Trace, TraceEvent};
 pub use heap::KnnHeap;
 pub use incremental::IncrementalNn;
@@ -96,7 +102,7 @@ pub use scatter::{
     forest_batch, forest_batch_dedup, partitioned_knn, partitioned_knn_batch, scatter_knn,
     scatter_radius, PartitionedStats,
 };
-pub use spatial_join::{intersection_join, intersection_join_with, JoinStats};
+pub use spatial_join::{intersection_join, JoinStats};
 
 /// Result alias shared with the index layer.
 pub type Result<T> = nnq_rtree::Result<T>;

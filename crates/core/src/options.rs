@@ -1,7 +1,9 @@
 //! Query options, results, and per-query statistics.
 
-use nnq_geom::Rect;
-use nnq_rtree::RecordId;
+use nnq_geom::{
+    intersects_batch, mindist_sq, mindist_sq_batch, minmaxdist_sq, minmaxdist_sq_batch, Point, Rect,
+};
+use nnq_rtree::{NodeView, RecordId};
 
 /// How the Active Branch List is ordered before descending — the paper's
 /// central experimental knob (experiment E2).
@@ -16,7 +18,7 @@ pub enum AblOrdering {
 }
 
 /// Which distance-kernel implementation the traversals use for the
-/// per-entry `MINDIST`/`MINMAXDIST`/`MAXDIST` evaluations.
+/// per-entry `MINDIST`, `MINMAXDIST` and intersection evaluations.
 ///
 /// The two modes are **bit-identical** per entry (the batch kernels run
 /// the same operation sequence over a struct-of-arrays node view — see
@@ -37,31 +39,54 @@ pub enum KernelMode {
 }
 
 impl KernelMode {
-    /// Lower-case label for CLI/bench output.
-    pub fn label(self) -> &'static str {
+    /// `MINDIST²` from `q` to every entry of `node`, written into `out`
+    /// (cleared and refilled) — the one place a traversal's kernel choice
+    /// is made. Both arms give the same bits per entry.
+    pub(crate) fn mindists<const D: usize>(
+        self,
+        q: &Point<D>,
+        node: &NodeView<D>,
+        out: &mut Vec<f64>,
+    ) {
         match self {
-            KernelMode::Scalar => "scalar",
-            KernelMode::Batch => "batch",
+            KernelMode::Scalar => {
+                out.clear();
+                out.extend(node.entries().iter().map(|e| mindist_sq(q, &e.mbr)));
+            }
+            KernelMode::Batch => mindist_sq_batch(q, node.soa(), out),
         }
     }
-}
 
-impl std::fmt::Display for KernelMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.label())
+    /// [`KernelMode::mindists`] for `MINMAXDIST²`.
+    pub(crate) fn minmaxdists<const D: usize>(
+        self,
+        q: &Point<D>,
+        node: &NodeView<D>,
+        out: &mut Vec<f64>,
+    ) {
+        match self {
+            KernelMode::Scalar => {
+                out.clear();
+                out.extend(node.entries().iter().map(|e| minmaxdist_sq(q, &e.mbr)));
+            }
+            KernelMode::Batch => minmaxdist_sq_batch(q, node.soa(), out),
+        }
     }
-}
 
-impl std::str::FromStr for KernelMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "scalar" => Ok(KernelMode::Scalar),
-            "batch" => Ok(KernelMode::Batch),
-            other => Err(format!(
-                "unknown kernel mode `{other}` (want scalar or batch)"
-            )),
+    /// Whether each entry of `node` intersects `window`, written into
+    /// `out` (cleared and refilled).
+    pub(crate) fn intersects<const D: usize>(
+        self,
+        window: &Rect<D>,
+        node: &NodeView<D>,
+        out: &mut Vec<bool>,
+    ) {
+        match self {
+            KernelMode::Scalar => {
+                out.clear();
+                out.extend(node.entries().iter().map(|e| e.mbr.intersects(window)));
+            }
+            KernelMode::Batch => intersects_batch(window, node.soa(), out),
         }
     }
 }
@@ -279,7 +304,6 @@ impl SearchStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nnq_geom::Point;
 
     #[test]
     fn defaults_enable_full_algorithm() {
@@ -295,11 +319,7 @@ mod tests {
     }
 
     #[test]
-    fn kernel_mode_parses_and_prints() {
-        assert_eq!("scalar".parse::<KernelMode>().unwrap(), KernelMode::Scalar);
-        assert_eq!("batch".parse::<KernelMode>().unwrap(), KernelMode::Batch);
-        assert!("simd".parse::<KernelMode>().is_err());
-        assert_eq!(KernelMode::Batch.to_string(), "batch");
+    fn kernel_mode_defaults_to_batch() {
         assert_eq!(NnOptions::default().kernel, KernelMode::Batch);
         assert_eq!(
             NnOptions::with_kernel(KernelMode::Scalar).kernel,

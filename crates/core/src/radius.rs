@@ -10,7 +10,7 @@ use crate::heap::sort_hits;
 use crate::options::{KernelMode, Neighbor, SearchStats};
 use crate::refine::Refiner;
 use crate::Result;
-use nnq_geom::{mindist_sq, mindist_sq_batch, Point};
+use nnq_geom::Point;
 use nnq_rtree::TreeAccess;
 
 /// Returns every object whose exact distance from `q` is at most `radius`
@@ -36,7 +36,6 @@ pub fn within_radius_with<const D: usize, T: TreeAccess<D> + ?Sized, R: Refiner<
 ) -> Result<(Vec<Neighbor<D>>, SearchStats)> {
     assert!(radius >= 0.0, "radius must be nonnegative");
     let radius_sq = radius * radius;
-    let batch = kernel == KernelMode::Batch;
     let mut mindists: Vec<f64> = Vec::new();
     let mut out = Vec::new();
     let mut stats = SearchStats::default();
@@ -47,17 +46,10 @@ pub fn within_radius_with<const D: usize, T: TreeAccess<D> + ?Sized, R: Refiner<
     while let Some(page) = stack.pop() {
         let node = tree.access_node(page)?;
         stats.nodes_visited += 1;
-        if batch {
-            mindist_sq_batch(q, node.soa(), &mut mindists);
-        }
+        kernel.mindists(q, &node, &mut mindists);
         if node.is_leaf() {
             stats.leaves_visited += 1;
-            for (j, e) in node.entries().iter().enumerate() {
-                let filter = if batch {
-                    mindists[j]
-                } else {
-                    mindist_sq(q, &e.mbr)
-                };
+            for (e, &filter) in node.entries().iter().zip(&mindists) {
                 if filter > radius_sq {
                     stats.pruned_upward += 1;
                     continue;
@@ -73,12 +65,7 @@ pub fn within_radius_with<const D: usize, T: TreeAccess<D> + ?Sized, R: Refiner<
                 }
             }
         } else {
-            for (j, e) in node.entries().iter().enumerate() {
-                let d = if batch {
-                    mindists[j]
-                } else {
-                    mindist_sq(q, &e.mbr)
-                };
+            for (e, &d) in node.entries().iter().zip(&mindists) {
                 if d <= radius_sq {
                     stack.push(e.child());
                 } else {

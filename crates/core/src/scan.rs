@@ -44,7 +44,7 @@ pub fn linear_scan_knn<const D: usize, T: TreeAccess<D> + ?Sized, R: Refiner<D>>
             }
         }
     }
-    Ok((heap.into_sorted(), stats))
+    Ok((heap.drain_sorted(), stats))
 }
 
 /// k nearest neighbors over an in-memory slice of `(mbr, record)` items —
@@ -60,7 +60,7 @@ pub fn scan_items_knn<const D: usize, R: Refiner<D>>(
     for (mbr, rid) in items {
         heap.offer(*rid, *mbr, refiner.dist_sq(*rid, mbr, q));
     }
-    heap.into_sorted()
+    heap.drain_sorted()
 }
 
 #[cfg(test)]

@@ -7,9 +7,9 @@
 //! different heights are handled by descending the taller side until the
 //! levels meet.
 
-use crate::options::KernelMode;
+use crate::options::{KernelMode, NnOptions};
 use crate::Result;
-use nnq_geom::{intersects_batch, Rect};
+use nnq_geom::Rect;
 use nnq_rtree::{NodeView, RecordId, TreeAccess};
 
 /// Work counters for one join.
@@ -30,26 +30,13 @@ pub struct JoinStats {
 /// self-join (`left` and `right` the same tree) reports each symmetric
 /// pair twice plus every record paired with itself, as the raw
 /// definition implies — filter `a < b` on the output for the distinct
-/// unordered pairs.
+/// unordered pairs. Of `opts` only the kernel applies: both kernel modes
+/// produce identical pairs, in the same order, with identical node-read
+/// counts.
 pub fn intersection_join<const D: usize, L, R>(
     left: &L,
     right: &R,
-) -> Result<(Vec<(RecordId, RecordId)>, JoinStats)>
-where
-    L: TreeAccess<D> + ?Sized,
-    R: TreeAccess<D> + ?Sized,
-{
-    intersection_join_with(left, right, KernelMode::default())
-}
-
-/// [`intersection_join`] with an explicit distance-kernel mode. Both modes
-/// produce identical pairs, in the same order, with identical node-read
-/// counts; in batch mode the per-node intersection tests run as one
-/// [`intersects_batch`] pass over the node's SoA view.
-pub fn intersection_join_with<const D: usize, L, R>(
-    left: &L,
-    right: &R,
-    kernel: KernelMode,
+    opts: NnOptions,
 ) -> Result<(Vec<(RecordId, RecordId)>, JoinStats)>
 where
     L: TreeAccess<D> + ?Sized,
@@ -60,12 +47,13 @@ where
     let (Some(lroot), Some(rroot)) = (left.access_root(), right.access_root()) else {
         return Ok((out, stats));
     };
-    // Intersection-flag scratch shared by every node-level batch pass.
+    // Intersection-flag scratch shared by every node-level pass.
     let mut hits: Vec<bool> = Vec::new();
     let lnode = read_left(left, lroot, &mut stats)?;
     let rnode = read_right(right, rroot, &mut stats)?;
     // The roots' MBRs must themselves intersect for any result to exist.
     if lnode.mbr().intersects(&rnode.mbr()) {
+        let kernel = opts.kernel;
         join(
             left, right, &lnode, &rnode, kernel, &mut hits, &mut out, &mut stats,
         )?;
@@ -107,24 +95,15 @@ where
     L: TreeAccess<D> + ?Sized,
     R: TreeAccess<D> + ?Sized,
 {
-    let batch = kernel == KernelMode::Batch;
     match (a.is_leaf(), b.is_leaf()) {
         (true, true) => {
-            // Emit intersecting record pairs: one batch pass over `b`'s SoA
-            // view per `a` entry, or the scalar pairwise tests.
+            // Emit intersecting record pairs: one pass over `b` per `a`
+            // entry.
             for ea in a.entries() {
-                if batch {
-                    intersects_batch(&ea.mbr, b.soa(), hits);
-                    for (eb, &hit) in b.entries().iter().zip(hits.iter()) {
-                        if hit {
-                            out.push((ea.record(), eb.record()));
-                        }
-                    }
-                } else {
-                    for eb in b.entries() {
-                        if ea.mbr.intersects(&eb.mbr) {
-                            out.push((ea.record(), eb.record()));
-                        }
+                kernel.intersects(&ea.mbr, b, hits);
+                for (eb, &hit) in b.entries().iter().zip(hits.iter()) {
+                    if hit {
+                        out.push((ea.record(), eb.record()));
                     }
                 }
             }
@@ -159,26 +138,9 @@ where
             } else {
                 // Same level: pairwise descent into intersecting children.
                 // The intersecting `b` children are collected before
-                // recursing because the recursion reuses the scratch; the
-                // node-read sequence (and thus the counters) matches the
-                // scalar mode exactly.
+                // recursing because the recursion reuses the scratch.
                 for ea in a.entries() {
-                    let matching: Vec<nnq_storage::PageId> = if batch {
-                        intersects_batch(&ea.mbr, b.soa(), hits);
-                        b.entries()
-                            .iter()
-                            .zip(hits.iter())
-                            .filter(|(_, &hit)| hit)
-                            .map(|(eb, _)| eb.child())
-                            .collect()
-                    } else {
-                        b.entries()
-                            .iter()
-                            .filter(|eb| ea.mbr.intersects(&eb.mbr))
-                            .map(|eb| eb.child())
-                            .collect()
-                    };
-                    for cb_page in matching {
+                    for cb_page in entries_intersecting(b, &ea.mbr, kernel, hits) {
                         let ca = read_left(left, ea.child(), stats)?;
                         let cb = read_right(right, cb_page, stats)?;
                         join(left, right, &ca, &cb, kernel, hits, out, stats)?;
@@ -190,29 +152,21 @@ where
     Ok(())
 }
 
+/// The children of `node`'s entries that intersect `window`, in entry
+/// order.
 fn entries_intersecting<const D: usize>(
     node: &NodeView<D>,
     window: &Rect<D>,
     kernel: KernelMode,
     hits: &mut Vec<bool>,
 ) -> Vec<nnq_storage::PageId> {
-    match kernel {
-        KernelMode::Scalar => node
-            .entries()
-            .iter()
-            .filter(|e| e.mbr.intersects(window))
-            .map(|e| e.child())
-            .collect(),
-        KernelMode::Batch => {
-            intersects_batch(window, node.soa(), hits);
-            node.entries()
-                .iter()
-                .zip(hits.iter())
-                .filter(|(_, &hit)| hit)
-                .map(|(e, _)| e.child())
-                .collect()
-        }
-    }
+    kernel.intersects(window, node, hits);
+    node.entries()
+        .iter()
+        .zip(hits.iter())
+        .filter(|(_, &hit)| hit)
+        .map(|(e, _)| e.child())
+        .collect()
 }
 
 #[cfg(test)]
@@ -266,7 +220,7 @@ mod tests {
         let b_items = random_rects(600, 2, 3.0);
         let a = build(&a_items, 8);
         let b = build(&b_items, 12); // different fanout → different heights
-        let (pairs, stats) = intersection_join(&a, &b).unwrap();
+        let (pairs, stats) = intersection_join(&a, &b, NnOptions::default()).unwrap();
         let got: BTreeSet<(u64, u64)> = pairs.iter().map(|(x, y)| (x.0, y.0)).collect();
         assert_eq!(got, brute(&a_items, &b_items));
         assert_eq!(stats.pairs as usize, pairs.len());
@@ -279,8 +233,8 @@ mod tests {
         let b_items = random_rects(400, 4, 4.0);
         let a = build(&a_items, 6);
         let b = build(&b_items, 6);
-        let (ab, _) = intersection_join(&a, &b).unwrap();
-        let (ba, _) = intersection_join(&b, &a).unwrap();
+        let (ab, _) = intersection_join(&a, &b, NnOptions::default()).unwrap();
+        let (ba, _) = intersection_join(&b, &a, NnOptions::default()).unwrap();
         let ab: BTreeSet<(u64, u64)> = ab.iter().map(|(x, y)| (x.0, y.0)).collect();
         let ba: BTreeSet<(u64, u64)> = ba.iter().map(|(x, y)| (y.0, x.0)).collect();
         assert_eq!(ab, ba);
@@ -299,7 +253,7 @@ mod tests {
         }
         let a = build(&a_items, 8);
         let b = build(&b_items, 8);
-        let (pairs, stats) = intersection_join(&a, &b).unwrap();
+        let (pairs, stats) = intersection_join(&a, &b, NnOptions::default()).unwrap();
         assert!(pairs.is_empty());
         // Only the roots were read.
         assert_eq!(stats.nodes_left, 1);
@@ -310,7 +264,7 @@ mod tests {
     fn self_join_includes_the_diagonal() {
         let items = random_rects(300, 7, 3.0);
         let tree = build(&items, 8);
-        let (pairs, _) = intersection_join(&tree, &tree).unwrap();
+        let (pairs, _) = intersection_join(&tree, &tree, NnOptions::default()).unwrap();
         let got: BTreeSet<(u64, u64)> = pairs.iter().map(|(x, y)| (x.0, y.0)).collect();
         // Every record intersects itself.
         for (_, id) in &items {
@@ -323,9 +277,18 @@ mod tests {
     fn empty_trees_join_empty() {
         let empty = MemRTree::<2>::new();
         let full = build(&random_rects(50, 8, 2.0), 8);
-        assert!(intersection_join(&empty, &full).unwrap().0.is_empty());
-        assert!(intersection_join(&full, &empty).unwrap().0.is_empty());
-        assert!(intersection_join(&empty, &empty).unwrap().0.is_empty());
+        assert!(intersection_join(&empty, &full, NnOptions::default())
+            .unwrap()
+            .0
+            .is_empty());
+        assert!(intersection_join(&full, &empty, NnOptions::default())
+            .unwrap()
+            .0
+            .is_empty());
+        assert!(intersection_join(&empty, &empty, NnOptions::default())
+            .unwrap()
+            .0
+            .is_empty());
     }
 
     #[test]
@@ -336,7 +299,7 @@ mod tests {
         let b_items = random_rects(5_000, 10, 0.1);
         let a = build(&a_items, 16);
         let b = build(&b_items, 16);
-        let (pairs, stats) = intersection_join(&a, &b).unwrap();
+        let (pairs, stats) = intersection_join(&a, &b, NnOptions::default()).unwrap();
         let a_nodes = a.stats().unwrap().nodes;
         let b_leaves = b.stats().unwrap().leaves;
         // A nested-loop join would read every A node once per B leaf.

@@ -2,7 +2,7 @@
 //! answers over paged and in-memory trees.
 
 use nnq_core::{
-    best_first_knn, linear_scan_knn, scan_items_knn, IncrementalNn, MbrRefiner, NnSearch,
+    best_first_knn, linear_scan_knn, scan_items_knn, IncrementalNn, MbrRefiner, NnOptions, NnSearch,
 };
 use nnq_geom::{Point, Rect};
 use nnq_rtree::{BulkMethod, MemRTree, RTree, RTreeConfig, RecordId};
@@ -93,13 +93,13 @@ fn all_algorithms_agree_across_backends() {
                 .iter()
                 .map(|n| n.dist_sq)
                 .collect::<Vec<_>>(),
-            best_first_knn(&mem, &q, 7, &MbrRefiner)
+            best_first_knn(&mem, &q, 7, NnOptions::default(), &MbrRefiner)
                 .unwrap()
                 .0
                 .iter()
                 .map(|n| n.dist_sq)
                 .collect::<Vec<_>>(),
-            IncrementalNn::new(&mem, q, MbrRefiner)
+            IncrementalNn::new(&mem, q, NnOptions::default(), MbrRefiner)
                 .take(7)
                 .collect::<nnq_core::Result<Vec<_>>>()
                 .unwrap()

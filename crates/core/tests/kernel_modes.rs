@@ -5,8 +5,8 @@
 //! even if the returned neighbors happen to coincide.
 
 use nnq_core::{
-    best_first_knn_with, intersection_join_with, within_radius_with, AblOrdering, IncrementalNn,
-    KernelMode, MbrRefiner, Neighbor, NnOptions, NnSearch,
+    best_first_knn, intersection_join, within_radius_with, AblOrdering, IncrementalNn, KernelMode,
+    MbrRefiner, Neighbor, NnOptions, NnSearch,
 };
 use nnq_geom::{Point, Rect};
 use nnq_rtree::{MemRTree, RTree, RTreeConfig, RecordId};
@@ -57,6 +57,14 @@ fn paged_tree(items: &[(Rect<2>, RecordId)]) -> RTree<2> {
         tree.insert(mbr, *rid).unwrap();
     }
     tree
+}
+
+/// The default options under the scalar and the batch kernel.
+fn kernel_options() -> (NnOptions, NnOptions) {
+    (
+        NnOptions::with_kernel(KernelMode::Scalar),
+        NnOptions::with_kernel(KernelMode::Batch),
+    )
 }
 
 /// Exact comparison: same records, same MBRs, same distance **bits**.
@@ -140,14 +148,13 @@ fn branch_and_bound_identical_across_kernels_all_option_variants() {
 fn best_first_identical_across_kernels() {
     let items = random_items(3_000, 21);
     let tree = paged_tree(&items);
+    let (scalar, batch) = kernel_options();
     let mut rng = StdRng::seed_from_u64(22);
     for _ in 0..20 {
         let q = Point::new([rng.random_range(0.0..100.0), rng.random_range(0.0..100.0)]);
         for k in [1usize, 9] {
-            let (ns, ss) =
-                best_first_knn_with(&tree, &q, k, &MbrRefiner, KernelMode::Scalar).unwrap();
-            let (nb, sb) =
-                best_first_knn_with(&tree, &q, k, &MbrRefiner, KernelMode::Batch).unwrap();
+            let (ns, ss) = best_first_knn(&tree, &q, k, scalar, &MbrRefiner).unwrap();
+            let (nb, sb) = best_first_knn(&tree, &q, k, batch, &MbrRefiner).unwrap();
             assert_same_neighbors(&ns, &nb, "best-first");
             assert_eq!(ss, sb, "best-first stats");
         }
@@ -158,14 +165,15 @@ fn best_first_identical_across_kernels() {
 fn radius_identical_across_kernels() {
     let items = random_items(3_000, 31);
     let tree = mem_tree(&items);
+    let (scalar, batch) = kernel_options();
     let mut rng = StdRng::seed_from_u64(32);
     for _ in 0..20 {
         let q = Point::new([rng.random_range(0.0..100.0), rng.random_range(0.0..100.0)]);
         for radius in [0.0, 1.5, 8.0] {
             let (ns, ss) =
-                within_radius_with(&tree, &q, radius, &MbrRefiner, KernelMode::Scalar).unwrap();
+                within_radius_with(&tree, &q, radius, &MbrRefiner, scalar.kernel).unwrap();
             let (nb, sb) =
-                within_radius_with(&tree, &q, radius, &MbrRefiner, KernelMode::Batch).unwrap();
+                within_radius_with(&tree, &q, radius, &MbrRefiner, batch.kernel).unwrap();
             assert_same_neighbors(&ns, &nb, "radius");
             assert_eq!(ss, sb, "radius stats");
         }
@@ -177,18 +185,9 @@ fn incremental_identical_across_kernels() {
     let items = random_items(2_000, 51);
     let tree = mem_tree(&items);
     let q = Point::new([37.0, 59.0]);
-    let mut scalar = IncrementalNn::with_options(
-        &tree,
-        q,
-        MbrRefiner,
-        NnOptions::with_kernel(KernelMode::Scalar),
-    );
-    let mut batch = IncrementalNn::with_options(
-        &tree,
-        q,
-        MbrRefiner,
-        NnOptions::with_kernel(KernelMode::Batch),
-    );
+    let (scalar, batch) = kernel_options();
+    let mut scalar = IncrementalNn::new(&tree, q, scalar, MbrRefiner);
+    let mut batch = IncrementalNn::new(&tree, q, batch, MbrRefiner);
     let ns: Vec<Neighbor<2>> = scalar
         .by_ref()
         .take(500)
@@ -207,8 +206,9 @@ fn incremental_identical_across_kernels() {
 fn intersection_join_identical_across_kernels() {
     let a = mem_tree(&random_items(1_500, 61));
     let b = mem_tree(&random_items(1_200, 62));
-    let (ps, ss) = intersection_join_with(&a, &b, KernelMode::Scalar).unwrap();
-    let (pb, sb) = intersection_join_with(&a, &b, KernelMode::Batch).unwrap();
+    let (scalar, batch) = kernel_options();
+    let (ps, ss) = intersection_join(&a, &b, scalar).unwrap();
+    let (pb, sb) = intersection_join(&a, &b, batch).unwrap();
     // Pair-for-pair, in the same order — not just as sets.
     assert_eq!(ps, pb, "join pairs diverged");
     assert_eq!(ss, sb, "join stats diverged");

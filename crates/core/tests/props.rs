@@ -134,8 +134,8 @@ proptest! {
         let tree = build_tree(&items, SplitStrategy::Quadratic, 6, None);
         let q = Point::new([qx, qy]);
         let dfs = NnSearch::new(&tree).query(&q, k).unwrap();
-        let (bf, _) = best_first_knn(&tree, &q, k, &MbrRefiner).unwrap();
-        let inc: Vec<_> = IncrementalNn::new(&tree, q, MbrRefiner)
+        let (bf, _) = best_first_knn(&tree, &q, k, NnOptions::default(), &MbrRefiner).unwrap();
+        let inc: Vec<_> = IncrementalNn::new(&tree, q, NnOptions::default(), MbrRefiner)
             .take(k)
             .collect::<nnq_core::Result<_>>()
             .unwrap();
@@ -150,7 +150,7 @@ proptest! {
     ) {
         let items = items_from_points(&pts);
         let tree = build_tree(&items, SplitStrategy::Quadratic, 5, None);
-        let all: Vec<_> = IncrementalNn::new(&tree, Point::new([qx, qy]), MbrRefiner)
+        let all: Vec<_> = IncrementalNn::new(&tree, Point::new([qx, qy]), NnOptions::default(), MbrRefiner)
             .collect::<nnq_core::Result<_>>()
             .unwrap();
         prop_assert_eq!(all.len(), items.len());

@@ -37,12 +37,6 @@ impl Dist {
         Dist(sq)
     }
 
-    /// Wraps a linear distance.
-    #[inline]
-    pub fn from_linear(d: f64) -> Self {
-        Dist(d * d)
-    }
-
     /// The squared distance.
     #[inline]
     pub const fn sq(self) -> f64 {
@@ -415,9 +409,6 @@ mod tests {
 
     #[test]
     fn dist_newtype_round_trips() {
-        let d = Dist::from_linear(3.0);
-        assert_eq!(d.sq(), 9.0);
-        assert_eq!(d.linear(), 3.0);
         assert_eq!(Dist::from_sq(16.0).linear(), 4.0);
         assert!(Dist::ZERO < Dist::INFINITY);
     }

@@ -168,7 +168,7 @@ impl<const D: usize> KdTree<D> {
         if let Some(root) = self.root {
             self.search(root, q, &mut heap, &mut stats);
         }
-        (heap.into_sorted(), stats)
+        (heap.drain_sorted(), stats)
     }
 
     fn search(&self, node: usize, q: &Point<D>, heap: &mut KnnHeap<D>, stats: &mut SearchStats) {

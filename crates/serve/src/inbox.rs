@@ -159,11 +159,6 @@ impl<T> Inbox<T> {
         self.cond.notify_all();
     }
 
-    /// Whether [`close`](Inbox::close) has been called.
-    pub fn is_closed(&self) -> bool {
-        self.state.lock().unwrap().closed
-    }
-
     /// Blocks until a micro-batch is ready, then drains and returns it in
     /// admission order. Returns `None` when the inbox is closed and
     /// empty — the batcher's termination signal.

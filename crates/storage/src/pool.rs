@@ -148,20 +148,6 @@ impl PoolStats {
         }
     }
 
-    /// Fraction of fetches that had to read the device themselves — the
-    /// **demand** miss rate — in `[0, 1]` (`0.0` for an untouched pool,
-    /// same convention as [`PoolStats::hit_rate`]). Working prefetch
-    /// lowers it without the pool getting any warmer: device reads per
-    /// logical read are `(physical_reads + PrefetchStats::useful) /
-    /// logical_reads`.
-    pub fn miss_rate(&self) -> f64 {
-        if self.logical_reads == 0 {
-            0.0
-        } else {
-            self.physical_reads as f64 / self.logical_reads as f64
-        }
-    }
-
     /// Adds `other` counter-wise — how per-shard stats sum to the pool
     /// aggregate, and how a partitioned tree's per-partition pools sum to
     /// one dataset-wide figure.
@@ -496,13 +482,6 @@ impl BufferPool {
             }),
             workers: Vec::new(),
         }
-    }
-
-    /// Shard count sized for a thread hint: the next power of two at or
-    /// above `threads` (so each worker of a `threads`-wide batch tends to
-    /// land on its own latch).
-    pub fn shards_for_threads(threads: usize) -> usize {
-        threads.max(1).next_power_of_two()
     }
 
     /// Creates a pool whose page write-backs are journaled to `wal`
@@ -1427,7 +1406,6 @@ mod tests {
         let s = p.stats();
         assert_eq!(s.logical_reads, 0);
         assert_eq!(s.hit_rate(), 0.0);
-        assert_eq!(s.miss_rate(), 0.0);
 
         // Same after a reset wipes earlier activity.
         let (id, w) = p.new_page().unwrap();
@@ -1619,14 +1597,6 @@ mod tests {
             let p = sharded(frames, shards);
             assert_eq!(p.capacity(), frames, "frames={frames} shards={shards}");
         }
-    }
-
-    #[test]
-    fn shards_for_threads_rounds_up() {
-        assert_eq!(BufferPool::shards_for_threads(0), 1);
-        assert_eq!(BufferPool::shards_for_threads(1), 1);
-        assert_eq!(BufferPool::shards_for_threads(3), 4);
-        assert_eq!(BufferPool::shards_for_threads(8), 8);
     }
 
     #[test]

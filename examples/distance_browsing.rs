@@ -10,7 +10,7 @@
 //! cargo run -p nnq-examples --release --bin distance_browsing
 //! ```
 
-use nnq_core::{IncrementalNn, MbrRefiner};
+use nnq_core::{IncrementalNn, MbrRefiner, NnOptions};
 use nnq_examples::{example_pool, meters};
 use nnq_geom::Point;
 use nnq_rtree::{RTree, RTreeConfig};
@@ -43,7 +43,7 @@ fn main() {
         me[0], me[1]
     );
 
-    let mut iter = IncrementalNn::new(&tree, me, MbrRefiner);
+    let mut iter = IncrementalNn::new(&tree, me, NnOptions::default(), MbrRefiner);
     let mut found = 0;
     let mut examined = 0;
     while found < 3 {

@@ -505,7 +505,7 @@ fn adaptive_queries_outside_a_batch_issue_no_hints() {
 
     let tree = open(&disk, meta, frames, 2);
     for q in &queries {
-        let walk = IncrementalNn::with_options(&tree, *q, MbrRefiner, opts);
+        let walk = IncrementalNn::new(&tree, *q, opts, MbrRefiner);
         let hits = walk.take(3 * K).collect::<nnq_core::Result<Vec<_>>>();
         assert_eq!(hits.unwrap().len(), 3 * K);
     }

@@ -182,7 +182,7 @@ fn claim_dfs_stays_close_to_best_first() {
     let search = NnSearch::new(&tree);
     for q in &queries {
         dfs_total += search.query_with_stats(q, 10).unwrap().1.nodes_visited;
-        bf_total += best_first_knn(&tree, q, 10, &MbrRefiner)
+        bf_total += best_first_knn(&tree, q, 10, NnOptions::default(), &MbrRefiner)
             .unwrap()
             .1
             .nodes_visited;

@@ -5,9 +5,8 @@
 //! *bit-identical* to the plain single tree, structure and counters both.
 
 use nnq_core::{
-    forest_batch, partitioned_knn, partitioned_knn_batch, scatter_radius, within_radius_with,
+    forest_batch, partitioned_knn, partitioned_knn_batch, scatter_radius, within_radius,
     BatchQuery, JoinOrder, MbrRefiner, Neighbor, NnOptions, NnSearch, PartitionedStats,
-    QueryCursor,
 };
 use nnq_geom::{Point, Rect};
 use nnq_rtree::{BulkMethod, PartitionedTree, RTree, RTreeConfig, RecordId, TreeAccess};
@@ -78,17 +77,11 @@ fn key(results: &[Neighbor<2>]) -> Vec<(u64, u64)> {
 fn partitioned_knn_matches_single_tree_across_p_and_threads() {
     let reference = single_tree();
     let search = NnSearch::new(&reference);
-    let mut cursor = QueryCursor::new();
     let queries = uniform_queries(120, &default_bounds(), 78);
     let k = 10;
     let expected: Vec<_> = queries
         .iter()
-        .map(|q| {
-            key(&search
-                .query_refined_with(&mut cursor, q, k, &MbrRefiner)
-                .unwrap()
-                .0)
-        })
+        .map(|q| key(&search.query_refined(q, k, &MbrRefiner).unwrap().0))
         .collect();
 
     for p in [1, 4] {
@@ -152,14 +145,11 @@ fn single_partition_accounting_is_bit_identical_to_single_tree() {
     let reference = single_tree();
     let tree = parted(1);
     let search = NnSearch::new(&reference);
-    let mut cursor = QueryCursor::new();
     let queries = uniform_queries(100, &default_bounds(), 80);
     let k = 10;
     for q in &queries {
         reference.pool().reset_stats();
-        let (want, want_stats) = search
-            .query_refined_with(&mut cursor, q, k, &MbrRefiner)
-            .unwrap();
+        let (want, want_stats) = search.query_refined(q, k, &MbrRefiner).unwrap();
         let want_pages = reference.pool().stats().logical_reads;
 
         reset_stats(&tree);
@@ -185,14 +175,7 @@ fn partitioned_radius_matches_single_tree() {
         for radius in [0.0, 3_000.0, 25_000.0] {
             for threads in [1, 8] {
                 for q in &queries {
-                    let (want, _) = within_radius_with(
-                        &reference,
-                        q,
-                        radius,
-                        &MbrRefiner,
-                        nnq_core::KernelMode::default(),
-                    )
-                    .unwrap();
+                    let (want, _) = within_radius(&reference, q, radius, &MbrRefiner).unwrap();
                     let (found, stats) = scatter_radius(
                         tree.partitions(),
                         q,
@@ -315,11 +298,9 @@ fn insert_many_is_equivalent_to_per_record_inserts() {
     let qs = uniform_queries(60, &default_bounds(), 84);
     let sa = NnSearch::new(&one_by_one);
     let sb = NnSearch::new(&batched);
-    let mut ca = QueryCursor::new();
-    let mut cb = QueryCursor::new();
     for q in &qs {
-        let (ra, stats_a) = sa.query_refined_with(&mut ca, q, 7, &MbrRefiner).unwrap();
-        let (rb, stats_b) = sb.query_refined_with(&mut cb, q, 7, &MbrRefiner).unwrap();
+        let (ra, stats_a) = sa.query_refined(q, 7, &MbrRefiner).unwrap();
+        let (rb, stats_b) = sb.query_refined(q, 7, &MbrRefiner).unwrap();
         // The batched txn replays the identical insert sequence inside one
         // commit, so the trees are structurally the same: identical
         // results *and* identical traversal counters.

@@ -7,8 +7,7 @@
 //! dropped.
 
 use nnq_core::{
-    par_knn_batch, MbrRefiner, Neighbor, NnOptions, NnSearch, PrefetchPolicy, QueryCursor,
-    SearchStats,
+    par_knn_batch, MbrRefiner, Neighbor, NnOptions, NnSearch, PrefetchPolicy, SearchStats,
 };
 use nnq_rtree::{RTree, RTreeConfig};
 use nnq_storage::{BufferPool, FileDisk, LatencyDisk, LatencyProfile, PageId, PAGE_SIZE};
@@ -82,16 +81,13 @@ fn sequential_run(path: &std::path::Path, policy: PrefetchPolicy) -> Run {
             ..NnOptions::default()
         },
     );
-    let mut cursor = QueryCursor::new();
     pool.reset_stats();
     let mut per_query_pages = Vec::with_capacity(queries.len());
     let mut stats = SearchStats::default();
     let mut dists = Vec::with_capacity(queries.len());
     for q in &queries {
         let before = pool.stats().logical_reads;
-        let (found, s) = search
-            .query_refined_with(&mut cursor, q, K, &MbrRefiner)
-            .unwrap();
+        let (found, s) = search.query_refined(q, K, &MbrRefiner).unwrap();
         per_query_pages.push(pool.stats().logical_reads - before);
         merge(&mut stats, &s);
         dists.push(found.iter().map(|n| n.dist_sq).collect());
@@ -218,13 +214,10 @@ fn prefetch_under_injected_latency_still_balances_and_agrees() {
             pool.reset_stats();
             let found: Vec<Vec<Neighbor<2>>> = if threads == 1 {
                 let search = NnSearch::with_options(&tree, opts);
-                let mut cursor = QueryCursor::new();
                 queries
                     .iter()
                     .map(|q| {
-                        let (found, _) = search
-                            .query_refined_with(&mut cursor, q, K, &MbrRefiner)
-                            .unwrap();
+                        let (found, _) = search.query_refined(q, K, &MbrRefiner).unwrap();
                         found
                     })
                     .collect()

@@ -4,7 +4,7 @@
 //! surface as explicit fast rejections rather than hangs or silent
 //! drops, and a graceful shutdown must drain every admitted request.
 
-use nnq_core::{within_radius_with, KernelMode, MbrRefiner, NnOptions, NnSearch};
+use nnq_core::{within_radius, MbrRefiner, NnOptions, NnSearch};
 use nnq_geom::Point;
 use nnq_rtree::{BulkMethod, RTree, RTreeConfig};
 use nnq_serve::{Client, Engine, Request, Response, ServeConfig, RETRY_AFTER_US};
@@ -63,7 +63,7 @@ fn sequential_answer(tree: &RTree<2>, req: &Request) -> (Vec<(u64, u64)>, u64) {
         }
         Request::Radius { x, y, radius, .. } => {
             let q = Point::new([x, y]);
-            within_radius_with(tree, &q, radius, &MbrRefiner, KernelMode::default()).unwrap()
+            within_radius(tree, &q, radius, &MbrRefiner).unwrap()
         }
         _ => unreachable!(),
     };

@@ -11,10 +11,7 @@
 //! per batch, so each answer is that of one committed state, and every
 //! tree is bounded by its own committed root MBR, which never freezes.
 
-use nnq_core::{
-    partitioned_knn, scatter_radius, within_radius_with, KernelMode, MbrRefiner, NnOptions,
-    NnSearch,
-};
+use nnq_core::{partitioned_knn, scatter_radius, within_radius, MbrRefiner, NnOptions, NnSearch};
 use nnq_geom::{Point, Rect};
 use nnq_rtree::{BulkMethod, PartitionedTree, RTree, RTreeConfig, RecordId, TreeAccess};
 use nnq_serve::{Client, Engine, Request, Response, ServeConfig};
@@ -77,7 +74,7 @@ fn sequential_hits(tree: &RTree<2>, req: &Request) -> Vec<(u64, u64)> {
         }
         Request::Radius { x, y, radius, .. } => {
             let q = Point::new([x, y]);
-            within_radius_with(tree, &q, radius, &MbrRefiner, KernelMode::default()).unwrap()
+            within_radius(tree, &q, radius, &MbrRefiner).unwrap()
         }
         _ => unreachable!(),
     };

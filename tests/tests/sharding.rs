@@ -3,7 +3,7 @@
 //! (pool shard count) or execution (thread count), and per-shard counters
 //! must sum to the single-shard totals.
 
-use nnq_core::{par_knn_batch, MbrRefiner, NnOptions, NnSearch, QueryCursor};
+use nnq_core::{par_knn_batch, MbrRefiner, NnOptions, NnSearch};
 use nnq_rtree::{RTree, RTreeConfig};
 use nnq_storage::{BufferPool, FileDisk, PageId, PoolStats, PAGE_SIZE};
 use nnq_workloads::{default_bounds, points_to_items, uniform_points, uniform_queries};
@@ -61,15 +61,12 @@ fn page_accounting_is_shard_and_thread_invariant() {
     // own counter delta per query.
     let (ref_tree, ref_pool) = open_sharded(&path, 1);
     let search = NnSearch::new(&ref_tree);
-    let mut cursor = QueryCursor::new();
     ref_pool.reset_stats();
     let mut per_query_pages = Vec::with_capacity(queries.len());
     let mut ref_results = Vec::with_capacity(queries.len());
     for q in &queries {
         let before = ref_pool.stats().logical_reads;
-        let (found, stats) = search
-            .query_refined_with(&mut cursor, q, k, &MbrRefiner)
-            .unwrap();
+        let (found, stats) = search.query_refined(q, k, &MbrRefiner).unwrap();
         let delta = ref_pool.stats().logical_reads - before;
         assert_eq!(delta, stats.nodes_visited, "node read ≠ page fetch");
         per_query_pages.push(delta);
@@ -86,13 +83,10 @@ fn page_accounting_is_shard_and_thread_invariant() {
             // Per-query counts, measured sequentially (per-query deltas
             // are only well-defined without interleaving).
             let search = NnSearch::new(&tree);
-            let mut cursor = QueryCursor::new();
             pool.reset_stats();
             for (i, q) in queries.iter().enumerate() {
                 let before = pool.stats().logical_reads;
-                search
-                    .query_refined_with(&mut cursor, q, k, &MbrRefiner)
-                    .unwrap();
+                search.query_refined(q, k, &MbrRefiner).unwrap();
                 let delta = pool.stats().logical_reads - before;
                 assert_eq!(
                     delta, per_query_pages[i],
